@@ -350,7 +350,7 @@ def test_phi_distribution_warm_cache(benchmark, graph, perf_records):
     )
 
 
-@pytest.mark.parametrize("protocol", ["bgp", "stamp"])
+@pytest.mark.parametrize("protocol", ["bgp", "rbgp", "rbgp-norci", "stamp"])
 def test_transient_analysis(benchmark, graph, perf_records, protocol):
     """Trace replay + classification for one single-link-failure run."""
     scenario = single_provider_link_failure(graph, random.Random("bench:0"))
@@ -410,20 +410,24 @@ def test_transient_analysis_stamp_episode(benchmark, graph, perf_records):
     )
 
 
-def test_transient_analysis_stamp_episode_long(benchmark, graph, perf_records):
+@pytest.mark.parametrize("protocol", ["bgp", "rbgp", "stamp"])
+def test_transient_analysis_episode_long(
+    benchmark, graph, perf_records, protocol
+):
     """Long-horizon flap storm where boundary cost dominates.
 
     512 phases two simulated seconds apart: each segment's trace is
     tiny, so per-boundary work (snapshot diff, failure-set patch,
-    phase seeding/finalization) is nearly the whole bill.  Pins the
-    cross-boundary successor-table patching path — the
-    rebuild-per-boundary fallback is ~6x slower on this workload.
+    phase eligibility, seeding/finalization) is nearly the whole bill.
+    Pins the cross-boundary successor-table patching path on a plane
+    with exact boundary invalidation (bgp, stamp) and on the one that
+    re-derives every row per boundary (rbgp).
     """
     flaps = 16 if _smoke() else 256
     episode = link_flap_episode(
         graph, random.Random("bench:ep-long"), period=2.0, flaps=flaps
     )
-    network, plane = build_network("stamp", graph, episode.destination, seed=0)
+    network, plane = build_network(protocol, graph, episode.destination, seed=0)
     for a, b in episode.pre_failed_links:
         network.transport.fail_link(a, b)
     network.start()
@@ -436,7 +440,7 @@ def test_transient_analysis_stamp_episode_long(benchmark, graph, perf_records):
     assert len(report.phases) == len(segments)
     _record(
         perf_records,
-        "transient_analysis_stamp_episode_long",
+        f"transient_analysis_{protocol}_episode_long",
         benchmark,
         phases=len(segments),
         trace_changes=sum(len(s.trace.changes) for s in segments),

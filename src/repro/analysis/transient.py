@@ -8,21 +8,14 @@ forwarding-change trace and classify every eligible AS at every instant
 at which any control-plane state changed, including the instant of the
 event itself.
 
-The scan is *incremental*, with two engines.  Planes whose walk-state
-space projects onto flat integer successor tables (STAMP) hand the
-session a table that is updated per fingerprint-changed key and
-propagates outcome changes through a reverse-adjacency index — the
-analyzer receives exactly the sources whose packet fate changed, with
-no per-source dependency bookkeeping at all.  For the other planes, a
-walk's outcome is a deterministic function of the state keys it reads
-(reported by :class:`repro.forwarding.walk.AnalysisSession`), so after
-one full vectorized scan only the ASes whose recorded dependencies
-intersect an instant's changed keys are re-walked — and a changed key
-only counts when its *fingerprint* (the projection walks can observe,
-e.g. a route's next hop) actually changed.  On Internet-like
-topologies a convergence instant typically touches one or two ASes'
-forwarding state, turning the per-instant cost from O(all eligible
-walks) into O(affected walks).
+The scan is *incremental*: the plane compiles the snapshot onto its
+successor table (:class:`repro.forwarding.walk.SuccessorTable`), each
+instant's changed keys are fed to the table, and the table reports
+exactly the sources whose packet fate changed — a changed key only
+counts when what walks can observe of it (e.g. a route's next hop)
+actually changed.  On Internet-like topologies a convergence instant
+typically touches one or two ASes' forwarding state, turning the
+per-instant cost from O(all eligible walks) into O(affected walks).
 :func:`_reference_analyze_transient_problems` keeps the full-rescan
 implementation for equivalence tests.
 
@@ -44,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.forwarding.walk import WalkClassifier
+from repro.forwarding.walk import SuccessorTable, WalkClassifier
 from repro.sim.tracing import ForwardingTrace
 from repro.types import ASN, Link, Outcome
 
@@ -139,43 +132,28 @@ def analyze_transient_problems(
     events fired (they cannot be victims of the phase, but traffic may
     legitimately flow *through* them once restored).
     """
-    report = TransientReport()
     all_ases = list(ases)
-
     baseline_state = pre_event_state if pre_event_state is not None else initial_state
-    baseline = plane.classify_batch(baseline_state, all_ases)
-    report.eligible = (
-        {asn for asn in all_ases if baseline.get(asn) is Outcome.DELIVERED}
+    # One table serves the whole analysis: built failure-free over the
+    # baseline it answers eligibility, then it is patched to the event
+    # instant (snapshot diff, failure sets) like any phase boundary.
+    engine = _IncrementalScan(plane, baseline_state)
+    report = TransientReport(
+        eligible=_delivered_sources(engine.table, all_ases)
         - set(failed_ases)
         - set(exclude_sources)
     )
     if not report.eligible:
         return report
-
-    eligible = report.eligible
-    scan_state = _IncrementalScan(plane, eligible, report, min_duration)
-    # One walk-spec closure set serves every scan; the replay mutates a
-    # single state dict in place (rebind is called once per scanned
-    # dict, including the detached detection-instant copy).
-    scan_state.begin_segment(initial_state, failed_links, failed_ases)
+    engine.main = _PhaseTracker(report, min_duration)
+    engine.begin_segment(initial_state, failed_links, failed_ases)
 
     if include_detection_instant:
         event_time = trace.changes[0].time if trace.changes else 0.0
-        scan_state.scan(dict(initial_state), event_time, None)
-
-    # The replay copies ``initial_state`` internally before mutating,
-    # and ``finalize`` only reads the final state, so no defensive copy
-    # is needed for the empty-trace case.
-    final_state = initial_state
+        engine.scan(initial_state, event_time, None)
     for time, state, changed in trace.replay_with_changes(initial_state):
-        scan_state.scan(state, time, changed)
-        final_state = state
-
-    # Separate permanent (topology-induced) unreachability from
-    # transient problems: an AS still failing in the fully converged
-    # state was partitioned by the event, not disrupted by convergence.
-    scan_state.finalize(final_state, failed_links, failed_ases)
-    return report
+        engine.scan(state, time, changed)
+    return engine.main.finalize(engine.table)
 
 
 # ----------------------------------------------------------------------
@@ -225,39 +203,45 @@ class EpisodeTransientReport:
     phases: List[TransientReport] = field(default_factory=list)
 
 
-class _PhaseTracker:
-    """Interval bookkeeping of one phase's attribution report.
+def _delivered_sources(table: SuccessorTable, ases: Iterable[ASN]) -> Set[ASN]:
+    """The sources among ``ases`` whose packets the table delivers."""
+    return {
+        asn
+        for asn, outcome in table.source_outcomes(ases).items()
+        if outcome is Outcome.DELIVERED
+    }
 
-    Mirrors the standalone analyzer's semantics exactly: the phase's
-    first consumed scan seeds every eligible source as if classified
-    from scratch (``old = None``), later scans fold in the engine's
-    outcome changes (recomputing ``old`` against this tracker's own
-    ledger — the engine's spans the whole episode), and
-    :meth:`finalize` applies the standalone permanence and
-    interval-closing rules.  Fed by :class:`_IncrementalScan` so the
-    per-phase reports ride the single episode pass instead of a
-    second, fully independent replay per segment.
+
+class _PhaseTracker:
+    """Interval bookkeeping of one report: a phase's, or the episode's.
+
+    Fed by :class:`_IncrementalScan`: the first scan it observes seeds
+    every eligible source as if classified from scratch, later scans
+    fold in the table's outcome transitions, and :meth:`finalize`
+    separates permanent unreachability from transient problems and
+    closes the still-open intervals.  A phase's tracker lives for one
+    segment and skips boundary scans (an episode-level concept the
+    standalone per-phase semantics never see); the episode-wide
+    tracker observes every scan of every segment, which is how its
+    intervals span phase boundaries.
     """
 
     __slots__ = (
-        "eligible",
-        "min_duration",
         "report",
+        "min_duration",
         "outcome_of",
         "problem_since",
         "problems_now",
-        "seeded",
         "last_time",
     )
 
-    def __init__(self, eligible: Set[ASN], min_duration: float) -> None:
-        self.eligible = eligible
+    def __init__(self, report: TransientReport, min_duration: float) -> None:
+        self.report = report
         self.min_duration = min_duration
-        self.report = TransientReport(eligible=eligible)
-        self.outcome_of: Dict[ASN, Outcome] = {}
+        #: Fate of every eligible source; ``None`` until the first scan.
+        self.outcome_of: Optional[Dict[ASN, Outcome]] = None
         self.problem_since: Dict[ASN, Tuple[float, Set[Outcome]]] = {}
         self.problems_now = 0
-        self.seeded = False
         self.last_time = 0.0
 
     def _close_interval(self, asn: ASN, end: float) -> None:
@@ -271,102 +255,63 @@ class _PhaseTracker:
         if Outcome.BLACKHOLE in kinds:
             report.blackholed.add(asn)
 
-    def seed(self, outcomes_of: Dict[ASN, Outcome], time: float) -> None:
-        """First consumed scan: every eligible source enters fresh."""
-        self.seeded = True
-        outcome_of = self.outcome_of
+    def observe(self, table: SuccessorTable, transitions, time: float) -> None:
+        """Fold one scanned instant into the intervals and timelines."""
         problem_since = self.problem_since
         delivered = Outcome.DELIVERED
-        outcomes_get = outcomes_of.get
-        for asn in self.eligible:
-            outcome = outcomes_get(asn, Outcome.BLACKHOLE)
-            outcome_of[asn] = outcome
-            if outcome is not delivered:
-                self.problems_now += 1
-                problem_since[asn] = (time, {outcome})
-        self._append(time)
-
-    def seed_from_table(self, table, time: float) -> None:
-        """First consumed scan, reading fates straight off the table.
-
-        Same semantics as :meth:`seed` over
-        ``table.source_outcomes(self.eligible)`` without materializing
-        the intermediate dict (one fused pass per phase).
-        """
-        self.seeded = True
         outcome_of = self.outcome_of
-        problem_since = self.problem_since
-        delivered = Outcome.DELIVERED
-        blackhole = Outcome.BLACKHOLE
-        pos_get = table.pos.get
-        source_outcome = table.source_outcome
-        for asn in self.eligible:
-            i = pos_get(asn)
-            outcome = blackhole if i is None else source_outcome[i]
-            outcome_of[asn] = outcome
-            if outcome is not delivered:
-                self.problems_now += 1
-                problem_since[asn] = (time, {outcome})
-        self._append(time)
-
-    def apply(self, changes, time: float) -> None:
-        """Fold the engine's outcome transitions into this phase."""
-        eligible = self.eligible
-        outcome_of = self.outcome_of
-        problem_since = self.problem_since
-        delivered = Outcome.DELIVERED
-        for asn, outcome, _old in changes:
-            if asn not in eligible:
-                continue
-            old = outcome_of.get(asn)
-            if outcome is old:
-                continue
-            outcome_of[asn] = outcome
-            if outcome is delivered:
-                self.problems_now -= 1
-                if asn in problem_since:
-                    self._close_interval(asn, time)
-            else:
-                if old is delivered:
+        if outcome_of is None:
+            outcome_of = self.outcome_of = table.source_outcomes(
+                self.report.eligible
+            )
+            for asn, outcome in outcome_of.items():
+                if outcome is not delivered:
                     self.problems_now += 1
-                entry = problem_since.get(asn)
-                if entry is None:
                     problem_since[asn] = (time, {outcome})
+        else:
+            for asn, outcome in transitions:
+                old = outcome_of.get(asn)
+                if old is None:
+                    continue  # not an eligible source
+                outcome_of[asn] = outcome
+                if outcome is delivered:
+                    self.problems_now -= 1
+                    if asn in problem_since:
+                        self._close_interval(asn, time)
                 else:
-                    entry[1].add(outcome)
-        self._append(time)
-
-    def _append(self, time: float) -> None:
+                    if old is delivered:
+                        self.problems_now += 1
+                    entry = problem_since.get(asn)
+                    if entry is None:
+                        problem_since[asn] = (time, {outcome})
+                    else:
+                        entry[1].add(outcome)
         report = self.report
         report.timeline.append((time, len(report.affected)))
         report.problem_timeline.append((time, self.problems_now))
         self.last_time = time
 
-    def finalize(
-        self,
-        plane: WalkClassifier,
-        final_state: Dict,
-        failed_links: FrozenSet[Link],
-        failed_ases: FrozenSet[ASN],
-    ) -> TransientReport:
-        """Resolve permanence and close still-open intervals."""
+    def finalize(self, table: SuccessorTable) -> TransientReport:
+        """Resolve permanence and close the still-open intervals.
+
+        An AS still failing in the fully converged state was
+        partitioned, not disrupted by convergence; ``table`` holds that
+        state.  When no instant was ever observed (empty trace) the
+        fates are read off it once, without touching the timelines.
+        """
         report = self.report
         outcome_of = self.outcome_of
-        if not self.seeded:
-            final_outcomes = plane.classify(
-                final_state,
-                self.eligible,
-                failed_links=failed_links,
-                failed_ases=failed_ases,
-            )
-            outcome_of = {
-                asn: final_outcomes.get(asn, Outcome.BLACKHOLE)
-                for asn in self.eligible
-            }
-        for asn in self.eligible:
-            if outcome_of.get(asn, Outcome.BLACKHOLE) is not Outcome.DELIVERED:
+        if outcome_of is None:
+            # Nothing was scanned since the table was last patched, so
+            # no tracker is waiting for the transitions this flushes.
+            table.collect_transitions()
+            outcome_of = table.source_outcomes(report.eligible)
+        for asn, outcome in outcome_of.items():
+            if outcome is not Outcome.DELIVERED:
                 report.permanently_unreachable.add(asn)
                 self.problem_since.pop(asn, None)
+        # Intervals still open recovered by the final classification
+        # above, so they end at the last scanned instant.
         for asn in list(self.problem_since):
             self._close_interval(asn, self.last_time)
         report.affected -= report.permanently_unreachable
@@ -378,81 +323,28 @@ class _PhaseTracker:
 class _IncrementalScan:
     """The incremental scan engine shared by both analyzers.
 
-    :func:`analyze_transient_problems` runs it over a single segment;
-    the episode analyzer chains segments through it.  Interval
-    bookkeeping (``outcome_of``/``problem_since``) persists across
-    segments, and so — on the boundary fast path — do the walk
-    session, fingerprint table, successor table, and dependency index:
-    a phase boundary is applied as a *patch* (the snapshot diff plus
-    the failure-set delta) that invalidates only the walks it touched
-    (:meth:`_patch_segment`).  The rebuild path below remains the
-    tested fallback for the first segment and for anything the patch
-    cannot represent (a broken successor table, a plane without
-    :meth:`WalkClassifier.boundary_touched_keys`).
-
-    The engine classifies over ``universe`` (every source any consumer
-    cares about) and feeds each scan's outcome *changes* to the
-    episode-wide interval tracker (``eligible``, the report fields)
-    and, when set, a per-phase :class:`_PhaseTracker` — which is how
-    the episode analyzer derives its per-phase attribution reports
-    from the same single pass.
+    Owns the plane's successor table over one snapshot lineage — built
+    failure-free over the first snapshot, then *patched* across every
+    boundary (:meth:`begin_segment`: the snapshot diff plus the
+    failure-set delta, invalidating only the walks they touch) and fed
+    each scanned instant's changed keys.  Every scan's outcome
+    transitions go to the episode-wide tracker (``main``) and, when
+    set, the active phase's (``phase``) — which is how the episode
+    analyzer derives its per-phase attribution reports from the same
+    single pass.
     """
 
-    _ABSENT = object()
-
-    def __init__(
-        self,
-        plane: WalkClassifier,
-        eligible: Set[ASN],
-        report: TransientReport,
-        min_duration: float,
-    ) -> None:
-        self.plane = plane
-        self.eligible = eligible
-        self.report = report
-        self.min_duration = min_duration
-        self.outcome_of: Dict[ASN, Outcome] = {}
-        self.problem_since: Dict[ASN, Tuple[float, Set[Outcome]]] = {}
-        self.problems_now = 0
-        self.scanned_any = False
-        self.last_time = 0.0
-        #: Every source the engine classifies: the episode-wide
-        #: eligible set plus each phase's (the single-event analyzer
-        #: never grows it, keeping universe == eligible).
-        self.universe: Set[ASN] = set(eligible)
-        self.track_main = bool(eligible)
-        #: Closure-engine boundary backlog: sources whose dependencies
-        #: a boundary delta touched, consumed by the next scan.
-        self.pending_sources: Set[ASN] = set()
-        #: Failure-free successor table tracking the evolving snapshot
-        #: (STAMP only): per-phase eligibility baselines come from it
-        #: instead of a per-boundary full classification.  It is synced
-        #: lazily — scans record fingerprint-changed keys in
-        #: ``shadow_stale`` and the net diff is applied per boundary
-        #: (``shadow_fp`` holds the fingerprints last fed to it, so
-        #: keys that flapped back are skipped) — and its delivered
-        #: source set is folded transition-by-transition.
-        self.shadow = None
-        self.shadow_stale: Set = set()
-        self.shadow_fp: Dict[object, object] = {}
-        self._shadow_allowed: Set[ASN] = set()
-        self._shadow_delivered: Set[ASN] = set()
-        #: Last snapshot handed to :meth:`scan` — at a boundary its
-        #: content is what the fingerprint store reflects, so when the
-        #: new segment's initial state equals it (the common case: a
-        #: segment's final state *is* the next segment's initial
-        #: state), the per-boundary fingerprint diff is skipped
-        #: entirely.
-        self._last_state: Optional[Dict] = None
-        #: Active per-phase tracker (episode analyzer only).
+    def __init__(self, plane: WalkClassifier, state: Dict) -> None:
+        self.table = plane._session_table(state, frozenset(), frozenset())
+        #: The snapshot the table reflects: the last one scanned or
+        #: patched to.
+        self._last_state = state
+        #: Keys whose walk-observable projection moved since the owner
+        #: last drained the set (the episode analyzer syncs its
+        #: failure-free eligibility table from it once per boundary).
+        self.moved: Set = set()
+        self.main: Optional[_PhaseTracker] = None
         self.phase: Optional[_PhaseTracker] = None
-        # Per-segment state (set by begin_segment).
-        self.session = None
-        self.key_fingerprint = None
-        self.fingerprints: Dict[object, object] = {}
-        self.deps_of: Dict[ASN, set] = {}
-        self.dependents: Dict[object, Set[ASN]] = {}
-        self.segment_scanned = False
 
     def begin_segment(
         self,
@@ -460,271 +352,26 @@ class _IncrementalScan:
         failed_links: FrozenSet[Link],
         failed_ases: FrozenSet[ASN],
     ) -> None:
-        if (
-            self.session is not None
-            and self.segment_scanned
-            and self._patch_segment(initial_state, failed_links, failed_ases)
-        ):
-            return
-        # Rebuild fallback: a fresh session over the new snapshot.  The
-        # shadow table and boundary backlog track the *patched* lineage
-        # and are stale the moment a rebuild resets the fingerprints
-        # without diffing them, so both are dropped (the episode
-        # analyzer then derives phase eligibility by classification).
-        self.shadow = None
-        self.shadow_stale = set()
-        self.shadow_fp = {}
-        self._shadow_delivered = set()
-        self.pending_sources = set()
-        self.session = self.plane.analysis_session(
-            initial_state,
-            failed_links=failed_links,
-            failed_ases=failed_ases,
-        )
-        spec = self.session.spec
-        key_fingerprint = spec.key_fingerprint
-        self.key_fingerprint = key_fingerprint
-        # Fingerprint filter: walks observe only a projection of each
-        # snapshot value (e.g. a route's next hop, never the full
-        # path), so a value change whose fingerprint is unchanged
-        # cannot change any outcome and is dropped before the
-        # dependency lookup.
-        if spec.bulk_fingerprint is not None:
-            self.fingerprints = spec.bulk_fingerprint(initial_state)
-        else:
-            self.fingerprints = {
-                key: key_fingerprint(key, value)
-                for key, value in initial_state.items()
-            }
-        self.deps_of = {}
-        self.dependents = {}
-        self.segment_scanned = False
+        """Carry the table across a boundary as a patch.
 
-    def _patch_segment(
-        self,
-        initial_state: Dict,
-        failed_links: FrozenSet[Link],
-        failed_ases: FrozenSet[ASN],
-    ) -> bool:
-        """Carry the session across a phase boundary as a patch.
-
-        Diffs the new segment's initial snapshot against the tracked
-        fingerprints (normally empty or tiny: a segment's final state
-        *is* the next segment's initial state) and applies the
-        failure-set delta — to the successor table via
-        :meth:`_SuccessorTable.apply_boundary`, or to the closure
-        engine by queueing the dependents of every key the boundary
-        can have touched (:meth:`WalkClassifier.boundary_touched_keys`
-        plus the toggled sources themselves, whose recorded dependency
-        sets are empty while they are failed).  Returns ``False`` when
-        the patch cannot be applied soundly; the caller rebuilds.
+        Normally only the failure sets change: the collector snapshots
+        right at the boundary, so the previous segment's final replayed
+        state is content-identical to this segment's initial snapshot.
+        Otherwise every key is offered to the table, which ignores the
+        ones whose projection it already holds.
         """
-        session = self.session
-        spec = session.spec
-        absent = self._ABSENT
-        prev_state = self._last_state
-        if prev_state is not None and prev_state == initial_state:
-            # Fast path: the previous segment's final replayed state is
-            # content-identical to this segment's initial snapshot (the
-            # collector snapshots right at the boundary, so this is the
-            # norm) and the fingerprint store tracks the replayed state
-            # by construction — nothing to diff, only the failure-set
-            # delta to apply.
-            changed: List = []
-            removed: List = []
-            new_fp = self.fingerprints
-        else:
-            key_fingerprint = spec.key_fingerprint
-            if spec.bulk_fingerprint is not None:
-                new_fp = spec.bulk_fingerprint(initial_state)
-            else:
-                new_fp = {
-                    key: key_fingerprint(key, value)
-                    for key, value in initial_state.items()
-                }
-            old_fp = self.fingerprints
-            if new_fp == old_fp:
-                changed = []
-                removed = []
-            else:
-                old_fp_get = old_fp.get
-                changed = [
-                    key
-                    for key, fingerprint in new_fp.items()
-                    if old_fp_get(key, absent) != fingerprint
-                ]
-                removed = [key for key in old_fp if key not in new_fp]
-        table = session.table
-        if table is not None and not table.broken:
-            initial_get = initial_state.get
-            for key in changed:
-                table.update(key, initial_get(key))
-            for key in removed:
-                table.update(key, None)
-            if table.broken:
-                return False
-            table.apply_boundary(failed_links, failed_ases)
-            if table.broken:
-                return False
-        else:
-            touched_keys = self.plane.boundary_touched_keys(
-                initial_state,
-                session.failed_links,
-                session.failed_ases,
-                failed_links,
-                failed_ases,
-            )
-            if touched_keys is None:
-                return False
-            pending = self.pending_sources
-            dependents_get = self.dependents.get
-            for key in touched_keys:
-                sources = dependents_get(key)
-                if sources:
-                    pending |= sources
-            for key in changed:
-                sources = dependents_get(key)
-                if sources:
-                    pending |= sources
-            for key in removed:
-                sources = dependents_get(key)
-                if sources:
-                    pending |= sources
-            delta_ases = session.failed_ases ^ failed_ases
-            if delta_ases:
-                # A failed source classifies with an *empty* dependency
-                # set, so its restore is invisible to the dependent
-                # index; queue the toggled sources themselves.
-                pending |= delta_ases & self.universe
-        shadow = self.shadow
-        if shadow is not None:
-            # Lazy shadow sync: flush the keys whose fingerprints moved
-            # since the last boundary (scan records them instead of
-            # updating the shadow per instant), skipping any that
-            # flapped back to what the shadow last saw.
-            stale = self.shadow_stale
-            if changed:
-                stale.update(changed)
-            if removed:
-                stale.update(removed)
-            if stale:
-                shadow_fp = self.shadow_fp
-                shadow_fp_get = shadow_fp.get
-                new_fp_get = new_fp.get
-                initial_get = initial_state.get
-                for key in stale:
-                    fingerprint = new_fp_get(key, absent)
-                    if shadow_fp_get(key, absent) == fingerprint:
-                        continue
-                    shadow.update(key, initial_get(key))
-                    if fingerprint is absent:
-                        shadow_fp.pop(key, None)
-                    else:
-                        shadow_fp[key] = fingerprint
-                self.shadow_stale = set()
-        self.fingerprints = new_fp
-        session.reset_failures(initial_state, failed_links, failed_ases)
-        return True
-
-    def install_shadow(
-        self, initial_state: Dict, all_ases: List[ASN]
-    ) -> None:
-        """Start the failure-free eligibility table (episode analyzer).
-
-        Called after the first ``begin_segment``; planes without
-        session tables return ``None`` and phase eligibility falls
-        back to per-boundary classification.  The delivered-source set
-        is computed once here and folded per boundary from the
-        shadow's own outcome transitions.
-        """
-        table = self.plane._session_table(
-            initial_state, frozenset(), frozenset()
-        )
-        if table is not None:
-            table.activate_propagation()
-            self.shadow_fp = dict(self.fingerprints)
-            self.shadow_stale = set()
-            self._shadow_allowed = set(all_ases)
-            pos_get = table.pos.get
-            source_outcome = table.source_outcome
-            delivered = Outcome.DELIVERED
-            self._shadow_delivered = {
-                asn
-                for asn in all_ases
-                if (i := pos_get(asn)) is not None
-                and source_outcome[i] is delivered
-            }
-        self.shadow = table
-
-    def phase_eligibility(self, segment, all_ases: List[ASN]) -> Set[ASN]:
-        """A phase's eligible set: failure-free delivery at its start.
-
-        Identical semantics to the standalone analyzer's baseline
-        (``classify_batch`` of the phase's initial state with no
-        failure sets, minus the phase's failed and failed-at-start
-        ASes); served from the shadow table when it is alive.
-        """
-        shadow = self.shadow
-        if shadow is not None and not shadow.broken:
-            transitions = shadow.collect_transitions()
-            if not shadow.broken:
-                base = self._shadow_delivered
-                if transitions:
-                    allowed = self._shadow_allowed
-                    delivered = Outcome.DELIVERED
-                    for asn, outcome in transitions:
-                        if outcome is delivered:
-                            if asn in allowed:
-                                base.add(asn)
-                        else:
-                            base.discard(asn)
-                return (
-                    base
-                    - set(segment.failed_ases)
-                    - set(segment.failed_ases_at_start)
-                )
-        self.shadow = None
-        self.shadow_stale = set()
-        self.shadow_fp = {}
-        self._shadow_delivered = set()
-        baseline = self.plane.classify_batch(segment.initial_state, all_ases)
-        return (
-            {
-                asn
-                for asn in all_ases
-                if baseline.get(asn) is Outcome.DELIVERED
-            }
-            - set(segment.failed_ases)
-            - set(segment.failed_ases_at_start)
-        )
-
-    def add_universe(self, sources: Set[ASN]) -> None:
-        """Grow the classified universe (new phase-eligible sources)."""
-        new = sources - self.universe
-        if not new:
-            return
-        self.universe |= new
-        session = self.session
-        if (
-            session is not None
-            and session.table is None
-            and self.segment_scanned
-        ):
-            # Closure engine mid-episode: the newcomers have no ledger
-            # entry or dependency record yet; classify them at the next
-            # scan.  (Table mode and full first scans cover everyone.)
-            self.pending_sources |= new
-
-    def _close_interval(self, asn: ASN, end: float) -> None:
-        start, kinds = self.problem_since.pop(asn)
-        if end - start < self.min_duration:
-            return
-        report = self.report
-        report.affected.add(asn)
-        if Outcome.LOOP in kinds:
-            report.looped.add(asn)
-        if Outcome.BLACKHOLE in kinds:
-            report.blackholed.add(asn)
+        table = self.table
+        previous = self._last_state
+        if previous is not initial_state and previous != initial_state:
+            moved_add = self.moved.add
+            for key, value in initial_state.items():
+                if table.update(key, value):
+                    moved_add(key)
+            for key in previous:
+                if key not in initial_state and table.update(key, None):
+                    moved_add(key)
+        table.apply_boundary(failed_links, failed_ases)
+        self._last_state = initial_state
 
     def scan(
         self,
@@ -733,216 +380,19 @@ class _IncrementalScan:
         changed_keys: Optional[set],
         phase_boundary: bool = False,
     ) -> None:
-        key_fingerprint = self.key_fingerprint
-        fingerprints = self.fingerprints
-        fingerprints_get = fingerprints.get
-        absent = self._ABSENT
-        session = self.session
-        # The shadow is synced lazily: scans only record which keys
-        # moved; values are read from the boundary snapshot when the
-        # next ``_patch_segment`` flushes the batch.
-        stale_add = (
-            self.shadow_stale.add if self.shadow is not None else None
-        )
-        outcome_of = self.outcome_of
-        changes: Sequence[Tuple[ASN, Outcome, Optional[Outcome]]]
-        if not self.segment_scanned:
-            # First scan of the segment: fold the instant's changes into
-            # the fingerprints, then classify every universe source —
-            # building the plane's successor table (when it has one)
-            # from the now-current snapshot, with incremental outcome
-            # propagation serving every later instant.
-            for key in changed_keys or ():
-                value = state.get(key)
-                fingerprint = key_fingerprint(key, value)
-                if fingerprints_get(key, absent) != fingerprint:
-                    fingerprints[key] = fingerprint
-                    if stale_add is not None:
-                        stale_add(key)
-            self.segment_scanned = True
-            self.pending_sources = set()
-            session.rebind(state)
-            table = session.ensure_table()
-            if table is not None:
-                changes = self._fold_pairs(
-                    table.source_outcomes(self.universe).items()
-                )
-            else:
-                changes = session.classify_into(
-                    sorted(self.universe),
-                    outcome_of,
-                    self.deps_of,
-                    self.dependents,
-                )
-        else:
-            table = session.table
-            if table is not None:
-                # Propagation mode: feed the fingerprint-changed keys
-                # straight into the table; it knows exactly which
-                # source fates changed, so no dependency index exists.
-                for key in changed_keys or ():
-                    value = state.get(key)
-                    fingerprint = key_fingerprint(key, value)
-                    if fingerprints_get(key, absent) == fingerprint:
-                        continue
-                    fingerprints[key] = fingerprint
-                    table.update(key, value)
-                    if stale_add is not None:
-                        stale_add(key)
-                if table.broken:
-                    # A snapshot the table cannot represent appeared:
-                    # fall back to the closure engine for good, seeding
-                    # its dependency index with one full scan.
-                    self.session.table = None
-                    self.pending_sources = set()
-                    session.rebind(state)
-                    changes = session.classify_into(
-                        sorted(self.universe),
-                        outcome_of,
-                        self.deps_of,
-                        self.dependents,
-                    )
-                else:
-                    changes = self._fold_pairs(table.collect_transitions())
-            else:
-                dependents_get = self.dependents.get
-                pending = self.pending_sources
-                # The boundary backlog is engine-owned, so it can be
-                # mutated in place and is reset below once consumed.
-                touched: Optional[Set[ASN]] = pending if pending else None
-                touched_owned = bool(pending)
-                for key in changed_keys or ():
-                    value = state.get(key)
-                    fingerprint = key_fingerprint(key, value)
-                    if fingerprints_get(key, absent) == fingerprint:
-                        continue
-                    fingerprints[key] = fingerprint
-                    if stale_add is not None:
-                        stale_add(key)
-                    sources = dependents_get(key)
-                    if sources:
-                        # Borrow the live index set while only one key
-                        # contributes (list() below materializes before
-                        # the index can change).  Classification order
-                        # is immaterial: every source is classified
-                        # independently against the same snapshot and
-                        # the index merges commute, so no sort is
-                        # needed.
-                        if touched is None:
-                            touched = sources
-                        elif touched_owned:
-                            touched |= sources
-                        else:
-                            touched = touched | sources
-                            touched_owned = True
-                if pending:
-                    self.pending_sources = set()
-                if touched:
-                    session.rebind(state)
-                    changes = session.classify_into(
-                        list(touched),
-                        outcome_of,
-                        self.deps_of,
-                        self.dependents,
-                    )
-                else:
-                    changes = ()
-        if self.track_main:
-            self._apply_changes(changes, time)
-            report = self.report
-            report.timeline.append((time, len(report.affected)))
-            report.problem_timeline.append((time, self.problems_now))
-        phase = self.phase
-        if phase is not None and not phase_boundary:
-            # Phase attribution rides the same pass: trace instants
-            # only (boundary scans are an episode-level concept the
-            # standalone per-phase semantics never see).
-            if phase.seeded:
-                phase.apply(changes, time)
-            elif self.session.table is not None:
-                phase.seed_from_table(self.session.table, time)
-            else:
-                phase.seed(outcome_of, time)
-        self.scanned_any = True
-        self.last_time = time
+        table = self.table
+        if changed_keys:
+            update = table.update
+            moved_add = self.moved.add
+            for key in changed_keys:
+                if update(key, state.get(key)):
+                    moved_add(key)
+        transitions = table.collect_transitions()
+        if self.main is not None:
+            self.main.observe(table, transitions, time)
+        if self.phase is not None and not phase_boundary:
+            self.phase.observe(table, transitions, time)
         self._last_state = state
-
-    def _fold_pairs(
-        self, pairs
-    ) -> List[Tuple[ASN, Outcome, Optional[Outcome]]]:
-        """Ledger-fold ``(source, new outcome)`` pairs into transitions."""
-        universe = self.universe
-        outcome_of = self.outcome_of
-        changes: List[Tuple[ASN, Outcome, Optional[Outcome]]] = []
-        for asn, outcome in pairs:
-            if asn not in universe:
-                continue
-            old = outcome_of.get(asn)
-            if outcome is old:
-                continue
-            outcome_of[asn] = outcome
-            changes.append((asn, outcome, old))
-        return changes
-
-    def _apply_changes(self, changes, time: float) -> None:
-        """Fold outcome transitions into the episode-wide intervals."""
-        eligible = self.eligible
-        problem_since = self.problem_since
-        delivered = Outcome.DELIVERED
-        for asn, outcome, old in changes:
-            if asn not in eligible:
-                continue
-            if outcome is delivered:
-                if old is not None:
-                    self.problems_now -= 1
-                    if asn in problem_since:
-                        self._close_interval(asn, time)
-            else:
-                if old is None or old is delivered:
-                    self.problems_now += 1
-                entry = problem_since.get(asn)
-                if entry is None:
-                    problem_since[asn] = (time, {outcome})
-                else:
-                    entry[1].add(outcome)
-
-    def finalize(
-        self,
-        final_state: Dict,
-        failed_links: FrozenSet[Link],
-        failed_ases: FrozenSet[ASN],
-    ) -> None:
-        """Resolve permanence and close the still-open intervals.
-
-        An AS still failing in the fully converged state was
-        partitioned, not disrupted by convergence; when no instant was
-        ever scanned (empty trace), the final (= initial) state is
-        classified once, without touching the timelines.
-        """
-        report = self.report
-        outcome_of = self.outcome_of
-        if not self.scanned_any:
-            final_outcomes = self.plane.classify(
-                final_state,
-                self.eligible,
-                failed_links=failed_links,
-                failed_ases=failed_ases,
-            )
-            outcome_of = {
-                asn: final_outcomes.get(asn, Outcome.BLACKHOLE)
-                for asn in self.eligible
-            }
-        for asn in self.eligible:
-            if outcome_of.get(asn, Outcome.BLACKHOLE) is not Outcome.DELIVERED:
-                report.permanently_unreachable.add(asn)
-                self.problem_since.pop(asn, None)
-        # Intervals still open recovered by the final classification
-        # above, so they end at the last scanned instant.
-        for asn in list(self.problem_since):
-            self._close_interval(asn, self.last_time)
-        report.affected -= report.permanently_unreachable
-        report.looped -= report.permanently_unreachable
-        report.blackholed -= report.permanently_unreachable
 
 
 def _episode_eligibility(
@@ -978,69 +428,65 @@ def analyze_episode_transient_problems(
     """Analyze one multi-phase episode run.
 
     One replay pass serves both views.  The overall report runs the
-    incremental engine over all segments with shared interval state;
-    at each phase boundary after the first, the engine's session is
-    *patched* across the boundary (:meth:`_IncrementalScan
-    ._patch_segment`) instead of rebuilt, and a rescan is forced at
-    the injection instant — folding in any same-instant synchronous
-    reactions first, and scanning the unchanged state when there are
-    none (a link restore flips walk outcomes without touching a single
-    trace key).  The per-phase attribution reports (identical to
-    running :func:`analyze_transient_problems` on each segment in
-    isolation — the equivalence tests pin this) are derived from the
-    same pass by a per-segment :class:`_PhaseTracker` fed the engine's
-    outcome changes, with phase eligibility served by a shadow
-    failure-free successor table where the plane has one.  For a
-    single-segment episode the overall report is identical to the
-    single-event analyzer's.
+    incremental engine over all segments with one interval tracker; at
+    each phase boundary the engine's table is *patched* across the
+    boundary (:meth:`_IncrementalScan.begin_segment`), and a rescan is
+    forced at the injection instant — folding in any same-instant
+    synchronous reactions first, and scanning the unchanged state when
+    there are none (a link restore flips walk outcomes without
+    touching a single trace key).  The per-phase attribution reports
+    (identical to running :func:`analyze_transient_problems` on each
+    segment in isolation — the equivalence tests pin this) are derived
+    from the same pass by a per-segment :class:`_PhaseTracker`, with
+    phase eligibility (failure-free delivery at the phase's start)
+    served by a second, failure-free table synced once per boundary.
+    For a single-segment episode the overall report is identical to
+    the single-event analyzer's.
     """
     segments = list(segments)
     if not segments:
         return EpisodeTransientReport(overall=TransientReport())
     all_ases = list(ases)
     first = segments[0]
+    engine = _IncrementalScan(plane, first.initial_state)
+    shadow = plane._session_table(
+        first.initial_state, frozenset(), frozenset()
+    )
 
-    # One failure-free baseline classification serves both the overall
-    # eligibility (minus every ever-failed AS) and phase 0's (minus
-    # only phase 0's failed sets) — they share the same snapshot.
-    baseline = plane.classify_batch(first.initial_state, all_ases)
-    delivered_at_start = {
-        asn for asn in all_ases if baseline.get(asn) is Outcome.DELIVERED
-    }
+    # Mirrors the single-event analyzer: the baseline ignores failure
+    # sets (pre-event connectivity), and ASes that are themselves
+    # failed at any point of the episode cannot "experience" problems.
     ever_failed: Set[ASN] = set()
     for segment in segments:
         ever_failed |= segment.failed_ases
         ever_failed |= segment.failed_ases_at_start
-    report = TransientReport()
-    report.eligible = delivered_at_start - ever_failed
-
-    engine = _IncrementalScan(plane, report.eligible, report, min_duration)
+    report = TransientReport(
+        eligible=_delivered_sources(shadow, all_ases) - ever_failed
+    )
+    if report.eligible:
+        engine.main = _PhaseTracker(report, min_duration)
     phases: List[TransientReport] = []
-    final_state: Dict = first.initial_state
     for index, segment in enumerate(segments):
         engine.begin_segment(
             segment.initial_state, segment.failed_links, segment.failed_ases
         )
-        if index == 0:
-            engine.install_shadow(segment.initial_state, all_ases)
-            phase_eligible = (
-                delivered_at_start
-                - set(segment.failed_ases)
-                - set(segment.failed_ases_at_start)
-            )
-        else:
-            # A router that was down when this phase fired cannot be a
-            # victim of the phase (its frozen pre-restore snapshot is
-            # not real connectivity) — phase_eligibility subtracts
-            # failed_ases_at_start alongside failed_ases.
-            phase_eligible = engine.phase_eligibility(segment, all_ases)
-        engine.add_universe(phase_eligible)
-        tracker = (
-            _PhaseTracker(phase_eligible, min_duration)
-            if phase_eligible
-            else None
+        # Lazy shadow sync: keys that moved since the last boundary,
+        # at the values the boundary snapshot holds (a key that
+        # flapped back is dropped by the table itself).
+        for key in engine.moved:
+            shadow.update(key, segment.initial_state.get(key))
+        engine.moved.clear()
+        shadow.collect_transitions()
+        # A router that was down when this phase fired cannot be a
+        # victim of the phase (its frozen pre-restore snapshot is not
+        # real connectivity).
+        phase_report = TransientReport(
+            eligible=_delivered_sources(shadow, all_ases)
+            - segment.failed_ases
+            - segment.failed_ases_at_start
         )
-        engine.phase = tracker
+        if phase_report.eligible:
+            engine.phase = _PhaseTracker(phase_report, min_duration)
         changes = segment.trace.changes
         if index > 0 and (not changes or changes[0].time > segment.start_time):
             # Boundary scan: no synchronous reaction shares the
@@ -1052,27 +498,17 @@ def analyze_episode_transient_problems(
                 None,
                 phase_boundary=True,
             )
-        final_state = segment.initial_state
         for time, state, changed in segment.trace.replay_with_changes(
             segment.initial_state
         ):
             engine.scan(state, time, changed)
-            final_state = state
-        engine.phase = None
-        phases.append(
-            tracker.finalize(
-                plane,
-                final_state,
-                segment.failed_links,
-                segment.failed_ases,
-            )
-            if tracker is not None
-            else TransientReport()
-        )
+        if engine.phase is not None:
+            engine.phase.finalize(engine.table)
+            engine.phase = None
+        phases.append(phase_report)
 
-    if report.eligible:
-        last = segments[-1]
-        engine.finalize(final_state, last.failed_links, last.failed_ases)
+    if engine.main is not None:
+        engine.main.finalize(engine.table)
     return EpisodeTransientReport(overall=report, phases=phases)
 
 

@@ -6,14 +6,23 @@ The snapshot state maps ``(asn, None)`` to the AS's current best path
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
-from repro.forwarding.walk import (
-    WalkClassifier,
-    WalkSpec,
-    classify_functional_graph,
-)
-from repro.types import ASN, Link, Outcome, normalize_link
+from repro.forwarding.walk import SuccessorTable, WalkClassifier, WalkSpec
+from repro.types import ASN, normalize_link
+
+
+class _BGPTable(SuccessorTable):
+    """One state per AS: its usable next hop, or blackhole."""
+
+    def _project(self, tag, value):
+        if tag != self.plane.trace_key:
+            return None
+        # Walks only ever look at a route's next hop.
+        return 0, (value[0] if value else None)
+
+    def _derive(self, i: int):
+        return i, self._usable(self.asns[i], self.proj[0][i])
 
 
 class BGPDataPlane(WalkClassifier):
@@ -27,16 +36,9 @@ class BGPDataPlane(WalkClassifier):
         destination = self.destination
         key = self.trace_key
         state_get = state.get
-        reads_buf: list = []
-        reads_append = reads_buf.append
-
-        def start(asn: ASN):
-            return asn, None, ()
 
         def successor(asn: ASN) -> Optional[ASN]:
-            state_key = (asn, key)
-            reads_append(state_key)
-            path = state_get(state_key)
+            path = state_get((asn, key))
             if not path:
                 return None
             next_hop = path[0]
@@ -49,53 +51,7 @@ class BGPDataPlane(WalkClassifier):
         def delivered(asn: ASN) -> bool:
             return asn == destination
 
-        def key_fingerprint(state_key, value):
-            # Walks only ever look at a route's next hop.
-            return value[0] if value else None
+        return WalkSpec(successor, delivered)
 
-        def bulk_fingerprint(snapshot):
-            return {
-                key: (value[0] if value else None)
-                for key, value in snapshot.items()
-            }
-
-        return WalkSpec(
-            start, successor, delivered, reads_buf, key_fingerprint,
-            bulk_fingerprint,
-        )
-
-    def boundary_touched_keys(
-        self, state, old_links, old_ases, new_links, new_ases
-    ):
-        """Keys whose walk behavior a failure-set delta can change.
-
-        The successor at AS ``a`` reads only ``(a, key)`` and gates on
-        ``normalize_link(a, next_hop)`` (``a`` is an endpoint of any
-        changed link that can matter) and on ``next_hop``'s failedness
-        (found by scanning next-hop fingerprints for toggled ASes).
-        """
-        key = self.trace_key
-        delta_ases = old_ases ^ new_ases
-        touched = set()
-        for a, b in old_links ^ new_links:
-            touched.add((a, key))
-            touched.add((b, key))
-        for x in delta_ases:
-            touched.add((x, key))
-        if delta_ases:
-            for state_key, path in state.items():
-                if path and path[0] in delta_ases:
-                    touched.add(state_key)
-        return touched
-
-    def classify(
-        self,
-        state: Dict,
-        ases: Iterable[ASN],
-        *,
-        failed_links: FrozenSet[Link] = frozenset(),
-        failed_ases: FrozenSet[ASN] = frozenset(),
-    ) -> Dict[ASN, Outcome]:
-        spec = self._walk_spec(state, failed_links, failed_ases)
-        sources = [asn for asn in ases if asn not in failed_ases]
-        return classify_functional_graph(sources, spec.successor, spec.delivered)
+    def _session_table(self, state, failed_links, failed_ases) -> _BGPTable:
+        return _BGPTable(self, state, failed_links, failed_ases)

@@ -25,18 +25,25 @@ information is needed at all):
   is indistinguishable from a withdrawal of the failover path itself,
   and R-BGP's loop-freedom argument collapses; moreover the pick is
   oblivious, so a stale entry pins a broken path and the packet drops.
+
+On the successor table R-BGP is *one* state per AS, exactly like BGP:
+a pinned walk reads nothing but its own path and the failure sets and
+never re-enters an AS state, so the whole ride folds to a terminal
+(delivered / blackhole) when the diverting AS's row is derived.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.forwarding.walk import (
+    BLACKHOLE_SID,
+    DELIVERED_SID,
+    SuccessorTable,
     WalkClassifier,
     WalkSpec,
-    classify_functional_graph,
 )
-from repro.types import ASN, ASPath, Link, Outcome, normalize_link
+from repro.types import ASN, ASPath, normalize_link
 
 PRIMARY = "primary"
 FAILOVER = "failover"
@@ -44,6 +51,70 @@ FAILOVER = "failover"
 #: Walk states: plain AS for primary forwarding, or a pinned position
 #: ``('pin', path, index)`` while riding a failover path.
 _PinState = Tuple[str, ASPath, int]
+
+
+class _RBGPTable(SuccessorTable):
+    """One state per AS: usable primary hop, else the folded failover.
+
+    Columns: primary next hop, received failover entries (followed hop
+    by hop, so the full value is walk-observable).
+    """
+
+    slots = 2
+    #: Rows also read the failure sets through failover-path hops and
+    #: (no RCI) the local-detector set, which no hop index covers:
+    #: every row is re-derived at a boundary instead.
+    hop_slots = 0
+
+    def _project(self, tag, value):
+        if tag == PRIMARY:
+            return 0, (value[0] if value else None)
+        return 1, value
+
+    def _set_failures(self, failed_links, failed_ases) -> None:
+        super()._set_failures(failed_links, failed_ases)
+        self.local_detectors = self.plane._local_detectors(
+            failed_links, failed_ases
+        )
+
+    def _boundary_rows(self, changed_pairs, toggled_ases):
+        return range(len(self.asns))
+
+    def _derive(self, i: int):
+        asn = self.asns[i]
+        target = self._usable(asn, self.proj[0][i])
+        if target >= 0:
+            return i, target
+        rci = self.plane.rci
+        if not rci and asn not in self.local_detectors:
+            return i, BLACKHOLE_SID
+        for _, path in self.proj[1][i] or ():
+            terminal, intact = self._ride(asn, path)
+            # RCI skips entries it knows are broken; without it the
+            # pick is oblivious and rides the first entry regardless.
+            if intact or not rci:
+                return i, terminal
+        return i, BLACKHOLE_SID
+
+    def _ride(self, asn: ASN, path: ASPath) -> Tuple[int, bool]:
+        """Fold the pinned walk from ``asn`` along ``path``.
+
+        Returns the terminal the packet reaches (delivered at the
+        first destination hop, blackhole at a failed hop or when the
+        path ends elsewhere) and whether *every* link of the path is
+        up (RCI's staleness test reads past the destination too).
+        """
+        link_ok = self._link_ok
+        destination = self.destination
+        terminal = BLACKHOLE_SID
+        previous = asn
+        for hop in path:
+            if not link_ok(previous, hop):
+                return terminal, False
+            if hop == destination:
+                terminal = DELIVERED_SID
+            previous = hop
+        return terminal, True
 
 
 class RBGPDataPlane(WalkClassifier):
@@ -59,15 +130,10 @@ class RBGPDataPlane(WalkClassifier):
         self.rci = rci
         self.graph = graph
 
-    def _walk_spec(self, state, failed_links, failed_ases) -> WalkSpec:
-        destination = self.destination
-        rci = self.rci
-        state_get = state.get
-        reads_buf: list = []
-        reads_append = reads_buf.append
-
-        local_detectors = set()
-        if not rci:
+    def _local_detectors(self, failed_links, failed_ases) -> Set[ASN]:
+        """ASes that may divert without RCI (empty with RCI: unused)."""
+        local_detectors: Set[ASN] = set()
+        if not self.rci:
             for a, b in failed_links:
                 local_detectors.add(a)
                 local_detectors.add(b)
@@ -75,6 +141,13 @@ class RBGPDataPlane(WalkClassifier):
                 for asn in failed_ases:
                     if asn in self.graph:
                         local_detectors.update(self.graph.neighbors(asn))
+        return local_detectors
+
+    def _walk_spec(self, state, failed_links, failed_ases) -> WalkSpec:
+        destination = self.destination
+        rci = self.rci
+        state_get = state.get
+        local_detectors = self._local_detectors(failed_links, failed_ases)
 
         def link_ok(a: ASN, b: ASN) -> bool:
             return (
@@ -92,9 +165,7 @@ class RBGPDataPlane(WalkClassifier):
             # pass back through the diverting AS itself — the bounce is
             # part of R-BGP's design — so entries are not filtered on
             # that.
-            failover_key = (asn, FAILOVER)
-            reads_append(failover_key)
-            entries = state_get(failover_key) or ()
+            entries = state_get((asn, FAILOVER)) or ()
             for _, path in entries:
                 if rci:
                     # RCI: the AS knows which entries are broken.
@@ -110,9 +181,7 @@ class RBGPDataPlane(WalkClassifier):
                 _, path, index = walk_state
                 return _advance_pin(path, index)
             asn = walk_state
-            primary_key = (asn, PRIMARY)
-            reads_append(primary_key)
-            path = state_get(primary_key)
+            path = state_get((asn, PRIMARY))
             if path and link_ok(asn, path[0]):
                 return path[0]
             if not rci and asn not in local_detectors:
@@ -140,78 +209,7 @@ class RBGPDataPlane(WalkClassifier):
         def delivered(walk_state) -> bool:
             return walk_state == destination
 
-        def start(asn: ASN):
-            return asn, None, ()
+        return WalkSpec(successor, delivered)
 
-        def key_fingerprint(state_key, value):
-            # Primary forwarding only looks at the next hop; failover
-            # entries are followed hop by hop, so their full value
-            # matters (RCI intactness checks read every link).
-            if state_key[1] == PRIMARY:
-                return value[0] if value else None
-            return value
-
-        def bulk_fingerprint(snapshot):
-            return {
-                key: (value[0] if value else None)
-                if key[1] == PRIMARY
-                else value
-                for key, value in snapshot.items()
-            }
-
-        return WalkSpec(
-            start, successor, delivered, reads_buf, key_fingerprint,
-            bulk_fingerprint,
-        )
-
-    def boundary_touched_keys(
-        self, state, old_links, old_ases, new_links, new_ases
-    ):
-        """Keys whose walk behavior a failure-set delta can change.
-
-        Every link check involves the forwarding AS (an endpoint of a
-        changed link, or itself toggled — ``hot``; its primary key is
-        the AS state's first read), the primary next hop (scan primary
-        fingerprints for toggled ASes), or a hop of a pinned failover
-        path (scan failover entries for hot ASes — hop-membership is a
-        superset of the per-link test since both endpoints of a
-        changed link are hot).  Without RCI the local-detector set
-        shifts too: endpoints of changed links plus, when the topology
-        is known, neighbors of toggled ASes.
-        """
-        delta_ases = set(old_ases ^ new_ases)
-        hot = set(delta_ases)
-        for a, b in old_links ^ new_links:
-            hot.add(a)
-            hot.add(b)
-        touched = {(x, PRIMARY) for x in hot}
-        if not self.rci and self.graph is not None:
-            for x in delta_ases:
-                if x in self.graph:
-                    for neighbor in self.graph.neighbors(x):
-                        touched.add((neighbor, PRIMARY))
-        for state_key, value in state.items():
-            if state_key[1] == PRIMARY:
-                if value and value[0] in delta_ases:
-                    touched.add(state_key)
-            elif state_key[0] in hot:
-                touched.add(state_key)
-            elif value:
-                for _, path in value:
-                    if any(hop in hot for hop in path):
-                        touched.add(state_key)
-                        break
-        return touched
-
-    def classify(
-        self,
-        state: Dict,
-        ases: Iterable[ASN],
-        *,
-        failed_links: FrozenSet[Link] = frozenset(),
-        failed_ases: FrozenSet[ASN] = frozenset(),
-    ) -> Dict[ASN, Outcome]:
-        spec = self._walk_spec(state, failed_links, failed_ases)
-        sources = [asn for asn in ases if asn not in failed_ases]
-        raw = classify_functional_graph(sources, spec.successor, spec.delivered)
-        return {asn: raw[asn] for asn in sources}
+    def _session_table(self, state, failed_links, failed_ases) -> _RBGPTable:
+        return _RBGPTable(self, state, failed_links, failed_ases)

@@ -18,37 +18,19 @@ Forwarding rules (paper section 5):
   [12]);
 * an already-switched packet must follow its color or be dropped.
 
-Classification is table-driven: the walk-state space is exactly
-``(AS, color, switched?)`` — four states per AS — so the whole
-functional graph projects onto a flat integer successor table
-(:class:`_SuccessorTable`).  Full scans convert the table to a numpy
-array and resolve every outcome in one pointer-doubling pass; analysis
-sessions keep one table alive across a trace replay (built by
-:meth:`repro.forwarding.walk.AnalysisSession.ensure_table`), with the
-replay engine feeding each fingerprint-changed key into
-:meth:`_SuccessorTable.update` so incremental re-walks run over plain
-integer lookups instead of closure calls, share suffixes through a
-per-instant position memo, and report outcome changes through exact
-reverse-closure propagation (:meth:`_SuccessorTable
-.collect_transitions`).  The closure engine remains the fallback (a
-snapshot whose next hops leave the indexed AS universe) and the
-equivalence tests pin both paths to identical outcomes *and*
-dependency reads.
+The walk-state space is exactly ``(AS, color, switched?)``, so on the
+successor table (:class:`repro.forwarding.walk.SuccessorTable`) STAMP
+is four states per AS, and the only plane whose sources choose among
+their own states (:meth:`_STAMPTable._derive` returns the start state
+alongside the four successor entries).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.forwarding.walk import (
-    BatchClassification,
-    WalkClassifier,
-    WalkSpec,
-    _np,
-    _resolve_outcome_array,
-    classify_functional_graph,
-)
-from repro.types import ASN, Color, Link, Outcome
+from repro.forwarding.walk import SuccessorTable, WalkClassifier, WalkSpec
+from repro.types import ASN, Color, Outcome
 
 #: Walk state: (AS, packet color, already switched?).
 _WalkState = Tuple[ASN, Color, bool]
@@ -64,944 +46,73 @@ def unstable_key(color: Color) -> Tuple[str, Color]:
     return _RED_UNSTABLE if color is _RED else _BLUE_UNSTABLE
 
 
-#: Read-pattern codes of the successor function, in its short-circuit
-#: order (``own`` = the state's color route key, ``unst`` = its
-#: instability flag, ``other`` = the opposite color's route key).
-_READS_OWN = 0  # route unusable, already switched
-_READS_OWN_UNST = 1  # stable forward, or unstable ride while switched
-_READS_OWN_UNST_OTHER = 2  # unstable, switch considered
-_READS_OWN_OTHER = 3  # unusable, switch considered
-_READS_NONE = 4  # destination states read nothing
+class _STAMPTable(SuccessorTable):
+    """Four states per AS: (red, red-switched, blue, blue-switched).
 
-_DELIVERED = Outcome.DELIVERED
-_BLACKHOLE = Outcome.BLACKHOLE
-_LOOP = Outcome.LOOP
-
-
-class _ColorTableBatch(BatchClassification):
-    """Batch classification over STAMP's arithmetic state layout.
-
-    State ``(asn, color, switched)`` lives at index
-    ``4 * pos[asn] + 2 * (color is BLUE) + switched``, so no
-    state-index dict is materialized; outcome/dependency lookups
-    compute it.
+    Columns: red next hop, blue next hop, red unstable?, blue
+    unstable? — walks only look at a route's next hop, and at the
+    whole (boolean) flag.
     """
 
-    __slots__ = ("pos",)
+    k = 4
+    slots = 4
+    hop_slots = 2
 
-    def __init__(self, pos, succ, outcomes, reads) -> None:
-        super().__init__({}, [], succ, outcomes, reads)
-        self.pos = pos
-
-    def _state_index(self, state) -> int:
-        asn, color, switched = state
-        base = 4 * self.pos[asn]
-        if color is _BLUE:
-            base += 2
-        return base + 1 if switched else base
-
-
-class _SuccessorTable:
-    """STAMP's two-color functional graph as flat integer tables.
-
-    One instance serves one snapshot *lineage*: either a single batch
-    classification, or — held by an :class:`AnalysisSession` — a whole
-    trace replay, with :meth:`update` re-deriving the four affected
-    entries whenever a key's walk-observable projection changes.
-
-    Layout: AS ``asns[i]`` owns state indices ``4*i .. 4*i+3`` in the
-    order (red, red-switched, blue, blue-switched).  ``succ`` holds the
-    next state index, ``-1`` for blackhole, ``-2`` for delivered (the
-    destination's own states); ``codes``/``reads`` hold each state's
-    read pattern and interned reads tuple; ``nred``/``nblue`` hold each
-    AS's usable next-hop target (``4*j`` of the next hop, or ``-1``)
-    with ``ured``/``ublue`` the instability flags — exactly the
-    fingerprint projections of the snapshot, which is why
-    fingerprint-filtered change notifications suffice to keep the
-    table exact.
-    """
-
-    __slots__ = (
-        "plane",
-        "destination",
-        "asns",
-        "pos",
-        "rows",
-        "srows",
-        "nred",
-        "nblue",
-        "hop_red",
-        "hop_blue",
-        "hop_preds",
-        "ured",
-        "ublue",
-        "succ",
-        "codes",
-        "reads",
-        "dest_i",
-        "failed_ases",
-        "blocked_pairs",
-        "check_links",
-        "broken",
-        "preds",
-        "state_outcome",
-        "start_sid",
-        "source_outcome",
-        "dirty",
-        "start_dirty",
-    )
-
-    def __init__(self, plane: "STAMPDataPlane", state, failed_links, failed_ases):
-        self.plane = plane
-        self.destination = plane.destination
-        self.failed_ases = failed_ases
-        self.blocked_pairs = (
-            frozenset(
-                pair for a, b in failed_links for pair in ((a, b), (b, a))
-            )
-            if failed_links
-            else frozenset()
-        )
-        self.check_links = bool(failed_links) or bool(failed_ases)
-        self.broken = False
-        #: Incremental outcome propagation (activated by analysis
-        #: sessions, see :meth:`activate_propagation`): reverse
-        #: adjacency, per-state and per-source outcomes, and the
-        #: pending invalidation sets.
-        self.preds: Optional[Dict[int, set]] = None
-        self.state_outcome: Optional[List[Outcome]] = None
-        self.start_sid: Optional[List[int]] = None
-        self.source_outcome: Optional[List[Outcome]] = None
-        self.dirty: set = set()
-        self.start_dirty: set = set()
-        asns = [key[0] for key in state if key[1] is _RED]
-        self.asns = asns
-        n = len(asns)
-        pos: Dict[ASN, int] = {}
-        for i, asn in enumerate(asns):
-            pos[asn] = i
-        self.pos = pos
-        self.nred = [-1] * n
-        self.nblue = [-1] * n
-        #: Raw next-hop ASNs (failure-independent, unlike nred/nblue
-        #: which bake in usability) plus the reverse hop index — what
-        #: :meth:`apply_boundary` needs to find the entries a restored
-        #: link or AS can resurrect.
-        self.hop_red: List[Optional[ASN]] = [None] * n
-        self.hop_blue: List[Optional[ASN]] = [None] * n
-        self.hop_preds: Dict[ASN, set] = {}
-        self.ured = [False] * n
-        self.ublue = [False] * n
-        self.succ = [-1] * (4 * n)
-        self.codes = [0] * (4 * n)
-        self.reads: List[Tuple] = [()] * (4 * n)
-        self.dest_i = pos.get(self.destination)
-        self.rows = [plane._reads_row(asn) for asn in asns]
-        self.srows = [plane._start_rows(asn) for asn in asns]
-        state_get = state.get
-        keys_of = plane._keys_of
-        nred = self.nred
-        nblue = self.nblue
-        ured = self.ured
-        ublue = self.ublue
-        check_links = self.check_links
-        blocked_pairs = self.blocked_pairs
-        pos_get = pos.get
-        hop_red = self.hop_red
-        hop_blue = self.hop_blue
-        hop_preds = self.hop_preds
-        hop_preds_get = hop_preds.get
-        for i, asn in enumerate(asns):
-            kr, kb, kur, kub = keys_of(asn)
-            # Inlined _target for both colors (the build loop runs per
-            # session and per one-shot batch classification).  The raw
-            # hop is indexed even when the failure sets block it: a
-            # later boundary restore must be able to find the entry.
-            for key, nexts, hops in ((kr, nred, hop_red), (kb, nblue, hop_blue)):
-                path = state_get(key)
-                if not path:
-                    continue  # already -1
-                hop = path[0]
-                hops[i] = hop
-                entries = hop_preds_get(hop)
-                if entries is None:
-                    hop_preds[hop] = {i}
-                else:
-                    entries.add(i)
-                if check_links and (
-                    hop in failed_ases
-                    or asn in failed_ases
-                    or (asn, hop) in blocked_pairs
-                ):
-                    continue
-                j = pos_get(hop)
-                if j is None:
-                    self.broken = True
-                    return
-                nexts[i] = 4 * j
-            if state_get(kur, False):
-                ured[i] = True
-            if state_get(kub, False):
-                ublue[i] = True
-        for i in range(n):
-            self._recompose(i)
-
-    def _usable(self, asn: ASN, hop: Optional[ASN]) -> int:
-        """State-index base of a raw next hop, or ``-1`` unusable.
-
-        The failure check runs *before* the universe lookup, matching
-        the build loop exactly: a failure-blocked out-of-universe hop
-        does not break the table, an unblocked one does.
-        """
-        if hop is None:
-            return -1
-        if self.check_links and (
-            hop in self.failed_ases
-            or asn in self.failed_ases
-            or (asn, hop) in self.blocked_pairs
-        ):
-            return -1
-        j = self.pos.get(hop)
-        if j is None:
-            # Next hop outside the indexed universe (synthetic state):
-            # the table cannot represent this walk; callers fall back
-            # to the closure engine.
-            self.broken = True
-            return -1
-        return 4 * j
-
-    def _target(self, asn: ASN, path) -> int:
-        """State-index base of a route's next hop, or ``-1`` unusable."""
-        return self._usable(asn, path[0] if path else None)
-
-    def _set_hop(self, i: int, hop: Optional[ASN], arr, other) -> None:
-        """Write one raw-hop entry, maintaining the reverse hop index.
-
-        ``other`` is the sibling color's hop array: the old reverse
-        edge survives while the sibling still points at the same hop.
-        """
-        old = arr[i]
-        if old == hop:
-            return
-        arr[i] = hop
-        hop_preds = self.hop_preds
-        if old is not None and other[i] != old:
-            entries = hop_preds.get(old)
-            if entries is not None:
-                entries.discard(i)
-        if hop is not None:
-            entries = hop_preds.get(hop)
-            if entries is None:
-                hop_preds[hop] = {i}
-            else:
-                entries.add(i)
-
-    def _set_succ(self, sid: int, new: int) -> None:
-        """Write one successor entry, maintaining the reverse index.
-
-        Only used once propagation is active; a real change moves the
-        reverse edge and marks the state dirty for the next
-        :meth:`collect_transitions`.
-        """
-        succ = self.succ
-        old = succ[sid]
-        if old == new:
-            return
-        preds = self.preds
-        if old >= 0:
-            entries = preds.get(old)
-            if entries is not None:
-                entries.discard(sid)
-        if new >= 0:
-            entries = preds.get(new)
-            if entries is None:
-                preds[new] = {sid}
-            else:
-                entries.add(sid)
-        succ[sid] = new
-        self.dirty.add(sid)
-
-    def _recompose(self, i: int) -> None:
-        """Re-derive one AS's four successor/read entries."""
-        if i == self.dest_i:
-            b = 4 * i
-            codes = self.codes
-            succ = self.succ
-            codes[b] = codes[b + 1] = codes[b + 2] = codes[b + 3] = _READS_NONE
-            succ[b] = succ[b + 1] = succ[b + 2] = succ[b + 3] = -2
-            return
-        nr = self.nred[i]
-        nb = self.nblue[i]
-        b = 4 * i
-        codes = self.codes
-        reads = self.reads
-        row = self.rows[i]
-        # Red process states (offsets 0 / 1), mirroring the closure's
-        # branch order: stable forward > one-time switch > unstable
-        # ride > blackhole.
-        if nr >= 0:
-            if not self.ured[i]:
-                s0 = nr
-                codes[b] = _READS_OWN_UNST
-            else:
-                s0 = nb + 3 if nb >= 0 else nr
-                codes[b] = _READS_OWN_UNST_OTHER
-            s1 = nr + 1
-            codes[b + 1] = _READS_OWN_UNST
-        else:
-            s0 = nb + 3 if nb >= 0 else -1
-            codes[b] = _READS_OWN_OTHER
-            s1 = -1
-            codes[b + 1] = _READS_OWN
-        # Blue process states (offsets 2 / 3).
-        if nb >= 0:
-            if not self.ublue[i]:
-                s2 = nb + 2
-                codes[b + 2] = _READS_OWN_UNST
-            else:
-                s2 = nr + 1 if nr >= 0 else nb + 2
-                codes[b + 2] = _READS_OWN_UNST_OTHER
-            s3 = nb + 3
-            codes[b + 3] = _READS_OWN_UNST
-        else:
-            s2 = nr + 1 if nr >= 0 else -1
-            codes[b + 2] = _READS_OWN_OTHER
-            s3 = -1
-            codes[b + 3] = _READS_OWN
-        if self.preds is None:
-            succ = self.succ
-            succ[b] = s0
-            succ[b + 1] = s1
-            succ[b + 2] = s2
-            succ[b + 3] = s3
-        else:
-            self._set_succ(b, s0)
-            self._set_succ(b + 1, s1)
-            self._set_succ(b + 2, s2)
-            self._set_succ(b + 3, s3)
-        reads[b] = row[codes[b]]
-        reads[b + 1] = row[codes[b + 1]]
-        reads[b + 2] = row[5 + codes[b + 2]]
-        reads[b + 3] = row[5 + codes[b + 3]]
-
-    def update(self, key, value) -> None:
-        """Apply one fingerprint-changed snapshot key to the table."""
-        if self.broken:
-            return
-        i = self.pos.get(key[0])
-        if i is None:  # a key outside the indexed universe appeared
-            self.broken = True
-            return
-        if self.start_sid is not None:
-            # Any of the four per-AS keys can flip the start decision.
-            self.start_dirty.add(i)
-        tag = key[1]
+    def _project(self, tag, value):
         if tag is _RED:
-            hop = value[0] if value else None
-            self._set_hop(i, hop, self.hop_red, self.hop_blue)
-            self.nred[i] = self._usable(key[0], hop)
-        elif tag is _BLUE:
-            hop = value[0] if value else None
-            self._set_hop(i, hop, self.hop_blue, self.hop_red)
-            self.nblue[i] = self._usable(key[0], hop)
-        elif tag[1] is _RED:
-            # An instability flip touches exactly one state's entry
-            # (the color's unswitched state; switched states and the
-            # sibling color never read this flag).
-            self.ured[i] = bool(value)
-            if i != self.dest_i:
-                self._recompose_red_s0(i)
-            return
-        else:
-            self.ublue[i] = bool(value)
-            if i != self.dest_i:
-                self._recompose_blue_s0(i)
-            return
-        if not self.broken:
-            self._recompose(i)
+            return 0, (value[0] if value else None)
+        if tag is _BLUE:
+            return 1, (value[0] if value else None)
+        return (2 if tag[1] is _RED else 3), bool(value)
 
-    def _recompose_red_s0(self, i: int) -> None:
-        """Re-derive the red unswitched state after a red-flag flip."""
-        nr = self.nred[i]
-        if nr < 0:
-            return  # flag unread while the route is unusable
-        b = 4 * i
-        if not self.ured[i]:
-            target = nr
-            code = _READS_OWN_UNST
-        else:
-            nb = self.nblue[i]
-            target = nb + 3 if nb >= 0 else nr
-            code = _READS_OWN_UNST_OTHER
-        if self.preds is None:
-            self.succ[b] = target
-        else:
-            self._set_succ(b, target)
-        self.codes[b] = code
-        self.reads[b] = self.rows[i][code]
-
-    def _recompose_blue_s0(self, i: int) -> None:
-        """Re-derive the blue unswitched state after a blue-flag flip."""
-        nb = self.nblue[i]
-        if nb < 0:
-            return  # flag unread while the route is unusable
-        b = 4 * i + 2
-        if not self.ublue[i]:
-            target = nb + 2
-            code = _READS_OWN_UNST
-        else:
-            nr = self.nred[i]
-            target = nr + 1 if nr >= 0 else nb + 2
-            code = _READS_OWN_UNST_OTHER
-        if self.preds is None:
-            self.succ[b] = target
-        else:
-            self._set_succ(b, target)
-        self.codes[b] = code
-        self.reads[b] = self.rows[i][5 + code]
-
-    def apply_boundary(self, failed_links, failed_ases) -> None:
-        """Patch the table for new failure sets (a phase boundary).
-
-        Successor and start entries depend on the failure sets only
-        through ``nred``/``nblue`` usability, so a boundary delta
-        invalidates exactly the entries whose inputs it touched: ASes
-        named by a changed link or failure, plus — via the reverse hop
-        index — every AS whose raw next hop is a toggled AS.  Each
-        affected entry re-derives its usability under the new sets and
-        recomposes on a real change; in propagation mode that marks the
-        reverse closure dirty for the next
-        :meth:`collect_transitions`, exactly the trace-change
-        discipline.  A restore that unblocks an out-of-universe hop
-        sets ``broken`` (a fresh build would have), telling callers to
-        fall back to a rebuild.
-        """
-        if self.broken:
-            return
-        new_blocked = (
-            frozenset(
-                pair for a, b in failed_links for pair in ((a, b), (b, a))
-            )
-            if failed_links
-            else frozenset()
-        )
-        old_blocked = self.blocked_pairs
-        old_failed = self.failed_ases
-        if new_blocked == old_blocked and failed_ases == old_failed:
-            return
-        affected: set = set()
-        pos_get = self.pos.get
-        for a, _b in old_blocked ^ new_blocked:
-            i = pos_get(a)
-            if i is not None:
-                affected.add(i)
-        hop_preds_get = self.hop_preds.get
-        for x in old_failed ^ failed_ases:
-            i = pos_get(x)
-            if i is not None:
-                affected.add(i)
-            entries = hop_preds_get(x)
-            if entries:
-                affected |= entries
-        self.failed_ases = failed_ases
-        self.blocked_pairs = new_blocked
-        self.check_links = bool(new_blocked) or bool(failed_ases)
-        if not affected:
-            return
-        nred = self.nred
-        nblue = self.nblue
-        hop_red = self.hop_red
-        hop_blue = self.hop_blue
-        asns = self.asns
-        usable = self._usable
-        start_sid = self.start_sid
-        start_dirty = self.start_dirty
-        for i in affected:
-            asn = asns[i]
-            nr = usable(asn, hop_red[i])
-            nb = usable(asn, hop_blue[i])
-            if self.broken:
-                return
-            if nr != nred[i] or nb != nblue[i]:
-                nred[i] = nr
-                nblue[i] = nb
-                self._recompose(i)
-                if start_sid is not None:
-                    start_dirty.add(i)
-
-    # ------------------------------------------------------------------
-    # Incremental outcome propagation
-    # ------------------------------------------------------------------
-
-    def activate_propagation(self) -> None:
-        """Switch the table to exact incremental outcome maintenance.
-
-        Builds the reverse adjacency, resolves every state's outcome
-        once, and derives each source's start state and outcome.  From
-        then on :meth:`update` marks exactly the entries whose
-        successor changed, and :meth:`collect_transitions` invalidates
-        the reverse closure of those states, re-resolves it, and
-        reports the sources whose packet fate changed — no per-source
-        dependency sets or key-level dependent indexing at all.
-        """
-        succ = self.succ
-        n4 = len(succ)
-        preds: Dict[int, set] = {}
-        preds_get = preds.get
-        for sid in range(n4):
-            target = succ[sid]
-            if target >= 0:
-                entries = preds_get(target)
-                if entries is None:
-                    preds[target] = {sid}
-                else:
-                    entries.add(sid)
-        self.preds = preds
-        if _np is not None:
-            arr = _np.empty(n4 + 2, dtype=_np.int64)
-            arr[:n4] = succ
-            deliv, bh = n4, n4 + 1
-            arr[arr == -2] = deliv
-            arr[arr == -1] = bh
-            arr[deliv] = deliv
-            arr[bh] = bh
-            out = _resolve_outcome_array(arr, n4)
-        else:
-            from repro.forwarding.walk import _resolve_outcomes_python
-
-            out = _resolve_outcomes_python(list(succ))
-        self.state_outcome = out
-        start_sid: List[int] = []
-        source_outcome: List[Outcome] = []
-        dest_i = self.dest_i
-        for i in range(len(self.asns)):
-            if i == dest_i:
-                start_sid.append(-1)
-                source_outcome.append(_DELIVERED)
-                continue
-            _row, sid = self._start_eval(i)
-            if sid < 0:
-                start_sid.append(-1)
-                source_outcome.append(_BLACKHOLE)
-            else:
-                start_sid.append(sid)
-                source_outcome.append(out[sid])
-        self.start_sid = start_sid
-        self.source_outcome = source_outcome
-        self.dirty = set()
-        self.start_dirty = set()
-
-    def _rescan(self, remaining: set) -> None:
-        """Re-resolve the outcomes of an invalidated state set.
-
-        States outside ``remaining`` hold valid outcomes (they cannot
-        reach a changed edge); each walk runs until it leaves the set,
-        terminates, or closes a cycle, then back-propagates.
-        """
-        out = self.state_outcome
-        succ = self.succ
-        codes = self.codes
-        for sid0 in list(remaining):
-            if sid0 not in remaining:
-                continue
-            path: List[int] = []
-            on_path: Dict[int, int] = {}
-            cur = sid0
-            while True:
-                if cur not in remaining:
-                    outcome = out[cur]
-                    break
-                code = codes[cur]
-                if code == _READS_NONE:  # a destination state
-                    outcome = _DELIVERED
-                    out[cur] = outcome
-                    remaining.discard(cur)
-                    break
-                if cur in on_path:
-                    # Every cycle state reaches exactly the cycle.
-                    outcome = _LOOP
-                    cut = on_path[cur]
-                    for s2 in path[cut:]:
-                        out[s2] = _LOOP
-                        remaining.discard(s2)
-                    del path[cut:]
-                    break
-                on_path[cur] = len(path)
-                path.append(cur)
-                nxt = succ[cur]
-                if nxt < 0:
-                    outcome = _DELIVERED if nxt == -2 else _BLACKHOLE
-                    break
-                cur = nxt
-            for s2 in reversed(path):
-                out[s2] = outcome
-                remaining.discard(s2)
-
-    def collect_transitions(self) -> List[Tuple[ASN, Outcome]]:
-        """Flush pending invalidations; report changed source fates.
-
-        Returns ``(source AS, new outcome)`` for exactly the sources
-        whose packet fate differs from the last collection.
-        """
-        dirty = self.dirty
-        start_dirty = self.start_dirty
-        transitions: List[Tuple[ASN, Outcome]] = []
-        if not dirty and not start_dirty:
-            return transitions
-        start_sid = self.start_sid
-        if dirty:
-            closure = set(dirty)
-            closure_add = closure.add
-            stack = list(dirty)
-            stack_append = stack.append
-            preds_get = self.preds.get
-            while stack:
-                entries = preds_get(stack.pop())
-                if entries:
-                    for pred in entries:
-                        if pred not in closure:
-                            closure_add(pred)
-                            stack_append(pred)
-            # _rescan consumes its working set as states resolve, so it
-            # gets a copy; the closure itself then seeds the start-state
-            # checks below.
-            self._rescan(set(closure))
-            for sid in closure:
-                i = sid >> 2
-                if start_sid[i] == sid:
-                    start_dirty.add(i)
-            self.dirty = set()
-        out = self.state_outcome
-        source_outcome = self.source_outcome
-        asns = self.asns
-        dest_i = self.dest_i
-        for i in start_dirty:
-            if i == dest_i:
-                continue
-            _row, sid = self._start_eval(i)
-            start_sid[i] = sid
-            new = _BLACKHOLE if sid < 0 else out[sid]
-            if new is not source_outcome[i]:
-                source_outcome[i] = new
-                transitions.append((asns[i], new))
-        self.start_dirty = set()
-        return transitions
-
-    def source_outcomes(self, asns_iter) -> Dict[ASN, Outcome]:
-        """Current packet fate of the given sources (propagation mode)."""
-        pos_get = self.pos.get
-        source_outcome = self.source_outcome
-        result: Dict[ASN, Outcome] = {}
-        for asn in asns_iter:
-            i = pos_get(asn)
-            result[asn] = _BLACKHOLE if i is None else source_outcome[i]
-        return result
-
-    # ------------------------------------------------------------------
-    # Classification
-    # ------------------------------------------------------------------
-
-    def _start_eval(self, i: int) -> Tuple[int, int]:
-        """Source start decision: ``(reads-row index, start state)``.
-
-        The start state is ``-1`` for an immediate blackhole; the row
-        indices match :meth:`STAMPDataPlane._start_rows` and reproduce
-        the closure's exact reported reads per branch.
-        """
-        nb = self.nblue[i]
-        if nb >= 0 and not self.ublue[i]:
-            return 0, 4 * i + 2
-        nr = self.nred[i]
-        if nr >= 0 and not self.ured[i]:
-            return 1, 4 * i
-        if nb >= 0:
-            return (1 if nr >= 0 else 2), 4 * i + 2
+    def _derive(self, i: int):
+        hop_red, hop_blue, unstable_red, unstable_blue = self.proj
+        asn = self.asns[i]
+        # State-index base of each color's usable next hop, or -1.
+        nr = self._usable(asn, hop_red[i])
         if nr >= 0:
-            return 3, 4 * i
-        return 4, -1
-
-    def classify_one(self, asn: ASN, failed_ases) -> Tuple[Outcome, set]:
-        """Single-source walk without the per-instant memo machinery.
-
-        The common incremental-scan case (one touched source per
-        instant) needs no suffix sharing; the walk runs over the
-        integer table, accumulating the dependency set inline (the
-        union over visited states' reads is path-order independent).
-        """
-        if asn in failed_ases:
-            return (_BLACKHOLE, set())
-        if asn == self.destination:
-            return (_DELIVERED, set())
-        i = self.pos.get(asn)
-        if i is None:
-            return (_BLACKHOLE, set(self.plane._start_rows(asn)[4]))
-        srow = self.srows[i]
-        # Inlined _start_eval (this is the hottest entry point).
-        nb = self.nblue[i]
-        nr = self.nred[i]
-        if nb >= 0 and not self.ublue[i]:
-            row = 0
-            sid = 4 * i + 2
-        elif nr >= 0 and not self.ured[i]:
-            row = 1
-            sid = 4 * i
+            nr *= 4
+        nb = self._usable(asn, hop_blue[i])
+        if nb >= 0:
+            nb *= 4
+        red_stable = nr >= 0 and not unstable_red[i]
+        blue_stable = nb >= 0 and not unstable_blue[i]
+        base = 4 * i
+        # Per color, the scalar successor's branch order: stable
+        # forward > one-time switch > unstable ride > blackhole.  A
+        # switched packet (odd offsets) follows its color or drops.
+        if red_stable:
+            s0 = nr
         elif nb >= 0:
-            row = 1 if nr >= 0 else 2
-            sid = 4 * i + 2
-        elif nr >= 0:
-            row = 3
-            sid = 4 * i
+            s0 = nb + 3
         else:
-            return (_BLACKHOLE, set(srow[4]))
-        succ = self.succ
-        codes = self.codes
-        reads = self.reads
-        deps = set(srow[row])
-        deps_update = deps.update
-        on_path: set = set()
-        on_path_add = on_path.add
-        cur = sid
-        while True:
-            code = codes[cur]
-            if code == _READS_NONE:  # a destination state
-                outcome = _DELIVERED
-                break
-            if cur in on_path:
-                outcome = _LOOP
-                break
-            on_path_add(cur)
-            deps_update(reads[cur])
-            nxt = succ[cur]
-            if nxt < 0:
-                outcome = _BLACKHOLE
-                break
-            cur = nxt
-        return (outcome, deps)
-
-    def classify_many(
-        self, asns: List, failed_ases
-    ) -> Dict[ASN, Tuple[Outcome, set]]:
-        """Suffix-shared classification with dependency reporting.
-
-        Identical outcomes and dependency sets to the closure walks,
-        with per-instant position sharing: a walk reaching a state
-        already resolved *during this call* inherits its outcome and
-        dependency union instead of re-walking the suffix (within one
-        call the snapshot is fixed, so a state's outcome and reachable
-        read-set are well-defined values independent of which source
-        reached it first — the equivalence tests pin this against the
-        brute-force twins).
-        """
-        if len(asns) <= 3:
-            # Tiny requests: suffix overlap cannot repay the memo
-            # machinery; plain per-source walks win.
-            classify_one = self.classify_one
-            return {
-                asn: classify_one(asn, failed_ases)
-                for asn in asns
-            }
-        succ = self.succ
-        codes = self.codes
-        reads = self.reads
-        pos = self.pos
-        srows = self.srows
-        destination = self.destination
-        results: Dict[ASN, Tuple[Outcome, set]] = {}
-        memo_out: Dict[int, Outcome] = {}
-        memo_deps: Dict[int, set] = {}
-        for asn in asns:
-            if asn in failed_ases:
-                results[asn] = (_BLACKHOLE, set())
-                continue
-            if asn == destination:
-                results[asn] = (_DELIVERED, set())
-                continue
-            i = pos.get(asn)
-            if i is None:
-                # Unknown source: both route keys read as absent.
-                results[asn] = (_BLACKHOLE, set(self.plane._start_rows(asn)[4]))
-                continue
-            srow = srows[i]
-            row, sid = self._start_eval(i)
-            if sid < 0:
-                results[asn] = (_BLACKHOLE, set(srow[4]))
-                continue
-            path: List[int] = []
-            path_append = path.append
-            on_path: Dict[int, int] = {}
-            cur = sid
-            while True:
-                outcome = memo_out.get(cur)
-                if outcome is not None:
-                    acc = memo_deps[cur]
-                    break
-                code = codes[cur]
-                if code == _READS_NONE:  # a destination state
-                    outcome = _DELIVERED
-                    memo_out[cur] = outcome
-                    acc = memo_deps[cur] = set()
-                    break
-                if cur in on_path:
-                    # Every cycle state reaches exactly the cycle, so
-                    # they share one outcome and one dependency union.
-                    outcome = _LOOP
-                    cut = on_path[cur]
-                    acc = set()
-                    for s2 in path[cut:]:
-                        acc.update(reads[s2])
-                    for s2 in path[cut:]:
-                        memo_out[s2] = outcome
-                        memo_deps[s2] = acc
-                    del path[cut:]
-                    break
-                on_path[cur] = len(path)
-                path_append(cur)
-                nxt = succ[cur]
-                if nxt < 0:
-                    outcome = _BLACKHOLE
-                    acc = set()
-                    break
-                cur = nxt
-            for s2 in reversed(path):
-                acc = acc.union(reads[s2])
-                memo_out[s2] = outcome
-                memo_deps[s2] = acc
-            # Start reads usually lie inside the suffix union; the
-            # shared memo set is handed out as-is then (read-only by
-            # contract) instead of copied per source.
-            sr = srow[row]
-            for read_key in sr:
-                if read_key not in acc:
-                    acc = acc.union(sr)
-                    break
-            results[asn] = (outcome, acc)
-        return results
-
-    def batch_classification(self, need_reads: bool) -> BatchClassification:
-        """One-shot numpy resolution of the whole table.
-
-        Converts the integer successor list to a sentinel-extended
-        array and pointer-doubles every outcome in one pass.
-        """
-        n4 = len(self.succ)
-        deliv, bh = n4, n4 + 1
-        arr = _np.empty(n4 + 2, dtype=_np.int64)
-        arr[:n4] = self.succ
-        arr[arr == -2] = deliv
-        arr[arr == -1] = bh
-        arr[deliv] = deliv
-        arr[bh] = bh
-        outcomes = _resolve_outcome_array(arr, n4)
-        return _ColorTableBatch(
-            self.pos,
-            self.succ,
-            outcomes,
-            self.reads if need_reads else None,
-        )
+            s0 = nr
+        s1 = nr + 1 if nr >= 0 else -1
+        if blue_stable:
+            s2 = nb + 2
+        elif nr >= 0:
+            s2 = nr + 1
+        else:
+            s2 = nb + 2 if nb >= 0 else -1
+        s3 = nb + 3 if nb >= 0 else -1
+        # Source color: stable blue > stable red > any blue > any red.
+        if blue_stable or (nb >= 0 and not red_stable):
+            start = base + 2
+        elif nr >= 0:
+            start = base
+        else:
+            start = -1
+        return start, s0, s1, s2, s3
 
 
 class STAMPDataPlane(WalkClassifier):
     """Walks color-carrying packets with the switch-once rule."""
 
-    def __init__(self, destination: ASN) -> None:
-        super().__init__(destination)
-        #: (asn -> (red key, blue key, red unstable key, blue unstable
-        #: key)), shared by every spec and table of this plane.
-        self._key_cache: Dict[ASN, Tuple] = {}
-        #: (asn -> 10-slot row of successor reads tuples,
-        #: ``5 * (color is BLUE) + pattern``).
-        self._reads_cache: Dict[ASN, List[Tuple]] = {}
-        #: (asn -> 6-slot row of start reads tuples).
-        self._start_cache: Dict[ASN, List[Tuple]] = {}
-
-    def _keys_of(self, asn: ASN) -> Tuple:
-        keys = self._key_cache.get(asn)
-        if keys is None:
-            keys = self._key_cache[asn] = (
-                (asn, _RED),
-                (asn, _BLUE),
-                (asn, _RED_UNSTABLE),
-                (asn, _BLUE_UNSTABLE),
-            )
-        return keys
-
-    def _reads_row(self, asn: ASN) -> List[Tuple]:
-        """Reads tuples of one AS's eight successor patterns."""
-        row = self._reads_cache.get(asn)
-        if row is None:
-            kr, kb, kur, kub = self._keys_of(asn)
-            row = self._reads_cache[asn] = [
-                (kr,),
-                (kr, kur),
-                (kr, kur, kb),
-                (kr, kb),
-                (),
-                (kb,),
-                (kb, kub),
-                (kb, kub, kr),
-                (kb, kr),
-                (),
-            ]
-        return row
-
-    def _start_rows(self, asn: ASN) -> List[Tuple]:
-        """Reads tuples of one AS's six start branches."""
-        row = self._start_cache.get(asn)
-        if row is None:
-            kr, kb, kur, kub = self._keys_of(asn)
-            row = self._start_cache[asn] = [
-                (kb, kub),  # stable blue
-                (kb, kub, kr, kur),  # stable red / unstable blue over red
-                (kb, kub, kr),  # unstable blue, red unusable
-                (kb, kr, kur),  # unstable red, blue unusable
-                (kb, kr),  # no usable route
-                (),  # destination
-            ]
-        return row
-
-    def _session_table(self, state, failed_links, failed_ases):
-        table = _SuccessorTable(self, state, failed_links, failed_ases)
-        return None if table.broken else table
-
-    def boundary_touched_keys(
-        self, state, old_links, old_ases, new_links, new_ases
-    ):
-        """Keys whose walk behavior a failure-set delta can change.
-
-        Only consulted when the session runs on the closure engine (a
-        broken successor table): every usability check involves the
-        forwarding AS (hot when it is an endpoint of a changed link or
-        a toggled AS — its route keys are always the state's first
-        reads) or the route's next hop (found by scanning route-key
-        fingerprints for toggled ASes).
-        """
-        delta_ases = set(old_ases ^ new_ases)
-        hot = set(delta_ases)
-        for a, b in old_links ^ new_links:
-            hot.add(a)
-            hot.add(b)
-        touched: set = set()
-        for x in hot:
-            touched.add((x, _RED))
-            touched.add((x, _BLUE))
-        if delta_ases:
-            for state_key, value in state.items():
-                if (
-                    type(state_key[1]) is Color
-                    and value
-                    and value[0] in delta_ases
-                ):
-                    touched.add(state_key)
-        return touched
-
     def _walk_spec(self, state, failed_links, failed_ases) -> WalkSpec:
         destination = self.destination
         state_get = state.get
-        reads_buf: list = []
-        reads_append = reads_buf.append
         red, blue = _RED, _BLUE
         red_unstable, blue_unstable = _RED_UNSTABLE, _BLUE_UNSTABLE
-        keys_of = self._keys_of
 
         # The failure sets are fixed for the spec's lifetime, so the
         # per-hop link check reduces to one membership test on a
@@ -1014,40 +125,28 @@ class STAMPDataPlane(WalkClassifier):
             for pair in ((a, b), (b, a))
         )
 
-        def link_ok(a: ASN, b: ASN) -> bool:
-            return (
-                b not in failed_ases
-                and a not in failed_ases
-                and (a, b) not in blocked_pairs
+        def usable(asn: ASN, path) -> bool:
+            return bool(path) and (
+                no_failures
+                or (
+                    path[0] not in failed_ases
+                    and asn not in failed_ases
+                    and (asn, path[0]) not in blocked_pairs
+                )
             )
 
         def successor(walk_state) -> Optional[_WalkState]:
-            # Single fetch per route: the layered usable/stable helpers
-            # re-read the same snapshot keys several times per hop,
-            # which dominates full-scan classification cost.
             asn, color, switched = walk_state
-            own_key = (asn, color)
-            reads_append(own_key)
-            path = state_get(own_key)
-            own_usable = bool(path) and (
-                no_failures or link_ok(asn, path[0])
-            )
-            if own_usable:
-                unstable_key_ = (
-                    asn,
-                    red_unstable if color is red else blue_unstable,
-                )
-                reads_append(unstable_key_)
-                if not state_get(unstable_key_, False):
-                    return (path[0], color, switched)
+            path = state_get((asn, color))
+            own_usable = usable(asn, path)
+            if own_usable and not state_get(
+                (asn, red_unstable if color is red else blue_unstable), False
+            ):
+                return (path[0], color, switched)
             if not switched:
                 other = blue if color is red else red
-                other_key = (asn, other)
-                reads_append(other_key)
-                other_path = state_get(other_key)
-                if other_path and (
-                    no_failures or link_ok(asn, other_path[0])
-                ):
+                other_path = state_get((asn, other))
+                if usable(asn, other_path):
                     return (other_path[0], other, True)
             if own_usable:
                 # No stable alternative: ride the unstable same-color
@@ -1059,107 +158,22 @@ class STAMPDataPlane(WalkClassifier):
             return walk_state[0] == destination
 
         def start(asn: ASN):
-            # Inlined initial_color with one fetch per route (this runs
-            # once per source per reclassification).  The reported
-            # reads follow the short-circuit order exactly: keys never
-            # consulted cannot change the decision.
             if asn == destination:
-                return None, Outcome.DELIVERED, ()
-            key_r, key_b, key_ur, key_ub = keys_of(asn)
-            blue_path = state_get(key_b)
-            blue_usable = bool(blue_path) and (
-                no_failures or link_ok(asn, blue_path[0])
-            )
-            if blue_usable and not state_get(key_ub, False):
-                return (asn, blue, False), None, (key_b, key_ub)
-            red_path = state_get(key_r)
-            red_usable = bool(red_path) and (
-                no_failures or link_ok(asn, red_path[0])
-            )
-            if red_usable and not state_get(key_ur, False):
-                return (asn, red, False), None, (key_b, key_ub, key_r, key_ur)
+                return None, Outcome.DELIVERED
+            blue_usable = usable(asn, state_get((asn, blue)))
+            if blue_usable and not state_get((asn, blue_unstable), False):
+                return (asn, blue, False), None
+            red_usable = usable(asn, state_get((asn, red)))
+            if red_usable and not state_get((asn, red_unstable), False):
+                return (asn, red, False), None
             if blue_usable:
                 # Unstable blue beats unusable-or-unstable red.
-                reads = (key_b, key_ub, key_r, key_ur) if red_usable else (
-                    key_b, key_ub, key_r
-                )
-                return (asn, blue, False), None, reads
+                return (asn, blue, False), None
             if red_usable:
-                return (asn, red, False), None, (key_b, key_r, key_ur)
-            return None, Outcome.BLACKHOLE, (key_b, key_r)
+                return (asn, red, False), None
+            return None, Outcome.BLACKHOLE
 
-        def key_fingerprint(state_key, value):
-            # Route entries: walks only look at the next hop.
-            # Instability flags: the full (boolean) value matters.
-            if type(state_key[1]) is Color:
-                return value[0] if value else None
-            return value
+        return WalkSpec(successor, delivered, start)
 
-        def bulk_fingerprint(snapshot):
-            return {
-                key: (value[0] if value else None)
-                if type(key[1]) is Color
-                else value
-                for key, value in snapshot.items()
-            }
-
-        return WalkSpec(
-            start, successor, delivered, reads_buf, key_fingerprint,
-            bulk_fingerprint,
-        )
-
-    def _batch_classify(
-        self,
-        spec: WalkSpec,
-        starts: List[_WalkState],
-        *,
-        state: Dict,
-        failed_links: FrozenSet[Link],
-        failed_ases: FrozenSet[ASN],
-        need_reads: bool,
-    ) -> BatchClassification:
-        """Classify STAMP's whole two-color state space in one pass.
-
-        Builds the flat successor table from per-AS next-hop and
-        instability projections (one snapshot fetch per key, no closure
-        calls) and resolves outcomes by numpy pointer doubling.
-        Identical outcomes and per-state reads to the generic engine;
-        falls back to it when numpy is unavailable or a next hop lies
-        outside the snapshot's AS universe.
-        """
-        if _np is not None:
-            table = _SuccessorTable(self, state, failed_links, failed_ases)
-            if not table.broken:
-                return table.batch_classification(need_reads)
-        return super()._batch_classify(
-            spec,
-            starts,
-            state=state,
-            failed_links=failed_links,
-            failed_ases=failed_ases,
-            need_reads=need_reads,
-        )
-
-    def classify(
-        self,
-        state: Dict,
-        ases: Iterable[ASN],
-        *,
-        failed_links: FrozenSet[Link] = frozenset(),
-        failed_ases: FrozenSet[ASN] = frozenset(),
-    ) -> Dict[ASN, Outcome]:
-        spec = self._walk_spec(state, failed_links, failed_ases)
-        outcomes: Dict[ASN, Outcome] = {}
-        memo: Dict[_WalkState, Outcome] = {}
-        for asn in ases:
-            if asn in failed_ases:
-                continue
-            start_state, immediate, _ = spec.start(asn)
-            if start_state is None:
-                outcomes[asn] = immediate
-                continue
-            classify_functional_graph(
-                [start_state], spec.successor, spec.delivered, memo=memo
-            )
-            outcomes[asn] = memo[start_state]
-        return outcomes
+    def _session_table(self, state, failed_links, failed_ases) -> _STAMPTable:
+        return _STAMPTable(self, state, failed_links, failed_ases)

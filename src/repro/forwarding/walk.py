@@ -1,4 +1,4 @@
-"""Generic data-plane walk classification.
+"""Data-plane walk classification.
 
 A data-plane snapshot induces a deterministic successor function on
 walk states (for BGP a state is just the current AS; for STAMP it is
@@ -8,39 +8,31 @@ outcome propagation over a functional graph: a walk is DELIVERED if it
 reaches the destination, BLACKHOLE if it reaches a state with no
 successor, and LOOP if it revisits a state.
 
-Three engines share the successor abstraction:
+The semantics are written down twice, on purpose:
 
-* :func:`classify_functional_graph` — per-source iterative walks with
-  on-path cycle detection (cheap for one or two sources);
-* :func:`classify_functional_graph_batch` — full-scan path: every
-  reachable state is indexed once (one successor call per state), the
-  successor map becomes an integer array, and outcomes are resolved by
-  vectorized pointer doubling on that array (numpy when available,
-  with a pure-Python fallback).  Terminal states point at one of two
-  absorbing sentinels; after ⌈log₂ n⌉ squarings every index has either
-  been absorbed (DELIVERED / BLACKHOLE) or provably rides a cycle
-  (LOOP);
-* plane-provided *successor tables* (see
-  :meth:`WalkClassifier._session_table` and STAMP's implementation in
-  :mod:`repro.forwarding.stamp_plane`) — planes whose walk-state space
-  projects onto flat integer arrays hand analysis sessions a table
-  that is updated per changed key and maintains per-state outcomes
-  incrementally, so replay engines receive exact per-source outcome
-  transitions without any per-source dependency bookkeeping.
+* :func:`classify_functional_graph` over a plane's :class:`WalkSpec`
+  closures is the *scalar reference* — per-source iterative walks that
+  read the snapshot dict directly.  :meth:`WalkClassifier.classify`
+  and the ``_reference_*`` analyzers use it, and the differential
+  tests compare the engine below against it.
+* :class:`SuccessorTable` is the *engine*: every plane compiles its
+  snapshot onto ``k`` integer walk states per AS (one for BGP and
+  R-BGP, four for STAMP), the table resolves every state's outcome
+  once, and from then on :meth:`SuccessorTable.update` /
+  :meth:`SuccessorTable.apply_boundary` re-derive only the rows whose
+  inputs moved while :meth:`SuccessorTable.collect_transitions`
+  re-resolves exactly the reverse closure of the changed entries and
+  reports the sources whose packet fate changed.  A plane supplies
+  only what is plane-specific: which snapshot keys it stores and what
+  walks can observe of them (:meth:`SuccessorTable._project`), and how
+  one AS's successor entries and start state derive from its stored
+  projections and the failure sets (:meth:`SuccessorTable._derive`).
 
-Dependency tracking (for the closure-based incremental paths): rather
-than recording every snapshot read through a mapping wrapper — a
-Python-level call per read on the hottest path — each spec's closures
-append the keys they consult to :attr:`WalkSpec.reads_buf` inline (one
-C-level list append per read), and ``start`` returns its exact reads
-directly.  Under short-circuit evaluation the keys actually consulted
-fully determine a walk, so these exact read sets are sound dependency
-sets.  Specs additionally expose :attr:`WalkSpec.key_fingerprint`, the
-projection of a snapshot value onto what walks can observe of it (e.g.
-only a route's next hop): value changes with equal fingerprints cannot
-change any outcome and can be filtered before dependency lookup (and,
-for table planes, before table maintenance — the tables store exactly
-the fingerprint projections).
+An AS named by a key or a next hop but absent from the table is
+interned on demand as a fresh row — no routes, so every state
+blackholes (the destination's row delivers) — which is exactly what
+the scalar walk computes for such a state, so every snapshot is
+representable.
 """
 
 from __future__ import annotations
@@ -52,84 +44,44 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
-    TypeVar,
 )
 
 from repro.types import Outcome
-
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
-
-State = TypeVar("State", bound=Hashable)
 
 #: Successor function: next walk state, or ``None`` when the packet is
 #: dropped (blackhole).
 Successor = Callable[[Hashable], Optional[Hashable]]
 #: Terminal predicate: ``True`` when the packet has been delivered.
 Delivered = Callable[[Hashable], bool]
-#: Start mapping: source AS -> (initial walk state, immediate outcome,
-#: snapshot keys read).  Exactly one of the first two is non-``None``;
-#: an immediate outcome means the source never enters the walk (e.g.
-#: STAMP's colorless sources).  The keys are the exact reads made to
-#: decide — under short-circuit evaluation they fully determine the
-#: decision, so they are a sound dependency set.
-Start = Callable[[Hashable], Tuple[Optional[Hashable], Optional[Outcome], Tuple]]
-#: Projection of one snapshot value onto what walks can observe of it.
-KeyFingerprint = Callable[[Hashable, object], object]
+#: Start mapping: source AS -> (initial walk state, immediate outcome).
+#: Exactly one of the two is non-``None``; an immediate outcome means
+#: the source never enters the walk (e.g. STAMP's routeless sources).
+Start = Callable[[Hashable], Tuple[Optional[Hashable], Optional[Outcome]]]
 
-#: Sentinel successor markers used while indexing states.
-_DELIVERED_IDX = -2
-_BLACKHOLE_IDX = -1
+#: Terminal successor entries of a :class:`SuccessorTable`.
+DELIVERED_SID = -2
+BLACKHOLE_SID = -1
+
+_DELIVERED = Outcome.DELIVERED
+_BLACKHOLE = Outcome.BLACKHOLE
+_LOOP = Outcome.LOOP
 
 
-class WalkSpec:
-    """One snapshot's walk semantics.
+def _start_at_source(asn: Hashable):
+    """Default start: the walk state of a source is the AS itself."""
+    return asn, None
 
-    ``start``/``successor``/``delivered`` define the walks; ``start``
-    reports its exact reads, ``successor`` appends each key it consults
-    to ``reads_buf`` (callers clear and snapshot the buffer around
-    calls), and ``key_fingerprint`` projects snapshot values onto what
-    the walks can observe of them.
 
-    Non-recording callers (``classify``/``classify_batch``) simply
-    ignore the buffer: one C-level append per read is cheaper than
-    maintaining a second, non-recording closure set per plane, and the
-    buffer's size is bounded by one call's scan (it dies with the
-    spec, which those callers build per call).
-    """
+class WalkSpec(NamedTuple):
+    """One snapshot's scalar walk semantics (closures over the state)."""
 
-    __slots__ = (
-        "start",
-        "successor",
-        "delivered",
-        "reads_buf",
-        "key_fingerprint",
-        "bulk_fingerprint",
-    )
-
-    def __init__(
-        self,
-        start: Start,
-        successor: Successor,
-        delivered: Delivered,
-        reads_buf: List,
-        key_fingerprint: KeyFingerprint,
-        bulk_fingerprint: Optional[Callable[[Dict], Dict]] = None,
-    ) -> None:
-        self.start = start
-        self.successor = successor
-        self.delivered = delivered
-        self.reads_buf = reads_buf
-        self.key_fingerprint = key_fingerprint
-        #: Optional whole-snapshot fingerprinting (one dict pass
-        #: instead of a ``key_fingerprint`` call per key); must agree
-        #: with ``key_fingerprint`` on every key.
-        self.bulk_fingerprint = bulk_fingerprint
+    successor: Successor
+    delivered: Delivered
+    start: Start = _start_at_source
 
 
 def classify_functional_graph(
@@ -178,595 +130,371 @@ def classify_functional_graph(
     return outcomes
 
 
-def _walk_outcome(
-    start: Hashable, successor: Successor, delivered: Delivered
-) -> Outcome:
-    """Outcome of one walk, without memo or path bookkeeping.
+class SuccessorTable:
+    """A snapshot's functional graph as flat integer tables.
 
-    Memo-free (the incremental analyzer re-walks one or two sources per
-    instant); the successor's read appends accumulate in the spec's
-    buffer as a side effect.
-    """
-    on_path: set = set()
-    state = start
-    while True:
-        if delivered(state):
-            return Outcome.DELIVERED
-        if state in on_path:
-            return Outcome.LOOP
-        on_path.add(state)
-        state = successor(state)
-        if state is None:
-            return Outcome.BLACKHOLE
+    Layout: AS ``asns[i]`` owns walk states ``k*i .. k*i + k-1``.
+    ``succ`` holds each state's next state index, :data:`BLACKHOLE_SID`
+    or :data:`DELIVERED_SID`; ``preds`` is the reverse adjacency;
+    ``state_outcome`` the resolved fate of every state;
+    ``start_sid`` / ``source_outcome`` each source's start state (``-1``
+    for an immediate blackhole) and packet fate.  ``proj`` holds one
+    column per stored snapshot projection (what walks can observe of a
+    key's value — a route's next hop, a flag, a failover entry list);
+    the first ``hop_slots`` columns are raw next hops and are indexed
+    in reverse (``hop_preds``) so a failure-set delta finds the rows
+    whose next hop it toggled.
 
-
-class BatchClassification:
-    """Indexed functional graph with resolved outcomes.
-
-    Built by :func:`classify_functional_graph_batch` (or a plane's
-    vectorized successor-table builder, see
-    :meth:`WalkClassifier._batch_classify`).  Holds the state index,
-    the integer successor list (``-2`` delivered / ``-1`` blackhole /
-    else next index), the outcome per index, and — when ``state_keys``
-    was supplied — the dependency keys of each state, from which
-    per-source dependency sets are derived.
-
-    Subclasses with an arithmetic state layout (STAMP's color table)
-    override :meth:`_state_index` instead of materializing the index
-    dict.
+    One instance follows one snapshot lineage: :meth:`update` applies
+    a changed key, :meth:`apply_boundary` new failure sets; both mark
+    the entries they really changed ``dirty``, and
+    :meth:`collect_transitions` flushes.  Subclasses set ``k``,
+    ``slots``, ``hop_slots`` and implement :meth:`_project` and
+    :meth:`_derive`.
     """
 
-    __slots__ = ("index", "states", "succ", "outcomes", "reads", "_deps")
+    #: Walk states per AS.
+    k = 1
+    #: Stored projection columns per AS.
+    slots = 1
+    #: How many leading columns hold raw next hops.
+    hop_slots = 1
 
-    def __init__(
-        self,
-        index: Dict[Hashable, int],
-        states: List[Hashable],
-        succ: List[int],
-        outcomes: List[Outcome],
-        reads: Optional[List[Tuple]],
-    ) -> None:
-        self.index = index
-        self.states = states
-        self.succ = succ
-        self.outcomes = outcomes
-        self.reads = reads
-        self._deps: Dict[int, Set] = {}
-
-    def _state_index(self, state: Hashable) -> int:
-        """Index of one walk state (overridable for computed layouts)."""
-        return self.index[state]
-
-    def outcome_of(self, state: Hashable) -> Outcome:
-        """Resolved outcome of one indexed state."""
-        return self.outcomes[self._state_index(state)]
-
-    def deps_of(self, state: Hashable) -> Set:
-        """Union of dependency keys over states reachable from ``state``.
-
-        A walk outcome is a deterministic function of the keys its
-        states read, so this is exactly the dependency set incremental
-        analyzers need.  Memoized per suffix; cycles share one union.
-        """
-        if self.reads is None:
-            raise ValueError("batch was classified without a reads buffer")
-        deps = self._deps
-        succ = self.succ
-        reads = self.reads
-        i = i0 = self._state_index(state)
-        if i in deps:
-            return deps[i]
-        path: List[int] = []
-        on_path: Dict[int, int] = {}
-        while i >= 0 and i not in deps and i not in on_path:
-            on_path[i] = len(path)
-            path.append(i)
-            i = succ[i]
-        if i >= 0 and i in on_path:
-            # Chain closed a cycle: every cycle state reaches exactly
-            # the cycle, so they all share one union.
-            cycle = path[on_path[i]:]
-            acc: Set = set()
-            for j in cycle:
-                acc.update(reads[j])
-            for j in cycle:
-                deps[j] = acc
-            path = path[: on_path[i]]
-        elif i >= 0:
-            acc = deps[i]
-        else:
-            acc = set()
-        for j in reversed(path):
-            acc = acc.union(reads[j])
-            deps[j] = acc
-        return deps[i0]
-
-
-def _resolve_outcome_array(arr, n: int) -> List[Outcome]:
-    """Pointer-doubling over a sentinel-extended successor array.
-
-    ``arr`` has length ``n + 2``: indices ``< n`` are walk states,
-    ``arr[n]`` / ``arr[n + 1]`` are the self-pointing DELIVERED and
-    BLACKHOLE absorbers.  After k squarings ``arr[i]`` is the 2^k-th
-    successor; any chain of length <= n+1 has been absorbed by a
-    sentinel, so survivors loop.
-    """
-    deliv, bh = n, n + 1
-    steps = max(1, (n + 2).bit_length())
-    for _ in range(steps):
-        arr = arr[arr]
-    out: List[Outcome] = [Outcome.LOOP] * n
-    for i in _np.flatnonzero(arr[:n] == deliv).tolist():
-        out[i] = Outcome.DELIVERED
-    for i in _np.flatnonzero(arr[:n] == bh).tolist():
-        out[i] = Outcome.BLACKHOLE
-    return out
-
-
-def _resolve_outcomes_numpy(succ: List[int]) -> List[Outcome]:
-    """Pointer-doubling resolution of the successor list."""
-    n = len(succ)
-    deliv, bh = n, n + 1
-    arr = _np.empty(n + 2, dtype=_np.int64)
-    for i, s in enumerate(succ):
-        arr[i] = deliv if s == _DELIVERED_IDX else (bh if s == _BLACKHOLE_IDX else s)
-    arr[deliv] = deliv
-    arr[bh] = bh
-    return _resolve_outcome_array(arr, n)
-
-
-def _resolve_outcomes_python(succ: List[int]) -> List[Outcome]:
-    """Index-based fallback resolution when numpy is unavailable."""
-    n = len(succ)
-    out: List[Optional[Outcome]] = [None] * n
-    for start in range(n):
-        if out[start] is not None:
-            continue
-        path: List[int] = []
-        on_path: Dict[int, int] = {}
-        i = start
-        while True:
-            if i == _DELIVERED_IDX:
-                result = Outcome.DELIVERED
-                break
-            if i == _BLACKHOLE_IDX:
-                result = Outcome.BLACKHOLE
-                break
-            if out[i] is not None:
-                result = out[i]
-                break
-            if i in on_path:
-                result = Outcome.LOOP
-                break
-            on_path[i] = len(path)
-            path.append(i)
-            i = succ[i]
-        for j in path:
-            out[j] = result
-    return out  # type: ignore[return-value]
-
-
-def classify_functional_graph_batch(
-    starts: Iterable[Hashable],
-    successor: Successor,
-    delivered: Delivered,
-    *,
-    reads_buf: Optional[List] = None,
-) -> BatchClassification:
-    """Index every state reachable from ``starts`` and resolve outcomes.
-
-    Each state's ``delivered``/``successor`` is evaluated exactly once
-    (the scalar engine re-walks shared suffixes per source); resolution
-    then runs on the integer successor array.  When ``reads_buf`` is
-    the spec's read buffer, each state's exact reads are captured for
-    :meth:`BatchClassification.deps_of` (delivered terminals read
-    nothing and contribute none).
-    """
-    index: Dict[Hashable, int] = {}
-    states: List[Hashable] = []
-    succ: List[int] = []
-    reads: Optional[List[Tuple]] = [] if reads_buf is not None else None
-    for start in starts:
-        if start not in index:
-            index[start] = len(states)
-            states.append(start)
-    i = 0
-    while i < len(states):
-        state = states[i]
-        if delivered(state):
-            succ.append(_DELIVERED_IDX)
-            if reads is not None:
-                reads.append(())
-        else:
-            if reads_buf is not None:
-                del reads_buf[:]
-            nxt = successor(state)
-            if nxt is None:
-                succ.append(_BLACKHOLE_IDX)
-            else:
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(states)
-                    states.append(nxt)
-                succ.append(j)
-            if reads is not None:
-                reads.append(tuple(reads_buf))  # type: ignore[arg-type]
-        i += 1
-    if _np is not None:
-        outcomes = _resolve_outcomes_numpy(succ)
-    else:
-        outcomes = _resolve_outcomes_python(succ)
-    return BatchClassification(index, states, succ, outcomes, reads)
-
-
-class AnalysisSession:
-    """One plane's walk spec plus per-source walk memory, reused across
-    many scans of a mutating snapshot.
-
-    Trace replay classifies thousands of instants against the *same*
-    (mutating) state dict; rebuilding the plane's walk closures per
-    instant — let alone per source — dominates incremental scan cost.
-    Walks run directly over the raw mapping (C-level ``dict.get``) with
-    inline read appends; when a source's re-walk reads the same keys as
-    last time, its previous dependency set object is returned unchanged
-    so callers can skip index updates on identity.
-    """
-
-    __slots__ = (
-        "plane",
-        "spec",
-        "state",
-        "failed_links",
-        "failed_ases",
-        "_prev",
-        "table",
-        "_table_tried",
-    )
-
-    def __init__(
-        self, plane: "WalkClassifier", state: Dict, failed_links, failed_ases
-    ) -> None:
+    def __init__(self, plane, state: Dict, failed_links, failed_ases) -> None:
         self.plane = plane
-        self.state = state
-        self.failed_links = failed_links
-        self.failed_ases = failed_ases
-        self.spec = plane._walk_spec(state, failed_links, failed_ases)
-        #: Per-source (start reads, walk reads, dependency set).
-        self._prev: Dict[Hashable, Tuple[Tuple, List, Set]] = {}
-        #: Plane-provided successor table (see ``note_changed``), built
-        #: lazily on the first batch-sized request so one-shot scalar
-        #: sessions never pay the extraction.
-        self.table = None
-        self._table_tried = False
+        self.destination = plane.destination
+        self.asns: List = []
+        self.pos: Dict[Hashable, int] = {}
+        self.proj: Tuple[list, ...] = tuple([] for _ in range(self.slots))
+        self.hop_preds: Dict[Hashable, Set[int]] = {}
+        self.succ: List[int] = []
+        self.preds: Dict[int, Set[int]] = {}
+        self.state_outcome: List[Outcome] = []
+        self.start_sid: List[int] = []
+        self.source_outcome: List[Outcome] = []
+        self.dirty: Set[int] = set()
+        self.start_dirty: Set[int] = set()
+        self._set_failures(failed_links, failed_ases)
+        self.dest_i = self._intern(self.destination)
+        store = self._store
+        for key, value in state.items():
+            store(key, value)
+        for i in range(len(self.asns)):
+            self._refresh(i)
+        # Untouched entries already hold their resolved default (a
+        # routeless state blackholes) and every other entry is dirty,
+        # so the dirty set is its own reverse closure.
+        self._rescan(self.dirty)
+        out = self.state_outcome
+        self.source_outcome = [
+            _BLACKHOLE if sid < 0 else out[sid] for sid in self.start_sid
+        ]
+        self.start_dirty = set()
 
-    def rebind(self, state: Dict) -> None:
-        """Rebuild the spec's closures over a different state mapping.
+    # ------------------------------------------------------------------
+    # Plane hooks
+    # ------------------------------------------------------------------
 
-        No-op when ``state`` is the mapping already bound (callers may
-        rebind defensively per scan); an actual switch is rare — at
-        most twice per analysis (the replay dict, plus the detached
-        detection-instant copy) — and only ever to a mapping holding
-        equal values (the session table, if any, therefore stays
-        valid), so rebuilding the closures beats paying an indirection
-        on every snapshot read.
+    def _project(self, tag, value) -> Optional[Tuple[int, object]]:
+        """``(column, walk-observable projection)`` of one key's value.
+
+        ``None`` for keys the plane's walks never read.
         """
-        if state is self.state:
-            return
-        self.state = state
-        self.spec = self.plane._walk_spec(state, self.failed_links, self.failed_ases)
+        raise NotImplementedError
 
-    def reset_failures(self, state: Dict, failed_links, failed_ases) -> None:
-        """Rebind the session to a new snapshot *and* new failure sets.
+    def _derive(self, i: int) -> Tuple[int, ...]:
+        """Row ``i``'s ``(start state, successor entry × k)``.
 
-        The episode engine's boundary fast path: the spec's closures
-        bake the failure sets in, so they are rebuilt once per
-        boundary; everything else the session holds survives — the
-        ``_prev`` cache only reuses dependency-set objects on equal
-        reads (outcomes are always recomputed), and the successor
-        table, if any, must have been patched separately
-        (:meth:`repro.forwarding.stamp_plane._SuccessorTable
-        .apply_boundary`).
+        A pure function of the row's stored projections and the
+        failure sets; the start state is ``-1`` for a source that
+        blackholes without entering the walk.
         """
-        self.state = state
-        self.failed_links = failed_links
-        self.failed_ases = failed_ases
-        self.spec = self.plane._walk_spec(state, failed_links, failed_ases)
+        raise NotImplementedError
 
-    def ensure_table(self):
-        """Build (once) and return this session's successor table.
+    def _boundary_rows(self, changed_pairs, toggled_ases) -> Iterable[int]:
+        """Rows whose derivation a failure-set delta can change.
 
-        Replay engines call this at a segment's first full scan; the
-        table extracts from the session's current state and is switched
-        to incremental outcome propagation (see
-        :meth:`repro.forwarding.stamp_plane._SuccessorTable
-        .activate_propagation`).  Returns ``None`` for planes without
-        table support (or snapshots the table cannot represent).
+        :meth:`_usable` consults the forwarding AS (an endpoint of any
+        changed link that matters, or itself toggled) and the raw next
+        hop (found through the reverse hop index).  Planes whose rows
+        read the failure sets any other way override this.
         """
-        table = self.table
-        if table is None:
-            if self._table_tried:
-                return None
-            self._table_tried = True
-            table = self.table = self.plane._session_table(
-                self.state, self.failed_links, self.failed_ases
-            )
-        if table is not None and table.start_sid is None:
-            table.activate_propagation()
-        return table
+        affected: Set[int] = set()
+        pos_get = self.pos.get
+        for a, _b in changed_pairs:  # both orientations are present
+            i = pos_get(a)
+            if i is not None:
+                affected.add(i)
+        hop_preds_get = self.hop_preds.get
+        for asn in toggled_ases:
+            i = pos_get(asn)
+            if i is not None:
+                affected.add(i)
+            affected.update(hop_preds_get(asn, ()))
+        return affected
 
-    def classify_many(self, asns: Iterable) -> Dict[Hashable, Tuple[Outcome, set]]:
-        """Classify sources, reporting each one's dependency keys.
+    # ------------------------------------------------------------------
+    # Rows and failure sets
+    # ------------------------------------------------------------------
 
-        Returns ``{asn: (outcome, dependency keys)}``; the dependency
-        set is a superset of the keys actually read (see module notes).
-        Sources the plane refuses to classify (e.g. failed ASes) count
-        as BLACKHOLE.  Large requests switch to the batch engine;
-        multi-source requests below the batch threshold share walk
-        suffixes through a per-instant position memo (see
-        :meth:`_classify_many_shared`).
-        """
-        asns = list(asns)
-        spec = self.spec
-        failed_ases = self.failed_ases
-        results: Dict[Hashable, Tuple[Outcome, set]] = {}
-        table = self.table
-        if table is None and not self._table_tried and (
-            len(asns) >= self.plane.BATCH_THRESHOLD
-        ):
-            self._table_tried = True
-            table = self.table = self.plane._session_table(
-                self.state, self.failed_links, self.failed_ases
-            )
-        if table is not None:
-            if not table.broken:
-                return table.classify_many(asns, failed_ases)
-            self.table = None  # fall back to the closure paths for good
-        if len(asns) >= self.plane.BATCH_THRESHOLD:
-            return self._classify_many_batch(asns)
-        if len(asns) > 1:
-            return self._classify_many_shared(asns)
-        start = spec.start
-        successor = spec.successor
-        delivered = spec.delivered
-        reads_buf = spec.reads_buf
-        prev = self._prev
-        for asn in asns:
-            if asn in failed_ases:
-                results[asn] = (Outcome.BLACKHOLE, set())
-                continue
-            start_state, immediate, start_reads = start(asn)
-            if start_state is None:
-                outcome = immediate if immediate is not None else Outcome.BLACKHOLE
-                results[asn] = (outcome, set(start_reads))
-                continue
-            del reads_buf[:]
-            outcome = _walk_outcome(start_state, successor, delivered)
-            entry = prev.get(asn)
-            if entry is not None and entry[0] == start_reads and entry[1] == reads_buf:
-                # Identical reads: hand back the same set object so the
-                # caller's identity check can skip its index update.
-                deps = entry[2]
-            else:
-                walk_reads = list(reads_buf)
-                deps = set(start_reads)
-                deps.update(walk_reads)
-                prev[asn] = (start_reads, walk_reads, deps)
-            results[asn] = (outcome, deps)
-        return results
-
-    def classify_into(
-        self,
-        asns: List,
-        outcome_of: Dict,
-        deps_of: Dict,
-        dependents: Dict,
-    ) -> List[Tuple[Hashable, Outcome, Optional[Outcome]]]:
-        """Classify sources and merge into an incremental-scan index.
-
-        The fused form of :meth:`classify_many` for replay engines:
-        each source's dependency set is folded straight into the
-        caller's ``deps_of``/``dependents`` index (registering new
-        keys, unregistering dropped ones) and ``outcome_of`` is
-        updated in place.  Returns the outcome *transitions* —
-        ``(source, new outcome, previous outcome)`` for exactly the
-        sources whose outcome changed — which is all the interval
-        bookkeeping upstream needs.  Classification semantics are
-        identical to :meth:`classify_many` (same walks, same
-        dependency sets).
-        """
-        table = self.table
-        if table is None and not self._table_tried and (
-            len(asns) >= self.plane.BATCH_THRESHOLD
-        ):
-            self._table_tried = True
-            table = self.table = self.plane._session_table(
-                self.state, self.failed_links, self.failed_ases
-            )
-        transitions: List[Tuple[Hashable, Outcome, Optional[Outcome]]] = []
-        if table is not None and not table.broken:
-            failed_ases = self.failed_ases
-            if len(asns) == 1:
-                # The dominant replay case: one touched source, merged
-                # through the same loop below.
-                (asn,) = asns
-                items = ((asn, table.classify_one(asn, failed_ases)),)
-            elif len(asns) <= 3:
-                classify_one = table.classify_one
-                items = [
-                    (asn, classify_one(asn, failed_ases))
-                    for asn in asns
-                ]
-            else:
-                items = table.classify_many(asns, failed_ases).items()
+    def _intern(self, asn) -> int:
+        """Append a routeless row for ``asn`` and return its index."""
+        i = self.pos[asn] = len(self.asns)
+        self.asns.append(asn)
+        k = self.k
+        if asn == self.destination:
+            sid, outcome = DELIVERED_SID, _DELIVERED
         else:
-            items = self.classify_many(asns).items()
-        outcome_of_get = outcome_of.get
-        deps_of_get = deps_of.get
-        dependents_get = dependents.get
-        for asn, (outcome, reads) in items:
-            old_reads = deps_of_get(asn)
-            if reads is not old_reads:
-                if old_reads is None:
-                    deps_of[asn] = reads
-                    for key in reads:
-                        sources = dependents_get(key)
-                        if sources is None:
-                            dependents[key] = {asn}
-                        else:
-                            sources.add(asn)
-                elif reads != old_reads:
-                    for key in old_reads:
-                        if key not in reads:
-                            dependents[key].discard(asn)
-                    for key in reads:
-                        if key not in old_reads:
-                            sources = dependents_get(key)
-                            if sources is None:
-                                dependents[key] = {asn}
-                            else:
-                                sources.add(asn)
-                    deps_of[asn] = reads
-            old = outcome_of_get(asn)
-            if outcome is not old:
-                outcome_of[asn] = outcome
-                transitions.append((asn, outcome, old))
-        return transitions
+            sid, outcome = BLACKHOLE_SID, _BLACKHOLE
+        self.succ.extend([sid] * k)
+        self.state_outcome.extend([outcome] * k)
+        self.start_sid.append(k * i)
+        self.source_outcome.append(outcome)
+        for column in self.proj:
+            column.append(None)
+        return i
 
-    def _classify_many_shared(
-        self, asns: List
-    ) -> Dict[Hashable, Tuple[Outcome, set]]:
-        """Suffix-shared scalar classification of several sources.
+    def _set_failures(self, failed_links, failed_ases) -> None:
+        self.failed_ases = failed_ases
+        #: Both orientations of every failed link: the per-hop link
+        #: check is one membership test, no ``normalize_link`` call.
+        self.blocked_pairs = frozenset(
+            pair for a, b in failed_links for pair in ((a, b), (b, a))
+        )
+        self.check_links = bool(failed_links) or bool(failed_ases)
 
-        One instant's sources frequently converge onto the same walk
-        suffix (they were all touched by the same changed key), so each
-        walk state is resolved at most once per call: a walk that
-        reaches a position already classified *at this instant* inherits
-        its outcome and dependency union instead of re-walking the
-        suffix.  Outcomes and dependency sets are identical to the
-        per-source walks — within one call the snapshot is fixed, so a
-        state's outcome and reachable read-set are well-defined values
-        independent of which source reached it first (the equivalence
-        tests pin this against the brute-force twins).
+    def _link_ok(self, a, b) -> bool:
+        """Can ``a`` hand a packet to ``b`` under the failure sets?"""
+        return not self.check_links or (
+            b not in self.failed_ases
+            and a not in self.failed_ases
+            and (a, b) not in self.blocked_pairs
+        )
+
+    def _usable(self, asn, hop) -> int:
+        """Row of a raw next hop, or ``-1`` when ``asn`` cannot use it.
+
+        :meth:`_link_ok` spelled inline: this runs per derived hop on
+        the per-change path.
         """
-        spec = self.spec
-        failed_ases = self.failed_ases
-        start = spec.start
-        successor = spec.successor
-        delivered = spec.delivered
-        reads_buf = spec.reads_buf
-        prev = self._prev
-        results: Dict[Hashable, Tuple[Outcome, set]] = {}
-        #: Per-instant position memos: outcome and dependency union of
-        #: every walk state resolved during this call.
-        outcome_memo: Dict[Hashable, Outcome] = {}
-        deps_memo: Dict[Hashable, set] = {}
-        for asn in asns:
-            if asn in failed_ases:
-                results[asn] = (Outcome.BLACKHOLE, set())
+        if hop is None or (
+            self.check_links
+            and (
+                hop in self.failed_ases
+                or asn in self.failed_ases
+                or (asn, hop) in self.blocked_pairs
+            )
+        ):
+            return -1
+        j = self.pos.get(hop)
+        return self._intern(hop) if j is None else j
+
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
+
+    def _store(self, key, value) -> int:
+        """Store one key's projection; its row, or ``-1`` if unchanged.
+
+        The stored projection is all any walk observes of the value,
+        so an unchanged one (a re-routed path with the same next hop,
+        a key that flapped back) needs no derivation.
+        """
+        projected = self._project(key[1], value)
+        if projected is None:
+            return -1
+        slot, seen = projected
+        i = self.pos.get(key[0])
+        if i is None:
+            i = self._intern(key[0])
+        column = self.proj[slot]
+        old = column[i]
+        if old == seen:
+            return -1
+        column[i] = seen
+        if slot < self.hop_slots:
+            hop_preds = self.hop_preds
+            if old is not None:
+                # The reverse edge survives while a sibling hop column
+                # still points at the same AS.
+                for hops in self.proj[: self.hop_slots]:
+                    if hops[i] == old:
+                        break
+                else:
+                    hop_preds[old].discard(i)
+            if seen is not None:
+                entries = hop_preds.get(seen)
+                if entries is None:
+                    hop_preds[seen] = {i}
+                else:
+                    entries.add(i)
+        return i
+
+    def update(self, key, value) -> bool:
+        """Apply one snapshot key; ``False`` when walks cannot tell."""
+        i = self._store(key, value)
+        if i < 0:
+            return False
+        self._refresh(i)
+        return True
+
+    def apply_boundary(self, failed_links, failed_ases) -> None:
+        """Switch to new failure sets (an episode phase boundary).
+
+        Re-derives exactly the rows :meth:`_boundary_rows` names; only
+        entries that really change are marked dirty, so the next
+        :meth:`collect_transitions` follows the same discipline as a
+        trace change.
+        """
+        old_blocked = self.blocked_pairs
+        old_failed = self.failed_ases
+        self._set_failures(failed_links, failed_ases)
+        if self.blocked_pairs == old_blocked and failed_ases == old_failed:
+            return
+        refresh = self._refresh
+        for i in self._boundary_rows(
+            old_blocked ^ self.blocked_pairs, old_failed ^ failed_ases
+        ):
+            refresh(i)
+
+    def _refresh(self, i: int) -> None:
+        """Re-derive one row, marking the entries that changed."""
+        if i == self.dest_i:
+            return  # the destination's states deliver, whatever it stores
+        start, *entries = self._derive(i)
+        if start != self.start_sid[i]:
+            self.start_sid[i] = start
+            self.start_dirty.add(i)
+        succ = self.succ
+        sid = self.k * i
+        for new in entries:
+            old = succ[sid]
+            if old != new:
+                preds = self.preds
+                if old >= 0:
+                    preds[old].discard(sid)
+                if new >= 0:
+                    sources = preds.get(new)
+                    if sources is None:
+                        preds[new] = {sid}
+                    else:
+                        sources.add(sid)
+                succ[sid] = new
+                self.dirty.add(sid)
+            sid += 1
+
+    # ------------------------------------------------------------------
+    # Outcome propagation
+    # ------------------------------------------------------------------
+
+    def _rescan(self, remaining: Set[int]) -> None:
+        """Re-resolve the outcomes of an invalidated state set.
+
+        States outside ``remaining`` hold valid outcomes (they cannot
+        reach a changed edge); each walk runs until it leaves the set,
+        terminates, or closes a cycle, then back-propagates.
+        """
+        out = self.state_outcome
+        succ = self.succ
+        for sid0 in list(remaining):
+            if sid0 not in remaining:
                 continue
-            start_state, immediate, start_reads = start(asn)
-            if start_state is None:
-                outcome = immediate if immediate is not None else Outcome.BLACKHOLE
-                results[asn] = (outcome, set(start_reads))
-                continue
-            #: Path of (state, reads-of-state) pairs walked this source.
-            path: List[Tuple[Hashable, Tuple]] = []
-            on_path: Dict[Hashable, int] = {}
-            state = start_state
-            acc: Optional[set] = None
+            path: List[int] = []
+            on_path: Dict[int, int] = {}
+            cur = sid0
             while True:
-                outcome = outcome_memo.get(state)
-                if outcome is not None:
-                    acc = deps_memo[state]
+                if cur not in remaining:
+                    outcome = out[cur]
                     break
-                if delivered(state):
-                    outcome = Outcome.DELIVERED
-                    outcome_memo[state] = outcome
-                    acc = deps_memo[state] = set()
-                    break
-                if state in on_path:
-                    # Closed a new cycle: every cycle state reaches
-                    # exactly the cycle, so they share one outcome and
-                    # one dependency union.
-                    outcome = Outcome.LOOP
-                    cut = on_path[state]
-                    acc = set()
-                    for cycle_state, cycle_reads in path[cut:]:
-                        acc.update(cycle_reads)
-                    for cycle_state, _ in path[cut:]:
-                        outcome_memo[cycle_state] = outcome
-                        deps_memo[cycle_state] = acc
+                if cur in on_path:
+                    # Every cycle state reaches exactly the cycle.
+                    outcome = _LOOP
+                    cut = on_path[cur]
+                    for sid in path[cut:]:
+                        out[sid] = _LOOP
+                        remaining.discard(sid)
                     del path[cut:]
                     break
-                on_path[state] = len(path)
-                del reads_buf[:]
-                nxt = successor(state)
-                path.append((state, tuple(reads_buf)))
-                if nxt is None:
-                    outcome = Outcome.BLACKHOLE
-                    acc = set()
+                on_path[cur] = len(path)
+                path.append(cur)
+                nxt = succ[cur]
+                if nxt < 0:
+                    outcome = _DELIVERED if nxt == DELIVERED_SID else _BLACKHOLE
                     break
-                state = nxt
-            # Back-propagate along the walked prefix, memoizing each
-            # position's suffix union for the instant's later sources.
-            for path_state, path_reads in reversed(path):
-                acc = acc.union(path_reads)
-                outcome_memo[path_state] = outcome
-                deps_memo[path_state] = acc
-            deps = acc.union(start_reads) if start_reads else acc
-            entry = prev.get(asn)
-            if entry is not None and entry[2] == deps:
-                # Equal dependency set: hand back the previous object so
-                # the caller's identity check can skip its index update.
-                deps = entry[2]
-            else:
-                prev[asn] = (start_reads, None, deps)
-            results[asn] = (outcome, deps)
-        return results
+                cur = nxt
+            for sid in reversed(path):
+                out[sid] = outcome
+                remaining.discard(sid)
 
-    def _classify_many_batch(self, asns: List) -> Dict[Hashable, Tuple[Outcome, set]]:
-        spec = self.spec
-        failed_ases = self.failed_ases
-        results: Dict[Hashable, Tuple[Outcome, set]] = {}
-        start_info: List[Tuple[Hashable, Optional[Hashable], Optional[Outcome], Tuple]] = []
+    def collect_transitions(self) -> List[Tuple[Hashable, Outcome]]:
+        """Flush pending invalidations; report changed source fates.
+
+        Invalidates the reverse closure of the dirty states,
+        re-resolves it, and returns ``(source AS, new outcome)`` for
+        exactly the sources whose packet fate differs from the last
+        collection.
+        """
+        dirty = self.dirty
+        start_dirty = self.start_dirty
+        transitions: List[Tuple[Hashable, Outcome]] = []
+        if not dirty and not start_dirty:
+            return transitions
+        start_sid = self.start_sid
+        if dirty:
+            closure = set(dirty)
+            closure_add = closure.add
+            stack = list(dirty)
+            stack_append = stack.append
+            preds_get = self.preds.get
+            while stack:
+                entries = preds_get(stack.pop())
+                if entries:
+                    for pred in entries:
+                        if pred not in closure:
+                            closure_add(pred)
+                            stack_append(pred)
+            # _rescan consumes its working set as states resolve, so it
+            # gets a copy; the closure itself then seeds the start-state
+            # checks below.
+            self._rescan(set(closure))
+            k = self.k
+            for sid in closure:
+                if start_sid[sid // k] == sid:
+                    start_dirty.add(sid // k)
+            self.dirty = set()
+        out = self.state_outcome
+        source_outcome = self.source_outcome
+        asns = self.asns
+        for i in start_dirty:
+            sid = start_sid[i]
+            new = _BLACKHOLE if sid < 0 else out[sid]
+            if new is not source_outcome[i]:
+                source_outcome[i] = new
+                transitions.append((asns[i], new))
+        self.start_dirty = set()
+        return transitions
+
+    def source_outcomes(self, asns: Iterable) -> Dict[Hashable, Outcome]:
+        """Packet fate of the given sources as of the last collection.
+
+        A source the table has never seen has no routes: BLACKHOLE.
+        """
+        pos_get = self.pos.get
+        source_outcome = self.source_outcome
+        result: Dict[Hashable, Outcome] = {}
         for asn in asns:
-            if asn in failed_ases:
-                start_info.append((asn, None, Outcome.BLACKHOLE, ()))
-                continue
-            start_state, immediate, start_reads = spec.start(asn)
-            start_info.append((asn, start_state, immediate, start_reads))
-        batch = self.plane._batch_classify(
-            spec,
-            [s for _, s, _, _ in start_info if s is not None],
-            state=self.state,
-            failed_links=self.failed_links,
-            failed_ases=self.failed_ases,
-            need_reads=True,
-        )
-        for asn, start_state, immediate, start_reads in start_info:
-            if start_state is None:
-                outcome = immediate if immediate is not None else Outcome.BLACKHOLE
-                results[asn] = (outcome, set(start_reads))
-            else:
-                deps = set(start_reads)
-                deps |= batch.deps_of(start_state)
-                results[asn] = (batch.outcome_of(start_state), deps)
-        return results
+            i = pos_get(asn)
+            result[asn] = _BLACKHOLE if i is None else source_outcome[i]
+        return result
 
 
 class WalkClassifier:
     """Base class for protocol-specific data planes.
 
     Subclasses define how a control-plane snapshot (the trace's state
-    dict) maps to start/successor/delivered functions via
-    :meth:`_walk_spec`; ``classify`` then evaluates the packet fate of
-    each requested AS, and the base class derives batch and
-    dependency-reporting variants from the same spec.
+    dict) maps to scalar walk closures (:meth:`_walk_spec`) and to a
+    :class:`SuccessorTable` (:meth:`_session_table`).
     """
-
-    #: Batch a dependency-reporting scan once this many sources are
-    #: requested (below it, per-source scalar walks win on constants).
-    BATCH_THRESHOLD = 24
 
     def __init__(self, destination) -> None:
         self.destination = destination
@@ -777,7 +505,7 @@ class WalkClassifier:
         failed_links: FrozenSet,
         failed_ases: FrozenSet,
     ) -> WalkSpec:
-        """Walk semantics for one snapshot (closures over ``state``)."""
+        """Scalar walk semantics for one snapshot."""
         raise NotImplementedError
 
     def _session_table(
@@ -785,66 +513,9 @@ class WalkClassifier:
         state: Dict,
         failed_links: FrozenSet,
         failed_ases: FrozenSet,
-    ):
-        """Incremental successor table for an analysis session, if any.
-
-        Planes whose walk-state space projects onto flat integer tables
-        (STAMP) return an object with ``broken``, ``update(key,
-        value)`` and ``classify_many(asns, failed_ases)``;
-        the default ``None`` keeps the closure engine.
-        """
-        del state, failed_links, failed_ases
-        return None
-
-    def boundary_touched_keys(
-        self,
-        state: Dict,
-        old_links: FrozenSet,
-        old_ases: FrozenSet,
-        new_links: FrozenSet,
-        new_ases: FrozenSet,
-    ) -> Optional[Set]:
-        """Keys whose walk behavior a failure-set delta can change.
-
-        Soundness contract: for every source whose outcome differs
-        between the old and the new failure sets over the *same*
-        snapshot, at least one key of its recorded dependency set
-        (under the old sets) must be returned — the episode engine
-        re-walks exactly the dependents of these keys at a phase
-        boundary instead of rescanning everything.  The default
-        ``None`` means the plane cannot bound the delta and the engine
-        rebuilds per segment (the tested fallback).
-        """
-        del state, old_links, old_ases, new_links, new_ases
-        return None
-
-    def _batch_classify(
-        self,
-        spec: WalkSpec,
-        starts: List[Hashable],
-        *,
-        state: Dict,
-        failed_links: FrozenSet,
-        failed_ases: FrozenSet,
-        need_reads: bool,
-    ) -> BatchClassification:
-        """Batch-classify walk states (overridable per plane).
-
-        The generic implementation indexes the states reachable from
-        ``starts`` through the spec's closures.  Planes whose successor
-        function projects onto per-AS arrays (STAMP's two-color table)
-        override this to build the full successor table vectorized —
-        the returned classification must agree with the generic one on
-        every requested start, including the per-state ``reads`` when
-        ``need_reads`` is set.
-        """
-        del state, failed_links, failed_ases
-        return classify_functional_graph_batch(
-            starts,
-            spec.successor,
-            spec.delivered,
-            reads_buf=spec.reads_buf if need_reads else None,
-        )
+    ) -> SuccessorTable:
+        """The plane's successor table over one snapshot, resolved."""
+        raise NotImplementedError
 
     def classify(
         self,
@@ -854,8 +525,26 @@ class WalkClassifier:
         failed_links=frozenset(),
         failed_ases=frozenset(),
     ) -> Dict[Hashable, Outcome]:
-        """Outcome per source AS under the given snapshot."""
-        raise NotImplementedError
+        """Outcome per source AS under the given snapshot.
+
+        The scalar reference: per-source walks over the plane's
+        closures.  Failed sources are skipped.
+        """
+        spec = self._walk_spec(state, failed_links, failed_ases)
+        outcomes: Dict[Hashable, Outcome] = {}
+        memo: Dict[Hashable, Outcome] = {}
+        for asn in ases:
+            if asn in failed_ases:
+                continue
+            start_state, immediate = spec.start(asn)
+            if start_state is None:
+                outcomes[asn] = immediate
+                continue
+            classify_functional_graph(
+                [start_state], spec.successor, spec.delivered, memo=memo
+            )
+            outcomes[asn] = memo[start_state]
+        return outcomes
 
     def classify_batch(
         self,
@@ -865,78 +554,13 @@ class WalkClassifier:
         failed_links=frozenset(),
         failed_ases=frozenset(),
     ) -> Dict[Hashable, Outcome]:
-        """Full-scan classification via the vectorized batch engine.
+        """Full-scan classification through the successor table.
 
         Agrees with :meth:`classify` on every requested source but
-        evaluates each distinct walk state exactly once; failed sources
-        are skipped exactly as ``classify`` skips them.
+        resolves each walk state exactly once; failed sources are
+        skipped exactly as ``classify`` skips them.
         """
-        spec = self._walk_spec(state, failed_links, failed_ases)
-        outcomes: Dict[Hashable, Outcome] = {}
-        walk_starts: List[Tuple[Hashable, Hashable]] = []
-        for asn in ases:
-            if asn in failed_ases:
-                continue
-            start_state, immediate, _ = spec.start(asn)
-            if start_state is None:
-                if immediate is not None:
-                    outcomes[asn] = immediate
-                continue
-            walk_starts.append((asn, start_state))
-        if walk_starts:
-            batch = self._batch_classify(
-                spec,
-                [s for _, s in walk_starts],
-                state=state,
-                failed_links=failed_links,
-                failed_ases=failed_ases,
-                need_reads=False,
-            )
-            for asn, start_state in walk_starts:
-                outcomes[asn] = batch.outcome_of(start_state)
-        return outcomes
-
-    def analysis_session(
-        self,
-        state: Dict,
-        *,
-        failed_links=frozenset(),
-        failed_ases=frozenset(),
-    ) -> AnalysisSession:
-        """Build a reusable walk session for repeated scans."""
-        return AnalysisSession(self, state, failed_links, failed_ases)
-
-    def classify_many_recording(
-        self,
-        state: Dict,
-        asns: Iterable,
-        *,
-        failed_links=frozenset(),
-        failed_ases=frozenset(),
-    ) -> Dict[Hashable, Tuple[Outcome, set]]:
-        """Classify several sources, reporting their dependency keys.
-
-        One-shot convenience over :class:`AnalysisSession`; see
-        :meth:`AnalysisSession.classify_many` for the semantics.
-        """
-        return self.analysis_session(
-            state, failed_links=failed_links, failed_ases=failed_ases
-        ).classify_many(asns)
-
-    def classify_one_recording(
-        self,
-        state: Dict,
-        asn,
-        *,
-        failed_links=frozenset(),
-        failed_ases=frozenset(),
-    ) -> "tuple[Outcome, set]":
-        """Classify one source and report its dependency keys.
-
-        Returns ``(outcome, dependency keys)``.  Sources the plane
-        refuses to classify (e.g. failed ASes) count as BLACKHOLE.
-        """
-        results = self.classify_many_recording(
-            state, (asn,), failed_links=failed_links, failed_ases=failed_ases
+        table = self._session_table(state, failed_links, failed_ases)
+        return table.source_outcomes(
+            asn for asn in ases if asn not in failed_ases
         )
-        return results[asn]

@@ -92,7 +92,7 @@ class Outcome(enum.Enum):
 
 
 # Enum.__hash__ is a Python-level call (hash of the member name) and
-# Color/Outcome sit inside dict keys and read-sets on the data-plane
+# Color/Outcome sit inside dict keys and sets on the data-plane
 # walk hot path; members are singletons, so the C-level identity hash
 # is equivalent (equality is already identity) and much faster.
 Color.__hash__ = object.__hash__  # type: ignore[method-assign]

@@ -1,23 +1,22 @@
-"""Fuzzed differential wall for cross-boundary session patching.
+"""Fuzzed differential wall for cross-boundary table patching.
 
-The episode analyzer carries its walk session, fingerprint store,
-successor table, and dependency index *across* phase boundaries as a
-patch (:meth:`repro.analysis.transient._IncrementalScan
-._patch_segment`) instead of rebuilding per segment.  These tests pin
-that machinery against the brute-force reference twin on seeded random
-episodes — mixed link/AS fail and restore events, 2–64 phases, silent
-restores and re-fails — across every plane, and pin the individual
-load-bearing pieces:
+The episode analyzer carries one successor table *across* phase
+boundaries as a patch (:meth:`repro.analysis.transient._IncrementalScan
+.begin_segment`: the snapshot diff plus
+:meth:`repro.forwarding.walk.SuccessorTable.apply_boundary`) instead of
+rebuilding per segment.  These tests pin that machinery against the
+brute-force reference twin on seeded random episodes — mixed link/AS
+fail and restore events, 2–64 phases, silent restores and re-fails —
+across every plane, and pin the individual load-bearing pieces:
 
-* the patched path produces reports identical to the forced-rebuild
-  path (and is actually taken);
-* a successor table broken *mid-episode* falls back to the closure
-  engine and stays correct across later boundaries;
-* everything holds with numpy absent (pure-Python table rows);
-* property (hypothesis): a boundary delta's invalidation set always
-  contains every source whose outcome the delta changed — for the
-  STAMP table's ``apply_boundary`` and for every plane's
-  ``boundary_touched_keys`` hook against its recorded dependency sets.
+* at every boundary the patched table equals a table built from
+  scratch over the boundary snapshot and failure sets;
+* a next hop that leaves the indexed AS universe *mid-episode* is
+  interned on the fly and the analysis stays exact across later
+  boundaries;
+* property (hypothesis), every plane: ``apply_boundary``'s transitions
+  are exactly the sources whose outcome the failure-set delta changed,
+  and the patched table equals a fresh one.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.analysis.transient as transient
-import repro.forwarding.stamp_plane as stamp_plane
-import repro.forwarding.walk as walk
 from repro.analysis.transient import (
     EpisodeSegment,
     _IncrementalScan,
@@ -46,25 +42,18 @@ from repro.experiments.scenarios import (
     restore_as,
     restore_link,
 )
-from repro.forwarding.bgp_plane import BGPDataPlane
-from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
-from repro.forwarding.stamp_plane import STAMPDataPlane, _SuccessorTable
+from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
-from repro.topology.generators import (
-    InternetTopologyConfig,
-    generate_internet_topology,
+from repro.types import Color, normalize_link
+from test_successor_table import (
+    FUZZ_ASES,
+    PLANES,
+    _random_topology,
+    fuzz_failure_sets,
+    fuzz_plane,
+    fuzz_state,
+    scalar_outcomes,
 )
-from repro.types import Color, Outcome, normalize_link
-
-PLANES = ("bgp", "rbgp", "rbgp-norci", "stamp")
-
-
-def _random_topology(seed: int):
-    config = InternetTopologyConfig(
-        seed=seed, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=30
-    )
-    graph, _ = generate_internet_topology(config)
-    return graph
 
 
 def _random_episode(graph, rng, n_phases: int) -> Episode:
@@ -200,7 +189,7 @@ class TestFuzzedEpisodes:
 
 
 class TestPatchedVsRebuilt:
-    """``begin_segment``'s patch path equals the rebuild fallback."""
+    """A table patched across a boundary equals one built there."""
 
     @pytest.mark.parametrize("protocol", PLANES)
     def test_forced_rebuild_is_identical(self, monkeypatch, protocol):
@@ -210,62 +199,50 @@ class TestPatchedVsRebuilt:
         segments, plane = _run_segments(graph, episode, protocol)
         ases = list(graph.ases)
 
-        patches = []
-        original = _IncrementalScan._patch_segment
+        # The failure sets of the boundary just crossed, until the
+        # next scan has flushed the patched table and compared it.
+        crossed = []
+        compared = []
+        begin_segment = _IncrementalScan.begin_segment
+        scan = _IncrementalScan.scan
 
-        def spy(self, *args, **kwargs):
-            result = original(self, *args, **kwargs)
-            patches.append(result)
-            return result
+        def begin_spy(self, initial_state, failed_links, failed_ases):
+            begin_segment(self, initial_state, failed_links, failed_ases)
+            crossed[:] = [(failed_links, failed_ases)]
 
-        monkeypatch.setattr(_IncrementalScan, "_patch_segment", spy)
-        patched = analyze_episode_transient_problems(segments, plane, ases)
-        assert patches and any(patches), "patch path was never taken"
-
-        monkeypatch.setattr(
-            _IncrementalScan,
-            "_patch_segment",
-            lambda self, *args, **kwargs: False,
-        )
-        rebuilt = analyze_episode_transient_problems(segments, plane, ases)
-        assert _report_fields(patched.overall) == _report_fields(
-            rebuilt.overall
-        )
-        for got, want in zip(patched.phases, rebuilt.phases):
-            assert _report_fields(got) == _report_fields(want)
-
-
-def _random_stamp_state(rng, n=14, destination=1):
-    """A fuzzed STAMP snapshot over ASes 1..n (arbitrary routes/flags)."""
-    ases = list(range(1, n + 1))
-    state = {}
-    for asn in ases:
-        for color in (Color.RED, Color.BLUE):
-            if rng.random() < 0.2:
-                path = None
-            else:
-                hops = rng.sample(
-                    [a for a in ases if a != asn], rng.randint(1, 3)
+        def scan_spy(self, state, *args, **kwargs):
+            scan(self, state, *args, **kwargs)
+            if crossed:
+                rebuilt = plane._session_table(state, *crossed.pop())
+                compared.append(
+                    self.table.source_outcomes(ases)
+                    == rebuilt.source_outcomes(ases)
                 )
-                path = tuple(hops)
-            state[(asn, color)] = path
-            state[(asn, stamp_plane.unstable_key(color))] = (
-                rng.random() < 0.3
-            )
-    return ases, state
+
+        monkeypatch.setattr(_IncrementalScan, "begin_segment", begin_spy)
+        monkeypatch.setattr(_IncrementalScan, "scan", scan_spy)
+        _assert_matches_reference(segments, plane, ases)
+        # Every boundary is followed by a scan, except possibly the
+        # first segment's start (nothing precedes it to be rescanned).
+        assert len(compared) >= len(segments) - 1 and all(compared)
+
+
+def _random_stamp_state(rng):
+    """A fuzzed STAMP snapshot (arbitrary routes/flags)."""
+    _, tags = fuzz_plane("stamp", rng)
+    return fuzz_state(rng, tags)
 
 
 def _broken_mid_episode_segments():
-    """Synthetic STAMP episode whose table breaks in segment 1.
+    """Synthetic STAMP episode that leaves the AS universe in segment 1.
 
-    Segment 1's trace introduces a next hop outside the indexed
-    universe (the one snapshot shape the successor table cannot
-    represent), forcing the mid-episode fallback to the closure
-    engine; segment 2 then crosses another boundary on the closure
-    path, exercising the STAMP ``boundary_touched_keys`` hook.
+    Segment 1's trace introduces a next hop no snapshot holds a key
+    for (the table interns it as a routeless row on the fly), then
+    routes away from it again; segment 2 crosses another boundary
+    with the interned row in the table.
     """
     rng = random.Random("broken-mid")
-    ases, state = _random_stamp_state(rng)
+    state = _random_stamp_state(rng)
     link = normalize_link(2, 5)
     seg0 = EpisodeSegment(
         trace=ForwardingTrace(
@@ -301,71 +278,13 @@ def _broken_mid_episode_segments():
         failed_ases=frozenset({7}),
         start_time=10.0,
     )
-    return ases, [seg0, seg1, seg2]
+    return FUZZ_ASES, [seg0, seg1, seg2]
 
 
-class TestBrokenTableMidEpisode:
-    def test_fallback_matches_reference(self):
+class TestOutOfUniverseMidEpisode:
+    def test_matches_reference(self):
         ases, segments = _broken_mid_episode_segments()
-        plane = STAMPDataPlane(destination=1)
-        # Sanity: the mid-episode snapshot really is unrepresentable.
-        assert (
-            plane._session_table(
-                segments[1].initial_state
-                | {(3, Color.RED): (999,)},
-                frozenset(),
-                frozenset(),
-            )
-            is None
-        )
-        _assert_matches_reference(segments, plane, ases)
-
-
-class TestNumpyAbsentParity:
-    """The boundary-patch path is numpy-optional, byte-for-byte."""
-
-    @pytest.fixture(autouse=True)
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(walk, "_np", None)
-        monkeypatch.setattr(stamp_plane, "_np", None)
-
-    def test_fuzzed_stamp_episode(self):
-        graph = _random_topology(0)
-        rng = random.Random("nonumpy:ep")
-        episode = _random_episode(graph, rng, 8)
-        segments, plane = _run_segments(graph, episode, "stamp")
-        _assert_matches_reference(segments, plane, list(graph.ases))
-
-    def test_broken_table_fallback(self):
-        ases, segments = _broken_mid_episode_segments()
-        plane = STAMPDataPlane(destination=1)
-        _assert_matches_reference(segments, plane, ases)
-
-    def test_apply_boundary_equals_fresh_table(self):
-        rng = random.Random("nonumpy:boundary")
-        ases, state = _random_stamp_state(rng)
-        plane = STAMPDataPlane(destination=1)
-        old = frozenset({normalize_link(2, 5)})
-        new_links = frozenset({normalize_link(3, 4)})
-        new_ases = frozenset({9})
-        table = _SuccessorTable(plane, state, old, frozenset())
-        table.activate_propagation()
-        table.apply_boundary(new_links, new_ases)
-        assert not table.broken
-        table.collect_transitions()
-        fresh = _SuccessorTable(plane, state, new_links, new_ases)
-        fresh.activate_propagation()
-        assert table.source_outcomes(ases) == fresh.source_outcomes(ases)
-
-
-def _random_failure_sets(rng, ases, destination):
-    links = frozenset(
-        normalize_link(*rng.sample(ases, 2))
-        for _ in range(rng.randint(0, 3))
-    )
-    candidates = [asn for asn in ases if asn != destination]
-    fases = frozenset(rng.sample(candidates, rng.randint(0, 2)))
-    return links, fases
+        _assert_matches_reference(segments, STAMPDataPlane(destination=1), ases)
 
 
 @settings(
@@ -380,118 +299,37 @@ def test_apply_boundary_invalidation_covers_every_changed_source(seed):
     Completeness: every source whose fate the failure-set delta
     changed must be reported (with its new fate).  Precision: only
     changed sources are reported.  The patched table must agree with a
-    table built from scratch under the new sets for every source.
+    table built from scratch under the new sets, and with the scalar
+    walks, for every source.
     """
-    rng = random.Random(f"hyp:boundary:{seed}")
-    ases, state = _random_stamp_state(rng)
-    old_links, old_ases = _random_failure_sets(rng, ases, 1)
-    new_links, new_ases = _random_failure_sets(rng, ases, 1)
-    plane = STAMPDataPlane(destination=1)
+    for name in PLANES:
+        rng = random.Random(f"hyp:boundary:{name}:{seed}")
+        plane, tags = fuzz_plane(name, rng)
+        state = fuzz_state(rng, tags, outsider=seed % 2 == 1)
+        old_links, old_ases = fuzz_failure_sets(rng)
+        new_links, new_ases = fuzz_failure_sets(rng)
 
-    before = _SuccessorTable(plane, state, old_links, old_ases)
-    assert not before.broken
-    before.activate_propagation()
-    baseline = before.source_outcomes(ases)
+        patched = plane._session_table(state, old_links, old_ases)
+        baseline = patched.source_outcomes(FUZZ_ASES)
+        assert baseline == scalar_outcomes(
+            plane, state, FUZZ_ASES, old_links, old_ases
+        ), name
+        patched.apply_boundary(new_links, new_ases)
+        transitions = dict(patched.collect_transitions())
 
-    after = _SuccessorTable(plane, state, new_links, new_ases)
-    after.activate_propagation()
-    expected = after.source_outcomes(ases)
-
-    patched = _SuccessorTable(plane, state, old_links, old_ases)
-    patched.activate_propagation()
-    patched.apply_boundary(new_links, new_ases)
-    assert not patched.broken
-    transitions = dict(patched.collect_transitions())
-
-    for asn in ases:
-        if baseline[asn] is not expected[asn]:
-            assert transitions.get(asn) is expected[asn], asn
-    for asn, outcome in transitions.items():
-        assert baseline[asn] is not outcome, asn
-    assert patched.source_outcomes(ases) == expected
-
-
-def _random_bgp_state(rng, ases):
-    state = {}
-    for asn in ases:
-        if rng.random() < 0.25:
-            state[(asn, None)] = None
-        else:
-            hops = rng.sample([a for a in ases if a != asn], rng.randint(1, 3))
-            state[(asn, None)] = tuple(hops)
-    return state
-
-
-def _random_rbgp_state(rng, ases):
-    state = {}
-    for asn in ases:
-        others = [a for a in ases if a != asn]
-        if rng.random() < 0.25:
-            state[(asn, PRIMARY)] = None
-        else:
-            state[(asn, PRIMARY)] = tuple(
-                rng.sample(others, rng.randint(1, 3))
-            )
-        entries = []
-        for _ in range(rng.randint(0, 2)):
-            path = tuple(rng.sample(others, rng.randint(1, 3)))
-            entries.append((path[0], path))
-        state[(asn, FAILOVER)] = tuple(entries)
-    return state
-
-
-def _hook_planes():
-    graph = _random_topology(0)
-    return [
-        ("bgp", BGPDataPlane(1), _random_bgp_state),
-        ("rbgp", RBGPDataPlane(1, rci=True), _random_rbgp_state),
-        (
-            "rbgp-norci",
-            RBGPDataPlane(1, rci=False, graph=graph),
-            _random_rbgp_state,
-        ),
-        ("stamp", STAMPDataPlane(destination=1), None),
-    ]
-
-
-@settings(
-    deadline=None,
-    max_examples=30,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=st.integers(0, 10_000))
-def test_boundary_touched_keys_cover_every_changed_source(seed):
-    """Soundness contract of every plane's ``boundary_touched_keys``.
-
-    For each source whose outcome differs between the old and new
-    failure sets over the same snapshot, the hook must name at least
-    one key of the source's *old* recorded dependency set — that is
-    exactly what the closure engine's boundary patch re-walks.
-    """
-    rng = random.Random(f"hyp:hook:{seed}")
-    for name, plane, builder in _hook_planes():
-        if builder is None:
-            ases, state = _random_stamp_state(rng)
-        else:
-            ases = list(range(1, 15))
-            state = builder(rng, ases)
-        old_links, old_ases = _random_failure_sets(rng, ases, 1)
-        new_links, new_ases = _random_failure_sets(rng, ases, 1)
-        touched = plane.boundary_touched_keys(
-            state, old_links, old_ases, new_links, new_ases
-        )
-        assert touched is not None, name
-        old_results = plane.classify_many_recording(
-            state, ases, failed_links=old_links, failed_ases=old_ases
-        )
-        new_results = plane.classify_many_recording(
-            state, ases, failed_links=new_links, failed_ases=new_ases
-        )
-        for asn in ases:
-            if asn in old_ases or asn in new_ases:
-                continue  # toggled sources are queued separately
-            old_outcome, old_deps = old_results[asn]
-            new_outcome, _ = new_results[asn]
-            if old_outcome is new_outcome:
-                continue
-            assert set(old_deps) & touched, (name, asn)
+        expected = plane._session_table(
+            state, new_links, new_ases
+        ).source_outcomes(FUZZ_ASES)
+        assert expected == scalar_outcomes(
+            plane, state, FUZZ_ASES, new_links, new_ases
+        ), name
+        assert {
+            asn: expected[asn]
+            for asn in FUZZ_ASES
+            if baseline[asn] is not expected[asn]
+        } == {
+            asn: outcome
+            for asn, outcome in transitions.items()
+            if asn in baseline
+        }, name
+        assert patched.source_outcomes(FUZZ_ASES) == expected, name

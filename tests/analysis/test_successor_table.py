@@ -1,15 +1,17 @@
-"""Equivalence of the STAMP successor-table engine with the closures.
+"""Equivalence of the successor-table engine with the scalar walks.
 
-The table path (flat integer successor tables, incremental outcome
-propagation, suffix-shared walks) replaces the closure engine on every
-analysis hot path, so these tests pin it to the closure semantics at
-three levels: raw walk classification (outcomes *and* dependency
-reads), incremental propagation against full re-classification under
-random update streams, and whole-analyzer equivalence with the
-brute-force reference twins across all three planes — including
-episode phase boundaries and restore-induced outcome flips.  The
-gate-signature refresh cache is pinned by running identical scenarios
-with the cache on and off.
+Every plane compiles its snapshot onto one
+:class:`repro.forwarding.walk.SuccessorTable`; the scalar closures
+behind :meth:`WalkClassifier.classify` are the reference.  These tests
+pin the table to them at three levels, on all four planes: raw
+classification of fuzzed snapshots under fuzzed failure sets,
+incremental propagation against full re-classification under random
+update streams (including next hops that leave the snapshot's AS
+universe and are interned on demand), and whole-analyzer equivalence
+with the brute-force reference twins — including episode phase
+boundaries and restore-induced outcome flips.  The gate-signature
+refresh cache is pinned by running identical scenarios with the cache
+on and off.
 """
 
 import random
@@ -17,9 +19,7 @@ import random
 import pytest
 
 import repro.forwarding.stamp_plane as stamp_plane
-import repro.forwarding.walk as walk
 from repro.analysis.transient import (
-    EpisodeSegment,
     _reference_analyze_episode_transient_problems,
     _reference_analyze_transient_problems,
     analyze_episode_transient_problems,
@@ -32,13 +32,23 @@ from repro.experiments.scenarios import (
     single_provider_link_failure,
     staggered_maintenance_episode,
 )
-from repro.forwarding.stamp_plane import STAMPDataPlane, _SuccessorTable
+from repro.forwarding.bgp_plane import BGPDataPlane
+from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
+from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.stamp.node import STAMPNode
 from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
 )
+from repro.topology.graph import ASGraph
 from repro.types import Color, Outcome, normalize_link
+
+PLANES = ("bgp", "rbgp", "rbgp-norci", "stamp")
+
+#: The fuzzed AS universe; AS 1 is the destination.
+FUZZ_ASES = list(range(1, 15))
+#: An AS no fuzzed snapshot holds a key for.
+OUTSIDER = 999
 
 
 def _random_topology(seed: int):
@@ -49,124 +59,197 @@ def _random_topology(seed: int):
     return graph
 
 
-def _random_stamp_state(rng, n=14, destination=1):
-    """A fuzzed STAMP snapshot over ASes 1..n (arbitrary routes/flags)."""
-    ases = list(range(1, n + 1))
-    state = {}
-    for asn in ases:
-        for color in (Color.RED, Color.BLUE):
-            if rng.random() < 0.2:
-                path = None
-            else:
-                hops = rng.sample([a for a in ases if a != asn], rng.randint(1, 3))
-                path = tuple(hops)
-            state[(asn, color)] = path
-            state[(asn, stamp_plane.unstable_key(color))] = rng.random() < 0.3
-    return ases, state
+def _random_path(rng, asn, outsider=False):
+    """A fuzzed route of ``asn``: 1-3 hops, sometimes none at all."""
+    if rng.random() < 0.2:
+        return None
+    hops = rng.sample([a for a in FUZZ_ASES if a != asn], rng.randint(1, 3))
+    if outsider and rng.random() < 0.1:
+        hops[0] = OUTSIDER
+    return tuple(hops)
 
 
-def _closure_results(plane, state, ases, failed_links, failed_ases):
-    return plane.classify_many_recording(
-        state, ases, failed_links=failed_links, failed_ases=failed_ases
+def _random_failover(rng, asn):
+    """Fuzzed failover entries; pinned paths may revisit ``asn``."""
+    entries = []
+    for _ in range(rng.randint(0, 2)):
+        path = tuple(rng.sample(FUZZ_ASES, rng.randint(1, 4)))
+        entries.append((path[0], path))
+    return tuple(entries)
+
+
+def fuzz_plane(name: str, rng):
+    """``(plane, per-AS keys)`` of one plane over the fuzzed universe.
+
+    The no-RCI plane gets a random topology over the same ASes, so
+    failed ASes have neighbours that locally detect the failure.
+    """
+    if name == "bgp":
+        return BGPDataPlane(1), (None,)
+    if name == "stamp":
+        return STAMPDataPlane(1), (
+            Color.RED,
+            Color.BLUE,
+            stamp_plane.unstable_key(Color.RED),
+            stamp_plane.unstable_key(Color.BLUE),
+        )
+    graph = ASGraph()
+    for asn in FUZZ_ASES[1:]:
+        graph.add_c2p(asn, rng.choice([a for a in FUZZ_ASES if a < asn]))
+    return RBGPDataPlane(1, rci=name == "rbgp", graph=graph), (
+        PRIMARY,
+        FAILOVER,
     )
 
 
+def fuzz_value(rng, asn, tag, outsider=False):
+    """A fuzzed snapshot value for key ``(asn, tag)``."""
+    if tag == FAILOVER:
+        return _random_failover(rng, asn)
+    if isinstance(tag, tuple):  # a STAMP instability flag
+        return rng.random() < 0.3
+    return _random_path(rng, asn, outsider)
+
+
+def fuzz_state(rng, tags, outsider=False):
+    """A fuzzed snapshot: arbitrary routes, flags and failover entries."""
+    return {
+        (asn, tag): fuzz_value(rng, asn, tag, outsider)
+        for asn in FUZZ_ASES
+        for tag in tags
+    }
+
+
+def fuzz_failure_sets(rng):
+    links = frozenset(
+        normalize_link(*rng.sample(FUZZ_ASES, 2))
+        for _ in range(rng.randint(0, 3))
+    )
+    return links, frozenset(rng.sample(FUZZ_ASES[1:], rng.randint(0, 2)))
+
+
+def scalar_outcomes(plane, state, sources, failed_links, failed_ases):
+    """The reference fates, failed sources counted as BLACKHOLE."""
+    outcomes = plane.classify(
+        state, sources, failed_links=failed_links, failed_ases=failed_ases
+    )
+    return {asn: outcomes.get(asn, Outcome.BLACKHOLE) for asn in sources}
+
+
 class TestTableWalkEquivalence:
-    """Raw table walks match the closure engine, reads included."""
+    """A freshly built table resolves every source like the scalar walks."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_snapshots(self, seed):
-        rng = random.Random(f"table:{seed}")
-        ases, state = _random_stamp_state(rng)
-        plane = STAMPDataPlane(destination=1)
-        failed_links = (
-            frozenset({normalize_link(*rng.sample(ases, 2))})
-            if seed % 2
-            else frozenset()
+    @pytest.mark.parametrize("plane_name", PLANES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_snapshots(self, plane_name, seed):
+        rng = random.Random(f"table:{plane_name}:{seed}")
+        plane, tags = fuzz_plane(plane_name, rng)
+        state = fuzz_state(rng, tags, outsider=seed % 2 == 1)
+        failed_links, failed_ases = fuzz_failure_sets(rng)
+        sources = FUZZ_ASES + [OUTSIDER]
+        table = plane._session_table(state, failed_links, failed_ases)
+        assert table.source_outcomes(sources) == scalar_outcomes(
+            plane, state, sources, failed_links, failed_ases
         )
-        failed_ases = frozenset({ases[-1]}) if seed % 3 == 0 else frozenset()
-        table = _SuccessorTable(plane, state, failed_links, failed_ases)
-        assert not table.broken
-        expected = _closure_results(plane, state, ases, failed_links, failed_ases)
-        got_many = table.classify_many(list(ases), failed_ases)
-        for asn in ases:
-            exp_out, exp_deps = expected[asn]
-            one_out, one_deps = table.classify_one(asn, failed_ases)
-            assert one_out is exp_out, asn
-            assert set(one_deps) == set(exp_deps), asn
-            many_out, many_deps = got_many[asn]
-            assert many_out is exp_out, asn
-            assert set(many_deps) == set(exp_deps), asn
 
+    @pytest.mark.parametrize("plane_name", PLANES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_batch_classification_matches_classify(self, seed):
-        rng = random.Random(f"batch:{seed}")
-        ases, state = _random_stamp_state(rng)
-        plane = STAMPDataPlane(destination=1)
-        expected = plane.classify(state, ases)
-        got = plane.classify_batch(state, ases)
-        assert got == expected
+    def test_batch_classification_matches_classify(self, plane_name, seed):
+        """Same dict as the scalar walks: failed sources are skipped."""
+        rng = random.Random(f"batch:{plane_name}:{seed}")
+        plane, tags = fuzz_plane(plane_name, rng)
+        state = fuzz_state(rng, tags)
+        failed_links, failed_ases = fuzz_failure_sets(rng)
+        failures = dict(failed_links=failed_links, failed_ases=failed_ases)
+        assert plane.classify_batch(
+            state, FUZZ_ASES, **failures
+        ) == plane.classify(state, FUZZ_ASES, **failures)
 
-    def test_out_of_universe_hop_falls_back(self):
-        """A next hop outside the snapshot breaks the table, not results."""
-        rng = random.Random("broken")
-        ases, state = _random_stamp_state(rng)
-        state[(3, Color.RED)] = (999,)  # hop with no state entries
-        plane = STAMPDataPlane(destination=1)
-        table = _SuccessorTable(plane, state, frozenset(), frozenset())
-        assert table.broken
-        assert plane._session_table(state, frozenset(), frozenset()) is None
-        # classify_batch silently uses the closure engine.
-        assert plane.classify_batch(state, ases) == plane.classify(state, ases)
+    @pytest.mark.parametrize("plane_name", PLANES)
+    def test_out_of_universe_hop_is_interned(self, plane_name):
+        """A next hop with no state entries is a routeless row, not a
+        snapshot the table cannot represent."""
+        rng = random.Random(f"outsider:{plane_name}")
+        plane, tags = fuzz_plane(plane_name, rng)
+        state = fuzz_state(rng, tags)
+        state[(3, tags[0])] = (OUTSIDER,)
+        table = plane._session_table(state, frozenset(), frozenset())
+        got = table.source_outcomes(FUZZ_ASES + [OUTSIDER])
+        assert got == plane.classify(state, FUZZ_ASES + [OUTSIDER])
+        assert got[OUTSIDER] is Outcome.BLACKHOLE
+        if plane_name != "stamp":  # a STAMP packet may switch color at 3
+            assert got[3] is Outcome.BLACKHOLE
+
+    @pytest.mark.parametrize("plane_name", PLANES)
+    def test_destination_outside_the_snapshot_delivers(self, plane_name):
+        rng = random.Random(f"nodest:{plane_name}")
+        plane, tags = fuzz_plane(plane_name, rng)
+        state = {
+            key: value
+            for key, value in fuzz_state(rng, tags).items()
+            if key[0] != 1
+        }
+        assert plane.classify_batch(state, FUZZ_ASES) == plane.classify(
+            state, FUZZ_ASES
+        )
 
 
 class TestIncrementalPropagation:
-    """Propagation-mode tables track full re-classification exactly."""
+    """A maintained table tracks full re-classification exactly."""
 
+    @pytest.mark.parametrize("plane_name", PLANES)
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_update_streams(self, seed):
-        rng = random.Random(f"prop:{seed}")
-        ases, state = _random_stamp_state(rng)
-        plane = STAMPDataPlane(destination=1)
-        table = _SuccessorTable(plane, state, frozenset(), frozenset())
-        table.activate_propagation()
-        outcomes = table.source_outcomes(ases)
-        assert outcomes == plane.classify_batch(state, ases)
+    def test_random_update_streams(self, plane_name, seed):
+        rng = random.Random(f"prop:{plane_name}:{seed}")
+        plane, tags = fuzz_plane(plane_name, rng)
+        state = fuzz_state(rng, tags)
+        failed_links, failed_ases = (
+            fuzz_failure_sets(rng) if seed % 2 else (frozenset(), frozenset())
+        )
+        sources = FUZZ_ASES + [OUTSIDER]
+        table = plane._session_table(state, failed_links, failed_ases)
+        outcomes = table.source_outcomes(sources)
         for _ in range(40):
-            # Mutate 1-3 keys, feed the table, and compare against a
-            # from-scratch classification of the evolved snapshot.
+            # Mutate 1-3 keys (now and then removing one, or routing
+            # via an AS outside the snapshot), feed the table, and
+            # compare against the scalar walks over the evolved state.
             for _ in range(rng.randint(1, 3)):
-                asn = rng.choice(ases)
-                if rng.random() < 0.5:
-                    key = (asn, rng.choice((Color.RED, Color.BLUE)))
-                    if rng.random() < 0.3:
-                        value = None
-                    else:
-                        hops = rng.sample(
-                            [a for a in ases if a != asn], rng.randint(1, 3)
-                        )
-                        value = tuple(hops)
+                key = (rng.choice(FUZZ_ASES), rng.choice(tags))
+                if rng.random() < 0.1:
+                    state.pop(key, None)
+                    value = None
                 else:
-                    key = (
-                        asn,
-                        stamp_plane.unstable_key(
-                            rng.choice((Color.RED, Color.BLUE))
-                        ),
+                    value = state[key] = fuzz_value(
+                        rng, key[0], key[1], outsider=True
                     )
-                    value = rng.random() < 0.5
-                state[key] = value
                 table.update(key, value)
             transitions = table.collect_transitions()
-            fresh = plane.classify_batch(state, ases)
+            fresh = scalar_outcomes(
+                plane, state, sources, failed_links, failed_ases
+            )
             # Transitions report exactly the sources whose fate changed.
             changed = {asn for asn, _ in transitions}
+            assert len(changed) == len(transitions)
+            assert changed == {
+                asn for asn in sources if outcomes[asn] is not fresh[asn]
+            }
             for asn, new in transitions:
                 assert fresh[asn] is new
-            for asn in ases:
-                if outcomes[asn] is not fresh[asn]:
-                    assert asn in changed, asn
             outcomes = fresh
-            assert table.source_outcomes(ases) == fresh
+            assert table.source_outcomes(sources) == fresh
+
+    @pytest.mark.parametrize("plane_name", PLANES)
+    def test_unobservable_changes_are_dropped_by_update(self, plane_name):
+        """What walks cannot see of a value never reaches derivation."""
+        rng = random.Random(f"noop:{plane_name}")
+        plane, tags = fuzz_plane(plane_name, rng)
+        state = fuzz_state(rng, tags)
+        state[(5, tags[0])] = (4, 3, 1)
+        table = plane._session_table(state, frozenset(), frozenset())
+        assert not table.update((5, tags[0]), (4, 3, 1))
+        assert not table.update((5, tags[0]), (4, 2, 1))  # same next hop
+        assert table.update((5, tags[0]), (3, 1))
+        assert table.update((5, tags[0]), None)
 
 
 class TestAnalyzerEquivalence:
@@ -253,33 +336,6 @@ class TestAnalyzerEquivalence:
             assert got.permanently_unreachable == want.permanently_unreachable
             assert got.timeline == want.timeline
             assert got.problem_timeline == want.problem_timeline
-
-    @pytest.mark.parametrize("seed", (4,))
-    def test_without_numpy_matches_reference(self, seed, monkeypatch):
-        """The pure-Python table path agrees with the reference too."""
-        monkeypatch.setattr(walk, "_np", None)
-        monkeypatch.setattr(stamp_plane, "_np", None)
-        graph = _random_topology(seed)
-        scenario = single_provider_link_failure(graph, random.Random("np"))
-        network, plane = build_network("stamp", graph, scenario.destination, seed=seed)
-        network.start()
-        initial_state = network.forwarding_state()
-        for a, b in scenario.failed_links:
-            network.fail_link(a, b)
-        network.run_to_convergence()
-        failed_links = frozenset(
-            normalize_link(a, b) for a, b in scenario.failed_links
-        )
-        incremental = analyze_transient_problems(
-            network.trace, initial_state, plane, graph.ases,
-            failed_links=failed_links,
-        )
-        reference = _reference_analyze_transient_problems(
-            network.trace, initial_state, plane, graph.ases,
-            failed_links=failed_links,
-        )
-        assert incremental.affected == reference.affected
-        assert incremental.problem_timeline == reference.problem_timeline
 
 
 class TestGateSignatureCache:

@@ -69,18 +69,14 @@ class TestMemoization:
         assert outcomes[6] is Outcome.BLACKHOLE
 
 
-class TestBatchEngine:
-    """The vectorized batch classifier against the scalar engine."""
+class TestSuccessorTable:
+    """The table engine against the scalar one on the same shapes."""
 
-    def batch(self, successors, starts, terminal):
-        from repro.forwarding.walk import classify_functional_graph_batch
+    def table(self, successors, starts):
+        from repro.forwarding.bgp_plane import BGPDataPlane
 
-        result = classify_functional_graph_batch(
-            starts,
-            successor=lambda s: successors.get(s),
-            delivered=lambda s: s == terminal,
-        )
-        return {s: result.outcome_of(s) for s in starts}
+        state = {(s, None): (nxt,) for s, nxt in successors.items()}
+        return BGPDataPlane(destination=9).classify_batch(state, starts)
 
     def test_matches_scalar_on_mixed_shapes(self):
         successors = {
@@ -92,32 +88,14 @@ class TestBatchEngine:
         }
         starts = [1, 3, 5, 6, 7, 9]
         scalar = classify(successors, starts, terminal=9)
-        assert self.batch(successors, starts, terminal=9) == {
+        assert self.table(successors, starts) == {
             s: scalar[s] for s in starts
         }
 
     def test_long_chain(self):
         n = 5000
-        successors = {i: i + 1 for i in range(n)}
-        outcomes = self.batch(successors, [0], terminal=n)
+        successors = {i: i + 1 for i in range(n) if i != 9}
+        successors[8] = 10  # 9 is the destination: end the chain on it
+        successors[n] = 9
+        outcomes = self.table(successors, [0])
         assert outcomes[0] is Outcome.DELIVERED
-
-    def test_python_fallback_matches_numpy(self, monkeypatch):
-        import repro.forwarding.walk as walk
-
-        successors = {1: 2, 2: 9, 3: 4, 4: 3, 5: 6}
-        starts = [1, 3, 5]
-        with_numpy = self.batch(successors, starts, terminal=9)
-        monkeypatch.setattr(walk, "_np", None)
-        assert self.batch(successors, starts, terminal=9) == with_numpy
-
-    def test_deps_require_reads_buffer(self):
-        import pytest
-
-        from repro.forwarding.walk import classify_functional_graph_batch
-
-        result = classify_functional_graph_batch(
-            [1], successor=lambda s: None, delivered=lambda s: False
-        )
-        with pytest.raises(ValueError):
-            result.deps_of(1)

@@ -135,6 +135,28 @@ class TestHappyPath:
         assert client.request("GET", "/healthz")[0] == 200
         assert client.request("GET", "/readyz")[0] == 200
 
+    def test_keep_alive_replies_do_not_stall(self, client):
+        """Replies leave in one write: on a reused connection a
+        header/body split is held back by Nagle until the client's
+        delayed ACK, ~40 ms per request."""
+        import http.client
+        import statistics
+
+        host, port = client.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            elapsed = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.010, elapsed
+
     def test_campaign_listing(self, client):
         _, doc, _ = client.request("POST", "/campaigns", SPEC)
         _, listing, _ = client.request("GET", "/campaigns")

@@ -228,9 +228,10 @@ def test_performance_covers_boundary_patching():
     for topic in (
         "transient_analysis_stamp_episode_long",
         "Boundary-patch cost model",
-        "Fallback-rebuild triggers",
+        "On-demand interning",
+        "R-BGP pin folding",
         "apply_boundary",
-        "boundary_touched_keys",
+        "_boundary_rows",
         "test_episode_boundary_patch.py",
         "test_storm_golden.py",
     ):
