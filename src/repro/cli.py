@@ -513,8 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built with the module: constructing ~20 subcommand parsers is a
+#: constant few milliseconds of start-up that belongs to no command.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

@@ -38,11 +38,11 @@ import functools
 import hashlib
 import json
 import math
+import pickle
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph
-from repro.topology.serialization import graph_to_bytes
 
 #: Code-version salt folded into every unit key.  Bump when the result
 #: schema or the simulation semantics change in a result-visible way:
@@ -113,14 +113,33 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def graph_content_hash(graph: ASGraph) -> str:
-    """Content hash of a topology via its deterministic binary form.
+def _graph_hash_preimage(graph: ASGraph) -> bytes:
+    """The preimage of :func:`graph_content_hash` — frozen byte for byte.
 
-    :func:`repro.topology.serialization.graph_to_bytes` serializes the
-    sorted link lists plus the full AS set, so two graphs with equal
-    content hash equally regardless of construction order.
+    A tagged pickle of the sorted link lists plus the full AS set (so
+    ASes without links count).  Order-independent by design: a
+    generated graph and its ``save_graph`` → ``load_caida`` reload intern
+    their ASes in different orders, run identically, and must hit the
+    same ledger entries — which is why this is *not* the CSR encoding
+    (:meth:`~repro.topology.graph._CSRBase.to_bytes` keeps insertion
+    order).  Any change here orphans every existing ledger.
     """
-    return sha256_hex(graph_to_bytes(graph))
+    payload = (
+        "repro-asgraph-v1",
+        sorted(graph.c2p_links()),
+        sorted(graph.p2p_links()),
+        list(graph.ases),
+    )
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def graph_content_hash(graph: ASGraph) -> str:
+    """Content hash of a topology: equal content, equal hash.
+
+    Two graphs holding the same ASes and links hash equally regardless
+    of construction order (see :func:`_graph_hash_preimage`).
+    """
+    return sha256_hex(_graph_hash_preimage(graph))
 
 
 def describe_builder(builder: Callable) -> Dict[str, Any]:

@@ -7,10 +7,8 @@ pool* of :mod:`repro.experiments.supervisor`:
 
 * the topology is generated once and published as a shared-memory CSR
   segment (:mod:`repro.topology.shm`) that every worker attaches by
-  name — zero-copy fan-out, no per-worker pickle round trip; platforms
-  without shared memory (or ``REPRO_NO_SHM=1``) fall back to the
-  compact binary round trip (:func:`repro.topology.serialization
-  .graph_to_bytes`);
+  name — zero-copy fan-out; only where no segment can be created do
+  the same bytes travel to each worker over its pipe instead;
 * each work unit re-derives its scenario RNG and simulation seed from
   the same deterministic ``f"{seed}:{kind}:{instance}"`` scheme the
   sequential path uses — a unit's result does not depend on which

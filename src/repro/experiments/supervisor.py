@@ -41,7 +41,6 @@ import contextlib
 import gc
 import logging
 import multiprocessing
-import os
 import random
 import threading
 import time
@@ -60,8 +59,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import Episode
 from repro.topology import shm as topology_shm
-from repro.topology.graph import ASGraph
-from repro.topology.serialization import graph_from_bytes, graph_to_bytes
+from repro.topology.graph import ASGraph, _CSRBase
 
 logger = logging.getLogger("repro.experiments.supervisor")
 
@@ -271,12 +269,13 @@ def _worker_main(conn, graph_payload: Tuple[str, object]) -> None:
     """Worker loop: receive ``(index, unit)``, send back the outcome.
 
     ``graph_payload`` is how the campaign topology reaches the worker:
-    ``("shm", segment_name)`` attaches the shared CSR segment by name
-    (zero-copy, the default), ``("pickle", bytes)`` is the legacy
-    per-worker deserialization (``REPRO_NO_SHM=1`` or platforms
-    without shared memory).  The worker only ever *attaches* — segment
-    ownership (and unlinking) stays with the supervisor, which is what
-    makes a ``kill -9`` of any worker leak-free.
+    ``("shm", segment_name)`` attaches the shared CSR segment by name,
+    ``("bytes", csr_bytes)`` hands the worker the same encoding directly
+    (only when the supervisor could not create a segment).  Either way
+    the graph is served from read-only views of that one buffer.  The
+    worker only ever *attaches* — segment ownership (and unlinking)
+    stays with the supervisor, which is what makes a ``kill -9`` of any
+    worker leak-free.
 
     The worker owns a private duplex pipe; a unit that raises reports
     ``(index, "error", traceback)`` and the worker survives for the
@@ -285,13 +284,13 @@ def _worker_main(conn, graph_payload: Tuple[str, object]) -> None:
     sentinel watch detects.
     """
     faults.mark_worker_process()
-    transport, payload = graph_payload
+    carrier, payload = graph_payload
     attached = None
-    if transport == "shm":
+    if carrier == "shm":
         attached = topology_shm.attach_graph(payload)
         graph = attached.graph
     else:
-        graph = graph_from_bytes(payload)
+        graph = ASGraph._from_csr_base(_CSRBase.from_buffer(payload))
     try:
         while True:
             try:
@@ -379,8 +378,8 @@ class Supervisor:
         self._executed = 0
         self._ledger_hits = 0
         self._workers: List[_Worker] = []
-        #: Topology transport handed to every spawned worker:
-        #: ``("shm", name)`` or ``("pickle", bytes)`` — see
+        #: Topology carrier handed to every spawned worker:
+        #: ``("shm", name)`` or ``("bytes", csr_bytes)`` — see
         #: :func:`_worker_main`.  Set by :meth:`_run_pool`.
         self._payload: Optional[Tuple[str, object]] = None
         self._spawn_failed = False
@@ -692,19 +691,17 @@ class Supervisor:
         """Publish the graph for zero-copy worker attach, if possible.
 
         Returns the owning handle (to destroy in the pool's
-        ``finally``) or ``None`` when shared memory is disabled
-        (``REPRO_NO_SHM=1``) or unavailable — the pickle fallback then
-        applies.  Export failure is never fatal: the campaign still
-        runs, just without the zero-copy fan-out.
+        ``finally``) or ``None`` when the segment cannot be created —
+        the same bytes then travel over each worker's pipe.  Export
+        failure is never fatal: the campaign still runs, just without
+        the shared pages.
         """
-        if os.environ.get("REPRO_NO_SHM") == "1":
-            return None
         try:
             return topology_shm.share_graph(self._graph)
         except Exception as exc:
             logger.warning(
                 "shared-memory topology export unavailable (%s); "
-                "falling back to pickled topology", exc,
+                "sending the topology bytes to each worker instead", exc,
             )
             return None
 
@@ -713,7 +710,7 @@ class Supervisor:
         if shared is not None:
             self._payload = ("shm", shared.name)
         else:
-            self._payload = ("pickle", graph_to_bytes(self._graph))
+            self._payload = ("bytes", self._graph.csr_base().to_bytes())
         try:
             while self._pending or any(
                 w.assignment is not None for w in self._workers

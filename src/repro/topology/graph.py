@@ -11,14 +11,21 @@ Storage model (the "production scale" substrate — real AS graphs are
 
 * **CSR base** — an immutable compressed-sparse-row snapshot
   (:class:`_CSRBase`).  ASNs are interned to dense indices; neighbor
-  rows live in contiguous offset/target arrays (numpy ``int64``/``int8``
-  when numpy is importable, stdlib :mod:`array` otherwise — the same
-  optional-accelerator pattern as the walk classifier).  One array
-  family keeps rows in *link insertion order* (preserving the exact
-  enumeration order the dict-of-dicts implementation exposed through
-  :meth:`links` and :meth:`iter_c2p`); a second family keeps one
-  sorted-ASN row per relationship class, which the cached adjacency
-  views slice directly.
+  rows live in contiguous offset/target arrays, every one a read-only
+  :class:`memoryview` of int64 (``"q"``) or int8 (``"b"``) items — over
+  an :mod:`array` when the snapshot is built here, over a shared-memory
+  segment or a received ``bytes`` object when it is decoded — so the
+  type itself enforces the snapshot's immutability and every element
+  read is a plain ``int``.  One array family keeps rows in *link
+  insertion order* (preserving the exact enumeration order the
+  dict-of-dicts implementation exposed through :meth:`links` and
+  :meth:`iter_c2p`); a second family keeps one sorted-ASN row per
+  relationship class, which the cached adjacency views slice directly.
+  The snapshot has exactly one byte encoding
+  (:meth:`_CSRBase.to_bytes` / :meth:`_CSRBase.from_buffer`, layout
+  below), carried three ways: in the shared-memory segment, over the
+  worker pipe when no segment can be created, and as the snapshot's
+  pickle state.
 * **Delta overlay** — mutations (link fail/restore, episode AS
   fail/restore) never touch the base arrays: the affected rows are
   materialized into small per-AS dicts and edited there.  The base is
@@ -38,6 +45,21 @@ retained pre-CSR implementation
 (:class:`repro.topology.reference.ReferenceASGraph`) is the executable
 specification; ``tests/topology/test_csr_equivalence.py`` pins the two
 identical under randomized mutation streams.
+
+Byte layout of a snapshot (native byte order — a segment or pipe
+payload never leaves the machine that wrote it)::
+
+    magic   8 bytes   b"RPROCSR1"
+    header  5 int64   n_as, n_nbr, n_prov, n_cust, n_peer
+    int64   asns[n_as]                    dense index -> ASN
+    int64   nbr_off[n_as+1]               insertion-order neighbor CSR
+    int64   nbr_tgt[n_nbr]                  (targets are dense indices)
+    int64   prov_off[n_as+1], prov_tgt[n_prov]   sorted-ASN rows per
+    int64   cust_off[n_as+1], cust_tgt[n_cust]   relationship class
+    int64   peer_off[n_as+1], peer_tgt[n_peer]
+    int8    nbr_rel[n_nbr]                relationship codes (trailing
+                                          so every int64 array stays
+                                          8-byte aligned)
 """
 
 from __future__ import annotations
@@ -54,18 +76,13 @@ from repro.errors import (
 )
 from repro.types import ASN, Link, Relationship, normalize_link
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
-
 #: Cached per-AS adjacency: (providers, customers, peers, neighbors).
 _AdjView = Tuple[
     Tuple[ASN, ...], Tuple[ASN, ...], Tuple[ASN, ...], Tuple[ASN, ...]
 ]
 
 #: Relationship codes used in the CSR ``rel`` arrays (stable: they are
-#: part of the shared-memory segment layout).
+#: part of the byte layout).
 _REL_OF_CODE: Tuple[Relationship, ...] = (
     Relationship.PROVIDER,
     Relationship.CUSTOMER,
@@ -76,22 +93,13 @@ _CODE_OF_REL: Dict[Relationship, int] = {
 }
 
 
-def _index_array(values: Sequence[int]):
-    """An int64 sequence: numpy array when available, ``array('q')``."""
-    if _np is not None:
-        arr = _np.asarray(values, dtype=_np.int64)
-        arr.flags.writeable = False
-        return arr
-    return array("q", values)
+_MAGIC = b"RPROCSR1"
+_HEADER_END = len(_MAGIC) + 5 * 8
 
 
-def _code_array(values: Sequence[int]):
-    """An int8 sequence for relationship codes."""
-    if _np is not None:
-        arr = _np.asarray(values, dtype=_np.int8)
-        arr.flags.writeable = False
-        return arr
-    return array("b", values)
+def _frozen(typecode: str, values: Sequence[int]) -> memoryview:
+    """A read-only int64 (``"q"``) / int8 (``"b"``) array of ``values``."""
+    return memoryview(array(typecode, values)).toreadonly()
 
 
 class _CSRBase:
@@ -113,15 +121,16 @@ class _CSRBase:
 
     __slots__ = (
         "index", "asns",
-        "nbr_off", "nbr_tgt", "nbr_rel",
+        "nbr_off", "nbr_tgt",
         "prov_off", "prov_tgt",
         "cust_off", "cust_tgt",
         "peer_off", "peer_tgt",
+        "nbr_rel",
     )
 
     def __init__(
-        self, asns, nbr_off, nbr_tgt, nbr_rel,
-        prov_off, prov_tgt, cust_off, cust_tgt, peer_off, peer_tgt,
+        self, asns, nbr_off, nbr_tgt, prov_off, prov_tgt,
+        cust_off, cust_tgt, peer_off, peer_tgt, nbr_rel,
     ) -> None:
         self.asns: List[ASN] = list(asns)
         self.index: Dict[ASN, int] = {
@@ -129,39 +138,20 @@ class _CSRBase:
         }
         self.nbr_off = nbr_off
         self.nbr_tgt = nbr_tgt
-        self.nbr_rel = nbr_rel
         self.prov_off = prov_off
         self.prov_tgt = prov_tgt
         self.cust_off = cust_off
         self.cust_tgt = cust_tgt
         self.peer_off = peer_off
         self.peer_tgt = peer_tgt
+        self.nbr_rel = nbr_rel
 
-    def __getstate__(self):
-        # Arrays may be read-only views over a shared-memory buffer;
-        # pickling materializes them as plain lists so a snapshot (e.g.
-        # a graph captured inside a ledgered result) never depends on
-        # the segment — or on numpy — being present at load time.
-        return (
-            self.asns,
-            self.nbr_off.tolist(), self.nbr_tgt.tolist(),
-            self.nbr_rel.tolist(),
-            self.prov_off.tolist(), self.prov_tgt.tolist(),
-            self.cust_off.tolist(), self.cust_tgt.tolist(),
-            self.peer_off.tolist(), self.peer_tgt.tolist(),
-        )
-
-    def __setstate__(self, state) -> None:
-        (asns, nbr_off, nbr_tgt, nbr_rel, prov_off, prov_tgt,
-         cust_off, cust_tgt, peer_off, peer_tgt) = state
-        self.__init__(
-            asns,
-            _index_array(nbr_off), _index_array(nbr_tgt),
-            _code_array(nbr_rel),
-            _index_array(prov_off), _index_array(prov_tgt),
-            _index_array(cust_off), _index_array(cust_tgt),
-            _index_array(peer_off), _index_array(peer_tgt),
-        )
+    def __reduce__(self):
+        # A memoryview does not pickle, and the arrays may be views of a
+        # shared-memory segment: the pickle carries the encoded bytes,
+        # so a snapshot (e.g. a graph captured inside a ledgered result)
+        # never depends on the segment being present at load time.
+        return (_CSRBase.from_buffer, (self.to_bytes(),))
 
     @classmethod
     def from_rows(cls, asns: Sequence[ASN], row_of) -> "_CSRBase":
@@ -206,19 +196,78 @@ class _CSRBase:
             peer_off.append(len(peer_tgt))
         return cls(
             asns,
-            _index_array(nbr_off), _index_array(nbr_tgt),
-            _code_array(nbr_rel),
-            _index_array(prov_off), _index_array(prov_tgt),
-            _index_array(cust_off), _index_array(cust_tgt),
-            _index_array(peer_off), _index_array(peer_tgt),
+            _frozen("q", nbr_off), _frozen("q", nbr_tgt),
+            _frozen("q", prov_off), _frozen("q", prov_tgt),
+            _frozen("q", cust_off), _frozen("q", cust_tgt),
+            _frozen("q", peer_off), _frozen("q", peer_tgt),
+            _frozen("b", nbr_rel),
         )
+
+    # -- the one byte encoding (layout: module docstring) --------------
+
+    def to_bytes(self) -> bytes:
+        """Encode the snapshot (deterministic for equal arrays)."""
+        header = array(
+            "q", [len(self.asns), len(self.nbr_tgt), len(self.prov_tgt),
+                  len(self.cust_tgt), len(self.peer_tgt)],
+        )
+        return b"".join(
+            (
+                _MAGIC, header, array("q", self.asns),
+                self.nbr_off, self.nbr_tgt,
+                self.prov_off, self.prov_tgt,
+                self.cust_off, self.cust_tgt,
+                self.peer_off, self.peer_tgt,
+                self.nbr_rel,
+            )
+        )
+
+    @classmethod
+    def from_buffer(cls, buf) -> "_CSRBase":
+        """Decode :meth:`to_bytes` output without copying the arrays.
+
+        ``buf`` is any bytes-like object — a shared-memory buffer, a
+        ``bytes`` payload off a pipe or out of a pickle.  The snapshot's
+        arrays are read-only views into it (they keep a ``bytes`` object
+        alive; a segment must stay mapped while they are referenced).
+        A buffer attached by name is input from outside the process, so
+        the header is checked against ``len(buf)`` before any view is
+        built: wrong magic, negative counts and a buffer shorter than
+        its header promises all raise :class:`ValueError`.
+        """
+        with memoryview(buf) as view:
+            if bytes(view[: len(_MAGIC)]) != _MAGIC:
+                raise ValueError("CSR topology payload has wrong magic")
+            if len(view) < _HEADER_END:
+                raise ValueError("CSR topology payload is truncated")
+            counts = view[len(_MAGIC):_HEADER_END].cast("q").tolist()
+            n_as, n_nbr, n_prov, n_cust, n_peer = counts
+            lengths = (
+                n_as, n_as + 1, n_nbr, n_as + 1, n_prov,
+                n_as + 1, n_cust, n_as + 1, n_peer,
+            )
+            end = _HEADER_END + 8 * sum(lengths) + n_nbr
+            if min(counts) < 0 or end > len(view):
+                raise ValueError(
+                    f"CSR topology payload is truncated or corrupt: header "
+                    f"counts {counts} need {end} bytes, buffer holds "
+                    f"{len(view)}"
+                )
+            readonly = view.toreadonly()
+            offset = _HEADER_END
+            arrays = []
+            for length in lengths:
+                arrays.append(readonly[offset:offset + 8 * length].cast("q"))
+                offset += 8 * length
+            arrays.append(readonly[offset:offset + n_nbr].cast("b"))
+        return cls(arrays[0].tolist(), *arrays[1:])
 
     # -- row decoding --------------------------------------------------
 
     def row_pairs(self, idx: int) -> List[Tuple[ASN, Relationship]]:
         """Insertion-ordered ``(neighbor ASN, relationship)`` pairs."""
-        start = int(self.nbr_off[idx])
-        end = int(self.nbr_off[idx + 1])
+        start = self.nbr_off[idx]
+        end = self.nbr_off[idx + 1]
         asns = self.asns
         return [
             (asns[t], _REL_OF_CODE[r])
@@ -235,29 +284,26 @@ class _CSRBase:
             (self.cust_off, self.cust_tgt, Relationship.CUSTOMER),
             (self.peer_off, self.peer_tgt, Relationship.PEER),
         ):
-            start = int(off[idx])
-            end = int(off[idx + 1])
+            start = off[idx]
+            end = off[idx + 1]
             pos = bisect_left(tgt, b, start, end)
             if pos < end and tgt[pos] == b:
                 return rel
         return None
 
     def degree_of(self, idx: int) -> int:
-        return int(self.nbr_off[idx + 1]) - int(self.nbr_off[idx])
+        return self.nbr_off[idx + 1] - self.nbr_off[idx]
 
     def view_of(self, idx: int) -> _AdjView:
         """Build one AS's cached adjacency view from the sorted rows."""
         prov = tuple(
-            self.prov_tgt[int(self.prov_off[idx]):int(self.prov_off[idx + 1])]
-            .tolist()
+            self.prov_tgt[self.prov_off[idx]:self.prov_off[idx + 1]].tolist()
         )
         cust = tuple(
-            self.cust_tgt[int(self.cust_off[idx]):int(self.cust_off[idx + 1])]
-            .tolist()
+            self.cust_tgt[self.cust_off[idx]:self.cust_off[idx + 1]].tolist()
         )
         peer = tuple(
-            self.peer_tgt[int(self.peer_off[idx]):int(self.peer_off[idx + 1])]
-            .tolist()
+            self.peer_tgt[self.peer_off[idx]:self.peer_off[idx + 1]].tolist()
         )
         return (prov, cust, peer, tuple(sorted(prov + cust + peer)))
 
@@ -316,8 +362,8 @@ class ASGraph:
 
         The returned object is immutable and remains valid — and
         correct for the topology at the moment of the call — no matter
-        how the graph is mutated afterwards.  Used by
-        :mod:`repro.topology.shm` to export the arrays.
+        how the graph is mutated afterwards.  Its
+        :meth:`~_CSRBase.to_bytes` is what a campaign ships to workers.
         """
         self.compact()
         assert self._base is not None
@@ -325,7 +371,7 @@ class ASGraph:
 
     @classmethod
     def _from_csr_base(cls, base: _CSRBase) -> "ASGraph":
-        """Wrap an existing CSR snapshot (shared-memory attach path)."""
+        """Wrap an existing CSR snapshot (the decode path of a worker)."""
         graph = cls()
         graph._live = dict.fromkeys(base.asns)
         graph._base = base
@@ -620,10 +666,7 @@ class ASGraph:
         The paper assumes customer-provider relationships are acyclic
         (no AS is an indirect provider of its own provider).
         """
-        try:
-            self.topological_order()
-        except CyclicHierarchyError:
-            raise
+        self.topological_order()
 
     def topological_order(self) -> List[ASN]:
         """ASes ordered so every customer precedes its providers.

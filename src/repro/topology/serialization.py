@@ -1,20 +1,12 @@
-"""AS graph (de)serialization.
+"""AS graph (de)serialization in a CAIDA-like text format.
 
-Two formats:
-
-* a CAIDA-like text format — one link per line: ``a|b|-1`` means *a is
-  the provider of b* (CAIDA's serial-1 convention), ``a|b|0`` means a
-  and b peer; lines starting with ``#`` are comments;
-* a compact binary fast path (:func:`graph_to_bytes` /
-  :func:`graph_from_bytes`) used to ship topologies to worker
-  processes — a pickled link/AS payload that restores in one pass
-  without text parsing, preserving isolated ASes the text format
-  cannot represent.
+One link per line: ``a|b|-1`` means *a is the provider of b* (CAIDA's
+serial-1 convention), ``a|b|0`` means a and b peer; lines starting with
+``#`` are comments.  The format cannot represent an AS without links.
 """
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 from typing import Iterable, List, TextIO, Union
 
@@ -23,9 +15,6 @@ from repro.topology.graph import ASGraph
 
 _P2C = -1
 _P2P = 0
-
-#: Magic + version tag of the binary payload.
-_BINARY_TAG = "repro-asgraph-v1"
 
 
 def graph_to_lines(graph: ASGraph) -> List[str]:
@@ -46,46 +35,6 @@ def save_graph(graph: ASGraph, target: Union[str, Path, TextIO]) -> None:
         target.write(text)
     else:
         Path(target).write_text(text, encoding="utf-8")
-
-
-def graph_to_bytes(graph: ASGraph) -> bytes:
-    """Serialize a graph to a compact binary payload (deterministic).
-
-    Ships the sorted link lists plus the full AS set (so ASes without
-    links survive the round trip), pickled at the highest protocol —
-    an order of magnitude faster to restore than the text format,
-    which matters when every worker process rebuilds the topology.
-    """
-    payload = (
-        _BINARY_TAG,
-        sorted(graph.c2p_links()),
-        sorted(graph.p2p_links()),
-        list(graph.ases),
-    )
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def graph_from_bytes(data: bytes) -> ASGraph:
-    """Restore a graph serialized by :func:`graph_to_bytes`."""
-    try:
-        payload = pickle.loads(data)
-    except Exception as exc:
-        raise ParseError(f"not a serialized AS graph: {exc}") from exc
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 4
-        or payload[0] != _BINARY_TAG
-    ):
-        raise ParseError("not a serialized AS graph (bad tag)")
-    _, c2p, p2p, ases = payload
-    graph = ASGraph()
-    for asn in ases:
-        graph.add_as(asn)
-    for customer, provider in c2p:
-        graph.add_c2p(customer=customer, provider=provider)
-    for a, b in p2p:
-        graph.add_p2p(a, b)
-    return graph
 
 
 def load_graph(source: Union[str, Path, TextIO, Iterable[str]]) -> ASGraph:

@@ -1,29 +1,13 @@
 """Zero-copy topology fan-out over ``multiprocessing.shared_memory``.
 
-The supervised pool used to hand every worker its own pickled copy of
-the AS graph (``graph_to_bytes`` → fork → ``graph_from_bytes``): at
-Internet scale that is tens of megabytes deserialized once per worker,
-again after every worker death.  With the CSR core the entire adjacency
-is a handful of flat int arrays, so the campaign can instead publish
-them **once** into a named shared-memory segment and have each worker
-map the same physical pages read-only — attach is O(1) in topology
-size when numpy is available (``frombuffer`` views straight into the
-segment), and a plain copy otherwise.
-
-Segment layout (native byte order — a segment never leaves the
-machine that created it)::
-
-    magic   8 bytes   b"RPROCSR1"
-    header  5 int64   n_as, n_nbr, n_prov, n_cust, n_peer
-    int64   asns[n_as]                    dense index -> ASN
-    int64   nbr_off[n_as+1]               insertion-order neighbor CSR
-    int64   nbr_tgt[n_nbr]                  (targets are dense indices)
-    int64   prov_off[n_as+1], prov_tgt[n_prov]   sorted-ASN rows per
-    int64   cust_off[n_as+1], cust_tgt[n_cust]   relationship class
-    int64   peer_off[n_as+1], peer_tgt[n_peer]
-    int8    nbr_rel[n_nbr]                relationship codes (trailing
-                                          so every int64 array stays
-                                          8-byte aligned)
+The whole adjacency of a compacted graph is one flat byte string
+(:meth:`repro.topology.graph._CSRBase.to_bytes` — the layout lives
+there, with its only encoder and decoder), so a campaign publishes it
+**once** into a named shared-memory segment and each worker maps the
+same physical pages read-only: attach is O(1) in the size of the arrays
+(``memoryview`` slices straight into the segment; only the ASN interning
+table is rebuilt per process).  This module owns nothing but the
+segment's lifecycle.
 
 Lifecycle contract:
 
@@ -31,42 +15,33 @@ Lifecycle contract:
   unlinker: :func:`share_graph` before the first dispatch,
   ``SharedGraph.destroy()`` in the pool's ``finally`` — so the segment
   is removed even when every worker was ``kill -9``-ed mid-unit;
-* **workers** only ever attach (:func:`attach_graph`) and close; an
-  attach explicitly unregisters from the ``resource_tracker`` because
-  Python < 3.13 registers attachers as if they were owners, and a
-  tracker-driven unlink at worker exit would tear the segment out from
-  under its siblings;
+* **workers** only ever attach (:func:`attach_graph`) and close.
+  Python < 3.13 registers an attacher with the ``resource_tracker`` as
+  if it owned the segment, and the attach deliberately leaves that
+  registration in place: within one fork family it deduplicates
+  against the creator's own (the tracker's cache is a set), it reaps
+  the segment if the whole family dies without unlinking, and
+  unregistering would instead remove the *creator's* registration and
+  make its unlink race the tracker;
 * the graph a worker gets is served from read-only array views —
   simulations never mutate the topology, and even a mutation would go
   through the graph's copy-on-write overlay, never the shared pages.
 
-``REPRO_NO_SHM=1`` (checked by the supervisor, not here) forces the
-legacy pickled-bytes path; :func:`shared_memory_available` probes
-whether the platform can create segments at all (some sandboxes mount
-no ``/dev/shm``).
+There is no switch that turns the segment off: the supervisor falls
+back to sending the same bytes over each worker's pipe only when
+:func:`share_graph` raises (some sandboxes mount no ``/dev/shm``;
+:func:`shared_memory_available` probes for that).
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import List, Optional
+from multiprocessing import shared_memory
 
-from repro.topology.graph import ASGraph, _CSRBase, _np
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None  # type: ignore[assignment]
-
-_MAGIC = b"RPROCSR1"
-_HEADER_FIELDS = 5
-_HEADER_END = len(_MAGIC) + _HEADER_FIELDS * 8
+from repro.topology.graph import ASGraph, _CSRBase
 
 
 def shared_memory_available() -> bool:
     """Whether this platform can create shared-memory segments."""
-    if shared_memory is None:
-        return False
     try:
         probe = shared_memory.SharedMemory(create=True, size=16)
     except Exception:
@@ -77,111 +52,6 @@ def shared_memory_available() -> bool:
     except Exception:
         pass
     return True
-
-
-# ----------------------------------------------------------------------
-# Encoding
-# ----------------------------------------------------------------------
-
-
-def _i64_bytes(seq) -> bytes:
-    if _np is not None and isinstance(seq, _np.ndarray):
-        return seq.tobytes()
-    if isinstance(seq, array):
-        return seq.tobytes()
-    return array("q", seq).tobytes()
-
-
-def _i8_bytes(seq) -> bytes:
-    if _np is not None and isinstance(seq, _np.ndarray):
-        return seq.tobytes()
-    if isinstance(seq, array):
-        return seq.tobytes()
-    return array("b", seq).tobytes()
-
-
-def _encode_base(base: _CSRBase) -> bytes:
-    n_as = len(base.asns)
-    n_nbr = len(base.nbr_tgt)
-    header = array(
-        "q", [n_as, n_nbr, len(base.prov_tgt), len(base.cust_tgt),
-              len(base.peer_tgt)],
-    )
-    return b"".join(
-        (
-            _MAGIC,
-            header.tobytes(),
-            _i64_bytes(base.asns),
-            _i64_bytes(base.nbr_off),
-            _i64_bytes(base.nbr_tgt),
-            _i64_bytes(base.prov_off),
-            _i64_bytes(base.prov_tgt),
-            _i64_bytes(base.cust_off),
-            _i64_bytes(base.cust_tgt),
-            _i64_bytes(base.peer_off),
-            _i64_bytes(base.peer_tgt),
-            _i8_bytes(base.nbr_rel),
-        )
-    )
-
-
-def _decode_base(buf) -> _CSRBase:
-    view = memoryview(buf)
-    if bytes(view[: len(_MAGIC)]) != _MAGIC:
-        view.release()  # keep the mapping closeable on the error path
-        raise ValueError("shared topology segment has wrong magic")
-    header = array("q")
-    header.frombytes(view[len(_MAGIC):_HEADER_END].tobytes())
-    n_as, n_nbr, n_prov, n_cust, n_peer = header.tolist()
-    offset = _HEADER_END
-
-    if _np is not None:
-        def take_i64(count: int):
-            nonlocal offset
-            arr = _np.frombuffer(
-                view, dtype=_np.int64, count=count, offset=offset
-            )
-            arr.flags.writeable = False
-            offset += count * 8
-            return arr
-
-        def take_i8(count: int):
-            nonlocal offset
-            arr = _np.frombuffer(
-                view, dtype=_np.int8, count=count, offset=offset
-            )
-            arr.flags.writeable = False
-            offset += count
-            return arr
-    else:
-        def take_i64(count: int):
-            nonlocal offset
-            arr = array("q")
-            arr.frombytes(view[offset:offset + count * 8].tobytes())
-            offset += count * 8
-            return arr
-
-        def take_i8(count: int):
-            nonlocal offset
-            arr = array("b")
-            arr.frombytes(view[offset:offset + count].tobytes())
-            offset += count
-            return arr
-
-    asns = take_i64(n_as).tolist()
-    nbr_off = take_i64(n_as + 1)
-    nbr_tgt = take_i64(n_nbr)
-    prov_off = take_i64(n_as + 1)
-    prov_tgt = take_i64(n_prov)
-    cust_off = take_i64(n_as + 1)
-    cust_tgt = take_i64(n_cust)
-    peer_off = take_i64(n_as + 1)
-    peer_tgt = take_i64(n_peer)
-    nbr_rel = take_i8(n_nbr)
-    return _CSRBase(
-        asns, nbr_off, nbr_tgt, nbr_rel,
-        prov_off, prov_tgt, cust_off, cust_tgt, peer_off, peer_tgt,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +71,7 @@ class SharedGraph:
     def __init__(self, shm, size: int) -> None:
         self._shm = shm
         self.size = size
-        #: The attach-by-name key workers receive instead of a pickle.
+        #: The attach-by-name key workers receive instead of the bytes.
         #: Kept readable after :meth:`destroy` so callers can assert
         #: the segment is really gone.
         self.name: str = shm.name
@@ -233,9 +103,7 @@ def share_graph(graph: ASGraph) -> SharedGraph:
     so the segment reflects the topology exactly as of this call; later
     mutations of ``graph`` do not leak into it.
     """
-    if shared_memory is None:
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    payload = _encode_base(graph.csr_base())
+    payload = graph.csr_base().to_bytes()
     shm = shared_memory.SharedMemory(create=True, size=len(payload))
     try:
         shm.buf[: len(payload)] = payload
@@ -271,7 +139,7 @@ class AttachedGraph:
         try:
             shm.close()
         except BufferError:
-            # numpy views into the segment are still referenced (e.g.
+            # Array views into the segment are still referenced (e.g.
             # the worker's graph is still in scope).  Defer the unmap
             # to process exit, and disarm SharedMemory.__del__ so it
             # does not retry and spray "Exception ignored" noise.
@@ -288,26 +156,17 @@ class AttachedGraph:
 def attach_graph(name: str) -> AttachedGraph:
     """Attach to a published topology segment by name (zero-copy).
 
-    With numpy present the returned graph's CSR arrays are read-only
-    views directly into the shared pages; the pure-Python fallback
-    copies them out (correct, just not zero-copy).  Raises
-    ``FileNotFoundError`` when no segment of that name exists — e.g.
-    after the owning campaign destroyed it.
+    The returned graph's CSR arrays are read-only views directly into
+    the shared pages.  Raises ``FileNotFoundError`` when no segment of
+    that name exists — e.g. after the owning campaign destroyed it —
+    and ``ValueError`` when the segment does not hold a well-formed
+    topology.
     """
-    if shared_memory is None:
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
     shm = shared_memory.SharedMemory(name=name)
-    # Python < 3.13 registers *attachers* with the resource tracker as
-    # if they owned the segment.  Within one fork family that is
-    # harmless — every process talks to the same tracker, whose cache
-    # is a set, so N attach registrations deduplicate against the
-    # creator's and the creator's unlink retires the name exactly once.
-    # It is even useful: if the whole family dies without unlinking,
-    # the tracker reaps the segment at shutdown (crash-safe cleanup).
-    # Explicitly unregistering here would instead *remove* the
-    # creator's registration and make its own unlink race the tracker.
+    # No resource_tracker.unregister here, on purpose: see the lifecycle
+    # contract in the module docstring.
     try:
-        base = _decode_base(shm.buf)
+        base = _CSRBase.from_buffer(shm.buf)
     except BaseException:
         try:
             shm.close()

@@ -27,7 +27,13 @@ from repro.experiments.scenarios import (
     single_provider_link_failure,
     two_link_failures_distinct_as,
 )
-from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from repro.topology.caida import load_caida
+from repro.topology.generators import (
+    InternetTopologyConfig,
+    example_paper_topology,
+    generate_internet_topology,
+)
+from repro.topology.serialization import save_graph
 
 GRAPH_HASH = "0" * 64
 
@@ -169,13 +175,29 @@ class TestUnitKey:
 
 
 class TestGraphContentHash:
-    def test_regenerated_graph_hashes_identically(self):
+    def test_hash_is_pinned(self):
+        """The literal was computed at the commit before the preimage
+        moved out of ``topology/serialization.py``: if it drifts, every
+        ledger written so far stops hitting."""
+        assert graph_content_hash(example_paper_topology()) == (
+            "8e82008e93165b14ae7c686e1ffad270"
+            "878c7b276ef61e949fcbe9d4059bbd80"
+        )
+
+    def test_regenerated_graph_hashes_identically(self, tmp_path):
         config = InternetTopologyConfig(
             seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35
         )
         graph_a, _ = generate_internet_topology(config)
         graph_b, _ = generate_internet_topology(config)
         assert graph_content_hash(graph_a) == graph_content_hash(graph_b)
+        # The CLI's `topology --out` / `--topology-file` reload interns
+        # the same content in a different order (so its CSR bytes
+        # differ) and must still address the same ledger entries.
+        save_graph(graph_a, tmp_path / "g.txt")
+        reloaded = load_caida(tmp_path / "g.txt").graph
+        assert list(reloaded) != list(graph_a)
+        assert graph_content_hash(reloaded) == graph_content_hash(graph_a)
 
     def test_different_topology_hashes_differently(self):
         config_a = InternetTopologyConfig(

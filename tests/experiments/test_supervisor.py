@@ -420,8 +420,8 @@ class TestSharedMemoryLifecycle:
     The campaign owns exactly one segment: created before the first
     dispatch, attached by name from every worker, unlinked in the
     pool's ``finally`` — so no campaign outcome (clean, chaotic, or a
-    worker massacre) may leave an orphaned segment, and the dispatch
-    path must never fall back to per-worker pickles silently.
+    worker massacre) may leave an orphaned segment, and no topology
+    bytes cross a worker pipe unless segment creation itself failed.
     """
 
     @staticmethod
@@ -444,17 +444,32 @@ class TestSharedMemoryLifecycle:
         return created
 
     @staticmethod
-    def _forbid_dispatch_pickle(monkeypatch):
-        """No per-worker graph pickle may happen in the dispatch path."""
+    def _spy_payloads(monkeypatch):
+        """Record the topology payload every spawned worker is handed."""
+        from repro.experiments.supervisor import Supervisor
+
+        handed = []
+        real = Supervisor._spawn_worker
+
+        def recording_spawn(self):
+            handed.append(self._payload)
+            return real(self)
+
+        monkeypatch.setattr(Supervisor, "_spawn_worker", recording_spawn)
+        return handed
+
+    @staticmethod
+    def _break_share(monkeypatch):
+        """Segment creation fails the way a sandbox without /dev/shm
+        makes it fail — the only thing that selects the pipe carrier."""
         from repro.experiments import supervisor as supervisor_mod
 
-        def forbidden(graph):
-            raise AssertionError(
-                "graph_to_bytes called in the dispatch path: the "
-                "shared-memory fan-out was supposed to replace it"
-            )
+        def no_dev_shm(graph):
+            raise OSError(38, "Function not implemented")
 
-        monkeypatch.setattr(supervisor_mod, "graph_to_bytes", forbidden)
+        monkeypatch.setattr(
+            supervisor_mod.topology_shm, "share_graph", no_dev_shm
+        )
 
     @staticmethod
     def _assert_unlinked(names):
@@ -469,11 +484,13 @@ class TestSharedMemoryLifecycle:
         self, tiny_graph, baseline, monkeypatch
     ):
         created = self._spy_share(monkeypatch)
-        self._forbid_dispatch_pickle(monkeypatch)
+        handed = self._spy_payloads(monkeypatch)
         outcome = _campaign(_chaos_runner(), tiny_graph)
         assert outcome.complete
         assert _stats(outcome) == baseline
         assert len(created) == 1  # one zero-copy segment per campaign
+        # Every worker got the segment's name — never the topology.
+        assert handed and set(handed) == {("shm", created[0])}
         self._assert_unlinked(created)
 
     def test_no_segment_leak_after_worker_kill(
@@ -505,30 +522,34 @@ class TestSharedMemoryLifecycle:
         self._assert_unlinked(created)
 
     def test_pickle_fallback_is_byte_identical(
-        self, tiny_graph, baseline, monkeypatch
+        self, tiny_graph, baseline, monkeypatch, caplog
     ):
-        """REPRO_NO_SHM=1 forces the legacy pickled-topology transport;
-        results must not change by a byte."""
-        created = self._spy_share(monkeypatch)
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        outcome = _campaign(_chaos_runner(), tiny_graph)
+        """When the segment cannot be created the same CSR bytes reach
+        each worker over its pipe instead (with a warning); results
+        must not change by a byte."""
+        self._break_share(monkeypatch)
+        handed = self._spy_payloads(monkeypatch)
+        with caplog.at_level("WARNING", "repro.experiments.supervisor"):
+            outcome = _campaign(_chaos_runner(), tiny_graph)
         assert outcome.complete
         assert _stats(outcome) == baseline
-        assert created == []  # no segment was ever published
+        assert "shared-memory topology export unavailable" in caplog.text
+        expected = ("bytes", tiny_graph.csr_base().to_bytes())
+        assert handed and all(payload == expected for payload in handed)
 
     @pytest.mark.parametrize("workers", (0, 4))
     def test_transports_agree_at_workers_0_and_4(
         self, tiny_graph, baseline, monkeypatch, workers
     ):
         """Acceptance: campaign fixtures byte-identical on the CSR core
-        at workers in {0, 4}, shared-memory and pickle transports."""
+        at workers in {0, 4}, on the shared-memory and pipe carriers."""
         shm_outcome = _campaign(_chaos_runner(workers=workers), tiny_graph)
         assert shm_outcome.complete
         assert _stats(shm_outcome) == baseline
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        pickle_outcome = _campaign(_chaos_runner(workers=workers), tiny_graph)
-        assert pickle_outcome.complete
-        assert _stats(pickle_outcome) == baseline
+        self._break_share(monkeypatch)
+        pipe_outcome = _campaign(_chaos_runner(workers=workers), tiny_graph)
+        assert pipe_outcome.complete
+        assert _stats(pipe_outcome) == baseline
 
 
 class TestWorkerBudget:

@@ -1,8 +1,30 @@
 """Smoke tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def test_cli_and_service_start_on_the_standard_library_alone():
+    """Neither entry point may pull numpy in, installed or not — it was
+    ~70% of every CLI start-up.  A fresh interpreter, because pytest
+    plugins may have imported numpy into this one already."""
+    probe = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import repro.cli, repro.service.app, sys; "
+            "sys.exit('numpy' in sys.modules)",
+        ],
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert probe.returncode == 0
 
 
 class TestParser:

@@ -120,7 +120,7 @@ def test_architecture_covers_the_topology_core():
         "delta overlay",
         "shared_memory",
         "`caida.py`",
-        "REPRO_NO_SHM",
+        "memoryview",
         "test_csr_equivalence.py",
     ):
         assert topic in text, f"architecture guide lost its {topic!r} coverage"

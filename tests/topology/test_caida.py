@@ -15,11 +15,9 @@ from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
 )
-from repro.topology.serialization import (
-    graph_to_bytes,
-    graph_to_lines,
-    save_graph,
-)
+from repro.topology.serialization import graph_to_lines, save_graph
+
+from graph_content import graph_content
 
 FIXTURE = Path(__file__).parent / "data" / "caida_small.txt"
 
@@ -50,9 +48,9 @@ class TestFixture:
         by_stream = load_caida(io.StringIO(text))
         by_lines = load_caida(text.splitlines())
         assert (
-            graph_to_bytes(by_path.graph)
-            == graph_to_bytes(by_stream.graph)
-            == graph_to_bytes(by_lines.graph)
+            graph_content(by_path.graph)
+            == graph_content(by_stream.graph)
+            == graph_content(by_lines.graph)
         )
 
 
@@ -66,7 +64,7 @@ class TestRoundTrip:
         path = tmp_path / "as-rel.txt"
         save_graph(graph, path)
         report = load_caida(path, validate=True)
-        assert graph_to_bytes(report.graph) == graph_to_bytes(graph)
+        assert graph_content(report.graph) == graph_content(graph)
         assert report.validation.ok
 
     @settings(max_examples=40, deadline=None)
@@ -94,7 +92,7 @@ class TestRoundTrip:
             except Exception:
                 pass  # self-loops/conflicts: irrelevant to round-trip
         reloaded = load_caida(graph_to_lines(graph)).graph
-        assert graph_to_bytes(reloaded) == graph_to_bytes(graph)
+        assert graph_content(reloaded) == graph_content(graph)
 
 
 class TestRejection:

@@ -16,8 +16,6 @@ the retained dict-of-dicts twin
   tier-1 sets, topological order, uphill reachability;
 * explicit ``compact()`` calls (folding the delta overlay into fresh
   CSR arrays) are observably invisible;
-* the pure-Python ``array`` fallback (numpy absent) behaves
-  identically to the numpy-backed build;
 * a pickled graph — and a pickled *started network* via the twin-start
   snapshot path — restores byte-identically, pinned against the fig2
   golden trace SHA.
@@ -140,8 +138,8 @@ def _observe(graph):
 
 
 def _assert_int_views(graph):
-    """CSR slices must hand back Python ints, never numpy scalars —
-    anything else would leak into traces and pickled results."""
+    """CSR slices must hand back plain Python ints — anything else
+    would leak into traces and pickled results."""
     for asn in graph.ases:
         assert type(asn) is int
         for nbr in graph.neighbors(asn):
@@ -232,38 +230,6 @@ def test_pickle_round_trip_matches_reference():
         restored = pickle.loads(pickle.dumps(csr))
         assert _observe(restored) == _observe(ref)
         assert restored.version == ref.version
-
-
-# ----------------------------------------------------------------------
-# numpy-absent fallback parity
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", (0, 3))
-def test_pure_python_fallback_matches_reference(seed, monkeypatch):
-    monkeypatch.setattr("repro.topology.graph._np", None)
-    _run_stream(seed)
-
-
-def test_fallback_and_numpy_builds_observe_identically(monkeypatch):
-    _, ref = _run_stream(5, n_ops=100)
-    with_numpy = _observe(_run_stream(5, n_ops=100)[0])
-    monkeypatch.setattr("repro.topology.graph._np", None)
-    without_numpy = _observe(_run_stream(5, n_ops=100)[0])
-    assert with_numpy == without_numpy == _observe(ref)
-
-
-def test_numpy_pickle_loads_without_numpy(monkeypatch):
-    """A graph compacted under numpy must unpickle (and read back
-    identically) where numpy is absent — ledgered snapshots cross
-    environments."""
-    csr, ref = _run_stream(23, n_ops=60)
-    csr.compact()
-    payload = pickle.dumps(csr)
-    expected = _observe(ref)
-    monkeypatch.setattr("repro.topology.graph._np", None)
-    restored = pickle.loads(payload)
-    assert _observe(restored) == expected
 
 
 # ----------------------------------------------------------------------

@@ -56,44 +56,3 @@ class TestParsing:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert len(load_graph(path)) == 0
-
-
-class TestBinaryRoundTrip:
-    """The compact binary fast path used to ship graphs to workers."""
-
-    def test_links_and_ases_survive(self):
-        from repro.topology.serialization import graph_from_bytes, graph_to_bytes
-
-        graph = example_paper_topology()
-        restored = graph_from_bytes(graph_to_bytes(graph))
-        assert restored.ases == graph.ases
-        assert sorted(restored.c2p_links()) == sorted(graph.c2p_links())
-        assert sorted(restored.p2p_links()) == sorted(graph.p2p_links())
-
-    def test_isolated_as_survives(self):
-        """The text format drops link-less ASes; the binary one keeps them."""
-        from repro.topology.graph import ASGraph
-        from repro.topology.serialization import graph_from_bytes, graph_to_bytes
-
-        graph = ASGraph()
-        graph.add_c2p(customer=2, provider=1)
-        graph.add_as(99)
-        restored = graph_from_bytes(graph_to_bytes(graph))
-        assert 99 in restored
-        assert restored.ases == (1, 2, 99)
-
-    def test_payload_is_deterministic(self):
-        from repro.topology.serialization import graph_to_bytes
-
-        graph = example_paper_topology()
-        assert graph_to_bytes(graph) == graph_to_bytes(graph)
-
-    def test_rejects_garbage(self):
-        import pickle
-
-        from repro.topology.serialization import graph_from_bytes
-
-        with pytest.raises(ParseError):
-            graph_from_bytes(b"not a pickle")
-        with pytest.raises(ParseError):
-            graph_from_bytes(pickle.dumps(("wrong-tag", [], [], [])))
