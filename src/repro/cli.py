@@ -297,11 +297,8 @@ def cmd_journal(args) -> int:
     from repro.service.journal import CampaignJournal
 
     if args.journal_command == "stats":
-        journal = CampaignJournal(args.path)
-        try:
+        with CampaignJournal(args.path) as journal:
             stats = journal.stats()
-        finally:
-            journal.close()
         for key in (
             "path", "records", "file_bytes", "snapshots",
             "campaigns", "active_campaigns", "dropped_records",
@@ -309,11 +306,8 @@ def cmd_journal(args) -> int:
             print(f"{key:17s} {stats[key]}")
         return 0
     # compact
-    journal = CampaignJournal(args.path)
-    try:
+    with CampaignJournal(args.path) as journal:
         summary = journal.compact(max_age_seconds=args.max_age_seconds)
-    finally:
-        journal.close()
     print(
         f"compacted {summary['bytes_before']} -> "
         f"{summary['bytes_after']} bytes; {summary['campaigns']} "

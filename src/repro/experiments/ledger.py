@@ -22,27 +22,14 @@ policies of :meth:`ResultLedger.compact`.  Ledgers written before
 these fields existed (no header, no ``ts``) still load: a missing
 header means "salt unknown" and a missing ``ts`` sorts as oldest.
 
-Durability and recovery rules:
+The file discipline — fsynced single-write appends, torn-tail seal,
+tolerant load (a bad line is a counted miss, never a crash), atomic
+rewrite — is :mod:`repro.experiments.appendlog`'s, described once in
+``docs/robustness.md``; this module is the schema on top of it.
 
-* **Appends are atomic-enough and fsynced.**  Each record is written
-  with a single ``os.write`` to an ``O_APPEND`` descriptor and then
-  ``fsync``ed, so concurrent writers (two campaign processes sharing a
-  ledger) do not interleave records, and a completed append survives
-  power loss.
-* **Torn trailing records never crash a load.**  A crash mid-append
-  leaves a final partial line; :meth:`ResultLedger.load` detects it
-  (JSON parse failure, missing fields, or payload-digest mismatch),
-  logs a warning, and skips it.  Corrupt *interior* records — bit rot,
-  a torn record that a later append happened to follow — are likewise
-  skipped with a warning: a ledger miss recomputes, a crash loses the
-  whole campaign.
-* **Duplicate keys: last write wins.**  Units are pure, so duplicates
-  normally carry equal payloads; after a salt-less code change the
-  most recent run is the one to trust, and compaction keeps it.
-* **Compaction is atomic.**  :meth:`ResultLedger.compact` rewrites the
-  live records to a temporary file in the same directory, fsyncs, and
-  ``os.replace``s it over the ledger — readers see the old or the new
-  file, never a partial one.
+**Duplicate keys: last write wins.**  Units are pure, so duplicates
+normally carry equal payloads; after a salt-less code change the most
+recent run is the one to trust, and compaction keeps it.
 """
 
 from __future__ import annotations
@@ -51,13 +38,13 @@ import base64
 import binascii
 import json
 import logging
-import os
 import pickle
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import LedgerMergeError
+from repro.experiments.appendlog import AppendLog, atomic_write
 from repro.experiments.canonical import LEDGER_SALT, sha256_hex
 
 logger = logging.getLogger("repro.experiments.ledger")
@@ -77,6 +64,7 @@ class ResultLedger:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._log = AppendLog(self.path, logger)
         #: key -> raw pickle bytes of the most recent record (last wins).
         self._records: Dict[str, bytes] = {}
         #: key -> append timestamp of the winning record (0.0 when the
@@ -87,7 +75,10 @@ class ResultLedger:
         self.salt: Optional[str] = None
         #: Records dropped by the last load (torn/corrupt).
         self.dropped_records = 0
-        self._fd: Optional[int] = None
+        #: Record versions other than this build's seen by the last
+        #: load.  A plain load skips them (a miss only costs a
+        #: recompute); :func:`merge_ledgers` refuses them.
+        self.foreign_versions: List[Any] = []
         self.load()
 
     # -- loading -------------------------------------------------------
@@ -97,92 +88,57 @@ class ResultLedger:
         self._records.clear()
         self._ts.clear()
         self.salt = None
-        self.dropped_records = 0
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data:
-            return
-        lines = data.split(b"\n")
-        # A well-formed ledger ends with a newline, so the final split
-        # element is empty; anything else is a torn trailing record.
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
+        self.foreign_versions = []
+        for lineno, where, obj in self._log.records():
+            try:
+                record = self._decode(obj)
+            except ValueError as exc:
+                self._log.skip(lineno, where, str(exc))
                 continue
-            record = self._parse_record(line, lineno, torn=(lineno == len(lines)))
             if record is not None:
                 key, payload, ts = record
                 self._records[key] = payload
                 self._ts[key] = ts
+        self.dropped_records = self._log.dropped
 
-    def _parse_record(self, line, lineno, torn):
-        """Validate one line; return ``(key, payload, ts)`` or ``None``.
+    def _decode(self, obj: Any) -> Optional[Tuple[str, bytes, float]]:
+        """Validate one parsed line; return ``(key, payload, ts)``.
 
         Header records set :attr:`salt` as a side effect and return
-        ``None`` without counting as dropped.
+        ``None``; a line to skip raises ``ValueError(reason)``.
         """
-        where = "torn trailing" if torn else "corrupt"
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            logger.warning(
-                "%s: skipping %s record at line %d (unparseable JSON)",
-                self.path, where, lineno,
-            )
-            self.dropped_records += 1
+        if not isinstance(obj, dict):
+            raise ValueError("missing/invalid fields")
+        if obj.get("v") != _RECORD_VERSION:
+            if "v" in obj:
+                self.foreign_versions.append(obj["v"])
+            raise ValueError("missing/invalid fields")
+        if obj.get("kind") == "header":
+            if not isinstance(obj.get("salt"), str):
+                raise ValueError("missing/invalid header fields")
+            if self.salt is None:
+                self.salt = obj["salt"]
+                if self.salt != LEDGER_SALT:
+                    logger.warning(
+                        "%s: ledger salt %r differs from the current "
+                        "%r; its keys will miss and recompute",
+                        self.path, self.salt, LEDGER_SALT,
+                    )
             return None
-        if isinstance(obj, dict) and obj.get("kind") == "header":
-            if obj.get("v") == _RECORD_VERSION and isinstance(
-                obj.get("salt"), str
-            ):
-                if self.salt is None:
-                    self.salt = obj["salt"]
-                    if self.salt != LEDGER_SALT:
-                        logger.warning(
-                            "%s: ledger salt %r differs from the current "
-                            "%r; its keys will miss and recompute",
-                            self.path, self.salt, LEDGER_SALT,
-                        )
-                return None
-            logger.warning(
-                "%s: skipping %s header at line %d (missing/invalid fields)",
-                self.path, where, lineno,
-            )
-            self.dropped_records += 1
-            return None
-        if (
-            not isinstance(obj, dict)
-            or obj.get("v") != _RECORD_VERSION
-            or not isinstance(obj.get("key"), str)
-            or not isinstance(obj.get("payload"), str)
-            or not isinstance(obj.get("psha"), str)
+        if not all(
+            isinstance(obj.get(field), str)
+            for field in ("key", "payload", "psha")
         ):
-            logger.warning(
-                "%s: skipping %s record at line %d (missing/invalid fields)",
-                self.path, where, lineno,
-            )
-            self.dropped_records += 1
-            return None
+            raise ValueError("missing/invalid fields")
         try:
             payload = base64.b64decode(obj["payload"], validate=True)
         except (binascii.Error, ValueError):
-            logger.warning(
-                "%s: skipping %s record at line %d (invalid base64 payload)",
-                self.path, where, lineno,
-            )
-            self.dropped_records += 1
-            return None
+            raise ValueError("invalid base64 payload") from None
         if sha256_hex(payload) != obj["psha"]:
-            logger.warning(
-                "%s: skipping %s record at line %d (payload digest mismatch)",
-                self.path, where, lineno,
-            )
-            self.dropped_records += 1
-            return None
+            raise ValueError("payload digest mismatch")
         ts = obj.get("ts")
-        if not isinstance(ts, (int, float)):
-            ts = 0.0
-        return obj["key"], payload, float(ts)
+        ts = float(ts) if isinstance(ts, (int, float)) else 0.0
+        return obj["key"], payload, ts
 
     # -- lookups -------------------------------------------------------
 
@@ -200,44 +156,6 @@ class ResultLedger:
         return pickle.loads(self._records[key])
 
     # -- appends -------------------------------------------------------
-
-    def _ensure_fd(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            self._seal_torn_tail(self._fd)
-            # A brand-new ledger starts with a header naming the salt
-            # its keys were derived under (the merge tool's safety
-            # check).  Two writers racing on creation may both append
-            # one — duplicates are recognized and harmless on load.
-            if os.fstat(self._fd).st_size == 0:
-                os.write(self._fd, self.encode_header())
-                self.salt = LEDGER_SALT
-        return self._fd
-
-    def _seal_torn_tail(self, fd: int) -> None:
-        """Terminate a torn trailing record before the first append.
-
-        A crash mid-append leaves the file ending without a newline;
-        appending straight after it would glue the new record onto the
-        torn fragment — losing *both* on the next load.  Writing one
-        ``\\n`` turns the fragment into a lone corrupt line (skipped
-        with a warning) and keeps every later append intact.
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                last = handle.read(1)
-        except OSError:
-            return
-        if last != b"\n":
-            os.write(fd, b"\n")
-            os.fsync(fd)
 
     @staticmethod
     def encode_header(salt: str = LEDGER_SALT) -> bytes:
@@ -263,24 +181,26 @@ class ResultLedger:
     def put(self, key: str, value: Any) -> None:
         """Append one result crash-safely and index it (last wins).
 
-        The record is written with one ``os.write`` on an ``O_APPEND``
-        descriptor and fsynced before :meth:`put` returns — once it
-        returns, the result survives a crash, and concurrent writers
-        never interleave within a record.
+        Once :meth:`put` returns the result survives a crash; if the
+        append raises (``OSError``: failed or short write) the key is
+        *not* indexed — nothing is served that is not on disk.
         """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         ts = time.time()
         line = self.encode_record(key, payload, ts)
-        fd = self._ensure_fd()
-        os.write(fd, line)
-        os.fsync(fd)
+        # A brand-new ledger leads with a header naming the salt its
+        # keys were derived under (the merge tool's safety check), in
+        # the first record's write.  Two writers racing on creation may
+        # both append one — duplicates are harmless on load.
+        fresh = self._log.open()
+        self._log.append(self.encode_header() + line if fresh else line)
+        if fresh:
+            self.salt = LEDGER_SALT
         self._records[key] = payload
         self._ts[key] = ts
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._log.close()
 
     def __enter__(self) -> "ResultLedger":
         return self
@@ -307,10 +227,9 @@ class ResultLedger:
         newest records always survive; a bound smaller than one record
         plus the header empties the ledger).  Both bounds compose.
 
-        The replacement is written to a temporary sibling, fsynced, and
-        ``os.replace``d over the ledger, then the directory entry is
-        fsynced — a crash at any instant leaves either the old or the
-        new complete file.  Returns the number of evicted records.
+        The rewrite is atomic (:func:`~repro.experiments.appendlog
+        .atomic_write`): a crash at any instant leaves either the old
+        or the new complete file.  Returns the number of evicted records.
         """
         now = time.time() if now is None else now
         survivors: List[Tuple[str, bytes, float]] = [
@@ -340,37 +259,18 @@ class ResultLedger:
                 evict.add(i)
             encoded = [rec for i, rec in enumerate(encoded) if i not in evict]
         evicted = len(self._records) - len(encoded)
-        self.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, self.encode_header(self.salt or LEDGER_SALT))
-            for _, line, _ in encoded:
-                os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)
-        dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-        kept = {key for key, _, _ in encoded}
-        for key in list(self._records):
-            if key not in kept:
-                del self._records[key]
-                self._ts.pop(key, None)
-        self.salt = self.salt or LEDGER_SALT
+        salt = self.salt or LEDGER_SALT
+        self._log.rewrite(
+            [self.encode_header(salt)] + [line for _, line, _ in encoded]
+        )
+        self._records = {key: self._records[key] for key, _, _ in encoded}
+        self._ts = {key: ts for key, _, ts in encoded}
+        self.salt = salt
         self.dropped_records = 0
         return evicted
 
     def stats(self) -> Dict[str, Any]:
         """Operational summary: live records, bytes, salt, age span."""
-        try:
-            file_bytes = self.path.stat().st_size
-        except OSError:
-            file_bytes = 0
         live_bytes = sum(
             len(self.encode_record(key, payload, self._ts.get(key) or None))
             for key, payload in self._records.items()
@@ -379,7 +279,7 @@ class ResultLedger:
         return {
             "path": str(self.path),
             "records": len(self._records),
-            "file_bytes": file_bytes,
+            "file_bytes": self._log.size(),
             "live_bytes": live_bytes,
             "dropped_records": self.dropped_records,
             "salt": self.salt,
@@ -411,29 +311,28 @@ def merge_ledgers(
     different things.  Headerless (legacy) inputs are compatible with
     anything; the output always carries a header.
 
-    The output is written atomically (temp sibling + fsync +
-    ``os.replace`` + directory fsync), so it may safely be one of the
-    inputs.  Returns counts: ``records`` (live keys written),
-    ``duplicates`` (records superseded during the merge), ``skipped``
-    (torn/corrupt lines ignored).
+    The output is written atomically, so it may safely be one of the
+    inputs — but no other process may be appending to it meanwhile.
+    Each input is read exactly once.  Returns counts: ``records`` (live
+    keys written), ``duplicates`` (records superseded during the
+    merge), ``skipped`` (torn/corrupt lines ignored).
     """
-    out_path = Path(out_path)
     merged: Dict[str, Tuple[bytes, float]] = {}
     salts: Dict[str, str] = {}
     duplicates = 0
     skipped = 0
     for in_path in in_paths:
-        ledger = ResultLedger.__new__(ResultLedger)
-        ledger.path = Path(in_path)
-        ledger._records = {}
-        ledger._ts = {}
-        ledger.salt = None
-        ledger.dropped_records = 0
-        ledger._fd = None
-        if not ledger.path.exists():
+        if not Path(in_path).exists():
             raise LedgerMergeError(f"input ledger does not exist: {in_path}")
-        _refuse_version_mismatch(ledger.path)
-        ledger.load()
+        ledger = ResultLedger(in_path)
+        if ledger.foreign_versions:
+            # Silently dropping another version's records from the
+            # combined ledger would look like data loss.
+            raise LedgerMergeError(
+                f"{in_path}: contains record version "
+                f"{ledger.foreign_versions[0]!r} (this tool writes version "
+                f"{_RECORD_VERSION}); refusing to merge across format versions"
+            )
         if ledger.salt is not None:
             salts[str(in_path)] = ledger.salt
             if len(set(salts.values())) > 1:
@@ -450,44 +349,13 @@ def merge_ledgers(
                 duplicates += 1
             merged[key] = (payload, ledger._ts.get(key, 0.0))
     salt = next(iter(salts.values()), LEDGER_SALT)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, ResultLedger.encode_header(salt))
-        for key, (payload, ts) in merged.items():
-            os.write(fd, ResultLedger.encode_record(key, payload, ts or None))
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, out_path)
-    dir_fd = os.open(out_path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    atomic_write(
+        out_path,
+        [ResultLedger.encode_header(salt)] + [
+            ResultLedger.encode_record(key, payload, ts or None)
+            for key, (payload, ts) in merged.items()
+        ],
+    )
     return {
         "records": len(merged), "duplicates": duplicates, "skipped": skipped
     }
-
-
-def _refuse_version_mismatch(path: Path) -> None:
-    """Abort the merge if any parseable record has a foreign version.
-
-    A plain load *skips* such records (a miss only costs a recompute);
-    a merge must not — silently dropping another version's records
-    from the combined ledger would look like data loss.
-    """
-    for line in path.read_bytes().split(b"\n"):
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            continue  # torn/corrupt: the load pass warns and skips
-        if isinstance(obj, dict) and "v" in obj and obj["v"] != _RECORD_VERSION:
-            raise LedgerMergeError(
-                f"{path}: contains record version {obj['v']!r} "
-                f"(this tool writes version {_RECORD_VERSION}); refusing "
-                "to merge across format versions"
-            )

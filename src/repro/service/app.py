@@ -330,6 +330,26 @@ class CampaignService:
         if self.config.journal_max_bytes is not None:
             self._journal.maybe_compact(self.config.journal_max_bytes)
 
+    def _transition(
+        self, campaign: Campaign, state: str, now: float, **fields: Any
+    ) -> None:
+        """The one place a campaign changes state (caller holds the lock).
+
+        Advance in memory, then journal — always both, so "advanced"
+        and "journaled" cannot drift apart.  ``fields`` are the extras
+        of terminal records (counters, ``result``, ``error``).
+        """
+        campaign.advance(state, at=now)
+        self._journal_append(
+            {
+                "event": "state",
+                "id": campaign.campaign_id,
+                "state": state,
+                "ts": now,
+                **fields,
+            }
+        )
+
     # -- recovery ------------------------------------------------------
 
     def _recover(self) -> None:
@@ -380,15 +400,7 @@ class CampaignService:
                 # crash — journal the requeue so the file matches what
                 # the recovered service is about to do.
                 if campaign.state == RUNNING:
-                    campaign.advance(QUEUED, at=now)
-                    self._journal_append(
-                        {
-                            "event": "state",
-                            "id": cid,
-                            "state": QUEUED,
-                            "ts": now,
-                        }
-                    )
+                    self._transition(campaign, QUEUED, now)
                 self._queue.append(cid)
                 self.resumed += 1
         if self.recovered:
@@ -422,12 +434,8 @@ class CampaignService:
                             f"({self.config.max_queue} waiting)"
                         )
                     existing.reset_for_requeue()
-                    existing.advance(QUEUED, at=now)
                     self._specs[cid] = spec
-                    self._journal_append(
-                        {"event": "state", "id": cid, "state": QUEUED,
-                         "ts": now}
-                    )
+                    self._transition(existing, QUEUED, now)
                     self._queue.append(cid)
                     self._wake.notify_all()
                     return True, self._status_locked(cid)
@@ -496,11 +504,7 @@ class CampaignService:
                 except ValueError:
                     pass
                 campaign.cancel_requested = True
-                campaign.advance(CANCELLED, at=now)
-                self._journal_append(
-                    {"event": "state", "id": cid, "state": CANCELLED,
-                     "ts": now}
-                )
+                self._transition(campaign, CANCELLED, now)
             elif campaign.state == RUNNING:
                 campaign.cancel_requested = True
                 campaign.stop_event.set()
@@ -574,14 +578,9 @@ class CampaignService:
                     return
                 cid = self._queue.popleft()
                 campaign = self._campaigns[cid]
-                now = self._clock()
-                campaign.advance(RUNNING, at=now)
                 campaign.lane = lane
                 self._lanes[lane] = cid
-                self._journal_append(
-                    {"event": "state", "id": cid, "state": RUNNING,
-                     "ts": now}
-                )
+                self._transition(campaign, RUNNING, self._clock())
             started = time.monotonic()
             try:
                 self._run_campaign(campaign)
@@ -656,37 +655,28 @@ class CampaignService:
             campaign.executed = outcome.executed
             campaign.ledger_hits = outcome.ledger_hits
             campaign.failures = [failure_status(f) for f in outcome.failures]
-            record: Dict[str, Any] = {
-                "event": "state",
-                "id": cid,
-                "ts": now,
+            fields: Dict[str, Any] = {
                 "executed": campaign.executed,
                 "ledger_hits": campaign.ledger_hits,
                 "failures": campaign.failures,
             }
             if outcome.stopped:
                 if campaign.cancel_requested:
-                    campaign.advance(CANCELLED, at=now)
-                    record["state"] = CANCELLED
+                    state = CANCELLED
                 else:
                     # Graceful shutdown interrupted the run: back to the
                     # front of the queue, resumed on the next start.
-                    campaign.advance(QUEUED, at=now)
-                    record["state"] = QUEUED
+                    state = QUEUED
                     self._queue.appendleft(cid)
             elif not any(outcome.runs.values()):
+                state = FAILED
                 campaign.error = "every unit failed terminally"
-                campaign.advance(FAILED, at=now)
-                record["state"] = FAILED
-                record["error"] = campaign.error
+                fields["error"] = campaign.error
             else:
-                document = build_result_document(cid, spec, outcome)
-                campaign.result_json = canonical_json(document)
                 state = PARTIAL if outcome.failures else DONE
-                campaign.advance(state, at=now)
-                record["state"] = state
-                record["result"] = document
-            self._journal_append(record)
+                fields["result"] = build_result_document(cid, spec, outcome)
+                campaign.result_json = canonical_json(fields["result"])
+            self._transition(campaign, state, now, **fields)
 
     def _finish_exception(self, campaign: Campaign) -> None:
         import traceback
@@ -695,16 +685,7 @@ class CampaignService:
         with self._lock:
             campaign.lane = None
             campaign.error = traceback.format_exc(limit=20)
-            campaign.advance(FAILED, at=now)
-            self._journal_append(
-                {
-                    "event": "state",
-                    "id": campaign.campaign_id,
-                    "state": FAILED,
-                    "ts": now,
-                    "error": campaign.error,
-                }
-            )
+            self._transition(campaign, FAILED, now, error=campaign.error)
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,20 @@
 """Crash-safe campaign journal: the service's source of truth on disk.
 
 The daemon journals every externally visible lifecycle fact *before*
-acknowledging it — a campaign is journaled ``submitted`` before the
-202 goes out, every state transition is journaled as it happens, and
-the final ``done``/``partial`` record carries the canonical result
-document.  After any crash — ``kill -9`` included — a restarted
-service replays the journal and knows every campaign ever accepted,
-its last state, and its result if it finished; campaigns that were
-queued or running resume (their completed units are already in the
-shared result ledger, so only the missing units recompute).
+acknowledging it — ``submitted`` before the 202 goes out, every state
+transition as it happens, the canonical result document with the final
+``done``/``partial`` — so after any crash, ``kill -9`` included, a
+restarted service replays the journal and knows every campaign ever
+accepted, its last state, and its result if it finished
+(``docs/service.md``, "Crash recovery").
 
-The file discipline is exactly the result ledger's
-(:mod:`repro.experiments.ledger`): one JSON object per line, each
-append a single ``os.write`` on an ``O_APPEND`` descriptor followed by
-``fsync``; a torn trailing line (crash mid-append) is sealed with a
-newline before the first new append and skipped with a warning on
-replay; corrupt interior lines are likewise skipped.  Each line is
-``{"v": 1, "body": {...}, "sha": sha256(canonical_json(body))}`` — the
-digest catches bit rot the same way the ledger's ``psha`` does.
+The file discipline — fsynced single-write appends, torn-tail seal,
+tolerant replay, atomic rewrite — is :mod:`repro.experiments.appendlog`'s,
+shared with the result ledger and described once in
+``docs/robustness.md``; this module is the journal's schema.  Each line
+is ``{"v": 1, "body": {...}, "sha": sha256(canonical_json(body))}`` —
+the digest covers the whole body, so bit rot anywhere in a record
+drops that record instead of replaying a wrong fact.
 
 Record bodies (``body["event"]``):
 
@@ -41,27 +38,16 @@ Replay folds records in file order: last state wins, exactly one
 service API, which journals only the first), unknown-id state records
 are skipped with a warning, a ``snapshot`` replaces everything known
 about the campaigns it lists.
-
-**Rotation** gives the journal the ledger's lifecycle treatment: the
-file grows with every lifecycle fact by design, so :meth:`compact`
-atomically rewrites it as a single snapshot record (temp sibling +
-``fsync`` + ``os.replace`` + directory fsync — the exact discipline of
-:meth:`repro.experiments.ledger.ResultLedger.compact`), optionally
-evicting *terminal* campaigns older than an age bound (non-terminal
-campaigns are never evicted: dropping one would forget accepted work).
-:meth:`maybe_compact` is the size-triggered form the live service
-calls after appends.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.experiments.appendlog import AppendLog
 from repro.experiments.canonical import canonical_bytes, canonical_json, sha256_hex
 from repro.service.state import TERMINAL_STATES
 
@@ -69,45 +55,18 @@ logger = logging.getLogger("repro.service.journal")
 
 _JOURNAL_VERSION = 1
 
-#: Events replay folds into campaign state.
-_STATE_EVENTS = frozenset({"submitted", "state"})
-
 
 class CampaignJournal:
     """Append-only, fsynced journal of campaign lifecycle records."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._fd: Optional[int] = None
+        self._log = AppendLog(self.path, logger)
         #: Size of the snapshot the last :meth:`compact` wrote — the
         #: floor below which :meth:`maybe_compact` refuses to thrash.
         self._last_compact_bytes = 0
 
     # -- appends -------------------------------------------------------
-
-    def _ensure_fd(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            self._seal_torn_tail(self._fd)
-        return self._fd
-
-    def _seal_torn_tail(self, fd: int) -> None:
-        """Newline-terminate a torn tail so new appends stay parseable."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                last = handle.read(1)
-        except OSError:
-            return
-        if last != b"\n":
-            os.write(fd, b"\n")
-            os.fsync(fd)
 
     @staticmethod
     def encode_record(body: Dict[str, Any]) -> bytes:
@@ -119,16 +78,15 @@ class CampaignJournal:
         return (line + "\n").encode("ascii")
 
     def append(self, body: Dict[str, Any]) -> None:
-        """Durably append one record; returns only after ``fsync``."""
-        line = self.encode_record(body)
-        fd = self._ensure_fd()
-        os.write(fd, line)
-        os.fsync(fd)
+        """Durably append one record; returns only after ``fsync``.
+
+        Raises ``OSError`` on a failed or short write: the caller must
+        not acknowledge what the record says.
+        """
+        self._log.append(self.encode_record(body))
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._log.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self
@@ -147,105 +105,95 @@ class CampaignJournal:
         ``state`` present when the winning records carried them), and
         the count of torn/corrupt lines skipped.
         """
-        campaigns: Dict[str, Dict[str, Any]] = {}
-        dropped = 0
-        if not self.path.exists():
-            return campaigns, dropped
-        data = self.path.read_bytes()
-        lines = data.split(b"\n")
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            body = self._parse_line(line, lineno, torn=(lineno == len(lines)))
-            if body is None:
-                dropped += 1
-                continue
-            event = body.get("event")
-            if event == "submitted":
-                cid = body.get("id")
-                spec = body.get("spec")
-                if not isinstance(cid, str) or not isinstance(spec, dict):
-                    logger.warning(
-                        "%s: malformed submitted record at line %d",
-                        self.path, lineno,
-                    )
-                    dropped += 1
-                    continue
-                entry = campaigns.setdefault(
-                    cid, {"spec": spec, "state": "queued"}
-                )
-                entry["spec"] = spec
-                entry.setdefault("ts", body.get("ts"))
-            elif event == "state":
-                cid = body.get("id")
-                state = body.get("state")
-                if not isinstance(cid, str) or not isinstance(state, str):
-                    logger.warning(
-                        "%s: malformed state record at line %d",
-                        self.path, lineno,
-                    )
-                    dropped += 1
-                    continue
-                entry = campaigns.get(cid)
-                if entry is None:
-                    logger.warning(
-                        "%s: state record for unknown campaign %s at "
-                        "line %d; skipping", self.path, cid[:12], lineno,
-                    )
-                    dropped += 1
-                    continue
-                entry["state"] = state
-                entry["ts"] = body.get("ts", entry.get("ts"))
-                for field in (
-                    "result", "executed", "ledger_hits", "failures", "error"
-                ):
-                    if field in body:
-                        entry[field] = body[field]
-            elif event == "snapshot":
-                listed = body.get("campaigns")
-                if not isinstance(listed, list):
-                    logger.warning(
-                        "%s: malformed snapshot record at line %d",
-                        self.path, lineno,
-                    )
-                    dropped += 1
-                    continue
-                for item in listed:
-                    if not isinstance(item, dict):
-                        continue
-                    cid = item.get("id")
-                    spec = item.get("spec")
-                    if not isinstance(cid, str) or not isinstance(spec, dict):
-                        logger.warning(
-                            "%s: malformed snapshot entry at line %d",
-                            self.path, lineno,
-                        )
-                        continue
-                    entry = {k: v for k, v in item.items() if k != "id"}
-                    entry.setdefault("state", "queued")
-                    # The snapshot supersedes everything known so far
-                    # about this campaign (it *is* the fold of every
-                    # earlier record), and fixes the listing order.
-                    campaigns.pop(cid, None)
-                    campaigns[cid] = entry
-            elif event == "checkpoint":
-                continue
-            else:
-                logger.warning(
-                    "%s: unknown event %r at line %d; skipping",
-                    self.path, event, lineno,
-                )
-                dropped += 1
+        campaigns, dropped, _, _ = self._fold()
         return campaigns, dropped
+
+    def _fold(self) -> Tuple[Dict[str, Dict[str, Any]], int, int, int]:
+        """One pass: ``(campaigns, dropped, records, snapshots)``."""
+        campaigns: Dict[str, Dict[str, Any]] = {}
+        snapshots = 0
+        for lineno, where, record in self._log.records():
+            try:
+                body = self._decode(record)
+                self._apply(campaigns, body)
+            except ValueError as exc:
+                self._log.skip(lineno, where, str(exc))
+                continue
+            if body["event"] == "snapshot":
+                snapshots += 1
+        return campaigns, self._log.dropped, self._log.lines, snapshots
+
+    @staticmethod
+    def _decode(record: Any) -> Dict[str, Any]:
+        """Check one parsed line's frame and digest; return its body."""
+        if (
+            not isinstance(record, dict)
+            or record.get("v") != _JOURNAL_VERSION
+            or not isinstance(record.get("body"), dict)
+            or not isinstance(record.get("sha"), str)
+        ):
+            raise ValueError("missing/invalid fields")
+        body = record["body"]
+        try:
+            digest = sha256_hex(canonical_bytes(body))
+        except Exception:
+            digest = None
+        if digest != record["sha"]:
+            raise ValueError("body digest mismatch")
+        return body
+
+    def _apply(self, campaigns: Dict[str, Any], body: Dict[str, Any]) -> None:
+        """Fold one record body in; ``ValueError(reason)`` to skip it."""
+        event = body.get("event")
+        cid = body.get("id")
+        if event == "submitted":
+            spec = body.get("spec")
+            if not isinstance(cid, str) or not isinstance(spec, dict):
+                raise ValueError("malformed submitted record")
+            entry = campaigns.setdefault(cid, {"spec": spec, "state": "queued"})
+            entry["spec"] = spec
+            entry.setdefault("ts", body.get("ts"))
+        elif event == "state":
+            state = body.get("state")
+            if not isinstance(cid, str) or not isinstance(state, str):
+                raise ValueError("malformed state record")
+            entry = campaigns.get(cid)
+            if entry is None:
+                raise ValueError(f"state for unknown campaign {cid[:12]}")
+            entry["state"] = state
+            entry["ts"] = body.get("ts", entry.get("ts"))
+            for field in (
+                "result", "executed", "ledger_hits", "failures", "error"
+            ):
+                if field in body:
+                    entry[field] = body[field]
+        elif event == "snapshot":
+            listed = body.get("campaigns")
+            if not isinstance(listed, list):
+                raise ValueError("malformed snapshot record")
+            for item in listed:
+                if not (
+                    isinstance(item, dict)
+                    and isinstance(item.get("id"), str)
+                    and isinstance(item.get("spec"), dict)
+                ):
+                    logger.warning("%s: malformed snapshot entry", self.path)
+                    continue
+                entry = {k: v for k, v in item.items() if k != "id"}
+                entry.setdefault("state", "queued")
+                # The snapshot supersedes everything known so far
+                # about this campaign (it *is* the fold of every
+                # earlier record), and fixes the listing order.
+                campaigns.pop(item["id"], None)
+                campaigns[item["id"]] = entry
+        elif event != "checkpoint":
+            raise ValueError(f"unknown event {event!r}")
 
     # -- rotation ------------------------------------------------------
 
     def size(self) -> int:
         """Current on-disk size in bytes (0 when the file is missing)."""
-        try:
-            return self.path.stat().st_size
-        except OSError:
-            return 0
+        return self._log.size()
 
     def compact(
         self,
@@ -257,9 +205,10 @@ class CampaignJournal:
 
         The replacement holds a single ``snapshot`` record folding the
         current file (snapshot + tail included, recursively), written
-        with the ledger-compaction discipline: temp sibling, ``fsync``,
-        ``os.replace``, directory fsync — a crash at any instant leaves
-        either the old or the new complete file, never a torn one.
+        by :func:`~repro.experiments.appendlog.atomic_write`: a crash
+        at any instant leaves the old or the new complete file.  Safe
+        under the service lock (the daemon's one appender holds it);
+        from the CLI only while no daemon has the journal open.
 
         With ``max_age_seconds`` set, **terminal** campaigns whose last
         transition is older than the bound are evicted; queued/running
@@ -290,21 +239,7 @@ class CampaignJournal:
                 ],
             }
         )
-        self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)
-        dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        self._log.rewrite([line])
         self._last_compact_bytes = len(line)
         return {
             "campaigns": len(survivors),
@@ -337,24 +272,7 @@ class CampaignJournal:
 
     def stats(self) -> Dict[str, Any]:
         """Operational summary: records, folded campaigns, liveness."""
-        records = 0
-        snapshots = 0
-        if self.path.exists():
-            for line in self.path.read_bytes().split(b"\n"):
-                if not line:
-                    continue
-                records += 1
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue
-                if (
-                    isinstance(obj, dict)
-                    and isinstance(obj.get("body"), dict)
-                    and obj["body"].get("event") == "snapshot"
-                ):
-                    snapshots += 1
-        entries, dropped = self.replay()
+        entries, dropped, records, snapshots = self._fold()
         active = sum(
             1 for entry in entries.values()
             if entry.get("state") not in TERMINAL_STATES
@@ -368,37 +286,3 @@ class CampaignJournal:
             "active_campaigns": active,
             "dropped_records": dropped,
         }
-
-    def _parse_line(self, line: bytes, lineno: int, torn: bool):
-        where = "torn trailing" if torn else "corrupt"
-        try:
-            record = json.loads(line)
-        except ValueError:
-            logger.warning(
-                "%s: skipping %s record at line %d (unparseable JSON)",
-                self.path, where, lineno,
-            )
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("v") != _JOURNAL_VERSION
-            or not isinstance(record.get("body"), dict)
-            or not isinstance(record.get("sha"), str)
-        ):
-            logger.warning(
-                "%s: skipping %s record at line %d (missing/invalid fields)",
-                self.path, where, lineno,
-            )
-            return None
-        body = record["body"]
-        try:
-            digest = sha256_hex(canonical_bytes(body))
-        except Exception:
-            digest = None
-        if digest != record["sha"]:
-            logger.warning(
-                "%s: skipping %s record at line %d (body digest mismatch)",
-                self.path, where, lineno,
-            )
-            return None
-        return body

@@ -34,14 +34,17 @@ SPEC = {
 class ServiceClient:
     """One live service instance plus a blocking JSON client for it."""
 
-    def __init__(self, tmp_path, *, start_executor=True, **config_overrides):
+    def __init__(
+        self, tmp_path, *, start_executor=True, clock=time.time,
+        **config_overrides,
+    ):
         settings = dict(
             journal_path=tmp_path / "journal.jsonl",
             ledger_path=tmp_path / "ledger.jsonl",
             workers=1,
         )
         settings.update(config_overrides)
-        self.service = CampaignService(ServiceConfig(**settings))
+        self.service = CampaignService(ServiceConfig(**settings), clock=clock)
         self.server = CampaignHTTPServer(("127.0.0.1", 0), self.service)
         if start_executor:
             self.service.start()
@@ -544,3 +547,85 @@ class TestLaneStatus:
             assert "lane" not in final
         finally:
             fixture.close()
+
+
+class TestJournalBytes:
+    """Every state transition journals exactly one record, byte-pinned.
+
+    With a fixed ``clock`` the journal is a pure function of what the
+    service was asked to do; the expected file is rebuilt here from
+    first principles (one body per lifecycle fact), so a transition
+    that advances in memory without journaling — or journals other
+    fields — changes the bytes.
+    """
+
+    NOW = 1234.5
+
+    def test_fixed_clock_journal_is_byte_identical(self, tmp_path, monkeypatch):
+        from repro.service.journal import CampaignJournal
+
+        def state(cid, name, **fields):
+            return dict(
+                fields, event="state", id=cid, state=name, ts=self.NOW
+            )
+
+        def submitted(cid, spec):
+            return {"event": "submitted", "id": cid, "spec": spec,
+                    "ts": self.NOW}
+
+        def boom(spec):
+            raise RuntimeError("boom")
+
+        checkpoint = {"event": "checkpoint", "ts": self.NOW,
+                      "reason": "shutdown"}
+        first = ServiceClient(
+            tmp_path, start_executor=False, clock=lambda: self.NOW
+        )
+        try:
+            # submit -> cancel while queued -> resubmit -> run to done
+            _, doc, _ = first.request("POST", "/campaigns", SPEC)
+            good = doc["id"]
+            first.request("POST", f"/campaigns/{good}/cancel")
+            first.request("POST", "/campaigns", SPEC)
+            first.service.start()
+            done = first.wait_terminal(good)
+            assert done["state"] == "done"
+            _, result, _ = first.request("GET", f"/campaigns/{good}/result")
+            # a campaign whose execution raises lands in failed
+            monkeypatch.setattr(first.service, "_graph_for", boom)
+            _, doc, _ = first.request(
+                "POST", "/campaigns", dict(SPEC, instances=1)
+            )
+            bad = doc["id"]
+            failed = first.wait_terminal(bad)
+            assert failed["state"] == "failed" and "boom" in failed["error"]
+        finally:
+            first.close()
+        expected = [
+            submitted(good, done["spec"]),
+            state(good, "cancelled"),
+            state(good, "queued"),
+            state(good, "running"),
+            state(good, "done", executed=4, ledger_hits=0, failures=[],
+                  result=result),
+            submitted(bad, failed["spec"]),
+            state(bad, "running"),
+            state(bad, "failed", error=failed["error"]),
+            checkpoint,
+        ]
+        # A crash mid-run leaves "running" as the last word; recovery
+        # journals the requeue it performs.
+        crashed = [submitted("c" * 64, done["spec"]),
+                   state("c" * 64, "running")]
+        with CampaignJournal(tmp_path / "journal.jsonl") as journal:
+            for body in crashed:
+                journal.append(body)
+        second = ServiceClient(
+            tmp_path, start_executor=False, clock=lambda: self.NOW
+        )
+        assert second.service.resumed == 1
+        second.close()
+        expected += crashed + [state("c" * 64, "queued"), checkpoint]
+        assert (tmp_path / "journal.jsonl").read_bytes() == b"".join(
+            CampaignJournal.encode_record(body) for body in expected
+        )

@@ -147,6 +147,31 @@ def test_robustness_covers_the_contract():
         assert topic in text, f"robustness guide lost its {topic!r} coverage"
 
 
+def test_file_discipline_has_one_owner():
+    """Fix it in one place, enforced: only ``appendlog.py`` opens a log
+    for append, fsyncs, or replaces a file — the ledger and the journal
+    are schemas over it and touch no file descriptor themselves."""
+    package = REPO / "src" / "repro"
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in package.rglob("*.py")
+    }
+    owner = "experiments/appendlog.py"
+    allowed = {
+        "os.fsync(": {owner},
+        "os.replace(": {owner},
+        # faults.py: the cross-process firing counter, not a log.
+        "os.O_APPEND": {owner, "experiments/faults.py"},
+    }
+    for token, owners in allowed.items():
+        users = {name for name, text in sources.items() if token in text}
+        assert owner in users, f"{owner} no longer uses {token}"
+        assert users <= owners, f"{token} outside its owner: {users - owners}"
+    for schema in ("experiments/ledger.py", "service/journal.py"):
+        for token in ("os.write(", "os.open(", "os.fsync(", "os.replace("):
+            assert token not in sources[schema], f"{schema} uses {token}"
+
+
 def test_readme_documents_resumable_campaigns():
     text = README.read_text()
     assert "## Resumable campaigns" in text
