@@ -353,16 +353,15 @@ def test_phi_distribution_warm_cache(benchmark, graph, perf_records):
 @pytest.mark.parametrize("protocol", ["bgp", "rbgp", "rbgp-norci", "stamp"])
 def test_transient_analysis(benchmark, graph, perf_records, protocol):
     """Trace replay + classification for one single-link-failure run."""
-    scenario = single_provider_link_failure(graph, random.Random("bench:0"))
-    network, plane = build_network(protocol, graph, scenario.destination, seed=0)
+    episode = single_provider_link_failure(graph, random.Random("bench:0"))
+    links = [event.link for _, event in episode.steps]
+    network, plane = build_network(protocol, graph, episode.destination, seed=0)
     network.start()
     initial_state = network.forwarding_state()
-    for a, b in scenario.failed_links:
+    for a, b in links:
         network.fail_link(a, b)
     network.run_to_convergence()
-    failed_links = frozenset(
-        normalize_link(a, b) for a, b in scenario.failed_links
-    )
+    failed_links = frozenset(normalize_link(a, b) for a, b in links)
 
     report = benchmark(
         analyze_transient_problems,

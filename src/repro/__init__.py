@@ -7,8 +7,8 @@ evaluated against: an AS-level BGP simulator with Gao-Rexford policies,
 the R-BGP baseline (with and without RCI), Internet-like topology
 generation, Gao's relationship-inference algorithm, data-plane walk
 analysis, and the full experiment harness regenerating the paper's
-figures.  See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results.
+figures.  See ``docs/architecture.md`` for the system inventory and
+``README.md`` for how to regenerate each figure.
 """
 
 from repro.types import ASN, ASPath, Color, EventType, Outcome, Relationship
@@ -29,8 +29,8 @@ from repro.analysis import (
 )
 from repro.experiments import (
     ExperimentConfig,
-    Scenario,
-    run_scenario,
+    Episode,
+    run_episode,
     fig1_phi_cdf,
     fig2_single_link_failure,
     fig3a_two_links_distinct_as,
@@ -60,8 +60,8 @@ __all__ = [
     "phi_distribution",
     "phi_for_destination",
     "ExperimentConfig",
-    "Scenario",
-    "run_scenario",
+    "Episode",
+    "run_episode",
     "fig1_phi_cdf",
     "fig2_single_link_failure",
     "fig3a_two_links_distinct_as",

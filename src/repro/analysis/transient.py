@@ -19,9 +19,8 @@ per-instant cost from O(all eligible walks) into O(affected walks).
 :func:`_reference_analyze_transient_problems` keeps the full-rescan
 implementation for equivalence tests.
 
-Timed episodes (:mod:`repro.experiments.scenarios`) generalize the
-single-event analysis to a *sequence* of :class:`EpisodeSegment`
-phases, each with its own failure state:
+An episode (:mod:`repro.experiments.scenarios`) is a *sequence* of
+:class:`EpisodeSegment` phases, each with its own failure state:
 :func:`analyze_episode_transient_problems` produces one
 :class:`TransientReport` per phase (disruption attributable to each
 injected event) plus an episode-wide overall report whose problem
@@ -101,16 +100,14 @@ def analyze_transient_problems(
     *,
     failed_links: FrozenSet[Link] = frozenset(),
     failed_ases: FrozenSet[ASN] = frozenset(),
-    pre_event_state: Optional[Dict] = None,
-    include_detection_instant: bool = False,
     min_duration: float = 0.0,
-    exclude_sources: FrozenSet[ASN] = frozenset(),
 ) -> TransientReport:
-    """Replay a trace and count affected ASes.
+    """Replay one event's trace and count affected ASes.
 
-    ``initial_state`` is the control-plane state at the instant the
-    event fires (trace key space).  ``pre_event_state`` defaults to
-    ``initial_state`` evaluated *without* failures and determines
+    The one-segment case of :func:`analyze_episode_transient_problems`,
+    for callers that drive a network by hand.  ``initial_state`` is the
+    control-plane state at the instant the event fires (trace key
+    space); evaluated *without* failures it also determines
     eligibility (ASes that could deliver before the event).
 
     The first classified snapshot is the event instant *after* the
@@ -118,42 +115,23 @@ def analyze_transient_problems(
     simulator).  This matches the paper's Theorem 5.1, which promises
     protection "once the ASes adjacent to where the routing event
     occurred have detected the event"; the un-detectable in-flight
-    window penalizes every protocol identically and can be included
-    with ``include_detection_instant=True``.
+    window penalizes every protocol identically and is not classified.
 
     ``min_duration`` (optional) filters micro-outages: an AS counts as
     affected only if some continuous problem interval lasts at least
     this many simulated seconds.  The default (0.0) counts a problem at
     any instant, which is the strictest reading of the paper's metric.
-
-    ``exclude_sources`` removes additional ASes from eligibility
-    without treating them as failed for walk classification — the
-    episode analyzer uses it for routers that were down when a phase's
-    events fired (they cannot be victims of the phase, but traffic may
-    legitimately flow *through* them once restored).
     """
-    all_ases = list(ases)
-    baseline_state = pre_event_state if pre_event_state is not None else initial_state
-    # One table serves the whole analysis: built failure-free over the
-    # baseline it answers eligibility, then it is patched to the event
-    # instant (snapshot diff, failure sets) like any phase boundary.
-    engine = _IncrementalScan(plane, baseline_state)
-    report = TransientReport(
-        eligible=_delivered_sources(engine.table, all_ases)
-        - set(failed_ases)
-        - set(exclude_sources)
+    segment = EpisodeSegment(
+        trace=trace,
+        initial_state=initial_state,
+        failed_links=failed_links,
+        failed_ases=failed_ases,
+        start_time=trace.changes[0].time if trace.changes else 0.0,
     )
-    if not report.eligible:
-        return report
-    engine.main = _PhaseTracker(report, min_duration)
-    engine.begin_segment(initial_state, failed_links, failed_ases)
-
-    if include_detection_instant:
-        event_time = trace.changes[0].time if trace.changes else 0.0
-        engine.scan(initial_state, event_time, None)
-    for time, state, changed in trace.replay_with_changes(initial_state):
-        engine.scan(state, time, changed)
-    return engine.main.finalize(engine.table)
+    return analyze_episode_transient_problems(
+        [segment], plane, ases, min_duration=min_duration
+    ).overall
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +198,8 @@ class _PhaseTracker:
     fold in the table's outcome transitions, and :meth:`finalize`
     separates permanent unreachability from transient problems and
     closes the still-open intervals.  A phase's tracker lives for one
-    segment and skips boundary scans (an episode-level concept the
-    standalone per-phase semantics never see); the episode-wide
+    segment, from after its boundary scan (an episode-level concept
+    the standalone per-phase semantics never see); the episode-wide
     tracker observes every scan of every segment, which is how its
     intervals span phase boundaries.
     """
@@ -321,7 +299,7 @@ class _PhaseTracker:
 
 
 class _IncrementalScan:
-    """The incremental scan engine shared by both analyzers.
+    """The incremental scan engine of the analyzer.
 
     Owns the plane's successor table over one snapshot lineage — built
     failure-free over the first snapshot, then *patched* across every
@@ -374,11 +352,7 @@ class _IncrementalScan:
         self._last_state = initial_state
 
     def scan(
-        self,
-        state: Dict,
-        time: float,
-        changed_keys: Optional[set],
-        phase_boundary: bool = False,
+        self, state: Dict, time: float, changed_keys: Optional[set]
     ) -> None:
         table = self.table
         if changed_keys:
@@ -390,7 +364,7 @@ class _IncrementalScan:
         transitions = table.collect_transitions()
         if self.main is not None:
             self.main.observe(table, transitions, time)
-        if self.phase is not None and not phase_boundary:
+        if self.phase is not None:
             self.phase.observe(table, transitions, time)
         self._last_state = state
 
@@ -402,7 +376,7 @@ def _episode_eligibility(
 ) -> Set[ASN]:
     """Pre-episode connectivity baseline minus every ever-failed AS.
 
-    Mirrors the single-event analyzer: the baseline classification
+    The reference twin's copy of the rule: the baseline classification
     ignores failure sets (pre-event connectivity — the post-initial-
     convergence control plane has already routed around any pre-failed
     links), and ASes that are themselves failed at any point of the
@@ -425,7 +399,7 @@ def analyze_episode_transient_problems(
     *,
     min_duration: float = 0.0,
 ) -> EpisodeTransientReport:
-    """Analyze one multi-phase episode run.
+    """Analyze one episode run: one phase or many.
 
     One replay pass serves both views.  The overall report runs the
     incremental engine over all segments with one interval tracker; at
@@ -435,69 +409,80 @@ def analyze_episode_transient_problems(
     synchronous reactions first, and scanning the unchanged state when
     there are none (a link restore flips walk outcomes without
     touching a single trace key).  The per-phase attribution reports
-    (identical to running :func:`analyze_transient_problems` on each
-    segment in isolation — the equivalence tests pin this) are derived
-    from the same pass by a per-segment :class:`_PhaseTracker`, with
-    phase eligibility (failure-free delivery at the phase's start)
-    served by a second, failure-free table synced once per boundary.
-    For a single-segment episode the overall report is identical to
-    the single-event analyzer's.
+    (identical to analyzing each segment in isolation — the
+    equivalence tests pin this) are derived from the same pass by a
+    per-segment :class:`_PhaseTracker`, with phase eligibility
+    (failure-free delivery at the phase's start) served by a second,
+    failure-free table built at the first boundary and synced once per
+    boundary after it.
+
+    A single-segment episode — the paper's single-instant workloads —
+    pays for neither: its one phase has the overall report's
+    eligibility by construction and no boundary scan to skip, so
+    ``phases[0]`` *is* ``overall`` (one table, one tracker).
     """
     segments = list(segments)
     if not segments:
         return EpisodeTransientReport(overall=TransientReport())
     all_ases = list(ases)
-    first = segments[0]
-    engine = _IncrementalScan(plane, first.initial_state)
-    shadow = plane._session_table(
-        first.initial_state, frozenset(), frozenset()
-    )
+    # One table serves the whole analysis: built failure-free over the
+    # first snapshot it answers pre-episode eligibility, then it is
+    # patched to each phase's failure sets (and snapshot) in turn.
+    engine = _IncrementalScan(plane, segments[0].initial_state)
+    delivered = _delivered_sources(engine.table, all_ases)
 
-    # Mirrors the single-event analyzer: the baseline ignores failure
-    # sets (pre-event connectivity), and ASes that are themselves
-    # failed at any point of the episode cannot "experience" problems.
+    # The baseline ignores failure sets (pre-event connectivity), and
+    # ASes that are themselves failed at any point of the episode
+    # cannot "experience" problems.
     ever_failed: Set[ASN] = set()
     for segment in segments:
         ever_failed |= segment.failed_ases
         ever_failed |= segment.failed_ases_at_start
-    report = TransientReport(
-        eligible=_delivered_sources(shadow, all_ases) - ever_failed
-    )
+    report = TransientReport(eligible=delivered - ever_failed)
     if report.eligible:
         engine.main = _PhaseTracker(report, min_duration)
+
+    shadow: Optional[SuccessorTable] = None
     phases: List[TransientReport] = []
     for index, segment in enumerate(segments):
         engine.begin_segment(
             segment.initial_state, segment.failed_links, segment.failed_ases
         )
-        # Lazy shadow sync: keys that moved since the last boundary,
-        # at the values the boundary snapshot holds (a key that
-        # flapped back is dropped by the table itself).
-        for key in engine.moved:
-            shadow.update(key, segment.initial_state.get(key))
+        if index > 0:
+            if shadow is None:
+                shadow = plane._session_table(
+                    segment.initial_state, frozenset(), frozenset()
+                )
+            else:
+                # Lazy shadow sync: keys that moved since the last
+                # boundary, at the values the boundary snapshot holds
+                # (a key that flapped back is dropped by the table
+                # itself).
+                for key in engine.moved:
+                    shadow.update(key, segment.initial_state.get(key))
+                shadow.collect_transitions()
+            delivered = _delivered_sources(shadow, all_ases)
         engine.moved.clear()
-        shadow.collect_transitions()
-        # A router that was down when this phase fired cannot be a
-        # victim of the phase (its frozen pre-restore snapshot is not
-        # real connectivity).
-        phase_report = TransientReport(
-            eligible=_delivered_sources(shadow, all_ases)
-            - segment.failed_ases
-            - segment.failed_ases_at_start
-        )
-        if phase_report.eligible:
-            engine.phase = _PhaseTracker(phase_report, min_duration)
         changes = segment.trace.changes
         if index > 0 and (not changes or changes[0].time > segment.start_time):
             # Boundary scan: no synchronous reaction shares the
             # injection instant, so classify the unchanged state under
-            # the new failure sets.
-            engine.scan(
-                segment.initial_state,
-                segment.start_time,
-                None,
-                phase_boundary=True,
+            # the new failure sets.  An episode-level instant: the
+            # phase's own tracker is installed after it.
+            engine.scan(segment.initial_state, segment.start_time, None)
+        if len(segments) == 1:
+            phase_report = report
+        else:
+            # A router that was down when this phase fired cannot be a
+            # victim of the phase (its frozen pre-restore snapshot is
+            # not real connectivity).
+            phase_report = TransientReport(
+                eligible=delivered
+                - segment.failed_ases
+                - segment.failed_ases_at_start
             )
+            if phase_report.eligible:
+                engine.phase = _PhaseTracker(phase_report, min_duration)
         for time, state, changed in segment.trace.replay_with_changes(
             segment.initial_state
         ):
@@ -629,8 +614,6 @@ def _reference_analyze_transient_problems(
     *,
     failed_links: FrozenSet[Link] = frozenset(),
     failed_ases: FrozenSet[ASN] = frozenset(),
-    pre_event_state: Optional[Dict] = None,
-    include_detection_instant: bool = False,
     min_duration: float = 0.0,
     exclude_sources: FrozenSet[ASN] = frozenset(),
 ) -> TransientReport:
@@ -638,13 +621,16 @@ def _reference_analyze_transient_problems(
 
     Re-classifies every eligible AS at every instant.  Kept as the
     brute-force reference the incremental implementation is pinned to
-    in the equivalence tests.
+    in the equivalence tests.  ``exclude_sources`` removes ASes from
+    eligibility without failing them for walk classification — the
+    episode twin passes the routers that were down when a phase fired
+    (not its victims, but traffic may flow *through* them once
+    restored).
     """
     report = TransientReport()
     all_ases = list(ases)
 
-    baseline_state = pre_event_state if pre_event_state is not None else initial_state
-    baseline = plane.classify(baseline_state, all_ases)
+    baseline = plane.classify(initial_state, all_ases)
     report.eligible = (
         {asn for asn in all_ases if baseline.get(asn) is Outcome.DELIVERED}
         - set(failed_ases)
@@ -685,10 +671,6 @@ def _reference_analyze_transient_problems(
             problem_since[asn][1].add(outcome)
         report.timeline.append((time, len(report.affected)))
         report.problem_timeline.append((time, problems_now))
-
-    if include_detection_instant:
-        event_time = trace.changes[0].time if trace.changes else 0.0
-        scan(dict(initial_state), event_time)
 
     final_state = dict(initial_state)
     for time, state in trace.replay(initial_state):

@@ -1,4 +1,4 @@
-"""Experiment harness: scenarios, protocol runners, figure regeneration.
+"""Experiment harness: episodes, the protocol runner, figure regeneration.
 
 Each figure/table of the paper's evaluation maps to one function in
 :mod:`repro.experiments.figures`; the pytest-benchmark targets under
@@ -9,13 +9,11 @@ from repro.experiments.scenarios import (
     Episode,
     EpisodeEvent,
     EventKind,
-    Scenario,
     single_provider_link_failure,
     two_link_failures_distinct_as,
     two_link_failures_same_as,
     provider_node_failure,
     link_recovery,
-    episode_from_scenario,
     fail_as,
     fail_link,
     restore_as,
@@ -28,9 +26,7 @@ from repro.experiments.runner import (
     EpisodePhase,
     EpisodeRun,
     ExperimentConfig,
-    ProtocolRun,
     run_episode,
-    run_scenario,
     PROTOCOLS,
 )
 from repro.experiments.canonical import (
@@ -51,7 +47,6 @@ from repro.experiments.parallel import CampaignOutcome, ParallelRunner
 from repro.experiments.figures import (
     Figure1Data,
     FailureFigureData,
-    EpisodeCampaignData,
     episode_campaign,
     link_flap_comparison,
     fig1_phi_cdf,
@@ -72,9 +67,6 @@ __all__ = [
     "EventKind",
     "EpisodePhase",
     "EpisodeRun",
-    "EpisodeCampaignData",
-    "Scenario",
-    "episode_from_scenario",
     "fail_as",
     "fail_link",
     "restore_as",
@@ -91,8 +83,6 @@ __all__ = [
     "provider_node_failure",
     "link_recovery",
     "ExperimentConfig",
-    "ProtocolRun",
-    "run_scenario",
     "PROTOCOLS",
     "Figure1Data",
     "FailureFigureData",

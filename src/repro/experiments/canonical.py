@@ -47,8 +47,10 @@ from repro.topology.graph import ASGraph
 #: Code-version salt folded into every unit key.  Bump when the result
 #: schema or the simulation semantics change in a result-visible way:
 #: all previously ledgered results then become unreachable (recomputed
-#: on demand) instead of silently wrong.
-LEDGER_SALT = "repro-unit-v1"
+#: on demand) instead of silently wrong.  v2: every unit value became
+#: an ``EpisodeRun`` — a v1 record would unpickle into a class that no
+#: longer exists.
+LEDGER_SALT = "repro-unit-v2"
 
 
 def _check_canonical(value: Any, path: str) -> Any:

@@ -2,8 +2,9 @@
 
 Each function returns a small dataclass with the series the paper
 plots, plus convenience summaries.  The ``benchmarks/`` tree exposes
-one pytest-benchmark target per figure that calls these and prints the
-paper-vs-measured comparison; EXPERIMENTS.md records the outcomes.
+one pytest-benchmark target per figure that calls these, prints the
+paper-vs-measured comparison and asserts the paper's qualitative
+shape; README.md ("Benchmarks and the perf gate") says how to run them.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ from repro.analysis.phi import (
 )
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.supervisor import UnitFailure
-from repro.experiments.runner import (
-    ExperimentConfig,
-    PROTOCOLS,
-    ProtocolRun,
-)
+from repro.experiments.runner import EpisodeRun, ExperimentConfig
 from repro.experiments.scenarios import (
     Episode,
-    Scenario,
     link_flap_episode,
     provider_node_failure,
     single_provider_link_failure,
@@ -44,7 +40,6 @@ from repro.experiments.scenarios import (
 from repro.topology.generators import generate_internet_topology
 from repro.topology.graph import ASGraph
 
-ScenarioBuilder = Callable[[ASGraph, random.Random], Scenario]
 EpisodeBuilder = Callable[[ASGraph, random.Random], Episode]
 
 
@@ -91,7 +86,11 @@ def fig1_phi_cdf(
 
 @dataclass
 class FailureFigureData:
-    """Mean affected-AS counts per protocol for one failure class.
+    """Per-protocol run lists of one campaign and their aggregates.
+
+    The ``mean_*`` aggregates read each run's episode-wide report (a
+    single-instant figure's only one); ``mean_affected_by_phase``
+    breaks a multi-phase campaign down by injection instant.
 
     ``failures`` is the campaign's structured failure report: units
     that exhausted every supervised retry.  A failed unit is omitted
@@ -101,7 +100,7 @@ class FailureFigureData:
     """
 
     scenario_kind: str
-    runs: Dict[str, List[ProtocolRun]] = field(default_factory=dict)
+    runs: Dict[str, List[EpisodeRun]] = field(default_factory=dict)
     failures: List[UnitFailure] = field(default_factory=list)
 
     def mean_affected(self) -> Dict[str, float]:
@@ -144,99 +143,6 @@ class FailureFigureData:
             if runs
         }
 
-
-def _failure_comparison(
-    builder: ScenarioBuilder,
-    kind: str,
-    config: Optional[ExperimentConfig],
-    graph: Optional[ASGraph],
-) -> FailureFigureData:
-    """Run one failure figure's (instance, protocol) grid.
-
-    Delegates to :class:`ParallelRunner`: ``config.workers`` processes
-    fan out the independent simulations under the supervised pool
-    (per-unit retry/timeout, structured failure reporting, optional
-    result ledger), and any worker count yields byte-identical
-    statistics (results are merged in canonical order and every unit
-    re-derives its seeds from the deterministic
-    ``f"{seed}:{kind}:{instance}"`` scheme).
-    """
-    config = config or ExperimentConfig()
-    if graph is None:
-        graph, _ = generate_internet_topology(config.topology)
-    runner = ParallelRunner(
-        workers=config.workers,
-        max_attempts=config.retries + 1,
-        unit_timeout=config.unit_timeout,
-        backoff_base=config.retry_backoff,
-        ledger_path=config.ledger_path,
-    )
-    outcome = runner.run_failure_comparison(
-        builder, kind, config.seed, config.n_instances, config.protocols, graph
-    )
-    return FailureFigureData(
-        scenario_kind=kind, runs=outcome.runs, failures=outcome.failures
-    )
-
-
-def fig2_single_link_failure(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Figure 2: single provider-link failure at a multi-homed AS."""
-    return _failure_comparison(
-        single_provider_link_failure, "fig2-single-link", config, graph
-    )
-
-
-def fig3a_two_links_distinct_as(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Figure 3(a): two simultaneous link failures at distinct ASes."""
-    return _failure_comparison(
-        two_link_failures_distinct_as, "fig3a-distinct-as", config, graph
-    )
-
-
-def fig3b_two_links_same_as(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Figure 3(b): two simultaneous link failures at the same AS."""
-    return _failure_comparison(
-        two_link_failures_same_as, "fig3b-same-as", config, graph
-    )
-
-
-def node_failure_comparison(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Section 6.2.2 text: single AS (node) failure comparison."""
-    return _failure_comparison(
-        provider_node_failure, "node-failure", config, graph
-    )
-
-
-# ----------------------------------------------------------------------
-# Episode campaigns — workloads beyond the paper's single instants
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class EpisodeCampaignData(FailureFigureData):
-    """Per-protocol :class:`EpisodeRun` lists of one episode campaign.
-
-    Inherits every aggregate of :class:`FailureFigureData` (episode
-    runs expose the same metric surface, computed from the
-    episode-wide overall report) and adds the per-phase breakdown.
-    """
-
     def n_phases(self) -> int:
         """Number of comparable phases per episode.
 
@@ -272,21 +178,83 @@ def episode_campaign(
     config: Optional[ExperimentConfig] = None,
     *,
     graph: Optional[ASGraph] = None,
-) -> EpisodeCampaignData:
+) -> FailureFigureData:
     """Sweep one episode family over instances x protocols.
 
-    The exact machinery of :func:`_failure_comparison` — the
-    multiprocessing fan-out included — applied to an episode builder:
-    every ``(instance, protocol)`` unit re-derives its episode from
-    the deterministic string-seeded RNG, and any worker count yields
-    byte-identical statistics (the campaign golden test pins this).
+    Every failure figure and every campaign is this one grid.
+    Delegates to :class:`ParallelRunner`: ``config.workers`` processes
+    fan out the independent simulations under the supervised pool
+    (per-unit retry/timeout, structured failure reporting, optional
+    result ledger), and any worker count yields byte-identical
+    statistics (results are merged in canonical order and every unit
+    re-derives its seeds from the deterministic
+    ``f"{seed}:{kind}:{instance}"`` scheme).
     """
-    data = _failure_comparison(builder, kind, config, graph)
-    return EpisodeCampaignData(
-        scenario_kind=data.scenario_kind,
-        runs=data.runs,
-        failures=data.failures,
+    config = config or ExperimentConfig()
+    if graph is None:
+        graph, _ = generate_internet_topology(config.topology)
+    runner = ParallelRunner(
+        workers=config.workers,
+        max_attempts=config.retries + 1,
+        unit_timeout=config.unit_timeout,
+        backoff_base=config.retry_backoff,
+        ledger_path=config.ledger_path,
     )
+    outcome = runner.run_failure_comparison(
+        builder, kind, config.seed, config.n_instances, config.protocols, graph
+    )
+    return FailureFigureData(
+        scenario_kind=kind, runs=outcome.runs, failures=outcome.failures
+    )
+
+
+def fig2_single_link_failure(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    graph: Optional[ASGraph] = None,
+) -> FailureFigureData:
+    """Figure 2: single provider-link failure at a multi-homed AS."""
+    return episode_campaign(
+        single_provider_link_failure, "fig2-single-link", config, graph=graph
+    )
+
+
+def fig3a_two_links_distinct_as(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    graph: Optional[ASGraph] = None,
+) -> FailureFigureData:
+    """Figure 3(a): two simultaneous link failures at distinct ASes."""
+    return episode_campaign(
+        two_link_failures_distinct_as, "fig3a-distinct-as", config, graph=graph
+    )
+
+
+def fig3b_two_links_same_as(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    graph: Optional[ASGraph] = None,
+) -> FailureFigureData:
+    """Figure 3(b): two simultaneous link failures at the same AS."""
+    return episode_campaign(
+        two_link_failures_same_as, "fig3b-same-as", config, graph=graph
+    )
+
+
+def node_failure_comparison(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    graph: Optional[ASGraph] = None,
+) -> FailureFigureData:
+    """Section 6.2.2 text: single AS (node) failure comparison."""
+    return episode_campaign(
+        provider_node_failure, "node-failure", config, graph=graph
+    )
+
+
+# ----------------------------------------------------------------------
+# Multi-phase campaigns — workloads beyond the paper's single instants
+# ----------------------------------------------------------------------
 
 
 def link_flap_comparison(
@@ -295,7 +263,7 @@ def link_flap_comparison(
     graph: Optional[ASGraph] = None,
     period: float = 40.0,
     flaps: int = 2,
-) -> EpisodeCampaignData:
+) -> FailureFigureData:
     """Campaign: a provider link flaps (fail/recover x ``flaps``).
 
     The episode-model counterpart of Figure 2: same single-link
@@ -404,8 +372,8 @@ def sec63_message_overhead(
     """Section 6.3: two processes cost less than 2x the updates."""
     config = config or ExperimentConfig()
     restricted = dataclasses.replace(config, protocols=("bgp", "stamp"))
-    data = _failure_comparison(
-        single_provider_link_failure, "sec63-overhead", restricted, graph
+    data = episode_campaign(
+        single_provider_link_failure, "sec63-overhead", restricted, graph=graph
     )
     initial = data.mean_initial_updates()
     episode = data.mean_updates()
@@ -441,8 +409,8 @@ def sec63_convergence_delay(
     """Section 6.3: STAMP converges no slower than BGP (data plane)."""
     config = config or ExperimentConfig()
     restricted = dataclasses.replace(config, protocols=("bgp", "stamp"))
-    data = _failure_comparison(
-        single_provider_link_failure, "sec63-delay", restricted, graph
+    data = episode_campaign(
+        single_provider_link_failure, "sec63-delay", restricted, graph=graph
     )
     times = data.mean_convergence_time()
     disruption = data.mean_disruption()

@@ -9,7 +9,7 @@ ledger recomputes only what is missing.
 
 Format: one JSON object per line, ``\\n``-terminated::
 
-    {"v": 1, "kind": "header", "salt": "repro-unit-v1"}
+    {"v": 1, "kind": "header", "salt": "repro-unit-v2"}
     {"v": 1, "key": "<64 hex>", "payload": "<base64 pickle>",
      "psha": "<sha256 hex of the pickle bytes>", "ts": 1727000000.123}
 
@@ -137,7 +137,10 @@ class ResultLedger:
         if sha256_hex(payload) != obj["psha"]:
             raise ValueError("payload digest mismatch")
         ts = obj.get("ts")
-        ts = float(ts) if isinstance(ts, (int, float)) else 0.0
+        try:
+            ts = float(ts) if isinstance(ts, (int, float)) else 0.0
+        except OverflowError:  # an integer no float can hold
+            raise ValueError("invalid ts") from None
         return obj["key"], payload, ts
 
     # -- lookups -------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.errors import CampaignError
 from repro.experiments.canonical import graph_content_hash, unit_key
 from repro.experiments.ledger import ResultLedger
-from repro.experiments.runner import ProtocolRun
+from repro.experiments.runner import EpisodeRun
 from repro.experiments.supervisor import (
     RetryPolicy,
     Supervisor,
@@ -77,7 +77,7 @@ class CampaignOutcome:
     ``ledger_hits`` expose how much work the sweep actually paid for.
     """
 
-    runs: Dict[str, List[ProtocolRun]]
+    runs: Dict[str, List[EpisodeRun]]
     failures: List[UnitFailure] = field(default_factory=list)
     executed: int = 0
     ledger_hits: int = 0
@@ -172,7 +172,7 @@ class ParallelRunner:
 
     def run_units(
         self, graph: ASGraph, units: Sequence[WorkUnit]
-    ) -> List[ProtocolRun]:
+    ) -> List[EpisodeRun]:
         """Run all units; the result list matches the unit order.
 
         Raises :class:`~repro.errors.CampaignError` (carrying the
@@ -204,11 +204,8 @@ class ParallelRunner:
 
         ``runs`` holds ``{protocol: [run per instance, in instance
         order]}`` — the canonical merge order, independent of
-        scheduling, retries, and ledger hits.  With an episode builder
-        the lists hold ``EpisodeRun``s (same metric surface; see
-        :func:`~repro.experiments.supervisor.run_unit`).  Terminally
-        failed units are reported in ``failures`` instead of poisoning
-        the sweep.
+        scheduling, retries, and ledger hits.  Terminally failed units
+        are reported in ``failures`` instead of poisoning the sweep.
         """
         units: List[WorkUnit] = [
             (builder, kind, seed, instance, protocol)
@@ -218,7 +215,7 @@ class ParallelRunner:
         outcome = self.run_units_supervised(
             graph, units, stop_event=stop_event, on_progress=on_progress
         )
-        runs: Dict[str, List[ProtocolRun]] = {p: [] for p in protocols}
+        runs: Dict[str, List[EpisodeRun]] = {p: [] for p in protocols}
         for (_, _, _, _, protocol), run in zip(units, outcome.results):
             if run is not None:
                 runs[protocol].append(run)

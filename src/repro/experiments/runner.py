@@ -1,35 +1,26 @@
-"""Run one failure scenario or timed episode under one protocol.
+"""Run one failure episode under one protocol.
 
-Two execution paths share the network construction and the twin-start
-cache:
-
-* :func:`run_scenario` — the paper's single-instant path.  **When
-  events apply**: links listed under ``Scenario.restored_links`` are
-  failed *before* initial convergence; after the network converges and
-  its trace is cleared, the scenario's failures and restorations are
-  applied synchronously (``failed_links`` → ``failed_ases`` →
-  ``restored_links``, in that order, with no simulated time between
-  them) and the run drains to convergence once.
-* :func:`run_episode` — the timed multi-phase path.  **When events
-  apply**: ``Episode.pre_failed_links`` are failed before initial
-  convergence; each episode step is then *scheduled* on the engine
-  (:meth:`repro.sim.engine.Engine.post_at`) at its absolute offset
-  from the post-convergence instant and fires mid-run as an ordinary
-  event — ordered against protocol timers by the engine's total
-  ``(time, insertion-seq)`` order — before a single drain runs the
-  whole episode to quiescence.
+:func:`run_episode` is the one execution path.  **When events apply**:
+``Episode.pre_failed_links`` are failed before initial convergence;
+each episode step is then *scheduled* on the engine
+(:meth:`repro.sim.engine.Engine.post_at`) at its absolute offset from
+the post-convergence instant and fires mid-run as an ordinary event —
+ordered against protocol timers by the engine's total ``(time,
+insertion-seq)`` order — before a single drain runs the whole episode
+to quiescence.  The paper's single-instant workloads (section 6.2) are
+one-phase episodes: one injector at offset ``0.0`` applies all their
+events synchronously, before any protocol reaction.
 
 The two R-BGP variants (``rbgp`` / ``rbgp-norci``) differ only in how
 they react to root-cause information, which cannot exist before the
 first failure — so their *initial convergence* is one and the same
-computation.  Both paths exploit that: after starting one variant they
-snapshot the converged network (a pickle with the topology shared by
-reference) and restore the snapshot for the twin, flipping the ``rci``
+computation.  The runner exploits that: after starting one variant it
+snapshots the converged network (a pickle with the topology shared by
+reference) and restores the snapshot for the twin, flipping the ``rci``
 flag, instead of re-simulating an identical start.  The cache key is
 the complete pre-convergence input — graph identity/version,
-destination, seed, and the *pre-failed link set* (a scenario's
-``restored_links``, an episode's ``pre_failed_links``) — so runs whose
-starts could differ never share; sharing is additionally gated on
+destination, seed, and the episode's ``pre_failed_links`` — so runs
+whose starts could differ never share; sharing is additionally gated on
 :meth:`repro.rbgp.network.RBGPNetwork.start_is_rci_invariant` — a
 per-speaker runtime proof that no RCI-sensitive code path was reached
 — and falls back to a fresh start otherwise, so results are
@@ -47,7 +38,10 @@ from repro.analysis.transient import (
     EpisodeSegment,
     TransientReport,
     analyze_episode_transient_problems,
-    analyze_transient_problems,
+    # Unused here: bench/tracing.py:TARGETS (frozen) resolves this name
+    # as an attribute of this module.  The next [benchmark] PR drops
+    # that target, and this import with it.
+    analyze_transient_problems,  # noqa: F401
 )
 from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.errors import ConfigurationError
@@ -56,12 +50,7 @@ from repro.forwarding.rbgp_plane import PRIMARY, RBGPDataPlane
 from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.forwarding.walk import WalkClassifier
 from repro.rbgp.network import RBGPNetwork
-from repro.experiments.scenarios import (
-    Episode,
-    EpisodeEvent,
-    EventKind,
-    Scenario,
-)
+from repro.experiments.scenarios import Episode, EpisodeEvent, EventKind
 from repro.sim.tracing import ForwardingTrace
 from repro.stamp.network import STAMPConfig, STAMPNetwork
 from repro.topology.generators import InternetTopologyConfig
@@ -86,8 +75,9 @@ class ExperimentConfig:
     """Scale and seeding of a figure-reproduction experiment.
 
     The paper simulates the full measured AS graph (~27k ASes) over 100
-    instances; defaults here are laptop-sized (see DESIGN.md section 4
-    on the scale substitution) and every knob is adjustable.
+    instances; defaults here are laptop-sized (README.md, "Real
+    topologies", shows how to swap a measured graph in) and every knob
+    is adjustable.
     """
 
     seed: int = 0
@@ -124,37 +114,6 @@ def derive_run_seed(seed: int, kind: str, instance: int) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{kind}:{instance}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass
-class ProtocolRun:
-    """Outcome of one (scenario, protocol) simulation."""
-
-    protocol: str
-    scenario: Scenario
-    report: TransientReport
-    convergence_time: float
-    announcements: int
-    withdrawals: int
-    #: Updates needed to reach the *initial* converged state.
-    initial_updates: int = 0
-    #: Simulated seconds of initial convergence.
-    initial_convergence_time: float = 0.0
-
-    @property
-    def affected(self) -> int:
-        """ASes that experienced transient problems."""
-        return self.report.affected_count
-
-    @property
-    def updates(self) -> int:
-        """Update messages sent during the post-event episode."""
-        return self.announcements + self.withdrawals
-
-    @property
-    def disruption_duration(self) -> float:
-        """Seconds the data plane kept dropping packets (see report)."""
-        return self.report.disruption_duration
 
 
 def build_network(
@@ -252,12 +211,11 @@ def _rbgp_start_key(
     """Twin-start cache key: the complete pre-convergence input.
 
     ``pre_failed`` is the normalized, sorted tuple of links that start
-    out failed — a scenario's ``restored_links`` or an episode's
-    ``pre_failed_links``.  Everything applied *after* initial
-    convergence (the scenario's instantaneous events, the episode's
-    scheduled steps) cannot influence the snapshot and is deliberately
-    excluded; everything that shapes the start is included, so two runs
-    whose initial convergence could differ never share a snapshot.
+    out failed (the episode's ``pre_failed_links``).  Everything
+    applied *after* initial convergence (the episode's scheduled
+    steps) cannot influence the snapshot and is deliberately excluded;
+    everything that shapes the start is included, so two runs whose
+    initial convergence could differ never share a snapshot.
     """
     return (graph, graph.version, destination, seed, pre_failed)
 
@@ -323,79 +281,6 @@ def _acquire_started_network(
     return network, plane, initial_convergence_time
 
 
-def run_scenario(
-    graph: ASGraph,
-    scenario: Scenario,
-    protocol: str,
-    *,
-    seed: int = 0,
-    network_config: Optional[NetworkConfig] = None,
-) -> ProtocolRun:
-    """Simulate one single-instant scenario; analyze the trace.
-
-    Exact event timing: ``scenario.restored_links`` are failed before
-    the network is started; initial convergence runs and the trace is
-    cleared; then — at the converged instant, with no engine event in
-    between — ``failed_links`` fail, ``failed_ases`` fail, and
-    ``restored_links`` are restored, synchronously and in that order.
-    A single drain then runs the reaction to convergence.  Events at
-    *different* simulated times are :func:`run_episode`'s job.
-    """
-    network, plane, initial_convergence_time = _acquire_started_network(
-        graph,
-        scenario.destination,
-        protocol,
-        seed,
-        network_config,
-        scenario.restored_links,
-    )
-
-    initial_state = network.forwarding_state()
-    announcements_before = network.stats.announcements
-    withdrawals_before = network.stats.withdrawals
-
-    for a, b in scenario.failed_links:
-        network.fail_link(a, b)
-    for asn in scenario.failed_ases:
-        network.fail_as(asn)
-    for a, b in scenario.restored_links:
-        network.restore_link(a, b)
-    convergence_time = network.run_to_convergence()
-
-    failed_links = frozenset(
-        normalize_link(a, b) for a, b in scenario.failed_links
-    )
-    failed_ases = frozenset(scenario.failed_ases)
-    report = analyze_transient_problems(
-        network.trace,
-        initial_state,
-        plane,
-        graph.ases,
-        failed_links=failed_links,
-        failed_ases=failed_ases,
-    )
-    announcements_after = network.stats.announcements
-    withdrawals_after = network.stats.withdrawals
-    # The run is fully extracted; break the network's cycles so its
-    # memory frees by refcount even while cyclic GC is paused.
-    network.dispose()
-    return ProtocolRun(
-        protocol=protocol,
-        scenario=scenario,
-        report=report,
-        convergence_time=convergence_time,
-        announcements=announcements_after - announcements_before,
-        withdrawals=withdrawals_after - withdrawals_before,
-        initial_updates=announcements_before + withdrawals_before,
-        initial_convergence_time=initial_convergence_time,
-    )
-
-
-# ----------------------------------------------------------------------
-# Timed episodes
-# ----------------------------------------------------------------------
-
-
 @dataclass
 class EpisodePhase:
     """One injection instant of an episode run and its attribution."""
@@ -416,11 +301,9 @@ class EpisodePhase:
 class EpisodeRun:
     """Outcome of one (episode, protocol) simulation.
 
-    Exposes the same metric surface as :class:`ProtocolRun`
-    (``affected``, ``updates``, ``disruption_duration``, ...) computed
-    from the episode-wide overall report, so campaign drivers aggregate
-    episode runs exactly like scenario runs — plus the per-phase
-    breakdown under :attr:`phases`.
+    The campaign metrics (``affected``, ``updates``,
+    ``disruption_duration``, ...) are computed from the episode-wide
+    overall report; the per-phase breakdown is under :attr:`phases`.
     """
 
     protocol: str
@@ -469,7 +352,7 @@ def _apply_episode_event(network, event: EpisodeEvent) -> None:
 
 
 def collect_episode_segments(
-    network, episode: Episode, instants=None
+    network, episode: Episode
 ) -> Tuple[List[EpisodeSegment], float]:
     """Drive one started network through an episode; return its phases.
 
@@ -478,17 +361,13 @@ def collect_episode_segments(
     quiescence, and slices the trace into per-phase
     :class:`~repro.analysis.transient.EpisodeSegment` values — the
     exact input both episode analyzers consume.  Shared by
-    :func:`run_episode` (which passes its already-computed
-    ``episode.instants()`` so both stay one derivation) and the perf
-    bench (which needs the segments without the analysis).  Returns
-    ``(segments, convergence_time)``.
+    :func:`run_episode` and the perf bench (which needs the segments
+    without the analysis).  Returns ``(segments, convergence_time)``.
     """
     engine = network.engine
     trace = network.trace
     transport = network.transport
     base = engine.now
-    if instants is None:
-        instants = episode.instants()
     #: Per-phase marks captured by the injectors at fire time:
     #: (time, pre-injection state, trace start index, post-injection
     #: failed links, post-injection failed ASes, pre-injection failed
@@ -515,7 +394,7 @@ def collect_episode_segments(
             )
         return inject
 
-    for offset, _, events in instants:
+    for offset, _, events in episode.instants():
         engine.post_at(base + offset, _make_injector(events))
     convergence_time = network.run_to_convergence()
 
@@ -577,10 +456,8 @@ def run_episode(
     announcements_before = network.stats.announcements
     withdrawals_before = network.stats.withdrawals
 
+    segments, convergence_time = collect_episode_segments(network, episode)
     instants = episode.instants()
-    segments, convergence_time = collect_episode_segments(
-        network, episode, instants
-    )
     analysis = analyze_episode_transient_problems(segments, plane, graph.ases)
     phases = tuple(
         EpisodePhase(
@@ -595,6 +472,8 @@ def run_episode(
 
     announcements_after = network.stats.announcements
     withdrawals_after = network.stats.withdrawals
+    # The run is fully extracted; break the network's cycles so its
+    # memory frees by refcount even while cyclic GC is paused.
     network.dispose()
     return EpisodeRun(
         protocol=protocol,

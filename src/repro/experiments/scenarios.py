@@ -1,27 +1,30 @@
-"""Failure scenarios and timed failure episodes.
+"""Failure workloads: timed episodes, single-instant or multi-phase.
 
-Two workload shapes live here, both drawn from seeded RNGs:
+There is one workload model.  An :class:`Episode` is an ordered tuple
+of ``(time_offset, event)`` steps, each failing or restoring a link or
+an AS, injected *mid-run* by the engine-scheduled injector of
+:func:`repro.experiments.runner.run_episode`.  Every builder draws its
+instance from a seeded RNG.
 
-* :class:`Scenario` — the paper's single-instant events (section 6.2):
-  every listed failure/restoration is applied at one instant, right
-  after initial convergence, by :func:`repro.experiments.runner
-  .run_scenario`.  Scenario builders:
+* The paper's evaluation (section 6.2) applies every event at one
+  instant, right after initial convergence — a *one-phase* episode
+  whose steps all sit at offset ``0.0``:
 
-  - Figure 2 — a multi-homed destination fails one provider link;
-  - Figure 3(a) — additionally, a random *indirect* provider link
-    (multi-hop away) fails simultaneously;
-  - Figure 3(b) — the destination fails a provider link and that same
-    provider fails one of its own provider links;
-  - text — a single AS (node) failure;
-  - Lemma 3.1 sanity — a link recovery (route addition event).
+  - :func:`single_provider_link_failure` — Figure 2: a multi-homed
+    destination fails one provider link;
+  - :func:`two_link_failures_distinct_as` — Figure 3(a): additionally,
+    a random *indirect* provider link (multi-hop away) fails
+    simultaneously;
+  - :func:`two_link_failures_same_as` — Figure 3(b): the destination
+    fails a provider link and that same provider fails one of its own
+    provider links;
+  - :func:`provider_node_failure` — text: a single AS (node) failure;
+  - :func:`link_recovery` — Lemma 3.1 sanity: a link recovery (route
+    addition event).
 
-* :class:`Episode` — a timed, multi-phase generalization: an ordered
-  tuple of ``(time_offset, event)`` steps where each event fails or
-  restores a link or an AS, injected *mid-run* by the engine-scheduled
-  injector of :func:`repro.experiments.runner.run_episode`.  Episodes
-  express workloads the single-instant model cannot: link flaps
-  (fail → recover → re-fail), staggered maintenance windows, and
-  correlated outages that unfold over time.  Episode builders:
+* Multi-phase builders express what a single instant cannot: link
+  flaps (fail → recover → re-fail), staggered maintenance windows, and
+  correlated outages that unfold over time:
 
   - :func:`link_flap_episode` — a provider link flaps N times;
   - :func:`staggered_maintenance_episode` — two providers are taken
@@ -43,32 +46,6 @@ from typing import List, Optional, Set, Tuple
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph
 from repro.types import ASN, Link
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One single-instant failure scenario for one destination prefix.
-
-    Timing semantics (see :func:`repro.experiments.runner.run_scenario`
-    for the authoritative sequence): ``restored_links`` start out
-    *failed before initial convergence*; then, at one instant right
-    after the converged network's trace is cleared, ``failed_links``
-    fail, ``failed_ases`` fail, and ``restored_links`` are restored —
-    in that order, synchronously, with no simulated time passing
-    between them.  For events at *different* times, use
-    :class:`Episode`.
-    """
-
-    destination: ASN
-    failed_links: Tuple[Link, ...] = ()
-    failed_ases: Tuple[ASN, ...] = ()
-    restored_links: Tuple[Link, ...] = ()
-    description: str = ""
-
-
-# ----------------------------------------------------------------------
-# Timed episodes
-# ----------------------------------------------------------------------
 
 
 class EventKind(Enum):
@@ -139,8 +116,7 @@ class Episode:
     applied at the same instant, in tuple order, and form one *phase*
     of the episode (see :meth:`instants`).
 
-    ``pre_failed_links`` start out failed before initial convergence —
-    the episode-model generalization of ``Scenario.restored_links`` —
+    ``pre_failed_links`` start out failed before initial convergence,
     so a later ``restore_link`` step can model recovery of a link the
     network never converged over.  Because they shape the *initial*
     convergence, they are part of the R-BGP twin-start cache key (see
@@ -193,26 +169,39 @@ class Episode:
         ]
 
 
-def episode_from_scenario(scenario: Scenario) -> Episode:
-    """Express a single-instant :class:`Scenario` as an :class:`Episode`.
+# ----------------------------------------------------------------------
+# The paper's single-instant workloads (one-phase episodes)
+# ----------------------------------------------------------------------
 
-    All events land in one phase at offset ``0.0``, in the exact order
-    :func:`repro.experiments.runner.run_scenario` applies them (failed
-    links, failed ASes, restored links), and the scenario's
-    ``restored_links`` become the episode's ``pre_failed_links``.
+
+def _single_instant(
+    *,
+    destination: ASN,
+    description: str,
+    failed_links: Tuple[Link, ...] = (),
+    failed_ases: Tuple[ASN, ...] = (),
+    restored_links: Tuple[Link, ...] = (),
+) -> Episode:
+    """A one-phase episode: the paper's single-instant workload shape.
+
+    Every event lands at offset ``0.0`` — the instant right after the
+    converged network's trace is cleared — and the ordering rule lives
+    here alone: ``failed_links`` fail, then ``failed_ases`` fail, then
+    ``restored_links`` are restored, synchronously, with no simulated
+    time between them.  A restored link must have been down to begin
+    with, so ``restored_links`` are also the episode's
+    ``pre_failed_links`` (failed *before* initial convergence).
     """
-    events: List[EpisodeEvent] = []
-    for a, b in scenario.failed_links:
-        events.append(fail_link(a, b))
-    for asn in scenario.failed_ases:
-        events.append(fail_as(asn))
-    for a, b in scenario.restored_links:
-        events.append(restore_link(a, b))
+    events = (
+        [fail_link(a, b) for a, b in failed_links]
+        + [fail_as(asn) for asn in failed_ases]
+        + [restore_link(a, b) for a, b in restored_links]
+    )
     return Episode(
-        destination=scenario.destination,
+        destination=destination,
         steps=tuple((0.0, event) for event in events),
-        pre_failed_links=scenario.restored_links,
-        description=scenario.description or "single-instant scenario",
+        pre_failed_links=restored_links,
+        description=description,
     )
 
 
@@ -227,11 +216,11 @@ def _pick_multihomed(graph: ASGraph, rng: random.Random) -> ASN:
     return rng.choice(candidates)
 
 
-def single_provider_link_failure(graph: ASGraph, rng: random.Random) -> Scenario:
+def single_provider_link_failure(graph: ASGraph, rng: random.Random) -> Episode:
     """Figure 2: a multi-homed destination loses one provider link."""
     destination = _pick_multihomed(graph, rng)
     provider = rng.choice(graph.providers(destination))
-    return Scenario(
+    return _single_instant(
         destination=destination,
         failed_links=((destination, provider),),
         description=f"single provider-link failure {destination}-{provider}",
@@ -253,7 +242,7 @@ def _uphill_cone(graph: ASGraph, start: ASN) -> Set[ASN]:
 
 def two_link_failures_distinct_as(
     graph: ASGraph, rng: random.Random
-) -> Scenario:
+) -> Episode:
     """Figure 3(a): provider link + an indirect provider link elsewhere.
 
     The second failed link is a c2p link in the destination's uphill
@@ -276,13 +265,13 @@ def two_link_failures_distinct_as(
     ]
     if not candidates:
         # Degenerate graphs: fall back to a single failure.
-        return Scenario(
+        return _single_instant(
             destination=destination,
             failed_links=(first,),
             description="two-link (distinct AS) degenerated to single",
         )
     second = rng.choice(candidates)
-    return Scenario(
+    return _single_instant(
         destination=destination,
         failed_links=(first, second),
         description=(
@@ -292,7 +281,7 @@ def two_link_failures_distinct_as(
     )
 
 
-def two_link_failures_same_as(graph: ASGraph, rng: random.Random) -> Scenario:
+def two_link_failures_same_as(graph: ASGraph, rng: random.Random) -> Episode:
     """Figure 3(b): destination-provider link + that provider's own
     provider link — both failures touch the same AS."""
     destination = _pick_multihomed(graph, rng)
@@ -301,14 +290,14 @@ def two_link_failures_same_as(graph: ASGraph, rng: random.Random) -> Scenario:
     ]
     if not providers_with_uplinks:
         provider = rng.choice(graph.providers(destination))
-        return Scenario(
+        return _single_instant(
             destination=destination,
             failed_links=((destination, provider),),
             description="two-link (same AS) degenerated to single",
         )
     provider = rng.choice(providers_with_uplinks)
     upper = rng.choice(graph.providers(provider))
-    return Scenario(
+    return _single_instant(
         destination=destination,
         failed_links=((destination, provider), (provider, upper)),
         description=(
@@ -318,27 +307,28 @@ def two_link_failures_same_as(graph: ASGraph, rng: random.Random) -> Scenario:
     )
 
 
-def provider_node_failure(graph: ASGraph, rng: random.Random) -> Scenario:
+def provider_node_failure(graph: ASGraph, rng: random.Random) -> Episode:
     """Section 6.2.2 text: one of the destination's providers fails
     entirely (withdraws from all neighbors)."""
     destination = _pick_multihomed(graph, rng)
     provider = rng.choice(graph.providers(destination))
-    return Scenario(
+    return _single_instant(
         destination=destination,
         failed_ases=(provider,),
         description=f"node failure of provider {provider}",
     )
 
 
-def link_recovery(graph: ASGraph, rng: random.Random) -> Scenario:
+def link_recovery(graph: ASGraph, rng: random.Random) -> Episode:
     """Route addition event (Lemma 3.1): a provider link comes back.
 
-    The scenario lists the link under ``restored_links``; runners fail
-    it before initial convergence and restore it as the event.
+    The link is among the episode's ``pre_failed_links`` — the runner
+    fails it before initial convergence — and its restoration is the
+    episode's one event.
     """
     destination = _pick_multihomed(graph, rng)
     provider = rng.choice(graph.providers(destination))
-    return Scenario(
+    return _single_instant(
         destination=destination,
         restored_links=((destination, provider),),
         description=f"recovery of provider link {destination}-{provider}",
@@ -346,7 +336,7 @@ def link_recovery(graph: ASGraph, rng: random.Random) -> Scenario:
 
 
 # ----------------------------------------------------------------------
-# Episode builders
+# Multi-phase builders
 # ----------------------------------------------------------------------
 
 
@@ -449,14 +439,10 @@ def correlated_outage_episode(
     """
     if delay < 0:
         raise ConfigurationError("outage delay must be non-negative")
-    scenario = two_link_failures_distinct_as(graph, rng)
-    steps: List[Tuple[float, EpisodeEvent]] = [
-        (0.0, fail_link(*scenario.failed_links[0]))
-    ]
-    for link in scenario.failed_links[1:]:
-        steps.append((delay, fail_link(*link)))
+    drawn = two_link_failures_distinct_as(graph, rng)
+    first, *later = drawn.steps
     return Episode(
-        destination=scenario.destination,
-        steps=tuple(steps),
-        description=f"correlated outage ({delay}s apart): {scenario.description}",
+        destination=drawn.destination,
+        steps=(first, *((delay, event) for _, event in later)),
+        description=f"correlated outage ({delay}s apart): {drawn.description}",
     )

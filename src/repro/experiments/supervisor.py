@@ -55,19 +55,16 @@ from repro.experiments.runner import (
     clear_twin_start_cache,
     derive_run_seed,
     run_episode,
-    run_scenario,
 )
-from repro.experiments.scenarios import Episode
 from repro.topology import shm as topology_shm
 from repro.topology.graph import ASGraph, _CSRBase
 
 logger = logging.getLogger("repro.experiments.supervisor")
 
-#: One work unit: (scenario/episode builder, kind, master seed,
-#: instance, protocol).  The builder decides the execution path: a
-#: returned :class:`Scenario` runs through ``run_scenario``, an
-#: :class:`Episode` through ``run_episode`` — so campaign drivers fan
-#: episode families over the identical pool/merge machinery.
+#: One work unit: (episode builder, kind, master seed, instance,
+#: protocol).  The paper's single-instant figures and the multi-phase
+#: campaigns differ only in the builder, so campaign drivers fan every
+#: family over the identical pool/merge machinery.
 WorkUnit = Tuple[Callable, str, int, int, str]
 
 
@@ -105,20 +102,15 @@ def run_unit(
 
     Every execution path — sequential, pooled, retried, degraded —
     runs exactly this function, which is what makes scheduling
-    invisible in the results: the scenario (or episode) is re-derived
-    from a fresh string-seeded RNG and the simulation seed from
-    :func:`~repro.experiments.runner.derive_run_seed`.  Episode
-    builders yield :class:`repro.experiments.runner.EpisodeRun`s, which
-    expose the same metric surface as
-    :class:`~repro.experiments.runner.ProtocolRun`.
+    invisible in the results: the episode is re-derived from a fresh
+    string-seeded RNG and the simulation seed from
+    :func:`~repro.experiments.runner.derive_run_seed`.  Returns the
+    unit's :class:`~repro.experiments.runner.EpisodeRun`.
     """
     faults.maybe_inject(kind, seed, instance, protocol)
-    scenario_rng = random.Random(f"{seed}:{kind}:{instance}")
-    scenario = builder(graph, scenario_rng)
+    episode = builder(graph, random.Random(f"{seed}:{kind}:{instance}"))
     run_seed = derive_run_seed(seed, kind, instance)
-    if isinstance(scenario, Episode):
-        return run_episode(graph, scenario, protocol, seed=run_seed)
-    return run_scenario(graph, scenario, protocol, seed=run_seed)
+    return run_episode(graph, episode, protocol, seed=run_seed)
 
 
 # ----------------------------------------------------------------------
@@ -665,9 +657,12 @@ class Supervisor:
             # A result may have been sent before the process died.
             self._drain(worker)
             index = worker.assignment
-            exitcode = worker.process.exitcode
             worker.assignment = None
             self._discard_worker(worker, kill=False)
+            # Read after the discard's join: the sentinel fires when
+            # the process ends, which can be before it is reaped, and
+            # exitcode is None until then.
+            exitcode = worker.process.exitcode
             if index is not None:
                 self._attempt_failed(
                     index,

@@ -80,7 +80,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, SpecValidationError
 from repro.experiments.canonical import canonical_json
-from repro.experiments.figures import EpisodeCampaignData, FailureFigureData
+from repro.experiments.figures import FailureFigureData
 from repro.experiments.parallel import CampaignOutcome, ParallelRunner
 from repro.experiments.supervisor import UnitFailure, WorkerBudget
 from repro.service.journal import CampaignJournal
@@ -161,19 +161,11 @@ def build_result_document(
     details are all excluded, so an interrupted-and-resumed campaign
     serves exactly the bytes an uninterrupted one would.
     """
-    data: FailureFigureData
-    if spec.kind == "flap":
-        data = EpisodeCampaignData(
-            scenario_kind=spec.unit_kind(),
-            runs=outcome.runs,
-            failures=outcome.failures,
-        )
-    else:
-        data = FailureFigureData(
-            scenario_kind=spec.unit_kind(),
-            runs=outcome.runs,
-            failures=outcome.failures,
-        )
+    data = FailureFigureData(
+        scenario_kind=spec.unit_kind(),
+        runs=outcome.runs,
+        failures=outcome.failures,
+    )
     document: Dict[str, Any] = {
         "id": campaign_id,
         "spec": spec.canonical_document(),
@@ -187,7 +179,9 @@ def build_result_document(
             _failure_summary(failure_status(f)) for f in outcome.failures
         ],
     }
-    if isinstance(data, EpisodeCampaignData):
+    # The per-phase keys are part of the flap documents only: a figure
+    # kind has one phase, and its documents stay byte-identical.
+    if spec.kind == "flap":
         document["n_phases"] = data.n_phases()
         document["mean_affected_by_phase"] = data.mean_affected_by_phase()
     return document

@@ -22,7 +22,7 @@ This module turns it into a :class:`CampaignSpec`:
   duplicate submissions converge on one execution.  Clamped execution
   knobs are excluded from the hash: they cannot change any result.
 
-The spec's ``kind`` selects a module-level scenario/episode builder
+The spec's ``kind`` selects a module-level episode builder
 (the same importable-builder discipline the ledger keys require), so
 the campaign fans out over the existing supervised pool unchanged.
 """
@@ -45,20 +45,21 @@ from repro.experiments.scenarios import (
 )
 from repro.topology.generators import InternetTopologyConfig
 
-#: kind -> (module-level builder, ledger unit kind).  Episode kinds
-#: additionally bind their knobs via ``functools.partial`` (canonical
-#: kwargs — part of the ledger key, as they change results).
-_SCENARIO_KINDS: Dict[str, Tuple[Callable, str]] = {
+#: The paper's figures: kind -> (module-level one-phase builder,
+#: ledger unit kind).
+_FIGURE_KINDS: Dict[str, Tuple[Callable, str]] = {
     "fig2": (single_provider_link_failure, "fig2-single-link"),
     "fig3a": (two_link_failures_distinct_as, "fig3a-distinct-as"),
     "fig3b": (two_link_failures_same_as, "fig3b-same-as"),
     "node-failure": (provider_node_failure, "node-failure"),
 }
 
-#: Episode kinds carry extra knobs; handled explicitly in builder().
-_EPISODE_KINDS = ("flap",)
+#: Flap kinds carry extra knobs, which builder() binds via
+#: ``functools.partial`` (canonical kwargs — part of the ledger key,
+#: as they change results).
+_FLAP_KINDS = ("flap",)
 
-KINDS: Tuple[str, ...] = tuple(_SCENARIO_KINDS) + _EPISODE_KINDS
+KINDS: Tuple[str, ...] = tuple(_FIGURE_KINDS) + _FLAP_KINDS
 
 _TOPOLOGY_FIELDS = ("seed", "tier1", "tier2", "tier3", "stubs")
 _TOPOLOGY_DEFAULTS = {
@@ -204,7 +205,7 @@ class CampaignSpec:
 
         period = payload.get("period")
         flaps = payload.get("flaps")
-        if kind in _EPISODE_KINDS:
+        if kind in _FLAP_KINDS:
             period = 40.0 if period is None else period
             flaps = 2 if flaps is None else flaps
             if not isinstance(period, (int, float)) or isinstance(
@@ -218,10 +219,10 @@ class CampaignSpec:
             period = float(period)
         else:
             if period is not None:
-                fail("period", f"only valid for kinds: {', '.join(_EPISODE_KINDS)}")
+                fail("period", f"only valid for kinds: {', '.join(_FLAP_KINDS)}")
                 period = None
             if flaps is not None:
-                fail("flaps", f"only valid for kinds: {', '.join(_EPISODE_KINDS)}")
+                fail("flaps", f"only valid for kinds: {', '.join(_FLAP_KINDS)}")
                 flaps = None
 
         retries = payload.get("retries", 1)
@@ -283,7 +284,7 @@ class CampaignSpec:
             "protocols": list(self.protocols),
             "topology": {k: self.topology[k] for k in _TOPOLOGY_FIELDS},
         }
-        if self.kind in _EPISODE_KINDS:
+        if self.kind in _FLAP_KINDS:
             doc["period"] = self.period
             doc["flaps"] = self.flaps
         return doc
@@ -300,18 +301,18 @@ class CampaignSpec:
     # -- execution surface ---------------------------------------------
 
     def builder(self) -> Callable:
-        """The module-level (ledger-keyable) scenario/episode builder."""
+        """The module-level (ledger-keyable) episode builder."""
         if self.kind == "flap":
             return functools.partial(
                 link_flap_episode, period=self.period, flaps=self.flaps
             )
-        return _SCENARIO_KINDS[self.kind][0]
+        return _FIGURE_KINDS[self.kind][0]
 
     def unit_kind(self) -> str:
         """The ledger/seed-derivation kind string for this campaign."""
         if self.kind == "flap":
             return "link-flap"
-        return _SCENARIO_KINDS[self.kind][1]
+        return _FIGURE_KINDS[self.kind][1]
 
     def topology_config(self) -> InternetTopologyConfig:
         return InternetTopologyConfig(

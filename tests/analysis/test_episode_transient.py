@@ -2,8 +2,9 @@
 
 The incremental :func:`analyze_episode_transient_problems` must agree
 with its brute-force reference twin on real multi-phase runs of every
-plane, a single-segment episode must agree with the single-event
-analyzer, and the boundary-scan rule must catch outcome flips that
+plane, a single-segment episode must agree with the brute-force
+single-event twin (and with the one-segment adapter
+``analyze_transient_problems``), and the boundary-scan rule must catch outcome flips that
 happen *without any trace change* (a link restore heals walks whose
 control-plane state never moved).
 """
@@ -19,6 +20,7 @@ from repro.analysis.transient import (
     analyze_episode_transient_problems,
     analyze_transient_problems,
     _reference_analyze_episode_transient_problems,
+    _reference_analyze_transient_problems,
 )
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_episode
@@ -112,16 +114,22 @@ class TestSingleSegmentEquivalence:
         episode_result = analyze_episode_transient_problems(
             [segment], plane, ases
         )
-        single = analyze_transient_problems(
-            segment.trace,
-            segment.initial_state,
-            plane,
-            ases,
-            failed_links=segment.failed_links,
-            failed_ases=segment.failed_ases,
-        )
-        assert _report_fields(episode_result.overall) == _report_fields(single)
-        assert _report_fields(episode_result.phases[0]) == _report_fields(single)
+        assert episode_result.phases == [episode_result.overall]
+        for single_event in (
+            _reference_analyze_transient_problems,
+            analyze_transient_problems,
+        ):
+            single = single_event(
+                segment.trace,
+                segment.initial_state,
+                plane,
+                ases,
+                failed_links=segment.failed_links,
+                failed_ases=segment.failed_ases,
+            )
+            assert _report_fields(episode_result.overall) == _report_fields(
+                single
+            )
 
 
 class TestBoundaryScan:

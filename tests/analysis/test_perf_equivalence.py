@@ -74,18 +74,17 @@ class TestTransientEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_single_link_failure_matches_reference(self, protocol, seed):
         graph = _random_topology(seed + 20)
-        scenario = single_provider_link_failure(graph, random.Random(seed))
+        episode = single_provider_link_failure(graph, random.Random(seed))
+        links = [event.link for _, event in episode.steps]
         network, plane = build_network(
-            protocol, graph, scenario.destination, seed=seed
+            protocol, graph, episode.destination, seed=seed
         )
         network.start()
         initial_state = network.forwarding_state()
-        for a, b in scenario.failed_links:
+        for a, b in links:
             network.fail_link(a, b)
         network.run_to_convergence()
-        failed_links = frozenset(
-            normalize_link(a, b) for a, b in scenario.failed_links
-        )
+        failed_links = frozenset(normalize_link(a, b) for a, b in links)
         kwargs = dict(failed_links=failed_links)
         fast = analyze_transient_problems(
             network.trace, initial_state, plane, graph.ases, **kwargs
@@ -95,29 +94,27 @@ class TestTransientEquivalence:
         )
         _reports_equal(fast, slow)
 
-    def test_detection_instant_and_min_duration_match(self):
+    def test_min_duration_matches(self):
         graph = _random_topology(31)
-        scenario = single_provider_link_failure(graph, random.Random(8))
-        network, plane = build_network("bgp", graph, scenario.destination, seed=8)
+        episode = single_provider_link_failure(graph, random.Random(8))
+        links = [event.link for _, event in episode.steps]
+        network, plane = build_network("bgp", graph, episode.destination, seed=8)
         network.start()
         initial_state = network.forwarding_state()
-        for a, b in scenario.failed_links:
+        for a, b in links:
             network.fail_link(a, b)
         network.run_to_convergence()
-        failed_links = frozenset(
-            normalize_link(a, b) for a, b in scenario.failed_links
+        kwargs = dict(
+            failed_links=frozenset(normalize_link(a, b) for a, b in links),
+            min_duration=5.0,
         )
-        for kwargs in (
-            dict(failed_links=failed_links, include_detection_instant=True),
-            dict(failed_links=failed_links, min_duration=5.0),
-        ):
-            fast = analyze_transient_problems(
-                network.trace, initial_state, plane, graph.ases, **kwargs
-            )
-            slow = _reference_analyze_transient_problems(
-                network.trace, initial_state, plane, graph.ases, **kwargs
-            )
-            _reports_equal(fast, slow)
+        fast = analyze_transient_problems(
+            network.trace, initial_state, plane, graph.ases, **kwargs
+        )
+        slow = _reference_analyze_transient_problems(
+            network.trace, initial_state, plane, graph.ases, **kwargs
+        )
+        _reports_equal(fast, slow)
 
     def test_empty_trace_matches_reference(self):
         graph = _random_topology(40)
@@ -140,14 +137,14 @@ class TestBatchClassifyEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_scan_agrees(self, protocol, seed):
         graph = _random_topology(seed)
-        scenario = single_provider_link_failure(graph, random.Random(seed))
+        episode = single_provider_link_failure(graph, random.Random(seed))
         network, plane = build_network(
-            protocol, graph, scenario.destination, seed=seed
+            protocol, graph, episode.destination, seed=seed
         )
         network.start()
         state = network.forwarding_state()
         failed_links = frozenset(
-            normalize_link(a, b) for a, b in scenario.failed_links
+            normalize_link(*event.link) for _, event in episode.steps
         )
         for links in (frozenset(), failed_links):
             scalar = plane.classify(state, graph.ases, failed_links=links)

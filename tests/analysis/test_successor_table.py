@@ -25,9 +25,8 @@ from repro.analysis.transient import (
     analyze_episode_transient_problems,
     analyze_transient_problems,
 )
-from repro.experiments.runner import build_network, run_scenario
+from repro.experiments.runner import build_network, run_episode
 from repro.experiments.scenarios import (
-    Scenario,
     link_flap_episode,
     single_provider_link_failure,
     staggered_maintenance_episode,
@@ -262,26 +261,20 @@ class TestAnalyzerEquivalence:
         graph = _random_topology(seed)
         rng = random.Random(f"restore:{seed}")
         base = single_provider_link_failure(graph, rng)
-        scenario = Scenario(
-            destination=base.destination,
-            failed_links=base.failed_links,
-            restored_links=((base.destination, graph.providers(base.destination)[0]),)
-            if graph.providers(base.destination)
-            else (),
-        )
-        network, plane = build_network(protocol, graph, scenario.destination, seed=seed)
-        for a, b in scenario.restored_links:
+        destination = base.destination
+        failed = [event.link for _, event in base.steps]
+        restored = [(destination, graph.providers(destination)[0])]
+        network, plane = build_network(protocol, graph, destination, seed=seed)
+        for a, b in restored:
             network.transport.fail_link(a, b)
         network.start()
         initial_state = network.forwarding_state()
-        for a, b in scenario.failed_links:
+        for a, b in failed:
             network.fail_link(a, b)
-        for a, b in scenario.restored_links:
+        for a, b in restored:
             network.restore_link(a, b)
         network.run_to_convergence()
-        failed_links = frozenset(
-            normalize_link(a, b) for a, b in scenario.failed_links
-        )
+        failed_links = frozenset(normalize_link(a, b) for a, b in failed)
         kwargs = dict(failed_links=failed_links)
         incremental = analyze_transient_problems(
             network.trace, initial_state, plane, graph.ases, **kwargs
@@ -344,14 +337,14 @@ class TestGateSignatureCache:
     @pytest.mark.parametrize("seed", range(4))
     def test_traces_identical_with_and_without_cache(self, seed):
         graph = _random_topology(seed + 40)
-        scenario = single_provider_link_failure(
+        episode = single_provider_link_failure(
             graph, random.Random(f"gate:{seed}")
         )
 
         def run(enabled):
             STAMPNode._gate_sig_enabled = enabled
             try:
-                result = run_scenario(graph, scenario, "stamp", seed=seed)
+                result = run_episode(graph, episode, "stamp", seed=seed)
             finally:
                 STAMPNode._gate_sig_enabled = True
             return (

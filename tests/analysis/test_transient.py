@@ -80,27 +80,22 @@ class TestCounting:
         report = analyze_transient_problems(trace, state, BGPDataPlane(9), [1, 9])
         assert report.affected_count == 0
 
-    def test_detection_instant_opt_in(self):
+    def test_failed_link_never_rerouted_is_permanent(self):
         trace = ForwardingTrace()
         state = initial({1: (9,), 9: ()})
         trace.record(5.0, 1, None, (9,))  # irrelevant change
-        failed = frozenset({(1, 9)})
-        relaxed = analyze_transient_problems(
-            trace, state, BGPDataPlane(9), [1, 9], failed_links=failed
-        )
-        strict = analyze_transient_problems(
+        report = analyze_transient_problems(
             trace,
             state,
             BGPDataPlane(9),
             [1, 9],
-            failed_links=failed,
-            include_detection_instant=True,
+            failed_links=frozenset({(1, 9)}),
         )
-        # With the stale pre-reaction instant included, AS 1 is counted
-        # as permanently broken (it never re-routes in this trace) —
-        # not as transient — in both modes.
-        assert relaxed.permanently_unreachable == {1}
-        assert strict.permanently_unreachable == {1}
+        # AS 1 never re-routes in this trace: permanently broken, not
+        # transiently affected.
+        assert report.eligible == {1, 9}
+        assert report.affected == set()
+        assert report.permanently_unreachable == {1}
 
 
 class TestTimelines:

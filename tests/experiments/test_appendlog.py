@@ -43,10 +43,12 @@ def _key(name: str) -> str:
 class LedgerSchema:
     name = "ledger"
     #: A complete file, one element per line: legacy record, header,
-    #: a superseded duplicate, live records.
+    #: a superseded duplicate, live records.  The header names the
+    #: salt the pinned bytes were recorded under: a rewrite keeps the
+    #: file's own salt, so the format pins outlive salt bumps.
     lines = [
         ResultLedger.encode_record(_key("legacy"), ONE),
-        ResultLedger.encode_header(),
+        ResultLedger.encode_header("repro-unit-v1"),
         ResultLedger.encode_record(_key("a"), OLD, 100.0),
         ResultLedger.encode_record(_key("b"), TWO, 200.0),
         ResultLedger.encode_record(_key("a"), NEW, 300.0),
@@ -353,8 +355,11 @@ PSHA_P = "148de9c5a7a44d19e56cd9ae1a554bf67847afb0c58f6e12fa29ac7ddfca9940"
 
 
 def test_record_encodings_are_pinned():
-    assert ResultLedger.encode_header() == (
+    assert ResultLedger.encode_header("repro-unit-v1") == (
         b'{"kind": "header", "salt": "repro-unit-v1", "v": 1}\n'
+    )
+    assert ResultLedger.encode_header() == (
+        b'{"kind": "header", "salt": "repro-unit-v2", "v": 1}\n'
     )
     assert ResultLedger.encode_record("k", b"p", 1.5) == (
         b'{"key": "k", "payload": "cA==", "psha": "%s", "ts": 1.5, "v": 1}\n'

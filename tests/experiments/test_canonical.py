@@ -136,8 +136,15 @@ class TestUnitKey:
         makes the invalidation deliberate and documented).
         """
         assert self._key() == (
-            "cee598c1453591c47b0671915a0bddccf2fd691efffe99054b4e0fc9bbd3939b"
+            "099ee60c2fe85cad6311318332fe95b06520d811225b8546f6f232c3578bb269"
         )
+        # Re-pinned once, with the "repro-unit-v2" bump (every unit
+        # value became an EpisodeRun).  Only the salt moved: under the
+        # old one the derivation still yields the old pin.
+        assert unit_key(
+            GRAPH_HASH, single_provider_link_failure,
+            "fig2-single-link", 0, 0, "bgp", salt="repro-unit-v1",
+        ) == "cee598c1453591c47b0671915a0bddccf2fd691efffe99054b4e0fc9bbd3939b"
 
     def test_key_is_deterministic(self):
         assert self._key() == self._key()

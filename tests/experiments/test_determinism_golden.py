@@ -67,10 +67,11 @@ def compute_fingerprint() -> dict:
     scenario = single_provider_link_failure(
         graph, random.Random("0:fig2-single-link:0")
     )
+    failed_links = [event.link for _, event in scenario.steps]
     fingerprint: dict = {
         "scenario": {
             "destination": scenario.destination,
-            "failed_links": sorted(map(list, scenario.failed_links)),
+            "failed_links": sorted(map(list, failed_links)),
         }
     }
     for protocol in PROTOCOLS:
@@ -80,7 +81,7 @@ def compute_fingerprint() -> dict:
         initial_time = network.start()
         initial_announcements = network.stats.announcements
         initial_withdrawals = network.stats.withdrawals
-        for a, b in scenario.failed_links:
+        for a, b in failed_links:
             network.fail_link(a, b)
         convergence_time = network.run_to_convergence()
         fingerprint[protocol] = {

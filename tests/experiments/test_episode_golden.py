@@ -5,7 +5,7 @@ observable behavior on a small topology: per-instance episode-wide
 metrics, per-phase attribution, and repr-exact convergence/disruption
 times for all four protocols — and asserts the parallel path
 (``workers=4``) reproduces the sequential statistics byte-for-byte,
-exactly like the Figure-2 golden test does for the scenario path.
+exactly like the Figure-2 golden test does for the paper's figures.
 
 Regenerate (only when an *intentional* behavior change lands) with:
 

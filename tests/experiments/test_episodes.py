@@ -1,11 +1,11 @@
 """Tests of the timed failure-episode engine.
 
-Covers the episode model's validation, the single-instant embedding
-(``episode_from_scenario`` runs byte-identically to ``run_scenario``),
-mid-run restore/re-fail on all three protocol planes, AS restore
-(cold-restart) semantics including the origin, the R-BGP twin-start
-cache keying regression, and campaign determinism across worker
-counts.
+Covers the episode model's validation, mid-run restore/re-fail on all
+three protocol planes, AS restore (cold-restart) semantics including
+the origin, the R-BGP twin-start cache keying regression, and campaign
+determinism across worker counts.  (That a one-phase episode reproduces
+the paper's single-instant semantics byte for byte is pinned by
+``test_single_instant_golden.py``.)
 """
 
 from __future__ import annotations
@@ -17,27 +17,18 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import runner as runner_mod
 from repro.experiments.figures import link_flap_comparison
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_episode,
-    run_scenario,
-)
+from repro.experiments.runner import ExperimentConfig, run_episode
 from repro.experiments.scenarios import (
     Episode,
     EpisodeEvent,
     EventKind,
     correlated_outage_episode,
-    episode_from_scenario,
     fail_as,
     fail_link,
     link_flap_episode,
-    link_recovery,
-    provider_node_failure,
     restore_as,
     restore_link,
-    single_provider_link_failure,
     staggered_maintenance_episode,
-    two_link_failures_same_as,
 )
 from repro.topology.generators import (
     InternetTopologyConfig,
@@ -105,35 +96,6 @@ class TestEpisodeModel:
         ] * 3
         links = {event.link for _, event in episode.steps}
         assert len(links) == 1  # one link flapping throughout
-
-
-class TestScenarioEmbedding:
-    """A one-phase episode must reproduce run_scenario byte-for-byte."""
-
-    @pytest.mark.parametrize("protocol", PLANES)
-    @pytest.mark.parametrize(
-        "builder",
-        [
-            single_provider_link_failure,
-            two_link_failures_same_as,
-            provider_node_failure,
-            link_recovery,
-        ],
-    )
-    def test_single_instant_episode_matches_run_scenario(
-        self, graph, protocol, builder
-    ):
-        scenario = builder(graph, random.Random("embed"))
-        a = run_scenario(graph, scenario, protocol, seed=3)
-        b = run_episode(graph, episode_from_scenario(scenario), protocol, seed=3)
-        assert a.report.affected == b.report.affected
-        assert a.report.eligible == b.report.eligible
-        assert a.report.permanently_unreachable == b.report.permanently_unreachable
-        assert a.report.timeline == b.report.timeline
-        assert a.report.problem_timeline == b.report.problem_timeline
-        assert (a.announcements, a.withdrawals) == (b.announcements, b.withdrawals)
-        assert repr(a.convergence_time) == repr(b.convergence_time)
-        assert repr(a.initial_convergence_time) == repr(b.initial_convergence_time)
 
 
 class TestMidRunRestore:

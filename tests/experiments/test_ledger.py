@@ -154,6 +154,24 @@ class TestTornAndCorruptRecords:
         assert ledger.dropped_records == 1
         ledger.close()
 
+    def test_absurd_integer_ts_is_a_corrupt_record(self, tmp_path, caplog):
+        """``float(10**400)`` overflows: the line is skipped, not fatal."""
+        path = tmp_path / "ledger.jsonl"
+        with ResultLedger(path) as ledger:
+            _fill(ledger, 3)
+        lines = path.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[2])  # lines[0] is the salt header
+        record["ts"] = 10**400
+        lines[2] = (json.dumps(record) + "\n").encode("ascii")
+        path.write_bytes(b"".join(lines))
+        with caplog.at_level(logging.WARNING, "repro.experiments.ledger"):
+            reopened = ResultLedger(path)
+        assert len(reopened) == 2
+        assert "k1" not in reopened
+        assert reopened.dropped_records == 1
+        assert any("invalid ts" in r.message for r in caplog.records)
+        reopened.close()
+
     def test_load_never_raises_on_garbage(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_bytes(b"\x00\xffnot json at all\n[1, 2, 3]\n\n")

@@ -76,7 +76,7 @@ class TestDeterministicMerge:
             assert all(r.protocol == protocol for r in protocol_runs)
         # Instance i runs the same scenario under every protocol.
         for i in range(3):
-            destinations = {runs[p][i].scenario.destination for p in PROTOCOLS}
+            destinations = {runs[p][i].episode.destination for p in PROTOCOLS}
             assert len(destinations) == 1
 
     def test_unit_is_deterministic_across_calls(self, tiny_graph):

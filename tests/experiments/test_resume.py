@@ -10,10 +10,14 @@ topology) never collide.
 from __future__ import annotations
 
 import functools
+import logging
+import pickle
 
 import pytest
 
+from repro.experiments.canonical import graph_content_hash, unit_key
 from repro.experiments.faults import FAULTS_ENV, fault_spec
+from repro.experiments.ledger import ResultLedger
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.scenarios import (
     link_flap_episode,
@@ -204,3 +208,83 @@ class TestCliLedgerFlow:
         assert second_output == first_output
         # The resumed run answered from the ledger: nothing was appended.
         assert ledger.stat().st_size == size_after_first
+
+    def test_ledger_from_before_a_salt_bump_recomputes_everything(
+        self, tmp_path, capsys, caplog, monkeypatch
+    ):
+        """An upgrade that bumps ``LEDGER_SALT`` meets an old ledger.
+
+        The file's header names the old salt and its records sit under
+        old-salt keys — here the very units the campaign runs, holding
+        pickles of a class this build no longer has.  Every key misses:
+        nothing stale is unpickled, the campaign recomputes all of it
+        and prints what an unledgered run prints; the fresh results
+        land in the same file, so the next run is fully ledgered.
+        """
+        from repro.cli import main
+        from repro.experiments.runner import PROTOCOLS as planes
+
+        old_salt = "repro-unit-v1"
+        stale = b"\x80\x04crepro.experiments.runner\nProtocolRun\n."
+        with pytest.raises(AttributeError):
+            pickle.loads(stale)
+        graph, _ = generate_internet_topology(InternetTopologyConfig(
+            seed=0, n_tier1=3, n_tier2=6, n_tier3=10, n_stub=20
+        ))
+        graph_hash = graph_content_hash(graph)
+        units = [(i, protocol) for i in range(2) for protocol in planes]
+
+        def key(instance, protocol, **salt):
+            return unit_key(
+                graph_hash, single_provider_link_failure, KIND, 0,
+                instance, protocol, **salt,
+            )
+
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_bytes(
+            ResultLedger.encode_header(old_salt) + b"".join(
+                ResultLedger.encode_record(
+                    key(*unit, salt=old_salt), stale, 1.0
+                )
+                for unit in units
+            )
+        )
+
+        outcomes = []
+        run = ParallelRunner.run_failure_comparison
+
+        def spy(self, *args, **kwargs):
+            outcomes.append(run(self, *args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ParallelRunner, "run_failure_comparison", spy)
+
+        def campaign(args):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, "repro.experiments.ledger"):
+                assert main(self.TINY_ARGS + args + ["fig2"]) == 0
+            foreign_salt_warnings = sum(
+                "differs from the current" in record.getMessage()
+                for record in caplog.records
+            )
+            last = outcomes[-1]
+            return (
+                capsys.readouterr().out, foreign_salt_warnings,
+                last.executed, last.ledger_hits,
+            )
+
+        unledgered, *_ = campaign([])
+        assert campaign(["--ledger", str(ledger)]) == (
+            unledgered, 1, len(units), 0
+        )
+        assert campaign(["--ledger", str(ledger)]) == (
+            unledgered, 1, 0, len(units)
+        )
+        # The stale records are dead weight, and the header still
+        # names the salt the file was created under.
+        with ResultLedger(ledger) as reopened:
+            assert reopened.salt == old_salt
+            assert sorted(reopened.keys()) == sorted(
+                [key(*unit, salt=old_salt) for unit in units]
+                + [key(*unit) for unit in units]
+            )

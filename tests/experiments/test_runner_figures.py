@@ -19,7 +19,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     PROTOCOLS,
     build_network,
-    run_scenario,
+    run_episode,
 )
 from repro.experiments.scenarios import (
     link_recovery,
@@ -39,28 +39,31 @@ def tiny_graph():
 class TestRunScenario:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_each_protocol_runs_and_reports(self, tiny_graph, protocol):
-        scenario = single_provider_link_failure(tiny_graph, random.Random(1))
-        run = run_scenario(tiny_graph, scenario, protocol, seed=2)
+        episode = single_provider_link_failure(tiny_graph, random.Random(1))
+        run = run_episode(tiny_graph, episode, protocol, seed=2)
         assert run.protocol == protocol
         assert run.convergence_time >= 0
         assert run.initial_updates > 0
         assert run.report.eligible
+        # One phase, and its report is the episode-wide one.
+        (phase,) = run.phases
+        assert phase.report is run.report
 
     def test_unknown_protocol_rejected(self, tiny_graph):
-        scenario = single_provider_link_failure(tiny_graph, random.Random(1))
+        episode = single_provider_link_failure(tiny_graph, random.Random(1))
         with pytest.raises(ConfigurationError):
-            run_scenario(tiny_graph, scenario, "ebgp-turbo", seed=2)
+            run_episode(tiny_graph, episode, "ebgp-turbo", seed=2)
 
     def test_recovery_scenario_is_clean_for_bgp(self, tiny_graph):
         """Lemma 3.1: route addition events cause no transient problems."""
-        scenario = link_recovery(tiny_graph, random.Random(4))
-        run = run_scenario(tiny_graph, scenario, "bgp", seed=3)
+        episode = link_recovery(tiny_graph, random.Random(4))
+        run = run_episode(tiny_graph, episode, "bgp", seed=3)
         assert run.affected == 0
 
     def test_same_seed_reproduces_exactly(self, tiny_graph):
-        scenario = single_provider_link_failure(tiny_graph, random.Random(1))
-        a = run_scenario(tiny_graph, scenario, "stamp", seed=9)
-        b = run_scenario(tiny_graph, scenario, "stamp", seed=9)
+        episode = single_provider_link_failure(tiny_graph, random.Random(1))
+        a = run_episode(tiny_graph, episode, "stamp", seed=9)
+        b = run_episode(tiny_graph, episode, "stamp", seed=9)
         assert a.affected == b.affected
         assert a.convergence_time == b.convergence_time
         assert a.updates == b.updates
@@ -68,10 +71,10 @@ class TestRunScenario:
     def test_stamp_not_worse_than_bgp_on_average(self, tiny_graph):
         totals = {"bgp": 0, "stamp": 0}
         for i in range(4):
-            scenario = single_provider_link_failure(tiny_graph, random.Random(i))
+            episode = single_provider_link_failure(tiny_graph, random.Random(i))
             for protocol in totals:
-                totals[protocol] += run_scenario(
-                    tiny_graph, scenario, protocol, seed=i
+                totals[protocol] += run_episode(
+                    tiny_graph, episode, protocol, seed=i
                 ).affected
         assert totals["stamp"] <= totals["bgp"]
 

@@ -1,6 +1,6 @@
 """The R-BGP twin-start snapshot must be invisible in the results.
 
-``run_scenario`` shares one initial convergence between ``rbgp`` and
+``run_episode`` shares one initial convergence between ``rbgp`` and
 ``rbgp-norci`` (see :mod:`repro.experiments.runner`): the second twin is
 restored from a pickle of the first's started network instead of being
 re-simulated.  These tests pin that the restored path is byte-identical
@@ -19,7 +19,7 @@ import repro.experiments.runner as runner_mod
 from repro.experiments.runner import (
     _StartSnapshot,
     build_network,
-    run_scenario,
+    run_episode,
 )
 from repro.experiments.scenarios import single_provider_link_failure
 from repro.topology.generators import (
@@ -39,8 +39,8 @@ def graph():
 
 def _run_pair(graph, scenario, *, seed):
     """One (norci, rbgp) pair through the public entry point."""
-    norci = run_scenario(graph, scenario, "rbgp-norci", seed=seed)
-    rbgp = run_scenario(graph, scenario, "rbgp", seed=seed)
+    norci = run_episode(graph, scenario, "rbgp-norci", seed=seed)
+    rbgp = run_episode(graph, scenario, "rbgp", seed=seed)
     return norci, rbgp
 
 
@@ -80,18 +80,18 @@ class TestSharedStartEquivalence:
     def test_slot_is_filled_and_consumed(self, graph):
         scenario = single_provider_link_failure(graph, random.Random("twin:1"))
         runner_mod._RBGP_START_SLOT = None
-        run_scenario(graph, scenario, "rbgp-norci", seed=11)
+        run_episode(graph, scenario, "rbgp-norci", seed=11)
         assert runner_mod._RBGP_START_SLOT is not None
-        run_scenario(graph, scenario, "rbgp", seed=11)
+        run_episode(graph, scenario, "rbgp", seed=11)
         assert runner_mod._RBGP_START_SLOT is None  # consumed by the twin
 
     def test_different_seed_does_not_hit_the_slot(self, graph):
         scenario = single_provider_link_failure(graph, random.Random("twin:2"))
         runner_mod._RBGP_START_SLOT = None
-        run_scenario(graph, scenario, "rbgp-norci", seed=3)
+        run_episode(graph, scenario, "rbgp-norci", seed=3)
         slot_before = runner_mod._RBGP_START_SLOT
         assert slot_before is not None
-        run_scenario(graph, scenario, "rbgp", seed=4)  # different seed
+        run_episode(graph, scenario, "rbgp", seed=4)  # different seed
         # The mismatched run started fresh and re-filled the slot with
         # its own key rather than consuming the old one.
         assert runner_mod._RBGP_START_SLOT is not None
@@ -124,8 +124,8 @@ class TestStartSnapshot:
         snapshot = _StartSnapshot(network, graph)
         restored = snapshot.restore()
         restored.set_rci(False)
-        for a, b in scenario.failed_links:
-            restored.fail_link(a, b)
+        for _, event in scenario.steps:
+            restored.fail_link(*event.link)
         restored.run_to_convergence()  # must not raise
         assert all(not sp.rci for sp in restored.speakers.values())
 
@@ -143,13 +143,13 @@ class TestStartSnapshot:
 
 class TestPreStartFailuresRefuseSharing:
     def test_session_down_before_start_poisons_invariance(self, graph):
-        """restored_links-style pre-start failures must disable sharing."""
+        """``pre_failed_links``-style pre-start failures must disable sharing."""
         scenario = single_provider_link_failure(graph, random.Random("twin:6"))
         network, _plane = build_network(
             "rbgp", graph, scenario.destination, seed=13
         )
-        # A link failed before initial convergence (what run_scenario
-        # does for scenario.restored_links) resets sessions, which is
+        # A link failed before initial convergence (what run_episode
+        # does for episode.pre_failed_links) resets sessions, which is
         # RCI-sensitive (known-bad-links / purge divergence).
         a = scenario.destination
         b = graph.neighbors(a)[0]

@@ -85,7 +85,7 @@ class TestLedgerCommands:
         self._fill(path, ["a", "b"])
         assert main(["ledger", "stats", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "records" in out and "repro-unit-v1" in out
+        assert "records" in out and "repro-unit-v2" in out
 
     def test_compact_with_bounds(self, tmp_path, capsys):
         from repro.experiments.ledger import ResultLedger

@@ -172,6 +172,28 @@ def test_file_discipline_has_one_owner():
             assert token not in sources[schema], f"{schema} uses {token}"
 
 
+def test_there_is_one_workload_model():
+    """One model, enforced: the single-instant stack (its model, runner,
+    run type, embedding and campaign data class) stays deleted, in the
+    code and in the documents, and nothing under ``src/`` dispatches on
+    whether a workload is an ``Episode`` — every workload is one."""
+    gone = re.compile(
+        r"\b(Scenario|run_scenario|ProtocolRun|episode_from_scenario"
+        r"|EpisodeCampaignData)\b"
+    )
+    dispatch = re.compile(r"isinstance\([^()]*\bEpisode\b")
+    sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+    documents = [README, *sorted((REPO / "docs").glob("*.md"))]
+    assert sources and len(documents) > 1
+    for path in sources + documents:
+        text = path.read_text()
+        name = path.relative_to(REPO).as_posix()
+        found = gone.search(text)
+        assert found is None, f"{name} still names {found.group()}"
+        if path in sources:
+            assert not dispatch.search(text), f"{name} branches on Episode"
+
+
 def test_readme_documents_resumable_campaigns():
     text = README.read_text()
     assert "## Resumable campaigns" in text

@@ -268,8 +268,8 @@ def test_started_network_snapshot_restores_on_compacted_csr_graph():
     network.start()
     restored = _StartSnapshot(network, graph).restore()
     assert restored.graph is graph  # topology re-bound by reference
-    for a, b in scenario.failed_links:
-        restored.fail_link(a, b)
+    for _, event in scenario.steps:
+        restored.fail_link(*event.link)
     restored.run_to_convergence()
     assert _trace_sha(restored.trace) == golden["rbgp"]["trace_sha"]
     assert len(restored.trace.changes) == golden["rbgp"]["trace_len"]
