@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import sys
 import tempfile
@@ -525,7 +526,7 @@ def test_campaign_resume(benchmark, perf_records, graph):
     protocols = ("bgp", "stamp")
     with tempfile.TemporaryDirectory() as tmp:
         runner = ParallelRunner(
-            workers=1, ledger_path=Path(tmp) / "ledger.jsonl"
+            workers=1, ledger=Path(tmp) / "ledger.jsonl"
         )
 
         def campaign():
@@ -550,6 +551,83 @@ def test_campaign_resume(benchmark, perf_records, graph):
         benchmark,
         instances=instances,
         ases=len(graph.ases),
+    )
+
+
+def test_campaign_warm_ledger(benchmark, perf_records, tmp_path):
+    """A served campaign pays for the bytes it adds, not the file it joins.
+
+    4-unit campaigns through two warm in-process ``CampaignService``s
+    (topology cached, ledger open) whose ledgers already hold 100 vs
+    10,000 foreign records: a daemon reads its file once, so the same
+    campaigns must cost the second no more than 1.2x what they cost
+    the first (ROADMAP item 2's target).  The daemons' rounds
+    alternate, round ``n`` is the campaign with seed ``n`` on both
+    (equal simulation work; four new records each), and the assertion
+    compares total *CPU* time — reading, decoding and digesting a file
+    is CPU, and this VM's wall clock swings with every fsync.  The
+    recorded timing is the larger ledger's wall clock.
+    """
+    from repro.service.app import CampaignService, ServiceConfig
+
+    ROUNDS = 25
+    SMALL, LARGE = 100, 10_000
+    topology = {"seed": 5, "tier1": 3, "tier2": 8, "tier3": 16, "stubs": 35}
+    services = {}
+    #: Per daemon, each campaign's CPU seconds; seed 0 warms it up
+    #: (topology generated, ledger read) and is not compared.
+    cpu = {SMALL: [], LARGE: []}
+
+    def campaign(records):
+        spec = {
+            "kind": "fig2", "instances": 2, "seed": len(cpu[records]),
+            "protocols": ["bgp", "stamp"], "topology": topology,
+        }
+        started = time.process_time()
+        _, status = services[records].submit(spec)
+        while status["state"] in ("queued", "running"):
+            time.sleep(0.001)
+            status = services[records].status(status["id"])
+        cpu[records].append(time.process_time() - started)
+        assert status["state"] == "done" and status["executed"] == 4
+
+    try:
+        for records in cpu:
+            state = tmp_path / f"ledger-{records}"
+            state.mkdir()
+            with open(state / "ledger.jsonl", "wb") as handle:
+                handle.write(ResultLedger.encode_header())
+                for i in range(records):
+                    payload = pickle.dumps({"filler": i, "pad": "x" * 700})
+                    handle.write(
+                        ResultLedger.encode_record(f"{i:064x}", payload, 1.0)
+                    )
+            services[records] = CampaignService(ServiceConfig(
+                journal_path=state / "journal.jsonl",
+                ledger_path=state / "ledger.jsonl",
+                workers=1, max_concurrent=1,
+            ))
+            services[records].start()
+            campaign(records)
+        benchmark.pedantic(
+            campaign, args=(LARGE,), setup=lambda: campaign(SMALL),
+            rounds=ROUNDS, iterations=1,
+        )
+    finally:
+        for service in services.values():
+            service.begin_shutdown()
+            service.drain(timeout=30)
+    small, large = sum(cpu[SMALL][1:]), sum(cpu[LARGE][1:])
+    assert large <= 1.2 * small, cpu
+    _record(
+        perf_records,
+        "campaign_warm_ledger",
+        benchmark,
+        records=LARGE,
+        units=4,
+        cpu_seconds=large / ROUNDS,
+        small_ledger_records=SMALL,
+        small_ledger_cpu_seconds=small / ROUNDS,
     )
 
 

@@ -82,7 +82,7 @@ def main() -> int:
                 workers=WORKERS,
                 max_attempts=2,
                 backoff_base=0.05,
-                ledger_path=ledger,
+                ledger=ledger,
             )
         finally:
             del os.environ[FAULTS_ENV]
@@ -100,7 +100,7 @@ def main() -> int:
             f"expected {expected_done} completed units, got {faulty.executed}"
         )
 
-        resumed = _campaign(graph, workers=WORKERS, ledger_path=ledger)
+        resumed = _campaign(graph, workers=WORKERS, ledger=ledger)
         assert resumed.complete, "resumed campaign must complete"
         assert resumed.executed == 1, (
             f"resume must recompute only the missing unit "

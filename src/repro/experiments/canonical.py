@@ -39,7 +39,8 @@ import hashlib
 import json
 import math
 import pickle
-from typing import Any, Callable, Dict, Optional
+import weakref
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph
@@ -135,13 +136,26 @@ def _graph_hash_preimage(graph: ASGraph) -> bytes:
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+#: graph -> (version hashed at, hash).  Keyed by identity, weakly, and
+#: invalidated by :attr:`ASGraph.version` — like the uphill-view cache
+#: and the twin-start key — so a daemon hashes its cached topology
+#: once, not once per campaign.
+_GRAPH_HASHES: "weakref.WeakKeyDictionary[ASGraph, Tuple[int, str]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def graph_content_hash(graph: ASGraph) -> str:
     """Content hash of a topology: equal content, equal hash.
 
     Two graphs holding the same ASes and links hash equally regardless
     of construction order (see :func:`_graph_hash_preimage`).
     """
-    return sha256_hex(_graph_hash_preimage(graph))
+    memo = _GRAPH_HASHES.get(graph)
+    if memo is None or memo[0] != graph.version:
+        memo = (graph.version, sha256_hex(_graph_hash_preimage(graph)))
+        _GRAPH_HASHES[graph] = memo
+    return memo[1]
 
 
 def describe_builder(builder: Callable) -> Dict[str, Any]:

@@ -198,7 +198,7 @@ def episode_campaign(
         max_attempts=config.retries + 1,
         unit_timeout=config.unit_timeout,
         backoff_base=config.retry_backoff,
-        ledger_path=config.ledger_path,
+        ledger=config.ledger_path,
     )
     outcome = runner.run_failure_comparison(
         builder, kind, config.seed, config.n_instances, config.protocols, graph

@@ -39,12 +39,13 @@ import binascii
 import json
 import logging
 import pickle
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import LedgerMergeError
-from repro.experiments.appendlog import AppendLog, atomic_write
+from repro.experiments.appendlog import AppendLog, Line, atomic_write
 from repro.experiments.canonical import LEDGER_SALT, sha256_hex
 
 logger = logging.getLogger("repro.experiments.ledger")
@@ -56,50 +57,78 @@ _RECORD_VERSION = 1
 class ResultLedger:
     """Append-only JSONL store of pickled unit results, keyed by hash.
 
-    Loading reads and validates every record once; lookups
-    (:meth:`__contains__`, :meth:`get`) are O(1) dictionary hits
-    afterwards.  :meth:`put` appends crash-safely and updates the
-    in-memory index, so a live campaign never re-reads the file.
+    Loading reads and validates every record once and keeps, per key,
+    only *where* the winning record sits — memory is O(keys), not
+    O(payload bytes), so a daemon can hold one ledger for life.
+    :meth:`get` reads that one record back (and checks it again);
+    :meth:`put` appends crash-safely and indexes what it wrote;
+    :meth:`refresh` catches up with other writers by reading only the
+    bytes they appended.  One lock makes all of it safe to share
+    between threads.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._log = AppendLog(self.path, logger)
-        #: key -> raw pickle bytes of the most recent record (last wins).
-        self._records: Dict[str, bytes] = {}
-        #: key -> append timestamp of the winning record (0.0 when the
-        #: record predates the ``ts`` field — sorts as oldest).
-        self._ts: Dict[str, float] = {}
+        self._lock = threading.RLock()
+        #: key -> (offset, length, ts) of the most recent record (last
+        #: wins): where its line sits, and its append timestamp (0.0
+        #: when the record predates the ``ts`` field — sorts as oldest).
+        self._index: Dict[str, Tuple[int, int, float]] = {}
         #: Salt declared by the file's header record, or ``None`` for a
         #: headerless (pre-header-format) ledger.
         self.salt: Optional[str] = None
-        #: Records dropped by the last load (torn/corrupt).
-        self.dropped_records = 0
-        #: Record versions other than this build's seen by the last
-        #: load.  A plain load skips them (a miss only costs a
-        #: recompute); :func:`merge_ledgers` refuses them.
+        #: The record versions other than this build's met while reading.
+        #: A plain read skips them (a miss only costs a recompute);
+        #: :func:`merge_ledgers` refuses them.
         self.foreign_versions: List[Any] = []
         self.load()
 
     # -- loading -------------------------------------------------------
 
     def load(self) -> None:
-        """(Re)build the index from disk, skipping torn/corrupt records."""
-        self._records.clear()
-        self._ts.clear()
-        self.salt = None
-        self.foreign_versions = []
-        for lineno, where, obj in self._log.records():
+        """(Re)build the index from byte 0, skipping torn/corrupt records."""
+        with self._lock:
+            self._index.clear()
+            self.salt = None
+            self.foreign_versions = []
+            self._read(self._log.records())
+
+    def refresh(self) -> None:
+        """Catch up with other writers (a CLI run, a second daemon).
+
+        Reads only the bytes appended since the last read — none, and
+        no read at all, when this ledger was the only writer.  If the
+        path now names another file than the one indexed (``ledger
+        compact`` / ``merge`` by another process) or a shorter one, the
+        index is rebuilt from byte 0: nothing is served from offsets
+        into a file that is gone.
+        """
+        with self._lock:
+            if self._log.stale():
+                logger.warning(
+                    "%s: replaced or truncated by another process; "
+                    "reading it again from the start", self.path,
+                )
+                self.load()
+            else:
+                self._read(self._log.records(resume=True))
+
+    def _read(self, records: Iterator[Tuple[Line, Any]]) -> None:
+        for line, obj in records:
             try:
                 record = self._decode(obj)
             except ValueError as exc:
-                self._log.skip(lineno, where, str(exc))
+                self._log.skip(line, str(exc))
                 continue
             if record is not None:
-                key, payload, ts = record
-                self._records[key] = payload
-                self._ts[key] = ts
-        self.dropped_records = self._log.dropped
+                key, _, ts = record
+                self._index[key] = (line.offset, line.length, ts)
+
+    @property
+    def dropped_records(self) -> int:
+        """Torn/corrupt records refused since the last :meth:`load`."""
+        return self._log.dropped
 
     def _decode(self, obj: Any) -> Optional[Tuple[str, bytes, float]]:
         """Validate one parsed line; return ``(key, payload, ts)``.
@@ -110,7 +139,7 @@ class ResultLedger:
         if not isinstance(obj, dict):
             raise ValueError("missing/invalid fields")
         if obj.get("v") != _RECORD_VERSION:
-            if "v" in obj:
+            if "v" in obj and obj["v"] not in self.foreign_versions:
                 self.foreign_versions.append(obj["v"])
             raise ValueError("missing/invalid fields")
         if obj.get("kind") == "header":
@@ -125,7 +154,13 @@ class ResultLedger:
                         self.path, self.salt, LEDGER_SALT,
                     )
             return None
-        if not all(
+        return self._decode_record(obj)
+
+    @staticmethod
+    def _decode_record(obj: Any) -> Tuple[str, bytes, float]:
+        """``(key, payload, ts)`` of a result record whose payload
+        matches its digest; ``ValueError(reason)`` otherwise."""
+        if not isinstance(obj, dict) or not all(
             isinstance(obj.get(field), str)
             for field in ("key", "payload", "psha")
         ):
@@ -146,17 +181,50 @@ class ResultLedger:
     # -- lookups -------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
+        return key in self._index
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
 
     def keys(self) -> Iterator[str]:
-        return iter(self._records)
+        with self._lock:
+            return iter(list(self._index))
+
+    def _payload(self, key: str) -> bytes:
+        """Read the record indexed under ``key`` back; its pickle bytes.
+
+        The line was checked when it was indexed and is checked again
+        here — the file may have rotted, or been rewritten under a
+        running campaign, since.  A record that no longer holds up is
+        a miss like any other bad line: logged, counted, unindexed,
+        and reported as ``KeyError``.
+        """
+        with self._lock:
+            entry = self._index[key]
+            raw = self._log.read_at(entry[0], entry[1])
+        try:
+            stored_key, payload, _ = self._decode_record(json.loads(raw))
+            if stored_key != key:
+                raise ValueError("another key's record")
+        except ValueError as exc:
+            logger.warning(
+                "%s: the record at byte %d no longer reads back (%s); "
+                "treating it as a miss", self.path, entry[0], exc,
+            )
+            with self._lock:
+                self._log.dropped += 1
+                if self._index.get(key) == entry:
+                    del self._index[key]
+            raise KeyError(key) from None
+        return payload
 
     def get(self, key: str) -> Any:
-        """Unpickle and return the result stored under ``key``."""
-        return pickle.loads(self._records[key])
+        """Unpickle and return the result stored under ``key``.
+
+        ``KeyError`` when there is none — never stored, or stored and
+        no longer readable (see :meth:`_payload`).
+        """
+        return pickle.loads(self._payload(key))
 
     # -- appends -------------------------------------------------------
 
@@ -190,20 +258,22 @@ class ResultLedger:
         """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         ts = time.time()
-        line = self.encode_record(key, payload, ts)
-        # A brand-new ledger leads with a header naming the salt its
-        # keys were derived under (the merge tool's safety check), in
-        # the first record's write.  Two writers racing on creation may
-        # both append one — duplicates are harmless on load.
-        fresh = self._log.open()
-        self._log.append(self.encode_header() + line if fresh else line)
-        if fresh:
-            self.salt = LEDGER_SALT
-        self._records[key] = payload
-        self._ts[key] = ts
+        record = self.encode_record(key, payload, ts)
+        with self._lock:
+            # A brand-new ledger leads with a header naming the salt its
+            # keys were derived under (the merge tool's safety check), in
+            # the first record's write.  Two writers racing on creation
+            # may both append one — duplicates are harmless on load.
+            fresh = not self._index and self._log.size() == 0
+            data = self.encode_header() + record if fresh else record
+            offset = self._log.append(data) + len(data) - len(record)
+            if fresh:
+                self.salt = LEDGER_SALT
+            self._index[key] = (offset, len(record) - 1, ts)
 
     def close(self) -> None:
-        self._log.close()
+        with self._lock:
+            self._log.close()
 
     def __enter__(self) -> "ResultLedger":
         return self
@@ -212,6 +282,17 @@ class ResultLedger:
         self.close()
 
     # -- maintenance ---------------------------------------------------
+
+    def _live_records(self) -> List[Tuple[str, bytes, float]]:
+        """``(key, pickle bytes, ts)`` of every record that reads back."""
+        records = []
+        with self._lock:
+            for key, (_, _, ts) in list(self._index.items()):
+                try:
+                    records.append((key, self._payload(key), ts))
+                except KeyError:
+                    continue
+        return records
 
     def compact(
         self,
@@ -235,55 +316,50 @@ class ResultLedger:
         or the new complete file.  Returns the number of evicted records.
         """
         now = time.time() if now is None else now
-        survivors: List[Tuple[str, bytes, float]] = [
-            (key, payload, self._ts.get(key, 0.0))
-            for key, payload in self._records.items()
-        ]
-        if max_age_seconds is not None:
-            cutoff = now - max_age_seconds
-            survivors = [rec for rec in survivors if rec[2] >= cutoff]
-        encoded = [
-            (key, self.encode_record(key, payload, ts or None), ts)
-            for key, payload, ts in survivors
-        ]
-        if max_bytes is not None:
-            total = len(self.encode_header()) + sum(
-                len(line) for _, line, _ in encoded
+        with self._lock:
+            survivors = self._live_records()
+            live = len(survivors)
+            if max_age_seconds is not None:
+                cutoff = now - max_age_seconds
+                survivors = [rec for rec in survivors if rec[2] >= cutoff]
+            encoded = [
+                (self.encode_record(key, payload, ts or None), ts)
+                for key, payload, ts in survivors
+            ]
+            if max_bytes is not None:
+                total = len(self.encode_header()) + sum(
+                    len(line) for line, _ in encoded
+                )
+                # Oldest first: ties broken by append order (dict order).
+                by_age = sorted(
+                    range(len(encoded)), key=lambda i: (encoded[i][1], i)
+                )
+                evict = set()
+                for i in by_age:
+                    if total <= max_bytes:
+                        break
+                    total -= len(encoded[i][0])
+                    evict.add(i)
+                encoded = [
+                    rec for i, rec in enumerate(encoded) if i not in evict
+                ]
+            self._log.rewrite(
+                [self.encode_header(self.salt or LEDGER_SALT)]
+                + [line for line, _ in encoded]
             )
-            # Oldest first: ties broken by append order (dict order).
-            by_age = sorted(
-                range(len(encoded)), key=lambda i: (encoded[i][2], i)
-            )
-            evict = set()
-            for i in by_age:
-                if total <= max_bytes:
-                    break
-                total -= len(encoded[i][1])
-                evict.add(i)
-            encoded = [rec for i, rec in enumerate(encoded) if i not in evict]
-        evicted = len(self._records) - len(encoded)
-        salt = self.salt or LEDGER_SALT
-        self._log.rewrite(
-            [self.encode_header(salt)] + [line for _, line, _ in encoded]
-        )
-        self._records = {key: self._records[key] for key, _, _ in encoded}
-        self._ts = {key: ts for key, _, ts in encoded}
-        self.salt = salt
-        self.dropped_records = 0
-        return evicted
+            self.load()
+        return live - len(encoded)
 
     def stats(self) -> Dict[str, Any]:
         """Operational summary: live records, bytes, salt, age span."""
-        live_bytes = sum(
-            len(self.encode_record(key, payload, self._ts.get(key) or None))
-            for key, payload in self._records.items()
-        )
-        stamps = [ts for ts in self._ts.values() if ts > 0.0]
+        with self._lock:
+            entries = list(self._index.values())
+        stamps = [ts for _, _, ts in entries if ts > 0.0]
         return {
             "path": str(self.path),
-            "records": len(self._records),
+            "records": len(entries),
             "file_bytes": self._log.size(),
-            "live_bytes": live_bytes,
+            "live_bytes": sum(length + 1 for _, length, _ in entries),
             "dropped_records": self.dropped_records,
             "salt": self.salt,
             "oldest_ts": min(stamps) if stamps else None,
@@ -327,30 +403,31 @@ def merge_ledgers(
     for in_path in in_paths:
         if not Path(in_path).exists():
             raise LedgerMergeError(f"input ledger does not exist: {in_path}")
-        ledger = ResultLedger(in_path)
-        if ledger.foreign_versions:
-            # Silently dropping another version's records from the
-            # combined ledger would look like data loss.
-            raise LedgerMergeError(
-                f"{in_path}: contains record version "
-                f"{ledger.foreign_versions[0]!r} (this tool writes version "
-                f"{_RECORD_VERSION}); refusing to merge across format versions"
-            )
-        if ledger.salt is not None:
-            salts[str(in_path)] = ledger.salt
-            if len(set(salts.values())) > 1:
-                detail = ", ".join(
-                    f"{p}: {s!r}" for p, s in sorted(salts.items())
-                )
+        with ResultLedger(in_path) as ledger:
+            if ledger.foreign_versions:
+                # Silently dropping another version's records from the
+                # combined ledger would look like data loss.
                 raise LedgerMergeError(
-                    f"input ledgers declare different salts ({detail}); "
-                    "their keys are not comparable"
+                    f"{in_path}: contains record version "
+                    f"{ledger.foreign_versions[0]!r} (this tool writes "
+                    f"version {_RECORD_VERSION}); refusing to merge across "
+                    "format versions"
                 )
-        skipped += ledger.dropped_records
-        for key, payload in ledger._records.items():
-            if key in merged:
-                duplicates += 1
-            merged[key] = (payload, ledger._ts.get(key, 0.0))
+            if ledger.salt is not None:
+                salts[str(in_path)] = ledger.salt
+                if len(set(salts.values())) > 1:
+                    detail = ", ".join(
+                        f"{p}: {s!r}" for p, s in sorted(salts.items())
+                    )
+                    raise LedgerMergeError(
+                        f"input ledgers declare different salts ({detail}); "
+                        "their keys are not comparable"
+                    )
+            for key, payload, ts in ledger._live_records():
+                if key in merged:
+                    duplicates += 1
+                merged[key] = (payload, ts)
+            skipped += ledger.dropped_records
     salt = next(iter(salts.values()), LEDGER_SALT)
     atomic_write(
         out_path,

@@ -28,11 +28,11 @@ same retry accounting); the pool is also skipped for single-unit
 grids, and environments that cannot spawn processes degrade to the
 in-process loop with a logged warning.
 
-With ``ledger_path`` set, every completed unit is appended to a
-crash-safe :class:`~repro.experiments.ledger.ResultLedger` keyed by
-its canonical input hash, and units already present are answered from
-disk — interrupted or overlapping sweeps recompute only never-seen
-units (see ``docs/robustness.md``).
+With ``ledger`` set, every completed unit is appended to a crash-safe
+:class:`~repro.experiments.ledger.ResultLedger` keyed by its canonical
+input hash, and units already present are answered from disk —
+interrupted or overlapping sweeps recompute only never-seen units (see
+``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class ParallelRunner:
 
     ``max_attempts``/``unit_timeout``/``backoff_base``/``backoff_factor``
     /``degrade_final`` configure the
-    :class:`~repro.experiments.supervisor.RetryPolicy`; ``ledger_path``
+    :class:`~repro.experiments.supervisor.RetryPolicy`; ``ledger``
     enables the crash-safe result ledger.  None of them can change the
     *value* of any result — units are pure and the merge canonical —
     only whether and where a result gets computed.
@@ -109,7 +109,12 @@ class ParallelRunner:
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
     degrade_final: bool = False
-    ledger_path: Optional[Union[str, Path]] = None
+    #: A path: the ledger is opened (and read) for each run and closed
+    #: after it — the CLI's case.  An open
+    #: :class:`~repro.experiments.ledger.ResultLedger`: borrowed — caught
+    #: up with other writers before each run, never closed — which is
+    #: how the service keeps one for its lifetime.
+    ledger: Optional[Union[str, Path, ResultLedger]] = None
     #: Shared machine-wide worker budget.  When set, ``workers`` is a
     #: request: the supervisor acquires up to that many slots from the
     #: budget and may be granted fewer under contention (see
@@ -145,9 +150,11 @@ class ParallelRunner:
         after the ledger preload and every unit resolution.
         """
         units = list(units)
-        ledger = keys = None
-        if self.ledger_path is not None:
-            ledger = ResultLedger(self.ledger_path)
+        ledger = opened = keys = None
+        if self.ledger is not None:
+            ledger = self.ledger
+            if not isinstance(ledger, ResultLedger):
+                ledger = opened = ResultLedger(ledger)
             graph_hash = graph_content_hash(graph)
             keys = [
                 unit_key(graph_hash, builder, kind, seed, instance, protocol)
@@ -167,8 +174,8 @@ class ParallelRunner:
             )
             return supervisor.run()
         finally:
-            if ledger is not None:
-                ledger.close()
+            if opened is not None:
+                opened.close()
 
     def run_units(
         self, graph: ASGraph, units: Sequence[WorkUnit]

@@ -45,9 +45,19 @@ import random
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.experiments import faults
 from repro.experiments.ledger import ResultLedger
@@ -363,9 +373,10 @@ class Supervisor:
         n = len(self._units)
         self._results: List[Optional[object]] = [None] * n
         self._resolved = [False] * n
+        self._n_resolved = 0
         self._attempts: List[List[AttemptFailure]] = [[] for _ in range(n)]
         self._not_before = [0.0] * n
-        self._pending: List[int] = []
+        self._pending: Deque[int] = deque()
         self._failures: List[UnitFailure] = []
         self._executed = 0
         self._ledger_hits = 0
@@ -403,7 +414,7 @@ class Supervisor:
         if self._on_progress is None:
             return
         try:
-            self._on_progress(sum(self._resolved), len(self._resolved))
+            self._on_progress(self._n_resolved, len(self._resolved))
         except Exception:
             logger.exception("progress callback raised; continuing")
 
@@ -413,11 +424,15 @@ class Supervisor:
         _, kind, seed, instance, protocol = self._units[index]
         return kind, seed, instance, protocol
 
+    def _resolve(self, index: int) -> None:
+        self._resolved[index] = True
+        self._n_resolved += 1
+
     def _complete(self, index: int, result: object) -> None:
         if self._resolved[index]:
             return
         self._results[index] = result
-        self._resolved[index] = True
+        self._resolve(index)
         self._executed += 1
         if self._ledger is not None and self._keys is not None:
             self._ledger.put(self._keys[index], result)
@@ -439,7 +454,7 @@ class Supervisor:
                 attempts=tuple(records),
             )
             self._failures.append(failure)
-            self._resolved[index] = True
+            self._resolve(index)
             logger.warning("terminal failure: %s", failure.describe())
             self._notify_progress()
         else:
@@ -472,16 +487,22 @@ class Supervisor:
 
     def _preload_from_ledger(self) -> None:
         if self._ledger is None or self._keys is None:
-            for index in range(len(self._units)):
-                self._pending.append(index)
+            self._pending.extend(range(len(self._units)))
             return
+        # A ledger that outlives one grid (the service's) first catches
+        # up with whatever other writers appended since its last read.
+        self._ledger.refresh()
         for index, key in enumerate(self._keys):
             if key in self._ledger:
-                self._results[index] = self._ledger.get(key)
-                self._resolved[index] = True
-                self._ledger_hits += 1
-            else:
-                self._pending.append(index)
+                try:
+                    self._results[index] = self._ledger.get(key)
+                except KeyError:
+                    pass  # indexed but no longer readable: a miss
+                else:
+                    self._resolve(index)
+                    self._ledger_hits += 1
+                    continue
+            self._pending.append(index)
 
     # -- pool management -----------------------------------------------
 
@@ -566,7 +587,8 @@ class Supervisor:
     def _next_eligible(self, now: float) -> Optional[int]:
         for position, index in enumerate(self._pending):
             if self._not_before[index] <= now:
-                return self._pending.pop(position)
+                del self._pending[position]  # O(1) at the head: the rule
+                return index
         return None
 
     def _earliest_backoff(self) -> Optional[float]:
@@ -599,14 +621,14 @@ class Supervisor:
                     # No pool at all: run the attempt where we stand.
                     self._run_attempt_inprocess(index)
                     continue
-                self._pending.insert(0, index)
+                self._pending.appendleft(index)
                 return
             try:
                 worker.conn.send((index, self._units[index]))
             except (OSError, ValueError, BrokenPipeError):
                 # The worker died between tasks; charge nothing, retire
                 # it, and redispatch on the next loop pass.
-                self._pending.insert(0, index)
+                self._pending.appendleft(index)
                 self._discard_worker(worker, kill=True)
                 continue
             worker.assignment = index
@@ -679,7 +701,10 @@ class Supervisor:
             failures=self._failures,
             executed=self._executed,
             ledger_hits=self._ledger_hits,
-            stopped=self._stop_requested() and not all(self._resolved),
+            stopped=(
+                self._stop_requested()
+                and self._n_resolved < len(self._resolved)
+            ),
         )
 
     def _share_topology(self) -> Optional[topology_shm.SharedGraph]:

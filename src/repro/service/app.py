@@ -81,6 +81,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.errors import ServiceError, SpecValidationError
 from repro.experiments.canonical import canonical_json
 from repro.experiments.figures import FailureFigureData
+from repro.experiments.ledger import ResultLedger
 from repro.experiments.parallel import CampaignOutcome, ParallelRunner
 from repro.experiments.supervisor import UnitFailure, WorkerBudget
 from repro.service.journal import CampaignJournal
@@ -223,9 +224,11 @@ class CampaignService:
     campaigns are in flight.  Lanes are isolation domains: a hung,
     poisoned, or cancelled campaign occupies only its own lane.  The
     journal is only ever written under the service lock, so lanes
-    never interleave records; ledger appends are O_APPEND+fsync and
-    concurrent campaigns touch disjoint unit keys, so the shared
-    ledger is concurrent-writer safe by construction.
+    never interleave records.  The result ledger is one object for the
+    service's lifetime, opened by the first campaign to run (so the
+    service is ready before a ledger byte is read), shared by every
+    lane under the ledger's own lock, caught up with other writers'
+    appends before each campaign, and closed by :meth:`drain`.
     """
 
     def __init__(
@@ -250,6 +253,8 @@ class CampaignService:
         self._durations: deque = deque(maxlen=32)
         self._graphs: Dict[Tuple, Any] = {}
         self._graph_lock = threading.Lock()
+        self._ledger: Optional[ResultLedger] = None
+        self._ledger_lock = threading.Lock()
         self.recovered = 0
         self.resumed = 0
         self._recover()
@@ -312,6 +317,9 @@ class CampaignService:
                 }
             )
             self._journal.close()
+        with self._ledger_lock:
+            if self._ledger is not None:
+                self._ledger.close()
         return clean
 
     def _journal_append(self, body: Dict[str, Any]) -> None:
@@ -601,6 +609,15 @@ class CampaignService:
                 self._graphs[key] = graph
             return graph
 
+    def _shared_ledger(self) -> ResultLedger:
+        # Serialized across lanes like the graph cache: the first
+        # campaign reads the file, the lane beside it waits for the
+        # index instead of building its own.
+        with self._ledger_lock:
+            if self._ledger is None:
+                self._ledger = ResultLedger(self.config.ledger_path)
+            return self._ledger
+
     def _run_campaign(self, campaign: Campaign) -> None:
         cid = campaign.campaign_id
         spec = self._specs.get(cid)
@@ -615,7 +632,7 @@ class CampaignService:
             workers=requested,
             max_attempts=spec.retries + 1,
             unit_timeout=spec.unit_timeout,
-            ledger_path=self.config.ledger_path,
+            ledger=self._shared_ledger(),
             budget=self._budget,
         )
 

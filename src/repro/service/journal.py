@@ -112,12 +112,12 @@ class CampaignJournal:
         """One pass: ``(campaigns, dropped, records, snapshots)``."""
         campaigns: Dict[str, Dict[str, Any]] = {}
         snapshots = 0
-        for lineno, where, record in self._log.records():
+        for line, record in self._log.records():
             try:
                 body = self._decode(record)
                 self._apply(campaigns, body)
             except ValueError as exc:
-                self._log.skip(lineno, where, str(exc))
+                self._log.skip(line, str(exc))
                 continue
             if body["event"] == "snapshot":
                 snapshots += 1

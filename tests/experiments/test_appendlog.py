@@ -15,6 +15,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import logging
 import os
 import pickle
 import tempfile
@@ -345,6 +346,164 @@ def test_short_write_submit_acknowledges_nothing(tmp_path, monkeypatch):
         service.drain(timeout=1)
     campaigns, dropped = CampaignJournal(config.journal_path).replay()
     assert list(campaigns) == [status["id"]] and dropped == 1
+
+
+# ----------------------------------------------------------------------
+# (e) one long-lived reader: read once, then only catch up
+# ----------------------------------------------------------------------
+
+#: A file with everything a reader can meet: a legacy record, a header
+#: under another salt, duplicates, a torn line sealed mid-file, another
+#: format version — with and without a torn record at the very end.
+MIXED = b"".join(
+    LedgerSchema.lines[:3] + LedgerSchema.junk + LedgerSchema.lines[3:]
+)
+MIXED_FILES = pytest.mark.parametrize(
+    "blob", [MIXED, MIXED + b'{"v": 1, "key": "to'], ids=["sealed", "torn"]
+)
+
+
+def _view(ledger):
+    """Everything a ledger knows about its file."""
+    return (
+        dict(ledger._index), ledger.dropped_records, ledger.salt,
+        ledger.foreign_versions,
+    )
+
+
+def _skips(caplog):
+    """``(line number, message)`` of every refused line, and the rest."""
+    skips, other = [], []
+    for record in caplog.records:
+        message = record.getMessage()
+        if " record at line " in message:
+            number = int(message.split(" at line ")[1].split()[0])
+            skips.append((number, message))
+        else:
+            other.append(message)
+    caplog.clear()
+    return skips, other
+
+
+@MIXED_FILES
+def test_prefix_then_catch_up_reads_like_one_full_read(
+    blob, tmp_path, caplog
+):
+    """Split at *every* byte: a ledger that read the prefix and then
+    caught up with the rest knows exactly what one full read knows —
+    same index, same ``dropped_records`` — and has warned about each
+    line it had not consumed exactly as the full read warns about it
+    (a line the split cut was the prefix's torn tail: that warning is
+    the prefix's own, and the line is classified again once whole)."""
+    path = tmp_path / "ledger.jsonl"
+    caplog.set_level(logging.WARNING, "repro.experiments.ledger")
+    path.write_bytes(blob)
+    with ResultLedger(path) as full:
+        expected = _view(full)
+        values = {key: full.get(key) for key in full.keys()}
+    full_skips, full_other = _skips(caplog)
+    assert full_skips and len(full_other) == 1  # junk; "salt differs"
+    with ResultLedger(path) as idle:  # nothing appended: nothing said
+        idle.refresh()
+        assert _view(idle) == expected
+    assert _skips(caplog) == (full_skips, full_other)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with ResultLedger(path) as ledger:
+            prefix_skips, _ = _skips(caplog)
+            with open(path, "ab") as handle:
+                handle.write(blob[cut:])
+            ledger.refresh()
+            assert _view(ledger) == expected, cut
+            assert {k: ledger.get(k) for k in ledger.keys()} == values, cut
+        consumed = blob[:cut].count(b"\n")
+        skips, other = _skips(caplog)
+        assert skips == [s for s in full_skips if s[0] > consumed], cut
+        provisional = [s for s in prefix_skips if s[0] > consumed]
+        assert prefix_skips + skips == (
+            full_skips[:len(prefix_skips) - len(provisional)]
+            + provisional + skips
+        ), cut
+        assert all("torn trailing" in m for _, m in provisional), cut
+        assert len(provisional) <= 1, cut
+        # "salt differs" is said once, by whichever pass met the header.
+        assert (other == full_other) != (cut >= blob.index(b"\n", 200)), cut
+
+
+def test_catch_up_reads_only_what_other_writers_appended(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "ledger.jsonl"
+    reads = []
+    real_pread = os.pread
+
+    def counted(fd, length, offset):
+        reads.append((offset, length))
+        return real_pread(fd, length, offset)
+
+    with ResultLedger(path) as ledger, ResultLedger(path) as other:
+        ledger.put("mine", 1)
+        before = path.stat().st_size
+        other.put("theirs-0", "a" * 5000)
+        other.put("theirs-1", "b")
+        monkeypatch.setattr(appendlog.os, "pread", counted)
+        assert "theirs-0" not in ledger
+        ledger.refresh()
+        assert reads == [(before, path.stat().st_size - before)]
+        assert ledger.get("theirs-0") == "a" * 5000
+        assert ledger.get("theirs-1") == "b" and ledger.get("mine") == 1
+        # Its own appends are never read back (each probed the one
+        # byte before it), and with nothing new there is no read.
+        del reads[:]
+        ledger.put("mine-too", 2)
+        ledger.put("mine-again", 3)
+        assert [length for _, length in reads] == [1, 1]
+        ledger.refresh()
+        assert len(reads) == 2
+        assert ledger.dropped_records == 0 and len(ledger) == 5
+
+
+def test_put_after_a_foreign_writer_died_mid_record(tmp_path):
+    """The long-lived ledger re-probes the tail before it appends: its
+    record survives, the dead writer's fragment is one lone bad line."""
+    path = tmp_path / "ledger.jsonl"
+    with ResultLedger(path) as ledger:
+        ledger.put("before", 1)
+        with open(path, "ab") as handle:  # the writer that dies
+            handle.write(ResultLedger.encode_record("lost", ONE)[:40])
+        ledger.put("after", 2)
+        ledger.put("later", 3)
+        with ResultLedger(path) as reopened:
+            assert sorted(reopened.keys()) == ["after", "before", "later"]
+            assert reopened.dropped_records == 1
+            assert reopened.get("after") == 2
+        # The ledger that wrote around the fragment reads it the same.
+        ledger.refresh()
+        assert ledger.dropped_records == 1
+        assert _view(ledger) == _view(reopened)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[2] == ResultLedger.encode_record("lost", ONE)[:40]
+
+
+@SCHEMAS
+def test_a_log_it_may_only_read_still_reads(schema, tmp_path, monkeypatch):
+    """``ledger stats`` / a merge input on a read-only file (simulated:
+    the tests may run as root, whom permissions do not stop)."""
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"".join(schema.lines))
+    expected = schema.read(path)
+    real_open = os.open
+
+    def read_only(target, flags, *mode):
+        if flags & os.O_RDWR:
+            raise PermissionError(13, "Permission denied", str(target))
+        return real_open(target, flags, *mode)
+
+    monkeypatch.setattr(appendlog.os, "open", read_only)
+    assert schema.read(path) == expected
+    with pytest.raises(OSError):
+        schema.append(path)
+    assert schema.read(path) == expected
 
 
 # ----------------------------------------------------------------------

@@ -216,3 +216,27 @@ class TestGraphContentHash:
         graph_a, _ = generate_internet_topology(config_a)
         graph_b, _ = generate_internet_topology(config_b)
         assert graph_content_hash(graph_a) != graph_content_hash(graph_b)
+
+    def test_hash_is_computed_once_per_graph_version(self, monkeypatch):
+        """A daemon hashes its cached topology once, not per campaign;
+        a mutation (``version`` moves) hashes the new content."""
+        from repro.experiments import canonical
+
+        calls = []
+        preimage = canonical._graph_hash_preimage
+        monkeypatch.setattr(
+            canonical, "_graph_hash_preimage",
+            lambda graph: calls.append(graph.version) or preimage(graph),
+        )
+        graph = example_paper_topology()
+        first = graph_content_hash(graph)
+        assert graph_content_hash(graph) == first and len(calls) == 1
+        # An equal graph is another object: hashed itself, equal hash.
+        assert graph_content_hash(example_paper_topology()) == first
+        assert len(calls) == 2
+        a, b = next(iter(graph.p2p_links()))
+        graph.remove_link(a, b)
+        changed = graph_content_hash(graph)
+        assert changed != first and len(calls) == 3
+        graph.add_p2p(a, b)
+        assert graph_content_hash(graph) == first and len(calls) == 4

@@ -11,6 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import multiprocessing
+import sys
+import threading
+import time
+
+import pytest
 
 from repro.experiments.ledger import ResultLedger
 
@@ -451,6 +456,145 @@ class TestMergeLedgers:
         with ResultLedger(tmp_path / "acc.jsonl") as merged:
             assert len(merged) == 4
             assert merged.dropped_records == 0
+
+
+def _rot_payload(path, key):
+    """Change one payload character of ``key``'s record, in place, into
+    another base64 character: only the digest can tell."""
+    data = path.read_bytes()
+    at = data.index(b'"payload": "', data.index(key.encode())) + 20
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        handle.write(b"B" if data[at:at + 1] == b"A" else b"A")
+
+
+class TestLongLivedLedger:
+    """One ledger object held for a daemon's lifetime: what the
+    per-campaign reopen used to give for free, as explicit rules."""
+
+    def test_another_process_compacts_while_this_one_is_idle(
+        self, tmp_path, caplog
+    ):
+        path = tmp_path / "ledger.jsonl"
+        ledger = ResultLedger(path)
+        for round_ in range(3):  # superseded duplicates: offsets will move
+            _fill(ledger, 4, prefix=f"r{round_ % 2}")
+        with ResultLedger(path) as other:  # `ledger compact`, elsewhere
+            other.compact()
+        assert path.stat().st_size < ledger._log._consumed
+        with caplog.at_level(logging.WARNING, "repro.experiments.ledger"):
+            ledger.refresh()
+        assert any("replaced" in r.getMessage() for r in caplog.records)
+        # Nothing is served from offsets into the file that is gone...
+        for i in range(4):
+            assert ledger.get(f"r0{i}") == {"value": i, "tag": "r0"}
+            assert ledger.get(f"r1{i}") == {"value": i, "tag": "r1"}
+        # ... and appends land in the file that is there.
+        ledger.put("after", "compaction")
+        ledger.close()
+        with ResultLedger(path) as reopened:
+            assert reopened.get("after") == "compaction"
+            assert len(reopened) == 9 and reopened.dropped_records == 0
+
+    def test_a_file_cut_short_is_read_again_from_the_start(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        with ResultLedger(path) as ledger:
+            _fill(ledger, 3)
+            kept = path.read_bytes().splitlines(keepends=True)[:2]
+            path.write_bytes(b"".join(kept))  # same inode, shorter
+            ledger.refresh()
+            assert sorted(ledger.keys()) == ["k0"]
+            ledger.put("k3", 3)
+        with ResultLedger(path) as reopened:
+            assert sorted(reopened.keys()) == ["k0", "k3"]
+            assert reopened.dropped_records == 0
+
+    def test_bit_rot_after_indexing_is_a_counted_miss(self, tmp_path, caplog):
+        path = tmp_path / "ledger.jsonl"
+        with ResultLedger(path) as ledger:
+            _fill(ledger, 3)
+            _rot_payload(path, "k1")
+            with caplog.at_level(logging.WARNING, "repro.experiments.ledger"):
+                with pytest.raises(KeyError):
+                    ledger.get("k1")
+            assert any(
+                "no longer reads back" in r.getMessage()
+                and "digest mismatch" in r.getMessage()
+                for r in caplog.records
+            )
+            assert "k1" not in ledger and ledger.dropped_records == 1
+            assert ledger.get("k0") == {"value": 0, "tag": "k"}
+            ledger.put("k1", "recomputed")
+            assert ledger.get("k1") == "recomputed"
+        with ResultLedger(path) as reopened:
+            assert reopened.get("k1") == "recomputed"
+            assert reopened.dropped_records == 1
+
+    def test_memory_is_keys_not_payloads(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        big = "x" * 200_000
+        with ResultLedger(path) as ledger:
+            ledger.put("big", big)
+        with ResultLedger(path) as reopened:
+            held = sum(
+                sys.getsizeof(part)
+                for entry in reopened._index.items() for part in entry
+            )
+            assert held < 1000 and reopened.get("big") == big
+
+    def test_lanes_hammering_one_ledger(self, tmp_path):
+        """Four threads put/get/refresh on one ledger while a second
+        ledger (another process, as far as the file can tell) appends
+        to the same path: no put is lost, no get is wrong."""
+        path = tmp_path / "ledger.jsonl"
+        ledger, foreign = ResultLedger(path), ResultLedger(path)
+        deadline = time.monotonic() + 1.5
+        written = [dict() for _ in range(5)]
+        errors = []
+
+        def lane(n, target):
+            mine = written[n]
+            try:
+                i = 0
+                while time.monotonic() < deadline and i < 150:
+                    key, value = f"w{n}-{i}", {"writer": n, "i": i, "pad": "p" * i}
+                    target.put(key, value)
+                    mine[key] = value
+                    probe = f"w{n}-{i // 2}"
+                    assert target.get(probe) == mine[probe]
+                    if target is ledger:
+                        target.refresh()
+                        other = written[(n + 1) % 4]
+                        for seen in list(other)[-2:]:
+                            assert ledger.get(seen) == other[seen]
+                    i += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=lane, args=(n, ledger)) for n in range(4)
+        ] + [threading.Thread(target=lane, args=(4, foreign))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        everything = {k: v for mine in written for k, v in mine.items()}
+        assert len(everything) >= 5
+        ledger.refresh()
+        foreign.close()
+        with ResultLedger(path) as reopened:
+            for view in (ledger, reopened):
+                assert sorted(view.keys()) == sorted(everything)
+                assert view.dropped_records == 0
+                assert all(view.get(k) == v for k, v in everything.items())
+        ledger.close()
 
 
 def _append_records(path, prefix, count):

@@ -25,6 +25,7 @@ from repro.experiments.scenarios import (
     two_link_failures_distinct_as,
 )
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from test_ledger import _rot_payload
 
 TINY = InternetTopologyConfig(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35)
 KIND = "fig2-single-link"
@@ -69,9 +70,9 @@ class TestLedgerBackedCampaign:
         self, tiny_graph, tmp_path
     ):
         ledger = tmp_path / "ledger.jsonl"
-        first = _campaign(tiny_graph, ledger_path=ledger)
+        first = _campaign(tiny_graph, ledger=ledger)
         assert first.executed == N_UNITS and first.ledger_hits == 0
-        second = _campaign(tiny_graph, ledger_path=ledger)
+        second = _campaign(tiny_graph, ledger=ledger)
         assert second.executed == 0 and second.ledger_hits == N_UNITS
         assert _stats(second) == _stats(first)
 
@@ -79,9 +80,9 @@ class TestLedgerBackedCampaign:
         """Results computed by a workers=4 pool resume a sequential
         sweep (and vice versa) — the key covers inputs, not placement."""
         ledger = tmp_path / "ledger.jsonl"
-        pooled = _campaign(tiny_graph, workers=4, ledger_path=ledger)
+        pooled = _campaign(tiny_graph, workers=4, ledger=ledger)
         assert pooled.executed == N_UNITS
-        sequential = _campaign(tiny_graph, workers=1, ledger_path=ledger)
+        sequential = _campaign(tiny_graph, workers=1, ledger=ledger)
         assert sequential.executed == 0
         assert sequential.ledger_hits == N_UNITS
         assert _stats(sequential) == _stats(pooled)
@@ -101,11 +102,11 @@ class TestLedgerBackedCampaign:
                 "raise", instance=2, protocol="stamp",
             ))
             interrupted = _campaign(
-                tiny_graph, max_attempts=1, ledger_path=ledger
+                tiny_graph, max_attempts=1, ledger=ledger
             )
         assert len(interrupted.failures) == 1
         assert interrupted.executed == N_UNITS - 1
-        resumed = _campaign(tiny_graph, ledger_path=ledger)
+        resumed = _campaign(tiny_graph, ledger=ledger)
         assert resumed.complete
         assert resumed.executed == 1
         assert resumed.ledger_hits == N_UNITS - 1
@@ -115,20 +116,64 @@ class TestLedgerBackedCampaign:
         self, tiny_graph, tmp_path
     ):
         ledger = tmp_path / "ledger.jsonl"
-        small = _campaign(tiny_graph, n_instances=2, ledger_path=ledger)
+        small = _campaign(tiny_graph, n_instances=2, ledger=ledger)
         assert small.executed == 2 * len(PROTOCOLS)
-        grown = _campaign(tiny_graph, n_instances=4, ledger_path=ledger)
+        grown = _campaign(tiny_graph, n_instances=4, ledger=ledger)
         assert grown.ledger_hits == 2 * len(PROTOCOLS)
         assert grown.executed == 2 * len(PROTOCOLS)
         fresh = _campaign(tiny_graph, n_instances=4)
         assert _stats(grown) == _stats(fresh)
 
 
+class TestBorrowedLedger:
+    """A runner handed an open ledger (the service's case) borrows it:
+    catches it up before each grid, never closes it."""
+
+    def test_campaigns_share_one_open_ledger_with_a_foreign_writer(
+        self, tiny_graph, tmp_path
+    ):
+        path = tmp_path / "ledger.jsonl"
+        with ResultLedger(path) as shared:
+            first = _campaign(tiny_graph, n_instances=2, ledger=shared)
+            assert first.executed == 4 and first.ledger_hits == 0
+            assert shared._log._fd is not None  # borrowed: left open
+            # Another writer (a CLI run on the same file) adds a unit...
+            foreign = _campaign(tiny_graph, ledger=path)
+            assert foreign.executed == 2 and foreign.ledger_hits == 4
+            # ... which the open ledger picks up without being reopened.
+            again = _campaign(tiny_graph, ledger=shared)
+            assert again.executed == 0 and again.ledger_hits == N_UNITS
+            assert _stats(again) == _stats(foreign)
+        assert _stats(_campaign(tiny_graph)) == _stats(again)
+
+    def test_a_record_that_rots_after_indexing_is_recomputed(
+        self, tiny_graph, tmp_path, caplog
+    ):
+        path = tmp_path / "ledger.jsonl"
+        with ResultLedger(path) as shared:
+            clean = _campaign(tiny_graph, ledger=shared)
+            assert len(shared) == N_UNITS
+            _rot_payload(path, sorted(shared.keys())[0])
+            with caplog.at_level(logging.WARNING, "repro.experiments.ledger"):
+                resumed = _campaign(tiny_graph, ledger=shared)
+            assert resumed.complete
+            assert resumed.executed == 1
+            assert resumed.ledger_hits == N_UNITS - 1
+            assert _stats(resumed) == _stats(clean)
+            assert shared.dropped_records == 1
+            assert sum(
+                "no longer reads back" in r.getMessage()
+                for r in caplog.records
+            ) == 1
+            # The recomputed unit was appended: fully ledgered again.
+            assert _campaign(tiny_graph, ledger=shared).executed == 0
+
+
 class TestKeyIsolation:
     def test_different_kind_does_not_hit(self, tiny_graph, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
-        _campaign(tiny_graph, ledger_path=ledger)
-        runner = ParallelRunner(ledger_path=ledger)
+        _campaign(tiny_graph, ledger=ledger)
+        runner = ParallelRunner(ledger=ledger)
         other = runner.run_failure_comparison(
             two_link_failures_distinct_as, "fig3a-distinct-as",
             SEED, N_INSTANCES, PROTOCOLS, tiny_graph,
@@ -138,8 +183,8 @@ class TestKeyIsolation:
 
     def test_different_seed_does_not_hit(self, tiny_graph, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
-        _campaign(tiny_graph, ledger_path=ledger)
-        runner = ParallelRunner(ledger_path=ledger)
+        _campaign(tiny_graph, ledger=ledger)
+        runner = ParallelRunner(ledger=ledger)
         other = runner.run_failure_comparison(
             single_provider_link_failure, KIND, SEED + 1,
             N_INSTANCES, PROTOCOLS, tiny_graph,
@@ -148,13 +193,13 @@ class TestKeyIsolation:
 
     def test_different_topology_does_not_hit(self, tiny_graph, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
-        _campaign(tiny_graph, ledger_path=ledger)
+        _campaign(tiny_graph, ledger=ledger)
         other_graph, _ = generate_internet_topology(
             InternetTopologyConfig(
                 seed=6, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35
             )
         )
-        outcome = _campaign(other_graph, ledger_path=ledger)
+        outcome = _campaign(other_graph, ledger=ledger)
         assert outcome.ledger_hits == 0
         assert outcome.executed == N_UNITS
 
@@ -168,7 +213,7 @@ class TestEpisodeCampaignResume:
         arguments do not collide."""
         ledger = tmp_path / "ledger.jsonl"
         builder = functools.partial(link_flap_episode, period=20.0, flaps=1)
-        runner = ParallelRunner(ledger_path=ledger)
+        runner = ParallelRunner(ledger=ledger)
         first = runner.run_failure_comparison(
             builder, "link-flap", SEED, 1, PROTOCOLS, tiny_graph
         )

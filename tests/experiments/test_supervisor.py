@@ -353,7 +353,7 @@ class TestCooperativeStop:
             if resolved >= 3:
                 stop.set()
 
-        runner = ParallelRunner(workers=1, ledger_path=ledger_path)
+        runner = ParallelRunner(workers=1, ledger=ledger_path)
         interrupted = runner.run_failure_comparison(
             single_provider_link_failure, KIND, SEED, N_INSTANCES,
             PROTOCOLS, tiny_graph, stop_event=stop,
@@ -412,6 +412,58 @@ class TestCooperativeStop:
             timer.cancel()
         assert outcome.stopped
         assert elapsed < 10.0  # nowhere near the 30s backoff
+
+
+class TestBookkeepingIsLinear:
+    def test_a_5000_unit_grid_resolves_in_time_linear_in_n(
+        self, monkeypatch
+    ):
+        """Progress reporting and the pending queue cost O(1) per unit:
+        ten times the grid takes about ten times as long (it took
+        fifty times when each resolution re-summed the grid), computed
+        or answered from the ledger, with ``on_progress`` set."""
+        import time
+
+        from repro.experiments import supervisor
+
+        monkeypatch.setattr(
+            supervisor, "run_unit", lambda graph, *unit: unit[3]
+        )
+
+        class MemoryLedger(dict):  # the timing is the bookkeeping's
+            put = dict.__setitem__
+            get = dict.__getitem__
+
+            def refresh(self):
+                pass
+
+        def resolve(n, ledger):
+            progress = []
+            grid = supervisor.Supervisor(
+                None,
+                [(None, "kind", 0, i, "bgp") for i in range(n)],
+                workers=1,
+                ledger=ledger,
+                unit_keys=[str(i) for i in range(n)],
+                on_progress=lambda done, total: progress.append(done),
+            )
+            started = time.process_time()
+            outcome = grid.run()
+            elapsed = time.process_time() - started
+            assert outcome.results == list(range(n)) and progress[-1] == n
+            return outcome, elapsed
+
+        best = {}
+        for _ in range(3):
+            for n in (500, 5000):
+                ledger = MemoryLedger()
+                computed, t_computed = resolve(n, ledger)
+                ledgered, t_ledgered = resolve(n, ledger)
+                assert computed.executed == ledgered.ledger_hits == n
+                for name, t in (("c", t_computed), ("l", t_ledgered)):
+                    best[name, n] = min(t, best.get((name, n), t))
+        assert best["c", 5000] < 25 * best["c", 500]
+        assert best["l", 5000] < 25 * best["l", 500]
 
 
 class TestSharedMemoryLifecycle:

@@ -9,6 +9,7 @@ a full grid is a few hundred milliseconds.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -16,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.experiments.ledger import ResultLedger
 from repro.service.app import (
     CampaignHTTPServer,
     CampaignService,
@@ -395,6 +397,109 @@ class TestRecovery:
             assert final["state"] == "done"
         finally:
             revived.close()
+
+
+def _descriptors_on(path):
+    """This process's open descriptors naming ``path`` (Linux /proc)."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, already gone
+            continue
+        if target == str(path):
+            held.append(int(fd))
+    return held
+
+
+class TestSharedLedger:
+    """One ledger object per daemon: opened by the first campaign,
+    shared by the lanes, caught up before every campaign, closed by
+    ``drain()``."""
+
+    def _run(self, client, spec):
+        status, doc, _ = client.request("POST", "/campaigns", spec)
+        assert status == 202
+        final = client.wait_terminal(doc["id"])
+        assert final["state"] == "done"
+        _, result, _ = client.request(
+            "GET", f"/campaigns/{doc['id']}/result", raw=True
+        )
+        return final, result
+
+    def test_ready_before_a_ledger_byte_is_read(self, tmp_path, monkeypatch):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_bytes(ResultLedger.encode_header())
+        loads = []
+        load = ResultLedger.load
+        monkeypatch.setattr(
+            ResultLedger, "load",
+            lambda self: loads.append(self.path) or load(self),
+        )
+        client = ServiceClient(tmp_path)
+        try:
+            status, doc, _ = client.request("GET", "/readyz")
+            assert status == 200 and doc["ready"]
+            assert loads == [] and _descriptors_on(ledger) == []
+            self._run(client, dict(SPEC, instances=1))
+            self._run(client, dict(SPEC, instances=1, seed=1))
+            assert loads == [ledger]  # once per lifetime, not per campaign
+        finally:
+            client.close()
+
+    def test_one_descriptor_across_20_campaigns_closed_by_drain(
+        self, tmp_path
+    ):
+        ledger = tmp_path / "ledger.jsonl"
+        client = ServiceClient(tmp_path, max_concurrent=2)
+        try:
+            submitted = []
+            for seed in range(20):
+                spec = dict(SPEC, instances=1, protocols=["bgp"], seed=seed)
+                while True:  # the queue is bounded: wait for room
+                    status, doc, _ = client.request("POST", "/campaigns", spec)
+                    if status == 202:
+                        break
+                    assert status == 429
+                    time.sleep(0.02)
+                submitted.append(doc["id"])
+                if not seed:
+                    client.wait_terminal(doc["id"])
+                assert len(_descriptors_on(ledger)) == 1
+            for cid in submitted:
+                assert client.wait_terminal(cid)["state"] == "done"
+            assert len(_descriptors_on(ledger)) == 1
+        finally:
+            client.close()
+        assert _descriptors_on(ledger) == []
+        with ResultLedger(ledger) as reopened:
+            assert len(reopened) == 20 and reopened.dropped_records == 0
+
+    def test_ledger_compacted_by_another_process_while_idle(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        client = ServiceClient(tmp_path)
+        try:
+            first, _ = self._run(client, SPEC)
+            assert first["executed"] == 4
+            # `repro-stamp ledger compact --max-bytes`, run while the
+            # daemon idles, evicts the oldest record: the path now names
+            # another inode, in which every record sits somewhere else.
+            with ResultLedger(ledger) as other:
+                assert other.compact(max_bytes=ledger.stat().st_size - 1) == 1
+            wider, result = self._run(client, dict(SPEC, instances=3))
+            assert wider["executed"] == 3 and wider["ledger_hits"] == 3
+        finally:
+            client.close()
+        # The new units landed in the file that is there now ...
+        with ResultLedger(ledger) as reopened:
+            assert len(reopened) == 6 and reopened.dropped_records == 0
+        # ... and nothing was served from the file that is gone.
+        control = ServiceClient(tmp_path / "control")
+        try:
+            _, expected = self._run(control, dict(SPEC, instances=3))
+        finally:
+            control.close()
+        assert result == expected
 
 
 class TestAuth:
