@@ -118,7 +118,6 @@ class BGPSpeaker:
         *,
         config: Optional[SpeakerConfig] = None,
         tag: Hashable = None,
-        sessions: Optional[Iterable[ASN]] = None,
         trace: Optional[ForwardingTrace] = None,
         stats: Optional[ProtocolStats] = None,
         export_gate: Optional[ExportGate] = None,
@@ -156,9 +155,7 @@ class BGPSpeaker:
         self._gate_refresh_pending: Optional[List[ASN]] = None
         self.on_best_change = on_best_change
 
-        self.sessions: Set[ASN] = set(
-            sessions if sessions is not None else graph.neighbors(asn)
-        )
+        self.sessions: Set[ASN] = set(graph.neighbors(asn))
         #: Bumped on every session add/remove; lets coordinators (the
         #: STAMP node) cache session-derived views with O(1) validity.
         self.sessions_version: int = 0

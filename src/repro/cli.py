@@ -1,13 +1,15 @@
 """Command-line interface: regenerate the paper's experiments.
 
-Usage examples::
+Campaign options (``--instances``, ``--workers``, ``--ledger``, the
+tier sizes, ...) are global: they go *before* the subcommand.  Usage
+examples::
 
     repro-stamp fig1                  # Phi CDF summary
-    repro-stamp fig2 --instances 10   # single link failure comparison
+    repro-stamp --instances 10 fig2   # single link failure comparison
     repro-stamp fig3a
     repro-stamp fig3b
     repro-stamp node-failure
-    repro-stamp flap --period 40 --flaps 2   # link-flap episode campaign
+    repro-stamp flap --period 40 --flaps 2   # flapping-link campaign
     repro-stamp deployment
     repro-stamp overhead
     repro-stamp delay
@@ -30,12 +32,9 @@ import sys
 from typing import Optional, Sequence
 
 from repro.experiments.figures import (
+    CAMPAIGNS,
     fig1_phi_cdf,
-    fig2_single_link_failure,
-    fig3a_two_links_distinct_as,
-    fig3b_two_links_same_as,
-    link_flap_comparison,
-    node_failure_comparison,
+    run_campaign,
     sec61_intelligent_selection,
     sec63_convergence_delay,
     sec63_message_overhead,
@@ -77,17 +76,20 @@ def _load_topology(args: argparse.Namespace):
     return report.graph
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    topology = InternetTopologyConfig(
+def _topology_config(args: argparse.Namespace) -> InternetTopologyConfig:
+    return InternetTopologyConfig(
         seed=args.seed,
         n_tier1=args.tier1,
         n_tier2=args.tier2,
         n_tier3=args.tier3,
         n_stub=args.stubs,
     )
+
+
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         seed=args.seed,
-        topology=topology,
+        topology=_topology_config(args),
         n_instances=args.instances,
         workers=args.workers,
         retries=args.retries,
@@ -123,59 +125,28 @@ def cmd_fig1(args) -> int:
     return 0
 
 
-def cmd_fig2(args) -> int:
-    _print_failure(
-        "Figure 2: single provider-link failure (mean affected ASes)",
-        fig2_single_link_failure(_build_config(args), graph=_load_topology(args)),
+def cmd_campaign(args) -> int:
+    """Every :data:`CAMPAIGNS` subcommand: run the grid, chart it."""
+    kind = CAMPAIGNS[args.command]
+    params = {name: getattr(args, name) for name, _ in kind.params}
+    data = run_campaign(
+        args.command, _build_config(args), graph=_load_topology(args),
+        **params,
     )
-    return 0
-
-
-def cmd_fig3a(args) -> int:
-    _print_failure(
-        "Figure 3(a): two failed links at distinct ASes",
-        fig3a_two_links_distinct_as(_build_config(args), graph=_load_topology(args)),
-    )
-    return 0
-
-
-def cmd_fig3b(args) -> int:
-    _print_failure(
-        "Figure 3(b): two failed links at the same AS",
-        fig3b_two_links_same_as(_build_config(args), graph=_load_topology(args)),
-    )
-    return 0
-
-
-def cmd_node_failure(args) -> int:
-    _print_failure(
-        "Single node (AS) failure", node_failure_comparison(_build_config(args), graph=_load_topology(args))
-    )
-    return 0
-
-
-def cmd_flap(args) -> int:
-    data = link_flap_comparison(
-        _build_config(args), period=args.period, flaps=args.flaps,
-        graph=_load_topology(args),
-    )
-    _print_failure(
-        f"Link-flap campaign ({args.flaps} flap(s), period {args.period:g}s): "
-        "episode-wide mean affected ASes",
-        data,
-    )
-    print()
-    by_phase = data.mean_affected_by_phase()
-    headers = ["protocol"] + [
-        f"phase {k}" for k in range(data.n_phases())
-    ]
-    rows = [
-        [PROTOCOL_LABELS[p]] + [f"{v:.1f}" for v in values]
-        for p, values in by_phase.items()
-    ]
-    print("Mean affected ASes attributable to each phase "
-          "(even phases fail the link, odd phases restore it):")
-    print(format_table(headers, rows))
+    _print_failure(kind.title.format(**params), data)
+    if kind.phase_legend is not None:
+        print()
+        by_phase = data.mean_affected_by_phase()
+        headers = ["protocol"] + [
+            f"phase {k}" for k in range(data.n_phases())
+        ]
+        rows = [
+            [PROTOCOL_LABELS[p]] + [f"{v:.1f}" for v in values]
+            for p, values in by_phase.items()
+        ]
+        print("Mean affected ASes attributable to each phase "
+              f"({kind.phase_legend}):")
+        print(format_table(headers, rows))
     return 0
 
 
@@ -215,14 +186,7 @@ def cmd_delay(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    config = InternetTopologyConfig(
-        seed=args.seed,
-        n_tier1=args.tier1,
-        n_tier2=args.tier2,
-        n_tier3=args.tier3,
-        n_stub=args.stubs,
-    )
-    graph, tiers = generate_internet_topology(config)
+    graph, tiers = generate_internet_topology(_topology_config(args))
     save_graph(graph, args.out)
     print(f"wrote {graph} to {args.out} "
           f"(tier-1 clique: {graph.tier1s()})")
@@ -318,11 +282,7 @@ def cmd_journal(args) -> int:
 
 _COMMANDS = {
     "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "fig3a": cmd_fig3a,
-    "fig3b": cmd_fig3b,
-    "node-failure": cmd_node_failure,
-    "flap": cmd_flap,
+    **dict.fromkeys(CAMPAIGNS, cmd_campaign),
     "intelligent": cmd_intelligent,
     "deployment": cmd_deployment,
     "overhead": cmd_overhead,
@@ -374,10 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
              "the synthetic generator — the --tier*/--stubs knobs are "
              "then ignored",
     )
-    parser.add_argument("--tier1", type=int, default=8, help="tier-1 ASes")
-    parser.add_argument("--tier2", type=int, default=48, help="tier-2 ASes")
-    parser.add_argument("--tier3", type=int, default=120, help="tier-3 ASes")
-    parser.add_argument("--stubs", type=int, default=440, help="stub ASes")
+    sizes = InternetTopologyConfig()
+    for flag, default, label in (
+        ("--tier1", sizes.n_tier1, "tier-1"),
+        ("--tier2", sizes.n_tier2, "tier-2"),
+        ("--tier3", sizes.n_tier3, "tier-3"),
+        ("--stubs", sizes.n_stub, "stub"),
+    ):
+        parser.add_argument(
+            flag, type=int, default=default, help=f"{label} ASes"
+        )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         command = sub.add_parser(name)
@@ -494,16 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "--max-age-seconds", type=float, default=None,
                 help="also evict finished campaigns older than this",
             )
-        if name == "flap":
-            command.add_argument(
-                "--period", type=float, default=40.0,
-                help="seconds between a failure and the next restore "
-                     "(default 40: partial convergence under a 30s MRAI)",
-            )
-            command.add_argument(
-                "--flaps", type=int, default=2,
-                help="number of fail/restore cycles (2*flaps phases)",
-            )
+        if name in CAMPAIGNS:
+            defaults = CAMPAIGNS[name].defaults()
+            for param, text in CAMPAIGNS[name].params:
+                default = defaults[param]
+                command.add_argument(
+                    f"--{param}", type=type(default), default=default,
+                    help=text.format(default=default),
+                )
     return parser
 
 

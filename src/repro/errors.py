@@ -43,20 +43,6 @@ class ConfigurationError(ReproError):
     """An experiment or generator was configured inconsistently."""
 
 
-class CampaignError(ReproError):
-    """A campaign finished with terminally failed units.
-
-    Raised only by APIs that promise a complete result list; the
-    ``outcome`` attribute carries the partial
-    ``SupervisedOutcome`` (completed results plus the structured
-    failure report), so nothing the campaign computed is lost.
-    """
-
-    def __init__(self, message: str, *, outcome=None) -> None:
-        super().__init__(message)
-        self.outcome = outcome
-
-
 class ParseError(ReproError):
     """A serialized topology or routing table could not be parsed."""
 

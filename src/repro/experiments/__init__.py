@@ -38,12 +38,11 @@ from repro.experiments.canonical import (
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.supervisor import (
     AttemptFailure,
-    RetryPolicy,
     SupervisedOutcome,
     Supervisor,
     UnitFailure,
 )
-from repro.experiments.parallel import CampaignOutcome, ParallelRunner
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.figures import (
     Figure1Data,
     FailureFigureData,
@@ -103,10 +102,8 @@ __all__ = [
     "unit_key",
     "ResultLedger",
     "AttemptFailure",
-    "RetryPolicy",
     "SupervisedOutcome",
     "Supervisor",
     "UnitFailure",
-    "CampaignOutcome",
     "ParallelRunner",
 ]

@@ -28,9 +28,9 @@ in a file: each firing appends one byte with ``O_APPEND`` (atomic
 across processes) and the count is the file size.
 
 ``scope: "worker"`` fires only inside pool worker processes (the
-supervisor marks them at startup), so degradation to the in-process
-path can be tested: the fault kills every pooled attempt and the
-final, degraded attempt succeeds.
+supervisor marks them at startup): an ``exit`` or a ``hang`` then
+takes down a worker the supervisor can replace, never the process
+that runs the test — in-process attempts of the same unit are spared.
 
 The environment variable may also hold a JSON *list* of specs (see
 :func:`combine_specs`); the first spec whose ``match`` covers the unit

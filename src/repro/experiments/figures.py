@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import random
-import statistics
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.cdf import empirical_cdf, fraction_at_most, fraction_greater, mean
 from repro.analysis.deployment import (
@@ -26,9 +26,8 @@ from repro.analysis.phi import (
     phi_distribution,
     phi_with_intelligent_selection,
 )
-from repro.experiments.parallel import ParallelRunner
-from repro.experiments.supervisor import UnitFailure
-from repro.experiments.runner import EpisodeRun, ExperimentConfig
+from repro.experiments.parallel import FailureFigureData, ParallelRunner
+from repro.experiments.runner import ExperimentConfig
 from repro.experiments.scenarios import (
     Episode,
     link_flap_episode,
@@ -84,94 +83,6 @@ def fig1_phi_cdf(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class FailureFigureData:
-    """Per-protocol run lists of one campaign and their aggregates.
-
-    The ``mean_*`` aggregates read each run's episode-wide report (a
-    single-instant figure's only one); ``mean_affected_by_phase``
-    breaks a multi-phase campaign down by injection instant.
-
-    ``failures`` is the campaign's structured failure report: units
-    that exhausted every supervised retry.  A failed unit is omitted
-    from its protocol's ``runs`` list (the aggregates below simply see
-    one fewer sample) — a failure-free campaign is byte-identical to
-    the pre-supervision output.
-    """
-
-    scenario_kind: str
-    runs: Dict[str, List[EpisodeRun]] = field(default_factory=dict)
-    failures: List[UnitFailure] = field(default_factory=list)
-
-    def mean_affected(self) -> Dict[str, float]:
-        """Protocol -> mean number of affected ASes (the bar heights)."""
-        return {
-            protocol: statistics.fmean(run.affected for run in runs)
-            for protocol, runs in self.runs.items()
-            if runs
-        }
-
-    def mean_convergence_time(self) -> Dict[str, float]:
-        """Protocol -> mean simulated convergence seconds."""
-        return {
-            protocol: statistics.fmean(run.convergence_time for run in runs)
-            for protocol, runs in self.runs.items()
-            if runs
-        }
-
-    def mean_updates(self) -> Dict[str, float]:
-        """Protocol -> mean update messages during the episode."""
-        return {
-            protocol: statistics.fmean(run.updates for run in runs)
-            for protocol, runs in self.runs.items()
-            if runs
-        }
-
-    def mean_initial_updates(self) -> Dict[str, float]:
-        """Protocol -> mean updates to reach initial convergence."""
-        return {
-            protocol: statistics.fmean(run.initial_updates for run in runs)
-            for protocol, runs in self.runs.items()
-            if runs
-        }
-
-    def mean_disruption(self) -> Dict[str, float]:
-        """Protocol -> mean data-plane disruption seconds."""
-        return {
-            protocol: statistics.fmean(run.disruption_duration for run in runs)
-            for protocol, runs in self.runs.items()
-            if runs
-        }
-
-    def n_phases(self) -> int:
-        """Number of comparable phases per episode.
-
-        The packaged builders produce uniform phase counts; should a
-        custom family vary (e.g. a degenerate instance), aggregation
-        covers the common prefix rather than raising.
-        """
-        counts = [
-            len(run.phases) for runs in self.runs.values() for run in runs
-        ]
-        return min(counts) if counts else 0
-
-    def mean_affected_by_phase(self) -> Dict[str, List[float]]:
-        """Protocol -> per-phase mean affected-AS counts.
-
-        Phase ``k``'s value averages the *phase-scoped* reports (each
-        re-evaluates eligibility at its injection instant), so the
-        series shows which event of the episode did the damage.
-        """
-        return {
-            protocol: [
-                statistics.fmean(run.phases[k].report.affected_count for run in runs)
-                for k in range(self.n_phases())
-            ]
-            for protocol, runs in self.runs.items()
-            if runs
-        }
-
-
 def episode_campaign(
     builder: EpisodeBuilder,
     kind: str,
@@ -197,82 +108,118 @@ def episode_campaign(
         workers=config.workers,
         max_attempts=config.retries + 1,
         unit_timeout=config.unit_timeout,
-        backoff_base=config.retry_backoff,
         ledger=config.ledger_path,
     )
-    outcome = runner.run_failure_comparison(
+    return runner.run_failure_comparison(
         builder, kind, config.seed, config.n_instances, config.protocols, graph
     )
-    return FailureFigureData(
-        scenario_kind=kind, runs=outcome.runs, failures=outcome.failures
-    )
 
 
-def fig2_single_link_failure(
+@dataclass(frozen=True)
+class CampaignKind:
+    """One campaign family, as every front end sees it: the CLI's
+    subcommands, the service's spec ``kind`` and the packaged figure
+    functions below all read :data:`CAMPAIGNS`, so a family reaches all
+    of them by gaining an entry there."""
+
+    #: Module-level (ledger keys name it by import path).
+    builder: EpisodeBuilder
+    #: Seeds every instance's RNG (``f"{seed}:{kind}:{instance}"``) and
+    #: enters every ledger key: written here and nowhere else, or the
+    #: front ends stop sharing a ledger.
+    unit_kind: str
+    #: Chart title; a ``str.format`` template over ``params``.
+    title: str
+    #: Builder keywords a front end may set -> help text (a template
+    #: over ``default``).  The defaults are the builder's own.
+    params: Tuple[Tuple[str, str], ...] = ()
+    #: What the phases are, for the per-phase table; ``None`` for a
+    #: one-phase family, which reports no such table.
+    phase_legend: Optional[str] = None
+
+    def defaults(self) -> Dict[str, Any]:
+        """Settable builder keyword -> the builder's default for it."""
+        signature = inspect.signature(self.builder).parameters
+        return {name: signature[name].default for name, _ in self.params}
+
+    def bind(self, **params: Any) -> EpisodeBuilder:
+        """The builder with every settable keyword bound — even at its
+        default: the bound values are part of the ledger key."""
+        defaults = self.defaults()
+        if not params.keys() <= defaults.keys():
+            raise TypeError(
+                f"{self.unit_kind} campaigns take {sorted(defaults)}, "
+                f"not {sorted(params.keys() - defaults.keys())}"
+            )
+        if not defaults:
+            return self.builder
+        return functools.partial(self.builder, **{**defaults, **params})
+
+
+#: Front-end name -> family, in CLI display order.  ``flap`` is the
+#: episode-model counterpart of Figure 2: the same single-link
+#: population, but the link fails, partially recovers and re-fails —
+#: churn *during* convergence rather than after a clean event.
+CAMPAIGNS: Dict[str, CampaignKind] = {
+    "fig2": CampaignKind(
+        single_provider_link_failure,
+        "fig2-single-link",
+        "Figure 2: single provider-link failure (mean affected ASes)",
+    ),
+    "fig3a": CampaignKind(
+        two_link_failures_distinct_as,
+        "fig3a-distinct-as",
+        "Figure 3(a): two failed links at distinct ASes",
+    ),
+    "fig3b": CampaignKind(
+        two_link_failures_same_as,
+        "fig3b-same-as",
+        "Figure 3(b): two failed links at the same AS",
+    ),
+    "node-failure": CampaignKind(
+        provider_node_failure, "node-failure", "Single node (AS) failure"
+    ),
+    "flap": CampaignKind(
+        link_flap_episode,
+        "link-flap",
+        "Link-flap campaign ({flaps} flap(s), period {period:g}s): "
+        "episode-wide mean affected ASes",
+        params=(
+            ("period",
+             "seconds between a failure and the next restore "
+             "(default {default:g}: partial convergence under a 30s MRAI)"),
+            ("flaps", "number of fail/restore cycles (2*flaps phases)"),
+        ),
+        phase_legend="even phases fail the link, odd phases restore it",
+    ),
+}
+
+
+def run_campaign(
+    name: str,
     config: Optional[ExperimentConfig] = None,
     *,
     graph: Optional[ASGraph] = None,
+    **params: Any,
 ) -> FailureFigureData:
-    """Figure 2: single provider-link failure at a multi-homed AS."""
+    """Run the :data:`CAMPAIGNS` entry ``name``; ``params`` are its
+    builder keywords (unset ones keep the builder's defaults)."""
+    kind = CAMPAIGNS[name]
     return episode_campaign(
-        single_provider_link_failure, "fig2-single-link", config, graph=graph
+        kind.bind(**params), kind.unit_kind, config, graph=graph
     )
 
 
-def fig3a_two_links_distinct_as(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Figure 3(a): two simultaneous link failures at distinct ASes."""
-    return episode_campaign(
-        two_link_failures_distinct_as, "fig3a-distinct-as", config, graph=graph
-    )
-
-
-def fig3b_two_links_same_as(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Figure 3(b): two simultaneous link failures at the same AS."""
-    return episode_campaign(
-        two_link_failures_same_as, "fig3b-same-as", config, graph=graph
-    )
-
-
-def node_failure_comparison(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-) -> FailureFigureData:
-    """Section 6.2.2 text: single AS (node) failure comparison."""
-    return episode_campaign(
-        provider_node_failure, "node-failure", config, graph=graph
-    )
-
-
-# ----------------------------------------------------------------------
-# Multi-phase campaigns — workloads beyond the paper's single instants
-# ----------------------------------------------------------------------
-
-
-def link_flap_comparison(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    graph: Optional[ASGraph] = None,
-    period: float = 40.0,
-    flaps: int = 2,
-) -> FailureFigureData:
-    """Campaign: a provider link flaps (fail/recover x ``flaps``).
-
-    The episode-model counterpart of Figure 2: same single-link
-    population, but the link fails, partially recovers, and re-fails —
-    the workload that distinguishes protocols by how they cope with
-    churn *during* convergence rather than after a clean event.
-    """
-    builder = functools.partial(link_flap_episode, period=period, flaps=flaps)
-    return episode_campaign(builder, "link-flap", config, graph=graph)
+#: Figure 2: single provider-link failure at a multi-homed AS.
+fig2_single_link_failure = functools.partial(run_campaign, "fig2")
+#: Figure 3(a): two simultaneous link failures at distinct ASes.
+fig3a_two_links_distinct_as = functools.partial(run_campaign, "fig3a")
+#: Figure 3(b): two simultaneous link failures at the same AS.
+fig3b_two_links_same_as = functools.partial(run_campaign, "fig3b")
+#: Section 6.2.2 text: single AS (node) failure comparison.
+node_failure_comparison = functools.partial(run_campaign, "node-failure")
+#: Campaign: a provider link flaps ``flaps`` times, ``period`` s apart.
+link_flap_comparison = functools.partial(run_campaign, "flap")
 
 
 # ----------------------------------------------------------------------

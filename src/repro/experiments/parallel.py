@@ -23,10 +23,10 @@ pool* of :mod:`repro.experiments.supervisor`:
   :class:`~repro.experiments.supervisor.UnitFailure` — the rest of the
   campaign completes and is returned.
 
-``workers <= 1`` runs the identical unit loop in-process (with the
-same retry accounting); the pool is also skipped for single-unit
-grids, and environments that cannot spawn processes degrade to the
-in-process loop with a logged warning.
+``workers <= 1`` runs the same scheduling loop with no worker
+processes: every attempt executes in-process, under the same retry
+accounting and stop rules.  So do single-unit grids, and so — with a
+logged warning — do environments that cannot spawn processes.
 
 With ``ledger`` set, every completed unit is appended to a crash-safe
 :class:`~repro.experiments.ledger.ResultLedger` keyed by its canonical
@@ -37,28 +37,26 @@ interrupted or overlapping sweeps recompute only never-seen units (see
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.errors import CampaignError
 from repro.experiments.canonical import graph_content_hash, unit_key
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.runner import EpisodeRun
 from repro.experiments.supervisor import (
-    RetryPolicy,
     Supervisor,
     SupervisedOutcome,
     UnitFailure,
     WorkerBudget,
     WorkUnit,
-    _cyclic_gc_paused,
     run_unit,
 )
 from repro.topology.graph import ASGraph
 
 __all__ = [
-    "CampaignOutcome",
+    "FailureFigureData",
     "ParallelRunner",
     "WorkerBudget",
     "WorkUnit",
@@ -67,17 +65,25 @@ __all__ = [
 
 
 @dataclass
-class CampaignOutcome:
-    """Merged results of one campaign grid, plus its failure report.
+class FailureFigureData:
+    """One campaign grid's result: per-protocol runs and their aggregates.
 
     ``runs`` maps protocol to the per-instance run list in canonical
-    instance order; a terminally failed unit is *omitted* from its
-    protocol's list (so per-protocol lists may be shorter than the
-    instance count) and described in ``failures``.  ``executed`` and
-    ``ledger_hits`` expose how much work the sweep actually paid for.
+    instance order — independent of scheduling, retries and ledger
+    hits.  ``failures`` is the structured failure report: units that
+    exhausted every supervised retry.  A failed unit is *omitted* from
+    its protocol's list (the aggregates simply see one fewer sample), so
+    a failure-free campaign is byte-identical to an unsupervised one.
+    ``executed`` and ``ledger_hits`` say how much work the sweep paid
+    for; neither they nor ``stopped`` enter any result document.
+
+    The ``mean_*`` aggregates read each run's episode-wide report (a
+    single-instant figure's only one); ``mean_affected_by_phase``
+    breaks a multi-phase campaign down by injection instant.
     """
 
-    runs: Dict[str, List[EpisodeRun]]
+    scenario_kind: str
+    runs: Dict[str, List[EpisodeRun]] = field(default_factory=dict)
     failures: List[UnitFailure] = field(default_factory=list)
     executed: int = 0
     ledger_hits: int = 0
@@ -90,25 +96,83 @@ class CampaignOutcome:
     def complete(self) -> bool:
         return not self.failures and not self.stopped
 
+    def _mean(self, attribute: str) -> Dict[str, float]:
+        return {
+            protocol: statistics.fmean(getattr(run, attribute) for run in runs)
+            for protocol, runs in self.runs.items()
+            if runs
+        }
+
+    def mean_affected(self) -> Dict[str, float]:
+        """Protocol -> mean number of affected ASes (the bar heights)."""
+        return self._mean("affected")
+
+    def mean_convergence_time(self) -> Dict[str, float]:
+        """Protocol -> mean simulated convergence seconds."""
+        return self._mean("convergence_time")
+
+    def mean_updates(self) -> Dict[str, float]:
+        """Protocol -> mean update messages during the episode."""
+        return self._mean("updates")
+
+    def mean_initial_updates(self) -> Dict[str, float]:
+        """Protocol -> mean updates to reach initial convergence."""
+        return self._mean("initial_updates")
+
+    def mean_disruption(self) -> Dict[str, float]:
+        """Protocol -> mean data-plane disruption seconds."""
+        return self._mean("disruption_duration")
+
+    def n_phases(self) -> int:
+        """Number of comparable phases per episode.
+
+        The packaged builders produce uniform phase counts; should a
+        custom family vary (e.g. a degenerate instance), aggregation
+        covers the common prefix rather than raising.
+        """
+        counts = [
+            len(run.phases) for runs in self.runs.values() for run in runs
+        ]
+        return min(counts) if counts else 0
+
+    def mean_affected_by_phase(self) -> Dict[str, List[float]]:
+        """Protocol -> per-phase mean affected-AS counts.
+
+        Phase ``k``'s value averages the *phase-scoped* reports (each
+        re-evaluates eligibility at its injection instant), so the
+        series shows which event of the episode did the damage.
+        """
+        return {
+            protocol: [
+                statistics.fmean(run.phases[k].report.affected_count for run in runs)
+                for k in range(self.n_phases())
+            ]
+            for protocol, runs in self.runs.items()
+            if runs
+        }
+
 
 @dataclass(frozen=True)
 class ParallelRunner:
     """Fans (instance, protocol) work units over a supervised pool.
 
-    ``max_attempts``/``unit_timeout``/``backoff_base``/``backoff_factor``
-    /``degrade_final`` configure the
-    :class:`~repro.experiments.supervisor.RetryPolicy`; ``ledger``
-    enables the crash-safe result ledger.  None of them can change the
-    *value* of any result — units are pure and the merge canonical —
-    only whether and where a result gets computed.
+    This is the one declaration of the execution settings (the CLI's
+    flags and the service's spec fields fill it, the
+    :class:`~repro.experiments.supervisor.Supervisor` is handed its
+    values).  None of them can change the *value* of any result — units
+    are pure and the merge canonical — only whether and where a result
+    gets computed.
     """
 
+    #: Worker processes requested; fewer than two runs in-process.
     workers: int = 1
+    #: Total attempts per unit before it is a terminal failure.
     max_attempts: int = 2
+    #: Per-attempt wall-clock limit in seconds (``None``: no limit);
+    #: enforceable for pooled attempts only.
     unit_timeout: Optional[float] = None
+    #: Retry ``k`` (1-based) waits ``backoff_base * 2**(k-1)`` seconds.
     backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    degrade_final: bool = False
     #: A path: the ledger is opened (and read) for each run and closed
     #: after it — the CLI's case.  An open
     #: :class:`~repro.experiments.ledger.ResultLedger`: borrowed — caught
@@ -120,15 +184,6 @@ class ParallelRunner:
     #: budget and may be granted fewer under contention (see
     #: :class:`~repro.experiments.supervisor.WorkerBudget`).
     budget: Optional[WorkerBudget] = None
-
-    def _policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            unit_timeout=self.unit_timeout,
-            backoff_base=self.backoff_base,
-            backoff_factor=self.backoff_factor,
-            degrade_final=self.degrade_final,
-        )
 
     def run_units_supervised(
         self,
@@ -165,7 +220,9 @@ class ParallelRunner:
                 graph,
                 units,
                 workers=self.workers,
-                policy=self._policy(),
+                max_attempts=self.max_attempts,
+                unit_timeout=self.unit_timeout,
+                backoff_base=self.backoff_base,
                 ledger=ledger,
                 unit_keys=keys,
                 stop_event=stop_event,
@@ -176,24 +233,6 @@ class ParallelRunner:
         finally:
             if opened is not None:
                 opened.close()
-
-    def run_units(
-        self, graph: ASGraph, units: Sequence[WorkUnit]
-    ) -> List[EpisodeRun]:
-        """Run all units; the result list matches the unit order.
-
-        Raises :class:`~repro.errors.CampaignError` (carrying the
-        partial results and the failure report) if any unit failed
-        terminally — callers that want the partial outcome instead use
-        :meth:`run_units_supervised`.
-        """
-        outcome = self.run_units_supervised(graph, units)
-        if outcome.failures:
-            raise CampaignError(
-                "; ".join(f.describe() for f in outcome.failures),
-                outcome=outcome,
-            )
-        return outcome.results
 
     def run_failure_comparison(
         self,
@@ -206,13 +245,13 @@ class ParallelRunner:
         *,
         stop_event=None,
         on_progress=None,
-    ) -> CampaignOutcome:
+    ) -> FailureFigureData:
         """All (instance, protocol) runs of one figure or campaign.
 
-        ``runs`` holds ``{protocol: [run per instance, in instance
-        order]}`` — the canonical merge order, independent of
-        scheduling, retries, and ledger hits.  Terminally failed units
-        are reported in ``failures`` instead of poisoning the sweep.
+        The one call every front end makes.  ``runs`` holds
+        ``{protocol: [run per instance, in instance order]}`` — the
+        canonical merge order.  Terminally failed units are reported in
+        ``failures`` instead of poisoning the sweep.
         """
         units: List[WorkUnit] = [
             (builder, kind, seed, instance, protocol)
@@ -226,7 +265,8 @@ class ParallelRunner:
         for (_, _, _, _, protocol), run in zip(units, outcome.results):
             if run is not None:
                 runs[protocol].append(run)
-        return CampaignOutcome(
+        return FailureFigureData(
+            scenario_kind=kind,
             runs=runs,
             failures=outcome.failures,
             executed=outcome.executed,

@@ -97,8 +97,6 @@ class ExperimentConfig:
     #: Per-attempt wall-clock limit in seconds (None disables; only
     #: enforceable when a worker pool is in use).
     unit_timeout: Optional[float] = None
-    #: Base of the exponential retry backoff, in seconds.
-    retry_backoff: float = 0.5
     #: Path of the crash-safe content-addressed result ledger; set to
     #: make campaigns resumable and overlapping sweeps incremental
     #: (see docs/robustness.md).

@@ -435,7 +435,7 @@ def correlated_outage_episode(
     correlated outage unfolding over time, e.g. a shared-risk group
     failing sequentially.  (Across *campaigns* the instances do not
     align: campaign RNGs are seeded per ``kind`` string, and this
-    episode's kind necessarily differs from ``fig3a-distinct-as``.)
+    episode's kind necessarily differs from Figure 3(a)'s.)
     """
     if delay < 0:
         raise ConfigurationError("outage delay must be non-negative")

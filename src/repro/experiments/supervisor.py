@@ -14,9 +14,8 @@ This module replaces it with a *supervised worker pool*:
 * a worker that dies (``os._exit``, OOM kill, segfault) is detected
   via its process sentinel, its unit is charged, and a replacement
   worker is spawned;
-* failed units are retried up to :attr:`RetryPolicy.max_attempts`
-  times with exponential backoff, optionally degrading the final
-  attempt to the in-process path;
+* failed units are retried up to ``max_attempts`` times with
+  exponential backoff;
 * terminal failures are classified into structured
   :class:`UnitFailure` records, so a campaign returns *all* completed
   results plus an explicit failure report instead of one opaque
@@ -110,7 +109,7 @@ def run_unit(
 ):
     """Execute one (instance, protocol) simulation deterministically.
 
-    Every execution path — sequential, pooled, retried, degraded —
+    Every execution path — sequential, pooled, retried —
     runs exactly this function, which is what makes scheduling
     invisible in the results: the episode is re-derived from a fresh
     string-seeded RNG and the simulation seed from
@@ -152,12 +151,12 @@ class WorkerBudget:
         self._allocated = 0
         self._lock = threading.Lock()
 
-    def acquire(self, requested: int, *, minimum: int = 1) -> int:
-        """Grant up to ``requested`` slots now; at least ``minimum``."""
+    def acquire(self, requested: int) -> int:
+        """Grant up to ``requested`` slots now; at least one."""
         requested = max(1, int(requested))
         with self._lock:
             free = self.total - self._allocated
-            granted = max(minimum, min(requested, free))
+            granted = max(1, min(requested, free))
             self._allocated += granted
             return granted
 
@@ -177,29 +176,8 @@ class WorkerBudget:
 
 
 # ----------------------------------------------------------------------
-# Policy and outcome types
+# Outcome types
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the supervisor reacts when a unit attempt fails.
-
-    ``max_attempts`` bounds total attempts per unit (1 = no retries).
-    ``unit_timeout`` is the per-attempt wall-clock limit in seconds
-    (``None`` disables it; it is only enforceable for pooled attempts —
-    an in-process attempt cannot be interrupted).  Retry ``k`` (1-based)
-    waits ``backoff_base * backoff_factor**(k-1)`` seconds before
-    redispatch.  With ``degrade_final`` set, a unit's last attempt runs
-    in the supervisor process itself — the escape hatch when the pool
-    environment (not the unit) is what keeps failing.
-    """
-
-    max_attempts: int = 2
-    unit_timeout: Optional[float] = None
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    degrade_final: bool = False
 
 
 @dataclass(frozen=True)
@@ -248,9 +226,9 @@ class SupervisedOutcome:
     failures: List[UnitFailure] = field(default_factory=list)
     executed: int = 0
     ledger_hits: int = 0
-    #: True when a cooperative stop (:meth:`Supervisor.request_stop`
-    #: or an external ``stop_event``) interrupted the grid with units
-    #: still unresolved.  Every completed result — including those
+    #: True when a cooperative stop (the supervisor's ``stop_event``)
+    #: interrupted the grid with units still unresolved.  Every
+    #: completed result — including those
     #: that were in flight when the stop arrived — is present in
     #: ``results`` (and in the ledger, when one is attached); the
     #: interrupted units are simply ``None`` without a failure record,
@@ -334,12 +312,18 @@ class _Worker:
 
 
 class Supervisor:
-    """Runs a unit grid to completion under a :class:`RetryPolicy`.
+    """Runs a unit grid to completion: retry, timeout, backoff, stop.
 
-    ``workers <= 0`` (or a pool that cannot be created — see
-    ``use_pool`` handling in :meth:`run`) executes everything
-    in-process with the same retry accounting; timeouts then cannot be
-    enforced and are ignored with a warning.
+    ``max_attempts``, ``unit_timeout`` and ``backoff_base`` are the
+    fields of :class:`~repro.experiments.parallel.ParallelRunner`,
+    documented there.  An in-process attempt cannot be interrupted, so
+    ``unit_timeout`` binds pooled attempts only (a warning says so).
+
+    There is one scheduling loop.  A grid with fewer than two worker
+    slots (``workers < 2``, a one-slot budget grant, a single pending
+    unit) runs it with a pool cap of zero: every attempt executes on
+    the caller's thread under the same retry accounting and the same
+    stop rules.  So does a grid on a host that cannot spawn processes.
     """
 
     def __init__(
@@ -348,7 +332,9 @@ class Supervisor:
         units: Sequence[WorkUnit],
         *,
         workers: int,
-        policy: Optional[RetryPolicy] = None,
+        max_attempts: int,
+        unit_timeout: Optional[float],
+        backoff_base: float,
         ledger: Optional[ResultLedger] = None,
         unit_keys: Optional[Sequence[str]] = None,
         stop_event: Optional[threading.Event] = None,
@@ -361,10 +347,12 @@ class Supervisor:
         #: With a shared budget attached, ``workers`` is a *request*:
         #: the grant acquired in :meth:`run` caps the actual pool size.
         self._budget = budget
-        self._pool_cap = workers
-        self._policy = policy or RetryPolicy()
-        if self._policy.max_attempts < 1:
+        self._pool_cap = 0
+        if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        self._max_attempts = max_attempts
+        self._unit_timeout = unit_timeout
+        self._backoff_base = backoff_base
         self._ledger = ledger
         if unit_keys is not None and len(unit_keys) != len(self._units):
             raise ValueError("unit_keys must align with units")
@@ -383,32 +371,21 @@ class Supervisor:
         self._workers: List[_Worker] = []
         #: Topology carrier handed to every spawned worker:
         #: ``("shm", name)`` or ``("bytes", csr_bytes)`` — see
-        #: :func:`_worker_main`.  Set by :meth:`_run_pool`.
+        #: :func:`_worker_main`.  Set by :meth:`_publish_topology`
+        #: before the first spawn; a grid that never spawns never
+        #: encodes its topology.
         self._payload: Optional[Tuple[str, object]] = None
+        self._shared: Optional[topology_shm.SharedGraph] = None
         self._spawn_failed = False
+        self._timeout_warned = False
         #: Cooperative interrupt: settable from any thread (a SIGTERM
         #: handler, the service's cancel endpoint).  Once set, no new
-        #: unit is dispatched; in-flight attempts drain normally and
-        #: their results are completed (and ledgered) before the run
-        #: returns a partial outcome.
+        #: attempt starts — pooled or in-process — and backoff pauses
+        #: end; in-flight attempts drain normally and their results are
+        #: completed (and ledgered) before :meth:`run` returns a partial
+        #: outcome with ``stopped=True``.
         self._stop = stop_event if stop_event is not None else threading.Event()
         self._on_progress = on_progress
-
-    # -- cooperative stop ----------------------------------------------
-
-    def request_stop(self) -> None:
-        """Ask the running grid to wind down (thread/signal-safe).
-
-        Equivalent to setting the ``stop_event`` passed at
-        construction: dispatch stops immediately, in-flight units run
-        to completion and are drained to the results (and the ledger),
-        and :meth:`run` returns a partial outcome with
-        ``stopped=True``.  Already-completed units are never lost.
-        """
-        self._stop.set()
-
-    def _stop_requested(self) -> bool:
-        return self._stop.is_set()
 
     def _notify_progress(self) -> None:
         if self._on_progress is None:
@@ -419,10 +396,6 @@ class Supervisor:
             logger.exception("progress callback raised; continuing")
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _unit_identity(self, index: int) -> Tuple[str, int, int, str]:
-        _, kind, seed, instance, protocol = self._units[index]
-        return kind, seed, instance, protocol
 
     def _resolve(self, index: int) -> None:
         self._resolved[index] = True
@@ -443,8 +416,8 @@ class Supervisor:
             return
         records = self._attempts[index]
         records.append(AttemptFailure(cause=cause, detail=detail))
-        kind, seed, instance, protocol = self._unit_identity(index)
-        if len(records) >= self._policy.max_attempts:
+        _, kind, seed, instance, protocol = self._units[index]
+        if len(records) >= self._max_attempts:
             failure = UnitFailure(
                 index=index,
                 kind=kind,
@@ -459,10 +432,7 @@ class Supervisor:
             self._notify_progress()
         else:
             retry = len(records)  # 1-based retry ordinal
-            delay = (
-                self._policy.backoff_base
-                * self._policy.backoff_factor ** (retry - 1)
-            )
+            delay = self._backoff_base * 2.0 ** (retry - 1)
             self._not_before[index] = time.monotonic() + delay
             self._pending.append(index)
             logger.warning(
@@ -470,11 +440,14 @@ class Supervisor:
                 kind, seed, instance, protocol, retry, cause, delay,
             )
 
-    def _is_final_attempt(self, index: int) -> bool:
-        return len(self._attempts[index]) == self._policy.max_attempts - 1
-
     def _run_attempt_inprocess(self, index: int) -> None:
-        """One attempt in the supervisor process (degraded/pool-less)."""
+        """One attempt on the caller's thread (no worker to hand it to)."""
+        if self._unit_timeout is not None and not self._timeout_warned:
+            self._timeout_warned = True
+            logger.warning(
+                "unit_timeout is not enforceable on the in-process path; "
+                "attempts run to completion"
+            )
         try:
             with _cyclic_gc_paused():
                 result = run_unit(self._graph, *self._units[index])
@@ -597,28 +570,25 @@ class Supervisor:
         return min(self._not_before[index] for index in self._pending)
 
     def _dispatch(self) -> None:
-        """Hand eligible pending units to idle (or new) workers."""
-        while self._pending:
-            now = time.monotonic()
-            index = self._next_eligible(now)
+        """Start every attempt that can start now; none once stopped.
+
+        An eligible unit goes to an idle worker, or to a new one under
+        the pool cap.  With no worker to be had — a cap of zero, a host
+        that cannot spawn — the attempt runs on this thread.
+        """
+        while self._pending and not self._stop.is_set():
+            index = self._next_eligible(time.monotonic())
             if index is None:
                 return
-            if self._policy.degrade_final and self._is_final_attempt(index):
-                # Last chance: bypass the pool entirely.
-                logger.warning(
-                    "degrading final attempt of unit %s:%s:%s:%s to the "
-                    "in-process path", *self._unit_identity(index),
-                )
-                self._run_attempt_inprocess(index)
-                continue
             worker = next(
                 (w for w in self._workers if w.assignment is None), None
             )
             if worker is None and len(self._workers) < self._pool_cap:
+                if self._payload is None:
+                    self._publish_topology()
                 worker = self._spawn_worker()
             if worker is None:
                 if not self._workers:
-                    # No pool at all: run the attempt where we stand.
                     self._run_attempt_inprocess(index)
                     continue
                 self._pending.appendleft(index)
@@ -633,8 +603,8 @@ class Supervisor:
                 continue
             worker.assignment = index
             worker.deadline = (
-                time.monotonic() + self._policy.unit_timeout
-                if self._policy.unit_timeout is not None
+                time.monotonic() + self._unit_timeout
+                if self._unit_timeout is not None
                 else None
             )
 
@@ -653,7 +623,7 @@ class Supervisor:
         return max(0.0, min(instants) - now)
 
     def _reap_timeouts(self) -> None:
-        if self._policy.unit_timeout is None:
+        if self._unit_timeout is None:
             return
         now = time.monotonic()
         for worker in list(self._workers):
@@ -670,7 +640,7 @@ class Supervisor:
             self._attempt_failed(
                 index,
                 "timeout",
-                f"attempt exceeded the {self._policy.unit_timeout:g}s "
+                f"attempt exceeded the {self._unit_timeout:g}s "
                 "wall-clock limit; worker killed",
             )
 
@@ -702,61 +672,48 @@ class Supervisor:
             executed=self._executed,
             ledger_hits=self._ledger_hits,
             stopped=(
-                self._stop_requested()
+                self._stop.is_set()
                 and self._n_resolved < len(self._resolved)
             ),
         )
 
-    def _share_topology(self) -> Optional[topology_shm.SharedGraph]:
+    def _publish_topology(self) -> None:
         """Publish the graph for zero-copy worker attach, if possible.
 
-        Returns the owning handle (to destroy in the pool's
-        ``finally``) or ``None`` when the segment cannot be created —
-        the same bytes then travel over each worker's pipe.  Export
-        failure is never fatal: the campaign still runs, just without
-        the shared pages.
+        When the segment cannot be created the same bytes travel over
+        each worker's pipe instead.  Export failure is never fatal:
+        the campaign still runs, just without the shared pages.
         """
         try:
-            return topology_shm.share_graph(self._graph)
+            self._shared = topology_shm.share_graph(self._graph)
         except Exception as exc:
             logger.warning(
                 "shared-memory topology export unavailable (%s); "
                 "sending the topology bytes to each worker instead", exc,
             )
-            return None
-
-    def _run_pool(self) -> None:
-        shared = self._share_topology()
-        if shared is not None:
-            self._payload = ("shm", shared.name)
-        else:
             self._payload = ("bytes", self._graph.csr_base().to_bytes())
+        else:
+            self._payload = ("shm", self._shared.name)
+
+    def _run_grid(self) -> None:
         try:
             while self._pending or any(
                 w.assignment is not None for w in self._workers
             ):
-                stopping = self._stop_requested()
-                if not stopping:
-                    self._dispatch()
+                self._dispatch()
                 busy = [w for w in self._workers if w.assignment is not None]
-                if stopping and not busy:
-                    # Every in-flight unit has drained (completed and,
-                    # with a ledger attached, persisted); the rest of
-                    # the grid is left unresolved for a resume.
-                    break
                 if not busy:
-                    if not self._pending:
+                    if self._stop.is_set() or not self._pending:
+                        # Stopped: every in-flight unit has drained
+                        # (completed and, with a ledger attached,
+                        # persisted); the rest of the grid is left
+                        # unresolved for a resume.
                         break
-                    backoff = self._earliest_backoff()
-                    if backoff is not None and not any(
-                        w.assignment is None for w in self._workers
-                    ) and not self._spawn_failed:
-                        # Dispatch will spawn/assign next pass.
-                        continue
-                    if backoff is not None:
-                        # Event.wait, not sleep: a stop request cuts
-                        # the backoff pause short.
-                        self._stop.wait(max(0.0, backoff - time.monotonic()))
+                    # Everything pending is backing off.  Event.wait,
+                    # not sleep: a stop request cuts the pause short.
+                    self._stop.wait(
+                        max(0.0, self._earliest_backoff() - time.monotonic())
+                    )
                     continue
                 watch: Dict[object, _Worker] = {}
                 for worker in busy:
@@ -776,39 +733,14 @@ class Supervisor:
                 self._reap_timeouts()
         finally:
             self._shutdown_pool()
-            if shared is not None:
+            if self._shared is not None:
                 # Unlink *after* the pool is down, no matter how the
                 # grid ended (completion, stop, worker massacre): the
                 # supervisor is the single owner, so no campaign ever
                 # leaves an orphaned segment behind.
-                shared.destroy()
+                self._shared.destroy()
+                self._shared = None
             self._payload = None
-            clear_twin_start_cache()
-
-    def _run_inprocess(self) -> None:
-        if self._policy.unit_timeout is not None:
-            logger.warning(
-                "unit_timeout is not enforceable on the in-process path; "
-                "attempts run to completion"
-            )
-        try:
-            with _cyclic_gc_paused():
-                while self._pending:
-                    if self._stop_requested():
-                        # Between units is the only interruption point
-                        # on this path (an attempt cannot be unwound);
-                        # everything already completed stays completed.
-                        break
-                    now = time.monotonic()
-                    index = self._next_eligible(now)
-                    if index is None:
-                        earliest = self._earliest_backoff()
-                        # Event.wait, not sleep: a stop request cuts
-                        # the backoff pause short.
-                        self._stop.wait(max(0.0, earliest - now))
-                        continue
-                    self._run_attempt_inprocess(index)
-        finally:
             # A twin-start snapshot whose twin never ran must not
             # outlive the grid that parked it.
             clear_twin_start_cache()
@@ -816,8 +748,8 @@ class Supervisor:
     def run(self) -> SupervisedOutcome:
         """Execute every unit; never raises for unit-level failures.
 
-        A cooperative stop (see :meth:`request_stop`) returns early
-        with ``stopped=True`` on the outcome: completed units (and the
+        A cooperative stop (the ``stop_event``) returns early with
+        ``stopped=True`` on the outcome: completed units (and the
         structured failures so far) are all present, unrun units are
         ``None``, and a rerun — same grid, same ledger — recomputes
         exactly the remainder.
@@ -825,24 +757,30 @@ class Supervisor:
         With a shared :class:`WorkerBudget`, slots are acquired here —
         after the ledger preload, so a fully-ledgered resume holds zero
         slots — and released when the grid ends.  The grant (never more
-        than the pending unit count needs) caps the pool; a one-slot
-        grant degrades to the in-process path.  Worker count is
+        than the pending unit count needs) caps the pool.  One slot is
+        the caller's own thread, and one pending unit needs no more, so
+        either runs the grid with no worker processes.  Worker count is
         result-invariant, so contention shapes only the schedule.
         """
         self._preload_from_ledger()
         self._notify_progress()
         if not self._pending:
             return self._outcome()
+        slots = self._target_workers
         granted = None
         if self._budget is not None:
             want = max(1, min(self._target_workers, len(self._pending)))
-            granted = self._budget.acquire(want)
-            self._pool_cap = granted
+            slots = granted = self._budget.acquire(want)
+        self._pool_cap = slots if slots >= 2 and len(self._pending) > 1 else 0
+        # With no pool the simulations run here, and the collector
+        # stays paused between them too (ledger puts, progress).
+        paused = (
+            _cyclic_gc_paused() if self._pool_cap == 0
+            else contextlib.nullcontext()
+        )
         try:
-            if self._pool_cap >= 2 and len(self._pending) > 1:
-                self._run_pool()
-            else:
-                self._run_inprocess()
+            with paused:
+                self._run_grid()
         finally:
             if granted is not None:
                 self._budget.release(granted)

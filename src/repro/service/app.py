@@ -80,9 +80,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, SpecValidationError
 from repro.experiments.canonical import canonical_json
-from repro.experiments.figures import FailureFigureData
+from repro.experiments.figures import CAMPAIGNS
 from repro.experiments.ledger import ResultLedger
-from repro.experiments.parallel import CampaignOutcome, ParallelRunner
+from repro.experiments.parallel import FailureFigureData, ParallelRunner
 from repro.experiments.supervisor import UnitFailure, WorkerBudget
 from repro.service.journal import CampaignJournal
 from repro.service.spec import CampaignSpec, ServiceLimits
@@ -153,7 +153,7 @@ def _failure_summary(failure: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def build_result_document(
-    campaign_id: str, spec: CampaignSpec, outcome: CampaignOutcome
+    campaign_id: str, spec: CampaignSpec, data: FailureFigureData
 ) -> Dict[str, Any]:
     """The canonical result of one finished campaign.
 
@@ -162,27 +162,23 @@ def build_result_document(
     details are all excluded, so an interrupted-and-resumed campaign
     serves exactly the bytes an uninterrupted one would.
     """
-    data = FailureFigureData(
-        scenario_kind=spec.unit_kind(),
-        runs=outcome.runs,
-        failures=outcome.failures,
-    )
     document: Dict[str, Any] = {
         "id": campaign_id,
         "spec": spec.canonical_document(),
-        "samples": {p: len(runs) for p, runs in outcome.runs.items()},
+        "samples": {p: len(runs) for p, runs in data.runs.items()},
         "mean_affected": data.mean_affected(),
         "mean_convergence_time": data.mean_convergence_time(),
         "mean_updates": data.mean_updates(),
         "mean_initial_updates": data.mean_initial_updates(),
         "mean_disruption": data.mean_disruption(),
         "failures": [
-            _failure_summary(failure_status(f)) for f in outcome.failures
+            _failure_summary(failure_status(f)) for f in data.failures
         ],
     }
-    # The per-phase keys are part of the flap documents only: a figure
-    # kind has one phase, and its documents stay byte-identical.
-    if spec.kind == "flap":
+    # The per-phase keys are part of the multi-phase families'
+    # documents only: a figure kind has one phase, and its documents
+    # stay byte-identical.
+    if CAMPAIGNS[spec.kind].phase_legend is not None:
         document["n_phases"] = data.n_phases()
         document["mean_affected_by_phase"] = data.mean_affected_by_phase()
     return document
@@ -655,7 +651,7 @@ class CampaignService:
         self._finish(campaign, spec, outcome)
 
     def _finish(
-        self, campaign: Campaign, spec: CampaignSpec, outcome: CampaignOutcome
+        self, campaign: Campaign, spec: CampaignSpec, outcome: FailureFigureData
     ) -> None:
         cid = campaign.campaign_id
         now = self._clock()

@@ -22,48 +22,42 @@ This module turns it into a :class:`CampaignSpec`:
   duplicate submissions converge on one execution.  Clamped execution
   knobs are excluded from the hash: they cannot change any result.
 
-The spec's ``kind`` selects a module-level episode builder
-(the same importable-builder discipline the ledger keys require), so
-the campaign fans out over the existing supervised pool unchanged.
+The spec's ``kind`` names an entry of the campaign catalogue
+(:data:`repro.experiments.figures.CAMPAIGNS` — the one the CLI's
+subcommands read), which supplies the module-level episode builder and
+the ledger unit kind, so the campaign fans out over the existing
+supervised pool unchanged and shares its ledger with CLI runs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SpecValidationError
 from repro.experiments.canonical import canonical_bytes, sha256_hex
+from repro.experiments.figures import CAMPAIGNS
 from repro.experiments.runner import PROTOCOLS
-from repro.experiments.scenarios import (
-    link_flap_episode,
-    provider_node_failure,
-    single_provider_link_failure,
-    two_link_failures_distinct_as,
-    two_link_failures_same_as,
-)
 from repro.topology.generators import InternetTopologyConfig
 
-#: The paper's figures: kind -> (module-level one-phase builder,
-#: ledger unit kind).
-_FIGURE_KINDS: Dict[str, Tuple[Callable, str]] = {
-    "fig2": (single_provider_link_failure, "fig2-single-link"),
-    "fig3a": (two_link_failures_distinct_as, "fig3a-distinct-as"),
-    "fig3b": (two_link_failures_same_as, "fig3b-same-as"),
-    "node-failure": (provider_node_failure, "node-failure"),
+KINDS: Tuple[str, ...] = tuple(CAMPAIGNS)
+
+#: Kinds whose builder takes the flap knobs (``period``, ``flaps``) —
+#: canonical keyword arguments of the builder, so part of the ledger
+#: key, as they change results.
+_FLAP_KINDS = tuple(
+    kind for kind in KINDS if "flaps" in CAMPAIGNS[kind].defaults()
+)
+
+#: Spec topology field -> the generator config field it sets (and
+#: whose default it takes).
+_TOPOLOGY_FIELDS = {
+    "seed": "seed", "tier1": "n_tier1", "tier2": "n_tier2",
+    "tier3": "n_tier3", "stubs": "n_stub",
 }
-
-#: Flap kinds carry extra knobs, which builder() binds via
-#: ``functools.partial`` (canonical kwargs — part of the ledger key,
-#: as they change results).
-_FLAP_KINDS = ("flap",)
-
-KINDS: Tuple[str, ...] = tuple(_FIGURE_KINDS) + _FLAP_KINDS
-
-_TOPOLOGY_FIELDS = ("seed", "tier1", "tier2", "tier3", "stubs")
 _TOPOLOGY_DEFAULTS = {
-    "seed": 0, "tier1": 8, "tier2": 48, "tier3": 120, "stubs": 440,
+    field: InternetTopologyConfig.__dataclass_fields__[attribute].default
+    for field, attribute in _TOPOLOGY_FIELDS.items()
 }
 
 
@@ -206,16 +200,17 @@ class CampaignSpec:
         period = payload.get("period")
         flaps = payload.get("flaps")
         if kind in _FLAP_KINDS:
-            period = 40.0 if period is None else period
-            flaps = 2 if flaps is None else flaps
+            defaults = CAMPAIGNS[kind].defaults()
+            period = defaults["period"] if period is None else period
+            flaps = defaults["flaps"] if flaps is None else flaps
             if not isinstance(period, (int, float)) or isinstance(
                 period, bool
             ) or not period > 0:
                 fail("period", "must be a positive number of seconds")
-                period = 40.0
+                period = defaults["period"]
             if not _is_int(flaps) or not 1 <= flaps <= 50:
                 fail("flaps", "must be an integer between 1 and 50")
-                flaps = 2
+                flaps = defaults["flaps"]
             period = float(period)
         else:
             if period is not None:
@@ -302,25 +297,21 @@ class CampaignSpec:
 
     def builder(self) -> Callable:
         """The module-level (ledger-keyable) episode builder."""
-        if self.kind == "flap":
-            return functools.partial(
-                link_flap_episode, period=self.period, flaps=self.flaps
-            )
-        return _FIGURE_KINDS[self.kind][0]
+        kind = CAMPAIGNS[self.kind]
+        return kind.bind(
+            **{name: getattr(self, name) for name, _ in kind.params}
+        )
 
     def unit_kind(self) -> str:
         """The ledger/seed-derivation kind string for this campaign."""
-        if self.kind == "flap":
-            return "link-flap"
-        return _FIGURE_KINDS[self.kind][1]
+        return CAMPAIGNS[self.kind].unit_kind
 
     def topology_config(self) -> InternetTopologyConfig:
         return InternetTopologyConfig(
-            seed=self.topology["seed"],
-            n_tier1=self.topology["tier1"],
-            n_tier2=self.topology["tier2"],
-            n_tier3=self.topology["tier3"],
-            n_stub=self.topology["stubs"],
+            **{
+                attribute: self.topology[field]
+                for field, attribute in _TOPOLOGY_FIELDS.items()
+            }
         )
 
     def total_units(self) -> int:

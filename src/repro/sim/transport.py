@@ -241,12 +241,8 @@ class Transport:
         """Snapshot of currently failed ASes."""
         return set(self._failed_ases)
 
-    def fail_link(self, a: ASN, b: ASN, *, notify: Iterable[ASN] = ()) -> None:
-        """Fail the a-b link now; both (live) endpoints learn immediately.
-
-        ``notify`` defaults to both endpoints; pass a subset to model
-        one-sided detection in tests.
-        """
+    def fail_link(self, a: ASN, b: ASN) -> None:
+        """Fail the a-b link now; both (live) endpoints learn immediately."""
         link = normalize_link(a, b)
         if link in self._failed_links:
             return
@@ -254,13 +250,11 @@ class Transport:
         self._condemn_in_flight(
             lambda src, dst: (src == a and dst == b) or (src == b and dst == a)
         )
-        targets = tuple(notify) or (a, b)
-        for asn in targets:
+        for asn, other in ((a, b), (b, a)):
             if asn in self._failed_ases:
                 continue
             listener = self._down_listeners.get(asn)
             if listener is not None:
-                other = b if asn == a else a
                 listener(other)
 
     def restore_link(self, a: ASN, b: ASN) -> None:

@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.figures import (
     fig1_phi_cdf,
     fig2_single_link_failure,
+    link_flap_comparison,
     sec61_intelligent_selection,
     sec63_partial_deployment,
 )
@@ -96,6 +97,16 @@ class TestFigureFunctions:
         assert all(v >= 0 for v in means.values())
         # Each protocol ran the configured number of instances.
         assert all(len(runs) == 2 for runs in data.runs.values())
+
+    def test_a_keyword_the_family_does_not_take_fails_before_any_unit(
+        self, config
+    ):
+        """Not as N supervised unit failures: the catalogue refuses to
+        bind a keyword its builder was not declared to take."""
+        with pytest.raises(TypeError, match="period"):
+            fig2_single_link_failure(config, period=3.0)
+        with pytest.raises(TypeError, match="perod"):
+            link_flap_comparison(config, perod=3.0)
 
     def test_sec61(self, config):
         data = sec61_intelligent_selection(config)

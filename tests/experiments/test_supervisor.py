@@ -16,7 +16,6 @@ import threading
 
 import pytest
 
-from repro.errors import CampaignError
 from repro.experiments.faults import FAULTS_ENV, combine_specs, fault_spec
 from repro.experiments.parallel import ParallelRunner, WorkerBudget
 from repro.experiments.reporting import format_failure_report
@@ -216,23 +215,6 @@ class TestCombinedChaos:
         assert "worker-death" in report and "timeout" in report
 
 
-class TestDegradedFinalAttempt:
-    def test_final_attempt_bypasses_a_poisoned_pool(
-        self, tiny_graph, baseline, monkeypatch
-    ):
-        """A fault that kills every *pooled* attempt (scope: worker)
-        cannot kill the degraded final attempt, which runs in the
-        supervisor process — the campaign still completes cleanly."""
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
-            "exit", instance=1, protocol="bgp", scope="worker",
-        ))
-        outcome = _campaign(
-            _chaos_runner(workers=2, degrade_final=True), tiny_graph
-        )
-        assert outcome.complete
-        assert _stats(outcome) == baseline
-
-
 class TestInProcessPath:
     def test_inprocess_retry_recovers(
         self, tiny_graph, baseline, monkeypatch, tmp_path
@@ -264,7 +246,7 @@ class TestInProcessPath:
 
 
 class TestRunUnitsContract:
-    def test_terminal_failure_raises_campaign_error(
+    def test_terminal_failure_keeps_the_surviving_units(
         self, tiny_graph, monkeypatch
     ):
         monkeypatch.setenv(FAULTS_ENV, fault_spec(
@@ -275,9 +257,8 @@ class TestRunUnitsContract:
             (single_provider_link_failure, KIND, SEED, instance, "bgp")
             for instance in range(2)
         ]
-        with pytest.raises(CampaignError) as excinfo:
-            runner.run_units(tiny_graph, units)
-        outcome = excinfo.value.outcome
+        outcome = runner.run_units_supervised(tiny_graph, units)
+        assert not outcome.complete
         assert len(outcome.failures) == 1
         assert outcome.failures[0].describe().startswith(
             f"unit {KIND}:{SEED}:0:bgp failed after 2 attempt(s)"
@@ -285,6 +266,63 @@ class TestRunUnitsContract:
         # The partial outcome still carries the surviving unit.
         assert outcome.results[0] is None
         assert outcome.results[1] is not None
+
+
+class TestHostWithoutProcesses:
+    """A sandbox that cannot create processes: ``workers=4`` is the same
+    loop with nobody to hand a unit to, so every rule of the in-process
+    path holds there too."""
+
+    @staticmethod
+    def _break_spawn(monkeypatch):
+        import multiprocessing
+
+        context = type(multiprocessing.get_context())
+
+        def refuse(*args, **kwargs):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(context, "Pipe", refuse)
+        monkeypatch.setattr(context.Process, "start", refuse)
+
+    def test_stop_is_honoured_between_inprocess_attempts(
+        self, tiny_graph, monkeypatch, caplog
+    ):
+        self._break_spawn(monkeypatch)
+        stop = threading.Event()
+        seen = []
+
+        def on_progress(resolved, total):
+            seen.append(resolved)
+            if resolved >= 2:
+                stop.set()
+
+        runner = ParallelRunner(workers=4, unit_timeout=60.0)
+        with caplog.at_level(
+            logging.WARNING, "repro.experiments.supervisor"
+        ):
+            outcome = runner.run_failure_comparison(
+                single_provider_link_failure, KIND, SEED, 4,
+                ("bgp", "rbgp-norci", "rbgp", "stamp"), tiny_graph,
+                stop_event=stop, on_progress=on_progress,
+            )
+        assert outcome.stopped and not outcome.complete
+        assert not outcome.failures
+        resolved = sum(len(runs) for runs in outcome.runs.values())
+        assert 2 <= resolved < 16
+        # None lost: everything reported as resolved came back.
+        assert resolved == seen[-1] == outcome.executed
+        messages = [record.getMessage() for record in caplog.records]
+        assert any("cannot spawn worker processes" in m for m in messages)
+        assert sum("not enforceable" in m for m in messages) == 1
+
+    def test_unstopped_grid_is_byte_identical(
+        self, tiny_graph, baseline, monkeypatch
+    ):
+        self._break_spawn(monkeypatch)
+        outcome = _campaign(_chaos_runner(), tiny_graph)
+        assert outcome.complete
+        assert _stats(outcome) == baseline
 
 
 class TestCooperativeStop:
@@ -443,6 +481,9 @@ class TestBookkeepingIsLinear:
                 None,
                 [(None, "kind", 0, i, "bgp") for i in range(n)],
                 workers=1,
+                max_attempts=1,
+                unit_timeout=None,
+                backoff_base=0.0,
                 ledger=ledger,
                 unit_keys=[str(i) for i in range(n)],
                 on_progress=lambda done, total: progress.append(done),

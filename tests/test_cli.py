@@ -1,13 +1,17 @@
 """Smoke tests for the command-line interface."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+from repro.experiments.figures import CAMPAIGNS
+from repro.experiments.runner import PROTOCOL_LABELS, PROTOCOLS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -37,6 +41,30 @@ class TestParser:
         assert args.instances == 10
         assert args.tier1 == 8
 
+    def test_every_usage_line_of_the_module_docstring_parses(self):
+        """The usage block is documentation that ran once and then
+        rotted (global options after the subcommand exit 2)."""
+        lines = [
+            shlex.split(line.split("#")[0])[1:]
+            for line in repro.cli.__doc__.splitlines()
+            if line.strip().startswith("repro-stamp ")
+        ]
+        assert len(lines) >= 15
+        for argv in lines:
+            args = build_parser().parse_args(argv)
+            assert args.command in repro.cli._COMMANDS
+
+    def test_campaign_names_agree_everywhere(self):
+        """One catalogue: its keys are the CLI's campaign subcommands
+        and the service's spec kinds, same names, same order."""
+        from repro.service.spec import KINDS
+
+        subcommands = [
+            name for name, handler in repro.cli._COMMANDS.items()
+            if handler is repro.cli.cmd_campaign
+        ]
+        assert subcommands == list(KINDS) == list(CAMPAIGNS)
+
 
 TINY = [
     "--tier1", "3", "--tier2", "6", "--tier3", "10", "--stubs", "20",
@@ -53,6 +81,24 @@ class TestCommands:
     def test_fig2(self, capsys):
         assert main(TINY + ["fig2"]) == 0
         assert "STAMP" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in CAMPAIGNS if kind != "fig2"]
+    )
+    def test_every_other_campaign_kind_charts_four_planes(
+        self, kind, capsys
+    ):
+        assert main(TINY + [kind]) == 0
+        out = capsys.readouterr().out
+        title, *bars = out.splitlines()[:5]
+        assert title and "|" not in title
+        assert [bar.split("|")[0].strip() for bar in bars] == [
+            PROTOCOL_LABELS[p] for p in PROTOCOLS
+        ]
+        assert all(bar.endswith(" ASes") for bar in bars)
+        assert ("phase 0" in out) == (
+            CAMPAIGNS[kind].phase_legend is not None
+        )
 
     def test_intelligent(self, capsys):
         assert main(TINY + ["intelligent"]) == 0

@@ -194,6 +194,51 @@ def test_there_is_one_workload_model():
             assert not dispatch.search(text), f"{name} branches on Episode"
 
 
+def test_every_campaign_decision_has_one_owner():
+    """One campaign path, enforced.  The unit-kind strings (they feed
+    both ``unit_key`` and ``derive_run_seed``: a second spelling
+    silently splits the ledger between front ends) and the default
+    tier sizes are each written in one source file; the second result
+    type, the second retry declaration, the second scheduling loop and
+    the unset spellings stay deleted, in the code and in the
+    documents."""
+    sources = {
+        path.relative_to(REPO).as_posix(): path.read_text()
+        for path in (REPO / "src" / "repro").rglob("*.py")
+    }
+    catalogue = "src/repro/experiments/figures.py"
+    generator = "src/repro/topology/generators.py"
+    owners = {
+        "fig2-single-link": catalogue,
+        "fig3a-distinct-as": catalogue,
+        "fig3b-same-as": catalogue,
+        '"node-failure"': catalogue,  # bare, it is also English
+        "link-flap": catalogue,
+        r"\b48\b": generator,
+        r"\b120\b": generator,
+        r"\b440\b": generator,
+    }
+    for pattern, owner in owners.items():
+        users = [
+            name for name, text in sources.items() if re.search(pattern, text)
+        ]
+        assert users == [owner], f"{pattern} is written in {users}"
+    # Whole words: ``UnknownCampaignError`` (the service's 404) is
+    # another, live class.
+    gone = re.compile(
+        r"\b(CampaignOutcome|CampaignError|RetryPolicy|degrade_final"
+        r"|backoff_factor|retry_backoff|_run_inprocess|request_stop)\b"
+        r"|\brun_units\("
+    )
+    documents = {
+        path.relative_to(REPO).as_posix(): path.read_text()
+        for path in [README, *sorted((REPO / "docs").glob("*.md"))]
+    }
+    for name, text in {**sources, **documents}.items():
+        found = gone.search(text)
+        assert found is None, f"{name} still names {found.group()}"
+
+
 def test_readme_documents_resumable_campaigns():
     text = README.read_text()
     assert "## Resumable campaigns" in text
