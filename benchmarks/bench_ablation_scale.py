@@ -1,6 +1,7 @@
 """Ablation — do the Figure 2 orderings hold across topology scales?
 
-DESIGN.md's scale-substitution argument rests on the protocol ordering
+The scale-substitution argument (docs/architecture.md, "Where this
+reproduction departs from the paper") rests on the protocol ordering
 being scale-invariant; this bench re-runs a reduced Figure 2 on half-
 and full-size graphs and checks the ordering at each size.
 """

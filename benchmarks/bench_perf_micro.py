@@ -450,12 +450,10 @@ def test_transient_analysis_episode_long(
 def test_stamp_provider_refresh(benchmark, graph, perf_records):
     """STAMP provider-direction refresh over the multihomed nodes.
 
-    Each round re-runs the full gate evaluation for every multihomed
-    node (signature certificates are cleared first) and then the
-    certified no-op refresh once more — both halves of the
-    gate-signature cache introduced with the successor-table overhaul.
-    On a converged network every refresh is advertisement-neutral, so
-    rounds are independent.
+    Each round runs one plain refresh — the gate evaluated for both
+    colors toward every provider, compared with the Adj-RIB-Out — for
+    every multihomed node.  On a converged network every refresh is
+    advertisement-neutral, so rounds are independent.
     """
     destination = graph.ases[len(graph.ases) // 3]
     network, _ = build_network("stamp", graph, destination, seed=0)
@@ -469,8 +467,6 @@ def test_stamp_provider_refresh(benchmark, graph, perf_records):
 
     def run():
         for node in nodes:
-            node._sig_red = node._sig_blue = None
-            node._refresh_providers(EventType.NO_LOSS)
             node._refresh_providers(EventType.NO_LOSS)
         return len(nodes)
 

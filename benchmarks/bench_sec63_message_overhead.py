@@ -4,7 +4,9 @@ Paper: STAMP's two parallel processes generate less than twice the
 updates of one standard BGP process.  We report the initial-convergence
 ratio (the clean analogue of running two processes) and the post-event
 episode ratio, which can exceed 2x when the failure hits the locked
-blue chain and the whole blue tree must rebuild (see EXPERIMENTS.md).
+blue chain and the whole blue tree must rebuild (see
+docs/architecture.md, "Where this reproduction departs from the
+paper").
 """
 
 from repro.experiments.figures import sec63_message_overhead

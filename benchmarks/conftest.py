@@ -7,7 +7,9 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_SCALE`` — multiplier on the default ~620-AS topology.
 
 Each benchmark runs its experiment once (``pedantic`` round) and prints
-the paper-vs-measured comparison; EXPERIMENTS.md records the outcomes.
+the paper-vs-measured comparison; the known departures are listed in
+docs/architecture.md ("Where this reproduction departs from the
+paper").
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The paper reports that deploying STAMP only at tier-1 ASes still gives
 about 75% of all ASes two downhill node-disjoint paths to any
 destination.  The workshop paper does not spell out the interop model;
-we use the natural one (documented in DESIGN.md):
+we use the natural one (listed with the other departures from the
+paper in docs/architecture.md):
 
 * legacy ASes run a single BGP process and announce their prefixes to
   *all* providers normally, so a destination's reachability climbs to

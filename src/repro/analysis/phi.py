@@ -145,8 +145,11 @@ class UphillViewCache:
     each entry point rebuilds identical :class:`UphillView`s and
     re-enumerates identical path sets.  Entries are keyed by graph
     *identity* (weakly, so graphs can be collected) and invalidated by
-    :attr:`ASGraph.version`, making the cache safe across the link
-    mutations failure experiments perform.
+    :attr:`ASGraph.version`, making the cache safe across graph
+    mutations.  (No failure experiment performs one — failures are
+    session events in :mod:`repro.sim.transport` — so in practice the
+    version check only separates a graph still being built from the
+    finished one.)
     """
 
     def __init__(self) -> None:

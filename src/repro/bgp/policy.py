@@ -53,11 +53,11 @@ def export_allowed(
     customers; customer-learned and originated routes go to everyone.
     The route is never reflected back to the neighbor it came from.
 
-    NOTE: the speaker hot path inlines this rule twice against its
-    cached relationship table — ``BGPSpeaker.export_for`` and the
-    per-class fan-out in ``BGPSpeaker.schedule_exports``.  Any change
-    here must be mirrored there; ``tests/bgp/test_speaker.py``'s
-    export-equivalence test enforces agreement.
+    NOTE: the speaker hot path inlines this rule once, against its
+    cached relationship table, in ``BGPSpeaker.export_for`` — the only
+    place a speaker evaluates it.  Any change here must be mirrored
+    there; ``tests/bgp/test_speaker.py``'s export-equivalence test
+    enforces agreement.
     """
     if route.learned_from == to_neighbor:
         return False

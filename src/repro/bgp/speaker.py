@@ -33,7 +33,7 @@ R-BGP extends the class (see :mod:`repro.rbgp.speaker`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.decision import best_route, route_sort_key
 from repro.bgp.messages import Announcement, Withdrawal
@@ -66,6 +66,10 @@ Advertised = Tuple[ASPath, bool]
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` export.
 _UNSET = object()
+
+#: Bound once: an enum member looked up through its class costs as much
+#: as two method calls, and ``export_for`` compares against it per peer.
+_CUSTOMER = Relationship.CUSTOMER
 
 
 @dataclass
@@ -124,7 +128,6 @@ class BGPSpeaker:
         gate_peers: Optional[Iterable[ASN]] = None,
         on_best_change: Optional[BestChangeListener] = None,
         shared_tables: Optional[Tuple[Dict, Dict]] = None,
-        gate_refresh_delegated: bool = False,
     ) -> None:
         self.asn = asn
         self.graph = graph
@@ -134,36 +137,24 @@ class BGPSpeaker:
         self.tag = tag
         self.trace = trace
         self.stats = stats or ProtocolStats()
+        if (export_gate is None) != (gate_peers is None):
+            raise ValueError("export_gate and gate_peers come together")
         self.export_gate = export_gate
-        #: Peers for which the gate must be consulted.  ``None`` with a
-        #: gate present means "every peer".  A gate owner whose policy
-        #: provably allows (no lock) everything outside a known peer set
-        #: (STAMP only restricts the provider direction) passes that set
-        #: so the batched class fan-out applies to the rest.
-        self.gate_peers: Optional[frozenset] = (
-            frozenset(gate_peers) if gate_peers is not None else None
-        )
-        #: True when the ``on_best_change`` listener synchronously
-        #: refreshes every ``gate_peers`` session with this decision's
-        #: exact event context (STAMP's node does), so the speaker's
-        #: own fan-out may skip them: re-evaluating the gate for those
-        #: peers right after the listener ran is a provable no-op.
-        self.gate_refresh_delegated = gate_refresh_delegated
-        #: Gate peers the listener explicitly handed back to this
-        #: decision's fan-out (deferred recolor withdrawals keep their
-        #: historical sorted-session dispatch position this way).
+        #: The only peers the gate is consulted for (STAMP restricts the
+        #: provider direction only); empty without a gate.  A gated
+        #: speaker's ``on_best_change`` listener owns their refresh: it
+        #: runs right before the speaker's own fan-out, with the
+        #: decision's exact event context, so ``schedule_exports``
+        #: leaves them alone.
+        self.gate_peers: frozenset = frozenset(gate_peers or ())
+        #: Gate peers the listener handed back to this decision's
+        #: fan-out (see :meth:`gate_refresh_queue`).
         self._gate_refresh_pending: Optional[List[ASN]] = None
         self.on_best_change = on_best_change
 
         self.sessions: Set[ASN] = set(graph.neighbors(asn))
-        #: Bumped on every session add/remove; lets coordinators (the
-        #: STAMP node) cache session-derived views with O(1) validity.
-        self.sessions_version: int = 0
         #: Cached ``sorted(self.sessions)``; rebuilt after session churn.
         self._sessions_sorted: Optional[Tuple[ASN, ...]] = None
-        #: Cached per-class export fan-out (see ``schedule_exports``),
-        #: validated by ``sessions_version``.
-        self._fanout_cache: Optional[Tuple[int, Tuple]] = None
         #: Per-neighbor local preference and relationship, so neither
         #: route insertion (and hence the decision process) nor the
         #: valley-free export check does graph lookups on the hot path.
@@ -215,7 +206,6 @@ class BGPSpeaker:
         state["_rel_table"] = {}
         state["_tables_version"] = -1
         state["_sessions_sorted"] = None
-        state["_fanout_cache"] = None
         state["_export_path"] = None
         return state
 
@@ -307,7 +297,6 @@ class BGPSpeaker:
         if peer not in self.sessions:
             return
         self.sessions.discard(peer)
-        self.sessions_version += 1
         self._sessions_sorted = None
         self._pacer.cancel(peer)
         self._advertised.pop(peer, None)
@@ -325,7 +314,6 @@ class BGPSpeaker:
         if peer in self.sessions:
             return
         self.sessions.add(peer)
-        self.sessions_version += 1
         self._sessions_sorted = None
         self.refresh_peer(peer)
 
@@ -345,7 +333,6 @@ class BGPSpeaker:
         """
         self._pacer.reset()
         self.sessions = set(peers)
-        self.sessions_version += 1
         self._sessions_sorted = None
         self.adj_rib_in.clear()
         self._advertised.clear()
@@ -467,12 +454,13 @@ class BGPSpeaker:
     def export_for(self, peer: ASN) -> Optional[Advertised]:
         """What we should currently be advertising to a peer.
 
-        The valley-free rule runs inline on the cached per-neighbor
-        relationship table (identical semantics to
-        :func:`repro.bgp.policy.export_allowed`), and the advertised
-        path tuple is shared across peers via :attr:`_export_path` —
-        one allocation per best-route change rather than one per
-        evaluation.
+        The one evaluation of the export decision: the valley-free rule
+        runs inline on the cached per-neighbor relationship table
+        (identical semantics to
+        :func:`repro.bgp.policy.export_allowed`), then the gate for the
+        peers it covers.  The advertised path tuple is shared across
+        peers via :attr:`_export_path` — one allocation per best-route
+        change rather than one per evaluation.
         """
         best = self.best
         if best is None or peer not in self.sessions:
@@ -480,16 +468,14 @@ class BGPSpeaker:
         learned_from = best.learned_from
         if learned_from == peer:
             return None  # never reflect a route back to its announcer
-        if self._neighbor_rel(peer) is not Relationship.CUSTOMER:
+        if self._neighbor_rel(peer) is not _CUSTOMER:
             # Peer/provider-learned routes are exported to customers only.
             if learned_from is not None and (
-                self._neighbor_rel(learned_from) is not Relationship.CUSTOMER
+                self._neighbor_rel(learned_from) is not _CUSTOMER
             ):
                 return None
         lock = False
-        if self.export_gate is not None and (
-            self.gate_peers is None or peer in self.gate_peers
-        ):
+        if peer in self.gate_peers:
             allow, lock = self.export_gate(peer, best)
             if not allow:
                 return None
@@ -505,84 +491,20 @@ class BGPSpeaker:
     ) -> None:
         """Queue (MRAI-paced) re-advertisement to every stale peer.
 
-        Without an export gate, the valley-free rule gives every peer in
-        the same relationship class the same desired advertisement (the
-        route's announcer excepted), so the per-decision fan-out
-        evaluates the export once per *class* instead of once per peer
-        and then only compares against each peer's advertised state.
-        Gated (STAMP) speakers take the per-peer evaluation, but only
-        for the peers inside :attr:`gate_peers` (STAMP's coloring is
-        peer-specific toward providers only); a gate without a declared
-        peer scope gates everything.  With
-        :attr:`gate_refresh_delegated`, the gate peers were already
-        refreshed — synchronously, with this decision's exact event
-        context — by the ``on_best_change`` listener that runs
-        immediately before this fan-out, so re-running the gate for
-        them here could only re-derive the advertised state they
-        already hold and is skipped outright (golden-pinned).
+        One pass over the sessions in ascending ASN order — the send
+        order, and hence the order of the transport's delay draws.  A
+        gated speaker's :attr:`gate_peers` were refreshed by its
+        ``on_best_change`` listener just before this fan-out, so they
+        are passed over, except those the listener handed back through
+        :meth:`gate_refresh_queue`.
         """
-        gate_peers: frozenset = frozenset()
-        refresh_gated = True
-        queued: Optional[List[ASN]] = None
-        if self.export_gate is not None:
-            if self.gate_peers is None:
-                for peer in self.sorted_sessions():
-                    self.refresh_peer(peer, et=et, root_cause=root_cause)
-                return
-            gate_peers = self.gate_peers
-            refresh_gated = not self.gate_refresh_delegated
-            if not refresh_gated:
-                queued = self._gate_refresh_pending
-                self._gate_refresh_pending = None
-        best = self.best
-        learned_from: Optional[ASN] = None
-        desired_customer: Optional[Advertised] = None
-        desired_other: Optional[Advertised] = None
-        rel = self._neighbor_rel
-        if best is not None:
-            learned_from = best.learned_from
-            path = self._export_path
-            if path is None:
-                path = self._export_path = (self.asn,) + best.path
-            desired_customer = (path, False)
-            if learned_from is None or rel(learned_from) is Relationship.CUSTOMER:
-                desired_other = desired_customer
-        advertised_get = self._advertised.get
-        pending = self._pending
-        # Per-session-generation fan-out list: every peer in sorted
-        # (send) order with its class — gated / customer / other —
-        # resolved once, so the per-decision loop does no relationship
-        # table lookups or gate-membership tests, while keeping the
-        # exact send (and hence delay-draw) order of the plain loop.
-        fanout = self._fanout_cache
-        if fanout is None or fanout[0] != self.sessions_version:
-            fanout = self._fanout_cache = (
-                self.sessions_version,
-                tuple(
-                    (
-                        peer,
-                        0
-                        if peer in gate_peers
-                        else (1 if rel(peer) is Relationship.CUSTOMER else 2),
-                    )
-                    for peer in self.sorted_sessions()
-                ),
-            )
-        for peer, kind in fanout[1]:
-            if kind == 0:
-                if refresh_gated or (queued is not None and peer in queued):
-                    self.refresh_peer(peer, et=et, root_cause=root_cause)
-                continue
-            if peer == learned_from:
-                desired = None
-            elif kind == 1:
-                desired = desired_customer
-            else:
-                desired = desired_other
-            if desired == advertised_get(peer):
-                pending.pop(peer, None)
-            else:
-                self._dispatch_update(peer, desired, et, root_cause)
+        gate_peers = self.gate_peers
+        queued = self._gate_refresh_pending or ()
+        self._gate_refresh_pending = None
+        refresh = self.refresh_peer
+        for peer in self.sorted_sessions():
+            if peer not in gate_peers or peer in queued:
+                refresh(peer, et, root_cause)
 
     def refresh_peer(
         self,
@@ -713,26 +635,16 @@ class BGPSpeaker:
     def gate_refresh_queue(self, peer: ASN) -> None:
         """Hand one gate peer back to the current decision's fan-out.
 
-        Used by a delegating listener (see ``gate_refresh_delegated``)
-        for the rare gate peer it could *not* settle synchronously — a
-        deferred recolor withdrawal — so :meth:`schedule_exports`
-        still refreshes that peer in its usual sorted position.
+        For the rare gate peer the ``on_best_change`` listener could
+        *not* settle synchronously — a deferred recolor withdrawal —
+        so :meth:`schedule_exports` still refreshes that peer in its
+        usual sorted position.
         """
         queued = self._gate_refresh_pending
         if queued is None:
             self._gate_refresh_pending = [peer]
         elif peer not in queued:
             queued.append(peer)
-
-    def is_settled(self, peer: ASN, desired: Optional[Advertised]) -> bool:
-        """Whether a refresh toward ``desired`` would be a pure no-op.
-
-        True when the peer's Adj-RIB-Out already matches ``desired``
-        and no event context is pending behind an armed MRAI timer —
-        exactly the certificate STAMP's gate-signature cache needs
-        before eliding a provider refresh.
-        """
-        return desired == self._advertised.get(peer) and peer not in self._pending
 
     @property
     def forwarding_path(self) -> Optional[ASPath]:

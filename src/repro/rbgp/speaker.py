@@ -220,9 +220,9 @@ class RBGPSpeaker(BGPSpeaker):
     # ------------------------------------------------------------------
 
     def _purge_root_cause(self, link: Link) -> None:
-        """Drop every known path that traverses the root-caused link."""
+        """Drop every known path that traverses the root-caused link
+        (the calling message/session handler re-runs the decision)."""
         self.known_bad_links.add(link)
-        changed = False
         for neighbor in list(self.adj_rib_in):
             route = self.adj_rib_in.get(neighbor)
             if link in self._full_path_links(route.path):
@@ -232,14 +232,10 @@ class RBGPSpeaker(BGPSpeaker):
                 # incremental keys.
                 self._decision_dirty = True
                 self._failover_valid = False
-                changed = True
         for upstream in list(self.failover_rib):
             if link in self._full_path_links(self.failover_rib[upstream]):
                 del self.failover_rib[upstream]
                 self._record_failover_state()
-        # The decision re-runs in the caller (message/session handler);
-        # nothing else to do here.
-        del changed
 
     # ------------------------------------------------------------------
     # Data plane (FIB) semantics
@@ -409,13 +405,10 @@ class RBGPSpeaker(BGPSpeaker):
     # ------------------------------------------------------------------
 
     def _record_failover_state(self) -> None:
-        if self.trace is None:
-            return
-        snapshot = tuple(
-            (upstream, self.failover_rib[upstream])
-            for upstream in sorted(self.failover_rib)
-        )
-        self.trace.record(self.engine.now, self.asn, FAILOVER, snapshot)
+        if self.trace is not None:
+            self.trace.record(
+                self.engine.now, self.asn, FAILOVER, self.failover_state()
+            )
 
     def failover_state(self) -> Tuple[Tuple[ASN, ASPath], ...]:
         """Current failover entries in trace format."""

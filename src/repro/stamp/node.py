@@ -54,10 +54,6 @@ def build_speaker_configs(
 class STAMPNode:
     """The pair of red/blue processes of one AS, plus coordination."""
 
-    #: Class-level switch for the gate-signature refresh cache; the
-    #: equivalence test flips it off to pin cached == uncached traces.
-    _gate_sig_enabled = True
-
     def __init__(
         self,
         asn: ASN,
@@ -65,13 +61,12 @@ class STAMPNode:
         engine: Engine,
         transport: Transport,
         *,
-        speaker_config: Optional[SpeakerConfig] = None,
+        speaker_configs: Tuple[SpeakerConfig, SpeakerConfig],
         trace: Optional[ForwardingTrace] = None,
         stats: Optional[ProtocolStats] = None,
         selector: Optional[BlueProviderSelector] = None,
         permissive_blue: bool = False,
         recolor_delay: float = 0.15,
-        speaker_configs: Optional[Tuple[SpeakerConfig, SpeakerConfig]] = None,
     ) -> None:
         self.asn = asn
         self.graph = graph
@@ -90,7 +85,9 @@ class STAMPNode:
         #: seconds.  Without it, the red teardown can race ahead of the
         #: blue build-up on the separate session, leaving downstream
         #: ASes with neither color for a few message delays — a STAMP
-        #: dynamics wrinkle this reproduction surfaced (EXPERIMENTS.md).
+        #: dynamics wrinkle this reproduction surfaced
+        #: (docs/architecture.md, "Where this reproduction departs
+        #: from the paper").
         self.recolor_delay = recolor_delay
         self.trace = trace
         #: Static relationship views (the graph topology never changes
@@ -100,16 +97,8 @@ class STAMPNode:
         self._providers: Tuple[ASN, ...] = graph.providers(asn)
         self._provider_set = frozenset(self._providers)
         self._customer_set = frozenset(graph.customers(asn))
-        self._live_providers_cache: Optional[Tuple[int, List[ASN]]] = None
-        #: Per-color gate-input signature of the last provider refresh
-        #: that completed as a provable no-op (see _refresh_providers).
-        self._sig_red: Optional[tuple] = None
-        self._sig_blue: Optional[tuple] = None
         self.locked_blue_provider: Optional[ASN] = None
         self.unstable: Dict[Color, bool] = {Color.RED: False, Color.BLUE: False}
-        if speaker_configs is None:
-            base_config = speaker_config or SpeakerConfig()
-            speaker_configs = build_speaker_configs(base_config.mrai)
         # Both color processes of one AS see identical per-neighbor
         # preferences and relationships: derive the tables once and
         # share the dicts (the network-level pool hands every node the
@@ -134,7 +123,7 @@ class STAMPNode:
                 export_gate=lambda peer, route, c=color: self._gate(c, peer, route),
                 # Selective announcement only restricts the provider
                 # direction; customers and peers always get (True, False),
-                # so the speaker may batch-export to them gate-free.
+                # so the speaker exports to them gate-free.
                 # _provider_set is already a frozenset: no copy is made.
                 gate_peers=self._provider_set,
                 on_best_change=(
@@ -143,10 +132,6 @@ class STAMPNode:
                     )
                 ),
                 shared_tables=shared_tables,
-                # _on_change refreshes every provider synchronously
-                # with the decision's exact (et, root cause) context,
-                # so the speaker's own fan-out skips its gate peers.
-                gate_refresh_delegated=True,
             )
 
         self.processes: Dict[Color, BGPSpeaker] = {
@@ -206,8 +191,6 @@ class STAMPNode:
         evaluation runs against fully reset processes.
         """
         self.locked_blue_provider = None
-        self._live_providers_cache = None
-        self._sig_red = self._sig_blue = None
         for process in self.processes.values():
             process.reboot(peers)
         self.clear_instability()
@@ -220,21 +203,10 @@ class STAMPNode:
     # ------------------------------------------------------------------
 
     def _live_providers(self) -> List[ASN]:
-        """Providers with a live physical link, cached per session churn.
-
-        The gate consults this on every provider-direction export
-        evaluation; both processes share physical links, so the red
-        process's ``sessions_version`` validates the cache.  Callers
-        must not mutate the returned list.
-        """
-        version = self.red.sessions_version
-        cached = self._live_providers_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        """Providers with a live physical link (both processes share
+        physical links, so the red process's sessions answer)."""
         sessions = self.red.sessions
-        live = [p for p in self._providers if p in sessions]
-        self._live_providers_cache = (version, live)
-        return live
+        return [p for p in self._providers if p in sessions]
 
     def _blue_has_lock(self) -> bool:
         """Whether blue holds a Lock obligation (or originates)."""
@@ -272,11 +244,10 @@ class STAMPNode:
     def _gate(self, color: Color, peer: ASN, route: Route) -> Tuple[bool, bool]:
         """Selective-announcement decision for one (color, neighbor).
 
-        Called by the speaker only after the valley-free export filter
-        passed.  Returns ``(allow, lock)``.
+        Called by the speaker for providers only (its ``gate_peers``),
+        after the valley-free export filter passed.  Returns
+        ``(allow, lock)``.
         """
-        if peer not in self._provider_set:
-            return (True, False)
         live = self._live_providers()
         has_lock = self._blue_has_lock()
         if len(live) <= 1:
@@ -310,71 +281,12 @@ class STAMPNode:
         the gaining color announces first and the losing color's
         withdrawal is deferred (`recolor_delay`), so downstream ASes
         never sit between the two sessions with no route at all.
-
-        Gate-signature caching: a refresh whose whole per-provider loop
-        was a provable no-op records that process's gate-input
-        signature — its best route, the live-provider set (via the
-        shared physical ``sessions_version``), the Lock obligation, the
-        locked target, and (permissive mode only) red exportability —
-        and a later refresh with an unchanged signature skips the
-        process entirely.  The elision is draw-order-neutral by
-        construction: a skip additionally requires that no gate call
-        could re-select the locked blue target (the target is live, or
-        blue holds no Lock, or the node is single-homed), since
-        re-selection is the one RNG draw on this path.  It is
-        export-neutral because the signature captures every gate input
-        while the recorded no-op run proved the advertised state
-        already matched the desired exports with nothing pending
-        behind MRAI (a pending context must keep merging event
-        contexts, so it blocks the certificate; a retained certificate
-        stays valid because with an equal signature the desired
-        exports are equal and the Adj-RIB-Out can only move *toward*
-        them).  The golden traces and the dedicated cache-on/off
-        equivalence test pin this.
         """
-        if not self._providers:
-            return  # tier-1 / destination-like: nothing to coordinate
-        red, blue = self._procs
-        skip_red = skip_blue = False
-        sig_red = sig_blue = None
-        certify = False
-        if self._gate_sig_enabled:
-            has_lock = self._blue_has_lock()
-            live = self._live_providers()
-            locked = self.locked_blue_provider
-            # Certify/skip only when no gate call can draw from the
-            # RNG: the locked target cannot change during this refresh.
-            if (
-                (locked is not None and locked in live)
-                or not has_lock
-                or len(live) <= 1
-            ):
-                certify = True
-                version = red.sessions_version
-                sig_red = (red.best, version, has_lock, locked, red.is_origin)
-                sig_blue = (
-                    blue.best,
-                    version,
-                    has_lock,
-                    locked,
-                    blue.is_origin,
-                    self._red_exportable_to_providers()
-                    if self.permissive_blue
-                    else None,
-                )
-                skip_red = sig_red == self._sig_red
-                skip_blue = sig_blue == self._sig_blue
-                if skip_red and skip_blue:
-                    return
-        noop_red = not skip_red
-        noop_blue = not skip_blue
         recolor_delay = self.recolor_delay
         for provider in self._providers:
             gains: Optional[List[Tuple[BGPSpeaker, object]]] = None
             losses: Optional[List[BGPSpeaker]] = None
             for process in self._procs:
-                if skip_red if process is red else skip_blue:
-                    continue
                 advertising = process.is_advertising(provider)
                 desired = process.export_for(provider)
                 if desired is not None and not advertising:
@@ -389,15 +301,9 @@ class STAMPNode:
                     # Same-color refresh (e.g. path change): immediate.
                     # The export was just evaluated; hand it through so
                     # the speaker does not re-run the gate.
-                    if process.is_settled(provider, desired):
-                        continue  # provably nothing to do
                     process.refresh_peer(
                         provider, et=et, root_cause=root_cause, desired=desired
                     )
-                if process is red:
-                    noop_red = False
-                else:
-                    noop_blue = False
             if gains is not None:
                 for process, desired in gains:
                     process.refresh_peer(
@@ -411,10 +317,9 @@ class STAMPNode:
                         # scratch.  A deferred loss of the *deciding*
                         # process is additionally handed back to its
                         # own export fan-out (which runs right after
-                        # this listener and would otherwise skip its
-                        # delegated gate peers): the speaker withdraws
-                        # in its usual sorted-session position, exactly
-                        # as the undelegated fan-out always has.
+                        # this listener and passes over its gate
+                        # peers): the speaker withdraws in its usual
+                        # sorted-session position.
                         self.engine.schedule(
                             recolor_delay,
                             lambda p=provider, proc=process: proc.refresh_peer(p),
@@ -425,14 +330,6 @@ class STAMPNode:
                         process.refresh_peer(
                             provider, et=et, root_cause=root_cause, desired=None
                         )
-        if certify:
-            # The signatures cannot have changed during the loop: the
-            # certifying branch excluded RNG re-selection, refreshes
-            # send asynchronously, and sessions are stable here.
-            if not skip_red:
-                self._sig_red = sig_red if noop_red else None
-            if not skip_blue:
-                self._sig_blue = sig_blue if noop_blue else None
 
     # ------------------------------------------------------------------
     # ET-driven instability tracking
@@ -449,9 +346,8 @@ class STAMPNode:
         self._set_unstable(color, et is EventType.LOSS)
         # Any best change may flip provider color assignments (red
         # precedence / lock chain), so both processes re-check — with
-        # the decision's exact event context, which lets the changing
-        # speaker's own export fan-out skip its (already refreshed)
-        # gate peers (``gate_refresh_delegated``).
+        # the decision's exact event context, which is why the changing
+        # speaker's own export fan-out passes over its gate peers.
         self._refresh_providers(et, root_cause, changing=self.processes[color])
 
     def _set_unstable(self, color: Color, flag: bool) -> None:

@@ -5,7 +5,8 @@ RouteViews dumps are not available offline, so we substitute a seeded
 generator that reproduces the structural properties the evaluation
 depends on: a fully-peered tier-1 clique, multi-homed transit tiers, a
 large stub fringe, intra-tier peering, and an acyclic c2p hierarchy
-(see DESIGN.md section 4 for the substitution argument).
+(docs/architecture.md, "Where this reproduction departs from the
+paper", has the substitution argument).
 """
 
 from __future__ import annotations

@@ -26,14 +26,21 @@ Storage model (the "production scale" substrate — real AS graphs are
   below), carried three ways: in the shared-memory segment, over the
   worker pipe when no segment can be created, and as the snapshot's
   pickle state.
-* **Delta overlay** — mutations (link fail/restore, episode AS
-  fail/restore) never touch the base arrays: the affected rows are
-  materialized into small per-AS dicts and edited there.  The base is
-  re-folded lazily, only when the overlay grows past ~1/8 of the rows
-  (or on an explicit :meth:`compact`), so a failure experiment that
-  flips two links back and forth never pays a rebuild — and a base
+* **Delta overlay** — mutations never touch the base arrays: the
+  affected rows are materialized into small per-AS dicts and edited
+  there.  The base is re-folded lazily, only when the overlay grows
+  past ~1/8 of the rows (or on an explicit :meth:`compact`), and a base
   attached read-only from shared memory (:mod:`repro.topology.shm`) is
-  never written by any worker.
+  never written by any worker.  The workload this serves is narrower
+  than "failure experiments": none of them mutates a graph.  Link and
+  AS failures (and restores) are session events inside
+  :mod:`repro.sim.transport`; :meth:`ASGraph.remove_link`,
+  :meth:`ASGraph.remove_as` and :meth:`ASGraph.copy` have no caller in
+  ``src/``, ``examples/`` or ``bench/`` (one in
+  ``benchmarks/bench_perf_micro.py``, plus the tests), so in practice
+  the overlay absorbs the ``add_*`` calls of a graph that is still
+  being built.  A build-then-freeze design would serve every current
+  caller (ROADMAP item 3).
 
 The query API is unchanged from the dict era: ``providers`` /
 ``customers`` / ``peers`` / ``neighbors`` return shared immutable

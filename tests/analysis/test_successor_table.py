@@ -9,9 +9,7 @@ incremental propagation against full re-classification under random
 update streams (including next hops that leave the snapshot's AS
 universe and are interned on demand), and whole-analyzer equivalence
 with the brute-force reference twins — including episode phase
-boundaries and restore-induced outcome flips.  The gate-signature
-refresh cache is pinned by running identical scenarios with the cache
-on and off.
+boundaries and restore-induced outcome flips.
 """
 
 import random
@@ -25,7 +23,7 @@ from repro.analysis.transient import (
     analyze_episode_transient_problems,
     analyze_transient_problems,
 )
-from repro.experiments.runner import build_network, run_episode
+from repro.experiments.runner import build_network
 from repro.experiments.scenarios import (
     link_flap_episode,
     single_provider_link_failure,
@@ -34,7 +32,6 @@ from repro.experiments.scenarios import (
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.forwarding.stamp_plane import STAMPDataPlane
-from repro.stamp.node import STAMPNode
 from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
@@ -329,33 +326,3 @@ class TestAnalyzerEquivalence:
             assert got.permanently_unreachable == want.permanently_unreachable
             assert got.timeline == want.timeline
             assert got.problem_timeline == want.problem_timeline
-
-
-class TestGateSignatureCache:
-    """The refresh-elision cache is invisible in every observable."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_traces_identical_with_and_without_cache(self, seed):
-        graph = _random_topology(seed + 40)
-        episode = single_provider_link_failure(
-            graph, random.Random(f"gate:{seed}")
-        )
-
-        def run(enabled):
-            STAMPNode._gate_sig_enabled = enabled
-            try:
-                result = run_episode(graph, episode, "stamp", seed=seed)
-            finally:
-                STAMPNode._gate_sig_enabled = True
-            return (
-                result.affected,
-                result.announcements,
-                result.withdrawals,
-                result.convergence_time,
-                result.report.timeline,
-                result.report.problem_timeline,
-                sorted(result.report.affected),
-                sorted(result.report.permanently_unreachable),
-            )
-
-        assert run(True) == run(False)

@@ -5,7 +5,7 @@ import pytest
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.bgp.speaker import BGPSpeaker, SpeakerConfig
-from repro.sim.delays import FixedDelay
+from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig
 from repro.sim.transport import Transport
@@ -245,7 +245,7 @@ class TestDispose:
 
 
 class TestExportEquivalence:
-    """The inlined valley-free checks must agree with policy.export_allowed."""
+    """The inlined valley-free check must agree with policy.export_allowed."""
 
     def test_export_for_matches_policy_for_every_combination(self):
         from repro.bgp.policy import export_allowed
@@ -275,45 +275,150 @@ class TestExportEquivalence:
                 reference = export_allowed(graph, 5, route, peer)
                 assert inline == reference, (route.learned_from, peer)
 
-    def test_schedule_exports_fanout_matches_export_for(self):
-        """The per-class batched fan-out must dispatch exactly what a
-        per-peer ``export_for`` evaluation would, for every best-route
-        type (originated / customer / peer / provider-learned)."""
-        from repro.bgp.ribs import Route
 
-        graph = ASGraph()
-        graph.add_c2p(1, 5)
-        graph.add_c2p(4, 5)
-        graph.add_p2p(5, 2)
-        graph.add_c2p(5, 3)
+def make_mixed_graph():
+    """AS 5 with customers 1, 4, 8, peer 2 and providers 3, 6: the
+    relationship classes interleave in ascending-ASN order."""
+    graph = ASGraph()
+    for customer in (1, 4, 8):
+        graph.add_c2p(customer, 5)
+    graph.add_p2p(5, 2)
+    for provider in (3, 6):
+        graph.add_c2p(5, provider)
+    return graph
+
+
+class LoggedDelay(DelayModel):
+    """Fixed delay (arrival order = send order) that logs every draw."""
+
+    def __init__(self):
+        self.rngs = []
+
+    def sample(self, rng):
+        self.rngs.append(rng)
+        return 0.01
+
+
+def mixed_harness(**speaker_options):
+    """Speaker for AS 5 of the mixed graph, MRAI off, one arrival log."""
+    engine = Engine(seed=0)
+    delay = LoggedDelay()
+    transport = Transport(engine, delay)
+    arrivals = []
+    for neighbor in (1, 2, 3, 4, 6, 8):
+        transport.register_receiver(
+            neighbor, lambda s, m, n=neighbor: arrivals.append((n, m))
+        )
+    speaker = BGPSpeaker(
+        5,
+        make_mixed_graph(),
+        engine,
+        transport,
+        config=SpeakerConfig(mrai=MRAIConfig(base=0.0)),
+        **speaker_options,
+    )
+    return engine, speaker, arrivals, delay
+
+
+class TestFanOutOrder:
+    """The fan-out contract the goldens pin, stated directly: updates
+    leave in ascending peer-ASN order, one delay draw per message."""
+
+    def step(self, harness, sender, message):
+        engine, speaker, arrivals, delay = harness
+        del arrivals[:], delay.rngs[:]
+        speaker.on_message(sender, message)
+        engine.run()
+        assert len(delay.rngs) == len(arrivals)
+        assert all(rng is engine.rng for rng in delay.rngs)
+        return [(peer, type(m).__name__) for peer, m in arrivals]
+
+    def test_sends_in_ascending_peer_order_one_draw_each(self):
+        harness = mixed_harness()
+        a, w = "Announcement", "Withdrawal"
+        # Customer route: everyone but its announcer.
+        assert self.step(harness, 1, Announcement(path=(1, 9))) == [
+            (2, a), (3, a), (4, a), (6, a), (8, a)
+        ]
+        assert self.step(harness, 1, Withdrawal()) == [
+            (2, w), (3, w), (4, w), (6, w), (8, w)
+        ]
+        # Provider route: customers only.
+        assert self.step(harness, 3, Announcement(path=(3, 9))) == [
+            (1, a), (4, a), (8, a)
+        ]
+        # A customer route displaces it: announcements and the
+        # withdrawal toward the new next hop share the one sorted pass.
+        assert self.step(harness, 4, Announcement(path=(4, 9))) == [
+            (1, a), (2, a), (3, a), (4, w), (6, a), (8, a)
+        ]
+
+
+class TestGatedFanOut:
+    """A gated speaker's fan-out leaves its gate peers to the
+    ``on_best_change`` listener, except those handed back to it."""
+
+    def gated(self, listener=None):
+        gate_calls = []
+
+        def gate(peer, route):
+            gate_calls.append(peer)
+            return (True, False)
+
+        harness = mixed_harness(
+            export_gate=gate, gate_peers={3, 6}, on_best_change=listener
+        )
+        speaker = harness[1]
+        refreshed = []
+        refresh_peer = speaker.refresh_peer
+
+        def spy(peer, *args, **kwargs):
+            refreshed.append(peer)
+            refresh_peer(peer, *args, **kwargs)
+
+        speaker.refresh_peer = spy
+        return harness, refreshed, gate_calls
+
+    def test_fan_out_passes_over_gate_peers(self):
+        (engine, speaker, arrivals, _), refreshed, gate_calls = self.gated()
+        speaker.on_message(1, Announcement(path=(1, 9)))
+        engine.run()
+        assert refreshed == [1, 2, 4, 8]
+        assert gate_calls == []
+        assert [peer for peer, _ in arrivals] == [2, 4, 8]
+
+    def test_queued_gate_peer_is_refreshed_once_in_sorted_position(self):
+        queue = [6, 6]
+
+        def listener(spk, old, new, et, root_cause):
+            while queue:
+                spk.gate_refresh_queue(queue.pop())
+
+        (engine, speaker, arrivals, _), refreshed, gate_calls = self.gated(
+            listener
+        )
+        speaker.on_message(1, Announcement(path=(1, 9), et=EventType.LOSS))
+        engine.run()
+        assert refreshed == [1, 2, 4, 6, 8]
+        assert gate_calls == [6]
+        assert [peer for peer, _ in arrivals] == [2, 4, 6, 8]
+        # The handed-back peer got this decision's event context.
+        assert dict(arrivals)[6].et is EventType.LOSS
+        assert speaker._gate_refresh_pending is None
+        # The hand-back was for that one decision only.
+        del refreshed[:]
+        speaker.on_message(1, Announcement(path=(1, 7, 9)))
+        engine.run()
+        assert refreshed == [1, 2, 4, 8]
+
+    def test_gate_and_gate_peers_come_together(self):
+        graph = make_mixed_graph()
         engine = Engine(seed=0)
         transport = Transport(engine, FixedDelay(0.01))
-        for asn in (1, 2, 3, 4):
-            transport.register_receiver(asn, lambda s, m: None)
-        speaker = BGPSpeaker(5, graph, engine, transport)
-        routes = [
-            Route(path=(), learned_from=None, pref=99),
-            Route(path=(1, 9), learned_from=1, pref=speaker.local_pref(1)),
-            Route(path=(2, 9), learned_from=2, pref=speaker.local_pref(2)),
-            Route(path=(3, 9), learned_from=3, pref=speaker.local_pref(3)),
-        ]
-        for route in routes:
-            speaker.best = route
-            speaker._export_path = None
-            speaker._advertised.clear()
-            speaker._pending.clear()
-            dispatched = {}
-            original = speaker._dispatch_update
-            speaker._dispatch_update = (
-                lambda peer, desired, et, rc: dispatched.__setitem__(peer, desired)
+        with pytest.raises(ValueError):
+            BGPSpeaker(
+                5, graph, engine, transport,
+                export_gate=lambda peer, route: (True, False),
             )
-            try:
-                speaker.schedule_exports()
-            finally:
-                speaker._dispatch_update = original
-            for peer in speaker.sorted_sessions():
-                expected = speaker.export_for(peer)
-                if expected is None:
-                    assert dispatched.get(peer) is None, (route.learned_from, peer)
-                else:
-                    assert dispatched.get(peer) == expected, (route.learned_from, peer)
+        with pytest.raises(ValueError):
+            BGPSpeaker(5, graph, engine, transport, gate_peers={3, 6})

@@ -4,7 +4,8 @@ These check the paper's structural claims at graph scale rather than on
 the hand-built example: blue-path existence (the Lock chain guarantee),
 valley-freeness of every selected route, and Theorem 4.1's downhill
 disjointness — with the measured allowance for the merge-node wrinkle
-documented in EXPERIMENTS.md (an AS holding both a locked blue and a
+documented in docs/architecture.md, "Where this reproduction departs
+from the paper" (an AS holding both a locked blue and a
 red customer route forwards both trees, so a small fraction of AS pairs
 can share a downhill merge node).
 """

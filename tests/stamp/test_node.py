@@ -2,30 +2,35 @@
 
 import pytest
 
-from repro.bgp.speaker import SpeakerConfig
 from repro.sim.delays import FixedDelay
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig
 from repro.sim.transport import Transport
 from repro.stamp.coloring import RandomBlueSelector
-from repro.stamp.node import STAMPNode
+from repro.stamp.node import STAMPNode, build_speaker_configs
 from repro.topology.graph import ASGraph
 from repro.types import Color
 
 
-def build_node(graph, asn, *, permissive=False, seed=0):
+def build_node(graph, asn, *, permissive=False, seed=0, inbox=None):
     engine = Engine(seed=seed)
     transport = Transport(engine, FixedDelay(0.01))
-    # Register sinks for all the node's neighbors so exports can flow.
+    # Register sinks for all the node's neighbors so exports can flow;
+    # ``inbox`` collects (arrival time, neighbor, color, message).
     for nbr in graph.neighbors(asn):
-        transport.register_receiver(nbr, lambda s, m: None, tag=Color.RED)
-        transport.register_receiver(nbr, lambda s, m: None, tag=Color.BLUE)
+        for color in (Color.RED, Color.BLUE):
+
+            def sink(sender, message, nbr=nbr, color=color):
+                if inbox is not None:
+                    inbox.append((engine.now, nbr, color, message))
+
+            transport.register_receiver(nbr, sink, tag=color)
     node = STAMPNode(
         asn,
         graph,
         engine,
         transport,
-        speaker_config=SpeakerConfig(mrai=MRAIConfig(base=1.0)),
+        speaker_configs=build_speaker_configs(MRAIConfig(base=1.0)),
         selector=RandomBlueSelector(),
         permissive_blue=permissive,
     )
@@ -127,3 +132,41 @@ class TestForwardingState:
         assert (1, Color.RED) in state
         assert (1, Color.BLUE) in state
         assert (1, ("unstable", Color.RED)) in state
+
+
+class TestRecolor:
+    """Make-before-break: a provider session that flips color hears the
+    gaining color first, the losing color ``recolor_delay`` later."""
+
+    def test_gain_is_announced_before_the_deferred_loss(self):
+        from repro.bgp.messages import Announcement, Withdrawal
+
+        # Three providers: losing the locked one moves the Lock chain to
+        # a survivor, whose session flips red -> blue.
+        graph = ASGraph()
+        for provider in (2, 3, 4):
+            graph.add_c2p(1, provider)
+        inbox = []
+        engine, node = build_node(graph, 1, inbox=inbox)
+        node.originate()
+        engine.run()
+        del inbox[:]
+        failed_at = engine.now
+        node.on_session_down(node.locked_blue_provider)
+        flipped = node.locked_blue_provider
+        # Both colors are advertised until the deferred withdrawal.
+        assert node.blue.is_advertising(flipped)
+        assert node.red.is_advertising(flipped)
+        engine.run()
+        assert not node.red.is_advertising(flipped)
+        to_flipped = [
+            (time, color, message)
+            for time, nbr, color, message in inbox
+            if nbr == flipped
+        ]
+        (gain_at, gain_color, gain), (loss_at, loss_color, loss) = to_flipped
+        assert (gain_color, loss_color) == (Color.BLUE, Color.RED)
+        assert isinstance(gain, Announcement) and gain.lock
+        assert isinstance(loss, Withdrawal)
+        assert gain_at == pytest.approx(failed_at + 0.01)
+        assert loss_at - gain_at == pytest.approx(node.recolor_delay)

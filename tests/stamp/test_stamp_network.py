@@ -91,7 +91,8 @@ class TestTheorem51:
     announce locked blue on separate sessions), which opens
     millisecond-scale windows with neither color installed.  That
     re-coloring race is a genuine STAMP wrinkle our event-driven
-    analysis surfaces (see EXPERIMENTS.md); the theorem's guarantee
+    analysis surfaces (see docs/architecture.md, "Where this
+    reproduction departs from the paper"); the theorem's guarantee
     concerns convergence-scale outages.
     """
 

@@ -8,8 +8,11 @@ stops executing.
 
 from __future__ import annotations
 
+import ast
 import doctest
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -237,6 +240,85 @@ def test_every_campaign_decision_has_one_owner():
     for name, text in {**sources, **documents}.items():
         found = gone.search(text)
         assert found is None, f"{name} still names {found.group()}"
+
+
+def _enclosing_functions(path, wanted):
+    """Names of the functions of ``path`` holding a node ``wanted``."""
+    owners = []
+    for function in ast.walk(ast.parse(path.read_text())):
+        if isinstance(function, ast.FunctionDef) and any(
+            wanted(node) for node in ast.walk(function)
+        ):
+            owners.append(function.name)
+    return owners
+
+
+def test_the_export_decision_has_one_owner():
+    """One export path, enforced: ``export_for`` is the only function
+    of the speaker that calls the gate or applies the valley-free rule
+    (so ``policy.export_allowed`` is the reference for one copy), and
+    the fan-out, certificate and live-provider shortcuts that shadowed
+    it stay deleted, in the code and in the documents."""
+    speaker = REPO / "src" / "repro" / "bgp" / "speaker.py"
+
+    def calls_the_gate(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "export_gate"
+        )
+
+    def compares_with_customer(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "CUSTOMER"
+        ) or (isinstance(node, ast.Name) and node.id == "_CUSTOMER")
+
+    gate_callers = [
+        name
+        for path in sorted(speaker.parent.glob("*.py"))
+        for name in _enclosing_functions(path, calls_the_gate)
+    ]
+    assert gate_callers == ["export_for"]
+    rule_owners = _enclosing_functions(speaker, compares_with_customer)
+    assert rule_owners == ["export_for"]
+    gone = re.compile(
+        r"_gate_sig_enabled|_sig_red|_sig_blue|is_settled|_fanout_cache"
+        r"|gate_refresh_delegated|_live_providers_cache"
+    )
+    for path in [
+        *sorted((REPO / "src").rglob("*.py")),
+        README,
+        *sorted((REPO / "docs").glob("*.md")),
+    ]:
+        found = gone.search(path.read_text())
+        name = path.relative_to(REPO).as_posix()
+        assert found is None, f"{name} still names {found.group()}"
+
+
+def test_every_cited_document_exists():
+    """A Markdown file cited in a comment or a docstring under ``src/``,
+    ``tests/`` or ``benchmarks/`` is a file of this repository (at the
+    root or under ``docs/``)."""
+    cited = re.compile(r"[\w./-]*\w\.md\b")
+    for root in ("src", "tests", "benchmarks"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            text = path.read_text()
+            prose = [
+                token.string
+                for token in tokenize.generate_tokens(io.StringIO(text).readline)
+                if token.type == tokenize.COMMENT
+            ]
+            prose += [
+                ast.get_docstring(node, clean=False) or ""
+                for node in ast.walk(ast.parse(text))
+                if isinstance(
+                    node, (ast.Module, ast.ClassDef, ast.FunctionDef)
+                )
+            ]
+            for name in cited.findall("\n".join(prose)):
+                name = name.lstrip("./")
+                assert (REPO / name).is_file() or (
+                    REPO / "docs" / name
+                ).is_file(), f"{path.relative_to(REPO)} cites {name}"
 
 
 def test_readme_documents_resumable_campaigns():
