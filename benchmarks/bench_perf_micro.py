@@ -384,9 +384,9 @@ def test_transient_analysis(benchmark, graph, perf_records, protocol):
 def test_transient_analysis_stamp_episode(benchmark, graph, perf_records):
     """Multi-phase episode analysis over a STAMP flap workload.
 
-    Exercises the per-segment successor-table rebuilds and the forced
-    boundary rescans at every phase boundary — the costs the
-    single-event ``transient_analysis_stamp`` entry never sees.
+    Exercises the failure-set patch and the forced boundary rescan at
+    every phase boundary — the costs the single-event
+    ``transient_analysis_stamp`` entry never sees.
     """
     episode = link_flap_episode(
         graph, random.Random("bench:ep"), period=25.0, flaps=2
@@ -395,15 +395,59 @@ def test_transient_analysis_stamp_episode(benchmark, graph, perf_records):
     for a, b in episode.pre_failed_links:
         network.transport.fail_link(a, b)
     network.start()
-    segments, _ = collect_episode_segments(network, episode)
+    segments, initial_state, _ = collect_episode_segments(network, episode)
 
     report = benchmark(
-        analyze_episode_transient_problems, segments, plane, graph.ases
+        analyze_episode_transient_problems,
+        segments, initial_state, plane, graph.ases,
     )
     assert report.overall.eligible
     _record(
         perf_records,
         "transient_analysis_stamp_episode",
+        benchmark,
+        phases=len(segments),
+        trace_changes=sum(len(s.trace.changes) for s in segments),
+    )
+
+
+def _storm(graph, protocol):
+    """A started network and the long-horizon flap storm to drive it
+    through: 512 phases two simulated seconds apart (32 at smoke)."""
+    flaps = 16 if _smoke() else 256
+    episode = link_flap_episode(
+        graph, random.Random("bench:ep-long"), period=2.0, flaps=flaps
+    )
+    network, plane = build_network(protocol, graph, episode.destination, seed=0)
+    for a, b in episode.pre_failed_links:
+        network.transport.fail_link(a, b)
+    network.start()
+    return network, plane, episode
+
+
+@pytest.mark.parametrize("protocol", ["rbgp", "stamp"])
+def test_episode_collect_long(benchmark, graph, perf_records, protocol):
+    """The simulation half of the storm: ``collect_episode_segments``.
+
+    The analysis entries below collect their segments *before* the
+    timed region, so what an injector costs per phase — one whole-
+    network ``forwarding_state()`` each before the one-snapshot
+    collector, a trace index and three small frozensets after it — was
+    invisible to this suite.  A driven network cannot be rewound, so
+    every round starts its own (untimed, in ``setup``); rounds are
+    few because a start costs more than the storm.
+    """
+    def setup():
+        network, _, episode = _storm(graph, protocol)
+        return (network, episode), {}
+
+    segments, initial_state, _ = benchmark.pedantic(
+        collect_episode_segments, setup=setup, rounds=3, iterations=1
+    )
+    assert initial_state
+    _record(
+        perf_records,
+        f"episode_collect_long_{protocol}",
         benchmark,
         phases=len(segments),
         trace_changes=sum(len(s.trace.changes) for s in segments),
@@ -417,24 +461,18 @@ def test_transient_analysis_episode_long(
     """Long-horizon flap storm where boundary cost dominates.
 
     512 phases two simulated seconds apart: each segment's trace is
-    tiny, so per-boundary work (snapshot diff, failure-set patch,
-    phase eligibility, seeding/finalization) is nearly the whole bill.
-    Pins the cross-boundary successor-table patching path on a plane
-    with exact boundary invalidation (bgp, stamp) and on the one that
-    re-derives every row per boundary (rbgp).
+    tiny, so per-boundary work (failure-set patch, phase eligibility,
+    seeding/finalization) is nearly the whole bill.  Pins the
+    cross-boundary successor-table patching path on a plane with exact
+    boundary invalidation (bgp, stamp) and on the one that re-derives
+    every row per boundary (rbgp).
     """
-    flaps = 16 if _smoke() else 256
-    episode = link_flap_episode(
-        graph, random.Random("bench:ep-long"), period=2.0, flaps=flaps
-    )
-    network, plane = build_network(protocol, graph, episode.destination, seed=0)
-    for a, b in episode.pre_failed_links:
-        network.transport.fail_link(a, b)
-    network.start()
-    segments, _ = collect_episode_segments(network, episode)
+    network, plane, episode = _storm(graph, protocol)
+    segments, initial_state, _ = collect_episode_segments(network, episode)
 
     report = benchmark(
-        analyze_episode_transient_problems, segments, plane, graph.ases
+        analyze_episode_transient_problems,
+        segments, initial_state, plane, graph.ases,
     )
     assert report.overall.eligible
     assert len(report.phases) == len(segments)

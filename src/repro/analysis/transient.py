@@ -19,9 +19,13 @@ per-instant cost from O(all eligible walks) into O(affected walks).
 :func:`_reference_analyze_transient_problems` keeps the full-rescan
 implementation for equivalence tests.
 
-An episode (:mod:`repro.experiments.scenarios`) is a *sequence* of
-:class:`EpisodeSegment` phases, each with its own failure state:
-:func:`analyze_episode_transient_problems` produces one
+An episode (:mod:`repro.experiments.scenarios`) is one snapshot (the
+state at its first injection instant) plus a *sequence* of
+:class:`EpisodeSegment` phases, each with its own failure state and
+slice of the trace.  The trace is complete, so the state at a phase's
+start *is* the replayed end of the phase before it: the analyzer
+replays every phase onto one dict in place and a phase costs what it
+changed.  :func:`analyze_episode_transient_problems` produces one
 :class:`TransientReport` per phase (disruption attributable to each
 injected event) plus an episode-wide overall report whose problem
 intervals span phase boundaries — an AS blackholed across an entire
@@ -124,13 +128,12 @@ def analyze_transient_problems(
     """
     segment = EpisodeSegment(
         trace=trace,
-        initial_state=initial_state,
         failed_links=failed_links,
         failed_ases=failed_ases,
         start_time=trace.changes[0].time if trace.changes else 0.0,
     )
     return analyze_episode_transient_problems(
-        [segment], plane, ases, min_duration=min_duration
+        [segment], initial_state, plane, ases, min_duration=min_duration
     ).overall
 
 
@@ -143,11 +146,11 @@ def analyze_transient_problems(
 class EpisodeSegment:
     """One episode phase as the analyzer consumes it.
 
-    ``initial_state`` is the control-plane snapshot captured at the
-    injection instant *before* the phase's events were applied (the
-    synchronous reactions to those events are the first changes of
-    ``trace``); ``failed_links``/``failed_ases`` are the failure sets
-    active *after* the events, i.e. throughout the phase.
+    ``trace`` is the phase's slice of the run's forwarding trace: the
+    synchronous reactions to its events come first.  No snapshot: the
+    state at its start is the episode's one snapshot replayed through
+    every earlier segment.  ``failed_links``/``failed_ases`` are the
+    failure sets active *after* the events, i.e. throughout the phase.
     ``failed_ases_at_start`` holds the ASes that were (still) failed
     when the phase's events fired — a router restored by this very
     phase was down at its start, so it cannot be a *victim* of the
@@ -157,7 +160,6 @@ class EpisodeSegment:
     """
 
     trace: ForwardingTrace
-    initial_state: Dict
     failed_links: FrozenSet[Link]
     failed_ases: FrozenSet[ASN]
     start_time: float
@@ -301,11 +303,12 @@ class _PhaseTracker:
 class _IncrementalScan:
     """The incremental scan engine of the analyzer.
 
-    Owns the plane's successor table over one snapshot lineage — built
-    failure-free over the first snapshot, then *patched* across every
-    boundary (:meth:`begin_segment`: the snapshot diff plus the
-    failure-set delta, invalidating only the walks they touch) and fed
-    each scanned instant's changed keys.  Every scan's outcome
+    Owns the episode's one state dict (the analyzer replays every
+    segment's trace onto it in place) and the plane's successor table
+    over it — built failure-free over the snapshot, then *patched*
+    across every boundary (``table.apply_boundary``: the failure-set
+    delta, invalidating only the walks it touches) and fed each
+    scanned instant's changed keys.  Every scan's outcome
     transitions go to the episode-wide tracker (``main``) and, when
     set, the active phase's (``phase``) — which is how the episode
     analyzer derives its per-phase attribution reports from the same
@@ -313,10 +316,8 @@ class _IncrementalScan:
     """
 
     def __init__(self, plane: WalkClassifier, state: Dict) -> None:
+        self.state = state
         self.table = plane._session_table(state, frozenset(), frozenset())
-        #: The snapshot the table reflects: the last one scanned or
-        #: patched to.
-        self._last_state = state
         #: Keys whose walk-observable projection moved since the owner
         #: last drained the set (the episode analyzer syncs its
         #: failure-free eligibility table from it once per boundary).
@@ -324,54 +325,26 @@ class _IncrementalScan:
         self.main: Optional[_PhaseTracker] = None
         self.phase: Optional[_PhaseTracker] = None
 
-    def begin_segment(
-        self,
-        initial_state: Dict,
-        failed_links: FrozenSet[Link],
-        failed_ases: FrozenSet[ASN],
-    ) -> None:
-        """Carry the table across a boundary as a patch.
-
-        Normally only the failure sets change: the collector snapshots
-        right at the boundary, so the previous segment's final replayed
-        state is content-identical to this segment's initial snapshot.
-        Otherwise every key is offered to the table, which ignores the
-        ones whose projection it already holds.
-        """
-        table = self.table
-        previous = self._last_state
-        if previous is not initial_state and previous != initial_state:
-            moved_add = self.moved.add
-            for key, value in initial_state.items():
-                if table.update(key, value):
-                    moved_add(key)
-            for key in previous:
-                if key not in initial_state and table.update(key, None):
-                    moved_add(key)
-        table.apply_boundary(failed_links, failed_ases)
-        self._last_state = initial_state
-
-    def scan(
-        self, state: Dict, time: float, changed_keys: Optional[set]
-    ) -> None:
+    def scan(self, time: float, changed_keys: Optional[set]) -> None:
         table = self.table
         if changed_keys:
             update = table.update
+            state_get = self.state.get
             moved_add = self.moved.add
             for key in changed_keys:
-                if update(key, state.get(key)):
+                if update(key, state_get(key)):
                     moved_add(key)
         transitions = table.collect_transitions()
         if self.main is not None:
             self.main.observe(table, transitions, time)
         if self.phase is not None:
             self.phase.observe(table, transitions, time)
-        self._last_state = state
 
 
 def _episode_eligibility(
     plane: WalkClassifier,
     segments: Sequence[EpisodeSegment],
+    initial_state: Dict,
     all_ases: List[ASN],
 ) -> Set[ASN]:
     """Pre-episode connectivity baseline minus every ever-failed AS.
@@ -382,7 +355,7 @@ def _episode_eligibility(
     links), and ASes that are themselves failed at any point of the
     episode cannot "experience" transient problems.
     """
-    baseline = plane.classify_batch(segments[0].initial_state, all_ases)
+    baseline = plane.classify_batch(initial_state, all_ases)
     ever_failed: Set[ASN] = set()
     for segment in segments:
         ever_failed |= segment.failed_ases
@@ -394,6 +367,7 @@ def _episode_eligibility(
 
 def analyze_episode_transient_problems(
     segments: Sequence[EpisodeSegment],
+    initial_state: Dict,
     plane: WalkClassifier,
     ases: Iterable[ASN],
     *,
@@ -401,20 +375,23 @@ def analyze_episode_transient_problems(
 ) -> EpisodeTransientReport:
     """Analyze one episode run: one phase or many.
 
+    ``initial_state`` is the state just before the first injection
+    (trace key space), the episode's one snapshot: copied once, never
+    mutated, the copy replayed in place through every segment.
+
     One replay pass serves both views.  The overall report runs the
     incremental engine over all segments with one interval tracker; at
-    each phase boundary the engine's table is *patched* across the
-    boundary (:meth:`_IncrementalScan.begin_segment`), and a rescan is
-    forced at the injection instant — folding in any same-instant
-    synchronous reactions first, and scanning the unchanged state when
-    there are none (a link restore flips walk outcomes without
-    touching a single trace key).  The per-phase attribution reports
-    (identical to analyzing each segment in isolation — the
-    equivalence tests pin this) are derived from the same pass by a
-    per-segment :class:`_PhaseTracker`, with phase eligibility
-    (failure-free delivery at the phase's start) served by a second,
-    failure-free table built at the first boundary and synced once per
-    boundary after it.
+    each phase boundary the engine's table is *patched* to the phase's
+    failure sets, and a rescan is forced at the injection instant —
+    folding in any same-instant synchronous reactions first, and
+    scanning the unchanged state when there are none (a link restore
+    flips walk outcomes without touching a single trace key).  The
+    per-phase attribution reports (identical to analyzing each segment
+    in isolation — the equivalence tests pin this) are derived from
+    the same pass by a per-segment :class:`_PhaseTracker`, with phase
+    eligibility (failure-free delivery at the phase's start) kept by a
+    second, failure-free table built at the first boundary and synced
+    once per boundary after it, its transitions updating the set.
 
     A single-segment episode — the paper's single-instant workloads —
     pays for neither: its one phase has the overall report's
@@ -426,9 +403,10 @@ def analyze_episode_transient_problems(
         return EpisodeTransientReport(overall=TransientReport())
     all_ases = list(ases)
     # One table serves the whole analysis: built failure-free over the
-    # first snapshot it answers pre-episode eligibility, then it is
-    # patched to each phase's failure sets (and snapshot) in turn.
-    engine = _IncrementalScan(plane, segments[0].initial_state)
+    # snapshot it answers pre-episode eligibility, then it is patched
+    # to each phase's failure sets in turn.
+    state = dict(initial_state)
+    engine = _IncrementalScan(plane, state)
     delivered = _delivered_sources(engine.table, all_ases)
 
     # The baseline ignores failure sets (pre-event connectivity), and
@@ -443,25 +421,27 @@ def analyze_episode_transient_problems(
         engine.main = _PhaseTracker(report, min_duration)
 
     shadow: Optional[SuccessorTable] = None
+    #: ``ases`` as a set (a next hop the shadow interned mid-episode
+    #: is a row of it, not a source); built with the shadow.
+    universe: FrozenSet[ASN] = frozenset()
     phases: List[TransientReport] = []
     for index, segment in enumerate(segments):
-        engine.begin_segment(
-            segment.initial_state, segment.failed_links, segment.failed_ases
-        )
-        if index > 0:
-            if shadow is None:
-                shadow = plane._session_table(
-                    segment.initial_state, frozenset(), frozenset()
-                )
-            else:
-                # Lazy shadow sync: keys that moved since the last
-                # boundary, at the values the boundary snapshot holds
-                # (a key that flapped back is dropped by the table
-                # itself).
-                for key in engine.moved:
-                    shadow.update(key, segment.initial_state.get(key))
-                shadow.collect_transitions()
+        engine.table.apply_boundary(segment.failed_links, segment.failed_ases)
+        if shadow is not None:
+            # Lazy shadow sync: keys that moved since the last
+            # boundary, at the values they hold now (a key that
+            # flapped back is dropped by the table itself).
+            for key in engine.moved:
+                shadow.update(key, state.get(key))
+            for asn, outcome in shadow.collect_transitions():
+                if outcome is not Outcome.DELIVERED:
+                    delivered.discard(asn)
+                elif asn in universe:
+                    delivered.add(asn)
+        elif index > 0:
+            shadow = plane._session_table(state, frozenset(), frozenset())
             delivered = _delivered_sources(shadow, all_ases)
+            universe = frozenset(all_ases)
         engine.moved.clear()
         changes = segment.trace.changes
         if index > 0 and (not changes or changes[0].time > segment.start_time):
@@ -469,13 +449,13 @@ def analyze_episode_transient_problems(
             # injection instant, so classify the unchanged state under
             # the new failure sets.  An episode-level instant: the
             # phase's own tracker is installed after it.
-            engine.scan(segment.initial_state, segment.start_time, None)
+            engine.scan(segment.start_time, None)
         if len(segments) == 1:
             phase_report = report
         else:
             # A router that was down when this phase fired cannot be a
-            # victim of the phase (its frozen pre-restore snapshot is
-            # not real connectivity).
+            # victim of the phase (its frozen pre-restore state is not
+            # real connectivity).
             phase_report = TransientReport(
                 eligible=delivered
                 - segment.failed_ases
@@ -483,10 +463,8 @@ def analyze_episode_transient_problems(
             )
             if phase_report.eligible:
                 engine.phase = _PhaseTracker(phase_report, min_duration)
-        for time, state, changed in segment.trace.replay_with_changes(
-            segment.initial_state
-        ):
-            engine.scan(state, time, changed)
+        for time, _, changed in segment.trace.replay_onto(state):
+            engine.scan(time, changed)
         if engine.phase is not None:
             engine.phase.finalize(engine.table)
             engine.phase = None
@@ -499,6 +477,7 @@ def analyze_episode_transient_problems(
 
 def _reference_analyze_episode_transient_problems(
     segments: Sequence[EpisodeSegment],
+    initial_states: Sequence[Dict],
     plane: WalkClassifier,
     ases: Iterable[ASN],
     *,
@@ -509,15 +488,19 @@ def _reference_analyze_episode_transient_problems(
     Classifies every eligible AS at every instant of every segment via
     :meth:`WalkClassifier.classify`, with the identical boundary-scan
     and interval-bridging semantics as the incremental implementation.
+    Brute force in its input too: one snapshot *per segment*, which
+    the test-side collector photographs off the live network, so no
+    phase's starting state is derived from the trace under check.
     """
     segments = list(segments)
+    assert len(initial_states) == len(segments)
     if not segments:
         return EpisodeTransientReport(overall=TransientReport())
     all_ases = list(ases)
     phases = [
         _reference_analyze_transient_problems(
             segment.trace,
-            segment.initial_state,
+            initial_state,
             plane,
             all_ases,
             failed_links=segment.failed_links,
@@ -525,10 +508,12 @@ def _reference_analyze_episode_transient_problems(
             min_duration=min_duration,
             exclude_sources=segment.failed_ases_at_start,
         )
-        for segment in segments
+        for segment, initial_state in zip(segments, initial_states)
     ]
     report = TransientReport()
-    report.eligible = _episode_eligibility(plane, segments, all_ases)
+    report.eligible = _episode_eligibility(
+        plane, segments, initial_states[0], all_ases
+    )
     if not report.eligible:
         return EpisodeTransientReport(overall=report, phases=phases)
     eligible = report.eligible
@@ -573,13 +558,15 @@ def _reference_analyze_episode_transient_problems(
         last_time = time
         scanned_any = True
 
-    final_state: Dict = dict(segments[0].initial_state)
-    for index, segment in enumerate(segments):
+    final_state: Dict = {}
+    for index, (segment, initial_state) in enumerate(
+        zip(segments, initial_states)
+    ):
         changes = segment.trace.changes
         if index > 0 and (not changes or changes[0].time > segment.start_time):
-            scan(segment, dict(segment.initial_state), segment.start_time)
-        final_state = dict(segment.initial_state)
-        for time, state in segment.trace.replay(segment.initial_state):
+            scan(segment, dict(initial_state), segment.start_time)
+        final_state = dict(initial_state)
+        for time, state in segment.trace.replay(initial_state):
             scan(segment, state, time)
             final_state = state
 

@@ -31,6 +31,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments.figures import (
     CAMPAIGNS,
     fig1_phi_cdf,
@@ -129,10 +130,14 @@ def cmd_campaign(args) -> int:
     """Every :data:`CAMPAIGNS` subcommand: run the grid, chart it."""
     kind = CAMPAIGNS[args.command]
     params = {name: getattr(args, name) for name, _ in kind.params}
-    data = run_campaign(
-        args.command, _build_config(args), graph=_load_topology(args),
-        **params,
-    )
+    try:
+        data = run_campaign(
+            args.command, _build_config(args), graph=_load_topology(args),
+            **params,
+        )
+    except ConfigurationError as exc:  # refused before any unit ran
+        print(f"repro-stamp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     _print_failure(kind.title.format(**params), data)
     if kind.phase_legend is not None:
         print()

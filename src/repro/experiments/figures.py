@@ -99,11 +99,17 @@ def episode_campaign(
     result ledger), and any worker count yields byte-identical
     statistics (results are merged in canonical order and every unit
     re-derives its seeds from the deterministic
-    ``f"{seed}:{kind}:{instance}"`` scheme).
+    ``f"{seed}:{kind}:{instance}"`` scheme).  Raises the builder's own
+    ``ConfigurationError``, before any unit is attempted or a ledger
+    opened, when the builder refuses its keywords or the graph.
     """
     config = config or ExperimentConfig()
     if graph is None:
         graph, _ = generate_internet_topology(config.topology)
+    # What a builder refuses (a keyword out of range, a graph with no
+    # candidate) it refuses whatever the draw: ask once, here, instead
+    # of retrying every unit into the same ConfigurationError.
+    builder(graph, random.Random(0))
     runner = ParallelRunner(
         workers=config.workers,
         max_attempts=config.retries + 1,

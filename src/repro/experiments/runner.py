@@ -9,7 +9,10 @@ ordered against protocol timers by the engine's total ``(time,
 insertion-seq)`` order — before a single drain runs the whole episode
 to quiescence.  The paper's single-instant workloads (section 6.2) are
 one-phase episodes: one injector at offset ``0.0`` applies all their
-events synchronously, before any protocol reaction.
+events synchronously, before any protocol reaction.  The network is
+photographed (``forwarding_state()``, a walk over every speaker) once
+per episode, by the first injector; the trace says the rest, so a
+phase costs what it changed, however many ASes stood still.
 
 The two R-BGP variants (``rbgp`` / ``rbgp-norci``) differ only in how
 they react to root-cause information, which cannot exist before the
@@ -29,6 +32,7 @@ byte-identical either way (the golden determinism tests pin this).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 from dataclasses import dataclass, field
@@ -351,67 +355,72 @@ def _apply_episode_event(network, event: EpisodeEvent) -> None:
 
 def collect_episode_segments(
     network, episode: Episode
-) -> Tuple[List[EpisodeSegment], float]:
+) -> Tuple[List[EpisodeSegment], Dict, float]:
     """Drive one started network through an episode; return its phases.
 
     Schedules one injector per distinct step offset (via the engine's
     handle-free ``post_at`` at ``now + offset``), drains the run to
     quiescence, and slices the trace into per-phase
-    :class:`~repro.analysis.transient.EpisodeSegment` values — the
-    exact input both episode analyzers consume.  Shared by
+    :class:`~repro.analysis.transient.EpisodeSegment` values.  Only
+    the first injector snapshots the network (before applying its
+    events); every injector records its instant, its place in the
+    trace and the failure sets around it.  Shared by
     :func:`run_episode` and the perf bench (which needs the segments
-    without the analysis).  Returns ``(segments, convergence_time)``.
+    without the analysis).  Returns ``(segments, initial_state,
+    convergence_time)``; the first two are the analyzer's input.
     """
     engine = network.engine
     trace = network.trace
     transport = network.transport
     base = engine.now
-    #: Per-phase marks captured by the injectors at fire time:
-    #: (time, pre-injection state, trace start index, post-injection
-    #: failed links, post-injection failed ASes, pre-injection failed
-    #: ASes).
-    marks: List[Tuple[float, Dict, int, frozenset, frozenset, frozenset]] = []
+    initial_state: Dict = {}
+    #: Per-phase marks captured by the injectors at fire time: (time,
+    #: trace start index, post-injection failed links, post-injection
+    #: failed ASes, pre-injection failed ASes).
+    marks: List[Tuple[float, int, frozenset, frozenset, frozenset]] = []
 
-    def _make_injector(events: Tuple[EpisodeEvent, ...]):
-        def inject() -> None:
-            time = engine.now
-            state = network.forwarding_state()
-            trace_start = len(trace.changes)
-            failed_ases_before = frozenset(transport.failed_ases)
-            for event in events:
-                _apply_episode_event(network, event)
-            marks.append(
-                (
-                    time,
-                    state,
-                    trace_start,
-                    frozenset(transport.failed_links),
-                    frozenset(transport.failed_ases),
-                    failed_ases_before,
-                )
+    def inject(events: Tuple[EpisodeEvent, ...]) -> None:
+        time = engine.now
+        trace_start = len(trace.changes)
+        failed_ases_before = frozenset(transport.failed_ases)
+        for event in events:
+            _apply_episode_event(network, event)
+        marks.append(
+            (
+                time,
+                trace_start,
+                frozenset(transport.failed_links),
+                frozenset(transport.failed_ases),
+                failed_ases_before,
             )
-        return inject
+        )
 
+    def inject_first(events: Tuple[EpisodeEvent, ...]) -> None:
+        nonlocal initial_state
+        initial_state = network.forwarding_state()
+        inject(events)
+
+    injector = inject_first
     for offset, _, events in episode.instants():
-        engine.post_at(base + offset, _make_injector(events))
+        engine.post_at(base + offset, functools.partial(injector, events))
+        injector = inject
     convergence_time = network.run_to_convergence()
 
     segments: List[EpisodeSegment] = []
     for k, (
-        time, state, trace_start, failed_links, failed_ases, failed_before
+        time, trace_start, failed_links, failed_ases, failed_before
     ) in enumerate(marks):
-        trace_end = marks[k + 1][2] if k + 1 < len(marks) else len(trace.changes)
+        trace_end = marks[k + 1][1] if k + 1 < len(marks) else len(trace.changes)
         segments.append(
             EpisodeSegment(
                 trace=ForwardingTrace(changes=trace.changes[trace_start:trace_end]),
-                initial_state=state,
                 failed_links=failed_links,
                 failed_ases=failed_ases,
                 start_time=time,
                 failed_ases_at_start=failed_before,
             )
         )
-    return segments, convergence_time
+    return segments, initial_state, convergence_time
 
 
 def run_episode(
@@ -429,13 +438,14 @@ def run_episode(
     injector per distinct step offset is scheduled via
     :meth:`repro.sim.engine.Engine.post_at` at ``converged_time +
     offset``.  A single engine drain then runs the whole episode:
-    injectors fire mid-run as ordinary events, snapshot the
-    pre-injection forwarding state, and apply their instant's events
-    synchronously (in step order).  Because injectors are scheduled
-    before any post-convergence protocol activity, an injection tied
-    with a protocol timer at the exact same instant fires *first*
-    (lower insertion seq) — the one scheduling rule episode authors
-    need to know; see ``docs/scenarios.md``.
+    injectors fire mid-run as ordinary events (the first one
+    snapshots the pre-injection forwarding state) and apply their
+    instant's events synchronously (in step order).  Because
+    injectors are scheduled before any post-convergence protocol
+    activity, an injection tied with a protocol timer at the exact
+    same instant fires *first* (lower insertion seq) — the one
+    scheduling rule episode authors need to know; see
+    ``docs/scenarios.md``.
 
     The R-BGP twin-start snapshot cache is keyed on the episode's
     pre-convergence input (destination, seed, ``pre_failed_links``),
@@ -454,9 +464,13 @@ def run_episode(
     announcements_before = network.stats.announcements
     withdrawals_before = network.stats.withdrawals
 
-    segments, convergence_time = collect_episode_segments(network, episode)
+    segments, initial_state, convergence_time = collect_episode_segments(
+        network, episode
+    )
     instants = episode.instants()
-    analysis = analyze_episode_transient_problems(segments, plane, graph.ases)
+    analysis = analyze_episode_transient_problems(
+        segments, initial_state, plane, graph.ases
+    )
     phases = tuple(
         EpisodePhase(
             index=k,

@@ -123,7 +123,17 @@ class ForwardingTrace:
         walks that depend on those keys.  Keys absent from ``initial``
         always count as changed on first write.
         """
-        state = dict(initial)
+        return self.replay_onto(dict(initial))
+
+    def replay_onto(
+        self, state: Dict[Tuple[ASN, Hashable], Any]
+    ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any], set]]:
+        """:meth:`replay_with_changes` written into ``state`` itself.
+
+        A run cut into consecutive traces (an episode's phases) replays
+        as one lineage: the dict one trace leaves behind is the next
+        one's starting state, with no copy per cut.
+        """
         state_get = state.get
         pending = self.changes  # ordered by construction (see record)
         index = 0

@@ -1,16 +1,31 @@
 """Fuzzed differential wall for cross-boundary table patching.
 
-The episode analyzer carries one successor table *across* phase
-boundaries as a patch (:meth:`repro.analysis.transient._IncrementalScan
-.begin_segment`: the snapshot diff plus
-:meth:`repro.forwarding.walk.SuccessorTable.apply_boundary`) instead of
-rebuilding per segment.  These tests pin that machinery against the
-brute-force reference twin on seeded random episodes — mixed link/AS
-fail and restore events, 2–64 phases, silent restores and re-fails —
-across every plane, and pin the individual load-bearing pieces:
+The episode analyzer carries one state dict and one successor table
+*across* phase boundaries — the dict replayed in place from the
+episode's one snapshot, the table switched to each phase's failure
+sets as a patch
+(:meth:`repro.forwarding.walk.SuccessorTable.apply_boundary`) —
+instead of photographing the network and rebuilding per segment.
+That rests on the trace being *complete*, which no run-time check
+verifies any more; these tests do, with a stronger check than the
+run-time diff they replace.  Every fuzzed episode — mixed link/AS fail
+and restore events, 2–64 phases, silent restores and re-fails, every
+plane — and every packaged multi-phase builder is driven by the
+test-side collector (``live_collector.py``), which photographs the
+live network ahead of each injector and at quiescence:
+
+* **trace completeness**: the one snapshot replayed through the trace
+  equals the live ``forwarding_state()`` at every boundary and at
+  quiescence — and a speaker that forgets to record one forwarding
+  change fails it (shown with a deliberately broken speaker);
+* the incremental analyzer equals the brute-force reference twin,
+  which is fed the live photographs and so never derives a phase's
+  starting state from the trace under test;
+
+and the individual load-bearing pieces are pinned:
 
 * at every boundary the patched table equals a table built from
-  scratch over the boundary snapshot and failure sets;
+  scratch over the carried state and the phase's failure sets;
 * a next hop that leaves the indexed AS universe *mid-episode* is
   interned on the fly and the analysis stays exact across later
   boundaries;
@@ -27,22 +42,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.transient import (
-    EpisodeSegment,
-    _IncrementalScan,
-    _reference_analyze_episode_transient_problems,
-    analyze_episode_transient_problems,
+from live_collector import (
+    assert_live_episode_checks_out,
+    assert_matches_reference,
+    assert_trace_complete,
+    run_live,
 )
-from repro.experiments import runner as runner_mod
-from repro.experiments.runner import collect_episode_segments
+from repro.analysis.transient import EpisodeSegment, _IncrementalScan
+from repro.bgp.speaker import BGPSpeaker
 from repro.experiments.scenarios import (
     Episode,
+    correlated_outage_episode,
     fail_as,
     fail_link,
+    link_flap_episode,
+    provider_node_failure,
     restore_as,
     restore_link,
+    staggered_maintenance_episode,
 )
 from repro.forwarding.stamp_plane import STAMPDataPlane
+from repro.forwarding.walk import SuccessorTable
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
 from repro.types import Color, normalize_link
 from test_successor_table import (
@@ -125,45 +145,9 @@ def _random_episode(graph, rng, n_phases: int) -> Episode:
     return Episode(destination=destination, steps=tuple(steps))
 
 
-def _run_segments(graph, episode, protocol: str):
-    network, plane, _ = runner_mod._acquire_started_network(
-        graph, episode.destination, protocol, 7, None,
-        episode.pre_failed_links,
-    )
-    segments, _ = collect_episode_segments(network, episode)
-    return segments, plane
-
-
-def _report_fields(report):
-    return (
-        report.eligible,
-        report.affected,
-        report.looped,
-        report.blackholed,
-        report.permanently_unreachable,
-        report.timeline,
-        report.problem_timeline,
-    )
-
-
-def _assert_matches_reference(segments, plane, ases):
-    incremental = analyze_episode_transient_problems(segments, plane, ases)
-    reference = _reference_analyze_episode_transient_problems(
-        segments, plane, ases
-    )
-    assert _report_fields(incremental.overall) == _report_fields(
-        reference.overall
-    )
-    assert len(incremental.phases) == len(reference.phases)
-    for index, (got, want) in enumerate(
-        zip(incremental.phases, reference.phases)
-    ):
-        assert _report_fields(got) == _report_fields(want), index
-    return incremental
-
-
 class TestFuzzedEpisodes:
-    """Seeded random episodes diff clean against the reference twin."""
+    """Seeded random episodes: the trace is complete, and the one-
+    snapshot analysis diffs clean against the reference twin."""
 
     @pytest.mark.parametrize("protocol", PLANES)
     @pytest.mark.parametrize(
@@ -174,18 +158,94 @@ class TestFuzzedEpisodes:
         graph = _random_topology(seed % 3)
         rng = random.Random(f"fuzz:{protocol}:{seed}:{n_phases}")
         episode = _random_episode(graph, rng, n_phases)
-        segments, plane = _run_segments(graph, episode, protocol)
-        assert len(segments) == n_phases
-        _assert_matches_reference(segments, plane, list(graph.ases))
+        live, plane = run_live(graph, episode, protocol)
+        assert len(live.segments) == n_phases
+        assert_live_episode_checks_out(live, plane, list(graph.ases))
 
-    @pytest.mark.parametrize("protocol", ("stamp", "bgp"))
+    @pytest.mark.parametrize("protocol", PLANES)
     def test_long_horizon_64_phases(self, protocol):
         graph = _random_topology(1)
         rng = random.Random(f"fuzz64:{protocol}")
         episode = _random_episode(graph, rng, 64)
-        segments, plane = _run_segments(graph, episode, protocol)
-        assert len(segments) == 64
-        _assert_matches_reference(segments, plane, list(graph.ases))
+        live, plane = run_live(graph, episode, protocol)
+        assert len(live.segments) == 64
+        assert_live_episode_checks_out(live, plane, list(graph.ases))
+
+
+class TestPackagedBuilders:
+    """The packaged families, driven the same way on every plane."""
+
+    @pytest.mark.parametrize("protocol", PLANES)
+    @pytest.mark.parametrize(
+        "builder, kwargs",
+        [
+            (link_flap_episode, {"period": 2.0, "flaps": 8}),
+            (link_flap_episode, {"period": 35.0, "flaps": 2}),
+            (staggered_maintenance_episode, {"window": 50.0, "gap": 20.0}),
+            (correlated_outage_episode, {"delay": 12.0}),
+            (provider_node_failure, {}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_trace_complete_and_reference_equal(
+        self, protocol, builder, kwargs, seed
+    ):
+        graph = _random_topology(seed)
+        episode = builder(graph, random.Random(f"packaged:{seed}"), **kwargs)
+        live, plane = run_live(graph, episode, protocol, seed=seed)
+        assert len(live.segments) == len(episode.instants())
+        assert_live_episode_checks_out(live, plane, list(graph.ases))
+
+
+class TestAnUnrecordedChangeIsCaught:
+    """The wall has teeth: lose one forwarding change and it fails.
+
+    A ``reboot`` that wipes the speaker without telling the trace (the
+    bug a forgotten ``_record_best_change`` would be) leaves the
+    analysis on a state the network never had; at run time nothing
+    notices any more, so this is the check that must.  The episode
+    puts a boundary one millisecond after the restore — inside the
+    minimum message delay, so the rebooted router is still routeless
+    when the camera fires.
+    """
+
+    def _reboot_episode(self):
+        graph = _random_topology(0)
+        base = provider_node_failure(graph, random.Random("broken"))
+        (_, down), = base.steps
+        other = next(
+            p for p in graph.providers(base.destination) if p != down.asn
+        )
+        episode = Episode(
+            destination=base.destination,
+            steps=(
+                (0.0, down),
+                (60.0, restore_as(down.asn)),
+                (60.001, fail_link(base.destination, other)),
+            ),
+        )
+        return graph, episode
+
+    def test_intact_speaker_passes(self):
+        graph, episode = self._reboot_episode()
+        live, plane = run_live(graph, episode, "bgp")
+        assert_live_episode_checks_out(live, plane, list(graph.ases))
+
+    def test_silent_reboot_fails_trace_completeness(self, monkeypatch):
+        graph, episode = self._reboot_episode()
+        reboot = BGPSpeaker.reboot
+
+        def silent_reboot(self, peers):
+            trace, self.trace = self.trace, None  # "forgot to record"
+            try:
+                reboot(self, peers)
+            finally:
+                self.trace = trace
+
+        monkeypatch.setattr(BGPSpeaker, "reboot", silent_reboot)
+        live, _ = run_live(graph, episode, "bgp")
+        with pytest.raises(AssertionError, match="at boundary 2"):
+            assert_trace_complete(live)
 
 
 class TestPatchedVsRebuilt:
@@ -196,35 +256,35 @@ class TestPatchedVsRebuilt:
         graph = _random_topology(2)
         rng = random.Random(f"pvr:{protocol}")
         episode = _random_episode(graph, rng, 9)
-        segments, plane = _run_segments(graph, episode, protocol)
+        live, plane = run_live(graph, episode, protocol)
         ases = list(graph.ases)
 
         # The failure sets of the boundary just crossed, until the
         # next scan has flushed the patched table and compared it.
         crossed = []
         compared = []
-        begin_segment = _IncrementalScan.begin_segment
+        apply_boundary = SuccessorTable.apply_boundary
         scan = _IncrementalScan.scan
 
-        def begin_spy(self, initial_state, failed_links, failed_ases):
-            begin_segment(self, initial_state, failed_links, failed_ases)
+        def boundary_spy(self, failed_links, failed_ases):
+            apply_boundary(self, failed_links, failed_ases)
             crossed[:] = [(failed_links, failed_ases)]
 
-        def scan_spy(self, state, *args, **kwargs):
-            scan(self, state, *args, **kwargs)
+        def scan_spy(self, *args):
+            scan(self, *args)
             if crossed:
-                rebuilt = plane._session_table(state, *crossed.pop())
+                rebuilt = plane._session_table(self.state, *crossed.pop())
                 compared.append(
                     self.table.source_outcomes(ases)
                     == rebuilt.source_outcomes(ases)
                 )
 
-        monkeypatch.setattr(_IncrementalScan, "begin_segment", begin_spy)
+        monkeypatch.setattr(SuccessorTable, "apply_boundary", boundary_spy)
         monkeypatch.setattr(_IncrementalScan, "scan", scan_spy)
-        _assert_matches_reference(segments, plane, ases)
+        assert_matches_reference(live.segments, live.live_states, plane, ases)
         # Every boundary is followed by a scan, except possibly the
         # first segment's start (nothing precedes it to be rescanned).
-        assert len(compared) >= len(segments) - 1 and all(compared)
+        assert len(compared) >= len(live.segments) - 1 and all(compared)
 
 
 def _random_stamp_state(rng):
@@ -248,7 +308,6 @@ def _broken_mid_episode_segments():
         trace=ForwardingTrace(
             changes=[ForwardingChange(1.0, 4, Color.RED, (1,))]
         ),
-        initial_state=dict(state),
         failed_links=frozenset({link}),
         failed_ases=frozenset(),
         start_time=0.0,
@@ -262,7 +321,6 @@ def _broken_mid_episode_segments():
                 ForwardingChange(7.0, 3, Color.RED, (2, 1)),
             ]
         ),
-        initial_state=dict(state1),
         failed_links=frozenset(),
         failed_ases=frozenset(),
         start_time=5.0,
@@ -273,18 +331,19 @@ def _broken_mid_episode_segments():
         trace=ForwardingTrace(
             changes=[ForwardingChange(11.0, 6, Color.BLUE, None)]
         ),
-        initial_state=dict(state2),
         failed_links=frozenset({normalize_link(1, 3)}),
         failed_ases=frozenset({7}),
         start_time=10.0,
     )
-    return FUZZ_ASES, [seg0, seg1, seg2]
+    return FUZZ_ASES, [seg0, seg1, seg2], [state, state1, state2]
 
 
 class TestOutOfUniverseMidEpisode:
     def test_matches_reference(self):
-        ases, segments = _broken_mid_episode_segments()
-        _assert_matches_reference(segments, STAMPDataPlane(destination=1), ases)
+        ases, segments, states = _broken_mid_episode_segments()
+        assert_matches_reference(
+            segments, states, STAMPDataPlane(destination=1), ases
+        )
 
 
 @settings(

@@ -2,11 +2,13 @@
 
 The incremental :func:`analyze_episode_transient_problems` must agree
 with its brute-force reference twin on real multi-phase runs of every
-plane, a single-segment episode must agree with the brute-force
-single-event twin (and with the one-segment adapter
-``analyze_transient_problems``), and the boundary-scan rule must catch outcome flips that
-happen *without any trace change* (a link restore heals walks whose
-control-plane state never moved).
+plane (driven by the test-side collector of ``live_collector.py``, so
+the twin's per-segment snapshots are photographs of the live network,
+not replays of the trace), a single-segment episode must agree with
+the brute-force single-event twin (and with the one-segment adapter
+``analyze_transient_problems``), and the boundary-scan rule must catch
+outcome flips that happen *without any trace change* (a link restore
+heals walks whose control-plane state never moved).
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import random
 
 import pytest
 
+from live_collector import (
+    assert_live_episode_checks_out,
+    report_fields as _report_fields,
+    run_live,
+)
 from repro.analysis.transient import (
     EpisodeSegment,
     analyze_episode_transient_problems,
@@ -43,28 +50,17 @@ def captured_segments(monkeypatch):
     captured = {}
     original = runner_mod.analyze_episode_transient_problems
 
-    def shim(segments, plane, ases, **kwargs):
+    def shim(segments, initial_state, plane, ases, **kwargs):
         captured["segments"] = list(segments)
+        captured["initial_state"] = initial_state
         captured["plane"] = plane
         captured["ases"] = list(ases)
-        return original(segments, plane, ases, **kwargs)
+        return original(segments, initial_state, plane, ases, **kwargs)
 
     monkeypatch.setattr(
         runner_mod, "analyze_episode_transient_problems", shim
     )
     return captured
-
-
-def _report_fields(report):
-    return (
-        report.eligible,
-        report.affected,
-        report.looped,
-        report.blackholed,
-        report.permanently_unreachable,
-        report.timeline,
-        report.problem_timeline,
-    )
 
 
 class TestIncrementalMatchesReference:
@@ -77,21 +73,11 @@ class TestIncrementalMatchesReference:
             (correlated_outage_episode, {"delay": 12.0}),
         ],
     )
-    def test_real_runs(self, captured_segments, protocol, builder, kwargs):
+    def test_real_runs(self, protocol, builder, kwargs):
         graph = example_paper_topology()
         episode = builder(graph, random.Random("eq"), **kwargs)
-        run_episode(graph, episode, protocol, seed=11)
-        segments = captured_segments["segments"]
-        plane = captured_segments["plane"]
-        ases = captured_segments["ases"]
-        incremental = analyze_episode_transient_problems(segments, plane, ases)
-        reference = _reference_analyze_episode_transient_problems(
-            segments, plane, ases
-        )
-        assert _report_fields(incremental.overall) == _report_fields(
-            reference.overall
-        )
-        assert len(incremental.phases) == len(reference.phases)
+        live, plane = run_live(graph, episode, protocol, seed=11)
+        assert_live_episode_checks_out(live, plane, list(graph.ases))
 
 
 class TestSingleSegmentEquivalence:
@@ -109,10 +95,11 @@ class TestSingleSegmentEquivalence:
         )
         run_episode(graph, one_phase, protocol, seed=5)
         (segment,) = captured_segments["segments"]
+        initial_state = captured_segments["initial_state"]
         plane = captured_segments["plane"]
         ases = captured_segments["ases"]
         episode_result = analyze_episode_transient_problems(
-            [segment], plane, ases
+            [segment], initial_state, plane, ases
         )
         assert episode_result.phases == [episode_result.overall]
         for single_event in (
@@ -121,7 +108,7 @@ class TestSingleSegmentEquivalence:
         ):
             single = single_event(
                 segment.trace,
-                segment.initial_state,
+                initial_state,
                 plane,
                 ases,
                 failed_links=segment.failed_links,
@@ -147,20 +134,18 @@ class TestBoundaryScan:
             trace=ForwardingTrace(
                 changes=[ForwardingChange(0.0, 1, None, (2, 3))]
             ),
-            initial_state=dict(state),
             failed_links=failed,
             failed_ases=frozenset(),
             start_time=0.0,
         )
         seg_restore = EpisodeSegment(
             trace=ForwardingTrace(),
-            initial_state=dict(state),
             failed_links=frozenset(),
             failed_ases=frozenset(),
             start_time=5.0,
         )
         result = analyze_episode_transient_problems(
-            [seg_fail, seg_restore], plane, [1, 2, 3]
+            [seg_fail, seg_restore], state, plane, [1, 2, 3]
         )
         overall = result.overall
         # AS 1 blackholed from 0.0 to the restore at 5.0, then healed:
@@ -171,7 +156,7 @@ class TestBoundaryScan:
         assert overall.problem_timeline == [(0.0, 1), (5.0, 0)]
         # The reference twin agrees.
         reference = _reference_analyze_episode_transient_problems(
-            [seg_fail, seg_restore], plane, [1, 2, 3]
+            [seg_fail, seg_restore], [state, state], plane, [1, 2, 3]
         )
         assert _report_fields(overall) == _report_fields(reference.overall)
         # Per-phase attribution: within phase 0 alone, AS 1 never
@@ -190,7 +175,6 @@ class TestBoundaryScan:
         def segment(trace, links, start):
             return EpisodeSegment(
                 trace=trace,
-                initial_state=dict(state),
                 failed_links=links,
                 failed_ases=frozenset(),
                 start_time=start,
@@ -205,7 +189,9 @@ class TestBoundaryScan:
             segment(ForwardingTrace(), frozenset(), 5.0),
             segment(ForwardingTrace(), failed, 10.0),
         ]
-        result = analyze_episode_transient_problems(segments, plane, [1, 2, 3])
+        result = analyze_episode_transient_problems(
+            segments, state, plane, [1, 2, 3]
+        )
         overall = result.overall
         # Ends failed: AS 1 is ultimately partitioned, so its problem
         # intervals resolve as permanent, not transient.
@@ -213,35 +199,42 @@ class TestBoundaryScan:
         assert overall.affected == set()
         assert overall.problem_timeline == [(0.0, 1), (5.0, 0), (10.0, 1)]
         reference = _reference_analyze_episode_transient_problems(
-            segments, plane, [1, 2, 3]
+            segments, [state] * 3, plane, [1, 2, 3]
         )
         assert _report_fields(overall) == _report_fields(reference.overall)
 
     def test_empty_segments_yield_empty_report(self):
         plane = BGPDataPlane(3)
-        result = analyze_episode_transient_problems([], plane, [1, 2, 3])
+        result = analyze_episode_transient_problems([], {}, plane, [1, 2, 3])
         assert result.overall.eligible == set()
         assert result.phases == []
 
     def test_no_trace_phases_leave_snapshots_untouched(self):
-        """No-trace phases: the analyzer aliases, never mutates.
+        """The analyzer replays in place — on its own copy.
 
-        The analyzer holds ``segment.initial_state`` itself as the
-        running final state when a phase's trace is empty (the old
-        defensive ``dict(...)`` copies are gone), so a mutation would
-        corrupt the caller's segments.  Also pins that a final
-        empty-trace phase still resolves permanence off the boundary
-        snapshot.
+        One snapshot enters the analysis; the analyzer copies it once
+        and writes every phase's trace into the copy, so the caller's
+        dict must come back exactly as it went in even though the
+        trace moves a key for good (AS 4 loses its route and never
+        regains it).  Also pins that no-trace phases carry the state
+        across their boundaries untouched, and that a final
+        empty-trace phase still resolves permanence off the carried
+        state.
         """
         plane = BGPDataPlane(3)
-        state = {(1, None): (2, 3), (2, None): (3,), (3, None): ()}
+        state = {
+            (1, None): (2, 3), (2, None): (3,), (3, None): (),
+            (4, None): (3,),
+        }
         failed = frozenset({normalize_link(1, 2)})
         segments = [
             EpisodeSegment(
                 trace=ForwardingTrace(
-                    changes=[ForwardingChange(0.0, 1, None, (2, 3))]
+                    changes=[
+                        ForwardingChange(0.0, 1, None, (2, 3)),
+                        ForwardingChange(1.0, 4, None, None),
+                    ]
                 ),
-                initial_state=dict(state),
                 failed_links=failed,
                 failed_ases=frozenset(),
                 start_time=0.0,
@@ -249,29 +242,37 @@ class TestBoundaryScan:
             # Silent restore: no trace change in the whole phase.
             EpisodeSegment(
                 trace=ForwardingTrace(),
-                initial_state=dict(state),
                 failed_links=frozenset(),
                 failed_ases=frozenset(),
                 start_time=5.0,
             ),
             # Silent re-fail as the *final* phase: finalize classifies
-            # the aliased boundary snapshot.
+            # the carried state.
             EpisodeSegment(
                 trace=ForwardingTrace(),
-                initial_state=dict(state),
                 failed_links=failed,
                 failed_ases=frozenset(),
                 start_time=10.0,
             ),
         ]
-        snapshots = [dict(segment.initial_state) for segment in segments]
-        result = analyze_episode_transient_problems(segments, plane, [1, 2, 3])
-        for segment, snapshot in zip(segments, snapshots):
-            assert segment.initial_state == snapshot
-        assert result.overall.permanently_unreachable == {1}
-        reference = _reference_analyze_episode_transient_problems(
-            segments, plane, [1, 2, 3]
+        ases = [1, 2, 3, 4]
+        snapshot = dict(state)
+        result = analyze_episode_transient_problems(
+            segments, state, plane, ases
         )
+        assert state == snapshot
+        assert result.overall.permanently_unreachable == {1, 4}
+        # Phases 1 and 2 start from the state phase 0 left behind:
+        # AS 4 is routeless there, so it is no longer eligible.
+        assert [4 in phase.eligible for phase in result.phases] == [
+            True, False, False,
+        ]
+        after = dict(state)
+        after[(4, None)] = None
+        reference = _reference_analyze_episode_transient_problems(
+            segments, [state, after, after], plane, ases
+        )
+        assert state == snapshot
         assert _report_fields(result.overall) == _report_fields(
             reference.overall
         )

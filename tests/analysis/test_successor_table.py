@@ -17,6 +17,7 @@ import random
 import pytest
 
 import repro.forwarding.stamp_plane as stamp_plane
+from live_collector import run_live
 from repro.analysis.transient import (
     _reference_analyze_episode_transient_problems,
     _reference_analyze_transient_problems,
@@ -303,20 +304,14 @@ class TestAnalyzerEquivalence:
         self, protocol, builder, kwargs, seed
     ):
         """Phase-boundary rescans match the reference across planes."""
-        from repro.experiments import runner as runner_mod
-
         graph = _random_topology(seed + 20)
         episode = builder(graph, random.Random(f"ep:{seed}"), **kwargs)
-        network, plane, _ = runner_mod._acquire_started_network(
-            graph, episode.destination, protocol, seed, None,
-            episode.pre_failed_links,
-        )
-        segments, _ = runner_mod.collect_episode_segments(network, episode)
+        live, plane = run_live(graph, episode, protocol, seed=seed)
         incremental = analyze_episode_transient_problems(
-            segments, plane, graph.ases
+            live.segments, live.initial_state, plane, graph.ases
         )
         reference = _reference_analyze_episode_transient_problems(
-            segments, plane, graph.ases
+            live.segments, live.live_states, plane, graph.ases
         )
         for got, want in [(incremental.overall, reference.overall)] + list(
             zip(incremental.phases, reference.phases)

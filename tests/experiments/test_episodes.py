@@ -2,18 +2,23 @@
 
 Covers the episode model's validation, mid-run restore/re-fail on all
 three protocol planes, AS restore (cold-restart) semantics including
-the origin, the R-BGP twin-start cache keying regression, and campaign
-determinism across worker counts.  (That a one-phase episode reproduces
-the paper's single-instant semantics byte for byte is pinned by
+the origin, the R-BGP twin-start cache keying regression, campaign
+determinism across worker counts, and what a phase may cost: one
+``forwarding_state()`` call and one state dict per episode, at unit
+values equal in every field to the ones the per-phase snapshots
+produced.  (That a one-phase episode reproduces the paper's
+single-instant semantics byte for byte is pinned by
 ``test_single_instant_golden.py``.)
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
+from repro.bgp.network import BGPNetwork
 from repro.errors import ConfigurationError
 from repro.experiments import runner as runner_mod
 from repro.experiments.figures import link_flap_comparison
@@ -30,6 +35,9 @@ from repro.experiments.scenarios import (
     restore_link,
     staggered_maintenance_episode,
 )
+from repro.rbgp.network import RBGPNetwork
+from repro.sim.tracing import ForwardingTrace
+from repro.stamp.network import STAMPNetwork
 from repro.topology.generators import (
     InternetTopologyConfig,
     example_paper_topology,
@@ -327,3 +335,122 @@ class TestCampaignDeterminism:
         by_phase = data.mean_affected_by_phase()
         assert set(by_phase) == set(data.runs)
         assert all(len(v) == 2 for v in by_phase.values())
+
+
+class TestAPhaseCostsWhatChanged:
+    """One snapshot and one state dict per episode, same unit values."""
+
+    @pytest.fixture(scope="class")
+    def tiny_graph(self):
+        graph, _ = generate_internet_topology(TINY)
+        return graph
+
+    @pytest.mark.parametrize("protocol", PLANES)
+    def test_a_64_phase_unit_photographs_the_network_once(
+        self, tiny_graph, protocol, monkeypatch
+    ):
+        """Fails with 64 snapshots (and 64 state dicts) when every
+        injector photographs the network and every segment replays
+        onto its own copy."""
+        snapshots = []
+        for cls in (BGPNetwork, RBGPNetwork, STAMPNetwork):
+            original = vars(cls)["forwarding_state"]
+
+            def counting(self, _original=original):
+                snapshots.append(type(self).__name__)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "forwarding_state", counting)
+        replayed_onto = []
+        replay_onto = ForwardingTrace.replay_onto
+
+        def onto_spy(self, state):
+            replayed_onto.append(state)
+            return replay_onto(self, state)
+
+        def no_copying_replay(self, initial):
+            raise AssertionError("a segment was replayed onto a copy")
+
+        monkeypatch.setattr(ForwardingTrace, "replay_onto", onto_spy)
+        monkeypatch.setattr(
+            ForwardingTrace, "replay_with_changes", no_copying_replay
+        )
+        episode = link_flap_episode(
+            tiny_graph, random.Random("count"), period=2.0, flaps=32
+        )
+        runner_mod.clear_twin_start_cache()
+        run = run_episode(tiny_graph, episode, protocol, seed=3)
+        assert len(run.phases) == 64
+        assert len(snapshots) == 1
+        assert len(replayed_onto) == 64
+        assert len({id(state) for state in replayed_onto}) == 1
+
+    #: sha256 over every field of every unit value (sets sorted, floats
+    #: by ``repr``) of the two golden campaigns, recorded with the
+    #: parent of the one-snapshot change (51b46f0) — which took a
+    #: snapshot per phase and diffed it against the replay.  (Its
+    #: ``pickle.dumps`` bytes matched too; they are not pinned because
+    #: enum pickles differ between interpreter versions.)
+    UNIT_VALUE_DIGESTS = {
+        "flap":
+            "37b139ab510202590e2a8f86cd8491a45c259861ae81c071b21743b2d23232b4",
+        "storm":
+            "c0a88598329a143900de5133b88862aa0bbdbee0ae41f441fc281e5dbcb1297a",
+    }
+
+    @pytest.mark.parametrize(
+        "name, instances, period, flaps",
+        [("flap", 2, 35.0, 2), ("storm", 1, 2.0, 64)],
+    )
+    def test_unit_values_equal_the_per_phase_snapshot_runners(
+        self, tiny_graph, name, instances, period, flaps
+    ):
+        """The inputs of ``test_episode_golden.py`` and
+        ``test_storm_golden.py``, every field — the goldens themselves
+        pin counts and times, not the per-phase sets and timelines."""
+        data = link_flap_comparison(
+            ExperimentConfig(seed=9, topology=TINY, n_instances=instances),
+            graph=tiny_graph, period=period, flaps=flaps,
+        )
+        assert _unit_value_digest(data) == self.UNIT_VALUE_DIGESTS[name]
+
+
+def _report_value(report):
+    return (
+        sorted(report.eligible),
+        sorted(report.affected),
+        sorted(report.permanently_unreachable),
+        sorted(report.looped),
+        sorted(report.blackholed),
+        report.timeline,
+        report.problem_timeline,
+    )
+
+
+def _unit_value_digest(data) -> str:
+    digest = hashlib.sha256()
+    for protocol, runs in data.runs.items():
+        for run in runs:
+            value = (
+                protocol,
+                run.protocol,
+                run.episode,
+                _report_value(run.report),
+                [
+                    (
+                        phase.index,
+                        phase.step_indices,
+                        phase.time,
+                        phase.events,
+                        _report_value(phase.report),
+                    )
+                    for phase in run.phases
+                ],
+                run.convergence_time,
+                run.announcements,
+                run.withdrawals,
+                run.initial_updates,
+                run.initial_convergence_time,
+            )
+            digest.update(repr(value).encode("utf-8"))
+    return digest.hexdigest()

@@ -94,6 +94,21 @@ class TestParsing:
         spec = CampaignSpec.parse({"kind": "flap"})
         assert spec.period == 40.0 and spec.flaps == 2
 
+    def test_flap_values_the_builder_refuses_stay_a_400(self):
+        """The values ``repro-stamp flap`` exits 2 on
+        (``tests/test_cli.py``): the service's refusal, messages
+        included, is its own and unchanged."""
+        for payload, field, message in (
+            ({"flaps": 0}, "flaps", "must be an integer between 1 and 50"),
+            ({"period": 0}, "period", "must be a positive number of seconds"),
+            ({"period": -1}, "period", "must be a positive number of seconds"),
+        ):
+            with pytest.raises(SpecValidationError) as excinfo:
+                CampaignSpec.parse({"kind": "flap", **payload})
+            assert [
+                (d["field"], d["message"]) for d in excinfo.value.details
+            ] == [(field, message)]
+
 
 class TestIdentity:
     def test_equal_specs_hash_equal_however_written(self):

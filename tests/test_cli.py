@@ -100,6 +100,38 @@ class TestCommands:
             CAMPAIGNS[kind].phase_legend is not None
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--flaps", "0"], "a flap episode needs at least one flap"),
+            (["--period", "0"], "flap period must be positive"),
+            (["--period", "-1"], "flap period must be positive"),
+        ],
+    )
+    def test_keywords_the_builder_refuses_are_a_usage_error(
+        self, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: the builder raised inside every unit, each unit
+        was retried after a back-off as if the fault were transient,
+        an empty chart was printed and the exit status was 0.  The
+        campaign is refused before the grid starts — the builder's own
+        message, exit 2 like an argparse error, no unit attempted and
+        no ledger created (the service's 400 for the same values is
+        ``tests/service/test_spec.py``'s)."""
+        from repro.experiments import supervisor
+
+        def no_unit(*args, **kwargs):
+            raise AssertionError("a unit was attempted")
+
+        monkeypatch.setattr(supervisor, "run_unit", no_unit)
+        ledger = tmp_path / "ledger.jsonl"
+        argv = TINY + ["--ledger", str(ledger), "flap"] + flags
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro-stamp flap: error: {message}\n"
+        assert not ledger.exists()
+
     def test_intelligent(self, capsys):
         assert main(TINY + ["intelligent"]) == 0
         assert "intelligent" in capsys.readouterr().out
