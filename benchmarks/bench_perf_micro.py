@@ -23,13 +23,14 @@ the pre-optimization seed ran ``fig2 scale=1.0 x6`` in ~32 s and
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import random
+import resource
 import sys
 import tempfile
 import time
-from multiprocessing import cpu_count
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from repro.experiments.ledger import ResultLedger
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import (
     ExperimentConfig,
+    _StartSnapshot,
     build_network,
     collect_episode_segments,
 )
@@ -103,7 +105,7 @@ def perf_records():
             "instances": _instances(),
             "smoke": _smoke(),
             "python": sys.version.split()[0],
-            "cpus": cpu_count(),
+            "cpus": multiprocessing.cpu_count(),
             "unix_time": round(time.time(), 3),
         },
         "benchmarks": records,
@@ -665,6 +667,82 @@ def test_campaign_warm_ledger(benchmark, perf_records, tmp_path):
     )
 
 
+def test_pool_twin_share(benchmark, perf_records, tmp_path, monkeypatch):
+    """A pooled campaign restores the R-BGP twin starts it could share.
+
+    ``fig2`` x 16 on the gate's 154-AS pool graph at ``workers=2``: 16
+    R-BGP pairs, so 16 converged starts that the second twin can
+    restore from the runner's one-slot snapshot — if it runs in the
+    process that parked it, right after.  The dispatch rule
+    (``Supervisor._next_eligible``) arranges that; with the
+    head-of-queue rule it replaced this grid restored 0-3 of 16 and
+    pickled 29-32 snapshots.  Snapshots and restores are counted from
+    every process through a fork-inherited patch appending to a file;
+    ``cpu_seconds`` is the campaign's CPU time, supervisor plus reaped
+    workers, minimum over the rounds (wall clock on a shared VM is
+    noise; two workers on however many cores is the same CPU work).
+    """
+    rounds = 1 if _smoke() else 5
+    instances = 4 if _smoke() else 16
+    graph, _ = generate_internet_topology(InternetTopologyConfig(
+        seed=5, n_tier1=2, n_tier2=12, n_tier3=30, n_stub=110,
+    ))
+    marks = tmp_path / "marks"
+
+    def mark(byte):
+        fd = os.open(marks, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, byte)
+        finally:
+            os.close(fd)
+
+    real_init, real_restore = _StartSnapshot.__init__, _StartSnapshot.restore
+
+    def counting_init(self, network, graph):
+        mark(b"s")
+        real_init(self, network, graph)
+
+    def counting_restore(self):
+        mark(b"r")
+        return real_restore(self)
+
+    monkeypatch.setattr(_StartSnapshot, "__init__", counting_init)
+    monkeypatch.setattr(_StartSnapshot, "restore", counting_restore)
+    cpu = []
+
+    def cpu_now():
+        reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return time.process_time() + reaped.ru_utime + reaped.ru_stime
+
+    def campaign():
+        started = cpu_now()
+        data = fig2_single_link_failure(
+            ExperimentConfig(seed=0, n_instances=instances, workers=2),
+            graph=graph,
+        )
+        cpu.append(cpu_now() - started)
+        assert data.complete and data.executed == 4 * instances
+
+    benchmark.pedantic(campaign, rounds=rounds, iterations=1)
+    counts = marks.read_bytes()
+    restores = counts.count(b"r") / rounds
+    snapshots = counts.count(b"s") / rounds
+    assert snapshots + restores == 2 * instances
+    if multiprocessing.get_start_method() == "fork":
+        assert restores >= instances - 2, counts
+    _record(
+        perf_records,
+        "pool_twin_share",
+        benchmark,
+        instances=instances,
+        workers=2,
+        ases=len(graph.ases),
+        twin_restores=restores,
+        twin_snapshots=snapshots,
+        cpu_seconds=min(cpu),
+    )
+
+
 # ----------------------------------------------------------------------
 # End to end — Figure 2 at scale 1.0 and 2.0
 # ----------------------------------------------------------------------
@@ -723,7 +801,7 @@ def test_fig2_end_to_end_parallel(benchmark, perf_records):
         "fig2_e2e_parallel",
         benchmark,
         workers=workers,
-        cpus=cpu_count(),
+        cpus=multiprocessing.cpu_count(),
         instances=_instances(),
         serial_sibling="fig2_e2e_scale1",
         mean_affected={k: round(v, 2) for k, v in measured.items()},

@@ -189,10 +189,15 @@ class _StartSnapshot:
 
 #: Single-slot cache for R-BGP twin-start sharing:
 #: (graph, graph version, destination, seed, pre-failed links) ->
-#: (snapshot, initial convergence time).  One slot suffices — the twin
-#: runs back-to-back within one instance — and bounds memory to one
-#: pickled payload (sub-MB; the graph is held by reference, and the
-#: network itself is never retained live).  A new rbgp-family start
+#: (snapshot, initial convergence time).  One slot suffices because
+#: the scheduler runs twins back to back in one process: in-process
+#: grids by their (instance, protocol) order, pooled ones by the
+#: dispatch rule (``Supervisor._next_eligible`` hands a worker the
+#: twin of the unit it ran last) — without that rule a pool restored
+#: almost nothing, since the twin started elsewhere while the first
+#: was still running.  One slot also bounds memory to one pickled
+#: payload (sub-MB; the graph is held by reference, and the network
+#: itself is never retained live).  A new rbgp-family start
 #: overwrites it; grid runners clear it when a figure completes (see
 #: :func:`clear_twin_start_cache`), so a snapshot whose twin never ran
 #: does not outlive its figure.
@@ -204,6 +209,9 @@ def clear_twin_start_cache() -> None:
     global _RBGP_START_SLOT
     _RBGP_START_SLOT = None
 
+
+#: The two protocols that share a start; the supervisor pairs a grid's
+#: units by it (``supervisor._twin_indices``).
 _RBGP_PROTOCOLS = frozenset({"rbgp", "rbgp-norci"})
 
 

@@ -61,6 +61,7 @@ from typing import (
 from repro.experiments import faults
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.runner import (
+    _RBGP_PROTOCOLS,
     clear_twin_start_cache,
     derive_run_seed,
     run_episode,
@@ -75,6 +76,33 @@ logger = logging.getLogger("repro.experiments.supervisor")
 #: campaigns differ only in the builder, so campaign drivers fan every
 #: family over the identical pool/merge machinery.
 WorkUnit = Tuple[Callable, str, int, int, str]
+
+
+def _twin_indices(units: Sequence[WorkUnit]) -> List[Optional[int]]:
+    """Per unit, the grid index of its R-BGP twin, or ``None``.
+
+    Twins are the ``rbgp`` and ``rbgp-norci`` units of one (builder,
+    kind, seed, instance): the same episode under the same simulation
+    seed, so their initial convergence is one computation and the
+    runner's twin-start slot lets whichever runs second, *in the same
+    process and right after the first*, restore it instead of
+    simulating it again.  The dispatch rule
+    (:meth:`Supervisor._next_eligible`) reads this table to arrange
+    exactly that.
+    """
+    twins: List[Optional[int]] = [None] * len(units)
+    unpaired: Dict[Tuple, int] = {}
+    for index, (*episode, protocol) in enumerate(units):
+        if protocol not in _RBGP_PROTOCOLS:
+            continue
+        key = tuple(episode)
+        other = unpaired.get(key)
+        if other is None:
+            unpaired[key] = index
+        elif units[other][4] != protocol:
+            del unpaired[key]
+            twins[index], twins[other] = other, index
+    return twins
 
 
 @contextlib.contextmanager
@@ -295,13 +323,16 @@ def _worker_main(conn, graph_payload: Tuple[str, object]) -> None:
 class _Worker:
     """Supervisor-side handle of one worker process."""
 
-    __slots__ = ("process", "conn", "assignment", "deadline")
+    __slots__ = ("process", "conn", "assignment", "last", "deadline")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         #: Unit index currently running in the worker, or None (idle).
         self.assignment: Optional[int] = None
+        #: Unit index the worker was handed last (running or finished):
+        #: its R-BGP twin start, if any, is parked in that process.
+        self.last: Optional[int] = None
         #: Monotonic instant the running attempt times out, or None.
         self.deadline: Optional[float] = None
 
@@ -324,6 +355,10 @@ class Supervisor:
     unit) runs it with a pool cap of zero: every attempt executes on
     the caller's thread under the same retry accounting and the same
     stop rules.  So does a grid on a host that cannot spawn processes.
+
+    What the loop starts next is one rule too (:meth:`_next_eligible`):
+    an idle worker is handed the R-BGP twin of the unit it ran last,
+    so a pooled campaign shares twin starts the way one process does.
     """
 
     def __init__(
@@ -365,6 +400,7 @@ class Supervisor:
         self._attempts: List[List[AttemptFailure]] = [[] for _ in range(n)]
         self._not_before = [0.0] * n
         self._pending: Deque[int] = deque()
+        self._twin = _twin_indices(self._units)
         self._failures: List[UnitFailure] = []
         self._executed = 0
         self._ledger_hits = 0
@@ -557,12 +593,65 @@ class Supervisor:
 
     # -- scheduling ----------------------------------------------------
 
-    def _next_eligible(self, now: float) -> Optional[int]:
+    def _next_eligible(
+        self, now: float, worker: Optional[_Worker]
+    ) -> Optional[int]:
+        """Take the unit ``worker`` should start now off the queue.
+
+        ``worker`` is the idle worker about to be fed; ``None`` stands
+        for one not spawned yet, or for this thread.  In order:
+
+        1. the R-BGP twin of the unit that worker was handed last, if
+           it is pending and out of backoff — the worker's process
+           holds the twin's converged start (the runner's one-slot
+           ``_RBGP_START_SLOT``), so the unit restores it instead of
+           simulating it again;
+        2. else the first unit out of backoff whose twin was not
+           handed last to *another* live worker — that unit is held
+           for rule 1 there;
+        3. else the first unit out of backoff, held or not: a hold
+           never idles a worker, and it ends by itself when the
+           partner moves on, dies, is killed on a timeout, or the twin
+           goes into backoff.
+
+        Only the schedule depends on this; a unit's result does not
+        depend on where or after what it ran.  With no pool nothing is
+        ever held and the order is the queue's.
+        """
+        twin = self._twin
+        wanted = (
+            twin[worker.last]
+            if worker is not None and worker.last is not None
+            else None
+        )
+        if (
+            wanted is not None
+            and self._not_before[wanted] <= now
+            and not self._resolved[wanted]
+            and all(w.assignment != wanted for w in self._workers)
+        ):
+            # Neither resolved nor in flight: it is in the queue.
+            self._pending.remove(wanted)
+            return wanted
+        held = {
+            twin[w.last]
+            for w in self._workers
+            if w is not worker and w.last is not None
+        }
+        choice = None
         for position, index in enumerate(self._pending):
-            if self._not_before[index] <= now:
-                del self._pending[position]  # O(1) at the head: the rule
-                return index
-        return None
+            if self._not_before[index] > now:
+                continue
+            if index not in held:
+                choice = position
+                break
+            if choice is None:
+                choice = position  # rule 3, unless rule 2 finds one
+        if choice is None:
+            return None
+        index = self._pending[choice]
+        del self._pending[choice]  # O(1) at the head: the rule
+        return index
 
     def _earliest_backoff(self) -> Optional[float]:
         if not self._pending:
@@ -572,18 +661,26 @@ class Supervisor:
     def _dispatch(self) -> None:
         """Start every attempt that can start now; none once stopped.
 
-        An eligible unit goes to an idle worker, or to a new one under
-        the pool cap.  With no worker to be had — a cap of zero, a host
-        that cannot spawn — the attempt runs on this thread.
+        An idle worker, or a new one under the pool cap, is handed the
+        unit :meth:`_next_eligible` picks for it.  With no worker to be
+        had — a cap of zero, a host that cannot spawn — the attempt
+        runs on this thread.
         """
         while self._pending and not self._stop.is_set():
-            index = self._next_eligible(time.monotonic())
-            if index is None:
-                return
             worker = next(
                 (w for w in self._workers if w.assignment is None), None
             )
-            if worker is None and len(self._workers) < self._pool_cap:
+            may_spawn = (
+                worker is None
+                and len(self._workers) < self._pool_cap
+                and not self._spawn_failed
+            )
+            if worker is None and not may_spawn and self._workers:
+                return  # every worker is busy
+            index = self._next_eligible(time.monotonic(), worker)
+            if index is None:
+                return
+            if may_spawn:
                 if self._payload is None:
                     self._publish_topology()
                 worker = self._spawn_worker()
@@ -601,7 +698,7 @@ class Supervisor:
                 self._pending.appendleft(index)
                 self._discard_worker(worker, kill=True)
                 continue
-            worker.assignment = index
+            worker.assignment = worker.last = index
             worker.deadline = (
                 time.monotonic() + self._unit_timeout
                 if self._unit_timeout is not None

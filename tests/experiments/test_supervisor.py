@@ -11,8 +11,10 @@ never cost any *other* unit its result.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -725,3 +727,277 @@ class TestWorkerBudget:
         )
         assert outcome.failures
         assert budget.utilization()["allocated"] == 0
+
+
+# ----------------------------------------------------------------------
+# Dispatch order: an R-BGP pair stays on one worker
+# ----------------------------------------------------------------------
+
+FOUR = ("bgp", "rbgp-norci", "rbgp", "stamp")
+#: Unit indices of instance 0 (and the first of instance 1) in a FOUR grid.
+BGP0, NORCI0, RBGP0, STAMP0, BGP1, NORCI1, RBGP1 = range(7)
+
+
+class _Gone:
+    """Process and pipe of a worker that is no longer there."""
+
+    exitcode = -9
+
+    def poll(self):
+        return False
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestDispatchOrder:
+    """``Supervisor._next_eligible`` as pure cases: a grid that is never
+    run, a hand-written queue, workers that are only bookkeeping."""
+
+    @staticmethod
+    def _grid(instances=2, protocols=FOUR, **settings):
+        from repro.experiments.supervisor import Supervisor
+
+        settings = dict(
+            dict(workers=2, max_attempts=2, unit_timeout=None,
+                 backoff_base=0.0),
+            **settings,
+        )
+        grid = Supervisor(
+            None,
+            [(None, KIND, SEED, i, p)
+             for i in range(instances) for p in protocols],
+            **settings,
+        )
+        grid._pending.extend(range(instances * len(protocols)))
+        return grid
+
+    @staticmethod
+    def _worker(grid, last=None, busy=False):
+        """A worker that was handed ``last``, still running it if ``busy``."""
+        from repro.experiments.supervisor import _Worker
+
+        worker = _Worker(_Gone(), _Gone())
+        worker.last = last
+        if busy:
+            worker.assignment = last
+            grid._pending.remove(last)
+        grid._workers.append(worker)
+        return worker
+
+    def test_twins_are_derived_from_the_units(self):
+        from repro.experiments.supervisor import _twin_indices
+
+        def other():
+            pass
+
+        units = [(None, KIND, SEED, i, p) for i in range(2) for p in FOUR]
+        assert _twin_indices(units) == [
+            None, RBGP0, NORCI0, None, None, RBGP1, NORCI1, None,
+        ]
+        # One of the family alone has no twin; neither has a unit whose
+        # builder, kind, seed or instance differs.
+        assert _twin_indices(
+            [(None, KIND, SEED, 0, "rbgp"), (None, KIND, SEED, 0, "bgp")]
+        ) == [None, None]
+        for stranger in (
+            (other, KIND, SEED, 0, "rbgp"),
+            (None, "fig3a", SEED, 0, "rbgp"),
+            (None, KIND, SEED + 1, 0, "rbgp"),
+            (None, KIND, SEED, 1, "rbgp"),
+            (None, KIND, SEED, 0, "rbgp-norci"),
+        ):
+            assert _twin_indices(
+                [(None, KIND, SEED, 0, "rbgp-norci"), stranger]
+            ) == [None, None]
+
+    def test_a_worker_is_handed_the_twin_of_its_last_unit(self):
+        grid = self._grid()
+        grid._pending.rotate(-RBGP1)  # the twin is nowhere near the head
+        worker = self._worker(grid, last=NORCI0)
+        grid._pending.remove(NORCI0)
+        assert grid._next_eligible(0.0, worker) == RBGP0
+        assert RBGP0 not in grid._pending
+        # Whichever of the two ran first: the slot serves both orders.
+        grid._pending.append(NORCI1)
+        worker.last = RBGP1
+        grid._pending.remove(RBGP1)
+        assert grid._next_eligible(0.0, worker) == NORCI1
+
+    def test_a_held_twin_is_skipped_while_another_unit_is_eligible(self):
+        grid = self._grid()
+        self._worker(grid, last=NORCI0, busy=True)
+        idle = self._worker(grid, last=BGP0)
+        grid._pending.remove(BGP0)
+        assert grid._pending[0] == RBGP0
+        assert grid._next_eligible(0.0, idle) == STAMP0
+        assert grid._pending[0] == RBGP0  # kept for the other worker
+        # A worker not spawned yet is no exception.
+        assert grid._next_eligible(0.0, None) == BGP1
+
+    def test_the_hold_ends_when_nothing_else_is_eligible(self):
+        grid = self._grid(instances=1)
+        self._worker(grid, last=NORCI0, busy=True)
+        idle = self._worker(grid, last=BGP0)
+        grid._pending.remove(BGP0)
+        grid._not_before[STAMP0] = 10.0  # backing off
+        assert list(grid._pending) == [RBGP0, STAMP0]
+        assert grid._next_eligible(0.0, idle) == RBGP0
+        assert grid._next_eligible(0.0, idle) is None
+        assert grid._next_eligible(10.0, idle) == STAMP0
+
+    def test_backoff_is_respected(self):
+        grid = self._grid()
+        worker = self._worker(grid, last=NORCI0)
+        grid._pending.remove(NORCI0)
+        grid._not_before[RBGP0] = 5.0
+        grid._not_before[BGP0] = 5.0
+        # Its own twin is backing off: the first unit that is not.
+        assert grid._next_eligible(1.0, worker) == STAMP0
+        assert list(grid._pending)[:2] == [BGP0, RBGP0]
+        for index in grid._pending:
+            grid._not_before[index] = 5.0
+        assert grid._next_eligible(1.0, worker) is None
+        assert grid._next_eligible(5.0, worker) == RBGP0
+
+    @pytest.mark.parametrize("how", ["timeout", "death"])
+    def test_a_twin_whose_partner_is_gone_is_not_starved(self, how):
+        grid = self._grid(unit_timeout=1.0)
+        partner = self._worker(grid, last=NORCI0, busy=True)
+        idle = self._worker(grid, last=BGP0)
+        grid._pending.remove(BGP0)
+        if how == "timeout":
+            partner.deadline = 0.0
+            grid._reap_timeouts()
+        else:
+            grid._reap_deaths([partner])
+        assert partner not in grid._workers
+        assert [a.cause for a in grid._attempts[NORCI0]] == [
+            "timeout" if how == "timeout" else "worker-death"
+        ]
+        assert grid._pending[-1] == NORCI0  # charged, queued for a retry
+        assert grid._next_eligible(time.monotonic(), idle) == RBGP0
+        # The retry, in turn, is held for the worker now running rbgp.
+        idle.assignment = idle.last = RBGP0
+        assert grid._next_eligible(time.monotonic(), None) == STAMP0
+
+    def test_busy_workers_leave_the_queue_alone(self):
+        grid = self._grid()
+        self._worker(grid, last=BGP0, busy=True)
+        self._worker(grid, last=NORCI0, busy=True)
+        grid._pool_cap = 2
+        before = list(grid._pending)
+        grid._dispatch()
+        assert list(grid._pending) == before
+
+    def test_a_grid_without_a_pool_keeps_index_order(self, monkeypatch):
+        """Nothing is ever in flight there, so nothing is ever held:
+        the order is the queue's, a retry joining at the tail."""
+        from repro.experiments import supervisor
+
+        order = []
+
+        def run_unit(graph, builder, kind, seed, instance, protocol):
+            order.append((instance, protocol))
+            if (instance, protocol) == (0, "rbgp-norci") and len(order) == 2:
+                raise RuntimeError("once")
+            return len(order)
+
+        monkeypatch.setattr(supervisor, "run_unit", run_unit)
+        grid = self._grid(instances=3, workers=1)
+        grid._pending.clear()
+        outcome = grid.run()
+        assert outcome.complete
+        grid_order = [(i, p) for i in range(3) for p in FOUR]
+        assert order == grid_order + [(0, "rbgp-norci")]
+
+
+def _count_twin_starts(monkeypatch, path):
+    """Append ``s`` per twin-start snapshot taken and ``r`` per restore
+    to ``path`` — from whichever process does it: the patch is
+    inherited by forked workers, and O_APPEND writes do not tear."""
+    from repro.experiments.runner import _StartSnapshot
+
+    def mark(byte):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, byte)
+        finally:
+            os.close(fd)
+
+    real_init, real_restore = _StartSnapshot.__init__, _StartSnapshot.restore
+
+    def counting_init(self, network, graph):
+        mark(b"s")
+        real_init(self, network, graph)
+
+    def counting_restore(self):
+        mark(b"r")
+        return real_restore(self)
+
+    monkeypatch.setattr(_StartSnapshot, "__init__", counting_init)
+    monkeypatch.setattr(_StartSnapshot, "restore", counting_restore)
+
+
+@pytest.fixture(scope="module")
+def baseline_four(tiny_graph):
+    outcome = ParallelRunner(workers=1).run_failure_comparison(
+        single_provider_link_failure, KIND, SEED, 8, FOUR, tiny_graph
+    )
+    assert outcome.complete
+    return _stats(outcome)
+
+
+class TestAPoolSharesTwinStarts:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the counting patch reaches the workers by fork",
+    )
+    @pytest.mark.parametrize("workers, least", [(1, 8), (2, 7), (4, 6)])
+    def test_fig2_restores_nearly_every_twin(
+        self, tiny_graph, baseline_four, monkeypatch, tmp_path,
+        workers, least,
+    ):
+        """``fig2`` × 8: eight R-BGP pairs, eight starts to share.  With
+        the head-of-queue rule a pool restored one or two of them, four
+        at most (the twin went to the other worker while the first
+        still ran); now only the tail of the grid can cost a share —
+        one per worker whose partner is still running when the queue
+        holds nothing but held twins."""
+        marks = tmp_path / "marks"
+        _count_twin_starts(monkeypatch, str(marks))
+        outcome = ParallelRunner(workers=workers).run_failure_comparison(
+            single_provider_link_failure, KIND, SEED, 8, FOUR, tiny_graph
+        )
+        assert outcome.complete and _stats(outcome) == baseline_four
+        counts = marks.read_bytes()
+        restores = counts.count(b"r")
+        assert restores >= least, counts
+        # Every R-BGP unit either restored a start or simulated one
+        # (and then parked it).
+        assert counts.count(b"s") + restores == 16
+
+    def test_a_crashed_twin_costs_a_share_not_a_result(
+        self, tiny_graph, baseline_four, monkeypatch, tmp_path
+    ):
+        """The worker running ``rbgp-norci`` dies once: its unit is
+        retried, the ``rbgp`` twin it held is released at once, and the
+        campaign ends as one worker would have ended it."""
+        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+            "exit", instance=3, protocol="rbgp-norci", scope="worker",
+            times=1, counter=str(tmp_path / "count"),
+        ))
+        outcome = ParallelRunner(
+            workers=2, max_attempts=2, backoff_base=0.05
+        ).run_failure_comparison(
+            single_provider_link_failure, KIND, SEED, 8, FOUR, tiny_graph
+        )
+        assert (tmp_path / "count").read_bytes() == b"xx"  # died, retried
+        assert outcome.complete and outcome.executed == 32
+        assert _stats(outcome) == baseline_four
