@@ -232,18 +232,20 @@ def test_shared_memory_attach(benchmark, graph, perf_records):
 
 
 # ----------------------------------------------------------------------
-# Layer 1.5 — event engine (timer wheel)
+# Layer 1.5 — event engine (one heap)
 # ----------------------------------------------------------------------
 
 
 def test_engine_timer_churn(benchmark, perf_records):
-    """MRAI-style arm/cancel/re-arm churn against the far timer wheel.
+    """Cancel + re-arm churn against the engine's event heap.
 
-    Every processed event cancels one armed far-future timer and arms a
-    replacement — the exact pattern per-peer MRAI pacing produces under
-    convergence churn.  With the timer wheel, cancel and re-arm are
-    O(1) dictionary operations and cancelled timers never reach the
-    event heap.
+    Every processed event cancels one armed timer 25-31 s out and arms
+    a replacement, so the heap fills with tombstones that are only
+    discarded when they reach the head: the engine's worst case, not
+    its common one.  MRAI pacing does *not* produce this pattern — a
+    pacer coalesces behind its armed timer and cancels only when a
+    session drops or a router reboots (counted: 0-3 cancels per
+    16-unit campaign grid).
     """
     from repro.sim.engine import Engine
 

@@ -17,7 +17,7 @@ session whose Adj-RIB-Out went stale; when MRAI permits, the update is
 emitted synchronously with the export state computed *once* for that
 refresh (the pacer's :meth:`~repro.sim.timers.MRAIPacer.try_send_now`
 claims the slot), and otherwise the peer's pending changes coalesce
-behind the armed wheel timer until :meth:`BGPSpeaker._flush_peer`
+behind the armed MRAI timer until :meth:`BGPSpeaker._flush_peer`
 advertises the *net* change — a withdraw+announce churn pair inside
 one window collapses to the single message (or none) describing the
 final state.  Coalescing cannot reorder deliveries: every update to a
@@ -527,7 +527,7 @@ class BGPSpeaker:
         state is computed exactly once; when MRAI allows an immediate
         send the update goes out synchronously with that precomputed
         state (no second export evaluation), and otherwise the peer is
-        marked pending and the armed wheel timer absorbs every further
+        marked pending and the armed MRAI timer absorbs every further
         change until it fires — at which point :meth:`_flush_peer`
         re-reads the *latest* state, so a withdraw+announce churn pair
         inside one MRAI window collapses into the single message (or no

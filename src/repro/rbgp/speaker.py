@@ -7,7 +7,7 @@ from typing import Dict, Optional, Tuple
 from repro.bgp.decision import route_sort_key
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.ribs import Route
-from repro.bgp.speaker import BGPSpeaker, _UNSET
+from repro.bgp.speaker import BGPSpeaker
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY
 from repro.rbgp.messages import FailoverAnnouncement, FailoverWithdrawal
 from repro.types import ASN, ASPath, Link, normalize_link
@@ -74,15 +74,6 @@ class RBGPSpeaker(BGPSpeaker):
         #: our last failover advertisement; the self-prefixed wire path
         #: is built only when a message actually goes out.
         self._failover_sent: Optional[Tuple[ASN, ASPath]] = None
-        #: Incrementally-maintained failover selection (route, sort key)
-        #: plus the best-route object it was computed under; a single
-        #: Adj-RIB-In change updates it in O(1) like the decision
-        #: process, with full rescans only when the primary path moved,
-        #: the cached choice itself was touched, or RCI purged the RIB.
-        self._failover_route: Optional[Route] = None
-        self._failover_key: Optional[Tuple] = None
-        self._failover_valid = False
-        self._failover_best_token: Optional[Route] = None
         #: True once this speaker hit a state where RCI and no-RCI
         #: *could* behave differently: a best route vanishing while
         #: stale data-plane/failover state existed, a root-caused
@@ -100,10 +91,6 @@ class RBGPSpeaker(BGPSpeaker):
         """Extend the base speaker's cache-free pickling (snapshots)."""
         state = super().__getstate__()
         state["_full_links_cache"] = {}
-        state["_failover_route"] = None
-        state["_failover_key"] = None
-        state["_failover_valid"] = False
-        state["_failover_best_token"] = None
         return state
 
     def _full_path_links(self, path: ASPath) -> frozenset:
@@ -160,7 +147,7 @@ class RBGPSpeaker(BGPSpeaker):
             # if it were a withdrawal.
             message = Withdrawal(root_cause=root_cause)
         super().on_message(sender, message)
-        self._update_failover_advertisement(changed_neighbor=sender)
+        self._update_failover_advertisement()
 
     def on_session_down(self, peer: ASN) -> None:
         if peer not in self.sessions:
@@ -178,7 +165,7 @@ class RBGPSpeaker(BGPSpeaker):
         if self.rci:
             self._purge_root_cause(normalize_link(self.asn, peer))
         super().on_session_down(peer)
-        self._update_failover_advertisement(changed_neighbor=peer)
+        self._update_failover_advertisement()
 
     def on_session_up(self, peer: ASN) -> None:
         # A recovery invalidates our stale failure knowledge.
@@ -201,10 +188,6 @@ class RBGPSpeaker(BGPSpeaker):
             self.failover_rib.clear()
             self._record_failover_state()
         self._failover_sent = None
-        self._failover_route = None
-        self._failover_key = None
-        self._failover_valid = False
-        self._failover_best_token = None
         # Clear the FIB *before* the base reboot: _record_best_change's
         # RCI branch retains stale entries only while fib_path is set,
         # so super()'s best-route clear (and any later re-origination)
@@ -227,11 +210,9 @@ class RBGPSpeaker(BGPSpeaker):
             route = self.adj_rib_in.get(neighbor)
             if link in self._full_path_links(route.path):
                 self.adj_rib_in.withdraw(neighbor)
-                # Out-of-band RIB mutation: the next decision run and
-                # failover selection must rescan rather than trust the
-                # incremental keys.
+                # Out-of-band RIB mutation: the next decision run must
+                # rescan rather than trust the incremental keys.
                 self._decision_dirty = True
-                self._failover_valid = False
         for upstream in list(self.failover_rib):
             if link in self._full_path_links(self.failover_rib[upstream]):
                 del self.failover_rib[upstream]
@@ -276,29 +257,6 @@ class RBGPSpeaker(BGPSpeaker):
             return (overlap,) + route_sort_key(self.graph, self.asn, route)
         return (overlap, base[0], 1, base[1], base[2])
 
-    def _rescan_failover(self) -> Optional[Route]:
-        """Full failover rescan; refreshes the incremental cache."""
-        best = self.best
-        best_candidate: Optional[Route] = None
-        best_key: Optional[Tuple] = None
-        if best is not None and not best.is_origin:
-            target = best.learned_from
-            primary_links = self._full_path_links(best.path)
-            for route in self.adj_rib_in.routes():
-                if route.learned_from == target:
-                    continue
-                if target in route.path:
-                    # Useless to the target: it would route through itself.
-                    continue
-                key = self._failover_key_for(route, primary_links)
-                if best_key is None or key < best_key:
-                    best_candidate, best_key = route, key
-        self._failover_route = best_candidate
-        self._failover_key = best_key
-        self._failover_valid = True
-        self._failover_best_token = best
-        return best_candidate
-
     def compute_failover_route(self) -> Optional[Route]:
         """Most disjoint alternate to our primary path.
 
@@ -312,52 +270,26 @@ class RBGPSpeaker(BGPSpeaker):
         could never receive a failover path from a peer, crippling
         recovery from core-link failures.
         """
-        if self.best is None or self.best.is_origin:
+        best = self.best
+        if best is None or best.is_origin:
             return None
-        return self._rescan_failover()
-
-    def _current_failover(self, target: ASN, changed_neighbor: object) -> Optional[Route]:
-        """Failover selection, updated incrementally when possible.
-
-        Valid only while the best route object is unchanged (same
-        target and primary links); a hinted single-neighbor RIB change
-        then either replaces the cached choice (strictly better key),
-        forces a rescan (the cached choice itself was touched), or is
-        ignored — exactly the argmin maintenance the decision process
-        uses.  The selection key embeds the neighbor ASN, so the order
-        is total and the incremental result provably matches a rescan.
-        """
-        if (
-            not self._failover_valid
-            or self._failover_best_token is not self.best
-            or changed_neighbor is _UNSET
-        ):
-            return self._rescan_failover()
-        cached = self._failover_route
-        if cached is not None and cached.learned_from == changed_neighbor:
-            return self._rescan_failover()
-        route = self.adj_rib_in.get(changed_neighbor)  # type: ignore[arg-type]
-        if (
-            route is not None
-            and changed_neighbor != target
-            and target not in route.path
-        ):
-            primary_links = self._full_path_links(self.best.path)
+        target = best.learned_from
+        primary_links = self._full_path_links(best.path)
+        best_candidate: Optional[Route] = None
+        best_key: Optional[Tuple] = None
+        for route in self.adj_rib_in.routes():
+            if route.learned_from == target:
+                continue
+            if target in route.path:
+                # Useless to the target: it would route through itself.
+                continue
             key = self._failover_key_for(route, primary_links)
-            if self._failover_key is None or key < self._failover_key:
-                self._failover_route = route
-                self._failover_key = key
-        return self._failover_route
+            if best_key is None or key < best_key:
+                best_candidate, best_key = route, key
+        return best_candidate
 
-    def _update_failover_advertisement(
-        self, changed_neighbor: object = _UNSET
-    ) -> None:
-        """(Re-)advertise our failover path to the primary next hop.
-
-        ``changed_neighbor`` (when passed) asserts that since the last
-        call the Adj-RIB-In changed for at most that one neighbor,
-        enabling the incremental selection in :meth:`_current_failover`.
-        """
+    def _update_failover_advertisement(self) -> None:
+        """(Re-)advertise our failover path to the primary next hop."""
         if self.best is None and self._failover_sent is not None:
             # The second RCI-sensitive point (see rci_sensitive_state).
             self.rci_sensitive_state = True
@@ -367,19 +299,10 @@ class RBGPSpeaker(BGPSpeaker):
                 # hop; keep the failover advertisement alive until we
                 # re-route.
                 return
-        target = (
-            self.best.learned_from
-            if self.best is not None and not self.best.is_origin
-            else None
-        )
-        failover = (
-            self._current_failover(target, changed_neighbor)
-            if target is not None
-            else None
-        )
+        failover = self.compute_failover_route()
         desired: Optional[Tuple[ASN, ASPath]] = None
-        if target is not None and failover is not None:
-            desired = (target, failover.path)
+        if failover is not None:
+            desired = (self.best.learned_from, failover.path)
         if desired == self._failover_sent:
             return
         if self._failover_sent is not None:

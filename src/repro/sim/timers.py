@@ -15,9 +15,9 @@ strictly between two messages on the same FIFO session, never the
 messages themselves, and the flush always re-reads the speaker's
 current Adj-RIB-Out state at fire time.
 
-Timers are armed on the engine's far timer wheel (they sit 0-30 s out),
-so arm, cancel, and re-arm are all O(1); the per-peer flush callback is
-created once and pooled, so steady-state pacing allocates nothing.
+Timers sit 0-30 s out in the engine's one event heap, beside the
+message deliveries; the per-peer flush callback is created once and
+pooled, so steady-state pacing allocates nothing beyond the handle.
 An armed timer is almost never cancelled — coalescing leaves it alone,
 and only a session going down or a reboot drops one (counted: zero
 cancels in a ``fig2`` grid; see :mod:`repro.sim.engine`).
@@ -149,9 +149,8 @@ class MRAIPacer:
     def cancel(self, peer: ASN) -> None:
         """Drop any armed timer toward a peer (e.g., session went down).
 
-        With the far timer wheel this is O(1): the cancelled timer is
-        removed from its bucket immediately and never reaches the event
-        heap.
+        O(1): the handle is marked and the engine discards its heap
+        entry, unexecuted, when it reaches the head.
         """
         handle = self._armed.pop(peer, None)
         if handle is not None:

@@ -22,6 +22,10 @@ network once more at quiescence.  The snapshots are what the run
 (The extra engine events shift every later insertion number by the
 same amount and touch no speaker, so the run is otherwise the one the
 runner would have driven.)
+
+Every stop is also handed to :func:`check_quiescent`, the first slice
+of the protocol-invariant checker (ROADMAP item 1): it reads the live
+speakers, never the trace, and computes what it checks by itself.
 """
 
 from __future__ import annotations
@@ -34,8 +38,11 @@ from repro.analysis.transient import (
     _reference_analyze_episode_transient_problems,
     analyze_episode_transient_problems,
 )
+from repro.bgp.decision import route_sort_key
+from repro.bgp.ribs import Route
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import collect_episode_segments
+from repro.rbgp.network import RBGPNetwork
 
 
 @dataclass
@@ -56,16 +63,93 @@ def collect_live(network, episode) -> LiveEpisode:
     engine = network.engine
     base = engine.now
     live_states: List[Dict] = []
-    for offset, _, _ in episode.instants():
-        engine.post_at(
-            base + offset,
-            lambda: live_states.append(network.forwarding_state()),
+    last_stop = check_quiescent(network, not_before=0.0)
+
+    def camera() -> None:
+        nonlocal last_stop
+        live_states.append(network.forwarding_state())
+        # Later cameras, the injectors and (in a storm) the previous
+        # phase's reaction are still queued at a boundary.
+        last_stop = check_quiescent(
+            network, not_before=last_stop, drained=False
         )
+
+    for offset, _, _ in episode.instants():
+        engine.post_at(base + offset, camera)
     segments, initial_state, _ = collect_episode_segments(network, episode)
     assert len(live_states) == len(segments)
+    check_quiescent(network, not_before=last_stop)
     return LiveEpisode(
         segments, initial_state, live_states, network.forwarding_state()
     )
+
+
+def check_quiescent(network, *, not_before: float, drained: bool = True) -> float:
+    """Protocol invariants at a stop between two engine events.
+
+    Three assertions so far; returns the clock for the next stop's
+    ``not_before``:
+
+    1. the clock has not run backwards since the previous stop;
+    2. nothing is queued — wherever the run has ``drained`` (a boundary
+       inside an episode still holds its later injectors);
+    3. every live R-BGP speaker advertises, to its primary next hop,
+       the most link-disjoint alternate — an argmin computed here from
+       the Adj-RIB-In alone, not by asking the speaker.
+    """
+    engine = network.engine
+    assert engine.now >= not_before, (engine.now, not_before)
+    if drained:
+        assert engine.pending() == 0, f"{engine.pending()} events still queued"
+    if isinstance(network, RBGPNetwork):
+        for asn, speaker in network.speakers.items():
+            if not network.transport.as_is_up(asn):
+                continue
+            if speaker.best is None and speaker.rci:
+                # Documented retention: with RCI a routeless speaker
+                # keeps its last failover advertisement alive.
+                continue
+            expected = _most_disjoint_alternate(network.graph, speaker)
+            assert speaker._failover_sent == expected, (
+                f"AS {asn} (best {speaker.best}) advertises failover "
+                f"{speaker._failover_sent}, the most disjoint is {expected}"
+            )
+    return engine.now
+
+
+def _most_disjoint_alternate(graph, speaker):
+    """``(primary next hop, path)`` R-BGP's rule picks, or ``None``.
+
+    Fewest links shared with the primary path, ties by the decision
+    order (from the graph, not from the keys the speaker cached);
+    routes learned from, or passing through, the primary next hop are
+    of no use to it.
+    """
+    best = speaker.best
+    if best is None or best.is_origin:
+        return None
+    target = best.learned_from
+
+    def links(path):
+        hops = (speaker.asn,) + path
+        return {frozenset(hop) for hop in zip(hops, hops[1:])}
+
+    primary = links(best.path)
+    chosen = min(
+        (
+            route
+            for route in speaker.adj_rib_in.routes()
+            if route.learned_from != target and target not in route.path
+        ),
+        key=lambda route: (
+            len(primary & links(route.path)),
+            route_sort_key(
+                graph, speaker.asn, Route(route.path, route.learned_from)
+            ),
+        ),
+        default=None,
+    )
+    return (target, chosen.path) if chosen is not None else None
 
 
 def run_live(graph, episode, protocol: str, seed: int = 7):

@@ -46,10 +46,12 @@ from live_collector import (
     assert_live_episode_checks_out,
     assert_matches_reference,
     assert_trace_complete,
+    check_quiescent,
     run_live,
 )
 from repro.analysis.transient import EpisodeSegment, _IncrementalScan
 from repro.bgp.speaker import BGPSpeaker
+from repro.experiments.runner import build_network, clear_twin_start_cache
 from repro.experiments.scenarios import (
     Episode,
     correlated_outage_episode,
@@ -63,6 +65,8 @@ from repro.experiments.scenarios import (
 )
 from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.forwarding.walk import SuccessorTable
+from repro.rbgp import network as rbgp_network
+from repro.rbgp.speaker import RBGPSpeaker
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
 from repro.types import Color, normalize_link
 from test_successor_table import (
@@ -246,6 +250,63 @@ class TestAnUnrecordedChangeIsCaught:
         live, _ = run_live(graph, episode, "bgp")
         with pytest.raises(AssertionError, match="at boundary 2"):
             assert_trace_complete(live)
+
+
+class RouteThroughTheTargetSpeaker(RBGPSpeaker):
+    """Broken on purpose: offers its primary next hop alternates that
+    pass through that very next hop (the ``target in route.path``
+    filter is gone)."""
+
+    def compute_failover_route(self):
+        best = self.best
+        if best is None or best.is_origin:
+            return None
+        primary_links = self._full_path_links(best.path)
+        return min(
+            (
+                route
+                for route in self.adj_rib_in.routes()
+                if route.learned_from != best.learned_from
+            ),
+            key=lambda route: self._failover_key_for(route, primary_links),
+            default=None,
+        )
+
+
+class TestAWrongFailoverPickIsCaught:
+    """``check_quiescent`` has teeth: it runs at every stop of every
+    episode above (through ``collect_live``), and a speaker whose
+    failover selection breaks R-BGP's rule fails it."""
+
+    @pytest.mark.parametrize("protocol", ("rbgp", "rbgp-norci"))
+    def test_a_failover_through_its_own_target_fails(
+        self, monkeypatch, protocol
+    ):
+        graph = _random_topology(0)
+        episode = link_flap_episode(
+            graph, random.Random("teeth"), period=2.0, flaps=2
+        )
+        monkeypatch.setattr(
+            rbgp_network, "RBGPSpeaker", RouteThroughTheTargetSpeaker
+        )
+        try:
+            with pytest.raises(AssertionError, match="the most disjoint is"):
+                run_live(graph, episode, protocol)
+        finally:
+            clear_twin_start_cache()  # holds a snapshot of the broken net
+
+    def test_events_left_in_the_queue_fail(self):
+        graph = _random_topology(0)
+        network, _ = build_network("bgp", graph, graph.ases[0], seed=0)
+        network.start()
+        check_quiescent(network, not_before=0.0)
+        network.engine.schedule(1.0, lambda: None)
+        with pytest.raises(AssertionError, match="still queued"):
+            check_quiescent(network, not_before=0.0)
+        with pytest.raises(AssertionError):
+            check_quiescent(
+                network, not_before=network.engine.now + 1.0, drained=False
+            )
 
 
 class TestPatchedVsRebuilt:

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
@@ -88,30 +92,14 @@ class TestCancellation:
         ]
         for handle in doomed:
             handle.cancel()
-        # Far (wheel-resident) timers are removed on cancel: no
-        # tombstones anywhere, nothing left to compact or skip.
-        assert engine._far_count + len(engine._near) == len(keep)
+        # Cancelled timers are gone at once for every observer: not
+        # pending, never run, and the clock never visits them.
         assert engine.pending() == len(keep)
         assert engine.run() == len(keep)
+        assert engine.now == 9.0
+        assert engine.pending() == 0
 
-    def test_mass_cancellation_in_near_heap_compacts(self):
-        engine = Engine()
-        # Everything below BUCKET_WIDTH lands in the near heap, where
-        # cancellation is lazy and must trigger compaction.
-        keep = [
-            engine.schedule(0.001 * i, lambda: None) for i in range(10)
-        ]
-        doomed = [
-            engine.schedule(0.5 + 0.0001 * i, lambda: None)
-            for i in range(500)
-        ]
-        for handle in doomed:
-            handle.cancel()
-        assert len(engine._near) < 110
-        assert engine.pending() == len(keep)
-        assert engine.run() == len(keep)
-
-    def test_events_survive_compaction_in_order(self):
+    def test_events_survive_mass_cancellation_in_order(self):
         engine = Engine()
         log = []
         for i in range(200):
@@ -136,13 +124,12 @@ class TestCancellation:
         assert engine.pending() == 0
 
 
-class TestTimerWheel:
-    """Edge cases of the near-heap / far-wheel split."""
+class TestNearAndFarEvents:
+    """Message-like (ms) and MRAI-like (tens of s) events share one order."""
 
-    def test_far_events_cross_the_horizon_in_order(self):
+    def test_near_and_far_events_interleave_in_order(self):
         engine = Engine()
         log = []
-        # Interleave near (< BUCKET_WIDTH) and far events out of order.
         engine.schedule(3.7, lambda: log.append(3.7))
         engine.schedule(0.2, lambda: log.append(0.2))
         engine.schedule(1.1, lambda: log.append(1.1))
@@ -151,7 +138,7 @@ class TestTimerWheel:
         engine.run()
         assert log == sorted(log)
 
-    def test_ties_across_promotion_run_in_insertion_order(self):
+    def test_ties_among_far_events_run_in_insertion_order(self):
         engine = Engine()
         log = []
         for name in ("a", "b", "c"):
@@ -187,13 +174,10 @@ class TestTimerWheel:
         assert fired == ["keep"]
         del keeper
 
-    def test_cancel_after_promotion_is_honored(self):
-        """A far timer promoted into the near heap can still cancel."""
+    def test_cancel_shortly_before_firing_is_honored(self):
         engine = Engine()
         log = []
         handle = engine.schedule(5.5, lambda: log.append("doomed"))
-        # This event runs after promotion of the 5.x bucket but before
-        # the doomed timer fires.
         engine.schedule(5.2, lambda: handle.cancel())
         engine.run()
         assert log == []
@@ -215,13 +199,12 @@ class TestTimerWheel:
         with pytest.raises(SimulationError):
             engine.post_at(1.0, lambda: None)
 
-    def test_scheduling_into_current_bucket_after_promotion(self):
-        """Events scheduled mid-bucket still interleave correctly."""
+    def test_scheduling_between_queued_events_while_running(self):
         engine = Engine()
         log = []
 
         def spawn():
-            # now == 7.2: schedule inside the already-promoted window.
+            # now == 7.2: lands ahead of the already queued 7.4.
             engine.schedule(0.05, lambda: log.append("inner"))
             log.append("outer")
 
@@ -230,18 +213,30 @@ class TestTimerWheel:
         engine.run()
         assert log == ["outer", "inner", "later"]
 
-    def test_run_until_does_not_demote_far_timers(self):
-        """Stopping at `until` must not promote buckets beyond it."""
+    @pytest.mark.parametrize("delay", [0.5, 30.0])
+    def test_a_tombstone_never_moves_or_holds_the_clock(self, delay):
+        """A cancelled event behaves as if it had never been scheduled.
+
+        ``run(until=)`` stops the clock at ``until`` only for a *live*
+        event beyond it; a queue holding nothing but a cancelled one is
+        an empty queue, however near or far the corpse lies.
+        """
+        engine = Engine()
+        handle = engine.schedule(delay, lambda: None)
+        handle.cancel()
+        assert engine.run(until=0.2) == 0
+        assert engine.now == 0.0
+        assert engine.pending() == 0
+
+    def test_cancel_after_run_until_leaves_nothing_pending(self):
         engine = Engine()
         handle = engine.schedule(30.0, lambda: None)
         engine.run(until=5.0)
         assert engine.now == 5.0
-        # The timer stayed wheel-resident: cancelling it is an O(1)
-        # bucket delete that leaves no tombstone behind.
         handle.cancel()
-        assert engine._far_count == 0
-        assert engine._cancelled_in_near == 0
         assert engine.pending() == 0
+        assert engine.run() == 0
+        assert engine.now == 5.0
 
     def test_run_until_parks_far_events(self):
         engine = Engine()
@@ -308,3 +303,120 @@ class TestRunBackwardsGuard:
         engine.schedule(2.0, lambda: None)
         engine.run()
         assert engine.run(until=engine.now) == 0
+
+
+class _ListModel:
+    """The engine's whole contract: a plain list, sorted when asked.
+
+    An entry is ``[time, seq, ident, child_delay, live]``; cancelling
+    or firing clears ``live``, and a dead entry is as good as absent.
+    """
+
+    def __init__(self):
+        self.now, self.entries, self.log, self.handles = 0.0, [], [], []
+
+    def schedule(self, delay, child_delay=None, handle=True):
+        seq = len(self.entries)
+        entry = [self.now + delay, seq, seq, child_delay, True]
+        self.entries.append(entry)
+        if handle:
+            self.handles.append(entry)
+
+    def pending(self):
+        return sum(entry[4] for entry in self.entries)
+
+    def run(self, until=None, max_events=None):
+        """Returns ``(executed, overran)``."""
+        executed = 0
+        while self.pending():
+            entry = min(e for e in self.entries if e[4])
+            if until is not None and entry[0] > until:
+                self.now = until
+                break
+            self.now, entry[4] = entry[0], False
+            self.log.append(entry[2])
+            if entry[3] is not None:
+                self.schedule(entry[3])
+            executed += 1
+            if max_events is not None and executed >= max_events and self.pending():
+                return executed, True
+        return executed, False
+
+
+_DELAYS = st.one_of(
+    # Ties, message delays, the MRAI range, and both sides of 1 s.
+    st.sampled_from([0.0, 0.01, 0.015, 0.02, 0.5, 0.999, 1.0, 22.5, 30.0]),
+    st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, st.none() | _DELAYS),
+    st.tuples(st.just("schedule_at"), _DELAYS),
+    st.tuples(st.just("post_at"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(st.just("run")),
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("run_max"), st.integers(min_value=1, max_value=6)),
+)
+
+
+class TestAgainstAListThatSortsItself:
+    """The heap is a data structure, not a behaviour: any stream of
+    calls gives the executed order, return counts, clock and
+    ``pending()`` of a list sorted by ``(time, seq)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_OPS, max_size=40))
+    # A tombstone, near or far, never sets ``now = until``: random
+    # streams rarely cancel *everything* queued, so pin the case.
+    @example([("schedule_at", 0.015), ("cancel", 0), ("run_until", 0.01)])
+    @example([("schedule", 30.0, None), ("cancel", 0), ("run_until", 5.0)])
+    def test_every_stream_matches_the_model(self, ops):
+        engine, model = Engine(), _ListModel()
+        log, handles, idents = [], [], itertools.count()
+
+        def action(child_delay):
+            ident = next(idents)
+
+            def fire():
+                log.append(ident)
+                if child_delay is not None:
+                    handles.append(engine.schedule(child_delay, action(None)))
+
+            return fire
+
+        for op in ops:
+            kind = op[0]
+            if kind == "schedule":
+                handles.append(engine.schedule(op[1], action(op[2])))
+                model.schedule(op[1], op[2])
+            elif kind == "schedule_at":
+                # schedule_at(t) is schedule(t - now), rounding included.
+                time = engine.now + op[1]
+                handles.append(engine.schedule_at(time, action(None)))
+                model.schedule(time - model.now)
+            elif kind == "post_at":
+                engine.post_at(engine.now + op[1], action(None))
+                model.schedule(op[1], handle=False)
+            elif kind == "cancel":
+                if handles:
+                    # Fired and already-cancelled handles included.
+                    handles[op[1] % len(handles)].cancel()
+                    model.handles[op[1] % len(handles)][4] = False
+            else:
+                limits = {}
+                if kind == "run_until":
+                    limits["until"] = engine.now + op[1]
+                elif kind == "run_max":
+                    limits["max_events"] = op[1]
+                before = engine.events_processed
+                expected, overran = model.run(**limits)
+                if overran:
+                    with pytest.raises(SimulationError):
+                        engine.run(**limits)
+                    assert engine.events_processed - before == expected
+                else:
+                    assert engine.run(**limits) == expected
+            assert log == model.log
+            assert engine.now == model.now
+            assert engine.pending() == model.pending()
+            assert len(handles) == len(model.handles)

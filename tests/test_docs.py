@@ -253,6 +253,20 @@ def _enclosing_functions(path, wanted):
     return owners
 
 
+def _assert_gone_from_code_and_documents(gone):
+    """No file under ``src/``, nor the README, nor a guide directly
+    under ``docs/`` matches ``gone`` (per-PR logs in subdirectories of
+    ``docs/`` may name what they measured)."""
+    for path in [
+        *sorted((REPO / "src").rglob("*.py")),
+        README,
+        *sorted((REPO / "docs").glob("*.md")),
+    ]:
+        found = gone.search(path.read_text())
+        name = path.relative_to(REPO).as_posix()
+        assert found is None, f"{name} still names {found.group()}"
+
+
 def test_the_export_decision_has_one_owner():
     """One export path, enforced: ``export_for`` is the only function
     of the speaker that calls the gate or applies the valley-free rule
@@ -284,14 +298,30 @@ def test_the_export_decision_has_one_owner():
         r"_gate_sig_enabled|_sig_red|_sig_blue|is_settled|_fanout_cache"
         r"|gate_refresh_delegated|_live_providers_cache"
     )
-    for path in [
-        *sorted((REPO / "src").rglob("*.py")),
-        README,
-        *sorted((REPO / "docs").glob("*.md")),
-    ]:
-        found = gone.search(path.read_text())
-        name = path.relative_to(REPO).as_posix()
-        assert found is None, f"{name} still names {found.group()}"
+    _assert_gone_from_code_and_documents(gone)
+
+
+def test_the_event_queue_and_the_failover_scan_have_one_owner():
+    """One event heap, one failover scan, enforced: the engine's far
+    tier (buckets, horizon, promotion, compaction) and R-BGP's
+    incremental copy of the failover argmin stay deleted, in the code
+    and in the documents.  The per-PR measurement logs under
+    ``docs/measurements/`` name what they measured and are exempt."""
+    gone = re.compile(
+        r"_wheel|_far_count|_horizon|_promote|BUCKET_WIDTH"
+        r"|COMPACT_MIN_CANCELLED|_current_failover|_rescan_failover"
+        r"|_failover_valid|_failover_best_token|[Tt]imer wheel"
+    )
+    _assert_gone_from_code_and_documents(gone)
+    engine = (REPO / "src" / "repro" / "sim" / "engine.py").read_text()
+    assert engine.count("heapq.heappush(") == 2  # schedule, post_at
+    speaker = REPO / "src" / "repro" / "rbgp" / "speaker.py"
+    scans = _enclosing_functions(
+        speaker,
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "_failover_key_for",
+    )
+    assert scans == ["compute_failover_route"]
 
 
 def test_every_cited_document_exists():
