@@ -28,6 +28,7 @@ import os
 import pickle
 import random
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -742,6 +743,55 @@ def test_pool_twin_share(benchmark, perf_records, tmp_path, monkeypatch):
         twin_restores=restores,
         twin_snapshots=snapshots,
         cpu_seconds=min(cpu),
+    )
+
+
+# ----------------------------------------------------------------------
+# Start-up — what a command costs before it does any work
+# ----------------------------------------------------------------------
+
+#: The gate's 62-AS graph (``bench/workloads.py``, ``fig2_serial``):
+#: generating and saving it is ~1.4 ms, so `topology` is all start-up.
+_GATE_GRAPH = ["--tier1", "3", "--tier2", "8", "--tier3", "16", "--stubs", "35"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("help", ["--help"]),
+        ("topology", _GATE_GRAPH + ["topology", "--out", "graph.txt"]),
+        ("fig2_1", _GATE_GRAPH + ["--instances", "1", "fig2"]),
+    ],
+)
+def test_cli_startup(benchmark, perf_records, tmp_path, name, argv):
+    """``python -m repro.cli ...`` as a child, from spawn to exit.
+
+    ``help`` and ``topology`` import the parser, the catalogue and the
+    generator and nothing they do not run (pinned as module sets by
+    ``tests/test_import_footprint.py``); ``fig2_1`` imports nearly the
+    whole package, so it is the entry that should *not* move.  Wall
+    clock of a 60-150 ms child on a shared VM: read the minimum and the
+    median with their spread, never the mean.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+
+    def run():
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv], cwd=tmp_path,
+            env=env, stdout=subprocess.DEVNULL, check=True,
+        )
+
+    benchmark.pedantic(run, rounds=15, iterations=1, warmup_rounds=1)
+    stats = benchmark.stats.stats
+    _record(
+        perf_records,
+        f"cli_startup_{name}",
+        benchmark,
+        median_seconds=stats.median,
+        q1_seconds=stats.q1,
+        q3_seconds=stats.q3,
+        max_seconds=stats.max,
     )
 
 

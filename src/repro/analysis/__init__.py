@@ -9,15 +9,25 @@
 * :mod:`repro.analysis.cdf` — small CDF utilities.
 """
 
-from repro.analysis.transient import TransientReport, analyze_transient_problems
-from repro.analysis.phi import (
-    PhiResult,
-    phi_for_destination,
-    phi_distribution,
-    uphill_paths_to_tier1,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.analysis.transient": (
+            "TransientReport",
+            "analyze_transient_problems",
+        ),
+        "repro.analysis.phi": (
+            "PhiResult",
+            "phi_for_destination",
+            "phi_distribution",
+            "uphill_paths_to_tier1",
+        ),
+        "repro.analysis.cdf": ("empirical_cdf",),
+        "repro.analysis.deployment": ("partial_deployment_fraction",),
+    },
 )
-from repro.analysis.cdf import empirical_cdf
-from repro.analysis.deployment import partial_deployment_fraction
 
 __all__ = [
     "TransientReport",

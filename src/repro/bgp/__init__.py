@@ -6,12 +6,23 @@ and each STAMP color process is one (slightly extended) speaker with a
 selective-announcement gate installed.
 """
 
-from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.ribs import Route, AdjRibIn
-from repro.bgp.policy import export_allowed, import_accept, relationship_pref
-from repro.bgp.decision import best_route, route_sort_key
-from repro.bgp.speaker import BGPSpeaker, SpeakerConfig
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.bgp.messages": ("Announcement", "Withdrawal"),
+        "repro.bgp.ribs": ("Route", "AdjRibIn"),
+        "repro.bgp.policy": (
+            "export_allowed",
+            "import_accept",
+            "relationship_pref",
+        ),
+        "repro.bgp.decision": ("best_route", "route_sort_key"),
+        "repro.bgp.speaker": ("BGPSpeaker", "SpeakerConfig"),
+        "repro.bgp.network": ("BGPNetwork", "NetworkConfig"),
+    },
+)
 
 __all__ = [
     "Announcement",

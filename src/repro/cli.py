@@ -31,26 +31,20 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.errors import ConfigurationError
-from repro.experiments.figures import (
-    CAMPAIGNS,
-    fig1_phi_cdf,
-    run_campaign,
-    sec61_intelligent_selection,
-    sec63_convergence_delay,
-    sec63_message_overhead,
-    sec63_partial_deployment,
-)
-from repro.experiments.reporting import (
-    ascii_bar_chart,
-    cdf_sparkline,
-    format_failure_report,
-    format_table,
-)
-from repro.experiments.runner import ExperimentConfig, PROTOCOL_LABELS
+# Only what the parser needs, and the two topology entry points, which
+# the commands below must reach as *this module's* globals (that is
+# where bench/tracing.py wraps them).  Everything a command runs it
+# imports when dispatched: `--help`, `topology` and `ledger stats` load
+# no simulator, no pool and no HTTP stack.
+from repro.errors import ConfigurationError, LedgerMergeError, ParseError
+from repro.experiments.scenarios import CAMPAIGNS
 from repro.topology.caida import load_caida
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
-from repro.topology.serialization import save_graph
+
+
+class _Refused(Exception):
+    """The command line asks for what cannot be run: :func:`main`
+    reports it in one line and exits 2, before any unit ran."""
 
 
 def _load_topology(args: argparse.Namespace):
@@ -64,7 +58,10 @@ def _load_topology(args: argparse.Namespace):
     """
     if getattr(args, "topology_file", None) is None:
         return None
-    report = load_caida(args.topology_file, validate=True)
+    try:
+        report = load_caida(args.topology_file, validate=True)
+    except (OSError, ParseError) as exc:
+        raise _Refused(exc) from exc
     print(
         f"loaded {args.topology_file}: {report.summary()}", file=sys.stderr
     )
@@ -87,7 +84,9 @@ def _topology_config(args: argparse.Namespace) -> InternetTopologyConfig:
     )
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace):
+    from repro.experiments.runner import ExperimentConfig
+
     return ExperimentConfig(
         seed=args.seed,
         topology=_topology_config(args),
@@ -100,6 +99,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _print_failure(title: str, data) -> None:
+    from repro.experiments.reporting import ascii_bar_chart, format_failure_report
+    from repro.experiments.runner import PROTOCOL_LABELS
+
     measured = {
         PROTOCOL_LABELS[p]: v for p, v in data.mean_affected().items()
     }
@@ -111,6 +113,9 @@ def _print_failure(title: str, data) -> None:
 
 
 def cmd_fig1(args) -> int:
+    from repro.experiments.figures import fig1_phi_cdf
+    from repro.experiments.reporting import cdf_sparkline, format_table
+
     data = fig1_phi_cdf(_build_config(args), graph=_load_topology(args))
     print(
         format_table(
@@ -128,6 +133,10 @@ def cmd_fig1(args) -> int:
 
 def cmd_campaign(args) -> int:
     """Every :data:`CAMPAIGNS` subcommand: run the grid, chart it."""
+    from repro.experiments.figures import run_campaign
+    from repro.experiments.reporting import format_table
+    from repro.experiments.runner import PROTOCOL_LABELS
+
     kind = CAMPAIGNS[args.command]
     params = {name: getattr(args, name) for name, _ in kind.params}
     try:
@@ -135,9 +144,8 @@ def cmd_campaign(args) -> int:
             args.command, _build_config(args), graph=_load_topology(args),
             **params,
         )
-    except ConfigurationError as exc:  # refused before any unit ran
-        print(f"repro-stamp {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    except ConfigurationError as exc:  # the builder refuses its keywords
+        raise _Refused(exc) from exc
     _print_failure(kind.title.format(**params), data)
     if kind.phase_legend is not None:
         print()
@@ -156,6 +164,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_intelligent(args) -> int:
+    from repro.experiments.figures import sec61_intelligent_selection
+
     data = sec61_intelligent_selection(_build_config(args), graph=_load_topology(args))
     print(f"mean Phi, random selection     : {data.mean_phi_random:.3f}")
     print(f"mean Phi, intelligent selection: {data.mean_phi_intelligent:.3f}")
@@ -163,6 +173,8 @@ def cmd_intelligent(args) -> int:
 
 
 def cmd_deployment(args) -> int:
+    from repro.experiments.figures import sec63_partial_deployment
+
     data = sec63_partial_deployment(_build_config(args), graph=_load_topology(args))
     print(f"tier-1-only deployment fraction: {data.tier1_only_fraction:.3f} "
           f"(paper: ~0.75)")
@@ -171,6 +183,8 @@ def cmd_deployment(args) -> int:
 
 
 def cmd_overhead(args) -> int:
+    from repro.experiments.figures import sec63_message_overhead
+
     data = sec63_message_overhead(_build_config(args), graph=_load_topology(args))
     print(f"initial convergence: BGP {data.mean_initial_updates_bgp:.0f} vs "
           f"STAMP {data.mean_initial_updates_stamp:.0f} updates "
@@ -182,6 +196,8 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_delay(args) -> int:
+    from repro.experiments.figures import sec63_convergence_delay
+
     data = sec63_convergence_delay(_build_config(args), graph=_load_topology(args))
     print(f"control-plane quiescence: BGP {data.mean_seconds_bgp:.1f}s, "
           f"STAMP {data.mean_seconds_stamp:.1f}s")
@@ -191,6 +207,8 @@ def cmd_delay(args) -> int:
 
 
 def cmd_topology(args) -> int:
+    from repro.topology.serialization import save_graph
+
     graph, tiers = generate_internet_topology(_topology_config(args))
     save_graph(graph, args.out)
     print(f"wrote {graph} to {args.out} "
@@ -199,7 +217,9 @@ def cmd_topology(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    # Imported lazily: figure commands never pay for the HTTP stack.
+    # All of it, before the socket is bound: the app's module-level
+    # imports are the whole execution stack, so no campaign's first
+    # request pays for an import.
     from repro.service.app import ServiceConfig, run_service
     from repro.service.spec import ServiceLimits
 
@@ -226,10 +246,20 @@ def cmd_serve(args) -> int:
     return run_service(args.host, args.port, config)
 
 
+def _missing_log(what: str, path: str) -> bool:
+    """Whether ``stats``/``compact`` must refuse ``path``: opening a log
+    creates it, and a mistyped path is not an empty log."""
+    if os.path.exists(path):
+        return False
+    print(f"error: {what} does not exist: {path}", file=sys.stderr)
+    return True
+
+
 def cmd_ledger(args) -> int:
-    from repro.errors import LedgerMergeError
     from repro.experiments.ledger import ResultLedger, merge_ledgers
 
+    if args.ledger_command != "merge" and _missing_log("ledger", args.path):
+        return 1
     if args.ledger_command == "stats":
         with ResultLedger(args.path) as ledger:
             stats = ledger.stats()
@@ -265,6 +295,8 @@ def cmd_ledger(args) -> int:
 def cmd_journal(args) -> int:
     from repro.service.journal import CampaignJournal
 
+    if _missing_log("journal", args.path):
+        return 1
     if args.journal_command == "stats":
         with CampaignJournal(args.path) as journal:
             stats = journal.stats()
@@ -483,7 +515,11 @@ _PARSER = build_parser()
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Refused as exc:
+        print(f"repro-stamp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

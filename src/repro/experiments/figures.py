@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.analysis.cdf import empirical_cdf, fraction_at_most, fraction_greater, mean
 from repro.analysis.deployment import (
@@ -29,17 +28,12 @@ from repro.analysis.phi import (
 from repro.experiments.parallel import FailureFigureData, ParallelRunner
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.scenarios import (
-    Episode,
-    link_flap_episode,
-    provider_node_failure,
+    CAMPAIGNS,
+    EpisodeBuilder,
     single_provider_link_failure,
-    two_link_failures_distinct_as,
-    two_link_failures_same_as,
 )
 from repro.topology.generators import generate_internet_topology
 from repro.topology.graph import ASGraph
-
-EpisodeBuilder = Callable[[ASGraph, random.Random], Episode]
 
 
 # ----------------------------------------------------------------------
@@ -121,86 +115,6 @@ def episode_campaign(
     )
 
 
-@dataclass(frozen=True)
-class CampaignKind:
-    """One campaign family, as every front end sees it: the CLI's
-    subcommands, the service's spec ``kind`` and the packaged figure
-    functions below all read :data:`CAMPAIGNS`, so a family reaches all
-    of them by gaining an entry there."""
-
-    #: Module-level (ledger keys name it by import path).
-    builder: EpisodeBuilder
-    #: Seeds every instance's RNG (``f"{seed}:{kind}:{instance}"``) and
-    #: enters every ledger key: written here and nowhere else, or the
-    #: front ends stop sharing a ledger.
-    unit_kind: str
-    #: Chart title; a ``str.format`` template over ``params``.
-    title: str
-    #: Builder keywords a front end may set -> help text (a template
-    #: over ``default``).  The defaults are the builder's own.
-    params: Tuple[Tuple[str, str], ...] = ()
-    #: What the phases are, for the per-phase table; ``None`` for a
-    #: one-phase family, which reports no such table.
-    phase_legend: Optional[str] = None
-
-    def defaults(self) -> Dict[str, Any]:
-        """Settable builder keyword -> the builder's default for it."""
-        signature = inspect.signature(self.builder).parameters
-        return {name: signature[name].default for name, _ in self.params}
-
-    def bind(self, **params: Any) -> EpisodeBuilder:
-        """The builder with every settable keyword bound — even at its
-        default: the bound values are part of the ledger key."""
-        defaults = self.defaults()
-        if not params.keys() <= defaults.keys():
-            raise TypeError(
-                f"{self.unit_kind} campaigns take {sorted(defaults)}, "
-                f"not {sorted(params.keys() - defaults.keys())}"
-            )
-        if not defaults:
-            return self.builder
-        return functools.partial(self.builder, **{**defaults, **params})
-
-
-#: Front-end name -> family, in CLI display order.  ``flap`` is the
-#: episode-model counterpart of Figure 2: the same single-link
-#: population, but the link fails, partially recovers and re-fails —
-#: churn *during* convergence rather than after a clean event.
-CAMPAIGNS: Dict[str, CampaignKind] = {
-    "fig2": CampaignKind(
-        single_provider_link_failure,
-        "fig2-single-link",
-        "Figure 2: single provider-link failure (mean affected ASes)",
-    ),
-    "fig3a": CampaignKind(
-        two_link_failures_distinct_as,
-        "fig3a-distinct-as",
-        "Figure 3(a): two failed links at distinct ASes",
-    ),
-    "fig3b": CampaignKind(
-        two_link_failures_same_as,
-        "fig3b-same-as",
-        "Figure 3(b): two failed links at the same AS",
-    ),
-    "node-failure": CampaignKind(
-        provider_node_failure, "node-failure", "Single node (AS) failure"
-    ),
-    "flap": CampaignKind(
-        link_flap_episode,
-        "link-flap",
-        "Link-flap campaign ({flaps} flap(s), period {period:g}s): "
-        "episode-wide mean affected ASes",
-        params=(
-            ("period",
-             "seconds between a failure and the next restore "
-             "(default {default:g}: partial convergence under a 30s MRAI)"),
-            ("flaps", "number of fail/restore cycles (2*flaps phases)"),
-        ),
-        phase_legend="even phases fail the link, odd phases restore it",
-    ),
-}
-
-
 def run_campaign(
     name: str,
     config: Optional[ExperimentConfig] = None,
@@ -216,16 +130,22 @@ def run_campaign(
     )
 
 
-#: Figure 2: single provider-link failure at a multi-homed AS.
-fig2_single_link_failure = functools.partial(run_campaign, "fig2")
-#: Figure 3(a): two simultaneous link failures at distinct ASes.
-fig3a_two_links_distinct_as = functools.partial(run_campaign, "fig3a")
-#: Figure 3(b): two simultaneous link failures at the same AS.
-fig3b_two_links_same_as = functools.partial(run_campaign, "fig3b")
-#: Section 6.2.2 text: single AS (node) failure comparison.
-node_failure_comparison = functools.partial(run_campaign, "node-failure")
-#: Campaign: a provider link flaps ``flaps`` times, ``period`` s apart.
-link_flap_comparison = functools.partial(run_campaign, "flap")
+#: The packaged figure functions: the first five :data:`CAMPAIGNS`
+#: entries, in its order (the front-end names are written there, and
+#: only there; a family appended to the catalogue gets no name here).
+#: Figure 2, a single provider-link failure at a multi-homed AS;
+#: Figure 3(a), two simultaneous link failures at distinct ASes;
+#: Figure 3(b), two at the same AS; the section 6.2.2 single AS (node)
+#: failure; and the campaign whose provider link flaps ``flaps`` times,
+#: ``period`` s apart.
+(
+    fig2_single_link_failure,
+    fig3a_two_links_distinct_as,
+    fig3b_two_links_same_as,
+    node_failure_comparison,
+    link_flap_comparison,
+    *_,
+) = (functools.partial(run_campaign, name) for name in CAMPAIGNS)
 
 
 # ----------------------------------------------------------------------

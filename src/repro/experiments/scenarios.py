@@ -32,16 +32,21 @@ instance from a seeded RNG.
   - :func:`correlated_outage_episode` — Figure 3(a)'s two links, but
     the second failure lands a configurable delay after the first.
 
+The families a front end can run by name are the entries of
+:data:`CAMPAIGNS`, at the end of this module.
+
 See ``docs/scenarios.md`` for the full event model and the exact
 timing/determinism rules.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph
@@ -446,3 +451,93 @@ def correlated_outage_episode(
         steps=(first, *((delay, event) for _, event in later)),
         description=f"correlated outage ({delay}s apart): {drawn.description}",
     )
+
+
+# ----------------------------------------------------------------------
+# The campaign catalogue
+# ----------------------------------------------------------------------
+
+EpisodeBuilder = Callable[[ASGraph, random.Random], Episode]
+
+
+@dataclass(frozen=True)
+class CampaignKind:
+    """One campaign family, as every front end sees it: the CLI's
+    subcommands, the service's spec ``kind`` and the packaged figure
+    functions of :mod:`repro.experiments.figures` all read
+    :data:`CAMPAIGNS`, so a family reaches all of them by gaining an
+    entry there.  It lives beside the builders it names, in a module
+    that imports no execution stack: a front end can list the families
+    (``repro-stamp --help``) without loading what runs them."""
+
+    #: Module-level (ledger keys name it by import path).
+    builder: EpisodeBuilder
+    #: Seeds every instance's RNG (``f"{seed}:{kind}:{instance}"``) and
+    #: enters every ledger key: written here and nowhere else, or the
+    #: front ends stop sharing a ledger.
+    unit_kind: str
+    #: Chart title; a ``str.format`` template over ``params``.
+    title: str
+    #: Builder keywords a front end may set -> help text (a template
+    #: over ``default``).  The defaults are the builder's own.
+    params: Tuple[Tuple[str, str], ...] = ()
+    #: What the phases are, for the per-phase table; ``None`` for a
+    #: one-phase family, which reports no such table.
+    phase_legend: Optional[str] = None
+
+    def defaults(self) -> Dict[str, Any]:
+        """Settable builder keyword -> the builder's default for it."""
+        signature = inspect.signature(self.builder).parameters
+        return {name: signature[name].default for name, _ in self.params}
+
+    def bind(self, **params: Any) -> EpisodeBuilder:
+        """The builder with every settable keyword bound — even at its
+        default: the bound values are part of the ledger key."""
+        defaults = self.defaults()
+        if not params.keys() <= defaults.keys():
+            raise TypeError(
+                f"{self.unit_kind} campaigns take {sorted(defaults)}, "
+                f"not {sorted(params.keys() - defaults.keys())}"
+            )
+        if not defaults:
+            return self.builder
+        return functools.partial(self.builder, **{**defaults, **params})
+
+
+#: Front-end name -> family, in CLI display order.  ``flap`` is the
+#: episode-model counterpart of Figure 2: the same single-link
+#: population, but the link fails, partially recovers and re-fails —
+#: churn *during* convergence rather than after a clean event.
+CAMPAIGNS: Dict[str, CampaignKind] = {
+    "fig2": CampaignKind(
+        single_provider_link_failure,
+        "fig2-single-link",
+        "Figure 2: single provider-link failure (mean affected ASes)",
+    ),
+    "fig3a": CampaignKind(
+        two_link_failures_distinct_as,
+        "fig3a-distinct-as",
+        "Figure 3(a): two failed links at distinct ASes",
+    ),
+    "fig3b": CampaignKind(
+        two_link_failures_same_as,
+        "fig3b-same-as",
+        "Figure 3(b): two failed links at the same AS",
+    ),
+    "node-failure": CampaignKind(
+        provider_node_failure, "node-failure", "Single node (AS) failure"
+    ),
+    "flap": CampaignKind(
+        link_flap_episode,
+        "link-flap",
+        "Link-flap campaign ({flaps} flap(s), period {period:g}s): "
+        "episode-wide mean affected ASes",
+        params=(
+            ("period",
+             "seconds between a failure and the next restore "
+             "(default {default:g}: partial convergence under a 30s MRAI)"),
+            ("flaps", "number of fail/restore cycles (2*flaps phases)"),
+        ),
+        phase_legend="even phases fail the link, odd phases restore it",
+    ),
+}

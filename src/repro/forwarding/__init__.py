@@ -6,10 +6,20 @@ outcome as delivered, looped, or blackholed — the paper's definition of
 a transient routing problem (section 6.2).
 """
 
-from repro.forwarding.walk import WalkClassifier, classify_functional_graph
-from repro.forwarding.bgp_plane import BGPDataPlane
-from repro.forwarding.rbgp_plane import RBGPDataPlane
-from repro.forwarding.stamp_plane import STAMPDataPlane
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.forwarding.walk": (
+            "WalkClassifier",
+            "classify_functional_graph",
+        ),
+        "repro.forwarding.bgp_plane": ("BGPDataPlane",),
+        "repro.forwarding.rbgp_plane": ("RBGPDataPlane",),
+        "repro.forwarding.stamp_plane": ("STAMPDataPlane",),
+    },
+)
 
 __all__ = [
     "WalkClassifier",

@@ -13,9 +13,16 @@ updates.  This is an AS-level reproduction built on the BGP substrate:
   stale-path exploration.
 """
 
-from repro.rbgp.messages import FailoverAnnouncement, FailoverWithdrawal
-from repro.rbgp.speaker import RBGPSpeaker
-from repro.rbgp.network import RBGPNetwork
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.rbgp.messages": ("FailoverAnnouncement", "FailoverWithdrawal"),
+        "repro.rbgp.speaker": ("RBGPSpeaker",),
+        "repro.rbgp.network": ("RBGPNetwork",),
+    },
+)
 
 __all__ = [
     "FailoverAnnouncement",

@@ -8,11 +8,18 @@ to synthesize RouteViews-style tables, to seed analyses, and as an
 oracle the dynamic simulators are cross-validated against.
 """
 
-from repro.routing.static import (
-    RouteClass,
-    StableRoute,
-    StableRoutingState,
-    compute_stable_routes,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.routing.static": (
+            "RouteClass",
+            "StableRoute",
+            "StableRoutingState",
+            "compute_stable_routes",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,28 +6,35 @@ an append-only journal, idempotent content-hash submission, bounded
 admission, and graceful drain on SIGTERM.  See ``docs/service.md``.
 """
 
-from repro.service.app import (
-    CampaignHTTPServer,
-    CampaignService,
-    QueueFullError,
-    ResultNotReadyError,
-    ServiceConfig,
-    ShuttingDownError,
-    UnknownCampaignError,
-    build_result_document,
-    run_service,
-)
-from repro.service.journal import CampaignJournal
-from repro.service.spec import CampaignSpec, ServiceLimits
-from repro.service.state import (
-    CANCELLED,
-    Campaign,
-    DONE,
-    FAILED,
-    PARTIAL,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.service.app": (
+            "CampaignHTTPServer",
+            "CampaignService",
+            "QueueFullError",
+            "ResultNotReadyError",
+            "ServiceConfig",
+            "ShuttingDownError",
+            "UnknownCampaignError",
+            "build_result_document",
+            "run_service",
+        ),
+        "repro.service.journal": ("CampaignJournal",),
+        "repro.service.spec": ("CampaignSpec", "ServiceLimits"),
+        "repro.service.state": (
+            "CANCELLED",
+            "Campaign",
+            "DONE",
+            "FAILED",
+            "PARTIAL",
+            "QUEUED",
+            "RUNNING",
+            "TERMINAL_STATES",
+        ),
+    },
 )
 
 __all__ = [

@@ -80,9 +80,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, SpecValidationError
 from repro.experiments.canonical import canonical_json
-from repro.experiments.figures import CAMPAIGNS
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.parallel import FailureFigureData, ParallelRunner
+from repro.experiments.scenarios import CAMPAIGNS
 from repro.experiments.supervisor import UnitFailure, WorkerBudget
 from repro.service.journal import CampaignJournal
 from repro.service.spec import CampaignSpec, ServiceLimits

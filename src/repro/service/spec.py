@@ -23,7 +23,7 @@ This module turns it into a :class:`CampaignSpec`:
   knobs are excluded from the hash: they cannot change any result.
 
 The spec's ``kind`` names an entry of the campaign catalogue
-(:data:`repro.experiments.figures.CAMPAIGNS` — the one the CLI's
+(:data:`repro.experiments.scenarios.CAMPAIGNS` — the one the CLI's
 subcommands read), which supplies the module-level episode builder and
 the ledger unit kind, so the campaign fans out over the existing
 supervised pool unchanged and shares its ledger with CLI runs.
@@ -36,8 +36,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SpecValidationError
 from repro.experiments.canonical import canonical_bytes, sha256_hex
-from repro.experiments.figures import CAMPAIGNS
 from repro.experiments.runner import PROTOCOLS
+from repro.experiments.scenarios import CAMPAIGNS
 from repro.topology.generators import InternetTopologyConfig
 
 KINDS: Tuple[str, ...] = tuple(CAMPAIGNS)

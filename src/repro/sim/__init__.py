@@ -6,11 +6,18 @@ pacing (30 s x U[0.75, 1.0]), and forwarding-change tracing consumed by
 the transient-problem analyzer.
 """
 
-from repro.sim.engine import Engine, EventHandle
-from repro.sim.delays import DelayModel, UniformDelay
-from repro.sim.transport import Transport, SessionDownListener
-from repro.sim.timers import MRAIConfig, MRAIPacer
-from repro.sim.tracing import ForwardingChange, ForwardingTrace
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.sim.engine": ("Engine", "EventHandle"),
+        "repro.sim.delays": ("DelayModel", "UniformDelay"),
+        "repro.sim.transport": ("Transport", "SessionDownListener"),
+        "repro.sim.timers": ("MRAIConfig", "MRAIPacer"),
+        "repro.sim.tracing": ("ForwardingChange", "ForwardingTrace"),
+    },
+)
 
 __all__ = [
     "Engine",

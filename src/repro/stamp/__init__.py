@@ -8,13 +8,20 @@ attribute tells the data plane which process currently has stable
 routes.
 """
 
-from repro.stamp.coloring import (
-    BlueProviderSelector,
-    RandomBlueSelector,
-    IntelligentBlueSelector,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.stamp.coloring": (
+            "BlueProviderSelector",
+            "RandomBlueSelector",
+            "IntelligentBlueSelector",
+        ),
+        "repro.stamp.node": ("STAMPNode",),
+        "repro.stamp.network": ("STAMPNetwork", "STAMPConfig"),
+    },
 )
-from repro.stamp.node import STAMPNode
-from repro.stamp.network import STAMPNetwork, STAMPConfig
 
 __all__ = [
     "BlueProviderSelector",

@@ -6,37 +6,52 @@ inference algorithm, RouteViews-style table synthesis, valley-free path
 utilities, and (de)serialization.
 """
 
-from repro.topology.graph import ASGraph
-from repro.topology.generators import (
-    InternetTopologyConfig,
-    generate_internet_topology,
-    chain_topology,
-    clique_topology,
-    example_paper_topology,
-)
-from repro.topology.paths import (
-    is_valley_free,
-    split_uphill_downhill,
-    downhill_nodes,
-    downhill_node_disjoint,
-    path_is_loop_free,
-)
-from repro.topology.inference import InferenceResult, infer_relationships
-from repro.topology.routeviews import (
-    RouteViewsTable,
-    synthesize_routeviews_tables,
-    dump_tables,
-    parse_tables,
-)
-from repro.topology.serialization import load_graph, save_graph, graph_to_lines
-from repro.topology.validation import ValidationReport, validate_graph
-from repro.topology.caida import CAIDAFormatError, CAIDALoadReport, load_caida
-from repro.topology.shm import (
-    AttachedGraph,
-    SharedGraph,
-    attach_graph,
-    share_graph,
-    shared_memory_available,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.topology.graph": ("ASGraph",),
+        "repro.topology.generators": (
+            "InternetTopologyConfig",
+            "generate_internet_topology",
+            "chain_topology",
+            "clique_topology",
+            "example_paper_topology",
+        ),
+        "repro.topology.paths": (
+            "is_valley_free",
+            "split_uphill_downhill",
+            "downhill_nodes",
+            "downhill_node_disjoint",
+            "path_is_loop_free",
+        ),
+        "repro.topology.inference": ("InferenceResult", "infer_relationships"),
+        "repro.topology.routeviews": (
+            "RouteViewsTable",
+            "synthesize_routeviews_tables",
+            "dump_tables",
+            "parse_tables",
+        ),
+        "repro.topology.serialization": (
+            "load_graph",
+            "save_graph",
+            "graph_to_lines",
+        ),
+        "repro.topology.validation": ("ValidationReport", "validate_graph"),
+        "repro.topology.caida": (
+            "CAIDAFormatError",
+            "CAIDALoadReport",
+            "load_caida",
+        ),
+        "repro.topology.shm": (
+            "AttachedGraph",
+            "SharedGraph",
+            "attach_graph",
+            "share_graph",
+            "shared_memory_available",
+        ),
+    },
 )
 
 __all__ = [

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.errors import ParseError
+from repro.routing.static import compute_stable_routes
 from repro.topology.graph import ASGraph
 from repro.types import ASN, ASPath
 
@@ -50,8 +51,6 @@ def synthesize_routeviews_tables(
     (RouteViews peers are predominantly large transit networks): all
     tier-1s plus random transit ASes up to ``n_vantages``.
     """
-    from repro.routing import compute_stable_routes  # local: avoids import cycle
-
     rng = random.Random(seed)
     if vantages is None:
         chosen: List[ASN] = list(graph.tier1s())

@@ -30,8 +30,9 @@ speakers, never the trace, and computes what it checks by itself.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.analysis.transient import (
     EpisodeSegment,
@@ -43,6 +44,12 @@ from repro.bgp.ribs import Route
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import collect_episode_segments
 from repro.rbgp.network import RBGPNetwork
+from repro.stamp.network import STAMPNetwork
+
+#: How many times each assertion of :func:`check_quiescent` was
+#: evaluated in this process, by name (``docs/measurements/`` reports
+#: the totals of a tier-1 run).
+TALLY: collections.Counter = collections.Counter()
 
 
 @dataclass
@@ -87,7 +94,7 @@ def collect_live(network, episode) -> LiveEpisode:
 def check_quiescent(network, *, not_before: float, drained: bool = True) -> float:
     """Protocol invariants at a stop between two engine events.
 
-    Three assertions so far; returns the clock for the next stop's
+    Five assertions so far; returns the clock for the next stop's
     ``not_before``:
 
     1. the clock has not run backwards since the previous stop;
@@ -95,26 +102,71 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
        inside an episode still holds its later injectors);
     3. every live R-BGP speaker advertises, to its primary next hop,
        the most link-disjoint alternate — an argmin computed here from
-       the Adj-RIB-In alone, not by asking the speaker.
+       the Adj-RIB-In alone, not by asking the speaker;
+    4. wherever the run has ``drained``, what every live speaker last
+       told each session peer is what it would tell it now (Adj-RIB-Out
+       == ``export_for``; inside an episode an armed MRAI timer or a
+       deferred recolor withdrawal may still owe a peer an update);
+    5. no message is in flight on a channel whose session is down — a
+       failure condemns what was queued, and nothing is queued after it.
+
+    Asking a speaker what it would export must not move the network: a
+    STAMP gate that had to *choose* a Lock target here (a draw from the
+    engine's generator) was left unsettled by the run.
     """
     engine = network.engine
+    transport = network.transport
     assert engine.now >= not_before, (engine.now, not_before)
     if drained:
         assert engine.pending() == 0, f"{engine.pending()} events still queued"
     if isinstance(network, RBGPNetwork):
         for asn, speaker in network.speakers.items():
-            if not network.transport.as_is_up(asn):
+            if not transport.as_is_up(asn):
                 continue
             if speaker.best is None and speaker.rci:
                 # Documented retention: with RCI a routeless speaker
                 # keeps its last failover advertisement alive.
                 continue
             expected = _most_disjoint_alternate(network.graph, speaker)
+            TALLY["failover is the most disjoint alternate"] += 1
             assert speaker._failover_sent == expected, (
                 f"AS {asn} (best {speaker.best}) advertises failover "
                 f"{speaker._failover_sent}, the most disjoint is {expected}"
             )
+    if drained:
+        generator = engine.rng.getstate()
+        for asn, speaker in _live_speakers(network):
+            for peer in speaker.sorted_sessions():
+                told, owed = speaker._advertised.get(peer), speaker.export_for(peer)
+                TALLY["Adj-RIB-Out is export_for"] += 1
+                assert told == owed, (
+                    f"AS {asn} ({speaker.tag}) last told {peer} {told}, "
+                    f"it would now export {owed}"
+                )
+        assert engine.rng.getstate() == generator, "an export gate drew"
+    for (src, dst, tag), channel in transport._channels.items():
+        in_flight = len(channel.queue) - channel.pending_losses
+        TALLY["nothing in flight over a dead session"] += 1
+        assert not in_flight or transport.link_is_up(src, dst), (
+            f"{in_flight} message(s) in flight {src}->{dst} ({tag}) "
+            f"over a session that is down"
+        )
     return engine.now
+
+
+def _live_speakers(network) -> Iterator[Tuple[int, object]]:
+    """``(asn, speaker)`` of every routing process of every live AS."""
+    if isinstance(network, STAMPNetwork):
+        processes = (
+            (asn, process)
+            for asn, node in network.nodes.items()
+            for process in (node.red, node.blue)
+        )
+    else:
+        processes = network.speakers.items()
+    for asn, speaker in processes:
+        if network.transport.as_is_up(asn):
+            yield asn, speaker
 
 
 def _most_disjoint_alternate(graph, speaker):

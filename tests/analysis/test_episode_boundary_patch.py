@@ -68,6 +68,7 @@ from repro.forwarding.walk import SuccessorTable
 from repro.rbgp import network as rbgp_network
 from repro.rbgp.speaker import RBGPSpeaker
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
+from repro.sim.transport import Transport
 from repro.types import Color, normalize_link
 from test_successor_table import (
     FUZZ_ASES,
@@ -307,6 +308,79 @@ class TestAWrongFailoverPickIsCaught:
             check_quiescent(
                 network, not_before=network.engine.now + 1.0, drained=False
             )
+
+
+class TestAStaleAdvertisementIsCaught:
+    """Adj-RIB-Out == ``export_for`` at every drained stop: a speaker
+    whose ``refresh_peer`` passes over one peer — the destination never
+    tells one of its providers anything — leaves that session's
+    Adj-RIB-Out behind its export decision, and the first stop says so."""
+
+    @pytest.mark.parametrize("protocol", PLANES)
+    def test_a_refresh_that_skips_one_peer_fails(self, monkeypatch, protocol):
+        graph = _random_topology(0)
+        episode = link_flap_episode(
+            graph, random.Random("teeth"), period=2.0, flaps=2
+        )
+        skipper = episode.destination
+        skipped = graph.providers(skipper)[-1]
+        refresh_peer = BGPSpeaker.refresh_peer
+
+        def forgetful(self, peer, *args, **kwargs):
+            if not (self.asn == skipper and peer == skipped):
+                refresh_peer(self, peer, *args, **kwargs)
+
+        run_live(graph, episode, protocol)  # the intact speaker passes
+        clear_twin_start_cache()
+        monkeypatch.setattr(BGPSpeaker, "refresh_peer", forgetful)
+        try:
+            with pytest.raises(
+                AssertionError,
+                match=f"AS {skipper} .* last told {skipped} None, it would now",
+            ):
+                run_live(graph, episode, protocol)
+        finally:
+            clear_twin_start_cache()  # holds a snapshot of the broken net
+
+
+class TestAnUncondemnedMessageIsCaught:
+    """Nothing in flight over a dead session, at every stop: a failure
+    path that forgets ``_condemn_in_flight`` leaves the updates the
+    first failure set off queued on the link the second one takes
+    down.  Both boundaries sit inside the 10 ms minimum message delay,
+    so the camera of the third finds them still in flight."""
+
+    def _episode(self):
+        graph = _random_topology(0)
+        base = link_flap_episode(graph, random.Random("teeth"), flaps=1)
+        (_, down), _ = base.steps
+        destination, provider = down.link
+        # The provider re-advertises to every other neighbor at once.
+        onward = next(n for n in graph.neighbors(provider) if n != destination)
+        return graph, Episode(
+            destination=destination,
+            steps=(
+                (0.0, down),
+                (0.001, fail_link(provider, onward)),
+                (0.002, restore_link(destination, provider)),
+            ),
+        )
+
+    @pytest.mark.parametrize("protocol", PLANES)
+    def test_a_failure_that_condemns_nothing_fails(self, monkeypatch, protocol):
+        graph, episode = self._episode()
+        run_live(graph, episode, protocol)  # the intact transport passes
+        clear_twin_start_cache()
+        monkeypatch.setattr(
+            Transport, "_condemn_in_flight", lambda self, affects: None
+        )
+        try:
+            with pytest.raises(
+                AssertionError, match="in flight .* over a session that is down"
+            ):
+                run_live(graph, episode, protocol)
+        finally:
+            clear_twin_start_cache()
 
 
 class TestPatchedVsRebuilt:

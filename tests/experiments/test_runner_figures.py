@@ -108,6 +108,25 @@ class TestFigureFunctions:
         with pytest.raises(TypeError, match="perod"):
             link_flap_comparison(config, perod=3.0)
 
+    def test_each_packaged_function_runs_the_family_it_is_named_for(self):
+        """The five are bound to the catalogue's keys by position."""
+        from repro.experiments import figures
+
+        assert {
+            name: getattr(figures, name).args
+            for name in (
+                "fig2_single_link_failure", "fig3a_two_links_distinct_as",
+                "fig3b_two_links_same_as", "node_failure_comparison",
+                "link_flap_comparison",
+            )
+        } == {
+            "fig2_single_link_failure": ("fig2",),
+            "fig3a_two_links_distinct_as": ("fig3a",),
+            "fig3b_two_links_same_as": ("fig3b",),
+            "node_failure_comparison": ("node-failure",),
+            "link_flap_comparison": ("flap",),
+        }
+
     def test_sec61(self, config):
         data = sec61_intelligent_selection(config)
         assert data.mean_phi_intelligent >= data.mean_phi_random - 1e-9

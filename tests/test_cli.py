@@ -132,6 +132,40 @@ class TestCommands:
         assert captured.err == f"repro-stamp flap: error: {message}\n"
         assert not ledger.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        ["fig1", *CAMPAIGNS, "intelligent", "deployment", "overhead", "delay"],
+    )
+    @pytest.mark.parametrize("topology", ["missing", "directory", "garbage"])
+    def test_an_unusable_topology_file_is_a_usage_error(
+        self, command, topology, tmp_path, capsys
+    ):
+        """Regression: a mistyped ``--topology-file`` was a raw
+        ``FileNotFoundError`` traceback and a malformed one a raw
+        ``CAIDAFormatError`` traceback from inside ``load_caida``.  One
+        line on stderr and exit 2, for every command that reads the
+        flag, before anything ran."""
+        path = tmp_path / "as-rel.txt"
+        if topology == "directory":
+            path.mkdir()
+        elif topology == "garbage":
+            path.write_text("garbage|x|y\n")
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["--topology-file", str(path), "--ledger", str(ledger), command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"repro-stamp {command}: error: "
+        assert captured.err.startswith(prefix)
+        assert captured.err.count("\n") == 1  # no traceback
+        reason = {
+            "missing": "No such file or directory",
+            "directory": "Is a directory",
+            "garbage": "line 1: non-integer field: 'garbage|x|y'",
+        }[topology]
+        assert reason in captured.err
+        assert not ledger.exists()
+
     def test_intelligent(self, capsys):
         assert main(TINY + ["intelligent"]) == 0
         assert "intelligent" in capsys.readouterr().out
@@ -198,6 +232,32 @@ class TestLedgerCommands:
             str(tmp_path / "a.jsonl"), str(tmp_path / "missing.jsonl"),
         ]) == 1
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("log", ["ledger", "journal"])
+    @pytest.mark.parametrize("action", ["stats", "compact"])
+    def test_a_mistyped_path_is_not_an_empty_log(
+        self, log, action, tmp_path, capsys
+    ):
+        """Regression: ``stats`` of a path that does not exist printed
+        an all-zero table and exited 0, and ``ledger compact`` *created*
+        a 52-byte ledger at the typo.  Refused in one line and exit 1,
+        as ``ledger merge`` refuses a missing input; nothing created."""
+        path = tmp_path / "typo.jsonl"
+        assert main([log, action, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {log} does not exist: {path}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_campaign_still_creates_the_ledger_it_names(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "new.jsonl"
+        assert main(TINY + ["--ledger", str(path), "fig2"]) == 0
+        capsys.readouterr()
+        assert main(["ledger", "stats", str(path)]) == 0
+        assert "records         4\n" in capsys.readouterr().out
 
 
 class TestServeParser:

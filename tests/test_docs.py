@@ -209,7 +209,7 @@ def test_every_campaign_decision_has_one_owner():
         path.relative_to(REPO).as_posix(): path.read_text()
         for path in (REPO / "src" / "repro").rglob("*.py")
     }
-    catalogue = "src/repro/experiments/figures.py"
+    catalogue = "src/repro/experiments/scenarios.py"
     generator = "src/repro/topology/generators.py"
     owners = {
         "fig2-single-link": catalogue,
@@ -322,6 +322,60 @@ def test_the_event_queue_and_the_failover_scan_have_one_owner():
         and getattr(node.func, "attr", None) == "_failover_key_for",
     )
     assert scans == ["compute_failover_route"]
+
+
+def test_modules_import_from_the_defining_submodule():
+    """The import contract, enforced.  Package ``__init__``s resolve
+    their public names lazily and only for callers *outside* the
+    package tree: a module under ``src/repro/`` names the defining
+    submodule in every ``from repro... import``, so no package table
+    decides import order and no import of a sibling drags a whole
+    package in.  ``from repro.<pkg> import <submodule>`` is a submodule
+    import and stays legal; ``__init__.py`` files (they share one
+    helper) and ``cli.py`` are exempt.  And the eager import blocks
+    stay deleted: an ``__init__`` imports nothing from ``repro`` but
+    that helper."""
+    root = REPO / "src"
+
+    def is_package(dotted):
+        return (root.joinpath(*dotted.split(".")) / "__init__.py").is_file()
+
+    def is_module(dotted):
+        return is_package(dotted) or (
+            root.joinpath(*dotted.split(".")).with_suffix(".py").is_file()
+        )
+
+    inits = sorted((root / "repro").rglob("__init__.py"))
+    assert len(inits) == 11
+    for path in sorted((root / "repro").rglob("*.py")):
+        name = path.relative_to(REPO).as_posix()
+        imports = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "repro"
+        ]
+        if path in inits:
+            helper = [] if path.parent.name == "repro" else [
+                ("repro", "_lazy_exports")
+            ]
+            assert [
+                (node.module, alias.name)
+                for node in imports for alias in node.names
+            ] == helper, name
+            continue
+        if path.name == "cli.py":
+            continue
+        for node in imports:
+            if not is_package(node.module):
+                continue
+            through_init = [
+                alias.name for alias in node.names
+                if not is_module(f"{node.module}.{alias.name}")
+            ]
+            assert not through_init, (
+                f"{name}:{node.lineno} imports {through_init} through "
+                f"{node.module}/__init__.py, not from the defining submodule"
+            )
 
 
 def test_every_cited_document_exists():
