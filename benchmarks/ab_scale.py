@@ -11,15 +11,25 @@ with ``PYTHONPATH`` set to that tree — sides alternating, the side that
 goes first rotating — and each child times ``run_episode`` with
 ``time.process_time`` (wall clock swings ±50% on a shared VM).  The two
 R-BGP variants run in one child, ``rbgp-norci`` first, because they
-share a start.  A sha256 over each run's result must agree between the
-sides before any timing means anything; the exit code is 1 if one does
-not.  Standard library only, and only names both trees are sure to
-have: ``run_episode``, the scenario builders, the topology generator.
+share a start.  The child runs with the cyclic garbage collector off,
+as every production path runs a unit (``supervisor._cyclic_gc_paused``):
+nothing leaks, because ``run_episode`` disposes each network, and a
+collection landing in one side's timed window would otherwise be noise
+of the allocator's, not of the change.  A sha256 over each run's result
+must agree between the sides before any timing means anything; the
+exit code is 1 if one does not.  Standard library only, and only names
+both trees are sure to have: ``run_episode``, the scenario builders,
+the topology generator.
+
+``--kind``: ``fig2`` (one link failure), ``flapN`` (N flaps, 2 s
+apart), ``maintenance`` and ``outage`` (the other two multi-phase
+families, at their builders' defaults).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -38,6 +48,12 @@ SCALES = {
     20: dict(seed=0, n_tier1=20, n_tier2=960, n_tier3=2400, n_stub=8800),
 }
 RBGP_PAIR = ("rbgp-norci", "rbgp")
+#: ``--kind`` → builder of every family but the flap storm.
+FAMILIES = {
+    "fig2": "single_provider_link_failure",
+    "maintenance": "staggered_maintenance_episode",
+    "outage": "correlated_outage_episode",
+}
 
 
 def child(scale: int, kind: str, planes: list, seed: int) -> None:
@@ -51,12 +67,13 @@ def child(scale: int, kind: str, planes: list, seed: int) -> None:
 
     graph, _ = generate_internet_topology(InternetTopologyConfig(**SCALES[scale]))
     rng = random.Random(f"ab-scale:{seed}")
-    if kind == "fig2":
-        episode = scenarios.single_provider_link_failure(graph, rng)
+    if kind in FAMILIES:
+        episode = getattr(scenarios, FAMILIES[kind])(graph, rng)
     else:
         episode = scenarios.link_flap_episode(
             graph, rng, period=2.0, flaps=int(kind[len("flap"):])
         )
+    gc.disable()
 
     def fields(report):
         return (
@@ -82,8 +99,10 @@ def child(scale: int, kind: str, planes: list, seed: int) -> None:
 
 
 def episode_kind(text: str) -> str:
-    if not re.fullmatch(r"fig2|flap[1-9]\d*", text):
-        raise argparse.ArgumentTypeError(f"{text!r}: expected fig2 or flapN")
+    if text not in FAMILIES and not re.fullmatch(r"flap[1-9]\d*", text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected {', '.join(FAMILIES)} or flapN"
+        )
     return text
 
 
@@ -107,7 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=int, choices=sorted(SCALES), default=20)
     parser.add_argument(
         "--kind", type=episode_kind, default="fig2",
-        help="fig2, or flapN (N flaps, 2 s apart)",
+        help="fig2, maintenance, outage, or flapN (N flaps, 2 s apart)",
     )
     parser.add_argument(
         "--planes", nargs="+", default=["bgp", *RBGP_PAIR, "stamp"],

@@ -466,11 +466,12 @@ def test_transient_analysis_episode_long(
     """Long-horizon flap storm where boundary cost dominates.
 
     512 phases two simulated seconds apart: each segment's trace is
-    tiny, so per-boundary work (failure-set patch, phase eligibility,
-    seeding/finalization) is nearly the whole bill.  Pins the
-    cross-boundary successor-table patching path on a plane with exact
-    boundary invalidation (bgp, stamp) and on the one that re-derives
-    every row per boundary (rbgp).
+    tiny, so per-boundary work (failure-set patch, the failure-free
+    detour for phase eligibility, tracker seeding/finalization) is
+    nearly the whole bill.  Pins the cross-boundary successor-table
+    patching path on the one-state planes (bgp; rbgp, whose boundary
+    also re-derives the rows that divert) and the four-state one
+    (stamp).
     """
     network, plane, episode = _storm(graph, protocol)
     segments, initial_state, _ = collect_episode_segments(network, episode)

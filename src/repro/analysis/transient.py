@@ -183,46 +183,55 @@ class EpisodeTransientReport:
     phases: List[TransientReport] = field(default_factory=list)
 
 
-def _delivered_sources(table: SuccessorTable, ases: Iterable[ASN]) -> Set[ASN]:
-    """The sources among ``ases`` whose packets the table delivers."""
-    return {
-        asn
-        for asn, outcome in table.source_outcomes(ases).items()
-        if outcome is Outcome.DELIVERED
-    }
+def _delivered_sources(
+    table: SuccessorTable, universe: FrozenSet[ASN]
+) -> Set[ASN]:
+    """The sources in ``universe`` whose packets the table delivers.
+
+    Read off the table's undelivered rows: a source the table has no
+    row for has no routes, and a row outside ``universe`` (a next hop
+    interned on the way) is not a source.
+    """
+    asns = table.asns
+    delivered = table.pos.keys() & universe
+    delivered.difference_update([asns[i] for i in table.undelivered])
+    return delivered
 
 
 class _PhaseTracker:
     """Interval bookkeeping of one report: a phase's, or the episode's.
 
-    Fed by :class:`_IncrementalScan`: the first scan it observes seeds
-    every eligible source as if classified from scratch, later scans
-    fold in the table's outcome transitions, and :meth:`finalize`
-    separates permanent unreachability from transient problems and
-    closes the still-open intervals.  A phase's tracker lives for one
-    segment, from after its boundary scan (an episode-level concept
-    the standalone per-phase semantics never see); the episode-wide
-    tracker observes every scan of every segment, which is how its
-    intervals span phase boundaries.
+    Fed by :class:`_IncrementalScan`: the first scan it observes opens
+    an interval for every eligible source among the table's undelivered
+    rows, later scans fold in the table's outcome transitions, and
+    :meth:`finalize` makes the intervals still open permanent
+    unreachability.  ``problem_since`` is exactly the eligible sources
+    not delivered at the last scan, so nothing here costs O(eligible).
+    A phase's tracker lives for one segment, from after its boundary
+    scan (an episode-level concept the standalone per-phase semantics
+    never see); the episode-wide tracker observes every scan of every
+    segment, which is how its intervals span phase boundaries.
     """
 
-    __slots__ = (
-        "report",
-        "min_duration",
-        "outcome_of",
-        "problem_since",
-        "problems_now",
-        "last_time",
-    )
+    __slots__ = ("report", "min_duration", "seeded", "problem_since")
 
     def __init__(self, report: TransientReport, min_duration: float) -> None:
         self.report = report
         self.min_duration = min_duration
-        #: Fate of every eligible source; ``None`` until the first scan.
-        self.outcome_of: Optional[Dict[ASN, Outcome]] = None
+        self.seeded = False
         self.problem_since: Dict[ASN, Tuple[float, Set[Outcome]]] = {}
-        self.problems_now = 0
-        self.last_time = 0.0
+
+    def _seed(self, table: SuccessorTable, time: float) -> None:
+        """Open an interval per eligible source the table fails."""
+        eligible = self.report.eligible
+        asns = table.asns
+        source_outcome = table.source_outcome
+        problem_since = self.problem_since
+        for i in table.undelivered:
+            asn = asns[i]
+            if asn in eligible:
+                problem_since[asn] = (time, {source_outcome[i]})
+        self.seeded = True
 
     def _close_interval(self, asn: ASN, end: float) -> None:
         start, kinds = self.problem_since.pop(asn)
@@ -236,31 +245,25 @@ class _PhaseTracker:
             report.blackholed.add(asn)
 
     def observe(self, table: SuccessorTable, transitions, time: float) -> None:
-        """Fold one scanned instant into the intervals and timelines."""
+        """Fold one scanned instant into the intervals and timelines.
+
+        ``transitions`` may name a source that ends where this tracker
+        last saw it (a boundary's detour moved it there and back): a
+        DELIVERED with no open interval, or a problem it already has.
+        """
         problem_since = self.problem_since
-        delivered = Outcome.DELIVERED
-        outcome_of = self.outcome_of
-        if outcome_of is None:
-            outcome_of = self.outcome_of = table.source_outcomes(
-                self.report.eligible
-            )
-            for asn, outcome in outcome_of.items():
-                if outcome is not delivered:
-                    self.problems_now += 1
-                    problem_since[asn] = (time, {outcome})
+        if not self.seeded:
+            self._seed(table, time)
         else:
+            eligible = self.report.eligible
+            delivered = Outcome.DELIVERED
             for asn, outcome in transitions:
-                old = outcome_of.get(asn)
-                if old is None:
-                    continue  # not an eligible source
-                outcome_of[asn] = outcome
+                if asn not in eligible:
+                    continue
                 if outcome is delivered:
-                    self.problems_now -= 1
                     if asn in problem_since:
                         self._close_interval(asn, time)
                 else:
-                    if old is delivered:
-                        self.problems_now += 1
                     entry = problem_since.get(asn)
                     if entry is None:
                         problem_since[asn] = (time, {outcome})
@@ -268,11 +271,10 @@ class _PhaseTracker:
                         entry[1].add(outcome)
         report = self.report
         report.timeline.append((time, len(report.affected)))
-        report.problem_timeline.append((time, self.problems_now))
-        self.last_time = time
+        report.problem_timeline.append((time, len(problem_since)))
 
     def finalize(self, table: SuccessorTable) -> TransientReport:
-        """Resolve permanence and close the still-open intervals.
+        """Make the intervals still open permanent unreachability.
 
         An AS still failing in the fully converged state was
         partitioned, not disrupted by convergence; ``table`` holds that
@@ -280,20 +282,12 @@ class _PhaseTracker:
         fates are read off it once, without touching the timelines.
         """
         report = self.report
-        outcome_of = self.outcome_of
-        if outcome_of is None:
+        if not self.seeded:
             # Nothing was scanned since the table was last patched, so
             # no tracker is waiting for the transitions this flushes.
             table.collect_transitions()
-            outcome_of = table.source_outcomes(report.eligible)
-        for asn, outcome in outcome_of.items():
-            if outcome is not Outcome.DELIVERED:
-                report.permanently_unreachable.add(asn)
-                self.problem_since.pop(asn, None)
-        # Intervals still open recovered by the final classification
-        # above, so they end at the last scanned instant.
-        for asn in list(self.problem_since):
-            self._close_interval(asn, self.last_time)
+            self._seed(table, 0.0)
+        report.permanently_unreachable.update(self.problem_since)
         report.affected -= report.permanently_unreachable
         report.looped -= report.permanently_unreachable
         report.blackholed -= report.permanently_unreachable
@@ -318,23 +312,30 @@ class _IncrementalScan:
     def __init__(self, plane: WalkClassifier, state: Dict) -> None:
         self.state = state
         self.table = plane._session_table(state, frozenset(), frozenset())
-        #: Keys whose walk-observable projection moved since the owner
-        #: last drained the set (the episode analyzer syncs its
-        #: failure-free eligibility table from it once per boundary).
-        self.moved: Set = set()
+        #: Transitions flushed outside a scan (a boundary's failure-free
+        #: detour), source -> latest outcome, merged into the next scan
+        #: so the trackers see each source move from what they last
+        #: observed.
+        self.held: Dict[ASN, Outcome] = {}
         self.main: Optional[_PhaseTracker] = None
         self.phase: Optional[_PhaseTracker] = None
+
+    def hold(self) -> None:
+        """Flush the table now; report its transitions with the next scan."""
+        self.held.update(self.table.collect_transitions())
 
     def scan(self, time: float, changed_keys: Optional[set]) -> None:
         table = self.table
         if changed_keys:
             update = table.update
             state_get = self.state.get
-            moved_add = self.moved.add
             for key in changed_keys:
-                if update(key, state_get(key)):
-                    moved_add(key)
+                update(key, state_get(key))
         transitions = table.collect_transitions()
+        if self.held:
+            held, self.held = self.held, {}
+            held.update(transitions)
+            transitions = held.items()
         if self.main is not None:
             self.main.observe(table, transitions, time)
         if self.phase is not None:
@@ -388,10 +389,12 @@ def analyze_episode_transient_problems(
     flips walk outcomes without touching a single trace key).  The
     per-phase attribution reports (identical to analyzing each segment
     in isolation — the equivalence tests pin this) are derived from
-    the same pass by a per-segment :class:`_PhaseTracker`, with phase
-    eligibility (failure-free delivery at the phase's start) kept by a
-    second, failure-free table built at the first boundary and synced
-    once per boundary after it, its transitions updating the set.
+    the same pass by a per-segment :class:`_PhaseTracker`.  Phase
+    eligibility (failure-free delivery at the phase's start) is read
+    off the same table on a detour: at each later boundary it is
+    patched to the empty failure sets first, its delivered sources
+    read, and only then patched to the phase's sets; the detour's
+    transitions are held for the next scan.
 
     A single-segment episode — the paper's single-instant workloads —
     pays for neither: its one phase has the overall report's
@@ -401,13 +404,14 @@ def analyze_episode_transient_problems(
     segments = list(segments)
     if not segments:
         return EpisodeTransientReport(overall=TransientReport())
-    all_ases = list(ases)
+    universe = frozenset(ases)
     # One table serves the whole analysis: built failure-free over the
     # snapshot it answers pre-episode eligibility, then it is patched
     # to each phase's failure sets in turn.
     state = dict(initial_state)
     engine = _IncrementalScan(plane, state)
-    delivered = _delivered_sources(engine.table, all_ases)
+    table = engine.table
+    delivered = _delivered_sources(table, universe)
 
     # The baseline ignores failure sets (pre-event connectivity), and
     # ASes that are themselves failed at any point of the episode
@@ -420,29 +424,16 @@ def analyze_episode_transient_problems(
     if report.eligible:
         engine.main = _PhaseTracker(report, min_duration)
 
-    shadow: Optional[SuccessorTable] = None
-    #: ``ases`` as a set (a next hop the shadow interned mid-episode
-    #: is a row of it, not a source); built with the shadow.
-    universe: FrozenSet[ASN] = frozenset()
+    no_failures: FrozenSet = frozenset()
     phases: List[TransientReport] = []
     for index, segment in enumerate(segments):
-        engine.table.apply_boundary(segment.failed_links, segment.failed_ases)
-        if shadow is not None:
-            # Lazy shadow sync: keys that moved since the last
-            # boundary, at the values they hold now (a key that
-            # flapped back is dropped by the table itself).
-            for key in engine.moved:
-                shadow.update(key, state.get(key))
-            for asn, outcome in shadow.collect_transitions():
-                if outcome is not Outcome.DELIVERED:
-                    delivered.discard(asn)
-                elif asn in universe:
-                    delivered.add(asn)
-        elif index > 0:
-            shadow = plane._session_table(state, frozenset(), frozenset())
-            delivered = _delivered_sources(shadow, all_ases)
-            universe = frozenset(all_ases)
-        engine.moved.clear()
+        if index > 0:
+            # The detour for phase eligibility; when either phase is
+            # failure-free, one of its two patches is a no-op.
+            table.apply_boundary(no_failures, no_failures)
+            engine.hold()
+            delivered = _delivered_sources(table, universe)
+        table.apply_boundary(segment.failed_links, segment.failed_ases)
         changes = segment.trace.changes
         if index > 0 and (not changes or changes[0].time > segment.start_time):
             # Boundary scan: no synchronous reaction shares the
@@ -466,12 +457,12 @@ def analyze_episode_transient_problems(
         for time, _, changed in segment.trace.replay_onto(state):
             engine.scan(time, changed)
         if engine.phase is not None:
-            engine.phase.finalize(engine.table)
+            engine.phase.finalize(table)
             engine.phase = None
         phases.append(phase_report)
 
     if engine.main is not None:
-        engine.main.finalize(engine.table)
+        engine.main.finalize(table)
     return EpisodeTransientReport(overall=report, phases=phases)
 
 

@@ -40,6 +40,7 @@ import contextlib
 import gc
 import logging
 import multiprocessing
+import os
 import random
 import threading
 import time
@@ -105,6 +106,25 @@ def _twin_indices(units: Sequence[WorkUnit]) -> List[Optional[int]]:
     return twins
 
 
+#: The collector is one switch per process, and a daemon's lanes pause
+#: it from several threads: the first entrant records its state and
+#: disables it, the last one out restores it.
+_gc_pause_lock = threading.Lock()
+_gc_pause_depth = 0
+_gc_was_enabled = False
+
+
+def _reset_gc_pause() -> None:
+    """A forked child starts with no pause of its own (and a lock no
+    other thread of the parent can be holding)."""
+    global _gc_pause_lock, _gc_pause_depth
+    _gc_pause_lock = threading.Lock()
+    _gc_pause_depth = 0
+
+
+os.register_at_fork(after_in_child=_reset_gc_pause)
+
+
 @contextlib.contextmanager
 def _cyclic_gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector around simulation units.
@@ -115,16 +135,23 @@ def _cyclic_gc_paused() -> Iterator[None]:
     of end-to-end figure time.  Pausing is safe because every network
     is explicitly ``dispose()``d when its unit finishes — the cycles
     the collector would have to find are broken by hand, and memory
-    returns through reference counting.  The previous collector state
-    is restored on exit, even on error.
+    returns through reference counting.  Pauses nest, within a thread
+    and across threads: the collector state from before the outermost
+    one is restored when the last one ends, even on error.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
+    global _gc_pause_depth, _gc_was_enabled
+    with _gc_pause_lock:
+        if _gc_pause_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pause_depth += 1
     try:
         yield
     finally:
-        if was_enabled:
-            gc.enable()
+        with _gc_pause_lock:
+            _gc_pause_depth -= 1
+            if _gc_pause_depth == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 def run_unit(

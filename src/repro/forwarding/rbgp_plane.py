@@ -56,15 +56,18 @@ _PinState = Tuple[str, ASPath, int]
 class _RBGPTable(SuccessorTable):
     """One state per AS: usable primary hop, else the folded failover.
 
-    Columns: primary next hop, received failover entries (followed hop
-    by hop, so the full value is walk-observable).
+    Columns: primary next hop (indexed like BGP's), received failover
+    entries (followed hop by hop, so the full value is walk-observable).
     """
 
     slots = 2
-    #: Rows also read the failure sets through failover-path hops and
-    #: (no RCI) the local-detector set, which no hop index covers:
-    #: every row is re-derived at a boundary instead.
-    hop_slots = 0
+
+    def __init__(self, plane, state, failed_links, failed_ases) -> None:
+        #: Rows whose primary is unusable: the only rows that read the
+        #: failure sets past their own hop (failover rides, the
+        #: local-detector set).  Kept by :meth:`_derive`.
+        self.diverting: Set[int] = set()
+        super().__init__(plane, state, failed_links, failed_ases)
 
     def _project(self, tag, value):
         if tag == PRIMARY:
@@ -78,13 +81,21 @@ class _RBGPTable(SuccessorTable):
         )
 
     def _boundary_rows(self, changed_pairs, toggled_ases):
-        return range(len(self.asns))
+        """The base rule finds every row whose primary turns usable or
+        unusable; a row diverting before the boundary re-derives too.
+        A row whose primary stays usable derives the same, whatever
+        failover hop or local detector the delta moved."""
+        affected = super()._boundary_rows(changed_pairs, toggled_ases)
+        affected |= self.diverting
+        return affected
 
     def _derive(self, i: int):
         asn = self.asns[i]
         target = self._usable(asn, self.proj[0][i])
         if target >= 0:
+            self.diverting.discard(i)
             return i, target
+        self.diverting.add(i)
         rci = self.plane.rci
         if not rci and asn not in self.local_detectors:
             return i, BLACKHOLE_SID

@@ -138,7 +138,9 @@ class SuccessorTable:
     or :data:`DELIVERED_SID`; ``preds`` is the reverse adjacency;
     ``state_outcome`` the resolved fate of every state;
     ``start_sid`` / ``source_outcome`` each source's start state (``-1``
-    for an immediate blackhole) and packet fate.  ``proj`` holds one
+    for an immediate blackhole) and packet fate, and ``undelivered``
+    the rows whose fate is not DELIVERED (what a problem tracker seeds
+    from without reading every source).  ``proj`` holds one
     column per stored snapshot projection (what walks can observe of a
     key's value — a route's next hop, a flag, a failover entry list);
     the first ``hop_slots`` columns are raw next hops and are indexed
@@ -172,6 +174,7 @@ class SuccessorTable:
         self.state_outcome: List[Outcome] = []
         self.start_sid: List[int] = []
         self.source_outcome: List[Outcome] = []
+        self.undelivered: Set[int] = set()
         self.dirty: Set[int] = set()
         self.start_dirty: Set[int] = set()
         self._set_failures(failed_links, failed_ases)
@@ -189,6 +192,11 @@ class SuccessorTable:
         self.source_outcome = [
             _BLACKHOLE if sid < 0 else out[sid] for sid in self.start_sid
         ]
+        self.undelivered = {
+            i
+            for i, outcome in enumerate(self.source_outcome)
+            if outcome is not _DELIVERED
+        }
         self.start_dirty = set()
 
     # ------------------------------------------------------------------
@@ -246,6 +254,7 @@ class SuccessorTable:
             sid, outcome = DELIVERED_SID, _DELIVERED
         else:
             sid, outcome = BLACKHOLE_SID, _BLACKHOLE
+            self.undelivered.add(i)
         self.succ.extend([sid] * k)
         self.state_outcome.extend([outcome] * k)
         self.start_sid.append(k * i)
@@ -464,11 +473,16 @@ class SuccessorTable:
             self.dirty = set()
         out = self.state_outcome
         source_outcome = self.source_outcome
+        undelivered = self.undelivered
         asns = self.asns
         for i in start_dirty:
             sid = start_sid[i]
             new = _BLACKHOLE if sid < 0 else out[sid]
             if new is not source_outcome[i]:
+                if new is _DELIVERED:
+                    undelivered.discard(i)
+                else:
+                    undelivered.add(i)
                 source_outcome[i] = new
                 transitions.append((asns[i], new))
         self.start_dirty = set()

@@ -14,7 +14,7 @@ like running two BGP processes on distinct TCP ports.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Hashable, Iterable, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Iterable, List, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.delays import DelayModel, UniformDelay
@@ -148,6 +148,9 @@ class Transport:
             else None
         )
         self._receivers: Dict[Tuple[ASN, Hashable], Receiver] = {}
+        #: Every tag a receiver registered under (one per process of an
+        #: AS: ``None`` for BGP, red and blue for STAMP).
+        self._tags: List[Hashable] = []
         self._down_listeners: Dict[ASN, SessionDownListener] = {}
         self._channels: Dict[Tuple[ASN, ASN, Hashable], _Channel] = {}
         self._failed_links: Set[Link] = set()
@@ -206,6 +209,8 @@ class Transport:
         if key in self._receivers:
             raise SimulationError(f"receiver already registered for {key}")
         self._receivers[key] = receiver
+        if tag not in self._tags:
+            self._tags.append(tag)
 
     def register_session_down_listener(
         self, asn: ASN, listener: SessionDownListener
@@ -247,9 +252,7 @@ class Transport:
         if link in self._failed_links:
             return
         self._failed_links.add(link)
-        self._condemn_in_flight(
-            lambda src, dst: (src == a and dst == b) or (src == b and dst == a)
-        )
+        self._condemn_in_flight(a, (b,))
         for asn, other in ((a, b), (b, a)):
             if asn in self._failed_ases:
                 continue
@@ -261,20 +264,31 @@ class Transport:
         """Bring a failed link back up (route addition event)."""
         self._failed_links.discard(normalize_link(a, b))
 
-    def _condemn_in_flight(self, affects) -> None:
-        """Mark queued messages on affected channels lost (see
-        :meth:`_Channel.lose_in_flight`).  ``affects(src, dst)`` selects
-        the channels touched by the failure event."""
-        for (src, dst, _tag), channel in self._channels.items():
-            if channel.queue and affects(src, dst):
-                channel.lose_in_flight()
+    def _condemn_in_flight(self, asn: ASN, peers: Iterable[ASN]) -> None:
+        """Mark queued messages lost (see :meth:`_Channel.lose_in_flight`)
+        on every channel between ``asn`` and one of ``peers``, in both
+        directions and under every registered tag — looked up by key,
+        so a failure costs its own sessions, not every channel."""
+        channels = self._channels
+        tags = self._tags
+        for peer in peers:
+            for tag in tags:
+                for key in ((asn, peer, tag), (peer, asn, tag)):
+                    channel = channels.get(key)
+                    if channel is not None and channel.queue:
+                        channel.lose_in_flight()
 
     def fail_as(self, asn: ASN, neighbors: Iterable[ASN]) -> None:
-        """Fail an AS: every incident session resets for its neighbors."""
+        """Fail an AS: every incident session resets for its neighbors.
+
+        ``neighbors`` must name every AS ``asn`` has a session with
+        (the graph's neighbors): their channels are the ones condemned.
+        """
         if asn in self._failed_ases:
             return
         self._failed_ases.add(asn)
-        self._condemn_in_flight(lambda src, dst: src == asn or dst == asn)
+        neighbors = tuple(neighbors)
+        self._condemn_in_flight(asn, neighbors)
         for nbr in neighbors:
             if nbr in self._failed_ases:
                 continue

@@ -40,10 +40,12 @@ from repro.analysis.transient import (
     analyze_episode_transient_problems,
 )
 from repro.bgp.decision import route_sort_key
+from repro.bgp.network import BGPNetwork
 from repro.bgp.ribs import Route
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import collect_episode_segments
 from repro.rbgp.network import RBGPNetwork
+from repro.routing.static import compute_stable_routes
 from repro.stamp.network import STAMPNetwork
 
 #: How many times each assertion of :func:`check_quiescent` was
@@ -94,7 +96,7 @@ def collect_live(network, episode) -> LiveEpisode:
 def check_quiescent(network, *, not_before: float, drained: bool = True) -> float:
     """Protocol invariants at a stop between two engine events.
 
-    Five assertions so far; returns the clock for the next stop's
+    Six assertions so far; returns the clock for the next stop's
     ``not_before``:
 
     1. the clock has not run backwards since the previous stop;
@@ -108,7 +110,12 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
        == ``export_for``; inside an episode an armed MRAI timer or a
        deferred recolor withdrawal may still owe a peer an update);
     5. no message is in flight on a channel whose session is down — a
-       failure condemns what was queued, and nothing is queued after it.
+       failure condemns what was queued, and nothing is queued after it;
+    6. on the BGP plane, wherever the run has ``drained``, every live
+       speaker selected the route the static Gao-Rexford solver
+       (:func:`repro.routing.static.compute_stable_routes`, the same
+       tie-breaking) computes on the surviving graph, and has none
+       exactly where it finds the destination unreachable.
 
     Asking a speaker what it would export must not move the network: a
     STAMP gate that had to *choose* a Lock target here (a draw from the
@@ -144,6 +151,8 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
                     f"it would now export {owed}"
                 )
         assert engine.rng.getstate() == generator, "an export gate drew"
+        if type(network) is BGPNetwork:
+            _check_stable_selection(network)
     for (src, dst, tag), channel in transport._channels.items():
         in_flight = len(channel.queue) - channel.pending_losses
         TALLY["nothing in flight over a dead session"] += 1
@@ -152,6 +161,26 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
             f"over a session that is down"
         )
     return engine.now
+
+
+def _check_stable_selection(network) -> None:
+    """Assertion 6: converged BGP equals the static oracle."""
+    transport = network.transport
+    oracle = compute_stable_routes(
+        network.graph,
+        network.destination,
+        failed_links=transport.failed_links,
+        failed_ases=transport.failed_ases,
+    )
+    for asn, speaker in _live_speakers(network):
+        route = oracle.route(asn)
+        best = speaker.best
+        selected = None if best is None else (asn,) + best.path
+        TALLY["BGP selection is the stable solution"] += 1
+        assert selected == (None if route is None else route.path), (
+            f"AS {asn} selected {selected}, the stable solution is "
+            f"{None if route is None else route.path}"
+        )
 
 
 def _live_speakers(network) -> Iterator[Tuple[int, object]]:

@@ -31,7 +31,10 @@ and the individual load-bearing pieces are pinned:
   boundaries;
 * property (hypothesis), every plane: ``apply_boundary``'s transitions
   are exactly the sources whose outcome the failure-set delta changed,
-  and the patched table equals a fresh one.
+  and the patched table equals a fresh one — and an R-BGP table that
+  stops re-deriving its diverting rows fails it on both variants;
+* the episode analyzer builds one table per episode, and a boundary
+  re-derives only the rows it can change (counted on R-BGP).
 """
 
 from __future__ import annotations
@@ -49,7 +52,12 @@ from live_collector import (
     check_quiescent,
     run_live,
 )
-from repro.analysis.transient import EpisodeSegment, _IncrementalScan
+from repro.analysis.transient import (
+    EpisodeSegment,
+    _IncrementalScan,
+    analyze_episode_transient_problems,
+)
+from repro.bgp.decision import route_sort_key
 from repro.bgp.speaker import BGPSpeaker
 from repro.experiments.runner import build_network, clear_twin_start_cache
 from repro.experiments.scenarios import (
@@ -63,12 +71,17 @@ from repro.experiments.scenarios import (
     restore_link,
     staggered_maintenance_episode,
 )
+from repro.forwarding.rbgp_plane import _RBGPTable
 from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.forwarding.walk import SuccessorTable
 from repro.rbgp import network as rbgp_network
 from repro.rbgp.speaker import RBGPSpeaker
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
 from repro.sim.transport import Transport
+from repro.topology.generators import (
+    InternetTopologyConfig,
+    generate_internet_topology,
+)
 from repro.types import Color, normalize_link
 from test_successor_table import (
     FUZZ_ASES,
@@ -343,6 +356,34 @@ class TestAStaleAdvertisementIsCaught:
             clear_twin_start_cache()  # holds a snapshot of the broken net
 
 
+class TestAWrongTieBreakIsCaught:
+    """Converged BGP equals the static Gao-Rexford solution at every
+    drained stop: a decision process that breaks ties on the *highest*
+    neighbor ASN still converges, just not to the state the simulator's
+    tie-breaking defines, and the first stop says so."""
+
+    def test_a_highest_neighbor_tie_break_fails(self, monkeypatch):
+        graph = _random_topology(0)
+        episode = link_flap_episode(
+            graph, random.Random("teeth"), period=2.0, flaps=2
+        )
+        run_live(graph, episode, "bgp")  # the intact speaker passes
+
+        def highest_neighbor(self):
+            def key(route):
+                pref, lock, length, neighbor = route_sort_key(
+                    self.graph, self.asn, route
+                )
+                return pref, lock, length, -neighbor
+
+            self._best_key = None  # so every later decision rescans
+            return min(self.adj_rib_in.routes(), key=key, default=None)
+
+        monkeypatch.setattr(BGPSpeaker, "_rescan_best", highest_neighbor)
+        with pytest.raises(AssertionError, match="the stable solution is"):
+            run_live(graph, episode, "bgp")
+
+
 class TestAnUncondemnedMessageIsCaught:
     """Nothing in flight over a dead session, at every stop: a failure
     path that forgets ``_condemn_in_flight`` leaves the updates the
@@ -372,7 +413,7 @@ class TestAnUncondemnedMessageIsCaught:
         run_live(graph, episode, protocol)  # the intact transport passes
         clear_twin_start_cache()
         monkeypatch.setattr(
-            Transport, "_condemn_in_flight", lambda self, affects: None
+            Transport, "_condemn_in_flight", lambda self, asn, peers: None
         )
         try:
             with pytest.raises(
@@ -420,6 +461,93 @@ class TestPatchedVsRebuilt:
         # Every boundary is followed by a scan, except possibly the
         # first segment's start (nothing precedes it to be rescanned).
         assert len(compared) >= len(live.segments) - 1 and all(compared)
+
+
+#: The 62-AS bench graph (``benchmarks/ab_scale.py --scale 0``).
+BENCH_62 = InternetTopologyConfig(
+    seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35
+)
+
+
+class TestABoundaryCostsWhatItTouches:
+    """One table per episode, and a boundary re-derives the rows it can
+    change — not every row, which is what R-BGP's table used to do."""
+
+    @pytest.mark.parametrize("protocol", PLANES)
+    def test_a_64_phase_storm_builds_one_table(self, monkeypatch, protocol):
+        graph = _random_topology(1)
+        episode = link_flap_episode(
+            graph, random.Random("one table"), period=2.0, flaps=32
+        )
+        live, plane = run_live(graph, episode, protocol)
+        assert len(live.segments) == 64
+        built = []
+        session_table = type(plane)._session_table
+
+        def counting(self, *args):
+            built.append(args[1:])
+            return session_table(self, *args)
+
+        monkeypatch.setattr(type(plane), "_session_table", counting)
+        analyze_episode_transient_problems(
+            live.segments, live.initial_state, plane, graph.ases
+        )
+        # Built failure-free over the snapshot; every phase's
+        # eligibility is a detour of that one table.
+        assert built == [(frozenset(), frozenset())]
+
+    @pytest.mark.parametrize("protocol", ("rbgp", "rbgp-norci"))
+    def test_an_rbgp_boundary_re_derives_endpoints_and_diverting_rows(
+        self, monkeypatch, protocol
+    ):
+        graph, _ = generate_internet_topology(BENCH_62)
+        destination = next(a for a in graph.ases if graph.is_multihomed(a))
+        network, plane = build_network(protocol, graph, destination, seed=0)
+        network.start()
+        state = network.forwarding_state()
+        table = plane._session_table(state, frozenset(), frozenset())
+        assert len(table.asns) == 62 and not table.diverting
+        # A link some AS forwards over, neither end the destination
+        # (whose row delivers whatever happens and is never derived).
+        asn, hop = next(
+            (asn, path[0])
+            for (asn, tag), path in sorted(state.items())
+            if tag == "primary" and path and destination not in (asn, path[0])
+        )
+        derived = []
+        derive = _RBGPTable._derive
+
+        def counting(self, i):
+            derived.append(self.asns[i])
+            return derive(self, i)
+
+        def boundary(failed_links, failed_ases):
+            derived.clear()
+            monkeypatch.setattr(_RBGPTable, "_derive", counting)
+            table.apply_boundary(failed_links, failed_ases)
+            monkeypatch.setattr(_RBGPTable, "_derive", derive)
+            table.collect_transitions()
+            fresh = plane._session_table(state, failed_links, failed_ases)
+            assert table.source_outcomes(graph.ases) == fresh.source_outcomes(
+                graph.ases
+            )
+            return sorted(derived)
+
+        nobody = frozenset()
+        # The failure: its two endpoints (nothing diverted before it).
+        failed = boundary({normalize_link(asn, hop)}, nobody)
+        assert failed == sorted((asn, hop))
+        diverting = {table.asns[i] for i in table.diverting}
+        assert diverting == {asn}
+        # The restore: the endpoints and every row the failure diverted.
+        restored = boundary(nobody, nobody)
+        assert restored == sorted({asn, hop} | diverting)
+        # An AS failure: the AS and the rows whose primary it is.
+        preds = {table.asns[i] for i in table.hop_preds[hop]}
+        down = boundary(nobody, frozenset({hop}))
+        assert down == sorted({hop} | preds)
+        # Every one of these boundaries used to re-derive all 62 rows.
+        assert [len(failed), len(restored), len(down)] == [2, 2, 8]
 
 
 def _random_stamp_state(rng):
@@ -481,13 +609,7 @@ class TestOutOfUniverseMidEpisode:
         )
 
 
-@settings(
-    deadline=None,
-    max_examples=40,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=st.integers(0, 10_000))
-def test_apply_boundary_invalidation_covers_every_changed_source(seed):
+def assert_boundary_patch_exact(name: str, seed: int) -> None:
     """apply_boundary's transitions are exactly the changed sources.
 
     Completeness: every source whose fate the failure-set delta
@@ -496,34 +618,90 @@ def test_apply_boundary_invalidation_covers_every_changed_source(seed):
     table built from scratch under the new sets, and with the scalar
     walks, for every source.
     """
+    rng = random.Random(f"hyp:boundary:{name}:{seed}")
+    plane, tags = fuzz_plane(name, rng)
+    state = fuzz_state(rng, tags, outsider=seed % 2 == 1)
+    old_links, old_ases = fuzz_failure_sets(rng)
+    new_links, new_ases = fuzz_failure_sets(rng)
+
+    patched = plane._session_table(state, old_links, old_ases)
+    baseline = patched.source_outcomes(FUZZ_ASES)
+    assert baseline == scalar_outcomes(
+        plane, state, FUZZ_ASES, old_links, old_ases
+    ), name
+    patched.apply_boundary(new_links, new_ases)
+    transitions = dict(patched.collect_transitions())
+
+    expected = plane._session_table(
+        state, new_links, new_ases
+    ).source_outcomes(FUZZ_ASES)
+    assert expected == scalar_outcomes(
+        plane, state, FUZZ_ASES, new_links, new_ases
+    ), name
+    assert {
+        asn: expected[asn]
+        for asn in FUZZ_ASES
+        if baseline[asn] is not expected[asn]
+    } == {
+        asn: outcome
+        for asn, outcome in transitions.items()
+        if asn in baseline
+    }, name
+    assert patched.source_outcomes(FUZZ_ASES) == expected, name
+
+
+@settings(
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(seed=st.integers(0, 10_000))
+def test_apply_boundary_invalidation_covers_every_changed_source(seed):
+    """:func:`assert_boundary_patch_exact`, every plane."""
     for name in PLANES:
-        rng = random.Random(f"hyp:boundary:{name}:{seed}")
-        plane, tags = fuzz_plane(name, rng)
-        state = fuzz_state(rng, tags, outsider=seed % 2 == 1)
-        old_links, old_ases = fuzz_failure_sets(rng)
-        new_links, new_ases = fuzz_failure_sets(rng)
+        assert_boundary_patch_exact(name, seed)
 
-        patched = plane._session_table(state, old_links, old_ases)
-        baseline = patched.source_outcomes(FUZZ_ASES)
-        assert baseline == scalar_outcomes(
-            plane, state, FUZZ_ASES, old_links, old_ases
-        ), name
-        patched.apply_boundary(new_links, new_ases)
-        transitions = dict(patched.collect_transitions())
 
-        expected = plane._session_table(
-            state, new_links, new_ases
-        ).source_outcomes(FUZZ_ASES)
-        assert expected == scalar_outcomes(
-            plane, state, FUZZ_ASES, new_links, new_ases
-        ), name
-        assert {
-            asn: expected[asn]
-            for asn in FUZZ_ASES
-            if baseline[asn] is not expected[asn]
-        } == {
-            asn: outcome
-            for asn, outcome in transitions.items()
-            if asn in baseline
-        }, name
-        assert patched.source_outcomes(FUZZ_ASES) == expected, name
+def _rows_without_diverting(self, changed_pairs, toggled_ases):
+    return SuccessorTable._boundary_rows(self, changed_pairs, toggled_ases)
+
+
+_derive = _RBGPTable._derive
+
+
+def _derive_forgetting_diverting(self, i):
+    derived = _derive(self, i)
+    self.diverting.discard(i)
+    return derived
+
+
+class TestABrokenRBGPBoundaryIsCaught:
+    """The patched-equals-freshly-built wall has teeth on R-BGP: a row
+    whose primary is unusable rides failover hops and (without RCI)
+    reads the local-detector set, so a table that stops re-deriving
+    the diverting rows at a boundary — because ``_boundary_rows``
+    leaves them out, or because ``_derive`` never records one — goes
+    stale, on both variants."""
+
+    @pytest.mark.parametrize("variant", ("rbgp", "rbgp-norci"))
+    @pytest.mark.parametrize(
+        "attribute, broken",
+        [
+            ("_boundary_rows", _rows_without_diverting),
+            ("_derive", _derive_forgetting_diverting),
+        ],
+    )
+    def test_a_table_that_skips_diverting_rows_fails(
+        self, monkeypatch, variant, attribute, broken
+    ):
+        seeds = range(200)
+        for seed in seeds:  # the intact table passes every one
+            assert_boundary_patch_exact(variant, seed)
+        monkeypatch.setattr(_RBGPTable, attribute, broken)
+        caught = 0
+        for seed in seeds:
+            try:
+                assert_boundary_patch_exact(variant, seed)
+            except AssertionError:
+                caught += 1
+        assert caught, f"no seed of {len(seeds)} caught the broken table"

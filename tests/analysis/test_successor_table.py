@@ -221,6 +221,12 @@ class TestIncrementalPropagation:
                     )
                 table.update(key, value)
             transitions = table.collect_transitions()
+            # The phase trackers seed from this row set.
+            assert table.undelivered == {
+                i
+                for i, outcome in enumerate(table.source_outcome)
+                if outcome is not Outcome.DELIVERED
+            }
             fresh = scalar_outcomes(
                 plane, state, sources, failed_links, failed_ases
             )

@@ -10,9 +10,11 @@ never cost any *other* unit its result.
 
 from __future__ import annotations
 
+import gc
 import logging
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -22,6 +24,7 @@ from repro.experiments.faults import FAULTS_ENV, combine_specs, fault_spec
 from repro.experiments.parallel import ParallelRunner, WorkerBudget
 from repro.experiments.reporting import format_failure_report
 from repro.experiments.scenarios import single_provider_link_failure
+from repro.experiments.supervisor import _cyclic_gc_paused
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 TINY = InternetTopologyConfig(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35)
@@ -245,6 +248,90 @@ class TestInProcessPath:
         assert any(
             "not enforceable" in record.message for record in caplog.records
         )
+
+
+class TestCollectorPauseAcrossLanes:
+    """The collector is one switch per process: two lanes that pause it
+    from two threads must not let the first one out re-enable it under
+    the second."""
+
+    @pytest.fixture(autouse=True)
+    def collector_enabled(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        if not was_enabled:
+            gc.disable()
+
+    def test_the_last_lane_out_restores_it(self):
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def lane_a():
+            with _cyclic_gc_paused():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def lane_b():
+            a_in.wait(10)
+            with _cyclic_gc_paused():
+                b_in.set()
+                a_out.wait(10)
+                seen["inside B after A left"] = gc.isenabled()
+
+        threads = [threading.Thread(target=lane) for lane in (lane_a, lane_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert a_out.is_set()
+        assert seen == {"inside B after A left": False}
+        assert gc.isenabled()
+
+    def test_many_lanes_under_rapid_switching(self):
+        """A lost update of the depth would leave the collector off
+        after everyone left, or on under a lane still inside."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        on_inside = []
+
+        def lane():
+            for _ in range(2000):
+                with _cyclic_gc_paused():
+                    if gc.isenabled():
+                        on_inside.append(True)
+
+        try:
+            threads = [threading.Thread(target=lane) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not on_inside
+        assert gc.isenabled()
+
+    def test_nesting_on_one_thread(self):
+        with _cyclic_gc_paused():
+            with _cyclic_gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        with _cyclic_gc_paused():
+            pass
+        assert not gc.isenabled()
+
+    def test_an_error_still_restores_it(self):
+        with pytest.raises(RuntimeError):
+            with _cyclic_gc_paused():
+                raise RuntimeError("unit failed")
+        assert gc.isenabled()
 
 
 class TestRunUnitsContract:

@@ -3,9 +3,17 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.runner import build_network
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.engine import Engine
 from repro.sim.transport import Transport
+from repro.topology.generators import (
+    InternetTopologyConfig,
+    generate_internet_topology,
+)
+from repro.types import Color
+
+COLORS = (Color.RED, Color.BLUE)
 
 
 @pytest.fixture
@@ -187,3 +195,57 @@ class TestInFlightLossIsDecidedAtTheFailure:
         engine.run()
         assert inbox == ["bystander"]
         assert transport.messages_lost == 0
+
+
+class TestAFailureCondemnsItsOwnChannels:
+    """On a STAMP network (two tagged sessions per link), a failure
+    condemns what is in flight on both colors' channels in both
+    directions of exactly the sessions it takes down — found by key,
+    not by scanning every channel."""
+
+    @pytest.fixture
+    def network(self):
+        graph, _ = generate_internet_topology(
+            InternetTopologyConfig(
+                seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35
+            )
+        )
+        destination = next(a for a in graph.ases if graph.is_multihomed(a))
+        network, _ = build_network("stamp", graph, destination, seed=0)
+        network.start()
+        # One message in flight on every channel of every link.
+        for a, b, _ in graph.links():
+            for src, dst in ((a, b), (b, a)):
+                for color in COLORS:
+                    network.transport.send(src, dst, "in flight", tag=color)
+        return network
+
+    @staticmethod
+    def _condemned(network):
+        return {
+            key: channel.pending_losses
+            for key, channel in network.transport._channels.items()
+            if channel.pending_losses
+        }
+
+    def test_fail_link(self, network):
+        a = network.destination
+        b = network.graph.providers(a)[0]
+        network.fail_link(a, b)
+        assert self._condemned(network) == {
+            (src, dst, color): 1
+            for src, dst in ((a, b), (b, a))
+            for color in COLORS
+        }
+
+    def test_fail_as(self, network):
+        asn = network.graph.providers(network.destination)[0]
+        neighbors = network.graph.neighbors(asn)
+        assert len(neighbors) > 1
+        network.fail_as(asn)
+        assert self._condemned(network) == {
+            (src, dst, color): 1
+            for peer in neighbors
+            for src, dst in ((asn, peer), (peer, asn))
+            for color in COLORS
+        }

@@ -35,6 +35,20 @@ def test_the_working_tree_against_itself_agrees_on_every_plane():
     assert done.stdout.count("B faster in") == 3
 
 
+def test_a_maintenance_window_runs_on_every_plane():
+    done = _ab(SRC, SRC, "--kind", "maintenance")
+    assert done.returncode == 0, done.stdout + done.stderr
+    runs = [line for line in done.stdout.splitlines() if line.startswith("pass ")]
+    assert len(runs) == 3 and all(line.endswith(" equal") for line in runs)
+    assert "kind=maintenance" in done.stdout
+
+
+def test_an_unknown_kind_is_refused():
+    done = _ab(SRC, SRC, "--kind", "storm")
+    assert done.returncode == 2
+    assert "expected fig2, maintenance, outage or flapN" in done.stderr
+
+
 def test_a_tree_that_computes_something_else_is_refused(tmp_path):
     other = tmp_path / "src"
     shutil.copytree(SRC, other, ignore=shutil.ignore_patterns("__pycache__"))

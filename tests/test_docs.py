@@ -512,3 +512,57 @@ def test_scenarios_doctests_pass():
     )
     assert results.failed == 0, f"{results.failed} doctest(s) failed"
     assert results.attempted > 0, "scenarios.md lost its doctests"
+
+
+def test_a_boundary_costs_what_it_changed():
+    """One successor table per episode, trackers that hold only the
+    problems, exact R-BGP boundary rows and failures that find their
+    channels by key, enforced: the failure-free second table, the
+    tracker's per-source outcome map, R-BGP's every-row rule and the
+    transport's scan of every channel stay deleted."""
+    from repro.analysis.transient import _IncrementalScan, _PhaseTracker
+    from repro.forwarding.rbgp_plane import RBGPDataPlane
+
+    second_table = re.compile(r"second, failure-free table|\bshadow\b")
+    for path in (
+        REPO / "src" / "repro" / "analysis" / "transient.py",
+        PERFORMANCE,
+    ):
+        found = second_table.search(path.read_text())
+        assert found is None, f"{path.name} still describes {found.group()!r}"
+    assert set(_PhaseTracker.__slots__) == {
+        "report", "min_duration", "seeded", "problem_since"
+    }
+    scan = ast.parse(
+        (REPO / "src" / "repro" / "analysis" / "transient.py").read_text()
+    )
+    attributes = {
+        node.attr for node in ast.walk(scan) if isinstance(node, ast.Attribute)
+    }
+    assert "moved" not in attributes and hasattr(_IncrementalScan, "hold")
+
+    plane = RBGPDataPlane(1, rci=True)
+    state = {
+        (2, "primary"): (1,),
+        (3, "primary"): (2, 1),
+        (4, "primary"): None,
+        (4, "failover"): ((3, (3, 2, 1)),),
+    }
+    table = plane._session_table(state, frozenset(), frozenset())
+    # An empty delta re-derives the diverting rows, not every row.
+    assert set(table._boundary_rows(set(), set())) == table.diverting == {
+        table.pos[4]
+    }
+
+    transport = REPO / "src" / "repro" / "sim" / "transport.py"
+    assert not any(
+        isinstance(node, ast.Lambda)
+        for node in ast.walk(ast.parse(transport.read_text()))
+    )
+    scans = _enclosing_functions(
+        transport,
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "items"
+        and getattr(node.func.value, "attr", None) == "_channels",
+    )
+    assert scans == ["__getstate__"]
