@@ -149,20 +149,6 @@ def test_graph_adjacency_queries(benchmark, graph, perf_records):
     _record(perf_records, "graph_adjacency_queries", benchmark, ases=len(ases))
 
 
-def test_graph_cold_view_rebuild(benchmark, graph, perf_records):
-    """Full view rebuild after an invalidating mutation (failure path)."""
-    a, b = graph.c2p_links()[0]
-
-    def run():
-        graph.remove_link(a, b)
-        graph.add_c2p(a, b)
-        return sum(len(graph.providers(asn)) for asn in graph.ases)
-
-    result = benchmark(run)
-    assert result > 0
-    _record(perf_records, "graph_cold_view_rebuild", benchmark)
-
-
 def test_topology_build_csr(benchmark, perf_records):
     """Full graph build + CSR fold of the default topology.
 
@@ -186,7 +172,7 @@ def test_topology_build_csr(benchmark, perf_records):
             graph.add_c2p(customer, provider)
         for a, b in p2p:
             graph.add_p2p(a, b)
-        graph.compact()
+        graph.csr_base()
         return len(graph)
 
     result = benchmark(run)

@@ -144,12 +144,9 @@ class UphillViewCache:
     destinations through the same few anchors — without a shared cache
     each entry point rebuilds identical :class:`UphillView`s and
     re-enumerates identical path sets.  Entries are keyed by graph
-    *identity* (weakly, so graphs can be collected) and invalidated by
-    :attr:`ASGraph.version`, making the cache safe across graph
-    mutations.  (No failure experiment performs one — failures are
-    session events in :mod:`repro.sim.transport` — so in practice the
-    version check only separates a graph still being built from the
-    finished one.)
+    *identity* alone (weakly, so graphs can be collected): an entry
+    freezes its graph before it is stored, and a frozen graph never
+    changes.
     """
 
     def __init__(self) -> None:
@@ -163,18 +160,14 @@ class UphillViewCache:
 
     def _entry(self, graph: ASGraph) -> dict:
         entry = self._by_graph.get(graph)
-        if entry is None or entry["version"] != graph.version:
-            entry = {
-                "version": graph.version,
-                "views": {},
-                "phi": {},
-                "conditional": {},
-            }
+        if entry is None:
+            graph.csr_base()  # freezes the graph the entry is keyed on
+            entry = {"views": {}, "phi": {}, "conditional": {}}
             self._by_graph[graph] = entry
         return entry
 
     def view(self, graph: ASGraph, anchor: ASN) -> UphillView:
-        """The anchor's uphill view, built at most once per graph version."""
+        """The anchor's uphill view, built at most once per graph."""
         views = self._entry(graph)["views"]
         view = views.get(anchor)
         if view is None:
@@ -285,8 +278,8 @@ def phi_distribution(
     Memoized per anchor: single-homed destinations inherit their first
     multi-homed ancestor's Φ (footnote 4), so each anchor's paths are
     enumerated and checked exactly once however many destinations map
-    to it — and, via :class:`UphillViewCache`, at most once per *graph
-    version* across every Φ entry point a figure calls.
+    to it — and, via :class:`UphillViewCache`, at most once per *graph*
+    across every Φ entry point a figure calls.
     """
     dests = list(destinations) if destinations is not None else graph.ases
     entry = _UPHILL_CACHE._entry(graph)

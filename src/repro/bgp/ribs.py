@@ -33,12 +33,11 @@ class Route:
     so it is excluded from equality.  When set, ``base_key`` holds the
     precomputed lock-independent sort key ``(-pref, length, neighbor)``.
 
-    Constraint: ``pref`` is frozen at insertion, so re-annotating a
-    *live* link's relationship mid-run (remove_link + re-add flipped,
-    without tearing the session down) would leave stored routes keyed
-    on the old preference.  Topology events in this simulator go
-    through the transport (session resets withdraw the affected
-    routes), so graph edits while RIBs hold routes are unsupported.
+    ``pref`` is fixed at insertion, which is sound because a link's
+    relationship cannot change: a speaker reads the graph when it is
+    built, which freezes the graph for good.  Topology events in this
+    simulator go through the transport (session resets withdraw the
+    affected routes).
     """
 
     __slots__ = ("path", "learned_from", "et", "lock", "pref", "base_key")

@@ -171,7 +171,6 @@ class BGPSpeaker:
                 neighbor: RELATIONSHIP_PREFERENCE[rel]
                 for neighbor, rel in self._rel_table.items()
             }
-        self._tables_version = graph.version
         self.adj_rib_in = AdjRibIn()
         self.best: Optional[Route] = None
         #: Sort key of :attr:`best` (maintained by ``_run_decision``);
@@ -204,7 +203,6 @@ class BGPSpeaker:
         state["graph"] = None
         state["_pref_table"] = {}
         state["_rel_table"] = {}
-        state["_tables_version"] = -1
         state["_sessions_sorted"] = None
         state["_export_path"] = None
         return state
@@ -218,35 +216,21 @@ class BGPSpeaker:
         self.is_origin = True
         self._run_decision(EventType.NO_LOSS, None)
 
-    def _refresh_tables(self) -> None:
-        """Invalidate the per-neighbor caches after a graph mutation.
-
-        Only consulted on cache misses: graph topology must not change
-        while a simulation holds populated speaker caches (failures are
-        session events flowing through the transport, never graph
-        edits — the same contract :class:`repro.bgp.ribs.Route`
-        documents for its frozen ``pref``).
-        """
-        if self.graph.version != self._tables_version:
-            self._pref_table.clear()
-            self._rel_table.clear()
-            self._tables_version = self.graph.version
-
     def local_pref(self, neighbor: ASN) -> int:
-        """Local preference toward a neighbor (cached per graph version)."""
+        """Local preference toward a neighbor (cached; the graph is
+        frozen, so an entry never goes stale)."""
         pref = self._pref_table.get(neighbor)
         if pref is None:
-            self._refresh_tables()
             rel = self._neighbor_rel(neighbor)
             pref = RELATIONSHIP_PREFERENCE[rel]
             self._pref_table[neighbor] = pref
         return pref
 
     def _neighbor_rel(self, neighbor: ASN) -> Relationship:
-        """Relationship toward a neighbor (cached per graph version)."""
+        """Relationship toward a neighbor (cached, like :meth:`local_pref`;
+        a miss after a twin restore re-reads the graph)."""
         rel = self._rel_table.get(neighbor)
         if rel is None:
-            self._refresh_tables()
             rel = self.graph.relationship(self.asn, neighbor)
             self._rel_table[neighbor] = rel
         return rel

@@ -40,7 +40,7 @@ import json
 import math
 import pickle
 import weakref
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph
@@ -136,11 +136,11 @@ def _graph_hash_preimage(graph: ASGraph) -> bytes:
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-#: graph -> (version hashed at, hash).  Keyed by identity, weakly, and
-#: invalidated by :attr:`ASGraph.version` — like the uphill-view cache
-#: and the twin-start key — so a daemon hashes its cached topology
-#: once, not once per campaign.
-_GRAPH_HASHES: "weakref.WeakKeyDictionary[ASGraph, Tuple[int, str]]" = (
+#: graph -> hash.  Keyed by identity alone, weakly — like the
+#: uphill-view cache and the twin-start key — so a daemon hashes its
+#: cached topology once, not once per campaign.  Hashing reads the
+#: graph, which freezes it before the memo is stored.
+_GRAPH_HASHES: "weakref.WeakKeyDictionary[ASGraph, str]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -151,11 +151,11 @@ def graph_content_hash(graph: ASGraph) -> str:
     Two graphs holding the same ASes and links hash equally regardless
     of construction order (see :func:`_graph_hash_preimage`).
     """
-    memo = _GRAPH_HASHES.get(graph)
-    if memo is None or memo[0] != graph.version:
-        memo = (graph.version, sha256_hex(_graph_hash_preimage(graph)))
-        _GRAPH_HASHES[graph] = memo
-    return memo[1]
+    digest = _GRAPH_HASHES.get(graph)
+    if digest is None:
+        digest = sha256_hex(_graph_hash_preimage(graph))
+        _GRAPH_HASHES[graph] = digest
+    return digest
 
 
 def describe_builder(builder: Callable) -> Dict[str, Any]:

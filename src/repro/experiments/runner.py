@@ -21,8 +21,9 @@ computation.  The runner exploits that: after starting one variant it
 snapshots the converged network (a pickle with the topology shared by
 reference) and restores the snapshot for the twin, flipping the ``rci``
 flag, instead of re-simulating an identical start.  The cache key is
-the complete pre-convergence input — graph identity/version,
-destination, seed, and the episode's ``pre_failed_links`` — so runs
+the complete pre-convergence input — graph identity (a graph is frozen
+by the first read, so identity is content), destination, seed, and the
+episode's ``pre_failed_links`` — so runs
 whose starts could differ never share; sharing is additionally gated on
 :meth:`repro.rbgp.network.RBGPNetwork.start_is_rci_invariant` — a
 per-speaker runtime proof that no RCI-sensitive code path was reached
@@ -188,7 +189,7 @@ class _StartSnapshot:
 
 
 #: Single-slot cache for R-BGP twin-start sharing:
-#: (graph, graph version, destination, seed, pre-failed links) ->
+#: (graph, destination, seed, pre-failed links) ->
 #: (snapshot, initial convergence time).  One slot suffices because
 #: the scheduler runs twins back to back in one process: in-process
 #: grids by their (instance, protocol) order, pooled ones by the
@@ -225,9 +226,11 @@ def _rbgp_start_key(
     applied *after* initial convergence (the episode's scheduled
     steps) cannot influence the snapshot and is deliberately excluded;
     everything that shapes the start is included, so two runs whose
-    initial convergence could differ never share a snapshot.
+    initial convergence could differ never share a snapshot.  The graph
+    counts by identity: building the network read it, and so froze it,
+    before any snapshot is stored under the key.
     """
-    return (graph, graph.version, destination, seed, pre_failed)
+    return (graph, destination, seed, pre_failed)
 
 
 def _normalized_pre_failed(links) -> Tuple[Link, ...]:

@@ -766,12 +766,17 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         return hmac.compare_digest(supplied, f"Bearer {token}")
 
     def _read_json_body(self) -> Any:
-        length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header or "")
-        except ValueError:
+        length_header = self.headers.get("Content-Length") or ""
+        # Digits only: ``int()`` also takes "-1" (and ``rfile.read(-1)``
+        # then blocks until the client hangs up), "+5", " 5" and "5_0".
+        if not (length_header.isascii() and length_header.isdigit()):
+            # Where the body ends is unknown: the connection cannot be
+            # reused for another request.
+            self.close_connection = True
             raise _BadRequest("missing or invalid Content-Length")
+        length = int(length_header)
         if length > self.service.config.max_body_bytes:
+            self.close_connection = True
             raise _BodyTooLarge(
                 f"body exceeds {self.service.config.max_body_bytes} bytes"
             )

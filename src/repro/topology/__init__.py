@@ -34,7 +34,6 @@ __getattr__, __dir__ = _lazy_exports(
             "parse_tables",
         ),
         "repro.topology.serialization": (
-            "load_graph",
             "save_graph",
             "graph_to_lines",
         ),
@@ -72,7 +71,6 @@ __all__ = [
     "synthesize_routeviews_tables",
     "dump_tables",
     "parse_tables",
-    "load_graph",
     "save_graph",
     "graph_to_lines",
     "ValidationReport",

@@ -8,11 +8,9 @@ one link per line, ``#`` comment lines::
     2|3|0         # AS2 and AS3 peer (p2p)
     1|4|-1|bgp    # serial-2 adds an inference-source field (ignored)
 
-This is the same convention :func:`repro.topology.serialization
-.load_graph` speaks (and :func:`~repro.topology.serialization
-.save_graph` writes), but the serialization module is deliberately a
-thin round-trip codec.  Real datasets deserve a stricter front door,
-and that is this module:
+This is the convention :func:`repro.topology.serialization.save_graph`
+writes, and this module is its one reader — strict, because real
+datasets deserve a strict front door:
 
 * every rejected line carries a structured :class:`CAIDAFormatError`
   (``lineno`` / ``line`` / ``reason``), so a 400k-line download with

@@ -26,32 +26,31 @@ Storage model (the "production scale" substrate — real AS graphs are
   below), carried three ways: in the shared-memory segment, over the
   worker pipe when no segment can be created, and as the snapshot's
   pickle state.
-* **Delta overlay** — mutations never touch the base arrays: the
-  affected rows are materialized into small per-AS dicts and edited
-  there.  The base is re-folded lazily, only when the overlay grows
-  past ~1/8 of the rows (or on an explicit :meth:`compact`), and a base
-  attached read-only from shared memory (:mod:`repro.topology.shm`) is
-  never written by any worker.  The workload this serves is narrower
-  than "failure experiments": none of them mutates a graph.  Link and
-  AS failures (and restores) are session events inside
-  :mod:`repro.sim.transport`; :meth:`ASGraph.remove_link`,
-  :meth:`ASGraph.remove_as` and :meth:`ASGraph.copy` have no caller in
-  ``src/``, ``examples/`` or ``bench/`` (one in
-  ``benchmarks/bench_perf_micro.py``, plus the tests), so in practice
-  the overlay absorbs the ``add_*`` calls of a graph that is still
-  being built.  A build-then-freeze design would serve every current
-  caller (ROADMAP item 3).
+* **Build, then freeze** — a graph is in one of two whole-graph states.
+  While it is *being built* the adjacency is a plain insertion-ordered
+  dict-of-dicts: ``add_as`` / ``add_c2p`` / ``add_p2p`` write to it, and
+  ``has_link``, ``in``, ``len``, iteration and ``repr`` read it.  The
+  first call of any other reader *freezes* the graph: the rows are
+  folded once into a CSR snapshot, the dict is dropped, and from then
+  on every read is served by the snapshot and every ``add_*`` raises
+  :class:`~repro.errors.TopologyError`, leaving the graph unchanged.
+  A graph decoded from bytes (a shared-memory attach, a worker pipe, a
+  pickle of a frozen graph) is frozen from the start.  The paper runs
+  every failure on one fixed topology, and so does this repository:
+  link and AS failures (and restores) are session events inside
+  :mod:`repro.sim.transport`, never graph edits.
 
 The query API is unchanged from the dict era: ``providers`` /
 ``customers`` / ``peers`` / ``neighbors`` return shared immutable
-sorted tuples cached per AS, ``is_tier1`` / ``is_multihomed`` /
-``degree`` are O(1) after the first view build, and every mutation
-bumps :attr:`version` and invalidates the views, so speakers, Φ caches
-and successor tables key off ``version`` exactly as before.  The
-retained pre-CSR implementation
+sorted tuples cached per AS, and ``is_tier1`` / ``is_multihomed`` /
+``degree`` are O(1) after the first view build.  Because the first
+read freezes a graph, those tuples — and everything downstream derives
+from them (speaker tables, Φ caches, the content hash, the twin-start
+key) — can be cached by graph identity alone.
+The retained pre-CSR implementation
 (:class:`repro.topology.reference.ReferenceASGraph`) is the executable
 specification; ``tests/topology/test_csr_equivalence.py`` pins the two
-identical under randomized mutation streams.
+identical under randomized build streams.
 
 Byte layout of a snapshot (native byte order — a segment or pipe
 payload never leaves the machine that wrote it)::
@@ -119,11 +118,9 @@ class _CSRBase:
     one sorted row of neighbor *ASNs* per relationship class — the
     arrays the adjacency views are sliced from without re-sorting.
 
-    Instances are never mutated after construction; the graph's delta
-    overlay masks them row by row, and a rebuild produces a fresh
-    snapshot.  That immutability is what makes sharing a base across
-    :meth:`ASGraph.copy` clones — and across processes via
-    :mod:`repro.topology.shm` — safe.
+    Instances are never mutated after construction: a frozen graph
+    reads only its snapshot, and that immutability is what makes
+    sharing one across processes via :mod:`repro.topology.shm` safe.
     """
 
     __slots__ = (
@@ -161,13 +158,15 @@ class _CSRBase:
         return (_CSRBase.from_buffer, (self.to_bytes(),))
 
     @classmethod
-    def from_rows(cls, asns: Sequence[ASN], row_of) -> "_CSRBase":
+    def from_rows(
+        cls, rows: Dict[ASN, Dict[ASN, Relationship]]
+    ) -> "_CSRBase":
         """Fold insertion-ordered adjacency rows into CSR arrays.
 
-        ``row_of(asn)`` yields ``(neighbor, relationship)`` pairs in
-        link insertion order; every neighbor must itself be in
-        ``asns``.
+        ``rows[asn]`` maps each neighbor to what it is to ``asn``, in
+        link insertion order; every neighbor must itself be a key.
         """
+        asns = list(rows)
         index = {asn: i for i, asn in enumerate(asns)}
         nbr_off = [0]
         nbr_tgt: List[int] = []
@@ -182,7 +181,7 @@ class _CSRBase:
             prov: List[int] = []
             cust: List[int] = []
             peer: List[int] = []
-            for nbr, rel in row_of(asn):
+            for nbr, rel in rows[asn].items():
                 nbr_tgt.append(index[nbr])
                 nbr_rel.append(_CODE_OF_REL[rel])
                 if rel is Relationship.PROVIDER:
@@ -316,134 +315,86 @@ class _CSRBase:
 
 
 class ASGraph:
-    """Mutable AS-level topology with relationship-annotated links.
+    """AS-level topology with relationship-annotated links.
 
     Relationships are stored from each endpoint's viewpoint:
     ``graph.relationship(a, b)`` answers "what is *b* to *a*?".
 
-    Internally the adjacency lives on an int-indexed CSR base plus a
-    small mutation overlay (see the module docstring); the public API —
-    including :attr:`version` semantics, error types, and the order of
-    every enumeration — is identical to the retained dict-of-dicts
-    reference implementation.
+    Built with ``add_*``, then frozen into an int-indexed CSR snapshot
+    by the first read (see the module docstring); the public API —
+    error types and the order of every enumeration — is identical to
+    the retained dict-of-dicts reference implementation.
     """
 
     def __init__(self) -> None:
-        #: Live AS registry in insertion order (the dict-of-dicts key
-        #: order the reference implementation iterated in).
-        self._live: Dict[ASN, None] = {}
-        #: Per-AS replacement rows masking the base (delta overlay).
-        self._overlay: Dict[ASN, Dict[ASN, Relationship]] = {}
+        #: The graph being built: insertion-ordered adjacency rows (the
+        #: reference implementation's dict-of-dicts).  ``None`` once
+        #: frozen.
+        self._rows: Optional[Dict[ASN, Dict[ASN, Relationship]]] = {}
+        #: The frozen snapshot; ``None`` while the graph is being built.
         self._base: Optional[_CSRBase] = None
-        self._version = 0
         self._views: Dict[ASN, _AdjView] = {}
         self._ases: Optional[Tuple[ASN, ...]] = None
         self._tier1s: Optional[Tuple[ASN, ...]] = None
 
     # ------------------------------------------------------------------
-    # CSR lifecycle
+    # Freezing
     # ------------------------------------------------------------------
 
-    def _overlay_heavy(self) -> bool:
-        return self._base is None or (
-            len(self._overlay) * 8 > len(self._live)
-        )
-
-    def _compact(self) -> None:
-        self._base = _CSRBase.from_rows(list(self._live), self._row_items)
-        self._overlay.clear()
-
-    def compact(self) -> "ASGraph":
-        """Fold pending overlay edits into a fresh CSR base (idempotent).
-
-        Queries compact lazily on their own; calling this explicitly is
-        only needed before exporting the CSR arrays (shared memory) or
-        when benchmarking the fold itself.  Returns ``self``.
-        """
-        if self._overlay or self._base is None:
-            self._compact()
-        return self
+    def _freeze(self) -> _CSRBase:
+        """The CSR snapshot, folding the built rows into it first."""
+        base = self._base
+        if base is None:
+            base = self._base = _CSRBase.from_rows(self._rows)
+            self._rows = None
+        return base
 
     def csr_base(self) -> _CSRBase:
-        """The compacted CSR snapshot (compacting first if needed).
+        """The immutable CSR snapshot (freezes the graph).
 
-        The returned object is immutable and remains valid — and
-        correct for the topology at the moment of the call — no matter
-        how the graph is mutated afterwards.  Its
-        :meth:`~_CSRBase.to_bytes` is what a campaign ships to workers.
+        Its :meth:`~_CSRBase.to_bytes` is what a campaign ships to
+        workers.
         """
-        self.compact()
-        assert self._base is not None
-        return self._base
+        return self._freeze()
 
     @classmethod
     def _from_csr_base(cls, base: _CSRBase) -> "ASGraph":
         """Wrap an existing CSR snapshot (the decode path of a worker)."""
         graph = cls()
-        graph._live = dict.fromkeys(base.asns)
+        graph._rows = None
         graph._base = base
         return graph
 
-    # ------------------------------------------------------------------
-    # Row access (insertion-ordered, overlay-masked)
-    # ------------------------------------------------------------------
-
-    def _row_items(self, asn: ASN) -> List[Tuple[ASN, Relationship]]:
-        row = self._overlay.get(asn)
-        if row is not None:
-            return list(row.items())
-        base = self._base
-        if base is not None:
-            idx = base.index.get(asn)
-            if idx is not None:
-                return base.row_pairs(idx)
-        return []
-
-    def _rel_lookup(self, a: ASN, b: ASN) -> Optional[Relationship]:
-        row = self._overlay.get(a)
-        if row is not None:
-            return row.get(b)
-        base = self._base
-        if base is not None:
-            idx = base.index.get(a)
-            if idx is not None:
-                return base.rel_of(idx, b)
-        return None
-
-    def _materialize(self, asn: ASN) -> Dict[ASN, Relationship]:
-        """The AS's row as an editable overlay dict (copy-on-write)."""
-        row = self._overlay.get(asn)
-        if row is None:
-            row = dict(self._row_items(asn))
-            self._overlay[asn] = row
-        return row
+    def _index(self, asn: ASN) -> int:
+        """The dense index of ``asn`` in the frozen snapshot."""
+        idx = self._freeze().index.get(asn)
+        if idx is None:
+            raise UnknownASError(f"AS {asn} not in graph")
+        return idx
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._version += 1
-        if self._views:
-            self._views.clear()
-        self._ases = None
-        self._tier1s = None
+    def _building_rows(self) -> Dict[ASN, Dict[ASN, Relationship]]:
+        rows = self._rows
+        if rows is None:
+            raise TopologyError(
+                "graph is frozen: it has been read, so it can no longer "
+                "be extended"
+            )
+        return rows
 
     def add_as(self, asn: ASN) -> None:
-        """Add an AS with no links (idempotent)."""
-        if asn not in self._live:
-            self._live[asn] = None
-            # A fresh (or re-added) AS always gets an overlay row: a
-            # stale base row from before a removal must never show
-            # through.
-            self._overlay[asn] = {}
-            self._invalidate()
+        """Add an AS with no links (idempotent while building)."""
+        self._building_rows().setdefault(asn, {})
 
     def add_c2p(self, customer: ASN, provider: ASN) -> None:
         """Add a customer-provider link.
 
-        Raises :class:`TopologyError` on self-links or if the link
-        already exists with a different relationship.
+        Raises :class:`TopologyError` on self-links, if the link
+        already exists with a different relationship, or once the graph
+        is frozen.
         """
         self._add_link(customer, provider, Relationship.PROVIDER)
 
@@ -452,90 +403,60 @@ class ASGraph:
         self._add_link(a, b, Relationship.PEER)
 
     def _add_link(self, a: ASN, b: ASN, rel_of_b: Relationship) -> None:
+        rows = self._building_rows()
         if a == b:
             raise TopologyError(f"self-link at AS {a}")
-        self.add_as(a)
-        self.add_as(b)
-        existing = self._rel_lookup(a, b)
+        row_a = rows.setdefault(a, {})
+        row_b = rows.setdefault(b, {})
+        existing = row_a.get(b)
         if existing is not None:
             if existing is not rel_of_b:
                 raise TopologyError(
                     f"link {a}-{b} already exists with relationship {existing.value}"
                 )
             return
-        self._materialize(a)[b] = rel_of_b
-        self._materialize(b)[a] = rel_of_b.inverse
-        self._invalidate()
-
-    def remove_link(self, a: ASN, b: ASN) -> None:
-        """Remove the link between two ASes."""
-        if not self.has_link(a, b):
-            raise UnknownLinkError(f"no link {a}-{b}")
-        del self._materialize(a)[b]
-        del self._materialize(b)[a]
-        self._invalidate()
-
-    def remove_as(self, asn: ASN) -> None:
-        """Remove an AS and all of its links."""
-        self._require(asn)
-        for nbr, _rel in self._row_items(asn):
-            del self._materialize(nbr)[asn]
-        self._overlay.pop(asn, None)
-        del self._live[asn]
-        self._invalidate()
-
-    def copy(self) -> "ASGraph":
-        """Deep copy of the graph (caches are rebuilt lazily).
-
-        The immutable CSR base is shared with the clone; overlay rows
-        are copied.  Mutations on either side only ever touch their own
-        overlay, so the clone is fully independent.
-        """
-        clone = ASGraph()
-        clone._live = dict.fromkeys(self._live)
-        clone._base = self._base
-        clone._overlay = {
-            asn: dict(row) for asn, row in self._overlay.items()
-        }
-        return clone
+        row_a[b] = rel_of_b
+        row_b[a] = rel_of_b.inverse
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        """Mutation counter; changes whenever the topology changes."""
-        return self._version
-
-    def _require(self, asn: ASN) -> None:
-        if asn not in self._live:
-            raise UnknownASError(f"AS {asn} not in graph")
+    def _members(self) -> Dict[ASN, object]:
+        """The ASes, keyed in insertion order, in either state (so
+        ``in``, ``len`` and iteration never freeze)."""
+        rows = self._rows
+        return rows if rows is not None else self._base.index
 
     def __contains__(self, asn: ASN) -> bool:
-        return asn in self._live
+        return asn in self._members()
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self._members())
 
     def __iter__(self) -> Iterator[ASN]:
-        return iter(self._live)
+        return iter(self._members())
 
     @property
     def ases(self) -> Tuple[ASN, ...]:
         """All AS numbers, sorted (stable iteration for seeded runs)."""
         if self._ases is None:
-            self._ases = tuple(sorted(self._live))
+            self._ases = tuple(sorted(self._freeze().asns))
         return self._ases
 
     def has_link(self, a: ASN, b: ASN) -> bool:
-        """Whether a direct link exists between two ASes."""
-        return a in self._live and self._rel_lookup(a, b) is not None
+        """Whether a direct link exists between two ASes (never freezes:
+        builders ask it mid-build)."""
+        rows = self._rows
+        if rows is not None:
+            return a in rows and b in rows[a]
+        idx = self._base.index.get(a)
+        return idx is not None and self._base.rel_of(idx, b) is not None
 
     def relationship(self, a: ASN, b: ASN) -> Relationship:
         """What *b* is to *a* (customer, peer, or provider)."""
-        self._require(a)
-        rel = self._rel_lookup(a, b)
+        idx = self._index(a)
+        rel = self._base.rel_of(idx, b)
         if rel is None:
             raise UnknownLinkError(f"no link {a}-{b}")
         return rel
@@ -547,42 +468,14 @@ class ASGraph:
         their per-neighbor tables eagerly instead of one
         :meth:`relationship` call per neighbor.
         """
-        self._require(asn)
-        return dict(self._row_items(asn))
+        idx = self._index(asn)
+        return dict(self._base.row_pairs(idx))
 
     def _view(self, asn: ASN) -> _AdjView:
         view = self._views.get(asn)
         if view is None:
-            self._require(asn)
-            if self._base is None or (
-                asn in self._overlay and self._overlay_heavy()
-            ):
-                self._compact()
-            row = self._overlay.get(asn)
-            if row is None:
-                assert self._base is not None
-                view = self._base.view_of(self._base.index[asn])
-            else:
-                providers: List[ASN] = []
-                customers: List[ASN] = []
-                peers: List[ASN] = []
-                for nbr, rel in row.items():
-                    if rel is Relationship.PROVIDER:
-                        providers.append(nbr)
-                    elif rel is Relationship.CUSTOMER:
-                        customers.append(nbr)
-                    else:
-                        peers.append(nbr)
-                providers.sort()
-                customers.sort()
-                peers.sort()
-                view = (
-                    tuple(providers),
-                    tuple(customers),
-                    tuple(peers),
-                    tuple(sorted(row)),
-                )
-            self._views[asn] = view
+            idx = self._index(asn)
+            view = self._views[asn] = self._base.view_of(idx)
         return view
 
     def neighbors(self, asn: ASN) -> Tuple[ASN, ...]:
@@ -603,16 +496,8 @@ class ASGraph:
 
     def degree(self, asn: ASN) -> int:
         """Number of neighbors."""
-        self._require(asn)
-        row = self._overlay.get(asn)
-        if row is not None:
-            return len(row)
-        base = self._base
-        if base is not None:
-            idx = base.index.get(asn)
-            if idx is not None:
-                return base.degree_of(idx)
-        return 0
+        idx = self._index(asn)
+        return self._base.degree_of(idx)
 
     def is_multihomed(self, asn: ASN) -> bool:
         """Whether the AS has two or more providers."""
@@ -639,10 +524,11 @@ class ASGraph:
 
         c2p links are reported customer-first, p2p links low-ASN-first.
         """
+        base = self._freeze()
         out: List[Tuple[ASN, ASN, Relationship]] = []
         seen: Set[Link] = set()
         for a in self.ases:
-            for b, rel in self._row_items(a):
+            for b, rel in base.row_pairs(base.index[a]):
                 key = normalize_link(a, b)
                 if key in seen:
                     continue
@@ -681,7 +567,7 @@ class ASGraph:
         Raises :class:`CyclicHierarchyError` when the hierarchy is cyclic.
         """
         # indegree counts customers still unprocessed below each provider.
-        indegree: Dict[ASN, int] = {asn: 0 for asn in self._live}
+        indegree: Dict[ASN, int] = {asn: 0 for asn in self._freeze().asns}
         for _, provider in self.iter_c2p():
             indegree[provider] += 1
         ready = sorted(asn for asn, deg in indegree.items() if deg == 0)
@@ -694,20 +580,22 @@ class ASGraph:
                 indegree[provider] -= 1
                 if indegree[provider] == 0:
                     queue.append(provider)
-        if len(order) != len(self._live):
+        if len(order) != len(indegree):
             raise CyclicHierarchyError("customer-provider hierarchy contains a cycle")
         return order
 
     def iter_c2p(self) -> Iterator[Link]:
         """Iterate over every c2p link, customer first."""
-        for a in self._live:
-            for b, rel in self._row_items(a):
-                if rel is Relationship.PROVIDER:
-                    yield (a, b)
+        base = self._freeze()
+        return (
+            (a, b)
+            for idx, a in enumerate(base.asns)
+            for b, rel in base.row_pairs(idx)
+            if rel is Relationship.PROVIDER
+        )
 
     def uphill_reachable_tier1s(self, asn: ASN) -> Set[ASN]:
         """Tier-1 ASes reachable from ``asn`` by climbing provider links."""
-        self._require(asn)
         seen: Set[ASN] = set()
         stack = [asn]
         found: Set[ASN] = set()
@@ -731,7 +619,6 @@ class ASGraph:
         multi-homed, and ``None`` if the chain ends at a tier-1 without
         ever meeting a multi-homed AS.
         """
-        self._require(asn)
         current = asn
         visited: Set[ASN] = set()
         while True:
@@ -747,8 +634,16 @@ class ASGraph:
 
     # ------------------------------------------------------------------
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
+        # Counted off whichever state the graph is in: a debugging aid
+        # must not freeze a graph that is still being built.
+        rows = self._rows
+        if rows is not None:
+            rels = [rel for row in rows.values() for rel in row.values()]
+        else:
+            rels = [_REL_OF_CODE[code] for code in self._base.nbr_rel]
         return (
-            f"ASGraph(|V|={len(self)}, c2p={len(self.c2p_links())}, "
-            f"p2p={len(self.p2p_links())})"
+            f"ASGraph(|V|={len(self)}, "
+            f"c2p={rels.count(Relationship.PROVIDER)}, "
+            f"p2p={rels.count(Relationship.PEER) // 2})"
         )

@@ -1,13 +1,14 @@
 """Retained dict-of-dicts AS graph: the differential-test twin.
 
 This is the pre-CSR implementation of :class:`repro.topology.graph
-.ASGraph`, kept verbatim (renamed) as the executable specification the
-CSR core is pinned against.  ``tests/topology/test_csr_equivalence.py``
-drives randomized build + mutation streams through both classes and
-asserts every observable — adjacency views, ``relationship``,
-``version`` semantics, error types and messages, link enumeration
-order — is identical.  Do not "improve" this class: its value is that
-it does not change.
+.ASGraph`, kept (renamed, with the same build-only API) as the
+executable specification the CSR core is pinned against.
+``tests/topology/test_csr_equivalence.py`` drives randomized build
+streams through both classes and asserts every observable — adjacency
+views, ``relationship``, error types and messages, link enumeration
+order — is identical.  Like a frozen ``ASGraph``, it must not be
+extended once read: its cached views are never invalidated.  Do not
+"improve" this class: its value is that it does not change.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ class ReferenceASGraph:
 
     def __init__(self) -> None:
         self._nbr: Dict[ASN, Dict[ASN, Relationship]] = {}
-        self._version = 0
         self._views: Dict[ASN, _AdjView] = {}
         self._ases: Optional[Tuple[ASN, ...]] = None
         self._tier1s: Optional[Tuple[ASN, ...]] = None
@@ -45,18 +45,10 @@ class ReferenceASGraph:
     # Construction
     # ------------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._version += 1
-        if self._views:
-            self._views.clear()
-        self._ases = None
-        self._tier1s = None
-
     def add_as(self, asn: ASN) -> None:
         """Add an AS with no links (idempotent)."""
         if asn not in self._nbr:
             self._nbr[asn] = {}
-            self._invalidate()
 
     def add_c2p(self, customer: ASN, provider: ASN) -> None:
         """Add a customer-provider link.
@@ -84,38 +76,10 @@ class ReferenceASGraph:
             return
         self._nbr[a][b] = rel_of_b
         self._nbr[b][a] = rel_of_b.inverse
-        self._invalidate()
-
-    def remove_link(self, a: ASN, b: ASN) -> None:
-        """Remove the link between two ASes."""
-        if not self.has_link(a, b):
-            raise UnknownLinkError(f"no link {a}-{b}")
-        del self._nbr[a][b]
-        del self._nbr[b][a]
-        self._invalidate()
-
-    def remove_as(self, asn: ASN) -> None:
-        """Remove an AS and all of its links."""
-        self._require(asn)
-        for nbr in list(self._nbr[asn]):
-            del self._nbr[nbr][asn]
-        del self._nbr[asn]
-        self._invalidate()
-
-    def copy(self) -> "ReferenceASGraph":
-        """Deep copy of the graph (caches are rebuilt lazily)."""
-        clone = ReferenceASGraph()
-        clone._nbr = {asn: dict(nbrs) for asn, nbrs in self._nbr.items()}
-        return clone
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """Mutation counter; changes whenever the topology changes."""
-        return self._version
 
     def _require(self, asn: ASN) -> None:
         if asn not in self._nbr:

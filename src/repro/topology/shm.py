@@ -1,6 +1,6 @@
 """Zero-copy topology fan-out over ``multiprocessing.shared_memory``.
 
-The whole adjacency of a compacted graph is one flat byte string
+The whole adjacency of a frozen graph is one flat byte string
 (:meth:`repro.topology.graph._CSRBase.to_bytes` — the layout lives
 there, with its only encoder and decoder), so a campaign publishes it
 **once** into a named shared-memory segment and each worker maps the
@@ -23,9 +23,9 @@ Lifecycle contract:
   the segment if the whole family dies without unlinking, and
   unregistering would instead remove the *creator's* registration and
   make its unlink race the tracker;
-* the graph a worker gets is served from read-only array views —
-  simulations never mutate the topology, and even a mutation would go
-  through the graph's copy-on-write overlay, never the shared pages.
+* the graph a worker gets is frozen from the start and served from
+  read-only array views: an ``add_*`` on it raises, and nothing can
+  write to the shared pages.
 
 There is no switch that turns the segment off: the supervisor falls
 back to sending the same bytes over each worker's pipe only when
@@ -99,9 +99,8 @@ class SharedGraph:
 def share_graph(graph: ASGraph) -> SharedGraph:
     """Publish a graph's CSR arrays into a fresh shared-memory segment.
 
-    The graph is compacted first (folding any pending overlay edits),
-    so the segment reflects the topology exactly as of this call; later
-    mutations of ``graph`` do not leak into it.
+    Publishing reads the graph, so it freezes it: the segment and the
+    graph hold the same topology for as long as both exist.
     """
     payload = graph.csr_base().to_bytes()
     shm = shared_memory.SharedMemory(create=True, size=len(payload))

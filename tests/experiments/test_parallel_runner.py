@@ -139,17 +139,17 @@ class TestScale5Smoke:
 )
 class TestScale20Smoke:
     """Internet-scale coverage of the CSR core: a scale-20 (~12.3k AS)
-    topology must build, compact, publish over shared memory, and run
+    topology must build, freeze, publish over shared memory, and run
     a smoke campaign through the supervised pool."""
 
     SCALE20 = InternetTopologyConfig(
         seed=0, n_tier1=20, n_tier2=960, n_tier3=2400, n_stub=8800
     )
 
-    def test_generation_compaction_and_sharing(self):
+    def test_generation_freezing_and_sharing(self):
         graph, _ = generate_internet_topology(self.SCALE20)
         assert len(graph) == 20 + 960 + 2400 + 8800
-        graph.compact()
+        graph.csr_base()
         assert graph.tier1s() == tuple(range(1, 21))
         from repro.topology.shm import (
             attach_graph,

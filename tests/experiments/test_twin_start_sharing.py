@@ -95,7 +95,8 @@ class TestSharedStartEquivalence:
         # The mismatched run started fresh and re-filled the slot with
         # its own key rather than consuming the old one.
         assert runner_mod._RBGP_START_SLOT is not None
-        assert runner_mod._RBGP_START_SLOT[0][3] == 4
+        key = runner_mod._RBGP_START_SLOT[0]
+        assert key == (graph, scenario.destination, 4, ())
         runner_mod._RBGP_START_SLOT = None
 
 

@@ -32,6 +32,9 @@ SPEC = {
     "topology": TINY_TOPOLOGY,
 }
 
+#: A raw request's ``Content-Length`` that matches its body.
+HONEST = "honest"
+
 
 class ServiceClient:
     """One live service instance plus a blocking JSON client for it."""
@@ -235,6 +238,48 @@ class TestAdmissionControl:
             assert status == 413
         finally:
             fixture.close()
+
+    @pytest.mark.parametrize(
+        "length, body, status",
+        [
+            ("-1", b"{}", 400),  # int() took it; read(-1) waited for EOF
+            ("+2", b"{}", 400),
+            ("1e3", b"{}", 400),
+            ("abc", b"{}", 400),
+            ("", b"{}", 400),
+            (None, b"{}", 400),
+            (str(256 * 1024 + 1), b"", 413),
+            ("99999999999999999999", b"", 413),
+            (HONEST, b'{"kind": "fig2", "inst', 400),  # truncated JSON
+            (HONEST, b'{"kind": "\xff\xfe"}', 400),  # not UTF-8
+            (HONEST, b"[1, 2]", 400),
+            (HONEST, b"42", 400),
+            (HONEST, b'"fig2"', 400),
+            (HONEST, b"null", 400),
+        ],
+        ids=[
+            "negative", "plus-sign", "exponent", "letters", "empty",
+            "missing", "over-cap", "huge", "truncated-json", "non-utf8",
+            "array", "number", "string", "null",
+        ],
+    )
+    def test_malformed_request_is_refused_promptly(
+        self, client, length, body, status
+    ):
+        """Raw bytes over a kept-alive socket: every malformed header
+        or body is answered with a 4xx, never left hanging."""
+        import socket
+
+        host, port = client.server.server_address[:2]
+        if length is HONEST:
+            length = str(len(body))
+        head = "POST /campaigns HTTP/1.1\r\nHost: test\r\n"
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(head.encode("ascii") + b"\r\n" + body)
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == str(status).encode(), status_line
 
     def test_full_queue_is_429_with_retry_after(self, parked):
         specs = [dict(SPEC, seed=i) for i in range(3)]

@@ -178,9 +178,9 @@ class TestCommands:
         out = tmp_path / "graph.txt"
         assert main(TINY + ["topology", "--out", str(out)]) == 0
         assert out.exists()
-        from repro.topology.serialization import load_graph
+        from repro.topology.caida import load_caida
 
-        graph = load_graph(out)
+        graph = load_caida(out).graph
         assert len(graph) == 39
 
 

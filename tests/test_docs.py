@@ -115,12 +115,13 @@ def test_readme_documents_real_topologies():
 
 
 def test_architecture_covers_the_topology_core():
-    """The topology section must document the CSR storage, the delta
-    overlay, the shared-memory fan-out, and the CAIDA loader."""
+    """The topology section must document the CSR storage, the freeze
+    contract, the shared-memory fan-out, and the CAIDA loader."""
     text = ARCHITECTURE.read_text()
     for topic in (
         "CSR",
-        "delta overlay",
+        "freeze contract",
+        "test_graph_freeze.py",
         "shared_memory",
         "`caida.py`",
         "memoryview",
@@ -322,6 +323,33 @@ def test_the_event_queue_and_the_failover_scan_have_one_owner():
         and getattr(node.func, "attr", None) == "_failover_key_for",
     )
     assert scans == ["compute_failover_route"]
+
+
+def test_a_topology_is_built_then_frozen():
+    """Build-then-freeze, enforced: the graph's delta overlay, its
+    mutation API, the ``version`` counter and every cache check of it,
+    and the second reader of the CAIDA text format stay deleted, in the
+    code and in the documents."""
+    gone = re.compile(
+        r"\b_overlay\w*|\b_materialize\b|\b_invalidate\b"
+        r"|\b_tables_version\b|\b_refresh_tables\b|\bload_graph\b"
+        r"|\bgraph\.(version|compact|copy|remove_link|remove_as)\b"
+    )
+    _assert_gone_from_code_and_documents(gone)
+    topology = REPO / "src" / "repro" / "topology"
+    deleted = {"remove_link", "remove_as", "copy", "compact", "version"}
+    for path, name in (
+        (topology / "graph.py", "ASGraph"),
+        (topology / "reference.py", "ReferenceASGraph"),
+    ):
+        (cls,) = [
+            node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and node.name == name
+        ]
+        defined = {
+            node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & deleted, f"{name} defines {defined & deleted}"
 
 
 def test_modules_import_from_the_defining_submodule():

@@ -19,7 +19,8 @@ from repro.topology.generators import (
 )
 from repro.topology.graph import ASGraph
 from repro.topology.paths import downhill_nodes, is_valley_free, split_uphill_downhill
-from repro.topology.serialization import graph_to_lines, load_graph
+from repro.topology.caida import load_caida
+from repro.topology.serialization import graph_to_lines
 from repro.types import Outcome, normalize_link
 
 # ----------------------------------------------------------------------
@@ -75,7 +76,8 @@ def test_generated_topologies_are_sound(config):
 @given(random_graphs())
 @settings(max_examples=30, deadline=None)
 def test_serialization_round_trips(graph):
-    assert set(load_graph(graph_to_lines(graph)).links()) == set(graph.links())
+    reloaded = load_caida(graph_to_lines(graph)).graph
+    assert set(reloaded.links()) == set(graph.links())
 
 
 @given(random_graphs(), st.integers(1, 14))

@@ -1,24 +1,25 @@
 """Differential lockdown of the CSR ``ASGraph``.
 
 Every plane, cache, and golden in this repo keys off the topology's
-adjacency views and ``version`` counter, so the CSR rewrite ships
-behind this harness: randomized graph-build + mutation streams are
-applied, operation by operation, to both the CSR implementation and
-the retained dict-of-dicts twin
+adjacency views, so the CSR graph ships behind this harness:
+randomized *build* streams are applied, operation by operation, to
+both the CSR implementation and the retained dict-of-dicts twin
 (:class:`repro.topology.reference.ReferenceASGraph`), asserting that
 
-* every operation outcome matches — including the *type and message*
-  of every raised exception;
-* every observable matches at interleaved checkpoints: adjacency
-  views, ``relationship()``, ``degree``/``is_tier1``/``is_multihomed``
-  /``is_stub``, ``version``, link enumerations **and their order**
-  (``links()``/``iter_c2p()`` order is load-bearing for seeded runs),
-  tier-1 sets, topological order, uphill reachability;
-* explicit ``compact()`` calls (folding the delta overlay into fresh
-  CSR arrays) are observably invisible;
-* a pickled graph — and a pickled *started network* via the twin-start
-  snapshot path — restores byte-identically, pinned against the fig2
-  golden trace SHA.
+* every build operation outcome matches — including the *type and
+  message* of every raised exception (self-links, conflicting
+  relationships, duplicate adds) — and so do the readers a builder may
+  call mid-build without freezing the graph (``has_link``, ``in``,
+  ``len``, iteration order);
+* once the stream ends, the first read freezes the CSR graph and every
+  observable matches: adjacency views, ``relationship()``,
+  ``degree``/``is_tier1``/``is_multihomed``/``is_stub``, link
+  enumerations **and their order** (``links()``/``iter_c2p()`` order
+  is load-bearing for seeded runs), tier-1 sets, topological order,
+  uphill reachability — and a later ``add_*`` raises;
+* a pickled graph — built or frozen — and a pickled *started network*
+  via the twin-start snapshot path restore byte-identically, the
+  latter pinned against the fig2 golden trace SHA.
 """
 
 from __future__ import annotations
@@ -31,15 +32,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import CyclicHierarchyError
+from repro.errors import CyclicHierarchyError, TopologyError
 from repro.topology.graph import ASGraph
 from repro.topology.reference import ReferenceASGraph
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "fig2_seed_golden.json"
 
 #: Small ASN universe so random streams collide often: conflicting
-#: relationships, duplicate adds, removals of real links, re-added
-#: ASes — the interesting paths.
+#: relationships, duplicate adds, self-links — the interesting paths.
 ASN_POOL = tuple(range(1, 41))
 
 
@@ -48,36 +48,25 @@ ASN_POOL = tuple(range(1, 41))
 # ----------------------------------------------------------------------
 
 
-def _draw_op(rng, ref):
-    """One random operation, drawn against the reference's state."""
+def _draw_op(rng, added):
+    """One random build operation (``added``: the links added so far)."""
     a = rng.choice(ASN_POOL)
     b = rng.choice(ASN_POOL)
     r = rng.random()
-    if r < 0.28:
+    if r < 0.06:
+        return ("add_c2p", a, a)  # self-link
+    if r < 0.16 and added:
+        # Restate or contradict an existing link, in either direction.
+        x, y = rng.choice(added)
+        return (rng.choice(("add_c2p", "add_p2p")), *rng.sample((x, y), 2))
+    if r < 0.50:
         return ("add_c2p", a, b)
-    if r < 0.42:
-        return ("add_p2p", a, b)
-    if r < 0.54:
-        links = ref.links()
-        if links and rng.random() < 0.7:
-            # Mostly remove *real* links (the failure-experiment path);
-            # sometimes a random pair, for error parity.
-            x, y, _ = rng.choice(links)
-            return ("remove_link", x, y)
-        return ("remove_link", a, b)
-    if r < 0.62:
-        live = list(ref)
-        if live and rng.random() < 0.7:
-            return ("remove_as", rng.choice(live))
-        return ("remove_as", a)
     if r < 0.68:
-        return ("add_as", a)
+        return ("add_p2p", a, b)
     if r < 0.76:
-        return ("compact",)
-    if r < 0.88:
-        return ("relationship", a, b)
-    if r < 0.94:
-        return ("degree", a)
+        return ("add_as", a)
+    if r < 0.88 and added:
+        return ("has_link", *rng.choice(added))
     return ("has_link", a, b)
 
 
@@ -85,21 +74,21 @@ def _apply(graph, op):
     """Apply one op; normalize the outcome (result or exception)."""
     kind, *args = op
     try:
-        if kind == "compact":
-            # CSR-only maintenance hook; a no-op on the reference.
-            if hasattr(graph, "compact"):
-                graph.compact()
-            return ("ok", None)
-        result = getattr(graph, kind)(*args)
-        return ("ok", result)
+        return ("ok", getattr(graph, kind)(*args))
     except Exception as exc:
         return ("err", type(exc).__name__, str(exc))
+
+
+def _building_state(graph):
+    """What a builder may read without freezing the graph.  (Not the
+    reference's ``repr``: it reads the views, which the reference
+    caches and — like a frozen graph — never invalidates.)"""
+    return (len(graph), list(graph), [asn in graph for asn in ASN_POOL])
 
 
 def _observe(graph):
     """Every public observable, including enumeration order."""
     obs = {
-        "version": graph.version,
         "len": len(graph),
         "iter_order": list(graph),
         "ases": graph.ases,
@@ -121,6 +110,8 @@ def _observe(graph):
             graph.is_multihomed(asn),
             graph.is_stub(asn),
             list(graph.neighbor_relationships(asn).items()),
+            [_apply(graph, ("relationship", asn, b)) for b in ASN_POOL],
+            [graph.has_link(asn, b) for b in ASN_POOL],
         )
     obs["per_as"] = per
     try:
@@ -134,6 +125,10 @@ def _observe(graph):
     obs["first_multihomed"] = {
         asn: graph.first_multihomed_ancestor(asn) for asn in graph.ases
     }
+    obs["unknown"] = [
+        _apply(graph, (kind, 0)) for kind in ("providers", "degree")
+    ] + [_apply(graph, ("relationship", 0, 1))]
+    obs["repr"] = repr(graph).split("(", 1)[1]
     return obs
 
 
@@ -146,23 +141,22 @@ def _assert_int_views(graph):
             assert type(nbr) is int
         for x, y, _rel in graph.links():
             assert type(x) is int and type(y) is int
-        break  # one row suffices per checkpoint
+        break  # one row suffices
 
 
-def _run_stream(seed, n_ops=160, observe_every=20):
+def _build_stream(seed, n_ops=160):
+    """Build both graphs op by op; return them still being built."""
     rng = random.Random(seed)
     csr = ASGraph()
     ref = ReferenceASGraph()
+    added = []
     for step in range(n_ops):
-        op = _draw_op(rng, ref)
-        ref_outcome = _apply(ref, op)
-        csr_outcome = _apply(csr, op)
-        assert csr_outcome == ref_outcome, (seed, step, op)
-        assert csr.version == ref.version, (seed, step, op)
-        if step % observe_every == observe_every - 1:
-            assert _observe(csr) == _observe(ref), (seed, step)
-            _assert_int_views(csr)
-    assert _observe(csr) == _observe(ref)
+        op = _draw_op(rng, added)
+        outcome = _apply(csr, op)
+        assert outcome == _apply(ref, op), (seed, step, op)
+        if op[0] != "has_link" and outcome[0] == "ok" and len(op) == 3:
+            added.append(op[1:])
+        assert _building_state(csr) == _building_state(ref), (seed, step)
     return csr, ref
 
 
@@ -171,65 +165,32 @@ def _run_stream(seed, n_ops=160, observe_every=20):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_mutation_streams_match_reference(seed):
-    _run_stream(seed)
-
-
-def test_compaction_after_every_mutation_is_invisible():
-    """Force a CSR rebuild at every step: still observably identical."""
-    rng = random.Random(424242)
-    csr = ASGraph()
-    ref = ReferenceASGraph()
-    for step in range(60):
-        op = _draw_op(rng, ref)
-        assert _apply(csr, op) == _apply(ref, op), (step, op)
-        csr.compact()
-        if step % 10 == 9:
-            assert _observe(csr) == _observe(ref), step
+@pytest.mark.parametrize("seed", range(12))
+def test_random_build_streams_match_reference(seed):
+    csr, ref = _build_stream(seed)
     assert _observe(csr) == _observe(ref)
+    _assert_int_views(csr)
+    # The observation froze the CSR graph: it can no longer be extended.
+    before = _observe(csr)
+    for op in (("add_as", 99), ("add_c2p", 1, 2), ("add_p2p", 98, 97)):
+        outcome = _apply(csr, op)
+        assert outcome[:2] == ("err", "TopologyError"), op
+        assert "frozen" in outcome[2]
+    assert _observe(csr) == before
 
 
-def test_view_identity_survives_compaction():
-    """compact() folds storage, but cached view tuples stay shared
-    (identity matters: speakers hold these tuples)."""
-    graph = ASGraph()
-    graph.add_c2p(2, 1)
-    graph.add_c2p(3, 1)
-    view = graph.providers(2)
-    before = graph.version
-    assert graph.compact() is graph
-    assert graph.providers(2) is view
-    assert graph.version == before  # maintenance never looks like mutation
-
-
-def test_copy_independence_matches_reference():
-    csr, ref = _run_stream(99, n_ops=80)
-    csr2, ref2 = csr.copy(), ref.copy()
-    assert _observe(csr2) == _observe(ref2)
-    # Mutating the original must not leak into the copy (and back).
-    rng = random.Random(7)
-    for _ in range(30):
-        op = _draw_op(rng, ref)
-        assert _apply(csr, op) == _apply(ref, op)
-    assert _observe(csr) == _observe(ref)
-    assert _observe(csr2) == _observe(ref2)
-    rng = random.Random(8)
-    for _ in range(30):
-        op = _draw_op(rng, ref2)
-        assert _apply(csr2, op) == _apply(ref2, op)
-    assert _observe(csr2) == _observe(ref2)
-    assert _observe(csr) == _observe(ref)
-
-
-def test_pickle_round_trip_matches_reference():
-    for compacted in (False, True):
-        csr, ref = _run_stream(17, n_ops=60)
-        if compacted:
-            csr.compact()
+@pytest.mark.parametrize("frozen", [False, True], ids=["built", "frozen"])
+def test_pickle_round_trip_matches_reference(frozen):
+    csr, ref = _build_stream(17, n_ops=60)
+    if frozen:
+        csr.csr_base()
+    restored = pickle.loads(pickle.dumps(csr))
+    assert _observe(restored) == _observe(ref)
+    if not frozen:
+        # A graph pickled mid-build is restored mid-build.
         restored = pickle.loads(pickle.dumps(csr))
-        assert _observe(restored) == _observe(ref)
-        assert restored.version == ref.version
+        restored.add_p2p(1000, 1001)
+        assert restored.has_link(1000, 1001) and 1000 not in csr
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +207,11 @@ def _trace_sha(trace) -> str:
     return digest.hexdigest()
 
 
-def test_started_network_snapshot_restores_on_compacted_csr_graph():
-    """Satellite regression: pickle/restore a *started* network whose
-    graph is a compacted CSR ``ASGraph`` (shared-memory-shaped state),
-    then run the fig2 scenario to convergence — the forwarding trace
-    SHA must equal the committed golden."""
+def test_started_network_snapshot_restores_on_frozen_csr_graph():
+    """Pickle/restore a *started* network whose graph is a frozen CSR
+    ``ASGraph`` (shared-memory-shaped state), then run the fig2
+    scenario to convergence — the forwarding trace SHA must equal the
+    committed golden."""
     from repro.experiments.runner import _StartSnapshot, build_network
     from repro.experiments.scenarios import single_provider_link_failure
     from repro.topology.generators import (
@@ -260,7 +221,8 @@ def test_started_network_snapshot_restores_on_compacted_csr_graph():
 
     golden = json.loads(GOLDEN_PATH.read_text())
     graph, _ = generate_internet_topology(InternetTopologyConfig())
-    graph.compact()  # force the int-indexed arrays to be live
+    with pytest.raises(TopologyError):  # generation ends frozen
+        graph.add_as(0)
     scenario = single_provider_link_failure(
         graph, random.Random("0:fig2-single-link:0")
     )

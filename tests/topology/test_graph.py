@@ -59,27 +59,6 @@ class TestConstruction:
         graph.add_c2p(1, 2)
         assert graph.c2p_links() == [(1, 2)]
 
-    def test_remove_link(self, diamond):
-        diamond.remove_link(1, 2)
-        assert not diamond.has_link(1, 2)
-        assert diamond.has_link(1, 3)
-
-    def test_remove_missing_link_raises(self, diamond):
-        with pytest.raises(UnknownLinkError):
-            diamond.remove_link(1, 4)
-
-    def test_remove_as_drops_links(self, diamond):
-        diamond.remove_as(2)
-        assert 2 not in diamond
-        assert not diamond.has_link(1, 2)
-        assert diamond.providers(1) == (3,)
-
-    def test_copy_is_independent(self, diamond):
-        clone = diamond.copy()
-        clone.remove_link(1, 2)
-        assert diamond.has_link(1, 2)
-        assert not clone.has_link(1, 2)
-
 
 class TestQueries:
     def test_unknown_as_raises(self, diamond):

@@ -16,6 +16,7 @@ from array import array
 
 import pytest
 
+from repro.errors import TopologyError
 from repro.topology.generators import (
     InternetTopologyConfig,
     example_paper_topology,
@@ -76,6 +77,19 @@ class TestCodec:
     def test_empty_graph_survives(self):
         restored = _decoded(ASGraph().csr_base().to_bytes())
         assert len(restored) == 0 and restored.links() == []
+
+    def test_decoded_graph_is_frozen(self):
+        """A worker's graph off the pipe (or out of a pickle) cannot
+        be extended: it is a snapshot from the start."""
+        source = example_paper_topology()
+        for restored in (
+            _decoded(source.csr_base().to_bytes()),
+            pickle.loads(pickle.dumps(source)),
+        ):
+            with pytest.raises(TopologyError, match="frozen"):
+                restored.add_p2p(1000, 1001)
+            assert 1000 not in restored
+            assert restored.links() == source.links()
 
     def test_payload_is_deterministic(self, graph):
         payload = graph.csr_base().to_bytes()
@@ -147,15 +161,19 @@ def test_attached_views_are_python_ints(graph):
 
 
 @needs_segment
-def test_share_reflects_pending_overlay_edits(graph):
-    """share_graph compacts first: overlay mutations made before the
-    call are visible to attachers; mutations *after* are not."""
-    a, b = graph.c2p_links()[0]
-    graph.remove_link(a, b)  # lives in the delta overlay
+def test_share_freezes_and_attach_is_frozen():
+    """Publishing freezes a graph still being built, so the segment and
+    the graph cannot drift apart; the attached graph is frozen too."""
+    graph = ASGraph()
+    graph.add_c2p(2, 1)
     with share_graph(graph) as shared:
-        graph.add_c2p(a, b)  # after publish: must not leak in
+        with pytest.raises(TopologyError, match="frozen"):
+            graph.add_c2p(3, 1)
+        assert 3 not in graph
         with attach_graph(shared.name) as attached:
-            assert not attached.graph.has_link(a, b)
+            with pytest.raises(TopologyError, match="frozen"):
+                attached.graph.add_as(3)
+            assert list(attached.graph) == [2, 1]
 
 
 @needs_segment
