@@ -10,9 +10,9 @@ them:
 * ``--help`` (compared with runs of whitespace collapsed: argparse 3.13
   wraps the usage line differently, every word is the program's),
 * ``topology --out`` (stdout and the file written),
-* ``--instances 3 fig2``, ``--instances 2 flap --flaps 4`` and
-  ``--workers 2 --instances 3 node-failure`` (in-process and pooled),
-* ``from repro import *`` (the names a lazy package hands out),
+* ``--instances 3 fig2``, ``--instances 2 fig3a``, ``--instances 2
+  fig3b``, ``--instances 2 flap --flaps 4`` and ``--workers 2
+  --instances 3 node-failure`` (in-process and pooled),
 * and a ledger written by one interpreter answered by the next one
   under the other hash seed: same chart, not one byte appended — zero
   recomputed units, so pickled results cross versions.
@@ -44,13 +44,11 @@ CLI_COMMANDS: Dict[str, List[str]] = {
     "help": ["--help"],
     "topology": ["topology", "--out", "graph.txt"],
     "fig2": FIG2,
+    "fig3a": ["--instances", "2", "fig3a"],
+    "fig3b": ["--instances", "2", "fig3b"],
     "flap": ["--instances", "2", "flap", "--flaps", "4"],
     "node-failure": ["--workers", "2", "--instances", "3", "node-failure"],
 }
-STAR_IMPORT = (
-    "from repro import *; import repro; "
-    "print([name for name in repro.__all__ if name in globals()])"
-)
 
 
 def find_interpreter(version: str) -> Optional[str]:
@@ -150,10 +148,6 @@ def main() -> int:
                         command, label, python, hash_seed,
                         ["-m", "repro.cli", *argv], cwd,
                     )
-                outcomes.run(
-                    "star-import", label, python, hash_seed,
-                    ["-c", STAR_IMPORT], cwd,
-                )
         check_ledger_crosses(outcomes, found, tmp)
     status = 0
     for command, digests in outcomes.digests.items():

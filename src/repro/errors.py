@@ -35,10 +35,6 @@ class ConvergenceError(SimulationError):
     """A protocol failed to converge within the configured horizon."""
 
 
-class ProtocolError(ReproError):
-    """A routing process violated one of its own invariants."""
-
-
 class ConfigurationError(ReproError):
     """An experiment or generator was configured inconsistently."""
 

@@ -4,113 +4,3 @@ Each figure/table of the paper's evaluation maps to one function in
 :mod:`repro.experiments.figures`; the pytest-benchmark targets under
 ``benchmarks/`` call these and print the paper-shaped series.
 """
-
-from repro import _lazy_exports
-
-__getattr__, __dir__ = _lazy_exports(
-    globals(),
-    {
-        "repro.experiments.scenarios": (
-            "Episode",
-            "EpisodeEvent",
-            "EventKind",
-            "single_provider_link_failure",
-            "two_link_failures_distinct_as",
-            "two_link_failures_same_as",
-            "provider_node_failure",
-            "link_recovery",
-            "fail_as",
-            "fail_link",
-            "restore_as",
-            "restore_link",
-            "link_flap_episode",
-            "staggered_maintenance_episode",
-            "correlated_outage_episode",
-        ),
-        "repro.experiments.runner": (
-            "EpisodePhase",
-            "EpisodeRun",
-            "ExperimentConfig",
-            "run_episode",
-            "PROTOCOLS",
-        ),
-        "repro.experiments.canonical": (
-            "LEDGER_SALT",
-            "canonical_json",
-            "graph_content_hash",
-            "unit_key",
-        ),
-        "repro.experiments.ledger": ("ResultLedger",),
-        "repro.experiments.supervisor": (
-            "AttemptFailure",
-            "SupervisedOutcome",
-            "Supervisor",
-            "UnitFailure",
-        ),
-        "repro.experiments.parallel": ("ParallelRunner",),
-        "repro.experiments.figures": (
-            "Figure1Data",
-            "FailureFigureData",
-            "episode_campaign",
-            "link_flap_comparison",
-            "fig1_phi_cdf",
-            "fig2_single_link_failure",
-            "fig3a_two_links_distinct_as",
-            "fig3b_two_links_same_as",
-            "node_failure_comparison",
-            "sec61_intelligent_selection",
-            "sec63_partial_deployment",
-            "sec63_message_overhead",
-            "sec63_convergence_delay",
-        ),
-        "repro.experiments.reporting": ("ascii_bar_chart", "format_table"),
-    },
-)
-
-__all__ = [
-    "Episode",
-    "EpisodeEvent",
-    "EventKind",
-    "EpisodePhase",
-    "EpisodeRun",
-    "fail_as",
-    "fail_link",
-    "restore_as",
-    "restore_link",
-    "link_flap_episode",
-    "staggered_maintenance_episode",
-    "correlated_outage_episode",
-    "run_episode",
-    "episode_campaign",
-    "link_flap_comparison",
-    "single_provider_link_failure",
-    "two_link_failures_distinct_as",
-    "two_link_failures_same_as",
-    "provider_node_failure",
-    "link_recovery",
-    "ExperimentConfig",
-    "PROTOCOLS",
-    "Figure1Data",
-    "FailureFigureData",
-    "fig1_phi_cdf",
-    "fig2_single_link_failure",
-    "fig3a_two_links_distinct_as",
-    "fig3b_two_links_same_as",
-    "node_failure_comparison",
-    "sec61_intelligent_selection",
-    "sec63_partial_deployment",
-    "sec63_message_overhead",
-    "sec63_convergence_delay",
-    "ascii_bar_chart",
-    "format_table",
-    "LEDGER_SALT",
-    "canonical_json",
-    "graph_content_hash",
-    "unit_key",
-    "ResultLedger",
-    "AttemptFailure",
-    "SupervisedOutcome",
-    "Supervisor",
-    "UnitFailure",
-    "ParallelRunner",
-]

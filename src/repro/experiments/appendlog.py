@@ -6,17 +6,19 @@ validation, encoding, fold — over this module, the only place in
 ``src/`` that opens a log for append, fsyncs, or replaces a file
 (``tests/test_docs.py`` enforces it), so a flaw in the crash
 discipline is fixed once.  The discipline — append, seal, tolerant
-read, atomic rewrite — is described in ``docs/robustness.md`` ("The
-file: durability and recovery"); each rule's reason sits on the
-function that implements it.
+read, atomic rewrite that holds appends off — is described in
+``docs/robustness.md`` ("The file: durability and recovery"); each
+rule's reason sits on the function that implements it.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import json
 import logging
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
@@ -29,14 +31,54 @@ from typing import (
 )
 
 
+def _replaced(path: Path, status: os.stat_result) -> bool:
+    """Does ``path`` no longer name the file ``status`` describes?"""
+    try:
+        current = os.stat(path)
+    except FileNotFoundError:
+        return True
+    return (current.st_dev, current.st_ino) != (status.st_dev, status.st_ino)
+
+
+@contextmanager
+def exclusive(path: Union[str, Path]) -> Iterator[None]:
+    """Hold every append to ``path`` off, for the whole ``with`` block.
+
+    A rewrite holds this from its first read to its replace: an append
+    that arrives meanwhile waits (:meth:`AppendLog.append` takes the
+    shared side of the same ``flock``), then finds the file replaced
+    and lands in the new one — nothing appended during a compaction is
+    lost, whichever process appended it.  A missing file has no
+    appender to hold off.
+    """
+    path = Path(path)
+    while True:
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            fd = None
+        if fd is None:
+            yield
+            return
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            # Locked the file another rewrite has just replaced: the
+            # lock guards nothing; take the one at the path now.
+            if not _replaced(path, os.fstat(fd)):
+                yield
+                return
+        finally:
+            os.close(fd)
+
+
 def atomic_write(path: Union[str, Path], chunks: Iterable[bytes]) -> None:
     """Replace ``path`` with the concatenation of ``chunks``, atomically.
 
     Temporary sibling, ``fsync``, ``os.replace``, directory ``fsync``:
     a crash or error at any instant leaves the old or the new complete
-    file, never a partial one.  Must not run while *another process*
-    holds ``path`` open for append — that writer's later appends land
-    in the replaced inode and are lost.
+    file, never a partial one.  A rewrite of a log runs inside
+    :func:`exclusive`, or appends that race it are lost in the replaced
+    inode.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -88,8 +130,9 @@ class AppendLog:
         self.path = Path(path)
         self._logger = logger
         self._fd: Optional[int] = None
-        #: ``(st_dev, st_ino)`` of the file the descriptor names, and
-        #: the reader position and every offset a caller kept describe.
+        #: ``(st_dev, st_ino)`` of the file the reader position and every
+        #: offset a caller kept describe.  The descriptor names it too,
+        #: unless an append found it replaced (:meth:`stale` says so).
         self._identity: Optional[Tuple[int, int]] = None
         self._rewind()
 
@@ -171,10 +214,27 @@ class AppendLog:
         because its writer is mid-``write`` is safe too: appends to one
         file are serialized, so the newline lands after that record, as
         an empty line.)
+
+        **Replaced file.**  A compaction or merge (this process or
+        another) swaps a new inode in under the path, and the kept
+        descriptor would append to the old one, where nobody reads.  So
+        an append holds the shared side of :func:`exclusive`'s
+        ``flock`` — a rewrite in progress finishes first — and, holding
+        it, checks that the path still names the descriptor's file,
+        reopening the path if not.  The reader position still
+        describes the old file, so :meth:`stale` stays true until the
+        caller reads again.
         """
         fd = self._descriptor(create=True)
         try:
-            size = os.fstat(fd).st_size
+            while True:
+                fcntl.flock(fd, fcntl.LOCK_SH)
+                status = os.fstat(fd)
+                if not _replaced(self.path, status):
+                    break
+                self.close()
+                fd = self._descriptor(create=True)
+            size = status.st_size
             torn = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
             block = b"\n" + data if torn else data
             written = os.write(fd, block)
@@ -188,11 +248,14 @@ class AppendLog:
             # An O_APPEND write leaves the descriptor's offset at the
             # end of its own bytes, wherever other writers pushed them.
             end = os.lseek(fd, 0, os.SEEK_CUR)
-        except OSError:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+        except BaseException:  # an interrupt too: no lock outlives the call
             self.close()
             raise
         offset = end - len(data)
-        if offset == self._consumed:
+        if offset == self._consumed and self._identity == (
+            status.st_dev, status.st_ino
+        ):
             # Nothing but these lines since the last read: the reader
             # need not come back for what the caller already knows.
             self._consumed = self._seen = end
@@ -310,7 +373,8 @@ class AppendLog:
 
     def rewrite(self, chunks: Iterable[bytes]) -> None:
         """Atomically replace the whole log; the next read or append
-        reopens it, from byte 0."""
+        reopens it, from byte 0.  Call it inside :func:`exclusive`,
+        held since the read the new contents were derived from."""
         self._detach()
         atomic_write(self.path, chunks)
         self._rewind()

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import LedgerMergeError
-from repro.experiments.appendlog import AppendLog, Line, atomic_write
+from repro.experiments.appendlog import AppendLog, Line, atomic_write, exclusive
 from repro.experiments.canonical import LEDGER_SALT, sha256_hex
 
 logger = logging.getLogger("repro.experiments.ledger")
@@ -313,10 +313,14 @@ class ResultLedger:
 
         The rewrite is atomic (:func:`~repro.experiments.appendlog
         .atomic_write`): a crash at any instant leaves either the old
-        or the new complete file.  Returns the number of evicted records.
+        or the new complete file.  It reads what other writers appended
+        first, and holds their appends off until the replace
+        (:func:`~repro.experiments.appendlog.exclusive`), so none is
+        lost.  Returns the number of evicted records.
         """
         now = time.time() if now is None else now
-        with self._lock:
+        with self._lock, exclusive(self.path):
+            self.refresh()
             survivors = self._live_records()
             live = len(survivors)
             if max_age_seconds is not None:
@@ -391,8 +395,10 @@ def merge_ledgers(
     anything; the output always carries a header.
 
     The output is written atomically, so it may safely be one of the
-    inputs — but no other process may be appending to it meanwhile.
-    Each input is read exactly once.  Returns counts: ``records`` (live
+    inputs; an existing output's appenders are held off from the first
+    read to the replace (:func:`~repro.experiments.appendlog
+    .exclusive`) and then append to the merged file.  Each input is
+    read exactly once.  Returns counts: ``records`` (live
     keys written), ``duplicates`` (records superseded during the
     merge), ``skipped`` (torn/corrupt lines ignored).
     """
@@ -400,42 +406,43 @@ def merge_ledgers(
     salts: Dict[str, str] = {}
     duplicates = 0
     skipped = 0
-    for in_path in in_paths:
-        if not Path(in_path).exists():
-            raise LedgerMergeError(f"input ledger does not exist: {in_path}")
-        with ResultLedger(in_path) as ledger:
-            if ledger.foreign_versions:
-                # Silently dropping another version's records from the
-                # combined ledger would look like data loss.
-                raise LedgerMergeError(
-                    f"{in_path}: contains record version "
-                    f"{ledger.foreign_versions[0]!r} (this tool writes "
-                    f"version {_RECORD_VERSION}); refusing to merge across "
-                    "format versions"
-                )
-            if ledger.salt is not None:
-                salts[str(in_path)] = ledger.salt
-                if len(set(salts.values())) > 1:
-                    detail = ", ".join(
-                        f"{p}: {s!r}" for p, s in sorted(salts.items())
-                    )
+    with exclusive(out_path):
+        for in_path in in_paths:
+            if not Path(in_path).exists():
+                raise LedgerMergeError(f"input ledger does not exist: {in_path}")
+            with ResultLedger(in_path) as ledger:
+                if ledger.foreign_versions:
+                    # Silently dropping another version's records from the
+                    # combined ledger would look like data loss.
                     raise LedgerMergeError(
-                        f"input ledgers declare different salts ({detail}); "
-                        "their keys are not comparable"
+                        f"{in_path}: contains record version "
+                        f"{ledger.foreign_versions[0]!r} (this tool writes "
+                        f"version {_RECORD_VERSION}); refusing to merge across "
+                        "format versions"
                     )
-            for key, payload, ts in ledger._live_records():
-                if key in merged:
-                    duplicates += 1
-                merged[key] = (payload, ts)
-            skipped += ledger.dropped_records
-    salt = next(iter(salts.values()), LEDGER_SALT)
-    atomic_write(
-        out_path,
-        [ResultLedger.encode_header(salt)] + [
-            ResultLedger.encode_record(key, payload, ts or None)
-            for key, (payload, ts) in merged.items()
-        ],
-    )
+                if ledger.salt is not None:
+                    salts[str(in_path)] = ledger.salt
+                    if len(set(salts.values())) > 1:
+                        detail = ", ".join(
+                            f"{p}: {s!r}" for p, s in sorted(salts.items())
+                        )
+                        raise LedgerMergeError(
+                            f"input ledgers declare different salts ({detail}); "
+                            "their keys are not comparable"
+                        )
+                for key, payload, ts in ledger._live_records():
+                    if key in merged:
+                        duplicates += 1
+                    merged[key] = (payload, ts)
+                skipped += ledger.dropped_records
+        salt = next(iter(salts.values()), LEDGER_SALT)
+        atomic_write(
+            out_path,
+            [ResultLedger.encode_header(salt)] + [
+                ResultLedger.encode_record(key, payload, ts or None)
+                for key, (payload, ts) in merged.items()
+            ],
+        )
     return {
         "records": len(merged), "duplicates": duplicates, "skipped": skipped
     }

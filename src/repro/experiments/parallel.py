@@ -51,17 +51,8 @@ from repro.experiments.supervisor import (
     UnitFailure,
     WorkerBudget,
     WorkUnit,
-    run_unit,
 )
 from repro.topology.graph import ASGraph
-
-__all__ = [
-    "FailureFigureData",
-    "ParallelRunner",
-    "WorkerBudget",
-    "WorkUnit",
-    "run_unit",
-]
 
 
 @dataclass

@@ -125,32 +125,28 @@ def build_network(
     destination,
     *,
     seed: int = 0,
-    network_config: Optional[NetworkConfig] = None,
 ) -> Tuple[object, WalkClassifier]:
     """Instantiate the network and matching data plane for a protocol."""
     if protocol == "bgp":
-        config = network_config or NetworkConfig(seed=seed)
+        config = NetworkConfig(seed=seed)
         return BGPNetwork(graph, destination, config), BGPDataPlane(destination)
     if protocol == "rbgp":
-        config = network_config or NetworkConfig(seed=seed)
+        config = NetworkConfig(seed=seed)
         return (
             RBGPNetwork(graph, destination, config, rci=True),
             RBGPDataPlane(destination, rci=True, graph=graph),
         )
     if protocol == "rbgp-norci":
-        config = network_config or NetworkConfig(seed=seed)
+        config = NetworkConfig(seed=seed)
         return (
             RBGPNetwork(graph, destination, config, rci=False),
             RBGPDataPlane(destination, rci=False, graph=graph),
         )
     if protocol in ("stamp", "stamp-intelligent"):
-        if isinstance(network_config, STAMPConfig):
-            config = network_config
-        else:
-            config = STAMPConfig(
-                seed=seed,
-                intelligent_selection=(protocol == "stamp-intelligent"),
-            )
+        config = STAMPConfig(
+            seed=seed,
+            intelligent_selection=(protocol == "stamp-intelligent"),
+        )
         return STAMPNetwork(graph, destination, config), STAMPDataPlane(destination)
     raise ConfigurationError(f"unknown protocol {protocol!r}")
 
@@ -242,7 +238,6 @@ def _acquire_started_network(
     destination,
     protocol: str,
     seed: int,
-    network_config: Optional[NetworkConfig],
     pre_failed_links,
 ):
     """Build — or restore from the twin-start slot — a started network.
@@ -257,7 +252,7 @@ def _acquire_started_network(
     network = None
     plane = None
     initial_convergence_time = 0.0
-    shareable = protocol in _RBGP_PROTOCOLS and network_config is None
+    shareable = protocol in _RBGP_PROTOCOLS
     if shareable:
         key = _rbgp_start_key(graph, destination, seed, pre_failed)
         slot = _RBGP_START_SLOT
@@ -274,13 +269,7 @@ def _acquire_started_network(
                 destination, rci=(protocol == "rbgp"), graph=graph
             )
     if network is None:
-        network, plane = build_network(
-            protocol,
-            graph,
-            destination,
-            seed=seed,
-            network_config=network_config,
-        )
+        network, plane = build_network(protocol, graph, destination, seed=seed)
         # Links that will *recover* during the run start out failed.
         for a, b in pre_failed_links:
             network.transport.fail_link(a, b)
@@ -440,7 +429,6 @@ def run_episode(
     protocol: str,
     *,
     seed: int = 0,
-    network_config: Optional[NetworkConfig] = None,
 ) -> EpisodeRun:
     """Simulate one timed episode under one protocol; analyze per phase.
 
@@ -468,7 +456,6 @@ def run_episode(
         episode.destination,
         protocol,
         seed,
-        network_config,
         episode.pre_failed_links,
     )
 

@@ -12,21 +12,3 @@ updates.  This is an AS-level reproduction built on the BGP substrate:
   receivers immediately purge every path through it — eliminating
   stale-path exploration.
 """
-
-from repro import _lazy_exports
-
-__getattr__, __dir__ = _lazy_exports(
-    globals(),
-    {
-        "repro.rbgp.messages": ("FailoverAnnouncement", "FailoverWithdrawal"),
-        "repro.rbgp.speaker": ("RBGPSpeaker",),
-        "repro.rbgp.network": ("RBGPNetwork",),
-    },
-)
-
-__all__ = [
-    "FailoverAnnouncement",
-    "FailoverWithdrawal",
-    "RBGPSpeaker",
-    "RBGPNetwork",
-]

@@ -7,24 +7,3 @@ converges to under prefer-customer / valley-free policies.  It is used
 to synthesize RouteViews-style tables, to seed analyses, and as an
 oracle the dynamic simulators are cross-validated against.
 """
-
-from repro import _lazy_exports
-
-__getattr__, __dir__ = _lazy_exports(
-    globals(),
-    {
-        "repro.routing.static": (
-            "RouteClass",
-            "StableRoute",
-            "StableRoutingState",
-            "compute_stable_routes",
-        ),
-    },
-)
-
-__all__ = [
-    "RouteClass",
-    "StableRoute",
-    "StableRoutingState",
-    "compute_stable_routes",
-]

@@ -47,7 +47,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.experiments.appendlog import AppendLog
+from repro.experiments.appendlog import AppendLog, exclusive
 from repro.experiments.canonical import canonical_bytes, canonical_json, sha256_hex
 from repro.service.state import TERMINAL_STATES
 
@@ -206,9 +206,11 @@ class CampaignJournal:
         The replacement holds a single ``snapshot`` record folding the
         current file (snapshot + tail included, recursively), written
         by :func:`~repro.experiments.appendlog.atomic_write`: a crash
-        at any instant leaves the old or the new complete file.  Safe
-        under the service lock (the daemon's one appender holds it);
-        from the CLI only while no daemon has the journal open.
+        at any instant leaves the old or the new complete file.  Every
+        append is held off from the fold's read to the replace
+        (:func:`~repro.experiments.appendlog.exclusive`) and then lands
+        in the new file, so a CLI ``journal compact`` under a running
+        daemon loses nothing the daemon acknowledged.
 
         With ``max_age_seconds`` set, **terminal** campaigns whose last
         transition is older than the bound are evicted; queued/running
@@ -217,30 +219,31 @@ class CampaignJournal:
         ``evicted``, ``dropped``, ``bytes_before``, ``bytes_after``).
         """
         now = time.time() if now is None else now
-        bytes_before = self.size()
-        entries, dropped = self.replay()
-        evicted = 0
-        survivors: Dict[str, Dict[str, Any]] = {}
-        for cid, entry in entries.items():
-            if (
-                max_age_seconds is not None
-                and entry.get("state") in TERMINAL_STATES
-                and (entry.get("ts") or 0.0) < now - max_age_seconds
-            ):
-                evicted += 1
-                continue
-            survivors[cid] = entry
-        line = self.encode_record(
-            {
-                "event": "snapshot",
-                "ts": now,
-                "campaigns": [
-                    dict(entry, id=cid) for cid, entry in survivors.items()
-                ],
-            }
-        )
-        self._log.rewrite([line])
-        self._last_compact_bytes = len(line)
+        with exclusive(self.path):
+            bytes_before = self.size()
+            entries, dropped = self.replay()
+            evicted = 0
+            survivors: Dict[str, Dict[str, Any]] = {}
+            for cid, entry in entries.items():
+                if (
+                    max_age_seconds is not None
+                    and entry.get("state") in TERMINAL_STATES
+                    and (entry.get("ts") or 0.0) < now - max_age_seconds
+                ):
+                    evicted += 1
+                    continue
+                survivors[cid] = entry
+            line = self.encode_record(
+                {
+                    "event": "snapshot",
+                    "ts": now,
+                    "campaigns": [
+                        dict(entry, id=cid) for cid, entry in survivors.items()
+                    ],
+                }
+            )
+            self._log.rewrite([line])
+            self._last_compact_bytes = len(line)
         return {
             "campaigns": len(survivors),
             "evicted": evicted,

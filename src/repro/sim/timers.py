@@ -51,16 +51,6 @@ class MRAIConfig:
         if not 0 <= self.jitter_low <= self.jitter_high:
             raise ConfigurationError("invalid MRAI jitter bounds")
 
-    @property
-    def disabled(self) -> bool:
-        """A zero base disables pacing: every send is immediate.
-
-        Purely a predicate for callers and tests — the pacer needs no
-        special casing, because ``base * jitter == 0`` already makes
-        ``try_send_now`` grant every request on the spot.
-        """
-        return self.base == 0
-
 
 class MRAIPacer:
     """Rate-limits advertisements from one speaker to its peers.

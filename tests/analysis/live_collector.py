@@ -239,8 +239,7 @@ def run_live(graph, episode, protocol: str, seed: int = 7):
     Returns ``(live, plane)``.
     """
     network, plane, _ = runner_mod._acquire_started_network(
-        graph, episode.destination, protocol, seed, None,
-        episode.pre_failed_links,
+        graph, episode.destination, protocol, seed, episode.pre_failed_links,
     )
     return collect_live(network, episode), plane
 

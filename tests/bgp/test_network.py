@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.transient import analyze_transient_problems
 from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.forwarding.bgp_plane import BGPDataPlane
-from repro.routing import compute_stable_routes
+from repro.routing.static import compute_stable_routes
 from repro.topology.generators import example_paper_topology
 from repro.topology.paths import is_valley_free
 

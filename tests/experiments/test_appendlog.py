@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import fcntl
 import functools
 import hashlib
 import json
@@ -19,6 +20,8 @@ import logging
 import os
 import pickle
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -504,6 +507,99 @@ def test_a_log_it_may_only_read_still_reads(schema, tmp_path, monkeypatch):
     with pytest.raises(OSError):
         schema.append(path)
     assert schema.read(path) == expected
+
+
+# ----------------------------------------------------------------------
+# (f) a rewrite loses no append, whoever made it and whenever
+# ----------------------------------------------------------------------
+
+
+def test_a_put_after_another_process_compacted_lands_in_the_new_file(
+    tmp_path,
+):
+    """Two ledgers on one path are what two processes amount to: a
+    long-lived one keeps its descriptor across the other's compaction,
+    and its next put must reach the file the path names now.  A put
+    made after the compactor loaded the file is read again before the
+    rewrite, not dropped by it."""
+    path = tmp_path / "ledger.jsonl"
+    with ResultLedger(path) as ledger:
+        ledger.put("first", 1)
+        with ResultLedger(path) as other:  # `ledger compact`, elsewhere
+            ledger.put("between", 2)
+            other.compact()
+        ledger.put("second", 3)
+        with ResultLedger(path) as reopened:
+            assert {k: reopened.get(k) for k in reopened.keys()} == {
+                "first": 1, "between": 2, "second": 3,
+            }
+        # The reader still describes the file that is gone; catching up
+        # reads the new one from the start.
+        assert ledger._log.stale()
+        ledger.refresh()
+        assert _view(ledger) == _view(reopened)
+
+
+def test_an_acknowledged_submission_survives_a_cli_journal_compact(tmp_path):
+    """The daemon journals ``submitted`` before its 202 goes out; a
+    ``journal compact`` run from the CLI in between two submissions
+    must not make a restart forget the second."""
+    path = tmp_path / "journal.jsonl"
+    spec = {"kind": "fig2"}
+    with CampaignJournal(path) as daemon:
+        daemon.append({"event": "submitted", "id": "c1", "ts": 1.0,
+                       "spec": spec})
+        with CampaignJournal(path) as cli:
+            cli.compact(now=2.0)
+        daemon.append({"event": "submitted", "id": "c2", "ts": 3.0,
+                       "spec": spec})
+        assert list(daemon.replay()[0]) == ["c1", "c2"]
+    campaigns, dropped = CampaignJournal(path).replay()
+    assert list(campaigns) == ["c1", "c2"] and dropped == 0
+
+
+@SCHEMAS
+def test_an_append_racing_a_compaction_lands_after_it(
+    schema, tmp_path, monkeypatch
+):
+    """Another writer appends between a compaction's read and its
+    replace: the append waits for the replace, then lands in the new
+    file beside everything the compaction kept."""
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"".join(schema.lines))
+    kept = schema.read(path)[0]
+    entered = threading.Event()
+    real_flock = fcntl.flock
+
+    def noted_flock(fd, operation):
+        if operation == fcntl.LOCK_SH:
+            entered.set()
+        return real_flock(fd, operation)
+
+    appended = []
+    writer = threading.Thread(
+        target=lambda: appended.append(schema.append(path))
+    )
+    real_atomic_write = appendlog.atomic_write
+
+    def racing_atomic_write(*args):
+        # The compaction has read the file: the other writer goes now,
+        # and the replace waits until it has finished or is held off.
+        writer.start()
+        deadline = time.monotonic() + 30
+        while writer.is_alive() and not entered.is_set():
+            assert time.monotonic() < deadline, "the writer never appended"
+            time.sleep(0.001)
+        real_atomic_write(*args)
+
+    monkeypatch.setattr(fcntl, "flock", noted_flock)
+    monkeypatch.setattr(appendlog, "atomic_write", racing_atomic_write)
+    schema.compact(path)
+    writer.join(timeout=30)
+    assert not writer.is_alive() and len(appended) == 1
+    state, dropped = schema.read(path)
+    assert appended[0] in state and dropped == 0
+    assert {k: v for k, v in state.items() if k != appended[0]} == kept
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,10 @@ import random
 import pytest
 
 from repro.experiments.figures import fig2_single_link_failure
-from repro.experiments.parallel import ParallelRunner, run_unit
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ExperimentConfig, PROTOCOLS, derive_run_seed
 from repro.experiments.scenarios import single_provider_link_failure
+from repro.experiments.supervisor import run_unit
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 TINY = InternetTopologyConfig(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35)

@@ -21,10 +21,10 @@ import time
 import pytest
 
 from repro.experiments.faults import FAULTS_ENV, combine_specs, fault_spec
-from repro.experiments.parallel import ParallelRunner, WorkerBudget
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.reporting import format_failure_report
 from repro.experiments.scenarios import single_provider_link_failure
-from repro.experiments.supervisor import _cyclic_gc_paused
+from repro.experiments.supervisor import WorkerBudget, _cyclic_gc_paused
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 TINY = InternetTopologyConfig(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35)

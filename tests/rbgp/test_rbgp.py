@@ -7,7 +7,7 @@ from repro.bgp.network import NetworkConfig
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.rbgp.network import RBGPNetwork
 from repro.rbgp.speaker import path_contains_link, path_links
-from repro.routing import compute_stable_routes
+from repro.routing.static import compute_stable_routes
 from repro.topology.generators import example_paper_topology
 from repro.types import normalize_link
 

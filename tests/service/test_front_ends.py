@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.experiments.figures import CAMPAIGNS
+from repro.experiments.scenarios import CAMPAIGNS
 from repro.service.app import CampaignService, ServiceConfig
 
 SEED = 5

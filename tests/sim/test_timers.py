@@ -133,10 +133,9 @@ class TestZeroMRAI:
     def setup_method(self):
         self.engine = Engine(seed=1)
         self.sent = []
-        config = MRAIConfig(base=0.0)
-        assert config.disabled
         self.pacer = MRAIPacer(
-            self.engine, config, flush=lambda peer: self.sent.append(peer)
+            self.engine, MRAIConfig(base=0.0),
+            flush=lambda peer: self.sent.append(peer),
         )
 
     def test_every_request_fires_immediately(self):

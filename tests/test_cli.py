@@ -10,8 +10,8 @@ import pytest
 
 import repro.cli
 from repro.cli import build_parser, main
-from repro.experiments.figures import CAMPAIGNS
 from repro.experiments.runner import PROTOCOL_LABELS, PROTOCOLS
+from repro.experiments.scenarios import CAMPAIGNS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

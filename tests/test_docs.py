@@ -352,57 +352,84 @@ def test_a_topology_is_built_then_frozen():
         assert not defined & deleted, f"{name} defines {defined & deleted}"
 
 
+def test_a_package_is_its_docstring():
+    """No package re-exports: every ``__init__.py`` under ``src/repro/``
+    is one docstring and nothing else, and the loader, the name tables
+    and the version string that lived there stay deleted — as do the
+    knob no caller set and the names nothing read."""
+    inits = sorted((REPO / "src" / "repro").rglob("__init__.py"))
+    assert inits
+    for path in inits:
+        body = ast.parse(path.read_text()).body
+        name = path.relative_to(REPO).as_posix()
+        assert len(body) == 1 and isinstance(body[0], ast.Expr), name
+        assert isinstance(body[0].value, ast.Constant), name
+        assert isinstance(body[0].value.value, str), name
+    _assert_gone_from_code_and_documents(re.compile(
+        r"\b_lazy_exports\b|\b__version__\b|\bProtocolError\b"
+        r"|\bnetwork_config\b|\.disabled\b|\bdef disabled\b"
+    ))
+
+
+def _top_level_names(tree):
+    """Every name a module defines or assigns at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names.update(
+                leaf.id for target in targets for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+    return names
+
+
 def test_modules_import_from_the_defining_submodule():
-    """The import contract, enforced.  Package ``__init__``s resolve
-    their public names lazily and only for callers *outside* the
-    package tree: a module under ``src/repro/`` names the defining
-    submodule in every ``from repro... import``, so no package table
-    decides import order and no import of a sibling drags a whole
-    package in.  ``from repro.<pkg> import <submodule>`` is a submodule
-    import and stays legal; ``__init__.py`` files (they share one
-    helper) and ``cli.py`` are exempt.  And the eager import blocks
-    stay deleted: an ``__init__`` imports nothing from ``repro`` but
-    that helper."""
+    """One import path per name, enforced: every ``from repro.<m>
+    import <n>`` in ``src/``, ``tests/``, ``examples/`` and
+    ``benchmarks/`` names either a submodule of ``<m>`` or a name
+    ``<m>`` itself defines — never one ``<m>`` merely imported.  A
+    package defines nothing (``test_a_package_is_its_docstring``), so
+    this also keeps every import off the package ``__init__``s.
+    (``bench/`` is the frozen gate's and is not checked.)"""
     root = REPO / "src"
 
-    def is_package(dotted):
-        return (root.joinpath(*dotted.split(".")) / "__init__.py").is_file()
+    def source(dotted):
+        base = root.joinpath(*dotted.split("."))
+        for path in (base / "__init__.py", base.with_suffix(".py")):
+            if path.is_file():
+                return path
+        return None
 
-    def is_module(dotted):
-        return is_package(dotted) or (
-            root.joinpath(*dotted.split(".")).with_suffix(".py").is_file()
-        )
-
-    inits = sorted((root / "repro").rglob("__init__.py"))
-    assert len(inits) == 11
-    for path in sorted((root / "repro").rglob("*.py")):
+    defined = {}
+    paths = [
+        path
+        for directory in ("src", "tests", "examples", "benchmarks")
+        for path in sorted((REPO / directory).rglob("*.py"))
+    ]
+    assert paths
+    for path in paths:
         name = path.relative_to(REPO).as_posix()
-        imports = [
-            node for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] == "repro"
-        ]
-        if path in inits:
-            helper = [] if path.parent.name == "repro" else [
-                ("repro", "_lazy_exports")
-            ]
-            assert [
-                (node.module, alias.name)
-                for node in imports for alias in node.names
-            ] == helper, name
-            continue
-        if path.name == "cli.py":
-            continue
-        for node in imports:
-            if not is_package(node.module):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "repro"
+            ):
                 continue
-            through_init = [
+            origin = source(node.module)
+            assert origin is not None, f"{name}: no module {node.module}"
+            if origin not in defined:
+                defined[origin] = _top_level_names(ast.parse(origin.read_text()))
+            elsewhere = [
                 alias.name for alias in node.names
-                if not is_module(f"{node.module}.{alias.name}")
+                if alias.name not in defined[origin]
+                and source(f"{node.module}.{alias.name}") is None
             ]
-            assert not through_init, (
-                f"{name}:{node.lineno} imports {through_init} through "
-                f"{node.module}/__init__.py, not from the defining submodule"
+            assert not elsewhere, (
+                f"{name}:{node.lineno} imports {elsewhere} from "
+                f"{node.module}, which does not define them"
             )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.rbgp.network import RBGPNetwork
-from repro.routing import compute_stable_routes
+from repro.routing.static import compute_stable_routes
 from repro.stamp.network import STAMPConfig, STAMPNetwork
 from repro.topology.generators import chain_topology, clique_topology, example_paper_topology
 from repro.topology.graph import ASGraph

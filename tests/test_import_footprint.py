@@ -4,17 +4,20 @@ Start-up cost is module *sets*, so that is what this file pins — never
 a timing.  Every footprint is read in a fresh child interpreter
 (pytest has long since imported everything into this one): the child
 runs a command through ``repro.cli.main`` and writes ``sys.modules``
-to a file.  The second half checks, for each of the eleven packages,
-that resolving public names lazily (PEP 562, ``repro._lazy_exports``)
-changed nothing a caller can see.
+to a file.  A package is its docstring and a name is imported from
+the module that defines it (``tests/test_docs.py``), so ``import
+repro`` loads one module and a command loads only the modules its
+imports name.  The second half checks, for each package, what that
+means at run time: importing it loads nothing below it, and it serves
+no name a submodule defines.
 """
 
 from __future__ import annotations
 
-import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -24,10 +27,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
-PACKAGES = (
-    "repro", "repro.topology", "repro.experiments", "repro.analysis",
-    "repro.bgp", "repro.rbgp", "repro.stamp", "repro.sim",
-    "repro.forwarding", "repro.routing", "repro.service",
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in (SRC / "repro").rglob("__init__.py")
 )
 TINY = [
     "--tier1", "2", "--tier2", "4", "--tier3", "6", "--stubs", "12",
@@ -264,57 +266,62 @@ class TestACommandImportsWhatItRuns:
                 "experiments.campaign", "analysis.transient"} <= set(got["spans"])
 
 
-def declared_origins(package):
-    """name -> defining module, read from the package's source: the
-    literal table its ``__init__`` hands to ``_lazy_exports``."""
-    tree = ast.parse(Path(importlib.import_module(package).__file__).read_text())
-    (call,) = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "_lazy_exports"
-    ]
-    return {
-        name: module
-        for module, names in ast.literal_eval(call.args[1]).items()
-        for name in names
-    }
+@pytest.fixture(scope="module")
+def fresh_packages(tmp_path_factory):
+    """package -> the ``repro`` modules importing it loaded, and the
+    public names it then held; each import starts from no ``repro``
+    module at all."""
+    return run_child(
+        """
+        import importlib
+
+        got = {}
+        for package in sys.argv[2:]:
+            for name in repro_modules():
+                del sys.modules[name]
+            module = importlib.import_module(package)
+            got[package] = {
+                "modules": repro_modules(),
+                "names": sorted(n for n in vars(module) if not n.startswith("_")),
+            }
+        report(got)
+        """,
+        tmp_path_factory.mktemp("fresh"), *PACKAGES,
+    )
 
 
 @pytest.mark.parametrize("package", PACKAGES)
-class TestLazyNamesAreTheSameNames:
-    def test_every_public_name_is_its_defining_modules_object(self, package):
-        module = importlib.import_module(package)
-        origins = declared_origins(package)
-        own = {"__version__"} if package == "repro" else set()
-        assert set(module.__all__) == set(origins) | own
-        for name, origin in origins.items():
-            defined = vars(importlib.import_module(origin))[name]
-            assert getattr(module, name) is defined
-            # Defined there, not re-exported through another package.
-            assert not hasattr(importlib.import_module(origin), "__path__")
+class TestAPackageServesNoName:
+    def test_importing_it_loads_only_it_and_its_parents(
+        self, package, fresh_packages
+    ):
+        parts = package.split(".")
+        parents = [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
+        assert fresh_packages[package]["modules"] == sorted(parents)
 
-    def test_dir_and_star_import_see_all_of_it(self, package):
-        module = importlib.import_module(package)
-        assert set(dir(module)) >= set(module.__all__)
-        namespace = {}
-        exec(f"from {package} import *", namespace)
-        for name in module.__all__:
-            assert namespace[name] is getattr(module, name)
+    def test_freshly_imported_it_holds_no_public_name(
+        self, package, fresh_packages
+    ):
+        assert fresh_packages[package]["names"] == []
 
     def test_an_unknown_name_is_an_attribute_error(self, package):
         module = importlib.import_module(package)
+        assert not {"__getattr__", "__dir__", "__all__"} & set(vars(module))
         with pytest.raises(AttributeError, match=f"module '{package}' has no"):
             module.no_such_name
         with pytest.raises(ImportError):
             exec(f"from {package} import no_such_name")
 
-    def test_a_second_access_is_an_ordinary_lookup(self, package, monkeypatch):
+    def test_a_star_import_binds_only_submodules(self, package):
+        """Once every submodule is imported the package holds them as
+        attributes; a star import binds those and nothing a submodule
+        defines."""
         module = importlib.import_module(package)
-        first = [getattr(module, name) for name in module.__all__]
-
-        def reentered(name):
-            raise AssertionError(f"{package}.__getattr__({name!r}) ran again")
-
-        monkeypatch.setattr(module, "__getattr__", reentered)
-        assert [getattr(module, name) for name in module.__all__] == first
-        assert set(module.__all__) <= set(vars(module))
+        for info in pkgutil.iter_modules(module.__path__):
+            importlib.import_module(f"{package}.{info.name}")
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        namespace.pop("__builtins__")
+        assert namespace
+        for name, value in namespace.items():
+            assert getattr(value, "__name__", None) == f"{package}.{name}", name

@@ -9,7 +9,7 @@ from repro.analysis.cdf import empirical_cdf
 from repro.analysis.phi import phi_for_destination
 from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.forwarding.walk import classify_functional_graph
-from repro.routing import compute_stable_routes
+from repro.routing.static import compute_stable_routes
 from repro.sim.delays import FixedDelay
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig

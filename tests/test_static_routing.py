@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UnknownASError
-from repro.routing import RouteClass, compute_stable_routes
+from repro.routing.static import RouteClass, compute_stable_routes
 from repro.topology.generators import (
     chain_topology,
     clique_topology,

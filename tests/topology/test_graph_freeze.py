@@ -171,10 +171,10 @@ def test_twin_start_slot_stores_only_frozen_graphs(monkeypatch):
     monkeypatch.setattr(runner._StartSnapshot, "__init__", recording_init)
     monkeypatch.setattr(runner, "_RBGP_START_SLOT", None)
     graph = _diamond()
-    runner._acquire_started_network(graph, 1, "rbgp-norci", 0, None, ())
+    runner._acquire_started_network(graph, 1, "rbgp-norci", 0, ())
     assert snapshots == [True]
     key = runner._RBGP_START_SLOT[0]
     assert key[0] is graph and key[1:] == (1, 0, ())
     # The twin finds the slot by identity and consumes it.
-    runner._acquire_started_network(graph, 1, "rbgp", 0, None, ())
+    runner._acquire_started_network(graph, 1, "rbgp", 0, ())
     assert runner._RBGP_START_SLOT is None and snapshots == [True]

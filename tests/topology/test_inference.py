@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing import compute_stable_routes
+from repro.routing.static import compute_stable_routes
 from repro.topology.generators import (
     InternetTopologyConfig,
     example_paper_topology,

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.errors import ParseError
-from repro.routing import compute_stable_routes
+from repro.routing.static import compute_stable_routes
 from repro.topology.generators import example_paper_topology
 from repro.topology.routeviews import (
     all_paths,
