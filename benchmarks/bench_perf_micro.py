@@ -490,7 +490,7 @@ def test_stamp_provider_refresh(benchmark, graph, perf_records):
     network.start()
     nodes = [
         node
-        for node in network.nodes.values()
+        for node in network.speakers.values()
         if len(node._providers) >= 2
     ]
     assert nodes

@@ -13,6 +13,11 @@ them:
 * ``--instances 3 fig2``, ``--instances 2 fig3a``, ``--instances 2
   fig3b``, ``--instances 2 flap --flaps 4`` and ``--workers 2
   --instances 3 node-failure`` (in-process and pooled),
+* ``serve``: a daemon (``serve --port 0``) on a fresh ledger and
+  journal takes one tiny four-plane campaign over HTTP, is polled to
+  ``done``, and its result document is the digested output (the child
+  drives it with ``check_service_smoke.py``'s helpers, so the daemon
+  runs under the child's interpreter and hash seed),
 * and a ledger written by one interpreter answered by the next one
   under the other hash seed: same chart, not one byte appended — zero
   recomputed units, so pickled results cross versions.
@@ -28,8 +33,10 @@ or failed command.  Usage::
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -49,6 +56,9 @@ CLI_COMMANDS: Dict[str, List[str]] = {
     "flap": ["--instances", "2", "flap", "--flaps", "4"],
     "node-failure": ["--workers", "2", "--instances", "3", "node-failure"],
 }
+#: The ``serve`` command's child: this script, run by the interpreter
+#: under test.
+SERVE = [str(Path(__file__).resolve()), "--serve-round-trip"]
 
 
 def find_interpreter(version: str) -> Optional[str]:
@@ -101,6 +111,32 @@ class Outcomes:
         self.digests.setdefault(command, {}).setdefault(digest, []).append(label)
 
 
+def serve_round_trip() -> int:
+    """Child side of ``serve``: one campaign through a fresh daemon.
+
+    Writes the campaign's result document to stdout; any refusal, a
+    timeout or an unclean daemon exit fails the child.
+    """
+    from check_service_smoke import FIRST, request, start_daemon, wait_for
+
+    campaign = dict(FIRST, protocols=["bgp", "rbgp-norci", "rbgp", "stamp"])
+    with tempfile.TemporaryDirectory() as tmpdir:
+        daemon, base = start_daemon(Path(tmpdir))
+        try:
+            status, payload = request(base, "POST", "/campaigns", campaign)
+            assert status == 202, (status, payload)
+            cid = json.loads(payload)["id"]
+            wait_for(base, cid, lambda doc: doc["state"] == "done")
+            status, result = request(base, "GET", f"/campaigns/{cid}/result")
+            assert status == 200, (status, result)
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            code = daemon.wait(timeout=60)
+    assert code == 0, f"daemon exited {code} on SIGTERM"
+    sys.stdout.buffer.write(result)
+    return 0
+
+
 def check_ledger_crosses(outcomes: Outcomes, found: Dict[str, str], tmp: Path) -> None:
     """Each interpreter's ledger, answered by the next one's rerun."""
     versions = list(found)
@@ -148,6 +184,7 @@ def main() -> int:
                         command, label, python, hash_seed,
                         ["-m", "repro.cli", *argv], cwd,
                     )
+                outcomes.run("serve", label, python, hash_seed, SERVE, cwd)
         check_ledger_crosses(outcomes, found, tmp)
     status = 0
     for command, digests in outcomes.digests.items():
@@ -170,4 +207,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--serve-round-trip"]:
+        sys.exit(serve_round_trip())
     sys.exit(main())

@@ -11,8 +11,6 @@ Run:  python examples/quickstart.py
 
 from repro.analysis.transient import analyze_transient_problems
 from repro.bgp.network import BGPNetwork, NetworkConfig
-from repro.forwarding.bgp_plane import BGPDataPlane
-from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.stamp.network import STAMPConfig, STAMPNetwork
 from repro.topology.generators import example_paper_topology
 from repro.types import Color, normalize_link
@@ -29,7 +27,7 @@ def main() -> None:
     stamp = STAMPNetwork(graph, destination, STAMPConfig(seed=1))
     stamp.start()
     print(f"\nSTAMP converged; locked blue provider of the origin: "
-          f"{stamp.nodes[destination].locked_blue_provider}")
+          f"{stamp.speakers[destination].locked_blue_provider}")
     for asn in (10, 30, 60):
         print(f"  AS {asn}: red={stamp.best_path(asn, Color.RED)} "
               f"blue={stamp.best_path(asn, Color.BLUE)}")
@@ -38,7 +36,7 @@ def main() -> None:
     stamp.fail_link(*failed_link)
     stamp.run_to_convergence()
     report = analyze_transient_problems(
-        stamp.trace, initial, STAMPDataPlane(destination), graph.ases,
+        stamp.trace, initial, stamp.data_plane(), graph.ases,
         failed_links=frozenset({normalize_link(*failed_link)}),
     )
     print(f"\nAfter failing link {failed_link}:")
@@ -51,7 +49,7 @@ def main() -> None:
     bgp.fail_link(*failed_link)
     bgp.run_to_convergence()
     report = analyze_transient_problems(
-        bgp.trace, initial, BGPDataPlane(destination), graph.ases,
+        bgp.trace, initial, bgp.data_plane(), graph.ases,
         failed_links=frozenset({normalize_link(*failed_link)}),
     )
     print(f"  BGP   ASes with transient problems: {report.affected_count}")

@@ -1,10 +1,14 @@
 """A full network of plain-BGP speakers for one destination prefix.
 
 This is the BGP baseline of the paper's Figures 2-3 and the base class
-for the R-BGP network.  The lifecycle every experiment follows:
+of the R-BGP and STAMP networks, which supply only their per-AS object
+(``_make_speaker``; the network calls ``on_session_up``,
+``on_session_down``, ``originate``, ``is_origin``, ``reboot`` and
+``dispose`` on it) and the data plane that reads their trace
+(``data_plane``).  The lifecycle every experiment follows:
 
 1. :meth:`start` — the destination originates; run to convergence.
-2. :meth:`clear_trace` (done by :meth:`start`) — discard initial churn.
+2. clear the trace (done by :meth:`start`) — discard initial churn.
 3. inject events (:meth:`fail_link`, :meth:`fail_as`, ...).
 4. :meth:`run_to_convergence` — replay the reaction.
 5. hand :attr:`trace` to the transient-problem analyzer.
@@ -12,11 +16,14 @@ for the R-BGP network.  The lifecycle every experiment follows:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.bgp.speaker import BGPSpeaker, ProtocolStats, SpeakerConfig
 from repro.errors import ConvergenceError, SimulationError
+from repro.forwarding.bgp_plane import BGPDataPlane
+from repro.forwarding.walk import WalkClassifier
 from repro.sim.delays import DelayModel, UniformDelay
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig
@@ -24,6 +31,10 @@ from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
 from repro.topology.graph import ASGraph
 from repro.types import ASN, ASPath
+
+#: Hard backstop against non-convergence bugs: the most events one
+#: drain may process.
+MAX_EVENTS_PER_PHASE = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -33,8 +44,6 @@ class NetworkConfig:
     seed: int = 0
     delay: DelayModel = field(default_factory=UniformDelay)
     mrai: MRAIConfig = field(default_factory=MRAIConfig)
-    #: Hard backstop against non-convergence bugs.
-    max_events_per_phase: int = 20_000_000
 
 
 class BGPNetwork:
@@ -59,32 +68,36 @@ class BGPNetwork:
         self.trace = ForwardingTrace()
         self.stats = ProtocolStats()
         self.speakers: Dict[ASN, BGPSpeaker] = {}
-        self._build_speakers()
+        for asn in graph.ases:
+            speaker = self.speakers[asn] = self._make_speaker(asn)
+            self.transport.register_session_down_listener(
+                asn, speaker.on_session_down
+            )
 
     # ------------------------------------------------------------------
     # Construction (overridden by protocol variants)
     # ------------------------------------------------------------------
 
-    def _build_speakers(self) -> None:
-        speaker_config = SpeakerConfig(mrai=self.config.mrai)
-        for asn in self.graph.ases:
-            speaker = self._make_speaker(asn, speaker_config)
-            self.speakers[asn] = speaker
-            self.transport.register_session_down_listener(
-                asn, speaker.on_session_down
-            )
+    @functools.cached_property
+    def _speaker_config(self) -> SpeakerConfig:
+        """The one config every speaker of the network shares."""
+        return SpeakerConfig(mrai=self.config.mrai)
 
-    def _make_speaker(self, asn: ASN, speaker_config: SpeakerConfig) -> BGPSpeaker:
+    def _make_speaker(self, asn: ASN) -> BGPSpeaker:
         return BGPSpeaker(
             asn,
             self.graph,
             self.engine,
             self.transport,
-            config=speaker_config,
+            config=self._speaker_config,
             tag=self.TRACE_KEY,
             trace=self.trace,
             stats=self.stats,
         )
+
+    def data_plane(self) -> WalkClassifier:
+        """The forwarding walk that reads this network's trace."""
+        return BGPDataPlane(self.destination)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -101,15 +114,12 @@ class BGPNetwork:
         """
         self.trace.suspend()
         try:
-            self._originate()
+            self.speakers[self.destination].originate()
             self.run_to_convergence()
         finally:
             self.trace.resume()
         self.trace.clear()
         return self.engine.now
-
-    def _originate(self) -> None:
-        self.speakers[self.destination].originate()
 
     def run_to_convergence(self) -> float:
         """Drain all protocol activity; returns elapsed simulated time.
@@ -118,15 +128,19 @@ class BGPNetwork:
         (which would indicate a protocol bug — Gao-Rexford policies
         guarantee convergence).
         """
+        return self._drain()
+
+    def _drain(self) -> float:
+        """:meth:`run_to_convergence` without any plane's epilogue."""
         started = self.engine.now
         try:
-            self.engine.run(max_events=self.config.max_events_per_phase)
+            self.engine.run(max_events=MAX_EVENTS_PER_PHASE)
         except SimulationError as exc:
             # Only the engine's own backstop means "did not converge";
             # any other exception is a genuine bug in an event callback
             # and must propagate unmasked.
             raise ConvergenceError(
-                f"no convergence after {self.config.max_events_per_phase} events"
+                f"no convergence after {MAX_EVENTS_PER_PHASE} events"
             ) from exc
         return self.engine.now - started
 
@@ -177,11 +191,8 @@ class BGPNetwork:
         """
         self.transport.restore_link(a, b)
         if self.transport.link_is_up(a, b):
-            self._notify_session_up(a, b)
-            self._notify_session_up(b, a)
-
-    def _notify_session_up(self, asn: ASN, peer: ASN) -> None:
-        self.speakers[asn].on_session_up(peer)
+            self.speakers[a].on_session_up(b)
+            self.speakers[b].on_session_up(a)
 
     def fail_as(self, asn: ASN) -> None:
         """Fail an entire AS (all of its sessions reset).
@@ -204,11 +215,11 @@ class BGPNetwork:
 
         The restored router reboots with *empty* protocol state — a
         restart does not resurrect pre-failure RIBs — and sessions
-        re-establish deterministically: the reboot first (an origin
-        immediately re-originates), then each live neighbor's session
-        comes up in ascending-ASN order, re-advertising its current
-        best route to the restored AS.  No-op when the AS is not
-        currently failed.
+        re-establish deterministically: the reboot first (a pure state
+        reset of every process of the AS), then an origin re-originates,
+        then each live neighbor's session comes up in ascending-ASN
+        order, re-advertising its current best route to the restored
+        AS.  No-op when the AS is not currently failed.
         """
         if self.transport.as_is_up(asn):
             return
@@ -223,7 +234,7 @@ class BGPNetwork:
         if speaker.is_origin:
             speaker.originate()
         for nbr in live:
-            self._notify_session_up(nbr, asn)
+            self.speakers[nbr].on_session_up(asn)
 
     # ------------------------------------------------------------------
     # Observation
@@ -242,10 +253,3 @@ class BGPNetwork:
         if speaker.best is None:
             return None
         return (asn,) + speaker.best.path
-
-    def converged_next_hops(self) -> Dict[ASN, Optional[ASN]]:
-        """Next hop of every AS (``None`` = no route / the origin)."""
-        out: Dict[ASN, Optional[ASN]] = {}
-        for asn, speaker in self.speakers.items():
-            out[asn] = speaker.best.next_hop if speaker.best else None
-        return out

@@ -50,9 +50,6 @@ from repro.analysis.transient import (
 )
 from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.errors import ConfigurationError
-from repro.forwarding.bgp_plane import BGPDataPlane
-from repro.forwarding.rbgp_plane import PRIMARY, RBGPDataPlane
-from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.forwarding.walk import WalkClassifier
 from repro.rbgp.network import RBGPNetwork
 from repro.experiments.scenarios import Episode, EpisodeEvent, EventKind
@@ -125,30 +122,23 @@ def build_network(
     destination,
     *,
     seed: int = 0,
-) -> Tuple[object, WalkClassifier]:
-    """Instantiate the network and matching data plane for a protocol."""
+) -> Tuple[BGPNetwork, WalkClassifier]:
+    """Instantiate the network for a protocol, and the data plane it names."""
     if protocol == "bgp":
-        config = NetworkConfig(seed=seed)
-        return BGPNetwork(graph, destination, config), BGPDataPlane(destination)
-    if protocol == "rbgp":
-        config = NetworkConfig(seed=seed)
-        return (
-            RBGPNetwork(graph, destination, config, rci=True),
-            RBGPDataPlane(destination, rci=True, graph=graph),
+        network = BGPNetwork(graph, destination, NetworkConfig(seed=seed))
+    elif protocol in _RBGP_PROTOCOLS:
+        network = RBGPNetwork(
+            graph, destination, NetworkConfig(seed=seed), rci=(protocol == "rbgp")
         )
-    if protocol == "rbgp-norci":
-        config = NetworkConfig(seed=seed)
-        return (
-            RBGPNetwork(graph, destination, config, rci=False),
-            RBGPDataPlane(destination, rci=False, graph=graph),
-        )
-    if protocol in ("stamp", "stamp-intelligent"):
+    elif protocol in ("stamp", "stamp-intelligent"):
         config = STAMPConfig(
             seed=seed,
             intelligent_selection=(protocol == "stamp-intelligent"),
         )
-        return STAMPNetwork(graph, destination, config), STAMPDataPlane(destination)
-    raise ConfigurationError(f"unknown protocol {protocol!r}")
+        network = STAMPNetwork(graph, destination, config)
+    else:
+        raise ConfigurationError(f"unknown protocol {protocol!r}")
+    return network, network.data_plane()
 
 
 class _StartSnapshot:
@@ -265,9 +255,7 @@ def _acquire_started_network(
             network = slot[1].restore()
             network.set_rci(protocol == "rbgp")
             initial_convergence_time = slot[2]
-            plane = RBGPDataPlane(
-                destination, rci=(protocol == "rbgp"), graph=graph
-            )
+            plane = network.data_plane()
     if network is None:
         network, plane = build_network(protocol, graph, destination, seed=seed)
         # Links that will *recover* during the run start out failed.

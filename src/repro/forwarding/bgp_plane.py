@@ -6,7 +6,7 @@ The snapshot state maps ``(asn, None)`` to the AS's current best path
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Optional
 
 from repro.forwarding.walk import SuccessorTable, WalkClassifier, WalkSpec
 from repro.types import ASN, normalize_link
@@ -16,7 +16,7 @@ class _BGPTable(SuccessorTable):
     """One state per AS: its usable next hop, or blackhole."""
 
     def _project(self, tag, value):
-        if tag != self.plane.trace_key:
+        if tag is not None:
             return None
         # Walks only ever look at a route's next hop.
         return 0, (value[0] if value else None)
@@ -28,17 +28,12 @@ class _BGPTable(SuccessorTable):
 class BGPDataPlane(WalkClassifier):
     """Walks packets along each AS's current best next hop."""
 
-    def __init__(self, destination: ASN, trace_key: Hashable = None) -> None:
-        super().__init__(destination)
-        self.trace_key = trace_key
-
     def _walk_spec(self, state, failed_links, failed_ases) -> WalkSpec:
         destination = self.destination
-        key = self.trace_key
         state_get = state.get
 
         def successor(asn: ASN) -> Optional[ASN]:
-            path = state_get((asn, key))
+            path = state_get((asn, None))
             if not path:
                 return None
             next_hop = path[0]

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.bgp.network import BGPNetwork, NetworkConfig
-from repro.bgp.speaker import SpeakerConfig
-from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY
+from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.rbgp.speaker import RBGPSpeaker
 from repro.topology.graph import ASGraph
 from repro.types import ASN
@@ -59,18 +58,22 @@ class RBGPNetwork(BGPNetwork):
         for speaker in self.speakers.values():
             speaker.rci = rci
 
-    def _make_speaker(self, asn: ASN, speaker_config: SpeakerConfig) -> RBGPSpeaker:
+    def _make_speaker(self, asn: ASN) -> RBGPSpeaker:
         return RBGPSpeaker(
             asn,
             self.graph,
             self.engine,
             self.transport,
-            config=speaker_config,
+            config=self._speaker_config,
             tag=self.TRACE_KEY,
             trace=self.trace,
             stats=self.stats,
             rci=self.rci,
         )
+
+    def data_plane(self) -> RBGPDataPlane:
+        """R-BGP forwarding under this network's current ``rci`` flag."""
+        return RBGPDataPlane(self.destination, rci=self.rci, graph=self.graph)
 
     def forwarding_state(self) -> Dict[Tuple[ASN, Hashable], object]:
         """FIB paths plus failover RIBs, in the trace key space."""

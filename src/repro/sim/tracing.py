@@ -9,7 +9,7 @@ anything changed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Tuple
 
 from repro.types import ASN
 
@@ -96,43 +96,29 @@ class ForwardingTrace:
         """Re-enable recording after :meth:`suspend`."""
         self.__dict__.pop("record", None)
 
-    def distinct_times(self) -> List[float]:
-        """Sorted unique timestamps at which anything changed."""
-        return sorted({change.time for change in self.changes})
-
     def replay(
         self, initial: Dict[Tuple[ASN, Hashable], Any]
     ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any]]]:
         """Yield ``(time, state)`` after applying each instant's changes.
 
         ``initial`` is the full forwarding state just before the first
-        recorded change; the same (mutated) dict is yielded each time,
-        so callers must not hold references across iterations.
+        recorded change; the same (mutated) copy of it is yielded each
+        time, so callers must not hold references across iterations.
         """
-        for time, state, _ in self.replay_with_changes(initial):
+        for time, state, _ in self.replay_onto(dict(initial)):
             yield time, state
-
-    def replay_with_changes(
-        self, initial: Dict[Tuple[ASN, Hashable], Any]
-    ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any], set]]:
-        """Like :meth:`replay`, but also yields the keys that changed.
-
-        The third element is the set of state keys whose value actually
-        differs from the previous instant (recording the same value
-        again does not count); incremental analyzers re-examine only
-        walks that depend on those keys.  Keys absent from ``initial``
-        always count as changed on first write.
-        """
-        return self.replay_onto(dict(initial))
 
     def replay_onto(
         self, state: Dict[Tuple[ASN, Hashable], Any]
     ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any], set]]:
-        """:meth:`replay_with_changes` written into ``state`` itself.
+        """:meth:`replay` written into ``state`` itself, plus what changed.
 
-        A run cut into consecutive traces (an episode's phases) replays
-        as one lineage: the dict one trace leaves behind is the next
-        one's starting state, with no copy per cut.
+        The third element is the set of keys whose value differs from
+        the previous instant (recording the same value again does not
+        count); incremental analyzers re-examine only the walks that
+        depend on them.  A run cut into consecutive traces (an
+        episode's phases) replays as one lineage: the dict one trace
+        leaves behind is the next one's starting state.
         """
         state_get = state.get
         pending = self.changes  # ordered by construction (see record)

@@ -1,16 +1,17 @@
-"""A full STAMP network: one node (two processes) per AS."""
+"""A full STAMP network: a BGP network whose per-AS process is a node.
+
+Each :class:`~repro.stamp.node.STAMPNode` is two ordinary BGP
+processes, so the lifecycle and the event injectors are
+:class:`~repro.bgp.network.BGPNetwork`'s.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
-from repro.bgp.network import NetworkConfig
-from repro.bgp.speaker import ProtocolStats
-from repro.errors import ConvergenceError, SimulationError
-from repro.sim.engine import Engine
-from repro.sim.tracing import ForwardingTrace
-from repro.sim.transport import Transport
+from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.stamp.coloring import (
     BlueProviderSelector,
     IntelligentBlueSelector,
@@ -31,12 +32,9 @@ class STAMPConfig(NetworkConfig):
     #: Allow the optional unlocked-blue announcements toward non-target
     #: providers (paper 4.1 "possibly ... without the Lock attribute").
     permissive_blue: bool = False
-    #: Make-before-break delay when a provider session changes color
-    #: (see :class:`repro.stamp.node.STAMPNode`).
-    recolor_delay: float = 0.15
 
 
-class STAMPNetwork:
+class STAMPNetwork(BGPNetwork):
     """All STAMP nodes of a simulated network for one prefix."""
 
     def __init__(
@@ -44,164 +42,57 @@ class STAMPNetwork:
         graph: ASGraph,
         destination: ASN,
         config: Optional[STAMPConfig] = None,
-        *,
-        selector: Optional[BlueProviderSelector] = None,
     ) -> None:
-        if destination not in graph:
-            raise ValueError(f"destination AS {destination} not in graph")
-        self.graph = graph
-        self.destination = destination
-        self.config = config or STAMPConfig()
-        self.engine = Engine(self.config.seed)
-        self.transport = Transport(self.engine, self.config.delay)
-        self.trace = ForwardingTrace()
-        self.stats = ProtocolStats()
-        if selector is None:
-            if self.config.intelligent_selection:
-                selector = IntelligentBlueSelector(graph)
-            else:
-                selector = RandomBlueSelector()
-        self.selector = selector
-
+        config = config or STAMPConfig()
+        self.selector: BlueProviderSelector = (
+            IntelligentBlueSelector(graph)
+            if config.intelligent_selection
+            else RandomBlueSelector()
+        )
         # One immutable (red, blue) config pair serves every node.
-        speaker_configs = build_speaker_configs(self.config.mrai)
-        self.nodes: Dict[ASN, STAMPNode] = {}
-        for asn in graph.ases:
-            node = STAMPNode(
-                asn,
-                graph,
-                self.engine,
-                self.transport,
-                speaker_configs=speaker_configs,
-                trace=self.trace,
-                stats=self.stats,
-                selector=self.selector,
-                permissive_blue=self.config.permissive_blue,
-                recolor_delay=self.config.recolor_delay,
-            )
-            self.nodes[asn] = node
-            self.transport.register_session_down_listener(
-                asn, node.on_session_down
-            )
+        self._speaker_configs = build_speaker_configs(config.mrai)
+        super().__init__(graph, destination, config)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    def _make_speaker(self, asn: ASN) -> STAMPNode:
+        return STAMPNode(
+            asn,
+            self.graph,
+            self.engine,
+            self.transport,
+            speaker_configs=self._speaker_configs,
+            trace=self.trace,
+            stats=self.stats,
+            selector=self.selector,
+            permissive_blue=self.config.permissive_blue,
+        )
 
-    def start(self) -> float:
-        """Originate at the destination; run initial convergence.
+    def data_plane(self) -> STAMPDataPlane:
+        return STAMPDataPlane(self.destination)
 
-        Recording is suspended for the initial convergence — the trace
-        is cleared afterwards anyway (see
-        :meth:`repro.bgp.network.BGPNetwork.start`).
-        """
-        self.trace.suspend()
-        try:
-            self.nodes[self.destination].originate()
-            self.run_to_convergence()
-        finally:
-            self.trace.resume()
-        self.trace.clear()
-        return self.engine.now
+    #: Inherited, and bound here by name as well: bench/tracing.py looks
+    #: the traced lifecycle methods up in ``vars(STAMPNetwork)``.
+    start = BGPNetwork.start
 
     def run_to_convergence(self) -> float:
         """Drain protocol activity; clear instability flags afterwards.
 
         The flags are a *during convergence* signal (Lemma 3.1/3.2
         territory); once the network is quiescent every selected route
-        is stable again.
+        is stable again.  One drain is one call of this method: it runs
+        :meth:`BGPNetwork._drain`, not ``super().run_to_convergence()``.
         """
-        started = self.engine.now
-        try:
-            self.engine.run(max_events=self.config.max_events_per_phase)
-        except SimulationError as exc:
-            # Only the engine's backstop means "did not converge"; real
-            # bugs in event callbacks must propagate unmasked.
-            raise ConvergenceError(
-                f"no convergence after {self.config.max_events_per_phase} events"
-            ) from exc
-        for node in self.nodes.values():
+        elapsed = self._drain()
+        for node in self.speakers.values():
             node.clear_instability()
-        return self.engine.now - started
-
-    def dispose(self) -> None:
-        """Break reference cycles (see :meth:`BGPNetwork.dispose`).
-
-        STAMP adds node ↔ speaker cycles through the export-gate and
-        best-change closures, which the speakers' dispose drops.
-        """
-        self.transport.dispose()
-        for node in self.nodes.values():
-            for process in node.processes.values():
-                process.dispose()
-            node.processes.clear()
-        self.nodes.clear()
-
-    # ------------------------------------------------------------------
-    # Event injection
-    # ------------------------------------------------------------------
-
-    def fail_link(self, a: ASN, b: ASN) -> None:
-        """Fail a physical link: both colors' sessions reset."""
-        self.transport.fail_link(a, b)
-
-    def restore_link(self, a: ASN, b: ASN) -> None:
-        """Restore a link; both endpoints re-establish both sessions.
-
-        Deterministic order: ``a``'s node first, then ``b``'s (each
-        node brings red up before blue and re-runs the provider gate).
-        No session forms while either endpoint AS is itself failed —
-        those wait for the endpoint's ``restore_as``.
-        """
-        self.transport.restore_link(a, b)
-        if self.transport.link_is_up(a, b):
-            self.nodes[a].on_session_up(b)
-            self.nodes[b].on_session_up(a)
-
-    def fail_as(self, asn: ASN) -> None:
-        """Fail an AS entirely (its node freezes; neighbors reset).
-
-        Same semantics as :meth:`repro.bgp.network.BGPNetwork.fail_as`,
-        including the armed-timer caveat documented there.
-        """
-        self.transport.fail_as(asn, self.graph.neighbors(asn))
-
-    def restore_as(self, asn: ASN) -> None:
-        """Bring a failed AS back (cold restart of both processes).
-
-        Mirrors :meth:`repro.bgp.network.BGPNetwork.restore_as`: the
-        node reboots with empty state (forgetting its locked blue
-        provider), then each live neighbor re-establishes both color
-        sessions in ascending-ASN order.  No-op when the AS is up.
-        """
-        if self.transport.as_is_up(asn):
-            return
-        self.transport.restore_as(asn)
-        live = [
-            nbr
-            for nbr in sorted(self.graph.neighbors(asn))
-            if self.transport.link_is_up(asn, nbr)
-        ]
-        self.nodes[asn].reboot(live)
-        for nbr in live:
-            self.nodes[nbr].on_session_up(asn)
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
+        return elapsed
 
     def forwarding_state(self) -> Dict[Tuple[ASN, Hashable], object]:
         """Full trace-key-space snapshot across all nodes."""
         state: Dict[Tuple[ASN, Hashable], object] = {}
-        for node in self.nodes.values():
+        for node in self.speakers.values():
             state.update(node.forwarding_state())
         return state
 
     def best_path(self, asn: ASN, color: Color):
         """Full forwarding path of one AS and color, or ``None``."""
-        return self.nodes[asn].best_path(color)
-
-    def has_both_colors(self, asn: ASN) -> bool:
-        """Whether an AS currently holds both red and blue routes."""
-        node = self.nodes[asn]
-        return node.red.best is not None and node.blue.best is not None
+        return self.speakers[asn].best_path(color)

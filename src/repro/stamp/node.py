@@ -54,6 +54,17 @@ def build_speaker_configs(
 class STAMPNode:
     """The pair of red/blue processes of one AS, plus coordination."""
 
+    #: Graceful re-coloring (make-before-break): when a provider session
+    #: flips color (e.g. the Lock chain migrates after a failure), the
+    #: newly-assigned color is announced immediately while the old
+    #: color's withdrawal is deferred by this many seconds.  Without it,
+    #: the red teardown can race ahead of the blue build-up on the
+    #: separate session, leaving downstream ASes with neither color for
+    #: a few message delays — a STAMP dynamics wrinkle this reproduction
+    #: surfaced (docs/architecture.md, "Where this reproduction departs
+    #: from the paper").
+    RECOLOR_DELAY = 0.15
+
     def __init__(
         self,
         asn: ASN,
@@ -66,7 +77,6 @@ class STAMPNode:
         stats: Optional[ProtocolStats] = None,
         selector: Optional[BlueProviderSelector] = None,
         permissive_blue: bool = False,
-        recolor_delay: float = 0.15,
     ) -> None:
         self.asn = asn
         self.graph = graph
@@ -78,17 +88,6 @@ class STAMPNode:
         #: already guarantees blue reachability everywhere, and the
         #: optional announcements add red/blue reassignment churn.
         self.permissive_blue = permissive_blue
-        #: Graceful re-coloring (make-before-break): when a provider
-        #: session flips color (e.g. the Lock chain migrates after a
-        #: failure), the newly-assigned color is announced immediately
-        #: while the old color's withdrawal is deferred by this many
-        #: seconds.  Without it, the red teardown can race ahead of the
-        #: blue build-up on the separate session, leaving downstream
-        #: ASes with neither color for a few message delays — a STAMP
-        #: dynamics wrinkle this reproduction surfaced
-        #: (docs/architecture.md, "Where this reproduction departs
-        #: from the paper").
-        self.recolor_delay = recolor_delay
         self.trace = trace
         #: Static relationship views (the graph topology never changes
         #: during a simulation; failures are session events).  The
@@ -159,8 +158,13 @@ class STAMPNode:
     # Lifecycle
     # ------------------------------------------------------------------
 
+    @property
+    def is_origin(self) -> bool:
+        """Whether this AS originates the prefix (on both processes)."""
+        return self.red.is_origin
+
     def originate(self) -> None:
-        """Originate the prefix on both processes."""
+        """Originate the prefix on both processes, red then blue."""
         self.red.originate()
         self.blue.originate()
 
@@ -181,22 +185,25 @@ class STAMPNode:
     def reboot(self, peers) -> None:
         """Restart both color processes with empty state (AS restore).
 
-        Red reboots first, then blue (the processes' fixed iteration
-        order) — both as pure state resets, so no export or gate
-        decision ever observes a half-rebooted sibling — then the
-        locked-blue-provider assignment is forgotten (a restarted node
-        re-selects when its blue process next holds a Lock obligation)
-        and both instability flags clear.  Only after all of that does
-        an origin node re-originate, red then blue: by then every gate
+        The locked-blue-provider assignment is forgotten (a restarted
+        node re-selects when its blue process next holds a Lock
+        obligation), red reboots, then blue — both as pure state
+        resets, so no export or gate decision ever observes a
+        half-rebooted sibling — and both instability flags clear.
+        Nothing is advertised: the network re-originates an origin
+        node (:meth:`originate`) after this returns, when every gate
         evaluation runs against fully reset processes.
         """
         self.locked_blue_provider = None
         for process in self.processes.values():
             process.reboot(peers)
         self.clear_instability()
+
+    def dispose(self) -> None:
+        """Drop the gate and best-change closures that cycle back here."""
         for process in self.processes.values():
-            if process.is_origin:
-                process.originate()
+            process.dispose()
+        self.processes.clear()
 
     # ------------------------------------------------------------------
     # Coordination: selective announcement toward providers
@@ -279,10 +286,9 @@ class STAMPNode:
 
         When a provider's session flips from one color to the other,
         the gaining color announces first and the losing color's
-        withdrawal is deferred (`recolor_delay`), so downstream ASes
-        never sit between the two sessions with no route at all.
+        withdrawal is deferred (:attr:`RECOLOR_DELAY`), so downstream
+        ASes never sit between the two sessions with no route at all.
         """
-        recolor_delay = self.recolor_delay
         for provider in self._providers:
             gains: Optional[List[Tuple[BGPSpeaker, object]]] = None
             losses: Optional[List[BGPSpeaker]] = None
@@ -311,7 +317,7 @@ class STAMPNode:
                     )
             if losses is not None:
                 for process in losses:
-                    if gains is not None and recolor_delay > 0:
+                    if gains is not None:
                         # Deferred: state may shift before the timer
                         # fires, so the late refresh re-evaluates from
                         # scratch.  A deferred loss of the *deciding*
@@ -321,7 +327,7 @@ class STAMPNode:
                         # peers): the speaker withdraws in its usual
                         # sorted-session position.
                         self.engine.schedule(
-                            recolor_delay,
+                            self.RECOLOR_DELAY,
                             lambda p=provider, proc=process: proc.refresh_peer(p),
                         )
                         if process is changing:

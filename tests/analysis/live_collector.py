@@ -111,8 +111,9 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
        deferred recolor withdrawal may still owe a peer an update);
     5. no message is in flight on a channel whose session is down — a
        failure condemns what was queued, and nothing is queued after it;
-    6. on the BGP plane, wherever the run has ``drained``, every live
-       speaker selected the route the static Gao-Rexford solver
+    6. on the BGP plane and both R-BGP variants (whose speakers run
+       BGP's decision process), wherever the run has ``drained``, every
+       live speaker selected the route the static Gao-Rexford solver
        (:func:`repro.routing.static.compute_stable_routes`, the same
        tie-breaking) computes on the surviving graph, and has none
        exactly where it finds the destination unreachable.
@@ -151,7 +152,7 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
                     f"it would now export {owed}"
                 )
         assert engine.rng.getstate() == generator, "an export gate drew"
-        if type(network) is BGPNetwork:
+        if type(network) in (BGPNetwork, RBGPNetwork):
             _check_stable_selection(network)
     for (src, dst, tag), channel in transport._channels.items():
         in_flight = len(channel.queue) - channel.pending_losses
@@ -164,7 +165,7 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
 
 
 def _check_stable_selection(network) -> None:
-    """Assertion 6: converged BGP equals the static oracle."""
+    """Assertion 6: converged BGP (or R-BGP) equals the static oracle."""
     transport = network.transport
     oracle = compute_stable_routes(
         network.graph,
@@ -188,7 +189,7 @@ def _live_speakers(network) -> Iterator[Tuple[int, object]]:
     if isinstance(network, STAMPNetwork):
         processes = (
             (asn, process)
-            for asn, node in network.nodes.items()
+            for asn, node in network.speakers.items()
             for process in (node.red, node.blue)
         )
     else:

@@ -82,7 +82,7 @@ from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
 )
-from repro.types import Color, normalize_link
+from repro.types import Color, EventType, normalize_link
 from test_successor_table import (
     FUZZ_ASES,
     PLANES,
@@ -382,6 +382,50 @@ class TestAWrongTieBreakIsCaught:
         monkeypatch.setattr(BGPSpeaker, "_rescan_best", highest_neighbor)
         with pytest.raises(AssertionError, match="the stable solution is"):
             run_live(graph, episode, "bgp")
+
+
+class TestASwappedRBGPPrimaryIsCaught:
+    """Both R-BGP variants run BGP's decision process, so their primary
+    selection equals the static solution at every drained stop too.
+    One speaker whose ``best`` is swapped for another Adj-RIB-In route
+    of the same class — ranked first by its own decision process, so
+    its exports and its failover follow it and only the oracle can tell
+    — fails the next drained stop."""
+
+    @pytest.mark.parametrize("protocol", ("rbgp", "rbgp-norci"))
+    def test_one_swapped_best_fails(self, protocol):
+        graph = _random_topology(0)
+        network, _ = build_network(protocol, graph, graph.ases[0], seed=0)
+        network.start()
+        check_quiescent(network, not_before=0.0)  # the intact network passes
+        asn, speaker, neighbor = next(
+            (asn, speaker, route.learned_from)
+            for asn, speaker in sorted(network.speakers.items())
+            if speaker.best is not None and not speaker.best.is_origin
+            for route in speaker.adj_rib_in.routes()
+            if route.learned_from != speaker.best.learned_from
+            and route.pref == speaker.best.pref
+        )
+
+        def key(route):
+            # Gao-Rexford still holds: the class ranks first.
+            normal = route_sort_key(graph, asn, route)
+            return normal[0], route.learned_from != neighbor, normal
+
+        def swapped():
+            speaker._best_key = None  # so every later decision rescans
+            return min(speaker.adj_rib_in.routes(), key=key, default=None)
+
+        speaker._rescan_best = swapped
+        # Re-decide as a received update would: selection, then failover.
+        speaker._run_decision(EventType.NO_LOSS, None)
+        speaker._update_failover_advertisement()
+        network.run_to_convergence()
+        assert speaker.best.learned_from == neighbor
+        with pytest.raises(
+            AssertionError, match=f"AS {asn} selected .* the stable solution is"
+        ):
+            check_quiescent(network, not_before=0.0)
 
 
 class TestAnUncondemnedMessageIsCaught:

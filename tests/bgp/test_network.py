@@ -34,13 +34,6 @@ class TestConvergence:
         _, net = network
         assert net.trace.changes == []
 
-    def test_converged_next_hops(self, network):
-        graph, net = network
-        hops = net.converged_next_hops()
-        assert hops[90] is None  # the origin
-        assert hops[70] == 90
-        assert hops[80] == 90
-
     def test_deterministic_under_seed(self):
         graph = example_paper_topology()
         a = BGPNetwork(graph, 90, NetworkConfig(seed=5))

@@ -221,11 +221,11 @@ class TestASRestore:
         stamp.fail_as(70)
         stamp.run_to_convergence()
         stamp.restore_link(70, 90)
-        assert 70 not in stamp.nodes[90].red.sessions
+        assert 70 not in stamp.speakers[90].red.sessions
         stamp.run_to_convergence()
         stamp.restore_as(70)
         stamp.run_to_convergence()
-        assert 70 in stamp.nodes[90].red.sessions
+        assert 70 in stamp.speakers[90].red.sessions
 
     @pytest.mark.parametrize("protocol", ("bgp", "rbgp", "stamp"))
     def test_mid_outage_link_restore_episode_heals(self, graph, protocol):
@@ -372,9 +372,7 @@ class TestAPhaseCostsWhatChanged:
             raise AssertionError("a segment was replayed onto a copy")
 
         monkeypatch.setattr(ForwardingTrace, "replay_onto", onto_spy)
-        monkeypatch.setattr(
-            ForwardingTrace, "replay_with_changes", no_copying_replay
-        )
+        monkeypatch.setattr(ForwardingTrace, "replay", no_copying_replay)
         episode = link_flap_episode(
             tiny_graph, random.Random("count"), period=2.0, flaps=32
         )

@@ -1,15 +1,23 @@
 """Unit tests for forwarding-change tracing and replay."""
 
-from repro.sim.tracing import ForwardingTrace
+import pytest
+
+from repro.sim.tracing import ForwardingChange, ForwardingTrace
 
 
 class TestRecording:
-    def test_record_and_distinct_times(self):
+    def test_record_appends_in_time_order(self):
         trace = ForwardingTrace()
         trace.record(1.0, 10, None, (20,))
         trace.record(1.0, 11, None, (20,))
         trace.record(2.0, 10, None, None)
-        assert trace.distinct_times() == [1.0, 2.0]
+        assert trace.changes == [
+            ForwardingChange(1.0, 10, None, (20,)),
+            ForwardingChange(1.0, 11, None, (20,)),
+            ForwardingChange(2.0, 10, None, None),
+        ]
+        with pytest.raises(ValueError, match="recorded after"):
+            trace.record(1.5, 11, None, None)
 
     def test_clear(self):
         trace = ForwardingTrace()

@@ -53,7 +53,7 @@ class TestBluePathExistence:
         while not graph.is_tier1(current):
             assert current not in seen, "lock chain looped"
             seen.add(current)
-            node = net.nodes[current]
+            node = net.speakers[current]
             target = node.locked_blue_provider
             if target is None:
                 providers = [

@@ -136,7 +136,7 @@ class TestForwardingState:
 
 class TestRecolor:
     """Make-before-break: a provider session that flips color hears the
-    gaining color first, the losing color ``recolor_delay`` later."""
+    gaining color first, the losing color ``RECOLOR_DELAY`` later."""
 
     def test_gain_is_announced_before_the_deferred_loss(self):
         from repro.bgp.messages import Announcement, Withdrawal
@@ -169,4 +169,4 @@ class TestRecolor:
         assert isinstance(gain, Announcement) and gain.lock
         assert isinstance(loss, Withdrawal)
         assert gain_at == pytest.approx(failed_at + 0.01)
-        assert loss_at - gain_at == pytest.approx(node.recolor_delay)
+        assert loss_at - gain_at == pytest.approx(STAMPNode.RECOLOR_DELAY)

@@ -54,19 +54,19 @@ class TestConvergedState:
 
     def test_origin_neighbors_learn_one_color_each(self, started):
         graph, net = started
-        target = net.nodes[90].locked_blue_provider
+        target = net.speakers[90].locked_blue_provider
         assert target in (70, 80)
         other = 70 if target == 80 else 80
         # The locked target learned dest's prefix blue, the other red.
-        assert net.nodes[target].blue.adj_rib_in.get(90) is not None
-        assert net.nodes[target].red.adj_rib_in.get(90) is None
-        assert net.nodes[other].red.adj_rib_in.get(90) is not None
-        assert net.nodes[other].blue.adj_rib_in.get(90) is None
+        assert net.speakers[target].blue.adj_rib_in.get(90) is not None
+        assert net.speakers[target].red.adj_rib_in.get(90) is None
+        assert net.speakers[other].red.adj_rib_in.get(90) is not None
+        assert net.speakers[other].blue.adj_rib_in.get(90) is None
 
     def test_lock_propagates_up_the_chain(self, started):
         graph, net = started
-        target = net.nodes[90].locked_blue_provider
-        blue_route = net.nodes[target].blue.adj_rib_in.get(90)
+        target = net.speakers[90].locked_blue_provider
+        blue_route = net.speakers[target].blue.adj_rib_in.get(90)
         assert blue_route.lock
 
     def test_deterministic_under_seed(self):
@@ -135,10 +135,10 @@ class TestTheorem51:
 class TestReconvergence:
     def test_locked_chain_failure_reroots_blue(self, started):
         graph, net = started
-        target = net.nodes[90].locked_blue_provider
+        target = net.speakers[90].locked_blue_provider
         net.fail_link(90, target)
         net.run_to_convergence()
-        new_target = net.nodes[90].locked_blue_provider
+        new_target = net.speakers[90].locked_blue_provider
         assert new_target != target
         for asn in graph.ases:
             assert net.best_path(asn, Color.BLUE) is not None, asn
@@ -147,7 +147,7 @@ class TestReconvergence:
         graph, net = started
         net.fail_link(90, 70)
         net.run_to_convergence()
-        for node in net.nodes.values():
+        for node in net.speakers.values():
             assert not node.unstable[Color.RED]
             assert not node.unstable[Color.BLUE]
 
@@ -157,7 +157,8 @@ class TestReconvergence:
         net.run_to_convergence()
         net.restore_link(90, 70)
         net.run_to_convergence()
-        assert net.has_both_colors(30)
+        assert net.speakers[30].red.best is not None
+        assert net.speakers[30].blue.best is not None
         for asn in graph.ases:
             assert net.best_path(asn, Color.BLUE) is not None
 

@@ -371,6 +371,42 @@ def test_a_package_is_its_docstring():
     ))
 
 
+def test_a_network_has_one_lifecycle():
+    """One network lifecycle, enforced: a STAMP network is a BGP
+    network, the event injectors, the drain and ``dispose`` are
+    ``BGPNetwork``'s own functions on every plane, and the second name
+    for the per-AS object, the knobs no caller set and the helpers only
+    their own tests called stay deleted."""
+    from repro.bgp.network import BGPNetwork
+    from repro.rbgp.network import RBGPNetwork
+    from repro.stamp.network import STAMPNetwork
+
+    assert issubclass(STAMPNetwork, BGPNetwork)
+    shared = (
+        "fail_link", "restore_link", "fail_as", "restore_as", "dispose",
+        "_drain",
+    )
+    for cls in (STAMPNetwork, RBGPNetwork):
+        for name in shared:
+            assert getattr(cls, name) is vars(BGPNetwork)[name], (cls, name)
+    # What the tracing gate (bench/tracing.py) looks up in
+    # vars(STAMPNetwork) is all of the lifecycle STAMPNetwork binds: the
+    # inherited start under its own name, and the drain that clears the
+    # instability flags.
+    lifecycle = {"start", "run_to_convergence", *shared}
+    assert lifecycle & set(vars(STAMPNetwork)) == {"start", "run_to_convergence"}
+    assert vars(STAMPNetwork)["start"] is vars(BGPNetwork)["start"]
+    stamp = (REPO / "src" / "repro" / "stamp" / "network.py").read_text()
+    for built in ("Engine(", "Transport(", "ForwardingTrace("):
+        assert built not in stamp, built
+    _assert_gone_from_code_and_documents(re.compile(
+        r"\bnetwork\.nodes\b|\bself\.nodes\b|\bmax_events_per_phase\b"
+        r"|\brecolor_delay\b|\btrace_key\b|\bconverged_next_hops\b"
+        r"|\bhas_both_colors\b|\bdistinct_times\b|\breplay_with_changes\b"
+        r"|\b_notify_session_up\b|\b_build_speakers\b"
+    ))
+
+
 def _top_level_names(tree):
     """Every name a module defines or assigns at its top level."""
     names = set()
