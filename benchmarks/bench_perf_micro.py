@@ -708,8 +708,8 @@ def test_pool_twin_share(benchmark, perf_records, tmp_path, monkeypatch):
     def campaign():
         started = cpu_now()
         data = fig2_single_link_failure(
-            ExperimentConfig(seed=0, n_instances=instances, workers=2),
-            graph=graph,
+            ExperimentConfig(seed=0, n_instances=instances),
+            graph=graph, runner=ParallelRunner(workers=2),
         )
         cpu.append(cpu_now() - started)
         assert data.complete and data.executed == 4 * instances
@@ -821,20 +821,15 @@ def test_fig2_end_to_end_parallel(benchmark, perf_records):
     """
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
     config = ExperimentConfig(
-        seed=0,
-        topology=_scaled_topology(1.0),
-        n_instances=_instances(),
-        workers=workers,
+        seed=0, topology=_scaled_topology(1.0), n_instances=_instances()
     )
     data = benchmark.pedantic(
-        fig2_single_link_failure, args=(config,), rounds=1, iterations=1
+        fig2_single_link_failure, args=(config,),
+        kwargs={"runner": ParallelRunner(workers=workers)},
+        rounds=1, iterations=1,
     )
     measured = data.mean_affected()
-    serial = fig2_single_link_failure(
-        ExperimentConfig(
-            seed=0, topology=_scaled_topology(1.0), n_instances=_instances()
-        )
-    )
+    serial = fig2_single_link_failure(config)
     assert measured == serial.mean_affected()
     _record(
         perf_records,

@@ -13,6 +13,9 @@ them:
 * ``--instances 3 fig2``, ``--instances 2 fig3a``, ``--instances 2
   fig3b``, ``--instances 2 flap --flaps 4`` and ``--workers 2
   --instances 3 node-failure`` (in-process and pooled),
+* ``refused``: ``--workers 2 --unit-timeout 0 fig2``, which must exit 2
+  with the same one stderr line everywhere (a setting out of range is
+  refused before any unit runs),
 * ``serve``: a daemon (``serve --port 0``) on a fresh ledger and
   journal takes one tiny four-plane campaign over HTTP, is polled to
   ``done``, and its result document is the digested output (the child
@@ -55,7 +58,11 @@ CLI_COMMANDS: Dict[str, List[str]] = {
     "fig3b": ["--instances", "2", "fig3b"],
     "flap": ["--instances", "2", "flap", "--flaps", "4"],
     "node-failure": ["--workers", "2", "--instances", "3", "node-failure"],
+    "refused": ["--workers", "2", "--unit-timeout", "0", "fig2"],
 }
+#: Commands the CLI must refuse: exit status 2, and the refusal on
+#: stderr is the digested output.
+REFUSED = frozenset({"refused"})
 #: The ``serve`` command's child: this script, run by the interpreter
 #: under test.
 SERVE = [str(Path(__file__).resolve()), "--serve-round-trip"]
@@ -96,13 +103,13 @@ class Outcomes:
         child = subprocess.run(
             [python, *argv], cwd=cwd, env=env, capture_output=True,
         )
-        if child.returncode != 0:
+        if child.returncode != (2 if command in REFUSED else 0):
             self.failures.append(
                 f"{command} [{label}] exited {child.returncode}: "
                 f"{child.stderr.decode(errors='replace').strip()[-300:]}"
             )
             return
-        content = child.stdout
+        content = child.stderr if command in REFUSED else child.stdout
         if command == "help":
             content = b" ".join(content.split())
         if command == "topology":

@@ -80,7 +80,7 @@ def main() -> int:
             faulty = _campaign(
                 graph,
                 workers=WORKERS,
-                max_attempts=2,
+                retries=1,
                 backoff_base=0.05,
                 ledger=ledger,
             )

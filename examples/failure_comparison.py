@@ -15,6 +15,7 @@ processes; any worker count produces byte-identical statistics.
 import sys
 
 from repro.experiments.figures import fig2_single_link_failure
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.reporting import ascii_bar_chart
 from repro.experiments.runner import ExperimentConfig, PROTOCOL_LABELS
 from repro.topology.generators import InternetTopologyConfig
@@ -32,11 +33,12 @@ def main(
             seed=7, n_tier1=6, n_tier2=30, n_tier3=70, n_stub=250
         ),
         n_instances=instances,
-        workers=workers,
     )
     print(f"Simulating {instances} single-link-failure instances on a "
           f"{config.topology.total_ases}-AS topology (be patient)...")
-    data = fig2_single_link_failure(config)
+    data = fig2_single_link_failure(
+        config, runner=ParallelRunner(workers=workers)
+    )
     measured = {
         PROTOCOL_LABELS[p]: v for p, v in data.mean_affected().items()
     }

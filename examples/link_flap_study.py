@@ -21,6 +21,7 @@ merge; see docs/scenarios.md for the episode determinism rules).
 import sys
 
 from repro.experiments.figures import link_flap_comparison
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.reporting import ascii_bar_chart, format_table
 from repro.experiments.runner import ExperimentConfig, PROTOCOL_LABELS
 from repro.topology.generators import InternetTopologyConfig
@@ -40,14 +41,15 @@ def main(
             seed=13, n_tier1=5, n_tier2=20, n_tier3=50, n_stub=160
         ),
         n_instances=instances,
-        workers=workers,
     )
     print(
         f"Flapping a provider link {flaps}x (period {period:g}s) over "
         f"{instances} instances on a {config.topology.total_ases}-AS "
         f"topology..."
     )
-    data = link_flap_comparison(config, period=period, flaps=flaps)
+    data = link_flap_comparison(
+        config, runner=ParallelRunner(workers=workers), period=period, flaps=flaps
+    )
 
     print()
     print(ascii_bar_chart(

@@ -59,13 +59,17 @@ def main() -> None:
     # protocol) simulations out over worker processes; results are
     # byte-identical for any worker count:
     #
-    #   repro-stamp fig2 --instances 100 --workers 8
+    #   repro-stamp --instances 100 --workers 8 fig2
     #
-    # or from Python:
+    # or from Python (what a grid computes is the config; how it runs,
+    # the runner):
     #
     #   from repro.experiments.figures import fig2_single_link_failure
+    #   from repro.experiments.parallel import ParallelRunner
     #   from repro.experiments.runner import ExperimentConfig
-    #   fig2_single_link_failure(ExperimentConfig(n_instances=100, workers=8))
+    #   fig2_single_link_failure(
+    #       ExperimentConfig(n_instances=100), runner=ParallelRunner(workers=8)
+    #   )
 
 
 if __name__ == "__main__":

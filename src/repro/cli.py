@@ -43,8 +43,9 @@ from repro.topology.generators import InternetTopologyConfig, generate_internet_
 
 
 class _Refused(Exception):
-    """The command line asks for what cannot be run: :func:`main`
-    reports it in one line and exits 2, before any unit ran."""
+    """The command line names an input that cannot be read: :func:`main`
+    reports it in one line and exits 2, before any unit ran, as it does
+    every ``ConfigurationError``."""
 
 
 def _load_topology(args: argparse.Namespace):
@@ -85,16 +86,25 @@ def _topology_config(args: argparse.Namespace) -> InternetTopologyConfig:
 
 
 def _build_config(args: argparse.Namespace):
+    """What the command computes (the runner says how it executes)."""
     from repro.experiments.runner import ExperimentConfig
 
     return ExperimentConfig(
         seed=args.seed,
         topology=_topology_config(args),
         n_instances=args.instances,
+    )
+
+
+def _build_runner(args: argparse.Namespace):
+    """The execution flags, checked by the one object that owns them."""
+    from repro.experiments.parallel import ParallelRunner
+
+    return ParallelRunner(
         workers=args.workers,
         retries=args.retries,
         unit_timeout=args.unit_timeout,
-        ledger_path=args.ledger,
+        ledger=args.ledger,
     )
 
 
@@ -139,13 +149,10 @@ def cmd_campaign(args) -> int:
 
     kind = CAMPAIGNS[args.command]
     params = {name: getattr(args, name) for name, _ in kind.params}
-    try:
-        data = run_campaign(
-            args.command, _build_config(args), graph=_load_topology(args),
-            **params,
-        )
-    except ConfigurationError as exc:  # the builder refuses its keywords
-        raise _Refused(exc) from exc
+    data = run_campaign(
+        args.command, _build_config(args), runner=_build_runner(args),
+        graph=_load_topology(args), **params,
+    )
     _print_failure(kind.title.format(**params), data)
     if kind.phase_legend is not None:
         print()
@@ -185,7 +192,10 @@ def cmd_deployment(args) -> int:
 def cmd_overhead(args) -> int:
     from repro.experiments.figures import sec63_message_overhead
 
-    data = sec63_message_overhead(_build_config(args), graph=_load_topology(args))
+    data = sec63_message_overhead(
+        _build_config(args), runner=_build_runner(args),
+        graph=_load_topology(args),
+    )
     print(f"initial convergence: BGP {data.mean_initial_updates_bgp:.0f} vs "
           f"STAMP {data.mean_initial_updates_stamp:.0f} updates "
           f"(ratio {data.initial_ratio:.2f}, paper < 2)")
@@ -198,7 +208,10 @@ def cmd_overhead(args) -> int:
 def cmd_delay(args) -> int:
     from repro.experiments.figures import sec63_convergence_delay
 
-    data = sec63_convergence_delay(_build_config(args), graph=_load_topology(args))
+    data = sec63_convergence_delay(
+        _build_config(args), runner=_build_runner(args),
+        graph=_load_topology(args),
+    )
     print(f"control-plane quiescence: BGP {data.mean_seconds_bgp:.1f}s, "
           f"STAMP {data.mean_seconds_stamp:.1f}s")
     print(f"data-plane disruption   : BGP {data.mean_disruption_bgp:.2f}s, "
@@ -230,7 +243,7 @@ def cmd_serve(args) -> int:
     config = ServiceConfig(
         journal_path=journal,
         ledger_path=args.serve_ledger,
-        workers=args.workers,
+        workers=_build_runner(args).workers,
         max_queue=args.max_queue,
         max_concurrent=args.max_concurrent,
         journal_max_bytes=args.journal_max_bytes,
@@ -517,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _Refused as exc:
+    except (_Refused, ConfigurationError) as exc:
         print(f"repro-stamp {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

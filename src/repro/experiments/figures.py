@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import random
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -83,14 +82,15 @@ def episode_campaign(
     config: Optional[ExperimentConfig] = None,
     *,
     graph: Optional[ASGraph] = None,
+    runner: ParallelRunner = ParallelRunner(),
 ) -> FailureFigureData:
     """Sweep one episode family over instances x protocols.
 
-    Every failure figure and every campaign is this one grid.
-    Delegates to :class:`ParallelRunner`: ``config.workers`` processes
-    fan out the independent simulations under the supervised pool
-    (per-unit retry/timeout, structured failure reporting, optional
-    result ledger), and any worker count yields byte-identical
+    Every failure figure and every campaign is this one grid.  ``config``
+    says what it computes; ``runner`` how it executes: its ``workers``
+    processes fan out the independent simulations under the supervised
+    pool (per-unit retry/timeout, structured failure reporting,
+    optional result ledger), and any runner yields byte-identical
     statistics (results are merged in canonical order and every unit
     re-derives its seeds from the deterministic
     ``f"{seed}:{kind}:{instance}"`` scheme).  Raises the builder's own
@@ -100,16 +100,6 @@ def episode_campaign(
     config = config or ExperimentConfig()
     if graph is None:
         graph, _ = generate_internet_topology(config.topology)
-    # What a builder refuses (a keyword out of range, a graph with no
-    # candidate) it refuses whatever the draw: ask once, here, instead
-    # of retrying every unit into the same ConfigurationError.
-    builder(graph, random.Random(0))
-    runner = ParallelRunner(
-        workers=config.workers,
-        max_attempts=config.retries + 1,
-        unit_timeout=config.unit_timeout,
-        ledger=config.ledger_path,
-    )
     return runner.run_failure_comparison(
         builder, kind, config.seed, config.n_instances, config.protocols, graph
     )
@@ -120,13 +110,14 @@ def run_campaign(
     config: Optional[ExperimentConfig] = None,
     *,
     graph: Optional[ASGraph] = None,
+    runner: ParallelRunner = ParallelRunner(),
     **params: Any,
 ) -> FailureFigureData:
     """Run the :data:`CAMPAIGNS` entry ``name``; ``params`` are its
     builder keywords (unset ones keep the builder's defaults)."""
     kind = CAMPAIGNS[name]
     return episode_campaign(
-        kind.bind(**params), kind.unit_kind, config, graph=graph
+        kind.bind(**params), kind.unit_kind, config, graph=graph, runner=runner
     )
 
 
@@ -241,12 +232,14 @@ def sec63_message_overhead(
     config: Optional[ExperimentConfig] = None,
     *,
     graph: Optional[ASGraph] = None,
+    runner: ParallelRunner = ParallelRunner(),
 ) -> OverheadData:
     """Section 6.3: two processes cost less than 2x the updates."""
     config = config or ExperimentConfig()
     restricted = dataclasses.replace(config, protocols=("bgp", "stamp"))
     data = episode_campaign(
-        single_provider_link_failure, "sec63-overhead", restricted, graph=graph
+        single_provider_link_failure, "sec63-overhead", restricted,
+        graph=graph, runner=runner,
     )
     initial = data.mean_initial_updates()
     episode = data.mean_updates()
@@ -278,12 +271,14 @@ def sec63_convergence_delay(
     config: Optional[ExperimentConfig] = None,
     *,
     graph: Optional[ASGraph] = None,
+    runner: ParallelRunner = ParallelRunner(),
 ) -> ConvergenceDelayData:
     """Section 6.3: STAMP converges no slower than BGP (data plane)."""
     config = config or ExperimentConfig()
     restricted = dataclasses.replace(config, protocols=("bgp", "stamp"))
     data = episode_campaign(
-        single_provider_link_failure, "sec63-delay", restricted, graph=graph
+        single_provider_link_failure, "sec63-delay", restricted,
+        graph=graph, runner=runner,
     )
     times = data.mean_convergence_time()
     disruption = data.mean_disruption()

@@ -23,7 +23,7 @@ pool* of :mod:`repro.experiments.supervisor`:
   :class:`~repro.experiments.supervisor.UnitFailure` — the rest of the
   campaign completes and is returned.
 
-``workers <= 1`` runs the same scheduling loop with no worker
+``workers=1`` runs the same scheduling loop with no worker
 processes: every attempt executes in-process, under the same retry
 accounting and stop rules.  So do single-unit grids, and so — with a
 logged warning — do environments that cannot spawn processes.
@@ -37,17 +37,18 @@ interrupted or overlapping sweeps recompute only never-seen units (see
 
 from __future__ import annotations
 
+import random
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.errors import ConfigurationError
 from repro.experiments.canonical import graph_content_hash, unit_key
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.runner import EpisodeRun
 from repro.experiments.supervisor import (
     Supervisor,
-    SupervisedOutcome,
     UnitFailure,
     WorkerBudget,
     WorkUnit,
@@ -147,18 +148,19 @@ class FailureFigureData:
 class ParallelRunner:
     """Fans (instance, protocol) work units over a supervised pool.
 
-    This is the one declaration of the execution settings (the CLI's
-    flags and the service's spec fields fill it, the
-    :class:`~repro.experiments.supervisor.Supervisor` is handed its
-    values).  None of them can change the *value* of any result — units
-    are pure and the merge canonical — only whether and where a result
-    gets computed.
+    This is the one declaration of the execution settings, and the one
+    check of their values: the CLI's flags and the service's spec
+    fields fill it, and the
+    :class:`~repro.experiments.supervisor.Supervisor` reads them from
+    it.  None of them can change the *value* of any result — units are
+    pure and the merge canonical — only whether and where a result gets
+    computed.
     """
 
     #: Worker processes requested; fewer than two runs in-process.
     workers: int = 1
-    #: Total attempts per unit before it is a terminal failure.
-    max_attempts: int = 2
+    #: Re-attempts after a unit's first failure (attempts = retries+1).
+    retries: int = 1
     #: Per-attempt wall-clock limit in seconds (``None``: no limit);
     #: enforceable for pooled attempts only.
     unit_timeout: Optional[float] = None
@@ -176,54 +178,20 @@ class ParallelRunner:
     #: :class:`~repro.experiments.supervisor.WorkerBudget`).
     budget: Optional[WorkerBudget] = None
 
-    def run_units_supervised(
-        self,
-        graph: ASGraph,
-        units: Sequence[WorkUnit],
-        *,
-        stop_event=None,
-        on_progress=None,
-    ) -> SupervisedOutcome:
-        """Run all units under supervision; never raises for unit faults.
-
-        The returned outcome's ``results`` list matches the unit order
-        (``None`` for terminal failures, which are classified in
-        ``failures``).  ``stop_event`` (a ``threading.Event``) requests
-        a cooperative stop from another thread — dispatch halts,
-        in-flight units drain to the results and the ledger, and the
-        outcome comes back partial with ``stopped=True``.
-        ``on_progress`` is called as ``on_progress(resolved, total)``
-        after the ledger preload and every unit resolution.
-        """
-        units = list(units)
-        ledger = opened = keys = None
-        if self.ledger is not None:
-            ledger = self.ledger
-            if not isinstance(ledger, ResultLedger):
-                ledger = opened = ResultLedger(ledger)
-            graph_hash = graph_content_hash(graph)
-            keys = [
-                unit_key(graph_hash, builder, kind, seed, instance, protocol)
-                for builder, kind, seed, instance, protocol in units
-            ]
-        try:
-            supervisor = Supervisor(
-                graph,
-                units,
-                workers=self.workers,
-                max_attempts=self.max_attempts,
-                unit_timeout=self.unit_timeout,
-                backoff_base=self.backoff_base,
-                ledger=ledger,
-                unit_keys=keys,
-                stop_event=stop_event,
-                on_progress=on_progress,
-                budget=self.budget,
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if self.retries < 0:
+            raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
+        if self.unit_timeout is not None and not self.unit_timeout > 0:
+            raise ConfigurationError(
+                f"unit_timeout must be a positive number of seconds, "
+                f"got {self.unit_timeout}"
             )
-            return supervisor.run()
-        finally:
-            if opened is not None:
-                opened.close()
+        if not self.backoff_base >= 0:
+            raise ConfigurationError(
+                f"backoff_base must be >= 0, got {self.backoff_base}"
+            )
 
     def run_failure_comparison(
         self,
@@ -239,28 +207,60 @@ class ParallelRunner:
     ) -> FailureFigureData:
         """All (instance, protocol) runs of one figure or campaign.
 
-        The one call every front end makes.  ``runs`` holds
-        ``{protocol: [run per instance, in instance order]}`` — the
-        canonical merge order.  Terminally failed units are reported in
-        ``failures`` instead of poisoning the sweep.
+        The one call every front end makes; it never raises for unit
+        faults.  ``runs`` holds ``{protocol: [run per instance, in
+        instance order]}`` — the canonical merge order.  Terminally
+        failed units are reported in ``failures`` instead of poisoning
+        the sweep.  ``stop_event`` (a ``threading.Event``) requests a
+        cooperative stop from another thread — dispatch halts,
+        in-flight units drain to the results and the ledger, and the
+        data comes back partial with ``stopped=True``.
+        ``on_progress`` is called as ``on_progress(resolved, total)``
+        after the ledger preload and every unit resolution.
+
+        Raises the builder's own ``ConfigurationError``, before any
+        unit is attempted or a ledger opened, when the builder refuses
+        its keywords or the graph.
         """
+        # What a builder refuses (a keyword out of range, a graph with no
+        # candidate) it refuses whatever the draw: ask once, here, instead
+        # of retrying every unit into the same ConfigurationError.
+        builder(graph, random.Random(0))
         units: List[WorkUnit] = [
             (builder, kind, seed, instance, protocol)
             for instance in range(n_instances)
             for protocol in protocols
         ]
-        outcome = self.run_units_supervised(
-            graph, units, stop_event=stop_event, on_progress=on_progress
-        )
+        ledger = opened = keys = None
+        if self.ledger is not None:
+            ledger = self.ledger
+            if not isinstance(ledger, ResultLedger):
+                ledger = opened = ResultLedger(ledger)
+            graph_hash = graph_content_hash(graph)
+            keys = [unit_key(graph_hash, *unit) for unit in units]
+        try:
+            grid = Supervisor(
+                graph,
+                units,
+                self,
+                ledger=ledger,
+                unit_keys=keys,
+                stop_event=stop_event,
+                on_progress=on_progress,
+            )
+            grid.run()
+        finally:
+            if opened is not None:
+                opened.close()
         runs: Dict[str, List[EpisodeRun]] = {p: [] for p in protocols}
-        for (_, _, _, _, protocol), run in zip(units, outcome.results):
+        for (_, _, _, _, protocol), run in zip(units, grid.results):
             if run is not None:
                 runs[protocol].append(run)
         return FailureFigureData(
             scenario_kind=kind,
             runs=runs,
-            failures=outcome.failures,
-            executed=outcome.executed,
-            ledger_hits=outcome.ledger_hits,
-            stopped=outcome.stopped,
+            failures=grid.failures,
+            executed=grid.executed,
+            ledger_hits=grid.ledger_hits,
+            stopped=grid.stopped,
         )

@@ -74,12 +74,15 @@ PROTOCOL_LABELS: Dict[str, str] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scale and seeding of a figure-reproduction experiment.
+    """What a figure-reproduction experiment computes: scale and seeding.
 
     The paper simulates the full measured AS graph (~27k ASes) over 100
     instances; defaults here are laptop-sized (README.md, "Real
     topologies", shows how to swap a measured graph in) and every knob
-    is adjustable.
+    is adjustable.  How the grid executes (workers, retries, timeouts,
+    the ledger) is not said here: those are the fields of
+    :class:`~repro.experiments.parallel.ParallelRunner`, and none of
+    them changes a number.
     """
 
     seed: int = 0
@@ -88,21 +91,18 @@ class ExperimentConfig:
     )
     n_instances: int = 20
     protocols: Tuple[str, ...] = PROTOCOLS
-    #: Worker processes for the (instance, protocol) fan-out; 1 runs
-    #: in-process.  Results are merged in canonical order, so any
-    #: worker count produces byte-identical statistics.
-    workers: int = 1
-    #: Re-attempts after a unit's first failure (attempts = retries+1).
-    #: Retries cannot change results — units are pure — only whether a
-    #: transient fault (worker killed, hung simulation) loses a unit.
-    retries: int = 1
-    #: Per-attempt wall-clock limit in seconds (None disables; only
-    #: enforceable when a worker pool is in use).
-    unit_timeout: Optional[float] = None
-    #: Path of the crash-safe content-addressed result ledger; set to
-    #: make campaigns resumable and overlapping sweeps incremental
-    #: (see docs/robustness.md).
-    ledger_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.n_instances < 1:
+            raise ConfigurationError(
+                f"n_instances must be >= 1, got {self.n_instances}"
+            )
+        unknown = [p for p in self.protocols if p not in PROTOCOL_LABELS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown protocol(s) {', '.join(map(repr, unknown))}; "
+                f"choose from {', '.join(PROTOCOL_LABELS)}"
+            )
 
 
 def derive_run_seed(seed: int, kind: str, instance: int) -> int:

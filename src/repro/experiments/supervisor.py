@@ -14,8 +14,8 @@ This module replaces it with a *supervised worker pool*:
 * a worker that dies (``os._exit``, OOM kill, segfault) is detected
   via its process sentinel, its unit is charged, and a replacement
   worker is spawned;
-* failed units are retried up to ``max_attempts`` times with
-  exponential backoff;
+* a failed unit is retried ``retries`` times with exponential
+  backoff;
 * terminal failures are classified into structured
   :class:`UnitFailure` records, so a campaign returns *all* completed
   results plus an explicit failure report instead of one opaque
@@ -46,9 +46,10 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -69,6 +70,9 @@ from repro.experiments.runner import (
 )
 from repro.topology import shm as topology_shm
 from repro.topology.graph import ASGraph, _CSRBase
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import ParallelRunner
 
 logger = logging.getLogger("repro.experiments.supervisor")
 
@@ -266,35 +270,6 @@ class UnitFailure:
         )
 
 
-@dataclass
-class SupervisedOutcome:
-    """Everything a supervised campaign produced.
-
-    ``results`` is positionally aligned with the submitted units;
-    entries of terminally failed units are ``None`` and described in
-    ``failures``.  ``executed`` counts attempts that actually simulated
-    to completion; ``ledger_hits`` counts units answered from the
-    ledger without computing.
-    """
-
-    results: List[Optional[object]]
-    failures: List[UnitFailure] = field(default_factory=list)
-    executed: int = 0
-    ledger_hits: int = 0
-    #: True when a cooperative stop (the supervisor's ``stop_event``)
-    #: interrupted the grid with units still unresolved.  Every
-    #: completed result — including those
-    #: that were in flight when the stop arrived — is present in
-    #: ``results`` (and in the ledger, when one is attached); the
-    #: interrupted units are simply ``None`` without a failure record,
-    #: so a rerun recomputes exactly them.
-    stopped: bool = False
-
-    @property
-    def complete(self) -> bool:
-        return not self.failures and not self.stopped
-
-
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
@@ -372,10 +347,18 @@ class _Worker:
 class Supervisor:
     """Runs a unit grid to completion: retry, timeout, backoff, stop.
 
-    ``max_attempts``, ``unit_timeout`` and ``backoff_base`` are the
-    fields of :class:`~repro.experiments.parallel.ParallelRunner`,
-    documented there.  An in-process attempt cannot be interrupted, so
+    The execution settings (``workers``, ``retries``, ``unit_timeout``,
+    ``backoff_base``, ``budget``) are read from ``runner``, the
+    :class:`~repro.experiments.parallel.ParallelRunner` that declares
+    and checks them.  An in-process attempt cannot be interrupted, so
     ``unit_timeout`` binds pooled attempts only (a warning says so).
+
+    :meth:`run` leaves the grid's outcome on the supervisor:
+    ``results`` is positionally aligned with the units (``None`` for a
+    terminal failure, described in ``failures``, and for a unit a stop
+    left unrun), ``executed`` counts attempts that simulated to
+    completion, ``ledger_hits`` units answered from the ledger, and
+    ``stopped`` says whether a stop interrupted the grid.
 
     There is one scheduling loop.  A grid with fewer than two worker
     slots (``workers < 2``, a one-slot budget grant, a single pending
@@ -392,45 +375,36 @@ class Supervisor:
         self,
         graph: ASGraph,
         units: Sequence[WorkUnit],
+        runner: "ParallelRunner",
         *,
-        workers: int,
-        max_attempts: int,
-        unit_timeout: Optional[float],
-        backoff_base: float,
         ledger: Optional[ResultLedger] = None,
         unit_keys: Optional[Sequence[str]] = None,
         stop_event: Optional[threading.Event] = None,
         on_progress: Optional[Callable[[int, int], None]] = None,
-        budget: Optional[WorkerBudget] = None,
     ) -> None:
         self._graph = graph
         self._units: List[WorkUnit] = list(units)
-        self._target_workers = workers
-        #: With a shared budget attached, ``workers`` is a *request*:
-        #: the grant acquired in :meth:`run` caps the actual pool size.
-        self._budget = budget
+        #: With a shared budget attached, ``runner.workers`` is a
+        #: *request*: the grant acquired in :meth:`run` caps the actual
+        #: pool size.
+        self._runner = runner
         self._pool_cap = 0
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self._max_attempts = max_attempts
-        self._unit_timeout = unit_timeout
-        self._backoff_base = backoff_base
         self._ledger = ledger
         if unit_keys is not None and len(unit_keys) != len(self._units):
             raise ValueError("unit_keys must align with units")
         self._keys = list(unit_keys) if unit_keys is not None else None
 
         n = len(self._units)
-        self._results: List[Optional[object]] = [None] * n
+        self.results: List[Optional[object]] = [None] * n
         self._resolved = [False] * n
         self._n_resolved = 0
         self._attempts: List[List[AttemptFailure]] = [[] for _ in range(n)]
         self._not_before = [0.0] * n
         self._pending: Deque[int] = deque()
         self._twin = _twin_indices(self._units)
-        self._failures: List[UnitFailure] = []
-        self._executed = 0
-        self._ledger_hits = 0
+        self.failures: List[UnitFailure] = []
+        self.executed = 0
+        self.ledger_hits = 0
         self._workers: List[_Worker] = []
         #: Topology carrier handed to every spawned worker:
         #: ``("shm", name)`` or ``("bytes", csr_bytes)`` — see
@@ -446,7 +420,7 @@ class Supervisor:
         #: attempt starts — pooled or in-process — and backoff pauses
         #: end; in-flight attempts drain normally and their results are
         #: completed (and ledgered) before :meth:`run` returns a partial
-        #: outcome with ``stopped=True``.
+        #: grid with ``stopped`` true.
         self._stop = stop_event if stop_event is not None else threading.Event()
         self._on_progress = on_progress
 
@@ -467,9 +441,9 @@ class Supervisor:
     def _complete(self, index: int, result: object) -> None:
         if self._resolved[index]:
             return
-        self._results[index] = result
+        self.results[index] = result
         self._resolve(index)
-        self._executed += 1
+        self.executed += 1
         if self._ledger is not None and self._keys is not None:
             self._ledger.put(self._keys[index], result)
         self._notify_progress()
@@ -480,7 +454,7 @@ class Supervisor:
         records = self._attempts[index]
         records.append(AttemptFailure(cause=cause, detail=detail))
         _, kind, seed, instance, protocol = self._units[index]
-        if len(records) >= self._max_attempts:
+        if len(records) > self._runner.retries:
             failure = UnitFailure(
                 index=index,
                 kind=kind,
@@ -489,13 +463,13 @@ class Supervisor:
                 protocol=protocol,
                 attempts=tuple(records),
             )
-            self._failures.append(failure)
+            self.failures.append(failure)
             self._resolve(index)
             logger.warning("terminal failure: %s", failure.describe())
             self._notify_progress()
         else:
             retry = len(records)  # 1-based retry ordinal
-            delay = self._backoff_base * 2.0 ** (retry - 1)
+            delay = self._runner.backoff_base * 2.0 ** (retry - 1)
             self._not_before[index] = time.monotonic() + delay
             self._pending.append(index)
             logger.warning(
@@ -505,7 +479,7 @@ class Supervisor:
 
     def _run_attempt_inprocess(self, index: int) -> None:
         """One attempt on the caller's thread (no worker to hand it to)."""
-        if self._unit_timeout is not None and not self._timeout_warned:
+        if self._runner.unit_timeout is not None and not self._timeout_warned:
             self._timeout_warned = True
             logger.warning(
                 "unit_timeout is not enforceable on the in-process path; "
@@ -531,12 +505,12 @@ class Supervisor:
         for index, key in enumerate(self._keys):
             if key in self._ledger:
                 try:
-                    self._results[index] = self._ledger.get(key)
+                    self.results[index] = self._ledger.get(key)
                 except KeyError:
                     pass  # indexed but no longer readable: a miss
                 else:
                     self._resolve(index)
-                    self._ledger_hits += 1
+                    self.ledger_hits += 1
                     continue
             self._pending.append(index)
 
@@ -727,8 +701,8 @@ class Supervisor:
                 continue
             worker.assignment = worker.last = index
             worker.deadline = (
-                time.monotonic() + self._unit_timeout
-                if self._unit_timeout is not None
+                time.monotonic() + self._runner.unit_timeout
+                if self._runner.unit_timeout is not None
                 else None
             )
 
@@ -747,7 +721,7 @@ class Supervisor:
         return max(0.0, min(instants) - now)
 
     def _reap_timeouts(self) -> None:
-        if self._unit_timeout is None:
+        if self._runner.unit_timeout is None:
             return
         now = time.monotonic()
         for worker in list(self._workers):
@@ -764,7 +738,7 @@ class Supervisor:
             self._attempt_failed(
                 index,
                 "timeout",
-                f"attempt exceeded the {self._unit_timeout:g}s "
+                f"attempt exceeded the {self._runner.unit_timeout:g}s "
                 "wall-clock limit; worker killed",
             )
 
@@ -789,17 +763,10 @@ class Supervisor:
 
     # -- main loop -----------------------------------------------------
 
-    def _outcome(self) -> SupervisedOutcome:
-        return SupervisedOutcome(
-            results=self._results,
-            failures=self._failures,
-            executed=self._executed,
-            ledger_hits=self._ledger_hits,
-            stopped=(
-                self._stop.is_set()
-                and self._n_resolved < len(self._resolved)
-            ),
-        )
+    @property
+    def stopped(self) -> bool:
+        """A stop interrupted the grid with units still unresolved."""
+        return self._stop.is_set() and self._n_resolved < len(self._resolved)
 
     def _publish_topology(self) -> None:
         """Publish the graph for zero-copy worker attach, if possible.
@@ -869,14 +836,13 @@ class Supervisor:
             # outlive the grid that parked it.
             clear_twin_start_cache()
 
-    def run(self) -> SupervisedOutcome:
+    def run(self) -> None:
         """Execute every unit; never raises for unit-level failures.
 
         A cooperative stop (the ``stop_event``) returns early with
-        ``stopped=True`` on the outcome: completed units (and the
-        structured failures so far) are all present, unrun units are
-        ``None``, and a rerun — same grid, same ledger — recomputes
-        exactly the remainder.
+        ``stopped`` true: completed units (and the structured failures
+        so far) are all present, unrun units are ``None``, and a rerun
+        — same grid, same ledger — recomputes exactly the remainder.
 
         With a shared :class:`WorkerBudget`, slots are acquired here —
         after the ledger preload, so a fully-ledgered resume holds zero
@@ -889,12 +855,13 @@ class Supervisor:
         self._preload_from_ledger()
         self._notify_progress()
         if not self._pending:
-            return self._outcome()
-        slots = self._target_workers
+            return
+        budget = self._runner.budget
+        slots = self._runner.workers
         granted = None
-        if self._budget is not None:
-            want = max(1, min(self._target_workers, len(self._pending)))
-            slots = granted = self._budget.acquire(want)
+        if budget is not None:
+            want = max(1, min(slots, len(self._pending)))
+            slots = granted = budget.acquire(want)
         self._pool_cap = slots if slots >= 2 and len(self._pending) > 1 else 0
         # With no pool the simulations run here, and the collector
         # stays paused between them too (ledger puts, progress).
@@ -907,5 +874,4 @@ class Supervisor:
                 self._run_grid()
         finally:
             if granted is not None:
-                self._budget.release(granted)
-        return self._outcome()
+                budget.release(granted)

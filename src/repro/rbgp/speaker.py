@@ -34,11 +34,6 @@ def path_links(full_path: ASPath) -> frozenset:
     return links
 
 
-def path_contains_link(full_path: ASPath, link: Link) -> bool:
-    """Whether a full path traverses a given (normalized) link."""
-    return link in path_links(full_path)
-
-
 class RBGPSpeaker(BGPSpeaker):
     """One AS's R-BGP process.
 

@@ -72,13 +72,14 @@ import signal
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ServiceError, SpecValidationError
+from repro.errors import ConfigurationError, ServiceError, SpecValidationError
 from repro.experiments.canonical import canonical_json
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.parallel import FailureFigureData, ParallelRunner
@@ -582,9 +583,15 @@ class CampaignService:
             started = time.monotonic()
             try:
                 self._run_campaign(campaign)
+            except ConfigurationError as exc:
+                # Raised before any unit runs (the builder refuses the
+                # grid whatever the draw): the campaign fails once, with
+                # its one-line reason.
+                logger.warning("campaign %s refused: %s", cid[:12], exc)
+                self._fail(campaign, str(exc))
             except Exception:
                 logger.exception("campaign %s failed", cid[:12])
-                self._finish_exception(campaign)
+                self._fail(campaign, traceback.format_exc(limit=20))
             finally:
                 with self._lock:
                     self._lanes[lane] = None
@@ -626,7 +633,7 @@ class CampaignService:
         )
         runner = ParallelRunner(
             workers=requested,
-            max_attempts=spec.retries + 1,
+            retries=spec.retries,
             unit_timeout=spec.unit_timeout,
             ledger=self._shared_ledger(),
             budget=self._budget,
@@ -685,14 +692,12 @@ class CampaignService:
                 campaign.result_json = canonical_json(fields["result"])
             self._transition(campaign, state, now, **fields)
 
-    def _finish_exception(self, campaign: Campaign) -> None:
-        import traceback
-
+    def _fail(self, campaign: Campaign, error: str) -> None:
         now = self._clock()
         with self._lock:
             campaign.lane = None
-            campaign.error = traceback.format_exc(limit=20)
-            self._transition(campaign, FAILED, now, error=campaign.error)
+            campaign.error = error
+            self._transition(campaign, FAILED, now, error=error)
 
 
 # ----------------------------------------------------------------------

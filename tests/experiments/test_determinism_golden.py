@@ -24,6 +24,7 @@ import random
 from pathlib import Path
 
 from repro.experiments.figures import fig2_single_link_failure
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ExperimentConfig, PROTOCOLS, build_network
 from repro.experiments.scenarios import single_provider_link_failure
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
@@ -37,8 +38,8 @@ FIG2_INSTANCES = 2
 
 def fig2_stats_fingerprint(workers: int) -> dict:
     """Exact (repr-level) statistics of a small fixed-seed Figure 2."""
-    config = ExperimentConfig(seed=0, n_instances=FIG2_INSTANCES, workers=workers)
-    data = fig2_single_link_failure(config)
+    config = ExperimentConfig(seed=0, n_instances=FIG2_INSTANCES)
+    data = fig2_single_link_failure(config, runner=ParallelRunner(workers=workers))
     return {
         "mean_affected": {p: repr(v) for p, v in data.mean_affected().items()},
         "mean_convergence_time": {

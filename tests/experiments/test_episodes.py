@@ -22,6 +22,7 @@ from repro.bgp.network import BGPNetwork
 from repro.errors import ConfigurationError
 from repro.experiments import runner as runner_mod
 from repro.experiments.figures import link_flap_comparison
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ExperimentConfig, run_episode
 from repro.experiments.scenarios import (
     Episode,
@@ -315,20 +316,21 @@ class TestCampaignDeterminism:
             },
         }
 
-    def test_workers_0_and_4_are_byte_identical(self, tiny_graph):
+    def test_workers_1_and_4_are_byte_identical(self, tiny_graph):
+        config = ExperimentConfig(seed=9, topology=TINY, n_instances=2)
         seq = link_flap_comparison(
-            ExperimentConfig(seed=9, topology=TINY, n_instances=2, workers=0),
-            graph=tiny_graph, period=35.0, flaps=2,
+            config, graph=tiny_graph, runner=ParallelRunner(workers=1),
+            period=35.0, flaps=2,
         )
         par = link_flap_comparison(
-            ExperimentConfig(seed=9, topology=TINY, n_instances=2, workers=4),
-            graph=tiny_graph, period=35.0, flaps=2,
+            config, graph=tiny_graph, runner=ParallelRunner(workers=4),
+            period=35.0, flaps=2,
         )
         assert self._stats(seq) == self._stats(par)
 
     def test_campaign_shape(self, tiny_graph):
         data = link_flap_comparison(
-            ExperimentConfig(seed=9, topology=TINY, n_instances=2, workers=1),
+            ExperimentConfig(seed=9, topology=TINY, n_instances=2),
             graph=tiny_graph, period=35.0, flaps=1,
         )
         assert data.n_phases() == 2

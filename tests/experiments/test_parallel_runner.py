@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.figures import fig2_single_link_failure
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ExperimentConfig, PROTOCOLS, derive_run_seed
@@ -52,10 +54,13 @@ def _stats(data):
 
 class TestDeterministicMerge:
     def test_workers_1_and_4_produce_identical_stats(self, tiny_graph):
-        config1 = ExperimentConfig(seed=3, topology=TINY, n_instances=4, workers=1)
-        config4 = ExperimentConfig(seed=3, topology=TINY, n_instances=4, workers=4)
-        data1 = fig2_single_link_failure(config1, graph=tiny_graph)
-        data4 = fig2_single_link_failure(config4, graph=tiny_graph)
+        config = ExperimentConfig(seed=3, topology=TINY, n_instances=4)
+        data1 = fig2_single_link_failure(
+            config, graph=tiny_graph, runner=ParallelRunner(workers=1)
+        )
+        data4 = fig2_single_link_failure(
+            config, graph=tiny_graph, runner=ParallelRunner(workers=4)
+        )
         assert _stats(data1) == _stats(data4)
 
     def test_merge_order_is_canonical(self, tiny_graph):
@@ -86,6 +91,71 @@ class TestDeterministicMerge:
         assert a.affected == b.affected
         assert a.updates == b.updates
         assert repr(a.convergence_time) == repr(b.convergence_time)
+
+
+class TestSettingsAreChecked:
+    """The runner checks the execution settings it declares, and the
+    config what a campaign computes, when they are built: nothing
+    downstream meets a value out of range."""
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(workers=0), "workers must be >= 1, got 0"),
+            (dict(workers=-3), "workers must be >= 1, got -3"),
+            (dict(retries=-1), "retries must be >= 0, got -1"),
+            (dict(unit_timeout=0), "unit_timeout must be a positive"),
+            (dict(unit_timeout=-5.0), "unit_timeout must be a positive"),
+            (dict(unit_timeout=float("nan")), "unit_timeout must be a positive"),
+            (dict(backoff_base=-0.5), "backoff_base must be >= 0, got -0.5"),
+        ],
+    )
+    def test_the_runner_refuses_settings_out_of_range(self, settings, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ParallelRunner(**settings)
+
+    def test_the_edges_of_every_rule_are_accepted(self):
+        runner = ParallelRunner(
+            workers=1, retries=0, unit_timeout=0.001, backoff_base=0.0
+        )
+        assert (runner.workers, runner.retries) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(n_instances=0), "n_instances must be >= 1, got 0"),
+            (dict(n_instances=-2), "n_instances must be >= 1, got -2"),
+            (dict(protocols=("bgp", "ospf")), "unknown protocol(s) 'ospf'"),
+        ],
+    )
+    def test_the_config_refuses_a_grid_out_of_range(self, settings, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ExperimentConfig(**settings)
+
+    def test_a_refusing_builder_is_asked_once_before_the_ledger(
+        self, tiny_graph, tmp_path, monkeypatch
+    ):
+        """The builder's refusal holds whatever the draw: it is raised
+        once, before any unit is attempted or the ledger is opened."""
+        from repro.experiments import supervisor
+
+        calls = []
+
+        def refusing(graph, rng):
+            calls.append(rng)
+            raise ConfigurationError("graph has no multi-homed AS")
+
+        def no_unit(*args, **kwargs):
+            raise AssertionError("a unit was attempted")
+
+        monkeypatch.setattr(supervisor, "run_unit", no_unit)
+        ledger = tmp_path / "ledger.jsonl"
+        with pytest.raises(ConfigurationError, match="no multi-homed AS"):
+            ParallelRunner(workers=2, ledger=ledger).run_failure_comparison(
+                refusing, "fig2-single-link", 0, 5, PROTOCOLS, tiny_graph
+            )
+        assert len(calls) == 1
+        assert not ledger.exists()
 
 
 class TestRunSeedScheme:
@@ -169,8 +239,10 @@ class TestScale20Smoke:
         graph, _ = generate_internet_topology(self.SCALE20)
         config = ExperimentConfig(
             seed=0, topology=self.SCALE20, n_instances=1,
-            protocols=("bgp", "stamp"), workers=2,
+            protocols=("bgp", "stamp"),
         )
-        data = fig2_single_link_failure(config, graph=graph)
+        data = fig2_single_link_failure(
+            config, graph=graph, runner=ParallelRunner(workers=2)
+        )
         measured = data.mean_affected()
         assert measured["bgp"] > measured["stamp"]

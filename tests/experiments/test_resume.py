@@ -102,7 +102,7 @@ class TestLedgerBackedCampaign:
                 "raise", instance=2, protocol="stamp",
             ))
             interrupted = _campaign(
-                tiny_graph, max_attempts=1, ledger=ledger
+                tiny_graph, retries=0, ledger=ledger
             )
         assert len(interrupted.failures) == 1
         assert interrupted.executed == N_UNITS - 1

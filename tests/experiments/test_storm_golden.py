@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 
 from repro.experiments.figures import link_flap_comparison
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ExperimentConfig
 from repro.topology.generators import InternetTopologyConfig
 
@@ -37,10 +38,10 @@ SEED = 9
 
 def storm_campaign_fingerprint(workers: int) -> dict:
     """Exact (repr-level) statistics of the fixed-seed storm campaign."""
-    config = ExperimentConfig(
-        seed=SEED, topology=TOPOLOGY, n_instances=INSTANCES, workers=workers
+    config = ExperimentConfig(seed=SEED, topology=TOPOLOGY, n_instances=INSTANCES)
+    data = link_flap_comparison(
+        config, runner=ParallelRunner(workers=workers), period=PERIOD, flaps=FLAPS
     )
-    data = link_flap_comparison(config, period=PERIOD, flaps=FLAPS)
     return {
         "episodes": {
             p: [run.episode.description for run in runs]

@@ -74,7 +74,7 @@ def baseline(tiny_graph):
 
 
 def _chaos_runner(**overrides):
-    settings = dict(workers=4, max_attempts=2, backoff_base=0.05)
+    settings = dict(workers=4, retries=1, backoff_base=0.05)
     settings.update(overrides)
     return ParallelRunner(**settings)
 
@@ -239,11 +239,13 @@ class TestInProcessPath:
         self, tiny_graph, caplog
     ):
         runner = ParallelRunner(workers=1, unit_timeout=5.0)
-        units = [(single_provider_link_failure, KIND, SEED, 0, "bgp")]
         with caplog.at_level(
             logging.WARNING, "repro.experiments.supervisor"
         ):
-            outcome = runner.run_units_supervised(tiny_graph, units)
+            outcome = runner.run_failure_comparison(
+                single_provider_link_failure, KIND, SEED, 1, ("bgp",),
+                tiny_graph,
+            )
         assert outcome.complete
         assert any(
             "not enforceable" in record.message for record in caplog.records
@@ -341,20 +343,17 @@ class TestRunUnitsContract:
         monkeypatch.setenv(FAULTS_ENV, fault_spec(
             "raise", instance=0, protocol="bgp",
         ))
-        runner = ParallelRunner(workers=1, max_attempts=2, backoff_base=0.01)
-        units = [
-            (single_provider_link_failure, KIND, SEED, instance, "bgp")
-            for instance in range(2)
-        ]
-        outcome = runner.run_units_supervised(tiny_graph, units)
+        runner = ParallelRunner(workers=1, retries=1, backoff_base=0.01)
+        outcome = runner.run_failure_comparison(
+            single_provider_link_failure, KIND, SEED, 2, ("bgp",), tiny_graph
+        )
         assert not outcome.complete
         assert len(outcome.failures) == 1
         assert outcome.failures[0].describe().startswith(
             f"unit {KIND}:{SEED}:0:bgp failed after 2 attempt(s)"
         )
         # The partial outcome still carries the surviving unit.
-        assert outcome.results[0] is None
-        assert outcome.results[1] is not None
+        assert len(outcome.runs["bgp"]) == 1 and outcome.executed == 1
 
 
 class TestHostWithoutProcesses:
@@ -524,7 +523,7 @@ class TestCooperativeStop:
         ))
         stop = threading.Event()
         runner = ParallelRunner(
-            workers=1, max_attempts=2, backoff_base=30.0
+            workers=1, retries=1, backoff_base=30.0
         )
         timer = threading.Timer(0.3, stop.set)
         timer.start()
@@ -569,19 +568,16 @@ class TestBookkeepingIsLinear:
             grid = supervisor.Supervisor(
                 None,
                 [(None, "kind", 0, i, "bgp") for i in range(n)],
-                workers=1,
-                max_attempts=1,
-                unit_timeout=None,
-                backoff_base=0.0,
+                ParallelRunner(retries=0, backoff_base=0.0),
                 ledger=ledger,
                 unit_keys=[str(i) for i in range(n)],
                 on_progress=lambda done, total: progress.append(done),
             )
             started = time.process_time()
-            outcome = grid.run()
+            grid.run()
             elapsed = time.process_time() - started
-            assert outcome.results == list(range(n)) and progress[-1] == n
-            return outcome, elapsed
+            assert grid.results == list(range(n)) and progress[-1] == n
+            return grid, elapsed
 
         best = {}
         for _ in range(3):
@@ -719,12 +715,12 @@ class TestSharedMemoryLifecycle:
         expected = ("bytes", tiny_graph.csr_base().to_bytes())
         assert handed and all(payload == expected for payload in handed)
 
-    @pytest.mark.parametrize("workers", (0, 4))
-    def test_transports_agree_at_workers_0_and_4(
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_transports_agree_at_workers_1_and_4(
         self, tiny_graph, baseline, monkeypatch, workers
     ):
         """Acceptance: campaign fixtures byte-identical on the CSR core
-        at workers in {0, 4}, on the shared-memory and pipe carriers."""
+        at workers in {1, 4}, on the shared-memory and pipe carriers."""
         shm_outcome = _campaign(_chaos_runner(workers=workers), tiny_graph)
         assert shm_outcome.complete
         assert _stats(shm_outcome) == baseline
@@ -851,16 +847,12 @@ class TestDispatchOrder:
     def _grid(instances=2, protocols=FOUR, **settings):
         from repro.experiments.supervisor import Supervisor
 
-        settings = dict(
-            dict(workers=2, max_attempts=2, unit_timeout=None,
-                 backoff_base=0.0),
-            **settings,
-        )
+        settings = dict(dict(workers=2, backoff_base=0.0), **settings)
         grid = Supervisor(
             None,
             [(None, KIND, SEED, i, p)
              for i in range(instances) for p in protocols],
-            **settings,
+            ParallelRunner(**settings),
         )
         grid._pending.extend(range(instances * len(protocols)))
         return grid
@@ -999,8 +991,8 @@ class TestDispatchOrder:
         monkeypatch.setattr(supervisor, "run_unit", run_unit)
         grid = self._grid(instances=3, workers=1)
         grid._pending.clear()
-        outcome = grid.run()
-        assert outcome.complete
+        grid.run()
+        assert not grid.failures and not grid.stopped
         grid_order = [(i, p) for i in range(3) for p in FOUR]
         assert order == grid_order + [(0, "rbgp-norci")]
 
@@ -1083,7 +1075,7 @@ class TestAPoolSharesTwinStarts:
             times=1, counter=str(tmp_path / "count"),
         ))
         outcome = ParallelRunner(
-            workers=2, max_attempts=2, backoff_base=0.05
+            workers=2, retries=1, backoff_base=0.05
         ).run_failure_comparison(
             single_provider_link_failure, KIND, SEED, 8, FOUR, tiny_graph
         )

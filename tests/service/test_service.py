@@ -337,6 +337,42 @@ class TestAdmissionControl:
         assert headers["Retry-After"]
 
 
+class TestRefusedCampaign:
+    def test_a_grid_the_builder_refuses_fails_once_with_its_reason(
+        self, client, monkeypatch
+    ):
+        """Regression: a topology with no multi-homed AS passes the
+        spec, and every unit was attempted, backed off, retried and
+        recorded as a traceback failure before the campaign ended
+        "every unit failed terminally".  The builder is asked once: the
+        campaign fails with its one-line reason, no unit attempted, and
+        the next campaign runs as usual."""
+        from repro.experiments import supervisor
+
+        real_run_unit = supervisor.run_unit
+        attempted = []
+
+        def run_unit(*args):
+            attempted.append(args[1:])
+            return real_run_unit(*args)
+
+        monkeypatch.setattr(supervisor, "run_unit", run_unit)
+        spec = {
+            "kind": "fig2", "instances": 5,
+            "topology": {"tier1": 2, "tier2": 0, "tier3": 0, "stubs": 0},
+        }
+        status, doc, _ = client.request("POST", "/campaigns", spec)
+        assert status == 202
+        final = client.wait_terminal(doc["id"])
+        assert final["state"] == "failed"
+        assert final["error"] == "graph has no multi-homed AS"
+        assert final["executed"] == 0 and final["failures"] == []
+        assert attempted == []
+        _, doc, _ = client.request("POST", "/campaigns", SPEC)
+        assert client.wait_terminal(doc["id"])["state"] == "done"
+        assert len(attempted) == 4
+
+
 class TestShutdown:
     def test_admissions_close_with_503(self, client):
         client.service.begin_shutdown()

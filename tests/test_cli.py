@@ -1,6 +1,8 @@
 """Smoke tests for the command-line interface."""
 
+import itertools
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +15,48 @@ from repro.cli import build_parser, main
 from repro.experiments.runner import PROTOCOL_LABELS, PROTOCOLS
 from repro.experiments.scenarios import CAMPAIGNS
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+#: A documented command line: ``repro-stamp ARGS`` or ``python -m
+#: repro.cli ARGS``, optionally behind an environment assignment.
+_COMMAND_LINE = re.compile(
+    r"(?:[A-Z_]+=\S+\s+)?(?:repro-stamp|python -m repro\.cli)\s+"
+)
+
+#: Where a documented command line ends and the shell takes over.
+_SHELL_OPS = frozenset({"&", "&&", "|", "||", ";"})
+
+
+def _documented_command_lines():
+    """``(where, argv)`` of every command line the project documents.
+
+    A line counts when it *starts* with the command (code blocks,
+    comment lines of the examples), so prose that merely names a
+    command is left alone.
+    """
+    sources = [("repro.cli", repro.cli.__doc__)] + [
+        (str(path.relative_to(ROOT)), path.read_text())
+        for path in [
+            ROOT / "README.md",
+            *sorted(ROOT.glob("docs/*.md")),
+            *sorted(ROOT.glob("examples/*.py")),
+        ]
+    ]
+    for where, text in sources:
+        pending = ""
+        for raw in text.splitlines():
+            line = pending + raw.strip().lstrip("#").strip()
+            if line.endswith("\\"):
+                pending = line[:-1] + " "
+                continue
+            pending = ""
+            match = _COMMAND_LINE.match(line)
+            if match:
+                words = shlex.split(line[match.end():], comments=True)
+                yield where, list(
+                    itertools.takewhile(lambda w: w not in _SHELL_OPS, words)
+                )
 
 
 def test_cli_and_service_start_on_the_standard_library_alone():
@@ -41,18 +84,23 @@ class TestParser:
         assert args.instances == 10
         assert args.tier1 == 8
 
-    def test_every_usage_line_of_the_module_docstring_parses(self):
-        """The usage block is documentation that ran once and then
-        rotted (global options after the subcommand exit 2)."""
-        lines = [
-            shlex.split(line.split("#")[0])[1:]
-            for line in repro.cli.__doc__.splitlines()
-            if line.strip().startswith("repro-stamp ")
-        ]
-        assert len(lines) >= 15
-        for argv in lines:
-            args = build_parser().parse_args(argv)
-            assert args.command in repro.cli._COMMANDS
+    def test_every_documented_command_line_parses(self):
+        """Usage lines are documentation that ran once and then rotted
+        (global options after the subcommand exit 2): every command line
+        of the module docstring, README, the guides and the examples —
+        ``\\`` continuations joined — must parse."""
+        lines = list(_documented_command_lines())
+        assert sum(where == "repro.cli" for where, _ in lines) >= 15
+        assert {where for where, _ in lines} >= {
+            "README.md", "docs/service.md", "examples/quickstart.py",
+        }
+        for where, argv in lines:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code == 0 and "--help" in argv, (where, argv)
+            else:
+                assert args.command in repro.cli._COMMANDS, (where, argv)
 
     def test_campaign_names_agree_everywhere(self):
         """One catalogue: its keys are the CLI's campaign subcommands
@@ -131,6 +179,57 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"repro-stamp flap: error: {message}\n"
         assert not ledger.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "2", "--retries", "0", "--unit-timeout", "0",
+              "--instances", "2"],
+             "unit_timeout must be a positive number of seconds, got 0.0"),
+            (["--workers", "2", "--retries", "0", "--unit-timeout", "-5",
+              "--instances", "2"],
+             "unit_timeout must be a positive number of seconds, got -5.0"),
+            (["--retries", "-1"], "retries must be >= 0, got -1"),
+            (["--instances", "0"], "n_instances must be >= 1, got 0"),
+            (["--instances", "-2"], "n_instances must be >= 1, got -2"),
+            (["--workers", "-3"], "workers must be >= 1, got -3"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["fig2", "overhead", "delay"])
+    def test_execution_settings_out_of_range_are_a_usage_error(
+        self, command, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: a zero or negative ``--unit-timeout`` charged
+        every unit a timeout and exited 0 with an all-failure report,
+        ``--retries -1`` was a traceback, ``--instances 0`` an empty
+        chart and ``--workers -3`` ran.  The service's spec refuses the
+        same values; the CLI refuses them in one line with exit 2,
+        before any unit runs or the ledger is created."""
+        from repro.experiments import supervisor
+
+        def no_unit(*args, **kwargs):
+            raise AssertionError("a unit was attempted")
+
+        monkeypatch.setattr(supervisor, "run_unit", no_unit)
+        ledger = tmp_path / "ledger.jsonl"
+        argv = [
+            "--tier2", "4", "--tier3", "6", "--stubs", "10",
+            "--ledger", str(ledger), *flags, command,
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro-stamp {command}: error: {message}\n"
+        assert not ledger.exists()
+
+    def test_the_daemon_refuses_a_worker_total_below_one(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["--workers", "0", "serve", "--ledger", str(ledger), "--port", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "repro-stamp serve: error: workers must be >= 1, got 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command",

@@ -243,6 +243,41 @@ def test_every_campaign_decision_has_one_owner():
         assert found is None, f"{name} still names {found.group()}"
 
 
+def test_the_execution_settings_have_one_owner():
+    """How a campaign runs is said once, enforced: ``ParallelRunner``
+    declares and checks every execution setting, ``ExperimentConfig``
+    keeps only what a campaign computes, the supervisor reads its
+    settings from the runner, and the second outcome type, the method
+    that returned it and the second spelling of ``retries`` stay
+    deleted, in the code, the guides, the examples and the tooling."""
+    import dataclasses
+    import inspect
+
+    from repro.experiments.parallel import ParallelRunner
+    from repro.experiments.runner import ExperimentConfig
+    from repro.experiments.supervisor import Supervisor
+
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "seed", "topology", "n_instances", "protocols",
+    ]
+    settings = [f.name for f in dataclasses.fields(ParallelRunner)]
+    assert settings == [
+        "workers", "retries", "unit_timeout", "backoff_base", "ledger",
+        "budget",
+    ]
+    parameters = list(inspect.signature(Supervisor).parameters)
+    assert len(parameters) <= 7 and "runner" in parameters
+    # ``ledger`` stays: the supervisor is handed the *open* ledger.
+    assert not set(parameters) & set(settings) - {"ledger"}
+    gone = re.compile(r"\b(SupervisedOutcome|run_units_supervised|max_attempts)\b")
+    _assert_gone_from_code_and_documents(gone)
+    for path in sorted(
+        [*(REPO / "examples").glob("*.py"), *(REPO / "benchmarks").glob("*.py")]
+    ):
+        found = gone.search(path.read_text())
+        assert found is None, f"{path.name} still names {found.group()}"
+
+
 def _enclosing_functions(path, wanted):
     """Names of the functions of ``path`` holding a node ``wanted``."""
     owners = []
