@@ -38,31 +38,57 @@ brute-force equivalence twin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.forwarding.walk import SuccessorTable, WalkClassifier
 from repro.sim.tracing import ForwardingTrace
 from repro.types import ASN, Link, Outcome
 
 
+#: The one empty AS set every finished report shares (CPython stopped
+#: interning the empty frozenset in 3.10).
+_EMPTY: FrozenSet[ASN] = frozenset()
+
+
+def _frozen(ases: AbstractSet[ASN]) -> FrozenSet[ASN]:
+    """``ases`` as a frozenset; the shared :data:`_EMPTY` when empty."""
+    return frozenset(ases) if ases else _EMPTY
+
+
 @dataclass
 class TransientReport:
-    """Result of one scenario's transient-problem analysis."""
+    """Result of one scenario's transient-problem analysis.
+
+    A finished report holds its AS sets frozen: a campaign keeps every
+    run's reports alive, so the empty sets are all :data:`_EMPTY` and a
+    phase whose eligibility equals the phase before it shares that
+    phase's set (see :func:`analyze_episode_transient_problems`).
+    """
 
     #: ASes that were delivered pre-event (the eligible population).
-    eligible: Set[ASN] = field(default_factory=set)
+    eligible: FrozenSet[ASN] = _EMPTY
     #: Eligible ASes that looped or blackholed at some instant but
     #: regained connectivity by convergence (*transient* problems, the
     #: paper's metric).
-    affected: Set[ASN] = field(default_factory=set)
+    affected: FrozenSet[ASN] = _EMPTY
     #: Eligible ASes left without connectivity even after convergence:
     #: the event partitioned them (policy-wise) from the destination.
     #: No protocol can help these, so they are not "transient".
-    permanently_unreachable: Set[ASN] = field(default_factory=set)
+    permanently_unreachable: FrozenSet[ASN] = _EMPTY
     #: Eligible ASes that ever looped.
-    looped: Set[ASN] = field(default_factory=set)
+    looped: FrozenSet[ASN] = _EMPTY
     #: Eligible ASes that ever blackholed.
-    blackholed: Set[ASN] = field(default_factory=set)
+    blackholed: FrozenSet[ASN] = _EMPTY
     #: (time, cumulative #affected) series.
     timeline: List[Tuple[float, int]] = field(default_factory=list)
     #: (time, #currently-problematic) series — the data-plane health.
@@ -205,8 +231,9 @@ class _PhaseTracker:
     an interval for every eligible source among the table's undelivered
     rows, later scans fold in the table's outcome transitions, and
     :meth:`finalize` makes the intervals still open permanent
-    unreachability.  ``problem_since`` is exactly the eligible sources
-    not delivered at the last scan, so nothing here costs O(eligible).
+    unreachability and writes the report's frozen sets.
+    ``problem_since`` is exactly the eligible sources not delivered at
+    the last scan, so nothing here costs O(eligible).
     A phase's tracker lives for one segment, from after its boundary
     scan (an episode-level concept the standalone per-phase semantics
     never see); the episode-wide tracker observes every scan of every
@@ -220,6 +247,8 @@ class _PhaseTracker:
         self.min_duration = min_duration
         self.seeded = False
         self.problem_since: Dict[ASN, Tuple[float, Set[Outcome]]] = {}
+        # Filled in place while tracked, frozen by finalize.
+        report.affected, report.looped, report.blackholed = set(), set(), set()
 
     def _seed(self, table: SuccessorTable, time: float) -> None:
         """Open an interval per eligible source the table fails."""
@@ -287,10 +316,11 @@ class _PhaseTracker:
             # no tracker is waiting for the transitions this flushes.
             table.collect_transitions()
             self._seed(table, 0.0)
-        report.permanently_unreachable.update(self.problem_since)
-        report.affected -= report.permanently_unreachable
-        report.looped -= report.permanently_unreachable
-        report.blackholed -= report.permanently_unreachable
+        unreachable = _frozen(self.problem_since.keys())
+        report.permanently_unreachable = unreachable
+        report.affected = _frozen(report.affected - unreachable)
+        report.looped = _frozen(report.looped - unreachable)
+        report.blackholed = _frozen(report.blackholed - unreachable)
         return report
 
 
@@ -400,6 +430,12 @@ def analyze_episode_transient_problems(
     pays for neither: its one phase has the overall report's
     eligibility by construction and no boundary scan to skip, so
     ``phases[0]`` *is* ``overall`` (one table, one tracker).
+
+    Every set of every returned report is a frozenset.  A phase whose
+    eligibility equals the previous phase's (or, for phase 0, the
+    overall report's) holds that same object, and every empty set is
+    the one :data:`_EMPTY`, so a storm's reports cost their distinct
+    sets once.
     """
     segments = list(segments)
     if not segments:
@@ -420,12 +456,15 @@ def analyze_episode_transient_problems(
     for segment in segments:
         ever_failed |= segment.failed_ases
         ever_failed |= segment.failed_ases_at_start
-    report = TransientReport(eligible=delivered - ever_failed)
+    report = TransientReport(eligible=_frozen(delivered - ever_failed))
     if report.eligible:
         engine.main = _PhaseTracker(report, min_duration)
 
     no_failures: FrozenSet = frozenset()
     phases: List[TransientReport] = []
+    # A campaign keeps every phase report alive: a phase whose
+    # eligibility equals the one before it shares that set.
+    eligible = report.eligible
     for index, segment in enumerate(segments):
         if index > 0:
             # The detour for phase eligibility; when either phase is
@@ -447,12 +486,13 @@ def analyze_episode_transient_problems(
             # A router that was down when this phase fired cannot be a
             # victim of the phase (its frozen pre-restore state is not
             # real connectivity).
-            phase_report = TransientReport(
-                eligible=delivered
-                - segment.failed_ases
-                - segment.failed_ases_at_start
+            phase_eligible = (
+                delivered - segment.failed_ases - segment.failed_ases_at_start
             )
-            if phase_report.eligible:
+            if phase_eligible != eligible:
+                eligible = _frozen(phase_eligible)
+            phase_report = TransientReport(eligible=eligible)
+            if eligible:
                 engine.phase = _PhaseTracker(phase_report, min_duration)
         for time, _, changed in segment.trace.replay_onto(state):
             engine.scan(time, changed)
@@ -464,6 +504,14 @@ def analyze_episode_transient_problems(
     if engine.main is not None:
         engine.main.finalize(table)
     return EpisodeTransientReport(overall=report, phases=phases)
+
+
+def _mutable_report() -> TransientReport:
+    """A report whose sets the reference twins fill in place."""
+    return TransientReport(
+        affected=set(), permanently_unreachable=set(), looped=set(),
+        blackholed=set(),
+    )
 
 
 def _reference_analyze_episode_transient_problems(
@@ -501,7 +549,7 @@ def _reference_analyze_episode_transient_problems(
         )
         for segment, initial_state in zip(segments, initial_states)
     ]
-    report = TransientReport()
+    report = _mutable_report()
     report.eligible = _episode_eligibility(
         plane, segments, initial_states[0], all_ases
     )
@@ -605,7 +653,7 @@ def _reference_analyze_transient_problems(
     (not its victims, but traffic may flow *through* them once
     restored).
     """
-    report = TransientReport()
+    report = _mutable_report()
     all_ases = list(ases)
 
     baseline = plane.classify(initial_state, all_ases)

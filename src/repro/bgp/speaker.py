@@ -592,19 +592,9 @@ class BGPSpeaker:
             self.transport.send(
                 self.asn,
                 peer,
-                self._make_announcement(path, et, lock, root_cause),
+                Announcement(path=path, et=et, lock=lock, root_cause=root_cause),
                 tag=self.tag,
             )
-
-    def _make_announcement(
-        self,
-        path: ASPath,
-        et: EventType,
-        lock: bool,
-        root_cause: Optional[Link],
-    ) -> Announcement:
-        """Build the outgoing update (R-BGP overrides to attach RCI)."""
-        return Announcement(path=path, et=et, lock=lock, root_cause=root_cause)
 
     # ------------------------------------------------------------------
 

@@ -37,15 +37,23 @@ interrupted or overlapping sweeps recompute only never-seen units (see
 
 from __future__ import annotations
 
+import math
 import random
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.errors import ConfigurationError
 from repro.experiments.canonical import graph_content_hash, unit_key
-from repro.experiments.ledger import ResultLedger
 from repro.experiments.runner import EpisodeRun
 from repro.experiments.supervisor import (
     Supervisor,
@@ -54,6 +62,15 @@ from repro.experiments.supervisor import (
     WorkUnit,
 )
 from repro.topology.graph import ASGraph
+
+if TYPE_CHECKING:
+    from repro.experiments.ledger import ResultLedger
+
+
+def _fmean(values: Iterable[float]) -> float:
+    """``statistics.fmean`` without importing ``statistics``."""
+    values = list(values)
+    return math.fsum(values) / len(values)
 
 
 @dataclass
@@ -90,7 +107,7 @@ class FailureFigureData:
 
     def _mean(self, attribute: str) -> Dict[str, float]:
         return {
-            protocol: statistics.fmean(getattr(run, attribute) for run in runs)
+            protocol: _fmean(getattr(run, attribute) for run in runs)
             for protocol, runs in self.runs.items()
             if runs
         }
@@ -136,7 +153,7 @@ class FailureFigureData:
         """
         return {
             protocol: [
-                statistics.fmean(run.phases[k].report.affected_count for run in runs)
+                _fmean(run.phases[k].report.affected_count for run in runs)
                 for k in range(self.n_phases())
             ]
             for protocol, runs in self.runs.items()
@@ -233,6 +250,8 @@ class ParallelRunner:
         ]
         ledger = opened = keys = None
         if self.ledger is not None:
+            from repro.experiments.ledger import ResultLedger
+
             ledger = self.ledger
             if not isinstance(ledger, ResultLedger):
                 ledger = opened = ResultLedger(ledger)

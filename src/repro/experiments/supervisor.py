@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import logging
-import multiprocessing
 import os
 import random
 import threading
@@ -47,7 +46,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -61,18 +59,20 @@ from typing import (
 )
 
 from repro.experiments import faults
-from repro.experiments.ledger import ResultLedger
 from repro.experiments.runner import (
     _RBGP_PROTOCOLS,
     clear_twin_start_cache,
     derive_run_seed,
     run_episode,
 )
-from repro.topology import shm as topology_shm
 from repro.topology.graph import ASGraph, _CSRBase
 
+# A grid without workers or a ledger loads neither the pool's modules
+# nor the ledger's: the paths that need them import them there.
 if TYPE_CHECKING:
+    from repro.experiments.ledger import ResultLedger
     from repro.experiments.parallel import ParallelRunner
+    from repro.topology.shm import SharedGraph
 
 logger = logging.getLogger("repro.experiments.supervisor")
 
@@ -297,6 +297,9 @@ def _worker_main(conn, graph_payload: Tuple[str, object]) -> None:
     carrier, payload = graph_payload
     attached = None
     if carrier == "shm":
+        # Loaded before the fork, by the publish that named the segment.
+        from repro.topology import shm as topology_shm
+
         attached = topology_shm.attach_graph(payload)
         graph = attached.graph
     else:
@@ -412,7 +415,7 @@ class Supervisor:
         #: before the first spawn; a grid that never spawns never
         #: encodes its topology.
         self._payload: Optional[Tuple[str, object]] = None
-        self._shared: Optional[topology_shm.SharedGraph] = None
+        self._shared: Optional[SharedGraph] = None
         self._spawn_failed = False
         self._timeout_warned = False
         #: Cooperative interrupt: settable from any thread (a SIGTERM
@@ -520,6 +523,8 @@ class Supervisor:
         """Start one worker; on spawn failure, remember and warn once."""
         if self._spawn_failed:
             return None
+        import multiprocessing
+
         context = multiprocessing.get_context()
         try:
             parent_conn, child_conn = context.Pipe(duplex=True)
@@ -775,6 +780,8 @@ class Supervisor:
         each worker's pipe instead.  Export failure is never fatal:
         the campaign still runs, just without the shared pages.
         """
+        from repro.topology import shm as topology_shm
+
         try:
             self._shared = topology_shm.share_graph(self._graph)
         except Exception as exc:
@@ -810,6 +817,8 @@ class Supervisor:
                 for worker in busy:
                     watch[worker.conn] = worker
                     watch[worker.process.sentinel] = worker
+                from multiprocessing import connection
+
                 ready = connection.wait(
                     list(watch), timeout=self._wait_timeout()
                 )

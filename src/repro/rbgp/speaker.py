@@ -13,25 +13,11 @@ from repro.rbgp.messages import FailoverAnnouncement, FailoverWithdrawal
 from repro.types import ASN, ASPath, Link, normalize_link
 
 
-#: Module-wide ``path -> link set`` memo: announcement paths repeat
-#: heavily within and across speakers (the same routes are re-sent on
-#: every churn), so the normalized link sets are interned.  Bounded by
-#: a size cap instead of an eviction policy — a full clear is cheap
-#: and correctness never depends on a hit.
-_PATH_LINKS_CACHE: dict = {}
-_PATH_LINKS_CACHE_MAX = 65536
-
-
 def path_links(full_path: ASPath) -> frozenset:
     """Normalized set of links along a full (self-first) path."""
-    links = _PATH_LINKS_CACHE.get(full_path)
-    if links is None:
-        if len(_PATH_LINKS_CACHE) >= _PATH_LINKS_CACHE_MAX:
-            _PATH_LINKS_CACHE.clear()
-        links = _PATH_LINKS_CACHE[full_path] = frozenset(
-            normalize_link(u, v) for u, v in zip(full_path, full_path[1:])
-        )
-    return links
+    return frozenset(
+        normalize_link(u, v) for u, v in zip(full_path, full_path[1:])
+    )
 
 
 class RBGPSpeaker(BGPSpeaker):
@@ -51,7 +37,9 @@ class RBGPSpeaker(BGPSpeaker):
         #: path tuple.  Paths recur heavily across decisions (the same
         #: Adj-RIB-In routes are re-examined by every failover
         #: computation), and the mapping is pure, so entries never
-        #: invalidate.
+        #: invalidate.  The one path-links memo: every key starts with
+        #: this AS, so no other speaker could share an entry, and it
+        #: is freed with the network.
         self._full_links_cache: Dict[ASPath, frozenset] = {}
         #: Links learned (via RCI) to be down; paths through them are
         #: rejected until the session state changes again.

@@ -605,7 +605,6 @@ class TestSharedMemoryLifecycle:
     @staticmethod
     def _spy_share(monkeypatch):
         """Record every segment the supervisor publishes."""
-        from repro.experiments import supervisor as supervisor_mod
         from repro.topology import shm as topology_shm
 
         created = []
@@ -616,9 +615,7 @@ class TestSharedMemoryLifecycle:
             created.append(shared.name)
             return shared
 
-        monkeypatch.setattr(
-            supervisor_mod.topology_shm, "share_graph", recording_share
-        )
+        monkeypatch.setattr(topology_shm, "share_graph", recording_share)
         return created
 
     @staticmethod
@@ -640,14 +637,12 @@ class TestSharedMemoryLifecycle:
     def _break_share(monkeypatch):
         """Segment creation fails the way a sandbox without /dev/shm
         makes it fail — the only thing that selects the pipe carrier."""
-        from repro.experiments import supervisor as supervisor_mod
+        from repro.topology import shm as topology_shm
 
         def no_dev_shm(graph):
             raise OSError(38, "Function not implemented")
 
-        monkeypatch.setattr(
-            supervisor_mod.topology_shm, "share_graph", no_dev_shm
-        )
+        monkeypatch.setattr(topology_shm, "share_graph", no_dev_shm)
 
     @staticmethod
     def _assert_unlinked(names):

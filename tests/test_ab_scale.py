@@ -83,3 +83,23 @@ def test_a_tree_that_computes_something_else_is_refused(tmp_path):
     done = _ab(SRC, other, "--kind", "flap2", "--planes", "bgp")
     assert done.returncode == 1, done.stdout + done.stderr
     assert "DIFFERS" in done.stdout
+
+
+def test_instances_hold_every_run_and_attribute_what_is_live():
+    done = _ab(SRC, SRC, "--kind", "flap2", "--planes", "bgp", "--instances", "2")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert "instances=2" in lines[0]
+    assert lines[1].endswith(" equal")
+    start = lines.index("# live at the end of the last run, bgp (tracemalloc MB, A | B)")
+    attribution = lines[start + 1:]
+    layers = [line.split()[0] for line in attribution if "|" in line]
+    assert "repro.analysis" in layers and layers[-1] == "total"
+    sites = [line.split() for line in attribution if line.startswith("  A ")]
+    assert len(sites) == 8 and all(float(site[-1]) >= 0 for site in sites)
+
+
+def test_a_non_positive_instance_count_is_refused():
+    done = _ab(SRC, SRC, "--instances", "0")
+    assert done.returncode == 2
+    assert "expected a positive integer" in done.stderr

@@ -723,3 +723,14 @@ def test_a_twin_start_is_a_fork():
         if isinstance(node, ast.ImportFrom)
     }
     assert "pickle" not in imported
+
+
+def test_a_result_holds_each_as_set_once():
+    """What a finished result holds and what a speaker builds have one
+    owner each, enforced: the process-wide path-links memo (R-BGP's
+    per-speaker memo is the one memo, freed with its network) and the
+    announcement hook nothing overrode stay deleted, in the code and in
+    the documents."""
+    _assert_gone_from_code_and_documents(re.compile(
+        r"\b_PATH_LINKS_CACHE\w*|\b_make_announcement\b"
+    ))

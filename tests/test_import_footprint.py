@@ -105,6 +105,31 @@ class TestACommandImportsWhatItRuns:
         assert graph.exists() == (command == "topology")
         assert loaded(got["modules"], EXECUTION_STACK) == []
 
+    def test_a_serial_campaign_without_a_ledger_loads_no_pool_code(
+        self, tmp_path
+    ):
+        """One worker and no ledger: the campaign runs in this process,
+        so the pool's modules (``multiprocessing``, the shared-memory
+        topology) and the ledger's are never needed, and a ledger
+        loads the ledger's alone."""
+        pool_and_ledger = (
+            "multiprocessing", "repro.topology.shm", "repro.experiments.ledger",
+        )
+        got = run_child(
+            RUN_MAIN, tmp_path, *TINY, "--workers", "1", "--instances", "2", "fig2"
+        )
+        assert got["status"] == 0
+        assert "repro.experiments.supervisor" in got["modules"]
+        assert loaded(got["modules"], pool_and_ledger) == []
+        got = run_child(
+            RUN_MAIN, tmp_path, *TINY, "--workers", "1", "--instances", "2",
+            "--ledger", str(tmp_path / "ledger.jsonl"), "fig2",
+        )
+        assert got["status"] == 0
+        assert loaded(got["modules"], pool_and_ledger) == [
+            "repro.experiments.ledger"
+        ]
+
     def test_ledger_stats_loads_no_plane_and_no_service(self, tmp_path):
         from repro.experiments.ledger import ResultLedger
 
