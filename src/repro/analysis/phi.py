@@ -21,8 +21,8 @@ uphill-reachability view (restricted provider adjacency + tier-1 flags)
 instead of re-querying the graph per DFS step, and
 :func:`phi_distribution` memoizes results per anchor — footnote-4
 inheritance means hundreds of stub destinations share one anchor's
-answer.  ``_reference_*`` twins keep the brute-force implementations
-alive for equivalence tests.
+answer.  The equivalence tests pin both to the unmemoized per-path DFS
+in ``tests/reference/phi.py``.
 """
 
 from __future__ import annotations
@@ -295,67 +295,6 @@ def phi_distribution(
         )
         results.append(PhiResult(dest, phi, n_paths, n_good, anchor, capped))
     return results
-
-
-# ----------------------------------------------------------------------
-# Reference (brute-force) implementations — kept for equivalence tests
-# ----------------------------------------------------------------------
-
-
-def _reference_disjoint_alternative_exists(
-    graph: ASGraph, start: ASN, blocked: Set[ASN]
-) -> bool:
-    """Per-path DFS over the full graph (pre-optimization behavior)."""
-    seen: Set[ASN] = set()
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        for provider in graph.providers(node):
-            if provider in blocked or provider in seen:
-                continue
-            if graph.is_tier1(provider):
-                return True
-            stack.append(provider)
-    return False
-
-
-def _reference_phi_for_destination(
-    graph: ASGraph, destination: ASN, *, max_paths: int = 100_000
-) -> PhiResult:
-    """Unmemoized, per-path-DFS Φ (pre-optimization behavior)."""
-    anchor = _phi_anchor(graph, destination)
-    if anchor is None:
-        if graph.is_tier1(destination):
-            return PhiResult(destination, 1.0, 0, 0, None)
-        return PhiResult(destination, 0.0, 0, 0, None)
-    paths, capped = uphill_paths_to_tier1(graph, anchor, max_paths=max_paths)
-    if not paths:
-        return PhiResult(destination, 0.0, 0, 0, anchor, capped)
-    good = 0
-    for path in paths:
-        blocked = set(path) - {anchor}
-        if _reference_disjoint_alternative_exists(graph, anchor, blocked):
-            good += 1
-    return PhiResult(
-        destination, good / len(paths), len(paths), good, anchor, capped
-    )
-
-
-def _reference_phi_distribution(
-    graph: ASGraph,
-    destinations: Optional[Sequence[ASN]] = None,
-    *,
-    max_paths: int = 100_000,
-) -> List[PhiResult]:
-    """Destination-by-destination Φ with no anchor sharing."""
-    dests = list(destinations) if destinations is not None else graph.ases
-    return [
-        _reference_phi_for_destination(graph, dest, max_paths=max_paths)
-        for dest in dests
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Gao-Rexford routing policies: prefer-customer and valley-free export.
+"""Gao-Rexford routing policies: prefer-customer import and loop checks.
 
-These are the "two common routing policies" of paper section 2.1 under
-which BGP is provably safe, and the baseline policies every simulated
-protocol applies.
+These are the import half of the "two common routing policies" of
+paper section 2.1 under which BGP is provably safe, and the baseline
+every simulated protocol applies.  The other half, the valley-free
+export rule, is evaluated in one place:
+:meth:`repro.bgp.speaker.BGPSpeaker.export_for`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.bgp.ribs import Route
 from repro.topology.graph import ASGraph
-from repro.types import ASN, RELATIONSHIP_PREFERENCE, Relationship
+from repro.types import ASN, RELATIONSHIP_PREFERENCE
 
 
 #: Local preference of an originated route: above every learned route
@@ -39,43 +39,3 @@ def import_accept(asn: ASN, path) -> bool:
     This is BGP's standard AS-path loop detection.
     """
     return asn not in path
-
-
-def export_allowed(
-    graph: ASGraph,
-    asn: ASN,
-    route: Route,
-    to_neighbor: ASN,
-) -> bool:
-    """Valley-free export rule.
-
-    Routes learned from a peer or provider are exported only to
-    customers; customer-learned and originated routes go to everyone.
-    The route is never reflected back to the neighbor it came from.
-
-    NOTE: the speaker hot path inlines this rule once, against its
-    cached relationship table, in ``BGPSpeaker.export_for`` — the only
-    place a speaker evaluates it.  Any change here must be mirrored
-    there; ``tests/bgp/test_speaker.py``'s export-equivalence test
-    enforces agreement.
-    """
-    if route.learned_from == to_neighbor:
-        return False
-    if graph.relationship(asn, to_neighbor) is Relationship.CUSTOMER:
-        return True
-    if route.is_origin:
-        return True
-    learned_rel = graph.relationship(asn, route.learned_from)
-    return learned_rel is Relationship.CUSTOMER
-
-
-def learned_relationship(
-    graph: ASGraph, asn: ASN, route: Route
-) -> Optional[Relationship]:
-    """Relationship of the neighbor a route was learned from.
-
-    ``None`` for originated routes.
-    """
-    if route.is_origin:
-        return None
-    return graph.relationship(asn, route.learned_from)

@@ -440,12 +440,12 @@ class BGPSpeaker:
         """What we should currently be advertising to a peer.
 
         The one evaluation of the export decision: the valley-free rule
-        runs inline on the cached per-neighbor relationship table
-        (identical semantics to
-        :func:`repro.bgp.policy.export_allowed`), then the gate for the
-        peers it covers.  The advertised path tuple is shared across
-        peers via :attr:`_export_path` — one allocation per best-route
-        change rather than one per evaluation.
+        (routes learned from a peer or provider go to customers only;
+        customer-learned and originated routes go to everyone) runs
+        inline on the cached per-neighbor relationship table, then the
+        gate for the peers it covers.  The advertised path tuple is
+        shared across peers via :attr:`_export_path` — one allocation
+        per best-route change rather than one per evaluation.
         """
         best = self.best
         if best is None or peer not in self.sessions:

@@ -34,24 +34,18 @@ never re-enters an AS state, so the whole ride folds to a terminal
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.forwarding.walk import (
     BLACKHOLE_SID,
     DELIVERED_SID,
     SuccessorTable,
     WalkClassifier,
-    WalkSpec,
 )
-from repro.types import ASN, ASPath, normalize_link
+from repro.types import ASN, ASPath
 
 PRIMARY = "primary"
 FAILOVER = "failover"
-
-#: Walk states: plain AS for primary forwarding, or a pinned position
-#: ``('pin', path, index)`` while riding a failover path.
-_PinState = Tuple[str, ASPath, int]
-
 
 class _RBGPTable(SuccessorTable):
     """One state per AS: usable primary hop, else the folded failover.
@@ -153,74 +147,6 @@ class RBGPDataPlane(WalkClassifier):
                     if asn in self.graph:
                         local_detectors.update(self.graph.neighbors(asn))
         return local_detectors
-
-    def _walk_spec(self, state, failed_links, failed_ases) -> WalkSpec:
-        destination = self.destination
-        rci = self.rci
-        state_get = state.get
-        local_detectors = self._local_detectors(failed_links, failed_ases)
-
-        def link_ok(a: ASN, b: ASN) -> bool:
-            return (
-                b not in failed_ases
-                and a not in failed_ases
-                and normalize_link(a, b) not in failed_links
-            )
-
-        def path_intact(start: ASN, path: ASPath) -> bool:
-            hops = (start,) + path
-            return all(link_ok(u, v) for u, v in zip(hops, hops[1:]))
-
-        def pick_failover(asn: ASN) -> Optional[ASPath]:
-            # Pinned (virtual-interface) forwarding may legitimately
-            # pass back through the diverting AS itself — the bounce is
-            # part of R-BGP's design — so entries are not filtered on
-            # that.
-            entries = state_get((asn, FAILOVER)) or ()
-            for _, path in entries:
-                if rci:
-                    # RCI: the AS knows which entries are broken.
-                    if path_intact(asn, path):
-                        return path
-                else:
-                    # No RCI: pick the first entry obliviously.
-                    return path
-            return None
-
-        def successor(walk_state) -> Optional[object]:
-            if isinstance(walk_state, tuple) and walk_state[0] == "pin":
-                _, path, index = walk_state
-                return _advance_pin(path, index)
-            asn = walk_state
-            path = state_get((asn, PRIMARY))
-            if path and link_ok(asn, path[0]):
-                return path[0]
-            if not rci and asn not in local_detectors:
-                # Without root cause information a remotely-caused loss
-                # cannot safely trigger failover forwarding.
-                return None
-            # Primary unusable: divert once onto a received failover.
-            failover = pick_failover(asn)
-            if failover is None:
-                return None
-            if not link_ok(asn, failover[0]):
-                return None
-            return ("pin", (asn,) + failover, 1)
-
-        def _advance_pin(path: ASPath, index: int):
-            current, nxt = path[index - 1], path[index]
-            if not link_ok(current, nxt):
-                return None
-            if nxt == destination:
-                return nxt  # delivered
-            if index + 1 >= len(path):
-                return None  # pinned path ended off-destination
-            return ("pin", path, index + 1)
-
-        def delivered(walk_state) -> bool:
-            return walk_state == destination
-
-        return WalkSpec(successor, delivered)
 
     def _session_table(self, state, failed_links, failed_ases) -> _RBGPTable:
         return _RBGPTable(self, state, failed_links, failed_ases)

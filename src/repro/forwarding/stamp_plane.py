@@ -27,13 +27,10 @@ alongside the four successor entries).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.forwarding.walk import SuccessorTable, WalkClassifier, WalkSpec
-from repro.types import ASN, Color, Outcome
-
-#: Walk state: (AS, packet color, already switched?).
-_WalkState = Tuple[ASN, Color, bool]
+from repro.forwarding.walk import SuccessorTable, WalkClassifier
+from repro.types import Color
 
 _RED, _BLUE = Color.RED, Color.BLUE
 
@@ -78,9 +75,9 @@ class _STAMPTable(SuccessorTable):
         red_stable = nr >= 0 and not unstable_red[i]
         blue_stable = nb >= 0 and not unstable_blue[i]
         base = 4 * i
-        # Per color, the scalar successor's branch order: stable
-        # forward > one-time switch > unstable ride > blackhole.  A
-        # switched packet (odd offsets) follows its color or drops.
+        # Per color, in order: stable forward > one-time switch >
+        # unstable ride > blackhole.  A switched packet (odd offsets)
+        # follows its color or drops.
         if red_stable:
             s0 = nr
         elif nb >= 0:
@@ -107,73 +104,6 @@ class _STAMPTable(SuccessorTable):
 
 class STAMPDataPlane(WalkClassifier):
     """Walks color-carrying packets with the switch-once rule."""
-
-    def _walk_spec(self, state, failed_links, failed_ases) -> WalkSpec:
-        destination = self.destination
-        state_get = state.get
-        red, blue = _RED, _BLUE
-        red_unstable, blue_unstable = _RED_UNSTABLE, _BLUE_UNSTABLE
-
-        # The failure sets are fixed for the spec's lifetime, so the
-        # per-hop link check reduces to one membership test on a
-        # pre-expanded ordered-pair set (no normalize_link call), and
-        # vanishes entirely in the failure-free case.
-        no_failures = not failed_links and not failed_ases
-        blocked_pairs = frozenset(
-            pair
-            for a, b in failed_links
-            for pair in ((a, b), (b, a))
-        )
-
-        def usable(asn: ASN, path) -> bool:
-            return bool(path) and (
-                no_failures
-                or (
-                    path[0] not in failed_ases
-                    and asn not in failed_ases
-                    and (asn, path[0]) not in blocked_pairs
-                )
-            )
-
-        def successor(walk_state) -> Optional[_WalkState]:
-            asn, color, switched = walk_state
-            path = state_get((asn, color))
-            own_usable = usable(asn, path)
-            if own_usable and not state_get(
-                (asn, red_unstable if color is red else blue_unstable), False
-            ):
-                return (path[0], color, switched)
-            if not switched:
-                other = blue if color is red else red
-                other_path = state_get((asn, other))
-                if usable(asn, other_path):
-                    return (other_path[0], other, True)
-            if own_usable:
-                # No stable alternative: ride the unstable same-color
-                # route rather than drop.
-                return (path[0], color, switched)
-            return None
-
-        def delivered(walk_state) -> bool:
-            return walk_state[0] == destination
-
-        def start(asn: ASN):
-            if asn == destination:
-                return None, Outcome.DELIVERED
-            blue_usable = usable(asn, state_get((asn, blue)))
-            if blue_usable and not state_get((asn, blue_unstable), False):
-                return (asn, blue, False), None
-            red_usable = usable(asn, state_get((asn, red)))
-            if red_usable and not state_get((asn, red_unstable), False):
-                return (asn, red, False), None
-            if blue_usable:
-                # Unstable blue beats unusable-or-unstable red.
-                return (asn, blue, False), None
-            if red_usable:
-                return (asn, red, False), None
-            return None, Outcome.BLACKHOLE
-
-        return WalkSpec(successor, delivered, start)
 
     def _session_table(self, state, failed_links, failed_ases) -> _STAMPTable:
         return _STAMPTable(self, state, failed_links, failed_ases)

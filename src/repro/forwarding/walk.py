@@ -8,59 +8,41 @@ outcome propagation over a functional graph: a walk is DELIVERED if it
 reaches the destination, BLACKHOLE if it reaches a state with no
 successor, and LOOP if it revisits a state.
 
-The semantics are written down twice, on purpose:
-
-* :func:`classify_functional_graph` over a plane's :class:`WalkSpec`
-  closures is the *scalar reference* — per-source iterative walks that
-  read the snapshot dict directly.  :meth:`WalkClassifier.classify`
-  and the ``_reference_*`` analyzers use it, and the differential
-  tests compare the engine below against it.
-* :class:`SuccessorTable` is the *engine*: every plane compiles its
-  snapshot onto ``k`` integer walk states per AS (one for BGP and
-  R-BGP, four for STAMP), the table resolves every state's outcome
-  once, and from then on :meth:`SuccessorTable.update` /
-  :meth:`SuccessorTable.apply_boundary` re-derive only the rows whose
-  inputs moved while :meth:`SuccessorTable.collect_transitions`
-  re-resolves exactly the reverse closure of the changed entries and
-  reports the sources whose packet fate changed.  A plane supplies
-  only what is plane-specific: which snapshot keys it stores and what
-  walks can observe of them (:meth:`SuccessorTable._project`), and how
-  one AS's successor entries and start state derive from its stored
-  projections and the failure sets (:meth:`SuccessorTable._derive`).
+One engine computes it.  Every plane compiles its snapshot onto a
+:class:`SuccessorTable` of ``k`` integer walk states per AS (one for
+BGP and R-BGP, four for STAMP); the table resolves every state's
+outcome once, and from then on :meth:`SuccessorTable.update` /
+:meth:`SuccessorTable.apply_boundary` re-derive only the rows whose
+inputs moved while :meth:`SuccessorTable.collect_transitions`
+re-resolves exactly the reverse closure of the changed entries and
+reports the sources whose packet fate changed.  A plane supplies only
+what is plane-specific: which snapshot keys it stores and what walks
+can observe of them (:meth:`SuccessorTable._project`), and how one
+AS's successor entries and start state derive from its stored
+projections and the failure sets (:meth:`SuccessorTable._derive`, the
+plane's one statement of its forwarding).
 
 An AS named by a key or a next hop but absent from the table is
 interned on demand as a fresh row — no routes, so every state
-blackholes (the destination's row delivers) — which is exactly what
-the scalar walk computes for such a state, so every snapshot is
-representable.
+blackholes (the destination's row delivers) — so every snapshot is
+representable.  The tests pin the table to per-source scalar walks
+over each plane's snapshot (``tests/reference/walk.py``).
 """
 
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Set,
     Tuple,
 )
 
 from repro.types import Outcome
-
-#: Successor function: next walk state, or ``None`` when the packet is
-#: dropped (blackhole).
-Successor = Callable[[Hashable], Optional[Hashable]]
-#: Terminal predicate: ``True`` when the packet has been delivered.
-Delivered = Callable[[Hashable], bool]
-#: Start mapping: source AS -> (initial walk state, immediate outcome).
-#: Exactly one of the two is non-``None``; an immediate outcome means
-#: the source never enters the walk (e.g. STAMP's routeless sources).
-Start = Callable[[Hashable], Tuple[Optional[Hashable], Optional[Outcome]]]
 
 #: Terminal successor entries of a :class:`SuccessorTable`.
 DELIVERED_SID = -2
@@ -69,65 +51,6 @@ BLACKHOLE_SID = -1
 _DELIVERED = Outcome.DELIVERED
 _BLACKHOLE = Outcome.BLACKHOLE
 _LOOP = Outcome.LOOP
-
-
-def _start_at_source(asn: Hashable):
-    """Default start: the walk state of a source is the AS itself."""
-    return asn, None
-
-
-class WalkSpec(NamedTuple):
-    """One snapshot's scalar walk semantics (closures over the state)."""
-
-    successor: Successor
-    delivered: Delivered
-    start: Start = _start_at_source
-
-
-def classify_functional_graph(
-    starts: Iterable[Hashable],
-    successor: Successor,
-    delivered: Delivered,
-    *,
-    memo: Optional[Dict[Hashable, Outcome]] = None,
-) -> Dict[Hashable, Outcome]:
-    """Classify the walk outcome from each start state.
-
-    Shares ``memo`` across calls for amortization within one snapshot.
-    Runs iteratively (no recursion limits) with on-path cycle detection:
-    any state that reaches a cycle is classified LOOP.
-    """
-    outcomes: Dict[Hashable, Outcome] = memo if memo is not None else {}
-    for start in starts:
-        if start in outcomes:
-            continue
-        path: list = []
-        on_path: Dict[Hashable, int] = {}
-        state = start
-        result: Outcome
-        while True:
-            if state in outcomes:
-                result = outcomes[state]
-                break
-            if state in on_path:
-                # Found a new cycle: everything on it (and leading into
-                # it) loops.
-                result = Outcome.LOOP
-                break
-            if delivered(state):
-                outcomes[state] = Outcome.DELIVERED
-                result = Outcome.DELIVERED
-                break
-            on_path[state] = len(path)
-            path.append(state)
-            nxt = successor(state)
-            if nxt is None:
-                result = Outcome.BLACKHOLE
-                break
-            state = nxt
-        for visited in path:
-            outcomes[visited] = result
-    return outcomes
 
 
 class SuccessorTable:
@@ -505,22 +428,12 @@ class SuccessorTable:
 class WalkClassifier:
     """Base class for protocol-specific data planes.
 
-    Subclasses define how a control-plane snapshot (the trace's state
-    dict) maps to scalar walk closures (:meth:`_walk_spec`) and to a
-    :class:`SuccessorTable` (:meth:`_session_table`).
+    A subclass maps a control-plane snapshot (the trace's state dict)
+    onto its :class:`SuccessorTable` (:meth:`_session_table`).
     """
 
     def __init__(self, destination) -> None:
         self.destination = destination
-
-    def _walk_spec(
-        self,
-        state: Dict,
-        failed_links: FrozenSet,
-        failed_ases: FrozenSet,
-    ) -> WalkSpec:
-        """Scalar walk semantics for one snapshot."""
-        raise NotImplementedError
 
     def _session_table(
         self,
@@ -530,51 +443,3 @@ class WalkClassifier:
     ) -> SuccessorTable:
         """The plane's successor table over one snapshot, resolved."""
         raise NotImplementedError
-
-    def classify(
-        self,
-        state: Dict,
-        ases: Iterable,
-        *,
-        failed_links=frozenset(),
-        failed_ases=frozenset(),
-    ) -> Dict[Hashable, Outcome]:
-        """Outcome per source AS under the given snapshot.
-
-        The scalar reference: per-source walks over the plane's
-        closures.  Failed sources are skipped.
-        """
-        spec = self._walk_spec(state, failed_links, failed_ases)
-        outcomes: Dict[Hashable, Outcome] = {}
-        memo: Dict[Hashable, Outcome] = {}
-        for asn in ases:
-            if asn in failed_ases:
-                continue
-            start_state, immediate = spec.start(asn)
-            if start_state is None:
-                outcomes[asn] = immediate
-                continue
-            classify_functional_graph(
-                [start_state], spec.successor, spec.delivered, memo=memo
-            )
-            outcomes[asn] = memo[start_state]
-        return outcomes
-
-    def classify_batch(
-        self,
-        state: Dict,
-        ases: Iterable,
-        *,
-        failed_links=frozenset(),
-        failed_ases=frozenset(),
-    ) -> Dict[Hashable, Outcome]:
-        """Full-scan classification through the successor table.
-
-        Agrees with :meth:`classify` on every requested source but
-        resolves each walk state exactly once; failed sources are
-        skipped exactly as ``classify`` skips them.
-        """
-        table = self._session_table(state, failed_links, failed_ases)
-        return table.source_outcomes(
-            asn for asn in ases if asn not in failed_ases
-        )

@@ -248,6 +248,8 @@ class CampaignService:
         #: Wall-clock durations of recently finished campaigns, for
         #: the Retry-After estimate.
         self._durations: deque = deque(maxlen=32)
+        #: Topology spec -> graph, least recently used first; holds at
+        #: most one graph per lane (what the running campaigns need).
         self._graphs: Dict[Tuple, Any] = {}
         self._graph_lock = threading.Lock()
         self._ledger: Optional[ResultLedger] = None
@@ -606,10 +608,12 @@ class CampaignService:
         # cache hit instead.
         with self._graph_lock:
             key = tuple(sorted(spec.topology.items()))
-            graph = self._graphs.get(key)
+            graph = self._graphs.pop(key, None)
             if graph is None:
                 graph, _ = generate_internet_topology(spec.topology_config())
-                self._graphs[key] = graph
+                while len(self._graphs) >= len(self._lanes):
+                    del self._graphs[next(iter(self._graphs))]
+            self._graphs[key] = graph
             return graph
 
     def _shared_ledger(self) -> ResultLedger:

@@ -2,8 +2,7 @@
 
 The paper configures a peer-based MRAI of 30 seconds multiplied by a
 random factor uniform in [0.75, 1.0]; following common router behavior
-(and the original Labovitz analysis) withdrawals are not rate-limited
-unless configured otherwise.
+(and the original Labovitz analysis) withdrawals are not rate-limited.
 
 The pacer is the speaker's batching point: between the instant a
 decision change marks a peer stale and the instant MRAI allows the next
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine, EventHandle
@@ -41,9 +40,6 @@ class MRAIConfig:
     base: float = 30.0
     jitter_low: float = 0.75
     jitter_high: float = 1.0
-    #: Whether withdrawals are subject to MRAI pacing (WRATE).  Off by
-    #: default, matching common implementations.
-    applies_to_withdrawals: bool = False
 
     def __post_init__(self) -> None:
         if self.base < 0:
@@ -56,15 +52,11 @@ class MRAIPacer:
     """Rate-limits advertisements from one speaker to its peers.
 
     Each peer gets a fixed per-peer interval drawn once (base x jitter).
-    ``request_send(peer)`` either fires the flush callback immediately
-    (restarting the interval) or arms a timer for the earliest allowed
-    instant; repeated requests while armed coalesce, mirroring how a BGP
-    speaker advertises only its latest state when the timer expires.
-
-    Speakers that already know what they would flush can instead call
-    :meth:`try_send_now`, which claims the send slot without invoking
-    the flush callback — the caller emits the precomputed update itself,
-    skipping a redundant export computation (see
+    :meth:`try_send_now` either claims the send slot — the caller emits
+    its update itself, restarting the interval — or arms a timer for
+    the earliest allowed instant, when the flush callback runs;
+    repeated attempts while armed coalesce, mirroring how a BGP speaker
+    advertises only its latest state when the timer expires (see
     :meth:`repro.bgp.speaker.BGPSpeaker.refresh_peer`).
     """
 
@@ -111,11 +103,12 @@ class MRAIPacer:
 
         Returns ``True`` when the caller may (and must) send right now:
         the interval is restarted exactly as a flush-callback fire would
-        have (withdrawal bypass sends never restart it).  Returns
-        ``False`` after arming the coalescing timer for the earliest
-        allowed instant — the flush callback will run then.
+        have.  A withdrawal is never rate-limited: it always returns
+        ``True`` and never restarts the interval.  Returns ``False``
+        after arming the coalescing timer for the earliest allowed
+        instant — the flush callback will run then.
         """
-        if is_withdrawal and not self._config.applies_to_withdrawals:
+        if is_withdrawal:
             return True
         now = self._engine._now
         if now >= self._next_allowed.get(peer, 0.0):
@@ -126,11 +119,6 @@ class MRAIPacer:
             return True
         self._arm(peer)
         return False
-
-    def request_send(self, peer: ASN, *, is_withdrawal: bool = False) -> None:
-        """Ask to advertise to ``peer`` as soon as MRAI allows."""
-        if self.try_send_now(peer, is_withdrawal=is_withdrawal):
-            self._flush(peer)
 
     def _arm(self, peer: ASN) -> None:
         if peer in self._armed:

@@ -47,10 +47,10 @@ sorted tuples cached per AS, and ``is_tier1`` / ``is_multihomed`` /
 read freezes a graph, those tuples — and everything downstream derives
 from them (speaker tables, Φ caches, the content hash, the twin-start
 key) — can be cached by graph identity alone.
-The retained pre-CSR implementation
-(:class:`repro.topology.reference.ReferenceASGraph`) is the executable
-specification; ``tests/topology/test_csr_equivalence.py`` pins the two
-identical under randomized build streams.
+The retained pre-CSR implementation (``ReferenceASGraph`` in
+``tests/reference/graph.py``) is the executable specification;
+``tests/topology/test_csr_equivalence.py`` pins the two identical
+under randomized build streams.
 
 Byte layout of a snapshot (native byte order — a segment or pipe
 payload never leaves the machine that wrote it)::
@@ -323,7 +323,8 @@ class ASGraph:
     Built with ``add_*``, then frozen into an int-indexed CSR snapshot
     by the first read (see the module docstring); the public API —
     error types and the order of every enumeration — is identical to
-    the retained dict-of-dicts reference implementation.
+    the retained dict-of-dicts reference implementation
+    (``tests/reference/graph.py``).
     """
 
     def __init__(self) -> None:

@@ -15,7 +15,7 @@ network once more at quiescence.  The snapshots are what the run
   photograph at every boundary and at the end — an unrecorded
   forwarding change fails it;
 * the per-segment photographs feed
-  :func:`~repro.analysis.transient._reference_analyze_episode_transient_problems`,
+  :func:`~reference.transient._reference_analyze_episode_transient_problems`,
   so the brute-force twin never derives a phase's starting state from
   the trace it is checking.
 
@@ -34,9 +34,9 @@ import collections
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
+from reference.transient import _reference_analyze_episode_transient_problems
 from repro.analysis.transient import (
     EpisodeSegment,
-    _reference_analyze_episode_transient_problems,
     analyze_episode_transient_problems,
 )
 from repro.bgp.decision import route_sort_key

@@ -22,12 +22,14 @@ from live_collector import (
     report_fields as _report_fields,
     run_live,
 )
+from reference.transient import (
+    _reference_analyze_episode_transient_problems,
+    _reference_analyze_transient_problems,
+)
 from repro.analysis.transient import (
     EpisodeSegment,
     analyze_episode_transient_problems,
     analyze_transient_problems,
-    _reference_analyze_episode_transient_problems,
-    _reference_analyze_transient_problems,
 )
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_episode

@@ -2,24 +2,23 @@
 
 The memoized/anchor-shared Φ and the incremental transient analyzer
 must be *observationally identical* to the brute-force implementations
-they replaced (kept as ``_reference_*``).  These tests pin them to each
-other on small random Internet-like topologies and real protocol runs.
+they replaced (kept as ``_reference_*`` in ``tests/reference/``).  These
+tests pin them to each other on small random Internet-like topologies
+and real protocol runs.
 """
 
 import random
 
 import pytest
 
-from repro.analysis.phi import (
+from reference.phi import (
     _reference_phi_distribution,
     _reference_phi_for_destination,
-    phi_distribution,
-    phi_for_destination,
 )
-from repro.analysis.transient import (
-    _reference_analyze_transient_problems,
-    analyze_transient_problems,
-)
+from reference.transient import _reference_analyze_transient_problems
+from reference.walk import classify, classify_batch
+from repro.analysis.phi import phi_distribution, phi_for_destination
+from repro.analysis.transient import analyze_transient_problems
 from repro.experiments.runner import PROTOCOLS, build_network
 from repro.experiments.scenarios import single_provider_link_failure
 from repro.topology.generators import (
@@ -147,8 +146,8 @@ class TestBatchClassifyEquivalence:
             normalize_link(*event.link) for _, event in episode.steps
         )
         for links in (frozenset(), failed_links):
-            scalar = plane.classify(state, graph.ases, failed_links=links)
-            batch = plane.classify_batch(state, graph.ases, failed_links=links)
+            scalar = classify(plane, state, graph.ases, failed_links=links)
+            batch = classify_batch(plane, state, graph.ases, failed_links=links)
             for asn in graph.ases:
                 assert batch.get(asn) == scalar.get(asn), (protocol, asn)
 

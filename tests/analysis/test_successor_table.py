@@ -2,7 +2,7 @@
 
 Every plane compiles its snapshot onto one
 :class:`repro.forwarding.walk.SuccessorTable`; the scalar closures
-behind :meth:`WalkClassifier.classify` are the reference.  These tests
+in ``tests/reference/walk.py`` are the reference.  These tests
 pin the table to them at three levels, on all four planes: raw
 classification of fuzzed snapshots under fuzzed failure sets,
 incremental propagation against full re-classification under random
@@ -18,9 +18,12 @@ import pytest
 
 import repro.forwarding.stamp_plane as stamp_plane
 from live_collector import run_live
-from repro.analysis.transient import (
+from reference.transient import (
     _reference_analyze_episode_transient_problems,
     _reference_analyze_transient_problems,
+)
+from reference.walk import classify, classify_batch
+from repro.analysis.transient import (
     analyze_episode_transient_problems,
     analyze_transient_problems,
 )
@@ -127,8 +130,8 @@ def fuzz_failure_sets(rng):
 
 def scalar_outcomes(plane, state, sources, failed_links, failed_ases):
     """The reference fates, failed sources counted as BLACKHOLE."""
-    outcomes = plane.classify(
-        state, sources, failed_links=failed_links, failed_ases=failed_ases
+    outcomes = classify(
+        plane, state, sources, failed_links=failed_links, failed_ases=failed_ases
     )
     return {asn: outcomes.get(asn, Outcome.BLACKHOLE) for asn in sources}
 
@@ -158,9 +161,9 @@ class TestTableWalkEquivalence:
         state = fuzz_state(rng, tags)
         failed_links, failed_ases = fuzz_failure_sets(rng)
         failures = dict(failed_links=failed_links, failed_ases=failed_ases)
-        assert plane.classify_batch(
-            state, FUZZ_ASES, **failures
-        ) == plane.classify(state, FUZZ_ASES, **failures)
+        assert classify_batch(
+            plane, state, FUZZ_ASES, **failures
+        ) == classify(plane, state, FUZZ_ASES, **failures)
 
     @pytest.mark.parametrize("plane_name", PLANES)
     def test_out_of_universe_hop_is_interned(self, plane_name):
@@ -172,7 +175,7 @@ class TestTableWalkEquivalence:
         state[(3, tags[0])] = (OUTSIDER,)
         table = plane._session_table(state, frozenset(), frozenset())
         got = table.source_outcomes(FUZZ_ASES + [OUTSIDER])
-        assert got == plane.classify(state, FUZZ_ASES + [OUTSIDER])
+        assert got == classify(plane, state, FUZZ_ASES + [OUTSIDER])
         assert got[OUTSIDER] is Outcome.BLACKHOLE
         if plane_name != "stamp":  # a STAMP packet may switch color at 3
             assert got[3] is Outcome.BLACKHOLE
@@ -186,8 +189,8 @@ class TestTableWalkEquivalence:
             for key, value in fuzz_state(rng, tags).items()
             if key[0] != 1
         }
-        assert plane.classify_batch(state, FUZZ_ASES) == plane.classify(
-            state, FUZZ_ASES
+        assert classify_batch(plane, state, FUZZ_ASES) == classify(
+            plane, state, FUZZ_ASES
         )
 
 

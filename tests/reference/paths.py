@@ -6,6 +6,9 @@ consists of an uphill portion (customer-to-provider steps), at most one
 peering step, and a downhill portion (provider-to-customer steps).  The
 paper's key relaxation (Lemmas 3.1/3.2) is that complementary routes
 only need to be node disjoint in their *downhill* portions.
+
+No module of the package computes with these: they are the oracle the
+tests check forwarding paths against.
 """
 
 from __future__ import annotations

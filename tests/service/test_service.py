@@ -583,6 +583,47 @@ class TestSharedLedger:
         assert result == expected
 
 
+class TestTopologyCache:
+    """The daemon keeps at most one topology per lane, least recently
+    used evicted first."""
+
+    def test_one_lane_holds_one_graph_across_three_topologies(
+        self, tmp_path
+    ):
+        client = ServiceClient(tmp_path, max_concurrent=1)
+        try:
+            for seed in (5, 6, 7):
+                topology = dict(TINY_TOPOLOGY, seed=seed)
+                spec = dict(
+                    SPEC, instances=1, protocols=["bgp"], topology=topology
+                )
+                status, doc, _ = client.request("POST", "/campaigns", spec)
+                assert status == 202
+                assert client.wait_terminal(doc["id"])["state"] == "done"
+            graphs = client.service._graphs
+            assert list(graphs) == [tuple(sorted(topology.items()))]
+        finally:
+            client.close()
+
+    def test_a_hit_keeps_its_graph(self, tmp_path):
+        client = ServiceClient(tmp_path, max_concurrent=2)
+        try:
+            for seed, topology_seed in ((0, 5), (0, 6), (1, 5), (0, 7)):
+                topology = dict(TINY_TOPOLOGY, seed=topology_seed)
+                spec = dict(
+                    SPEC, instances=1, protocols=["bgp"], seed=seed,
+                    topology=topology,
+                )
+                status, doc, _ = client.request("POST", "/campaigns", spec)
+                assert status == 202
+                assert client.wait_terminal(doc["id"])["state"] == "done"
+            # Seed 5 was used again after seed 6, so seed 6 went first.
+            seeds = [dict(key)["seed"] for key in client.service._graphs]
+            assert seeds == [5, 7]
+        finally:
+            client.close()
+
+
 class TestAuth:
     """Bearer-token gating of the mutating endpoints."""
 

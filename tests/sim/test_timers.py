@@ -1,4 +1,9 @@
-"""Unit tests for MRAI pacing."""
+"""Unit tests for MRAI pacing.
+
+The pacer is driven as a speaker drives it: :meth:`MRAIPacer.try_send_now`
+either claims the send slot (the caller sends at once) or arms the
+coalescing timer, whose flush callback sends when it fires.
+"""
 
 import pytest
 
@@ -7,13 +12,27 @@ from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig, MRAIPacer
 
 
+class Harness:
+    """One pacer and the log of ``(time, peer)`` sends it allowed."""
+
+    def __init__(self, engine, config):
+        self.engine = engine
+        self.sent = []
+        self.pacer = MRAIPacer(engine, config, flush=self._record)
+
+    def _record(self, peer):
+        self.sent.append((self.engine.now, peer))
+
+    def send(self, peer, *, is_withdrawal=False):
+        """Send now if MRAI allows; else the armed flush sends later."""
+        if self.pacer.try_send_now(peer, is_withdrawal=is_withdrawal):
+            self._record(peer)
+
+
 @pytest.fixture
-def pacer_setup():
-    engine = Engine(seed=1)
-    sent = []
+def harness():
     config = MRAIConfig(base=10.0, jitter_low=1.0, jitter_high=1.0)
-    pacer = MRAIPacer(engine, config, flush=lambda peer: sent.append((engine.now, peer)))
-    return engine, pacer, sent
+    return Harness(Engine(seed=1), config)
 
 
 class TestMRAIConfig:
@@ -22,7 +41,6 @@ class TestMRAIConfig:
         assert config.base == 30.0
         assert config.jitter_low == 0.75
         assert config.jitter_high == 1.0
-        assert not config.applies_to_withdrawals
 
     def test_invalid_base(self):
         with pytest.raises(ConfigurationError):
@@ -34,46 +52,40 @@ class TestMRAIConfig:
 
 
 class TestPacing:
-    def test_first_send_is_immediate(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)
-        assert sent == [(0.0, 7)]
+    def test_first_send_is_immediate(self, harness):
+        harness.send(7)
+        assert harness.sent == [(0.0, 7)]
 
-    def test_second_send_waits_for_interval(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)
-        pacer.request_send(7)
-        assert len(sent) == 1
-        engine.run()
-        assert sent == [(0.0, 7), (10.0, 7)]
+    def test_second_send_waits_for_interval(self, harness):
+        harness.send(7)
+        harness.send(7)
+        assert len(harness.sent) == 1
+        harness.engine.run()
+        assert harness.sent == [(0.0, 7), (10.0, 7)]
 
-    def test_requests_coalesce(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)
+    def test_requests_coalesce(self, harness):
+        harness.send(7)
         for _ in range(5):
-            pacer.request_send(7)
-        engine.run()
-        assert len(sent) == 2  # first immediate + one coalesced flush
+            harness.send(7)
+        harness.engine.run()
+        assert len(harness.sent) == 2  # first immediate + one coalesced flush
 
-    def test_withdrawal_bypasses_mrai(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)
-        pacer.request_send(7, is_withdrawal=True)
-        assert len(sent) == 2  # withdrawal went out immediately
+    def test_withdrawal_bypasses_mrai(self, harness):
+        harness.send(7)
+        harness.send(7, is_withdrawal=True)
+        assert len(harness.sent) == 2  # withdrawal went out immediately
 
-    def test_withdrawal_does_not_restart_timer(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)                      # t=0, next allowed t=10
-        pacer.request_send(7, is_withdrawal=True)  # immediate
-        pacer.request_send(7)                      # waits until t=10
-        engine.run()
-        assert sent[-1] == (10.0, 7)
+    def test_withdrawal_does_not_restart_timer(self, harness):
+        harness.send(7)                      # t=0, next allowed t=10
+        harness.send(7, is_withdrawal=True)  # immediate
+        harness.send(7)                      # waits until t=10
+        harness.engine.run()
+        assert harness.sent[-1] == (10.0, 7)
 
-    def test_peers_are_independent(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(1)
-        pacer.request_send(2)
-        assert len(sent) == 2
+    def test_peers_are_independent(self, harness):
+        harness.send(1)
+        harness.send(2)
+        assert len(harness.sent) == 2
 
     def test_interval_is_fixed_per_peer(self):
         engine = Engine(seed=3)
@@ -83,82 +95,61 @@ class TestPacing:
         assert pacer.interval_for(9) == first
         assert 30.0 * 0.75 <= first <= 30.0
 
-    def test_cancel_drops_armed_timer(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)
-        pacer.request_send(7)  # arms timer
-        pacer.cancel(7)
-        engine.run()
-        assert len(sent) == 1
+    def test_cancel_drops_armed_timer(self, harness):
+        harness.send(7)
+        harness.send(7)  # arms timer
+        harness.pacer.cancel(7)
+        harness.engine.run()
+        assert len(harness.sent) == 1
 
-    def test_after_interval_send_is_immediate_again(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
-        pacer.request_send(7)
-        engine.run()
-        engine.schedule(20.0, lambda: pacer.request_send(7))
-        engine.run()
-        assert sent[-1] == (20.0, 7)
+    def test_after_interval_send_is_immediate_again(self, harness):
+        harness.send(7)
+        harness.engine.run()
+        harness.engine.schedule(20.0, lambda: harness.send(7))
+        harness.engine.run()
+        assert harness.sent[-1] == (20.0, 7)
 
 
 class TestTrySendNow:
-    def test_claims_slot_and_restarts_interval(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
+    def test_claims_slot_and_restarts_interval(self, harness):
+        pacer = harness.pacer
         assert pacer.try_send_now(7) is True
         # The slot was consumed: a second attempt must arm the timer.
         assert pacer.try_send_now(7) is False
         assert 7 in pacer._armed
-        engine.run()
-        assert sent == [(10.0, 7)]  # only the armed flush fired
+        harness.engine.run()
+        assert harness.sent == [(10.0, 7)]  # only the armed flush fired
 
-    def test_withdrawal_bypass_does_not_restart(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
+    def test_withdrawal_bypass_does_not_restart(self, harness):
+        pacer = harness.pacer
         assert pacer.try_send_now(7) is True
         assert pacer.try_send_now(7, is_withdrawal=True) is True
         # Bypass sends never restart the interval.
         assert pacer._next_allowed[7] == 10.0
 
-    def test_repeated_attempts_coalesce_on_one_timer(self, pacer_setup):
-        engine, pacer, sent = pacer_setup
+    def test_repeated_attempts_coalesce_on_one_timer(self, harness):
+        pacer = harness.pacer
         pacer.try_send_now(7)
         for _ in range(5):
             assert pacer.try_send_now(7) is False
-        assert engine.pending() == 1  # one armed timer, no duplicates
-        engine.run()
-        assert sent == [(10.0, 7)]
+        assert harness.engine.pending() == 1  # one armed timer, no duplicates
+        harness.engine.run()
+        assert harness.sent == [(10.0, 7)]
 
 
 class TestZeroMRAI:
     """base=0 disables pacing: every send is immediate, no timers."""
 
     def setup_method(self):
-        self.engine = Engine(seed=1)
-        self.sent = []
-        self.pacer = MRAIPacer(
-            self.engine, MRAIConfig(base=0.0),
-            flush=lambda peer: self.sent.append(peer),
-        )
+        self.harness = Harness(Engine(seed=1), MRAIConfig(base=0.0))
 
     def test_every_request_fires_immediately(self):
         for _ in range(5):
-            self.pacer.request_send(3)
-        assert self.sent == [3, 3, 3, 3, 3]
-        assert self.engine.pending() == 0  # nothing ever armed
+            self.harness.send(3)
+        assert [peer for _, peer in self.harness.sent] == [3, 3, 3, 3, 3]
+        assert self.harness.engine.pending() == 0  # nothing ever armed
 
     def test_try_send_now_always_true(self):
         for _ in range(3):
-            assert self.pacer.try_send_now(4) is True
-        assert not self.pacer._armed
-
-
-class TestWithdrawalRateLimiting:
-    def test_wrate_mode_paces_withdrawals(self):
-        engine = Engine(seed=1)
-        sent = []
-        config = MRAIConfig(base=10.0, jitter_low=1.0, jitter_high=1.0,
-                            applies_to_withdrawals=True)
-        pacer = MRAIPacer(engine, config, flush=lambda p: sent.append(engine.now))
-        pacer.request_send(7)
-        pacer.request_send(7, is_withdrawal=True)
-        assert len(sent) == 1
-        engine.run()
-        assert sent == [0.0, 10.0]
+            assert self.harness.pacer.try_send_now(4) is True
+        assert not self.harness.pacer._armed

@@ -12,8 +12,8 @@ can share a downhill merge node).
 
 import pytest
 
+from reference.paths import downhill_node_disjoint, is_valley_free
 from repro.stamp.network import STAMPConfig, STAMPNetwork
-from repro.topology.paths import downhill_node_disjoint, is_valley_free
 from repro.types import Color
 
 

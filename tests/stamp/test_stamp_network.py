@@ -2,11 +2,11 @@
 
 import pytest
 
+from reference.paths import downhill_node_disjoint, is_valley_free
 from repro.analysis.transient import analyze_transient_problems
 from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.stamp.network import STAMPConfig, STAMPNetwork
 from repro.topology.generators import example_paper_topology
-from repro.topology.paths import downhill_node_disjoint, is_valley_free
 from repro.types import Color, normalize_link
 
 

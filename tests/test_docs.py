@@ -306,9 +306,10 @@ def _assert_gone_from_code_and_documents(gone):
 def test_the_export_decision_has_one_owner():
     """One export path, enforced: ``export_for`` is the only function
     of the speaker that calls the gate or applies the valley-free rule
-    (so ``policy.export_allowed`` is the reference for one copy), and
-    the fan-out, certificate and live-provider shortcuts that shadowed
-    it stay deleted, in the code and in the documents."""
+    (so ``tests/reference/policy.py``'s ``export_allowed`` is the
+    reference for one copy), and the fan-out, certificate and
+    live-provider shortcuts that shadowed it stay deleted, in the code
+    and in the documents."""
     speaker = REPO / "src" / "repro" / "bgp" / "speaker.py"
 
     def calls_the_gate(node):
@@ -371,11 +372,10 @@ def test_a_topology_is_built_then_frozen():
         r"|\bgraph\.(version|compact|copy|remove_link|remove_as)\b"
     )
     _assert_gone_from_code_and_documents(gone)
-    topology = REPO / "src" / "repro" / "topology"
     deleted = {"remove_link", "remove_as", "copy", "compact", "version"}
     for path, name in (
-        (topology / "graph.py", "ASGraph"),
-        (topology / "reference.py", "ReferenceASGraph"),
+        (REPO / "src" / "repro" / "topology" / "graph.py", "ASGraph"),
+        (REPO / "tests" / "reference" / "graph.py", "ReferenceASGraph"),
     ):
         (cls,) = [
             node for node in ast.parse(path.read_text()).body
@@ -734,3 +734,82 @@ def test_a_result_holds_each_as_set_once():
     _assert_gone_from_code_and_documents(re.compile(
         r"\b_PATH_LINKS_CACHE\w*|\b_make_announcement\b"
     ))
+
+
+#: Modules of ``src/repro/`` that no other module of it imports, each
+#: with the reason it is part of the package.
+ENTRY_POINTS = {
+    "repro.cli": "the command-line entry point",
+    "repro.topology.routeviews": (
+        "the paper's topology pipeline (RouteViews tables), run from "
+        "examples/inference_pipeline.py"
+    ),
+    "repro.topology.inference": (
+        "the paper's topology pipeline (Gao relationship inference), run "
+        "from examples/inference_pipeline.py"
+    ),
+}
+
+
+def test_the_package_holds_only_what_it_runs():
+    """Code that only tests exercise lives under ``tests/``, enforced:
+    every module under ``src/repro/`` is imported by another one (a
+    package counts as imported with any module below it; ``from
+    repro.x import y`` imports ``repro.x`` and, when it is a module,
+    ``repro.x.y``), or is one of the :data:`ENTRY_POINTS`."""
+    root = REPO / "src"
+    modules = {}
+    for path in sorted((root / "repro").rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    importers = {module: set() for module in modules}
+    for module, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                for end in range(1, len(parts) + 1):
+                    imported = ".".join(parts[:end])
+                    if imported in importers and imported != module:
+                        importers[imported].add(module)
+    unimported = {module for module, found in importers.items() if not found}
+    assert unimported == set(ENTRY_POINTS), sorted(unimported)
+
+
+def test_the_reference_twins_live_in_the_tests():
+    """One semantics per layer in the package, enforced: the scalar
+    walks, the brute-force analyzers and Φ, the dict-of-dicts graph, the
+    path oracle and the graph-side export rule live in
+    ``tests/reference/``; no data plane keeps a second forwarding
+    definition beside its table's ``_derive``; and the pacer knob, the
+    pacer entry point and the policy helper only tests called stay
+    deleted from ``src/``."""
+    from repro.forwarding.bgp_plane import BGPDataPlane
+    from repro.forwarding.rbgp_plane import RBGPDataPlane
+    from repro.forwarding.stamp_plane import STAMPDataPlane
+    from repro.forwarding.walk import WalkClassifier
+
+    for cls in (WalkClassifier, BGPDataPlane, RBGPDataPlane, STAMPDataPlane):
+        extra = {"classify", "classify_batch", "_walk_spec"} & set(dir(cls))
+        assert not extra, f"{cls.__name__} defines {extra}"
+    topology = REPO / "src" / "repro" / "topology"
+    assert not (topology / "reference.py").exists()
+    assert not (topology / "paths.py").exists()
+    gone = re.compile(
+        r"\b_reference_\w*|\bWalkSpec\b|\bclassify_functional_graph\b"
+        r"|\b_walk_spec\b|\bexport_allowed\b|\brequest_send\b"
+        r"|\bapplies_to_withdrawals\b|\blearned_relationship\b"
+    )
+    for path in sorted((REPO / "src").rglob("*.py")):
+        found = gone.search(path.read_text())
+        name = path.relative_to(REPO).as_posix()
+        assert found is None, f"{name} still names {found.group()}"

@@ -5,10 +5,11 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference.paths import downhill_nodes, is_valley_free, split_uphill_downhill
+from reference.walk import classify_functional_graph
 from repro.analysis.cdf import empirical_cdf
 from repro.analysis.phi import phi_for_destination
 from repro.bgp.network import BGPNetwork, NetworkConfig
-from repro.forwarding.walk import classify_functional_graph
 from repro.routing.static import compute_stable_routes
 from repro.sim.delays import FixedDelay
 from repro.sim.engine import Engine
@@ -18,7 +19,6 @@ from repro.topology.generators import (
     generate_internet_topology,
 )
 from repro.topology.graph import ASGraph
-from repro.topology.paths import downhill_nodes, is_valley_free, split_uphill_downhill
 from repro.topology.caida import load_caida
 from repro.topology.serialization import graph_to_lines
 from repro.types import Outcome, normalize_link

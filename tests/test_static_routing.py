@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.paths import is_valley_free
 from repro.errors import UnknownASError
 from repro.routing.static import RouteClass, compute_stable_routes
 from repro.topology.generators import (
@@ -10,7 +11,6 @@ from repro.topology.generators import (
     example_paper_topology,
 )
 from repro.topology.graph import ASGraph
-from repro.topology.paths import is_valley_free
 
 
 class TestChain:

@@ -4,7 +4,7 @@ Every plane, cache, and golden in this repo keys off the topology's
 adjacency views, so the CSR graph ships behind this harness:
 randomized *build* streams are applied, operation by operation, to
 both the CSR implementation and the retained dict-of-dicts twin
-(:class:`repro.topology.reference.ReferenceASGraph`), asserting that
+(:class:`reference.graph.ReferenceASGraph`), asserting that
 
 * every build operation outcome matches — including the *type and
   message* of every raised exception (self-links, conflicting
@@ -32,9 +32,9 @@ from pathlib import Path
 
 import pytest
 
+from reference.graph import ReferenceASGraph
 from repro.errors import CyclicHierarchyError, TopologyError
 from repro.topology.graph import ASGraph
-from repro.topology.reference import ReferenceASGraph
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "fig2_seed_golden.json"
 

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.errors import TopologyError
-from repro.topology.generators import example_paper_topology
-from repro.topology.paths import (
+from reference.paths import (
     downhill_node_disjoint,
     downhill_nodes,
     is_valley_free,
@@ -12,6 +10,8 @@ from repro.topology.paths import (
     path_is_loop_free,
     split_uphill_downhill,
 )
+from repro.errors import TopologyError
+from repro.topology.generators import example_paper_topology
 
 
 @pytest.fixture
