@@ -417,7 +417,7 @@ def _storm(graph, protocol):
     return network, plane, episode
 
 
-@pytest.mark.parametrize("protocol", ["rbgp", "stamp"])
+@pytest.mark.parametrize("protocol", ["bgp", "rbgp", "stamp"])
 def test_episode_collect_long(benchmark, graph, perf_records, protocol):
     """The simulation half of the storm: ``collect_episode_segments``.
 

@@ -13,7 +13,6 @@ and STAMP ignore it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.types import ASN, ASPath, EventType, Link
@@ -27,7 +26,10 @@ class Announcement:
 
     Hand-written ``__slots__`` class (one instance per sent update is
     the transport hot path); equality, hashing, repr, and immutability
-    match the former frozen dataclass.
+    match the former frozen dataclass.  ``__init__`` fills the slots
+    through the module-level bound setters below, which bypass the
+    immutability guard without one ``object.__setattr__`` lookup per
+    field.
     """
 
     __slots__ = ("path", "et", "lock", "root_cause")
@@ -41,11 +43,10 @@ class Announcement:
     ) -> None:
         if not path:
             raise ValueError("announcement path must be non-empty")
-        oset = object.__setattr__
-        oset(self, "path", path)
-        oset(self, "et", et)
-        oset(self, "lock", lock)
-        oset(self, "root_cause", root_cause)
+        _set_path(self, path)
+        _set_et(self, et)
+        _set_lock(self, lock)
+        _set_root_cause(self, root_cause)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Announcement is immutable (tried to set {name})")
@@ -82,9 +83,53 @@ class Announcement:
         return self.path[0]
 
 
-@dataclass(frozen=True, slots=True)
-class Withdrawal:
-    """Route withdrawal.  Withdrawals are always loss events (ET=0)."""
+_set_path = Announcement.path.__set__
+_set_et = Announcement.et.__set__
+_set_lock = Announcement.lock.__set__
+_set_root_cause = Announcement.root_cause.__set__
 
-    et: EventType = EventType.LOSS
-    root_cause: Optional[Link] = None
+
+class Withdrawal:
+    """Route withdrawal.  Withdrawals are always loss events (ET=0).
+
+    Hand-written like :class:`Announcement`, with the same guarantees
+    as the frozen dataclass it replaces: positional ``(et,
+    root_cause)``, equality and hashing over both fields, and no
+    attribute set or deleted after construction.
+    """
+
+    __slots__ = ("et", "root_cause")
+
+    def __init__(
+        self,
+        et: EventType = EventType.LOSS,
+        root_cause: Optional[Link] = None,
+    ) -> None:
+        _set_withdrawal_et(self, et)
+        _set_withdrawal_root_cause(self, root_cause)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Withdrawal is immutable (tried to set {name})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Withdrawal is immutable (tried to delete {name})")
+
+    def __reduce__(self):
+        return (self.__class__, (self.et, self.root_cause))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.et == other.et and self.root_cause == other.root_cause
+
+    def __hash__(self) -> int:
+        return hash((self.et, self.root_cause))
+
+    def __repr__(self) -> str:
+        return f"Withdrawal(et={self.et!r}, root_cause={self.root_cause!r})"
+
+
+_set_withdrawal_et = Withdrawal.et.__set__
+_set_withdrawal_root_cause = Withdrawal.root_cause.__set__

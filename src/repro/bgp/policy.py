@@ -1,10 +1,11 @@
-"""Gao-Rexford routing policies: prefer-customer import and loop checks.
+"""Gao-Rexford routing policies: prefer-customer local preference.
 
 These are the import half of the "two common routing policies" of
 paper section 2.1 under which BGP is provably safe, and the baseline
 every simulated protocol applies.  The other half, the valley-free
 export rule, is evaluated in one place:
-:meth:`repro.bgp.speaker.BGPSpeaker.export_for`.
+:meth:`repro.bgp.speaker.BGPSpeaker.export_for`, and AS-path loop
+detection in one place: :meth:`repro.bgp.speaker.BGPSpeaker.on_message`.
 """
 
 from __future__ import annotations
@@ -23,19 +24,12 @@ def relationship_pref(graph: ASGraph, asn: ASN, route: Route) -> int:
     """Local preference of a route (customer > peer > provider).
 
     Routes that carry a cached ``pref`` (attached at Adj-RIB-In
-    insertion) are answered without touching the graph.
+    insertion) are answered without touching the graph; the others
+    read the graph's per-AS preference table.
     """
     if route.pref is not None:
         return route.pref
     if route.is_origin:
         return ORIGIN_PREFERENCE
-    rel = graph.relationship(asn, route.learned_from)
-    return RELATIONSHIP_PREFERENCE[rel]
+    return graph.neighbor_tables(asn)[0][route.learned_from]
 
-
-def import_accept(asn: ASN, path) -> bool:
-    """Receiver-side import filter: reject paths containing ourselves.
-
-    This is BGP's standard AS-path loop detection.
-    """
-    return asn not in path

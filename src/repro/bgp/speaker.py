@@ -37,21 +37,13 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tupl
 
 from repro.bgp.decision import best_route, route_sort_key
 from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.policy import ORIGIN_PREFERENCE, import_accept
+from repro.bgp.policy import ORIGIN_PREFERENCE
 from repro.bgp.ribs import AdjRibIn, Route
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig, MRAIPacer
 from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
-from repro.types import (
-    ASN,
-    ASPath,
-    EventType,
-    Link,
-    RELATIONSHIP_PREFERENCE,
-    Relationship,
-    normalize_link,
-)
+from repro.types import ASN, ASPath, EventType, Link, Relationship, normalize_link
 
 #: Export gate: ``(peer, route) -> (allow, lock)``.
 ExportGate = Callable[[ASN, Route], Tuple[bool, bool]]
@@ -68,8 +60,11 @@ Advertised = Tuple[ASPath, bool]
 _UNSET = object()
 
 #: Bound once: an enum member looked up through its class costs as much
-#: as two method calls, and ``export_for`` compares against it per peer.
+#: as two method calls, and ``export_for`` compares against it per peer
+#: (the event types likewise, once per decision or flush).
 _CUSTOMER = Relationship.CUSTOMER
+_LOSS = EventType.LOSS
+_NO_LOSS = EventType.NO_LOSS
 
 
 @dataclass
@@ -100,12 +95,12 @@ class _PendingContext:
     __slots__ = ("et", "root_cause")
 
     def __init__(self) -> None:
-        self.et = EventType.NO_LOSS
+        self.et = _NO_LOSS
         self.root_cause: Optional[Link] = None
 
     def merge(self, et: EventType, root_cause: Optional[Link]) -> None:
-        if et is EventType.LOSS:
-            self.et = EventType.LOSS
+        if et is _LOSS:
+            self.et = _LOSS
         if root_cause is not None:
             self.root_cause = root_cause
 
@@ -127,7 +122,6 @@ class BGPSpeaker:
         export_gate: Optional[ExportGate] = None,
         gate_peers: Optional[Iterable[ASN]] = None,
         on_best_change: Optional[BestChangeListener] = None,
-        shared_tables: Optional[Tuple[Dict, Dict]] = None,
     ) -> None:
         self.asn = asn
         self.graph = graph
@@ -158,18 +152,10 @@ class BGPSpeaker:
         #: Per-neighbor local preference and relationship, so neither
         #: route insertion (and hence the decision process) nor the
         #: valley-free export check does graph lookups on the hot path.
-        #: Complete from the start (one adjacency-row copy) and never
-        #: written again, so co-located speakers of one AS (STAMP's
-        #: color pair, via ``shared_tables``) and a speaker's fork
-        #: share one pair instead of each deriving its own.
-        if shared_tables is not None:
-            self._pref_table, self._rel_table = shared_tables
-        else:
-            self._rel_table = graph.neighbor_relationships(asn)
-            self._pref_table = {
-                neighbor: RELATIONSHIP_PREFERENCE[rel]
-                for neighbor, rel in self._rel_table.items()
-            }
+        #: The graph derives the pair once per AS and hands the same
+        #: two dicts to every speaker of that AS built on it; nobody
+        #: writes them.
+        self._pref_table, self._rel_table = graph.neighbor_tables(asn)
         self.adj_rib_in = AdjRibIn()
         self.best: Optional[Route] = None
         #: Sort key of :attr:`best` (maintained by ``_run_decision``);
@@ -228,13 +214,7 @@ class BGPSpeaker:
     def originate(self) -> None:
         """Become the origin of the prefix and start advertising."""
         self.is_origin = True
-        self._run_decision(EventType.NO_LOSS, None)
-
-    def local_pref(self, neighbor: ASN) -> int:
-        """Local preference toward a neighbor (from the table seeded at
-        construction; the graph is frozen, so an entry never goes
-        stale)."""
-        return self._pref_table[neighbor]
+        self._run_decision(_NO_LOSS, None)
 
     def sorted_sessions(self) -> Tuple[ASN, ...]:
         """Sessions in deterministic (ascending ASN) order, cached."""
@@ -243,39 +223,31 @@ class BGPSpeaker:
         return self._sessions_sorted
 
     def on_message(self, sender: ASN, message) -> None:
-        """Process one incoming update from a neighbor."""
+        """Process one incoming update from a neighbor.
+
+        One flat pass per delivered message: AS-path loop detection (a
+        path through us is refused), the Adj-RIB-In write, then the
+        decision.
+        """
         if sender not in self.sessions:
             return  # stale message from a torn-down session
-        if type(message) is Announcement or isinstance(message, Announcement):
-            if import_accept(self.asn, message.path):
+        cls = type(message)
+        if cls is Announcement:
+            path = message.path
+            if self.asn not in path:
                 route = Route(
-                    path=message.path,
-                    learned_from=sender,
-                    et=message.et,
-                    lock=message.lock,
-                    pref=self.local_pref(sender),
+                    path, sender, message.et, message.lock,
+                    self._pref_table[sender],
                 )
                 self.adj_rib_in.update(sender, route)
-                self._run_decision(
-                    message.et, message.root_cause,
-                    changed_neighbor=sender, new_route=route,
-                )
-            else:
-                # A path through us means the neighbor no longer has an
-                # independent route: implicit withdrawal.
-                self.adj_rib_in.withdraw(sender)
-                self._run_decision(
-                    message.et, message.root_cause,
-                    changed_neighbor=sender, new_route=None,
-                )
-        elif isinstance(message, Withdrawal):
-            self.adj_rib_in.withdraw(sender)
-            self._run_decision(
-                message.et, message.root_cause,
-                changed_neighbor=sender, new_route=None,
-            )
-        else:  # pragma: no cover - defensive
+                self._run_decision(message.et, message.root_cause, sender, route)
+                return
+            # A path through us means the neighbor no longer has an
+            # independent route: implicit withdrawal.
+        elif cls is not Withdrawal:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message {message!r}")
+        self.adj_rib_in.withdraw(sender)
+        self._run_decision(message.et, message.root_cause, sender, None)
 
     def on_session_down(self, peer: ASN) -> None:
         """Handle loss of the session to a neighbor (link/node failure)."""
@@ -287,12 +259,7 @@ class BGPSpeaker:
         self._advertised.pop(peer, None)
         self._pending.pop(peer, None)
         self.adj_rib_in.withdraw(peer)
-        self._run_decision(
-            EventType.LOSS,
-            normalize_link(self.asn, peer),
-            changed_neighbor=peer,
-            new_route=None,
-        )
+        self._run_decision(_LOSS, normalize_link(self.asn, peer), peer, None)
 
     def on_session_up(self, peer: ASN) -> None:
         """(Re-)establish a session and advertise our current state."""
@@ -357,7 +324,6 @@ class BGPSpeaker:
         self,
         cause_et: EventType,
         root_cause: Optional[Link],
-        *,
         changed_neighbor: Optional[ASN] = None,
         new_route: Optional[Route] = None,
     ) -> None:
@@ -411,11 +377,12 @@ class BGPSpeaker:
                 return  # updated route does not beat the current best
             new = new_route
             self._best_key = key
-        if new == self.best:
+        old = self.best
+        if new is old or new == old:
             return
-        old, self.best = self.best, new
+        self.best = new
         self._export_path = None  # rebuilt lazily on the next export
-        et_out = EventType.LOSS if cause_et is EventType.LOSS else EventType.NO_LOSS
+        et_out = _LOSS if cause_et is _LOSS else _NO_LOSS
         self._record_best_change(old, new)
         if self.on_best_change is not None:
             self.on_best_change(self, old, new, et_out, root_cause)
@@ -430,7 +397,7 @@ class BGPSpeaker:
         del old
         if self.trace is not None:
             state = new.path if new is not None else None
-            self.trace.record(self.engine.now, self.asn, self.tag, state)
+            self.trace.record(self.engine._now, self.asn, self.tag, state)
 
     # ------------------------------------------------------------------
     # Export path
@@ -472,30 +439,41 @@ class BGPSpeaker:
 
     def schedule_exports(
         self,
-        et: EventType = EventType.NO_LOSS,
+        et: EventType = _NO_LOSS,
         root_cause: Optional[Link] = None,
     ) -> None:
         """Queue (MRAI-paced) re-advertisement to every stale peer.
 
         One pass over the sessions in ascending ASN order — the send
-        order, and hence the order of the transport's delay draws.  A
-        gated speaker's :attr:`gate_peers` were refreshed by its
-        ``on_best_change`` listener just before this fan-out, so they
-        are passed over, except those the listener handed back through
-        :meth:`gate_refresh_queue`.
+        order, and hence the order of the transport's delay draws.
+        Each peer takes :meth:`refresh_peer`'s step inline: evaluate
+        :meth:`export_for`, compare with the Adj-RIB-Out, then drop the
+        peer's pending context (nothing changed) or dispatch the
+        update.  A gated speaker's :attr:`gate_peers` were refreshed by
+        its ``on_best_change`` listener just before this fan-out, so
+        they are passed over, except those the listener handed back
+        through :meth:`gate_refresh_queue`.
         """
         gate_peers = self.gate_peers
         queued = self._gate_refresh_pending or ()
         self._gate_refresh_pending = None
-        refresh = self.refresh_peer
+        export_for = self.export_for
+        advertised = self._advertised
+        pending = self._pending
         for peer in self.sorted_sessions():
-            if peer not in gate_peers or peer in queued:
-                refresh(peer, et, root_cause)
+            if peer in gate_peers and peer not in queued:
+                continue
+            desired = export_for(peer)
+            if desired == advertised.get(peer):
+                if pending:
+                    pending.pop(peer, None)
+            else:
+                self._dispatch_update(peer, desired, et, root_cause)
 
     def refresh_peer(
         self,
         peer: ASN,
-        et: EventType = EventType.NO_LOSS,
+        et: EventType = _NO_LOSS,
         root_cause: Optional[Link] = None,
         *,
         desired: object = _UNSET,
@@ -504,20 +482,22 @@ class BGPSpeaker:
 
         STAMP's node-level coordination calls this when the color
         assignment of a provider changes without this process's own
-        best route changing; callers that already evaluated
-        :meth:`export_for` in the same synchronous step may pass the
-        result via ``desired`` to skip re-evaluating it (and, for gated
-        speakers, re-invoking the gate).
+        best route changing (and a session coming up, for the new
+        peer); callers that already evaluated :meth:`export_for` in the
+        same synchronous step may pass the result via ``desired`` to
+        skip re-evaluating it (and, for gated speakers, re-invoking the
+        gate).  :meth:`schedule_exports` takes this same step inline
+        for every peer of its fan-out.
 
-        This is the speaker's coalescing point.  The desired Adj-RIB-Out
-        state is computed exactly once; when MRAI allows an immediate
-        send the update goes out synchronously with that precomputed
-        state (no second export evaluation), and otherwise the peer is
-        marked pending and the armed MRAI timer absorbs every further
-        change until it fires — at which point :meth:`_flush_peer`
-        re-reads the *latest* state, so a withdraw+announce churn pair
-        inside one MRAI window collapses into the single message (or no
-        message) describing the net change.
+        The desired Adj-RIB-Out state is computed exactly once; when
+        MRAI allows an immediate send the update goes out synchronously
+        with that precomputed state (no second export evaluation), and
+        otherwise the peer is marked pending and the armed MRAI timer
+        absorbs every further change until it fires — at which point
+        :meth:`_flush_peer` re-reads the *latest* state, so a
+        withdraw+announce churn pair inside one MRAI window collapses
+        into the single message (or no message) describing the net
+        change.
         """
         if peer not in self.sessions:
             return
@@ -535,8 +515,12 @@ class BGPSpeaker:
         et: EventType,
         root_cause: Optional[Link],
     ) -> None:
-        """Send now if MRAI allows, else coalesce behind the armed timer."""
-        if self._pacer.try_send_now(peer, is_withdrawal=desired is None):
+        """Send now if MRAI allows, else coalesce behind the armed timer.
+
+        A withdrawal is never rate-limited, so it never asks the pacer
+        (and never restarts the peer's interval).
+        """
+        if desired is None or self._pacer.try_send_now(peer):
             context = self._pending.pop(peer, None)
             if context is not None:
                 context.merge(et, root_cause)
@@ -567,9 +551,10 @@ class BGPSpeaker:
         desired = self.export_for(peer)
         if desired == self._advertised.get(peer):
             return  # churn cancelled out within the MRAI window
-        et = context.et if context else EventType.NO_LOSS
-        root_cause = context.root_cause if context else None
-        self._emit_update(peer, desired, et, root_cause)
+        if context is None:
+            self._emit_update(peer, desired, _NO_LOSS, None)
+        else:
+            self._emit_update(peer, desired, context.et, context.root_cause)
 
     def _emit_update(
         self,
@@ -582,19 +567,12 @@ class BGPSpeaker:
         if desired is None:
             del self._advertised[peer]
             self.stats.withdrawals += 1
-            self.transport.send(
-                self.asn, peer, Withdrawal(root_cause=root_cause), tag=self.tag
-            )
+            message = Withdrawal(_LOSS, root_cause)
         else:
-            path, lock = desired
             self._advertised[peer] = desired
             self.stats.announcements += 1
-            self.transport.send(
-                self.asn,
-                peer,
-                Announcement(path=path, et=et, lock=lock, root_cause=root_cause),
-                tag=self.tag,
-            )
+            message = Announcement(desired[0], et, desired[1], root_cause)
+        self.transport.send(self.asn, peer, message, self.tag)
 
     # ------------------------------------------------------------------
 

@@ -93,44 +93,35 @@ class RBGPSpeaker(BGPSpeaker):
     def on_message(self, sender: ASN, message) -> None:
         if sender not in self.sessions:
             return
-        if isinstance(message, FailoverAnnouncement):
+        cls = type(message)
+        if cls is FailoverAnnouncement:
             self.failover_rib[sender] = message.path
             self._record_failover_state()
             return
-        if isinstance(message, FailoverWithdrawal):
+        if cls is FailoverWithdrawal:
             if self.failover_rib.pop(sender, None) is not None:
                 self._record_failover_state()
             return
-        root_cause = getattr(message, "root_cause", None)
+        root_cause = message.root_cause
         if root_cause is not None:
             # Root-caused events are where RCI earns its name: from
             # here on the two variants may diverge (purge vs. not).
             self.rci_sensitive_state = True
             if self.rci:
                 self._purge_root_cause(root_cause)
-        if (
-            self.rci
-            and isinstance(message, Announcement)
-            and root_cause is None
-            and self.known_bad_links
-        ):
-            # A fresh (non-root-caused) announcement attests that every
-            # link on its path is up again: recovery information is
-            # newer than our failure knowledge.  Route additions cause
-            # no transient problems (Lemma 3.1), so trusting it is safe.
-            for link in self._full_path_links(message.path):
-                self.known_bad_links.discard(link)
-        if (
-            self.rci
-            and isinstance(message, Announcement)
-            and self.known_bad_links
-            and not self.known_bad_links.isdisjoint(
-                self._full_path_links(message.path)
-            )
-        ):
-            # RCI lets us reject a stale path through a failed link as
-            # if it were a withdrawal.
-            message = Withdrawal(root_cause=root_cause)
+        if cls is Announcement and self.rci and self.known_bad_links:
+            links = self._full_path_links(message.path)
+            if root_cause is None:
+                # A fresh (non-root-caused) announcement attests that
+                # every link on its path is up again: recovery
+                # information is newer than our failure knowledge.
+                # Route additions cause no transient problems (Lemma
+                # 3.1), so trusting it is safe.
+                self.known_bad_links.difference_update(links)
+            elif not self.known_bad_links.isdisjoint(links):
+                # RCI lets us reject a stale path through a failed link
+                # as if it were a withdrawal.
+                message = Withdrawal(root_cause=root_cause)
         super().on_message(sender, message)
         self._update_failover_advertisement()
 
@@ -218,7 +209,7 @@ class RBGPSpeaker(BGPSpeaker):
                 return
         self.fib_path = path
         if self.trace is not None:
-            self.trace.record(self.engine.now, self.asn, self.tag, path)
+            self.trace.record(self.engine._now, self.asn, self.tag, path)
 
     @property
     def data_plane_path(self) -> Optional[ASPath]:

@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
+
+#: ``max_events`` when none is given: a bound no run reaches.
+_NO_LIMIT = sys.maxsize
 
 
 class EventHandle:
@@ -168,31 +172,38 @@ class Engine:
             raise SimulationError(
                 f"cannot run backwards (until={until} < now={self._now})"
             )
+        limit = max_events if max_events is not None else _NO_LIMIT
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
-        while heap:
-            time, _, handle, action = heap[0]
-            if handle is not None and handle.cancelled:
-                # Discarded before the ``until`` test: a tombstone must
-                # not stop the clock at ``until`` either.
-                heappop(heap)
-                self._tombstones -= 1
-                continue
-            if until is not None and time > until:
-                self._now = until
-                break
-            heappop(heap)
-            if handle is not None:
-                handle._engine = None
-            self._now = time
-            action()
-            executed += 1
-            self._events_processed += 1
-            if max_events is not None and executed >= max_events:
-                if self.pending():
+        try:
+            while heap:
+                if until is not None:
+                    head = heap[0]
+                    if head[0] > until and (
+                        head[2] is None or not head[2].cancelled
+                    ):
+                        self._now = until
+                        break
+                time, _, handle, action = heappop(heap)
+                if handle is not None:
+                    if handle.cancelled:
+                        # Discarded wherever it lies: a tombstone never
+                        # stops the clock at ``until`` (the head test
+                        # above passes it over).
+                        self._tombstones -= 1
+                        continue
+                    handle._engine = None
+                self._now = time
+                action()
+                executed += 1
+                if executed >= limit and self.pending():
                     raise SimulationError(
                         f"exceeded max_events={max_events} with "
                         f"{self.pending()} events still pending"
                     )
+        finally:
+            # Counted once per call: nothing reads the total from
+            # inside an event, and it is exact at every return.
+            self._events_processed += executed
         return executed

@@ -98,18 +98,16 @@ class MRAIPacer:
             interval = self._interval[peer] = self._config.base * jitter
         return interval
 
-    def try_send_now(self, peer: ASN, *, is_withdrawal: bool = False) -> bool:
+    def try_send_now(self, peer: ASN) -> bool:
         """Claim an immediate send slot toward ``peer`` if MRAI allows.
 
         Returns ``True`` when the caller may (and must) send right now:
         the interval is restarted exactly as a flush-callback fire would
-        have.  A withdrawal is never rate-limited: it always returns
-        ``True`` and never restarts the interval.  Returns ``False``
-        after arming the coalescing timer for the earliest allowed
-        instant — the flush callback will run then.
+        have.  Returns ``False`` after arming the coalescing timer for
+        the earliest allowed instant — the flush callback will run then.
+        Only announcements ask: a withdrawal is never rate-limited, so
+        the speaker sends it without consulting the pacer.
         """
-        if is_withdrawal:
-            return True
         now = self._engine._now
         if now >= self._next_allowed.get(peer, 0.0):
             interval = self._interval.get(peer)

@@ -60,7 +60,7 @@ def _record_suspended(time, asn, key, state) -> None:
 
 @dataclass
 class ForwardingTrace:
-    """Ordered log of forwarding changes plus snapshot replay."""
+    """Ordered log of forwarding changes plus in-place replay."""
 
     changes: List[ForwardingChange] = field(default_factory=list)
 
@@ -96,22 +96,13 @@ class ForwardingTrace:
         """Re-enable recording after :meth:`suspend`."""
         self.__dict__.pop("record", None)
 
-    def replay(
-        self, initial: Dict[Tuple[ASN, Hashable], Any]
-    ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any]]]:
-        """Yield ``(time, state)`` after applying each instant's changes.
-
-        ``initial`` is the full forwarding state just before the first
-        recorded change; the same (mutated) copy of it is yielded each
-        time, so callers must not hold references across iterations.
-        """
-        for time, state, _ in self.replay_onto(dict(initial)):
-            yield time, state
-
     def replay_onto(
         self, state: Dict[Tuple[ASN, Hashable], Any]
     ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any], set]]:
-        """:meth:`replay` written into ``state`` itself, plus what changed.
+        """Yield ``(time, state, changed)`` after each instant's changes.
+
+        ``state`` is the full forwarding state just before the first
+        recorded change; it is updated in place and yielded each time.
 
         The third element is the set of keys whose value differs from
         the previous instant (recording the same value again does not

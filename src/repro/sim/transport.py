@@ -294,7 +294,7 @@ class Transport:
     # Messaging
     # ------------------------------------------------------------------
 
-    def send(self, src: ASN, dst: ASN, message: Any, *, tag: Hashable = None) -> None:
+    def send(self, src: ASN, dst: ASN, message: Any, tag: Hashable = None) -> None:
         """Queue a message for FIFO delivery with a sampled delay.
 
         Messages sent while the link is already down are silently lost

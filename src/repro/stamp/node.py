@@ -31,9 +31,15 @@ from repro.sim.transport import Transport
 from repro.sim.timers import MRAIConfig
 from repro.stamp.coloring import BlueProviderSelector, RandomBlueSelector
 from repro.topology.graph import ASGraph
-from repro.types import ASN, Color, EventType, Link, RELATIONSHIP_PREFERENCE
+from repro.types import ASN, Color, EventType, Link
 
 from repro.forwarding.stamp_plane import unstable_key
+
+#: Bound once: an enum member looked up through its class costs as much
+#: as two method calls, and the gate and the change listener run once
+#: per provider evaluation and per best-route change.
+_BLUE = Color.BLUE
+_LOSS = EventType.LOSS
 
 
 def build_speaker_configs(
@@ -98,16 +104,6 @@ class STAMPNode:
         self._customer_set = frozenset(graph.customers(asn))
         self.locked_blue_provider: Optional[ASN] = None
         self.unstable: Dict[Color, bool] = {Color.RED: False, Color.BLUE: False}
-        # Both color processes of one AS see identical per-neighbor
-        # preferences and relationships: derive the tables once and
-        # share the dicts (the network-level pool hands every node the
-        # same two SpeakerConfig instances the same way).
-        rel_table = graph.neighbor_relationships(asn)
-        pref_table = {
-            neighbor: RELATIONSHIP_PREFERENCE[rel]
-            for neighbor, rel in rel_table.items()
-        }
-        shared_tables = (pref_table, rel_table)
 
         def make(color: Color, config: SpeakerConfig) -> BGPSpeaker:
             return BGPSpeaker(
@@ -130,29 +126,19 @@ class STAMPNode:
                         c, old, new, et, rc
                     )
                 ),
-                shared_tables=shared_tables,
             )
 
+        #: The red and blue routing processes.  Both read the graph's
+        #: one pair of neighbor tables for this AS.
+        self.red: BGPSpeaker = make(Color.RED, speaker_configs[0])
+        self.blue: BGPSpeaker = make(Color.BLUE, speaker_configs[1])
         self.processes: Dict[Color, BGPSpeaker] = {
-            Color.RED: make(Color.RED, speaker_configs[0]),
-            Color.BLUE: make(Color.BLUE, speaker_configs[1]),
+            Color.RED: self.red,
+            Color.BLUE: self.blue,
         }
         #: The (red, blue) pair as a tuple for allocation-free iteration
         #: on the refresh hot path.
-        self._procs: Tuple[BGPSpeaker, BGPSpeaker] = (
-            self.processes[Color.RED],
-            self.processes[Color.BLUE],
-        )
-
-    @property
-    def red(self) -> BGPSpeaker:
-        """The red routing process."""
-        return self.processes[Color.RED]
-
-    @property
-    def blue(self) -> BGPSpeaker:
-        """The blue routing process."""
-        return self.processes[Color.BLUE]
+        self._procs: Tuple[BGPSpeaker, BGPSpeaker] = (self.red, self.blue)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -260,8 +246,8 @@ class STAMPNode:
         if len(live) <= 1:
             # Single-homed: both colors to the sole provider; the Lock
             # obligation transfers upward (footnote 4).
-            return (True, color is Color.BLUE and has_lock)
-        if color is Color.BLUE:
+            return (True, color is _BLUE and has_lock)
+        if color is _BLUE:
             if has_lock:
                 target = self._locked_target(live)
                 if peer == target:
@@ -349,7 +335,7 @@ class STAMPNode:
         et: EventType,
         root_cause: Optional[Link] = None,
     ) -> None:
-        self._set_unstable(color, et is EventType.LOSS)
+        self._set_unstable(color, et is _LOSS)
         # Any best change may flip provider color assignments (red
         # precedence / lock chain), so both processes re-check — with
         # the decision's exact event context, which is why the changing

@@ -80,12 +80,22 @@ from repro.errors import (
     UnknownASError,
     UnknownLinkError,
 )
-from repro.types import ASN, Link, Relationship, normalize_link
+from repro.types import (
+    ASN,
+    Link,
+    RELATIONSHIP_PREFERENCE,
+    Relationship,
+    normalize_link,
+)
 
 #: Cached per-AS adjacency: (providers, customers, peers, neighbors).
 _AdjView = Tuple[
     Tuple[ASN, ...], Tuple[ASN, ...], Tuple[ASN, ...], Tuple[ASN, ...]
 ]
+
+#: One AS's ``(pref_table, rel_table)``: local preference and
+#: relationship per neighbor (see :meth:`ASGraph.neighbor_tables`).
+NeighborTables = Tuple[Dict[ASN, int], Dict[ASN, Relationship]]
 
 #: Relationship codes used in the CSR ``rel`` arrays (stable: they are
 #: part of the byte layout).
@@ -337,6 +347,18 @@ class ASGraph:
         self._views: Dict[ASN, _AdjView] = {}
         self._ases: Optional[Tuple[ASN, ...]] = None
         self._tier1s: Optional[Tuple[ASN, ...]] = None
+        self._tables: Dict[ASN, NeighborTables] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The neighbor tables are derived per process and never
+        # pickled: an unpickled graph fills its own.
+        state = self.__dict__.copy()
+        del state["_tables"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._tables = {}
 
     # ------------------------------------------------------------------
     # Freezing
@@ -471,6 +493,27 @@ class ASGraph:
         """
         idx = self._index(asn)
         return dict(self._base.row_pairs(idx))
+
+    def neighbor_tables(self, asn: ASN) -> NeighborTables:
+        """``(pref_table, rel_table)`` of one AS, derived once per graph.
+
+        ``rel_table`` is :meth:`neighbor_relationships`; ``pref_table``
+        maps each neighbor to the local preference of routes learned
+        from it (customer > peer > provider).  Every speaker built on
+        this graph — each STAMP color, every unit of a campaign, a
+        forked twin — is handed the same two dicts, which nobody may
+        write.  Two threads filling one entry at once derive equal
+        content, so either dict may win.
+        """
+        tables = self._tables.get(asn)
+        if tables is None:
+            rel_table = self.neighbor_relationships(asn)
+            pref_table = {
+                neighbor: RELATIONSHIP_PREFERENCE[rel]
+                for neighbor, rel in rel_table.items()
+            }
+            tables = self._tables[asn] = (pref_table, rel_table)
+        return tables
 
     def _view(self, asn: ASN) -> _AdjView:
         view = self._views.get(asn)

@@ -325,9 +325,11 @@ class TestAWrongFailoverPickIsCaught:
 
 class TestAStaleAdvertisementIsCaught:
     """Adj-RIB-Out == ``export_for`` at every drained stop: a speaker
-    whose ``refresh_peer`` passes over one peer — the destination never
+    whose update dispatch passes over one peer — the destination never
     tells one of its providers anything — leaves that session's
-    Adj-RIB-Out behind its export decision, and the first stop says so."""
+    Adj-RIB-Out behind its export decision, and the first stop says so.
+    ``_dispatch_update`` is the step every stale peer takes, from the
+    fan-out and from ``refresh_peer`` alike."""
 
     @pytest.mark.parametrize("protocol", PLANES)
     def test_a_refresh_that_skips_one_peer_fails(self, monkeypatch, protocol):
@@ -337,15 +339,15 @@ class TestAStaleAdvertisementIsCaught:
         )
         skipper = episode.destination
         skipped = graph.providers(skipper)[-1]
-        refresh_peer = BGPSpeaker.refresh_peer
+        dispatch_update = BGPSpeaker._dispatch_update
 
-        def forgetful(self, peer, *args, **kwargs):
+        def forgetful(self, peer, *args):
             if not (self.asn == skipper and peer == skipped):
-                refresh_peer(self, peer, *args, **kwargs)
+                dispatch_update(self, peer, *args)
 
         run_live(graph, episode, protocol)  # the intact speaker passes
         clear_twin_start_cache()
-        monkeypatch.setattr(BGPSpeaker, "refresh_peer", forgetful)
+        monkeypatch.setattr(BGPSpeaker, "_dispatch_update", forgetful)
         try:
             with pytest.raises(
                 AssertionError,

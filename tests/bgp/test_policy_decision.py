@@ -2,9 +2,9 @@
 
 import pytest
 
-from reference.policy import export_allowed
+from reference.policy import export_allowed, import_accept
 from repro.bgp.decision import best_route, route_sort_key
-from repro.bgp.policy import import_accept, relationship_pref
+from repro.bgp.policy import relationship_pref
 from repro.bgp.ribs import Route
 from repro.topology.graph import ASGraph
 

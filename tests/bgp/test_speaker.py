@@ -107,6 +107,19 @@ class TestWithdrawalHandling:
         # Withdrawal forwarded without waiting for the 5s MRAI.
         assert engine.now - t_before < 1.0
 
+    def test_withdrawal_never_asks_the_pacer(self, harness):
+        engine, speaker, inboxes = harness
+        speaker.on_message(1, Announcement(path=(1, 9)))
+        assert speaker._pacer._next_allowed[3] == 5.0
+        speaker.on_message(1, Withdrawal())
+        # Sent at once, inside the announcement's MRAI window, with the
+        # interval neither restarted nor a flush timer armed.
+        assert speaker._pacer._next_allowed[3] == 5.0
+        assert not speaker._pacer._armed
+        engine.run()
+        assert engine.now < 1.0
+        assert [type(m) for m in inboxes[3]] == [Announcement, Withdrawal]
+
 
 class TestSessionEvents:
     def test_session_down_withdraws_learned_route(self, harness):
@@ -264,9 +277,9 @@ class TestExportEquivalence:
         speaker = BGPSpeaker(5, graph, engine, transport)
         routes = [
             Route(path=(), learned_from=None, pref=99),       # originated
-            Route(path=(1, 9), learned_from=1, pref=speaker.local_pref(1)),
-            Route(path=(2, 9), learned_from=2, pref=speaker.local_pref(2)),
-            Route(path=(3, 9), learned_from=3, pref=speaker.local_pref(3)),
+            Route(path=(1, 9), learned_from=1, pref=speaker._pref_table[1]),
+            Route(path=(2, 9), learned_from=2, pref=speaker._pref_table[2]),
+            Route(path=(3, 9), learned_from=3, pref=speaker._pref_table[3]),
         ]
         for route in routes:
             speaker.best = route
@@ -371,13 +384,14 @@ class TestGatedFanOut:
         )
         speaker = harness[1]
         refreshed = []
-        refresh_peer = speaker.refresh_peer
+        export_for = speaker.export_for
 
-        def spy(peer, *args, **kwargs):
+        def spy(peer):
             refreshed.append(peer)
-            refresh_peer(peer, *args, **kwargs)
+            return export_for(peer)
 
-        speaker.refresh_peer = spy
+        # The fan-out evaluates each peer it refreshes exactly once.
+        speaker.export_for = spy
         return harness, refreshed, gate_calls
 
     def test_fan_out_passes_over_gate_peers(self):

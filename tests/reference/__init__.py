@@ -11,6 +11,8 @@ tests runs it:
 * :mod:`reference.walk` — the scalar per-source walks of every data
   plane, the successor table's reference;
 * :mod:`reference.transient` — the full-rescan transient analyzers;
+* :mod:`reference.tracing` — the copying replay of a forwarding trace
+  they read;
 * :mod:`reference.phi` — unmemoized, per-path-DFS Φ;
 * :mod:`reference.policy` — the valley-free export rule
   ``BGPSpeaker.export_for`` evaluates inline.

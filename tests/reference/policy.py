@@ -1,4 +1,6 @@
-"""The valley-free export rule, stated on the graph: ``export_for``'s twin."""
+"""The speaker's two inline policy rules, stated on their own: the
+valley-free export rule on the graph (``export_for``'s twin) and the
+AS-path loop check (``on_message``'s twin)."""
 
 from __future__ import annotations
 
@@ -33,3 +35,12 @@ def export_allowed(
         return True
     learned_rel = graph.relationship(asn, route.learned_from)
     return learned_rel is Relationship.CUSTOMER
+
+
+def import_accept(asn: ASN, path) -> bool:
+    """Receiver-side import filter: reject paths containing ourselves.
+
+    This is BGP's standard AS-path loop detection, which
+    ``BGPSpeaker.on_message`` applies inline.
+    """
+    return asn not in path

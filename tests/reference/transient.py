@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
+from reference.tracing import replay
 from reference.walk import classify, classify_batch
 from repro.analysis.transient import (
     EpisodeSegment,
@@ -150,7 +151,7 @@ def _reference_analyze_episode_transient_problems(
         if index > 0 and (not changes or changes[0].time > segment.start_time):
             scan(segment, dict(initial_state), segment.start_time)
         final_state = dict(initial_state)
-        for time, state in segment.trace.replay(initial_state):
+        for time, state in replay(segment.trace, initial_state):
             scan(segment, state, time)
             final_state = state
 
@@ -246,7 +247,7 @@ def _reference_analyze_transient_problems(
         report.problem_timeline.append((time, problems_now))
 
     final_state = dict(initial_state)
-    for time, state in trace.replay(initial_state):
+    for time, state in replay(trace, initial_state):
         scan(state, time)
         final_state = state
         last_time = time

@@ -2,7 +2,8 @@
 
 The pacer is driven as a speaker drives it: :meth:`MRAIPacer.try_send_now`
 either claims the send slot (the caller sends at once) or arms the
-coalescing timer, whose flush callback sends when it fires.
+coalescing timer, whose flush callback sends when it fires.  A
+withdrawal is never rate-limited, so it is sent without asking.
 """
 
 import pytest
@@ -24,8 +25,10 @@ class Harness:
         self.sent.append((self.engine.now, peer))
 
     def send(self, peer, *, is_withdrawal=False):
-        """Send now if MRAI allows; else the armed flush sends later."""
-        if self.pacer.try_send_now(peer, is_withdrawal=is_withdrawal):
+        """Send now if MRAI allows; else the armed flush sends later.
+        A withdrawal goes out at once without asking the pacer (the
+        speaker's ``_dispatch_update`` rule)."""
+        if is_withdrawal or self.pacer.try_send_now(peer):
             self._record(peer)
 
 
@@ -123,9 +126,11 @@ class TestTrySendNow:
     def test_withdrawal_bypass_does_not_restart(self, harness):
         pacer = harness.pacer
         assert pacer.try_send_now(7) is True
-        assert pacer.try_send_now(7, is_withdrawal=True) is True
-        # Bypass sends never restart the interval.
+        harness.send(7, is_withdrawal=True)
+        assert harness.sent == [(0.0, 7)]
+        # Bypass sends never restart the interval nor arm a timer.
         assert pacer._next_allowed[7] == 10.0
+        assert not pacer._armed
 
     def test_repeated_attempts_coalesce_on_one_timer(self, harness):
         pacer = harness.pacer

