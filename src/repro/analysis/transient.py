@@ -9,11 +9,12 @@ at which any control-plane state changed, including the instant of the
 event itself.
 
 The scan is *incremental*: the plane compiles the snapshot onto its
-successor table (:class:`repro.forwarding.walk.SuccessorTable`), each
-instant's changed keys are fed to the table, and the table reports
-exactly the sources whose packet fate changed — a changed key only
-counts when what walks can observe of it (e.g. a route's next hop)
-actually changed.  On Internet-like topologies a convergence instant
+successor table (:class:`repro.forwarding.walk.SuccessorTable`), every
+replayed change is fed to the table as it is written, and at the end of
+each instant the table reports exactly the sources whose packet fate
+changed — a changed key only counts when what walks can observe of it
+(e.g. a route's next hop) actually changed, and a flush costs the fates
+it changes.  On Internet-like topologies a convergence instant
 typically touches one or two ASes' forwarding state, turning the
 per-instant cost from O(all eligible walks) into O(affected walks).
 The full-rescan implementation the equivalence tests pin this to lives
@@ -50,13 +51,16 @@ from typing import (
 )
 
 from repro.forwarding.walk import SuccessorTable, WalkClassifier
-from repro.sim.tracing import ForwardingTrace
+from repro.sim.tracing import ForwardingChange, ForwardingTrace
 from repro.types import ASN, Link, Outcome
 
 
 #: The one empty AS set every finished report shares (CPython stopped
 #: interning the empty frozenset in 3.10).
 _EMPTY: FrozenSet[ASN] = frozenset()
+
+#: A state key the replayed dict does not hold yet.
+_ABSENT = object()
 
 
 def _frozen(ases: AbstractSet[ASN]) -> FrozenSet[ASN]:
@@ -282,7 +286,7 @@ class _PhaseTracker:
         problem_since = self.problem_since
         if not self.seeded:
             self._seed(table, time)
-        else:
+        elif transitions:
             eligible = self.report.eligible
             delivered = Outcome.DELIVERED
             for asn, outcome in transitions:
@@ -326,12 +330,12 @@ class _PhaseTracker:
 class _IncrementalScan:
     """The incremental scan engine of the analyzer.
 
-    Owns the episode's one state dict (the analyzer replays every
+    Owns the episode's one state dict (:meth:`replay` writes every
     segment's trace onto it in place) and the plane's successor table
     over it — built failure-free over the snapshot, then *patched*
     across every boundary (``table.apply_boundary``: the failure-set
-    delta, invalidating only the walks it touches) and fed each
-    scanned instant's changed keys.  Every scan's outcome
+    delta, invalidating only the walks it touches) and fed every
+    change as it is replayed.  Every scan's outcome
     transitions go to the episode-wide tracker (``main``) and, when
     set, the active phase's (``phase``) — which is how the episode
     analyzer derives its per-phase attribution reports from the same
@@ -353,13 +357,37 @@ class _IncrementalScan:
         """Flush the table now; report its transitions with the next scan."""
         self.held.update(self.table.collect_transitions())
 
-    def scan(self, time: float, changed_keys: Optional[set]) -> None:
+    def replay(self, changes: Sequence[ForwardingChange]) -> None:
+        """Replay one segment's changes in place, scanning each instant.
+
+        One pass: a change that differs from the state dict is written
+        and handed to the table (which re-derives the row only when
+        what walks observe of it moved); the end of each instant
+        flushes and observes.  A key that flips and flips back within
+        one instant reaches the table twice and changes no fate, so it
+        reports no transition.
+        """
+        state = self.state
+        state_get = state.get
+        update = self.table.update
+        scan = self.scan
+        time = None
+        for change in changes:  # ordered by construction (trace.record)
+            if change.time != time:
+                if time is not None:
+                    scan(time)
+                time = change.time
+            key = (change.asn, change.key)
+            value = change.state
+            if state_get(key, _ABSENT) != value:
+                state[key] = value
+                update(key, value)
+        if time is not None:
+            scan(time)
+
+    def scan(self, time: float) -> None:
+        """Flush the table and fold its transitions into the trackers."""
         table = self.table
-        if changed_keys:
-            update = table.update
-            state_get = self.state.get
-            for key in changed_keys:
-                update(key, state_get(key))
         transitions = table.collect_transitions()
         if self.held:
             held, self.held = self.held, {}
@@ -454,7 +482,7 @@ def analyze_episode_transient_problems(
             # injection instant, so classify the unchanged state under
             # the new failure sets.  An episode-level instant: the
             # phase's own tracker is installed after it.
-            engine.scan(segment.start_time, None)
+            engine.scan(segment.start_time)
         if len(segments) == 1:
             phase_report = report
         else:
@@ -469,8 +497,7 @@ def analyze_episode_transient_problems(
             phase_report = TransientReport(eligible=eligible)
             if eligible:
                 engine.phase = _PhaseTracker(phase_report, min_duration)
-        for time, _, changed in segment.trace.replay_onto(state):
-            engine.scan(time, changed)
+        engine.replay(changes)
         if engine.phase is not None:
             engine.phase.finalize(table)
             engine.phase = None

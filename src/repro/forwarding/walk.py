@@ -10,11 +10,11 @@ successor, and LOOP if it revisits a state.
 
 One engine computes it.  Every plane compiles its snapshot onto a
 :class:`SuccessorTable` of ``k`` integer walk states per AS (one for
-BGP and R-BGP, four for STAMP); the table resolves every state's
-outcome once, and from then on :meth:`SuccessorTable.update` /
+BGP and R-BGP, four for STAMP).  :meth:`SuccessorTable.update` /
 :meth:`SuccessorTable.apply_boundary` re-derive only the rows whose
-inputs moved while :meth:`SuccessorTable.collect_transitions`
-re-resolves exactly the reverse closure of the changed entries and
+inputs moved, and :meth:`SuccessorTable.collect_transitions` — the one
+resolver, which also resolves a fresh table — walks forward from the
+changed entries, pushes only the outcomes that changed upstream, and
 reports the sources whose packet fate changed.  A plane supplies only
 what is plane-specific: which snapshot keys it stores and what walks
 can observe of them (:meth:`SuccessorTable._project`), and how one
@@ -51,6 +51,8 @@ BLACKHOLE_SID = -1
 _DELIVERED = Outcome.DELIVERED
 _BLACKHOLE = Outcome.BLACKHOLE
 _LOOP = Outcome.LOOP
+#: A state the current flush has not resolved yet.
+_UNSEEN = object()
 
 
 class SuccessorTable:
@@ -107,20 +109,10 @@ class SuccessorTable:
             store(key, value)
         for i in range(len(self.asns)):
             self._refresh(i)
-        # Untouched entries already hold their resolved default (a
-        # routeless state blackholes) and every other entry is dirty,
-        # so the dirty set is its own reverse closure.
-        self._rescan(self.dirty)
-        out = self.state_outcome
-        self.source_outcome = [
-            _BLACKHOLE if sid < 0 else out[sid] for sid in self.start_sid
-        ]
-        self.undelivered = {
-            i
-            for i, outcome in enumerate(self.source_outcome)
-            if outcome is not _DELIVERED
-        }
-        self.start_dirty = set()
+        # Every row starts routeless with its resolved default (its
+        # states blackhole, the destination's deliver), so the first
+        # resolution is an ordinary flush of every derived entry.
+        self.collect_transitions()
 
     # ------------------------------------------------------------------
     # Plane hooks
@@ -319,52 +311,22 @@ class SuccessorTable:
     # Outcome propagation
     # ------------------------------------------------------------------
 
-    def _rescan(self, remaining: Set[int]) -> None:
-        """Re-resolve the outcomes of an invalidated state set.
-
-        States outside ``remaining`` hold valid outcomes (they cannot
-        reach a changed edge); each walk runs until it leaves the set,
-        terminates, or closes a cycle, then back-propagates.
-        """
-        out = self.state_outcome
-        succ = self.succ
-        for sid0 in list(remaining):
-            if sid0 not in remaining:
-                continue
-            path: List[int] = []
-            on_path: Dict[int, int] = {}
-            cur = sid0
-            while True:
-                if cur not in remaining:
-                    outcome = out[cur]
-                    break
-                if cur in on_path:
-                    # Every cycle state reaches exactly the cycle.
-                    outcome = _LOOP
-                    cut = on_path[cur]
-                    for sid in path[cut:]:
-                        out[sid] = _LOOP
-                        remaining.discard(sid)
-                    del path[cut:]
-                    break
-                on_path[cur] = len(path)
-                path.append(cur)
-                nxt = succ[cur]
-                if nxt < 0:
-                    outcome = _DELIVERED if nxt == DELIVERED_SID else _BLACKHOLE
-                    break
-                cur = nxt
-            for sid in reversed(path):
-                out[sid] = outcome
-                remaining.discard(sid)
-
     def collect_transitions(self) -> List[Tuple[Hashable, Outcome]]:
         """Flush pending invalidations; report changed source fates.
 
-        Invalidates the reverse closure of the dirty states,
-        re-resolves it, and returns ``(source AS, new outcome)`` for
-        exactly the sources whose packet fate differs from the last
-        collection.
+        The one resolver, also a fresh table's first resolution.  Each
+        dirty state is resolved by walking forward along ``succ`` to a
+        terminal or a cycle, memoized across the flush (a revisit on
+        the current walk makes the cycle and its prefix LOOP).  A state
+        outside the walked set keeps its edges up to the first walked
+        state on its path, so its fate changes iff that state's fate
+        changes: only the walked states whose outcome differs are
+        pushed upward through ``preds``, and the push stops at walked
+        states and at a predecessor that already holds the new
+        outcome.  A flush that changes no fate reads no ``preds``.
+
+        Returns ``(source AS, new outcome)`` for exactly the sources
+        whose packet fate differs from the last collection.
         """
         dirty = self.dirty
         start_dirty = self.start_dirty
@@ -372,29 +334,53 @@ class SuccessorTable:
         if not dirty and not start_dirty:
             return transitions
         start_sid = self.start_sid
-        if dirty:
-            closure = set(dirty)
-            closure_add = closure.add
-            stack = list(dirty)
-            stack_append = stack.append
-            preds_get = self.preds.get
-            while stack:
-                entries = preds_get(stack.pop())
-                if entries:
-                    for pred in entries:
-                        if pred not in closure:
-                            closure_add(pred)
-                            stack_append(pred)
-            # _rescan consumes its working set as states resolve, so it
-            # gets a copy; the closure itself then seeds the start-state
-            # checks below.
-            self._rescan(set(closure))
-            k = self.k
-            for sid in closure:
-                if start_sid[sid // k] == sid:
-                    start_dirty.add(sid // k)
-            self.dirty = set()
         out = self.state_outcome
+        if dirty:
+            succ = self.succ
+            # sid -> new outcome; None while the sid is on the current walk.
+            resolved: Dict[int, Optional[Outcome]] = {}
+            resolved_get = resolved.get
+            for sid in dirty:
+                if sid in resolved:
+                    continue
+                path = []
+                cur = sid
+                while cur >= 0:
+                    seen = resolved_get(cur, _UNSEEN)
+                    if seen is not _UNSEEN:
+                        outcome = _LOOP if seen is None else seen
+                        break
+                    resolved[cur] = None
+                    path.append(cur)
+                    cur = succ[cur]
+                else:
+                    outcome = _DELIVERED if cur == DELIVERED_SID else _BLACKHOLE
+                for walked in path:
+                    resolved[walked] = outcome
+            changed = []
+            for sid, outcome in resolved.items():
+                if out[sid] is not outcome:
+                    out[sid] = outcome
+                    changed.append(sid)
+            if changed:
+                preds_get = self.preds.get
+                # The list grows while it is read: every pushed state
+                # is pushed further in turn.
+                for sid in changed:
+                    entries = preds_get(sid)
+                    if entries:
+                        outcome = out[sid]
+                        for pred in entries:
+                            if pred in resolved or out[pred] is outcome:
+                                continue
+                            out[pred] = outcome
+                            changed.append(pred)
+                k = self.k
+                for sid in changed:
+                    i = sid // k
+                    if start_sid[i] == sid:
+                        start_dirty.add(i)
+            self.dirty = set()
         source_outcome = self.source_outcome
         undelivered = self.undelivered
         asns = self.asns

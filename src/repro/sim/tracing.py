@@ -9,7 +9,7 @@ anything changed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Tuple
+from typing import Any, Hashable, List
 
 from repro.types import ASN
 
@@ -60,7 +60,11 @@ def _record_suspended(time, asn, key, state) -> None:
 
 @dataclass
 class ForwardingTrace:
-    """Ordered log of forwarding changes plus in-place replay."""
+    """Ordered log of forwarding changes.
+
+    The transient analyzer (:mod:`repro.analysis.transient`) replays
+    it in place, one change at a time.
+    """
 
     changes: List[ForwardingChange] = field(default_factory=list)
 
@@ -95,36 +99,3 @@ class ForwardingTrace:
     def resume(self) -> None:
         """Re-enable recording after :meth:`suspend`."""
         self.__dict__.pop("record", None)
-
-    def replay_onto(
-        self, state: Dict[Tuple[ASN, Hashable], Any]
-    ) -> Iterator[Tuple[float, Dict[Tuple[ASN, Hashable], Any], set]]:
-        """Yield ``(time, state, changed)`` after each instant's changes.
-
-        ``state`` is the full forwarding state just before the first
-        recorded change; it is updated in place and yielded each time.
-
-        The third element is the set of keys whose value differs from
-        the previous instant (recording the same value again does not
-        count); incremental analyzers re-examine only the walks that
-        depend on them.  A run cut into consecutive traces (an
-        episode's phases) replays as one lineage: the dict one trace
-        leaves behind is the next one's starting state.
-        """
-        state_get = state.get
-        pending = self.changes  # ordered by construction (see record)
-        index = 0
-        total = len(pending)
-        absent = object()
-        while index < total:
-            time = pending[index].time
-            changed: set = set()
-            changed_add = changed.add
-            while index < total and pending[index].time == time:
-                change = pending[index]
-                key = (change.asn, change.key)
-                if state_get(key, absent) != change.state:
-                    state[key] = change.state
-                    changed_add(key)
-                index += 1
-            yield time, state, changed

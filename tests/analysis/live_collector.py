@@ -34,6 +34,7 @@ import collections
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
+from reference.tracing import replay_onto
 from reference.transient import _reference_analyze_episode_transient_problems
 from repro.analysis.transient import (
     EpisodeSegment,
@@ -253,7 +254,7 @@ def assert_trace_complete(live: LiveEpisode) -> None:
             f"replayed state differs from the live network at boundary "
             f"{index}: {_diff(state, live.live_states[index])}"
         )
-        for _ in segment.trace.replay_onto(state):
+        for _ in replay_onto(segment.trace, state):
             pass
     assert state == live.final_state, (
         f"replayed state differs from the live network at quiescence: "

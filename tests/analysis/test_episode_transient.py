@@ -205,6 +205,31 @@ class TestBoundaryScan:
         )
         assert _report_fields(overall) == _report_fields(reference.overall)
 
+    def test_a_key_that_flips_back_within_an_instant_is_no_problem(self):
+        """At t=1 AS 2 routes via AS 1 (a loop with 1 -> 2) and back to
+        AS 3 before the instant ends.  Both changes reach the table, but
+        the flush compares fates: nothing looped at any instant.  The
+        same flip spread over two instants is a loop."""
+        plane = BGPDataPlane(3)
+        state = {(1, None): (2, 3), (2, None): (3,), (3, None): ()}
+        ases = [1, 2, 3]
+        within = [
+            ForwardingChange(1.0, 2, None, (1, 2, 3)),
+            ForwardingChange(1.0, 2, None, (3,)),
+        ]
+        across = [
+            ForwardingChange(1.0, 2, None, (1, 2, 3)),
+            ForwardingChange(2.0, 2, None, (3,)),
+        ]
+        for changes, looped in ((within, set()), (across, {1, 2})):
+            trace = ForwardingTrace(changes=changes)
+            report = analyze_transient_problems(trace, state, plane, ases)
+            reference = _reference_analyze_transient_problems(
+                trace, state, plane, ases
+            )
+            assert _report_fields(report) == _report_fields(reference)
+            assert report.looped == looped
+
     def test_empty_segments_yield_empty_report(self):
         plane = BGPDataPlane(3)
         result = analyze_episode_transient_problems([], {}, plane, [1, 2, 3])

@@ -9,12 +9,18 @@ incremental propagation against full re-classification under random
 update streams (including next hops that leave the snapshot's AS
 universe and are interned on demand), and whole-analyzer equivalence
 with the brute-force reference twins — including episode phase
-boundaries and restore-induced outcome flips.
+boundaries and restore-induced outcome flips.  Below the planes, the
+one resolver is pinned on raw successor tables to a walk from nothing
+after every flush, and to its mechanism: a flush that changes no fate
+reads no reverse edge.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.forwarding.stamp_plane as stamp_plane
 from live_collector import run_live
@@ -36,6 +42,7 @@ from repro.experiments.scenarios import (
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.forwarding.stamp_plane import STAMPDataPlane
+from repro.forwarding.walk import BLACKHOLE_SID, DELIVERED_SID, SuccessorTable
 from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
@@ -256,6 +263,177 @@ class TestIncrementalPropagation:
         assert not table.update((5, tags[0]), (4, 2, 1))  # same next hop
         assert table.update((5, tags[0]), (3, 1))
         assert table.update((5, tags[0]), None)
+
+
+class _RawTable(SuccessorTable):
+    """A table whose snapshot *is* its successor entries.
+
+    AS ``a``'s one key holds ``None`` (no route: an immediate
+    blackhole) or ``(start, entries)``: the state its packets start in
+    and one entry per state, each :data:`BLACKHOLE_SID`,
+    :data:`DELIVERED_SID` or ``(AS, state)``.  Any successor function
+    is a snapshot, so a rewire can make or break any cycle.  AS 0 is
+    the destination.
+    """
+
+    slots = 1
+    hop_slots = 0
+
+    def _project(self, tag, value):
+        return 0, value
+
+    def _derive(self, i):
+        value = self.proj[0][i]
+        if value is None:
+            return (-1,) + (BLACKHOLE_SID,) * self.k
+        start, entries = value
+        return (self.k * i + start,) + tuple(
+            entry if isinstance(entry, int) else self.k * entry[0] + entry[1]
+            for entry in entries
+        )
+
+
+class _RawTable4(_RawTable):
+    """:class:`_RawTable` with STAMP's four walk states per AS."""
+
+    k = 4
+
+
+_RAW_TABLES = {1: _RawTable, 4: _RawTable4}
+
+
+@st.composite
+def _raw_tables(draw):
+    """``(k, n, snapshot, batches of rewires)`` over ASes ``0..n-1``."""
+    k = draw(st.sampled_from(sorted(_RAW_TABLES)))
+    n = draw(st.integers(2, 7))
+    hop = st.tuples(st.integers(0, n - 1), st.integers(0, k - 1))
+    terminal = st.sampled_from((BLACKHOLE_SID, DELIVERED_SID))
+    entry = st.one_of(terminal, hop, hop)
+    value = st.one_of(
+        st.none(), st.tuples(st.integers(0, k - 1), st.tuples(*[entry] * k))
+    )
+    state = {(asn, None): draw(value) for asn in range(n)}
+    rewire = st.tuples(st.integers(0, n - 1), value)
+    batches = draw(st.lists(st.lists(rewire, max_size=4), max_size=12))
+    return k, n, state, batches
+
+
+def _scratch_fates(k, n, state):
+    """Every state's and every source's fate, resolved from nothing.
+
+    The successor entries are derived straight from the snapshot (AS
+    ``a``'s states are ``k*a .. k*a + k-1``) and each state is walked
+    until it terminates or revisits a state.
+    """
+    succ = []
+    start = []
+    for asn in range(n):
+        value = state[(asn, None)]
+        if asn == 0:
+            succ += [DELIVERED_SID] * k
+            start.append(0)
+        elif value is None:
+            succ += [BLACKHOLE_SID] * k
+            start.append(-1)
+        else:
+            offset, entries = value
+            succ += [
+                e if isinstance(e, int) else k * e[0] + e[1] for e in entries
+            ]
+            start.append(k * asn + offset)
+
+    def fate(sid):
+        seen = set()
+        while sid >= 0:
+            if sid in seen:
+                return Outcome.LOOP
+            seen.add(sid)
+            sid = succ[sid]
+        return Outcome.DELIVERED if sid == DELIVERED_SID else Outcome.BLACKHOLE
+
+    states = [fate(sid) for sid in range(k * n)]
+    sources = {
+        asn: Outcome.BLACKHOLE if sid < 0 else states[sid]
+        for asn, sid in enumerate(start)
+    }
+    return states, sources
+
+
+class _CountingDict(dict):
+    """A ``preds`` that counts the flush's reads of it."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+class TestTheResolver:
+    """The one resolver against a from-scratch walk of every state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_tables())
+    def test_every_flush_equals_a_resolution_from_nothing(self, case):
+        k, n, state, batches = case
+        table = _RAW_TABLES[k](
+            SimpleNamespace(destination=0), state, frozenset(), frozenset()
+        )
+        assert table.asns == list(range(n))  # AS a owns states k*a ..
+        states, sources = _scratch_fates(k, n, state)
+        assert table.state_outcome == states
+        assert table.source_outcomes(range(n)) == sources
+        for batch in batches:
+            for asn, value in batch:
+                state[(asn, None)] = value
+                table.update((asn, None), value)
+            table.preds = _CountingDict(table.preds)
+            transitions = table.collect_transitions()
+            new_states, new_sources = _scratch_fates(k, n, state)
+            assert table.state_outcome == new_states
+            assert table.source_outcomes(range(n)) == new_sources
+            # Exactly the sources whose fate differs, each once.
+            assert dict(transitions) == {
+                asn: fate
+                for asn, fate in new_sources.items()
+                if fate is not sources[asn]
+            }
+            assert len(transitions) == len(dict(transitions))
+            if new_states == states:
+                # The work pin: no fate changed, so nothing was pushed.
+                assert table.preds.lookups == 0
+            states, sources = new_states, new_sources
+
+    def test_a_rewire_that_keeps_every_fate_reads_no_preds(self):
+        """AS 3 moves from AS 1 to AS 2, both delivering: the flush walks
+        AS 3 forward and stops there, however many states lead into it."""
+        state = {
+            (0, None): None,
+            (1, None): (0, (DELIVERED_SID,)),
+            (2, None): (0, ((0, 0),)),
+            (3, None): (0, ((1, 0),)),
+        }
+        for asn in range(4, 40):  # a long chain of predecessors of AS 3
+            state[(asn, None)] = (0, ((asn - 1, 0),))
+        table = _RawTable(
+            SimpleNamespace(destination=0), state, frozenset(), frozenset()
+        )
+        assert table.update((3, None), (0, ((2, 0),)))
+        table.preds = _CountingDict(table.preds)
+        assert table.collect_transitions() == []
+        assert table.preds.lookups == 0
+        # A rewire that changes AS 3's fate pushes up the whole chain.
+        assert table.update((3, None), (0, (BLACKHOLE_SID,)))
+        transitions = table.collect_transitions()
+        assert dict(transitions) == {
+            asn: Outcome.BLACKHOLE for asn in range(3, 40)
+        }
+        assert table.preds.lookups > 0
 
 
 class TestAnalyzerEquivalence:

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.analysis.transient import _IncrementalScan
 from repro.bgp.network import BGPNetwork
 from repro.errors import ConfigurationError
 from repro.experiments import runner as runner_mod
@@ -37,7 +38,6 @@ from repro.experiments.scenarios import (
     staggered_maintenance_episode,
 )
 from repro.rbgp.network import RBGPNetwork
-from repro.sim.tracing import ForwardingTrace
 from repro.stamp.network import STAMPNetwork
 from repro.topology.generators import (
     InternetTopologyConfig,
@@ -364,16 +364,16 @@ class TestAPhaseCostsWhatChanged:
 
             monkeypatch.setattr(cls, "forwarding_state", counting)
         replayed_onto = []
-        replay_onto = ForwardingTrace.replay_onto
+        replay = _IncrementalScan.replay
 
-        def onto_spy(self, state):
-            replayed_onto.append(state)
-            return replay_onto(self, state)
+        def onto_spy(self, changes):
+            replayed_onto.append(self.state)
+            return replay(self, changes)
 
-        # The copying replay is no longer in the package (it is
-        # ``reference.tracing.replay``), so every replay goes through
-        # the spy.
-        monkeypatch.setattr(ForwardingTrace, "replay_onto", onto_spy)
+        # The scan engine's ``replay`` is the package's one replay of a
+        # trace (the copying one is ``reference.tracing.replay``), so
+        # every segment goes through the spy.
+        monkeypatch.setattr(_IncrementalScan, "replay", onto_spy)
         episode = link_flap_episode(
             tiny_graph, random.Random("count"), period=2.0, flaps=32
         )

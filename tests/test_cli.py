@@ -359,6 +359,38 @@ class TestLedgerCommands:
         assert "records         4\n" in capsys.readouterr().out
 
 
+class TestExit:
+    """A finished command leaves its heap to the operating system."""
+
+    def test_the_final_collection_skips_a_finished_campaign(self, tmp_path):
+        """The child registers a probe before it imports ``repro.cli``;
+        ``atexit`` runs last-in first-out, so the probe runs after the
+        CLI's hook and sees the heap frozen.  Nothing is lost by not
+        collecting it: a second child reads every record back."""
+        ledger = tmp_path / "ledger.jsonl"
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "import repro.cli\n"
+            f"sys.exit(repro.cli.main({TINY + ['--ledger', str(ledger), 'fig2']!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        last = child.stdout.splitlines()[-1].split()
+        assert last[0] == "frozen" and int(last[1]) > 0
+        stats = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "ledger", "stats", str(ledger)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert stats.returncode == 0, stats.stderr
+        assert "records         4\n" in stats.stdout
+        assert "dropped_records 0\n" in stats.stdout
+
+
 class TestServeParser:
     def test_serve_requires_a_ledger(self):
         with pytest.raises(SystemExit):

@@ -790,8 +790,9 @@ def test_the_reference_twins_live_in_the_tests():
     walks, the brute-force analyzers and Φ, the dict-of-dicts graph, the
     path oracle and the graph-side export rule live in
     ``tests/reference/``; no data plane keeps a second forwarding
-    definition beside its table's ``_derive``; the trace replays only in
-    place (the copying ``replay`` is ``reference.tracing``'s); and the
+    definition beside its table's ``_derive``; the package replays a
+    trace only inside the analyzer (``replay_onto`` and the copying
+    ``replay`` are ``reference.tracing``'s); and the
     pacer knobs, the pacer entry point and the policy helpers only tests
     called stay deleted from ``src/``."""
     from repro.forwarding.bgp_plane import BGPDataPlane
@@ -804,6 +805,7 @@ def test_the_reference_twins_live_in_the_tests():
         extra = {"classify", "classify_batch", "_walk_spec"} & set(dir(cls))
         assert not extra, f"{cls.__name__} defines {extra}"
     assert not hasattr(ForwardingTrace, "replay")
+    assert not hasattr(ForwardingTrace, "replay_onto")
     tracing = (REPO / "src" / "repro" / "sim" / "tracing.py").read_text()
     assert re.search(r"def replay\b", tracing) is None
     topology = REPO / "src" / "repro" / "topology"
@@ -814,11 +816,27 @@ def test_the_reference_twins_live_in_the_tests():
         r"|\b_walk_spec\b|\bexport_allowed\b|\brequest_send\b"
         r"|\bapplies_to_withdrawals\b|\blearned_relationship\b"
         r"|\bis_withdrawal\b|\bimport_accept\b|\blocal_pref\b"
+        r"|\breplay_onto\b"
     )
     for path in sorted((REPO / "src").rglob("*.py")):
         found = gone.search(path.read_text())
         name = path.relative_to(REPO).as_posix()
         assert found is None, f"{name} still names {found.group()}"
+
+
+def test_the_successor_table_has_one_resolver():
+    """One outcome resolver, enforced: ``collect_transitions`` walks
+    forward from the dirty states and pushes only changed outcomes
+    upstream, and a fresh table resolves through it too.  The
+    closure-then-rescan flush (``_rescan`` over the reverse closure of
+    the dirty states) stays deleted; the speaker's ``_rescan_best`` is
+    another function and does not match."""
+    for path in sorted((REPO / "src").rglob("*.py")):
+        found = re.search(r"def _rescan\(", path.read_text())
+        name = path.relative_to(REPO).as_posix()
+        assert found is None, f"{name} still defines _rescan"
+    walk = (REPO / "src" / "repro" / "forwarding" / "walk.py").read_text()
+    assert re.search(r"\bclosure\b", walk) is None
 
 
 def test_one_set_of_neighbor_tables_per_graph():
