@@ -10,8 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.analysis.transient import analyze_transient_problems
-from repro.bgp.network import BGPNetwork, NetworkConfig
-from repro.stamp.network import STAMPConfig, STAMPNetwork
+from repro.bgp.network import BGPNetwork
+from repro.stamp.network import STAMPNetwork
 from repro.topology.generators import example_paper_topology
 from repro.types import Color, normalize_link
 
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"Destination prefix originated by AS {destination}")
 
     # --- STAMP: two complementary processes per AS -------------------
-    stamp = STAMPNetwork(graph, destination, STAMPConfig(seed=1))
+    stamp = STAMPNetwork(graph, destination, seed=1)
     stamp.start()
     print(f"\nSTAMP converged; locked blue provider of the origin: "
           f"{stamp.speakers[destination].locked_blue_provider}")
@@ -43,7 +43,7 @@ def main() -> None:
     print(f"  STAMP ASes with transient problems: {report.affected_count}")
 
     # --- plain BGP on the same event ----------------------------------
-    bgp = BGPNetwork(graph, destination, NetworkConfig(seed=1))
+    bgp = BGPNetwork(graph, destination, seed=1)
     bgp.start()
     initial = bgp.forwarding_state()
     bgp.fail_link(*failed_link)

@@ -27,17 +27,9 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.phi import uphill_paths_to_tier1
+from repro.analysis.phi import _phi_anchor, uphill_paths_to_tier1
 from repro.topology.graph import ASGraph
 from repro.types import ASN
-
-
-def _anchor(graph: ASGraph, destination: ASN) -> Optional[ASN]:
-    """Footnote-4 transfer: single-homed destinations inherit the
-    disjointness of their first multi-homed (indirect) provider."""
-    if graph.is_multihomed(destination):
-        return destination
-    return graph.first_multihomed_ancestor(destination)
 
 
 def _disjoint_chain_pairs(
@@ -88,7 +80,7 @@ def partial_deployment_fraction(
             successes += trials
             total += trials
             continue
-        anchor = _anchor(graph, dest)
+        anchor = _phi_anchor(graph, dest)
         if anchor is None:
             total += trials
             continue
@@ -133,7 +125,7 @@ def full_deployment_fraction(
         if graph.is_tier1(dest):
             hits += 1
             continue
-        anchor = _anchor(graph, dest)
+        anchor = _phi_anchor(graph, dest)
         if anchor is None:
             continue
         cached = has_pair.get(anchor)

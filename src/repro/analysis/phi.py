@@ -261,7 +261,11 @@ def phi_for_destination(
 
 
 def _phi_anchor(graph: ASGraph, destination: ASN) -> Optional[ASN]:
-    """The multi-homed AS whose Φ the destination inherits."""
+    """The multi-homed AS whose Φ the destination inherits.
+
+    Footnote 4: a single-homed destination inherits the disjointness of
+    its first multi-homed (indirect) provider.
+    """
     if graph.is_multihomed(destination):
         return destination
     return graph.first_multihomed_ancestor(destination)
@@ -334,13 +338,18 @@ def phi_with_intelligent_selection(
     stats = conditional_phi_by_provider(graph, anchor, max_paths=max_paths)
     if not stats:
         return phi_for_destination(graph, destination, max_paths=max_paths)
-    best = max(
-        stats.items(),
-        key=lambda item: (item[1][0] / item[1][1], -item[0]),
-    )
-    provider, (good, total) = best
-    del provider
+    _, (good, total) = _best_provider(stats)
     return PhiResult(destination, good / total, total, good, anchor)
+
+
+def _best_provider(
+    stats: Dict[ASN, Tuple[int, int]]
+) -> Tuple[ASN, Tuple[int, int]]:
+    """The ``(provider, (good, total))`` entry with the highest good
+    fraction; a tie goes to the lowest ASN."""
+    return max(
+        stats.items(), key=lambda item: (item[1][0] / item[1][1], -item[0])
+    )
 
 
 def best_blue_provider(
@@ -350,6 +359,4 @@ def best_blue_provider(
     stats = conditional_phi_by_provider(graph, origin, max_paths=max_paths)
     if not stats:
         return None
-    return max(
-        stats.items(), key=lambda item: (item[1][0] / item[1][1], -item[0])
-    )[0]
+    return _best_provider(stats)[0]

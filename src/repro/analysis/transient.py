@@ -133,7 +133,6 @@ def analyze_transient_problems(
     *,
     failed_links: FrozenSet[Link] = frozenset(),
     failed_ases: FrozenSet[ASN] = frozenset(),
-    min_duration: float = 0.0,
 ) -> TransientReport:
     """Replay one event's trace and count affected ASes.
 
@@ -149,11 +148,8 @@ def analyze_transient_problems(
     protection "once the ASes adjacent to where the routing event
     occurred have detected the event"; the un-detectable in-flight
     window penalizes every protocol identically and is not classified.
-
-    ``min_duration`` (optional) filters micro-outages: an AS counts as
-    affected only if some continuous problem interval lasts at least
-    this many simulated seconds.  The default (0.0) counts a problem at
-    any instant, which is the strictest reading of the paper's metric.
+    An AS counts as affected if its packets loop or blackhole at any
+    instant, the paper's metric (section 6.2).
     """
     segment = EpisodeSegment(
         trace=trace,
@@ -162,7 +158,7 @@ def analyze_transient_problems(
         start_time=trace.changes[0].time if trace.changes else 0.0,
     )
     return analyze_episode_transient_problems(
-        [segment], initial_state, plane, ases, min_duration=min_duration
+        [segment], initial_state, plane, ases
     ).overall
 
 
@@ -243,13 +239,13 @@ class _PhaseTracker:
     segment, which is how its intervals span phase boundaries.
     """
 
-    __slots__ = ("report", "min_duration", "seeded", "problem_since")
+    __slots__ = ("report", "seeded", "problem_since")
 
-    def __init__(self, report: TransientReport, min_duration: float) -> None:
+    def __init__(self, report: TransientReport) -> None:
         self.report = report
-        self.min_duration = min_duration
         self.seeded = False
-        self.problem_since: Dict[ASN, Tuple[float, Set[Outcome]]] = {}
+        #: Each open interval's problem kinds so far, by source.
+        self.problem_since: Dict[ASN, Set[Outcome]] = {}
         # Filled in place while tracked, frozen by finalize.
         report.affected, report.looped, report.blackholed = set(), set(), set()
 
@@ -262,13 +258,11 @@ class _PhaseTracker:
         for i in table.undelivered:
             asn = asns[i]
             if asn in eligible:
-                problem_since[asn] = (time, {source_outcome[i]})
+                problem_since[asn] = {source_outcome[i]}
         self.seeded = True
 
-    def _close_interval(self, asn: ASN, end: float) -> None:
-        start, kinds = self.problem_since.pop(asn)
-        if end - start < self.min_duration:
-            return
+    def _close_interval(self, asn: ASN) -> None:
+        kinds = self.problem_since.pop(asn)
         report = self.report
         report.affected.add(asn)
         if Outcome.LOOP in kinds:
@@ -294,13 +288,13 @@ class _PhaseTracker:
                     continue
                 if outcome is delivered:
                     if asn in problem_since:
-                        self._close_interval(asn, time)
+                        self._close_interval(asn)
                 else:
-                    entry = problem_since.get(asn)
-                    if entry is None:
-                        problem_since[asn] = (time, {outcome})
+                    kinds = problem_since.get(asn)
+                    if kinds is None:
+                        problem_since[asn] = {outcome}
                     else:
-                        entry[1].add(outcome)
+                        kinds.add(outcome)
         report = self.report
         report.timeline.append((time, len(report.affected)))
         report.problem_timeline.append((time, len(problem_since)))
@@ -404,8 +398,6 @@ def analyze_episode_transient_problems(
     initial_state: Dict,
     plane: WalkClassifier,
     ases: Iterable[ASN],
-    *,
-    min_duration: float = 0.0,
 ) -> EpisodeTransientReport:
     """Analyze one episode run: one phase or many.
 
@@ -461,7 +453,7 @@ def analyze_episode_transient_problems(
         ever_failed |= segment.failed_ases_at_start
     report = TransientReport(eligible=_frozen(delivered - ever_failed))
     if report.eligible:
-        engine.main = _PhaseTracker(report, min_duration)
+        engine.main = _PhaseTracker(report)
 
     no_failures: FrozenSet = frozenset()
     phases: List[TransientReport] = []
@@ -496,7 +488,7 @@ def analyze_episode_transient_problems(
                 eligible = _frozen(phase_eligible)
             phase_report = TransientReport(eligible=eligible)
             if eligible:
-                engine.phase = _PhaseTracker(phase_report, min_duration)
+                engine.phase = _PhaseTracker(phase_report)
         engine.replay(changes)
         if engine.phase is not None:
             engine.phase.finalize(table)

@@ -16,17 +16,14 @@ of the R-BGP and STAMP networks, which supply only their per-AS object
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.bgp.speaker import BGPSpeaker, ProtocolStats, SpeakerConfig
 from repro.errors import ConvergenceError, SimulationError
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.forwarding.walk import WalkClassifier
-from repro.sim.delays import DelayModel, UniformDelay
 from repro.sim.engine import Engine
-from repro.sim.timers import MRAIConfig
 from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
 from repro.topology.graph import ASGraph
@@ -36,18 +33,18 @@ from repro.types import ASN, ASPath
 #: drain may process.
 MAX_EVENTS_PER_PHASE = 20_000_000
 
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Simulation parameters shared by all protocol networks."""
-
-    seed: int = 0
-    delay: DelayModel = field(default_factory=UniformDelay)
-    mrai: MRAIConfig = field(default_factory=MRAIConfig)
+#: The one config every plain-BGP and R-BGP speaker shares: the paper's
+#: 30 s MRAI (section 6.2).
+_SPEAKER_CONFIG = SpeakerConfig()
 
 
 class BGPNetwork:
-    """All speakers of one protocol instance over an AS graph."""
+    """All speakers of one protocol instance over an AS graph.
+
+    A network is its graph, its destination and the seed of its engine;
+    the model is the paper's (section 6.2): uniform 10-20 ms message
+    delays and a 30 s MRAI.
+    """
 
     #: Trace key used by the single process of each AS.
     TRACE_KEY: Hashable = None
@@ -56,15 +53,15 @@ class BGPNetwork:
         self,
         graph: ASGraph,
         destination: ASN,
-        config: Optional[NetworkConfig] = None,
+        *,
+        seed: int = 0,
     ) -> None:
         if destination not in graph:
             raise ValueError(f"destination AS {destination} not in graph")
         self.graph = graph
         self.destination = destination
-        self.config = config or NetworkConfig()
-        self.engine = Engine(self.config.seed)
-        self.transport = Transport(self.engine, self.config.delay)
+        self.engine = Engine(seed)
+        self.transport = Transport(self.engine)
         self.trace = ForwardingTrace()
         self.stats = ProtocolStats()
         self.speakers: Dict[ASN, BGPSpeaker] = {}
@@ -78,18 +75,13 @@ class BGPNetwork:
     # Construction (overridden by protocol variants)
     # ------------------------------------------------------------------
 
-    @functools.cached_property
-    def _speaker_config(self) -> SpeakerConfig:
-        """The one config every speaker of the network shares."""
-        return SpeakerConfig(mrai=self.config.mrai)
-
     def _make_speaker(self, asn: ASN) -> BGPSpeaker:
         return BGPSpeaker(
             asn,
             self.graph,
             self.engine,
             self.transport,
-            config=self._speaker_config,
+            config=_SPEAKER_CONFIG,
             tag=self.TRACE_KEY,
             trace=self.trace,
             stats=self.stats,

@@ -117,8 +117,8 @@ class BGPSpeaker:
         *,
         config: Optional[SpeakerConfig] = None,
         tag: Hashable = None,
-        trace: Optional[ForwardingTrace] = None,
-        stats: Optional[ProtocolStats] = None,
+        trace: ForwardingTrace,
+        stats: ProtocolStats,
         export_gate: Optional[ExportGate] = None,
         gate_peers: Optional[Iterable[ASN]] = None,
         on_best_change: Optional[BestChangeListener] = None,
@@ -130,7 +130,7 @@ class BGPSpeaker:
         self.config = config or SpeakerConfig()
         self.tag = tag
         self.trace = trace
-        self.stats = stats or ProtocolStats()
+        self.stats = stats
         if (export_gate is None) != (gate_peers is None):
             raise ValueError("export_gate and gate_peers come together")
         self.export_gate = export_gate
@@ -179,7 +179,7 @@ class BGPSpeaker:
         self,
         engine: Engine,
         transport: Transport,
-        trace: Optional[ForwardingTrace],
+        trace: ForwardingTrace,
         stats: ProtocolStats,
     ) -> "BGPSpeaker":
         """This speaker's twin in a fork of its (drained) network.
@@ -395,9 +395,8 @@ class BGPSpeaker:
         (R-BGP retains stale FIB entries, for instance).
         """
         del old
-        if self.trace is not None:
-            state = new.path if new is not None else None
-            self.trace.record(self.engine._now, self.asn, self.tag, state)
+        state = new.path if new is not None else None
+        self.trace.record(self.engine._now, self.asn, self.tag, state)
 
     # ------------------------------------------------------------------
     # Export path

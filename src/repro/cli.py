@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 # no simulator, no pool and no HTTP stack.
 from repro.errors import ConfigurationError, LedgerMergeError, ParseError
 from repro.experiments.scenarios import CAMPAIGNS
-from repro.topology.caida import load_caida
+from repro.topology.caida import load_caida, save_graph
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 
@@ -231,8 +231,6 @@ def cmd_delay(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    from repro.topology.serialization import save_graph
-
     graph, tiers = generate_internet_topology(_topology_config(args))
     save_graph(graph, args.out)
     print(f"wrote {graph} to {args.out} "
@@ -251,21 +249,25 @@ def cmd_serve(args) -> int:
     # The flag wins over the environment; the environment keeps the
     # secret out of `ps` output on shared machines.
     token = args.auth_token or os.environ.get("REPRO_SERVICE_TOKEN") or None
+    # A flag left out keeps the default its dataclass declares.
+    def given(*names):
+        return {
+            name: getattr(args, name)
+            for name in names
+            if getattr(args, name) is not None
+        }
+
     config = ServiceConfig(
         journal_path=journal,
         ledger_path=args.serve_ledger,
         workers=_build_runner(args).workers,
-        max_queue=args.max_queue,
-        max_concurrent=args.max_concurrent,
         journal_max_bytes=args.journal_max_bytes,
         auth_token=token,
-        limits=ServiceLimits(
-            max_instances=args.max_instances,
-            max_total_ases=args.max_total_ases,
-            max_retries=args.max_retries,
-            max_unit_timeout=args.max_unit_timeout,
-            max_workers=args.max_workers,
-        ),
+        limits=ServiceLimits(**given(
+            "max_instances", "max_total_ases", "max_retries",
+            "max_unit_timeout", "max_workers",
+        )),
+        **given("max_queue", "max_concurrent"),
     )
     return run_service(args.host, args.port, config)
 
@@ -431,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: <ledger>.journal)",
             )
             command.add_argument(
-                "--max-queue", type=int, default=8,
+                "--max-queue", type=int, default=None,
                 help="campaigns allowed to wait; beyond this "
                      "submissions get 429 + Retry-After",
             )
             command.add_argument(
-                "--max-concurrent", type=int, default=2,
+                "--max-concurrent", type=int, default=None,
                 help="executor lanes: campaigns running at once, all "
                      "sharing the --workers slot budget (results are "
                      "identical for any lane count)",
@@ -455,23 +457,23 @@ def build_parser() -> argparse.ArgumentParser:
                      "also works; /healthz and /readyz stay open)",
             )
             command.add_argument(
-                "--max-workers", type=int, default=8,
+                "--max-workers", type=int, default=None,
                 help="ceiling a campaign's requested workers clamp to",
             )
             command.add_argument(
-                "--max-instances", type=int, default=1000,
+                "--max-instances", type=int, default=None,
                 help="per-campaign instance ceiling (400 beyond it)",
             )
             command.add_argument(
-                "--max-total-ases", type=int, default=20000,
+                "--max-total-ases", type=int, default=None,
                 help="per-campaign topology size ceiling",
             )
             command.add_argument(
-                "--max-retries", type=int, default=5,
+                "--max-retries", type=int, default=None,
                 help="ceiling a campaign's requested retries clamp to",
             )
             command.add_argument(
-                "--max-unit-timeout", type=float, default=900.0,
+                "--max-unit-timeout", type=float, default=None,
                 help="ceiling a campaign's unit_timeout clamps to",
             )
         if name == "ledger":

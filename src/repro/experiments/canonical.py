@@ -40,7 +40,7 @@ import json
 import math
 import pickle
 import weakref
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph

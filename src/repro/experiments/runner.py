@@ -48,13 +48,13 @@ from repro.analysis.transient import (
     # that target, and this import with it.
     analyze_transient_problems,  # noqa: F401
 )
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.bgp.network import BGPNetwork
 from repro.errors import ConfigurationError
 from repro.forwarding.walk import WalkClassifier
 from repro.rbgp.network import RBGPNetwork
 from repro.experiments.scenarios import Episode, EpisodeEvent, EventKind
 from repro.sim.tracing import ForwardingTrace
-from repro.stamp.network import STAMPConfig, STAMPNetwork
+from repro.stamp.network import STAMPNetwork
 from repro.topology.generators import InternetTopologyConfig
 from repro.topology.graph import ASGraph
 from repro.types import Link, normalize_link
@@ -125,17 +125,18 @@ def build_network(
 ) -> Tuple[BGPNetwork, WalkClassifier]:
     """Instantiate the network for a protocol, and the data plane it names."""
     if protocol == "bgp":
-        network = BGPNetwork(graph, destination, NetworkConfig(seed=seed))
+        network = BGPNetwork(graph, destination, seed=seed)
     elif protocol in _RBGP_PROTOCOLS:
         network = RBGPNetwork(
-            graph, destination, NetworkConfig(seed=seed), rci=(protocol == "rbgp")
+            graph, destination, seed=seed, rci=(protocol == "rbgp")
         )
     elif protocol in ("stamp", "stamp-intelligent"):
-        config = STAMPConfig(
+        network = STAMPNetwork(
+            graph,
+            destination,
             seed=seed,
             intelligent_selection=(protocol == "stamp-intelligent"),
         )
-        network = STAMPNetwork(graph, destination, config)
     else:
         raise ConfigurationError(f"unknown protocol {protocol!r}")
     return network, network.data_plane()

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import inspect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.bgp.network import _SPEAKER_CONFIG, BGPNetwork
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.rbgp.speaker import RBGPSpeaker
 from repro.topology.graph import ASGraph
@@ -30,12 +30,12 @@ class RBGPNetwork(BGPNetwork):
         self,
         graph: ASGraph,
         destination: ASN,
-        config: Optional[NetworkConfig] = None,
         *,
+        seed: int = 0,
         rci: bool = True,
     ) -> None:
         self.rci = rci
-        super().__init__(graph, destination, config)
+        super().__init__(graph, destination, seed=seed)
 
     def start_is_rci_invariant(self) -> bool:
         """Whether the run so far was provably independent of ``rci``.
@@ -64,7 +64,7 @@ class RBGPNetwork(BGPNetwork):
             self.graph,
             self.engine,
             self.transport,
-            config=self._speaker_config,
+            config=_SPEAKER_CONFIG,
             tag=self.TRACE_KEY,
             trace=self.trace,
             stats=self.stats,

@@ -8,7 +8,7 @@ from repro.bgp.decision import route_sort_key
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.ribs import Route
 from repro.bgp.speaker import BGPSpeaker
-from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY
+from repro.forwarding.rbgp_plane import FAILOVER
 from repro.rbgp.messages import FailoverAnnouncement, FailoverWithdrawal
 from repro.types import ASN, ASPath, Link, normalize_link
 
@@ -170,7 +170,7 @@ class RBGPSpeaker(BGPSpeaker):
         # records cleanly instead of being swallowed by retention.
         stale_retained = self.fib_path is not None and self.best is None
         self.fib_path = None
-        if stale_retained and self.trace is not None:
+        if stale_retained:
             self.trace.record(self.engine.now, self.asn, self.tag, None)
         super().reboot(peers)
 
@@ -208,8 +208,7 @@ class RBGPSpeaker(BGPSpeaker):
                 # Retain the stale entry; the trace state is unchanged.
                 return
         self.fib_path = path
-        if self.trace is not None:
-            self.trace.record(self.engine._now, self.asn, self.tag, path)
+        self.trace.record(self.engine._now, self.asn, self.tag, path)
 
     @property
     def data_plane_path(self) -> Optional[ASPath]:
@@ -304,10 +303,9 @@ class RBGPSpeaker(BGPSpeaker):
     # ------------------------------------------------------------------
 
     def _record_failover_state(self) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.engine.now, self.asn, FAILOVER, self.failover_state()
-            )
+        self.trace.record(
+            self.engine.now, self.asn, FAILOVER, self.failover_state()
+        )
 
     def failover_state(self) -> Tuple[Tuple[ASN, ASPath], ...]:
         """Current failover entries in trace format."""

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import UnknownASError
 from repro.topology.graph import ASGraph
-from repro.types import ASN, ASPath, Link, Relationship, normalize_link
+from repro.types import ASN, ASPath, Link, normalize_link
 
 
 class RouteClass(enum.IntEnum):

@@ -102,6 +102,10 @@ from repro.topology.generators import generate_internet_topology
 
 logger = logging.getLogger("repro.service.app")
 
+#: Seconds a refused client is told to wait while no campaign has
+#: finished yet (see :meth:`CampaignService.retry_after_estimate`).
+RETRY_AFTER_S = 5
+
 
 class QueueFullError(ServiceError):
     """Admission refused: the bounded campaign queue is at capacity."""
@@ -202,7 +206,6 @@ class ServiceConfig:
     workers: int = 1
     max_queue: int = 8
     max_body_bytes: int = 256 * 1024
-    retry_after: int = 5
     max_concurrent: int = 2
     journal_max_bytes: Optional[int] = None
     auth_token: Optional[str] = None
@@ -545,7 +548,7 @@ class CampaignService:
         Queue depth times the mean recent campaign duration, divided
         across the lanes; floored at 1s, capped at 300s.  With no
         finished campaigns yet there is nothing to extrapolate from,
-        so the configured constant is used.
+        so :data:`RETRY_AFTER_S` is used.
         """
         with self._lock:
             depth = len(self._queue) + sum(
@@ -553,7 +556,7 @@ class CampaignService:
             )
             durations = list(self._durations)
         if not durations:
-            return max(1, int(self.config.retry_after))
+            return RETRY_AFTER_S
         mean = sum(durations) / len(durations)
         estimate = math.ceil((depth + 1) * mean / max(1, len(self._lanes)))
         return max(1, min(int(estimate), 300))

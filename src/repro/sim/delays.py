@@ -35,17 +35,3 @@ class UniformDelay(DelayModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
-class FixedDelay(DelayModel):
-    """Deterministic delay, handy for unit tests."""
-
-    value: float = 0.010
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ConfigurationError(f"negative delay {self.value}")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.value

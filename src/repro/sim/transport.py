@@ -140,17 +140,17 @@ class Transport:
 
     def fork(self, engine: Engine) -> "Transport":
         """An independent transport over a fork of this one's (drained)
-        engine, with no receiver or listener registered yet.
+        engine, with no receiver, listener or channel yet.
 
-        The failure sets and counters are copied.  Channels are created
-        lazily per send, and a drained one holds nothing but its FIFO
-        bookkeeping (``last_delivery``): the engine forks only with
-        nothing queued, so no message is in flight.  With a strictly
-        positive minimum delay, any send after the fork lands after
-        ``now`` and hence after every past delivery, so that bookkeeping
-        can never influence a future delivery time and no channel is
-        copied; when the delay model's lower bound is not provably
-        positive, every channel's bookkeeping is.
+        The failure sets and counters are copied; no channel is.
+        Channels are created lazily per send, and a drained one holds
+        nothing but its FIFO bookkeeping (``last_delivery``): the engine
+        forks only with nothing queued, so no message is in flight.  A
+        forked transport belongs to a protocol network, whose delay is
+        always the paper's uniform 10-20 ms: with that strictly positive
+        minimum, any send after the fork lands after ``now`` and hence
+        after every past delivery, so the bookkeeping can never
+        influence a future delivery time.
         """
         twin = Transport(engine, self._delay)
         twin._failed_links = set(self._failed_links)
@@ -158,11 +158,6 @@ class Transport:
         twin.messages_sent = self.messages_sent
         twin.messages_delivered = self.messages_delivered
         twin.messages_lost = self.messages_lost
-        bounds = self._uniform_bounds
-        if bounds is None or bounds[0] <= 0:
-            for key, channel in self._channels.items():
-                copied = twin._channels[key] = _Channel(twin, *key)
-                copied.last_delivery = channel.last_delivery
         return twin
 
     def dispose(self) -> None:

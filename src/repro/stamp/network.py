@@ -7,11 +7,11 @@ processes, so the lifecycle and the event injectors are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.bgp.network import BGPNetwork
 from repro.forwarding.stamp_plane import STAMPDataPlane
+from repro.sim.timers import MRAIConfig
 from repro.stamp.coloring import (
     BlueProviderSelector,
     IntelligentBlueSelector,
@@ -21,37 +21,33 @@ from repro.stamp.node import STAMPNode, build_speaker_configs
 from repro.topology.graph import ASGraph
 from repro.types import ASN, Color
 
-
-@dataclass(frozen=True)
-class STAMPConfig(NetworkConfig):
-    """STAMP-specific knobs on top of the shared network config."""
-
-    #: Use the intelligent locked-blue-provider selection at the origin
-    #: (paper section 6.1, raises disjointness odds 92% -> 97%).
-    intelligent_selection: bool = False
-    #: Allow the optional unlocked-blue announcements toward non-target
-    #: providers (paper 4.1 "possibly ... without the Lock attribute").
-    permissive_blue: bool = False
+#: One immutable (red, blue) config pair serves every node of every
+#: network: the paper's 30 s MRAI on both processes.
+_SPEAKER_CONFIGS = build_speaker_configs(MRAIConfig())
 
 
 class STAMPNetwork(BGPNetwork):
-    """All STAMP nodes of a simulated network for one prefix."""
+    """All STAMP nodes of a simulated network for one prefix.
+
+    ``intelligent_selection`` makes the origin pick its locked blue
+    provider intelligently (paper section 6.1, raises the disjointness
+    odds 92% -> 97%); otherwise every node picks at random.
+    """
 
     def __init__(
         self,
         graph: ASGraph,
         destination: ASN,
-        config: Optional[STAMPConfig] = None,
+        *,
+        seed: int = 0,
+        intelligent_selection: bool = False,
     ) -> None:
-        config = config or STAMPConfig()
         self.selector: BlueProviderSelector = (
             IntelligentBlueSelector(graph)
-            if config.intelligent_selection
+            if intelligent_selection
             else RandomBlueSelector()
         )
-        # One immutable (red, blue) config pair serves every node.
-        self._speaker_configs = build_speaker_configs(config.mrai)
-        super().__init__(graph, destination, config)
+        super().__init__(graph, destination, seed=seed)
 
     def _make_speaker(self, asn: ASN) -> STAMPNode:
         return STAMPNode(
@@ -59,11 +55,10 @@ class STAMPNetwork(BGPNetwork):
             self.graph,
             self.engine,
             self.transport,
-            speaker_configs=self._speaker_configs,
+            speaker_configs=_SPEAKER_CONFIGS,
             trace=self.trace,
             stats=self.stats,
             selector=self.selector,
-            permissive_blue=self.config.permissive_blue,
         )
 
     def data_plane(self) -> STAMPDataPlane:

@@ -8,9 +8,9 @@ providers the node enforces:
   originates), exactly one provider (the *locked blue provider*)
   receives the blue announcement with Lock set;
 * red precedence — every other provider receives the red route when
-  the red process has an exportable one;
-* blue fallback — providers that cannot be served red may receive the
-  blue route with Lock unset ("not required to propagate" downstream);
+  the red process has an exportable one, and never the blue one (the
+  optional unlocked blue announcements of section 4.1 are not made:
+  the Lock chain already gives every AS a blue path);
 * the single-homed exception (footnote 4) — an AS with one provider
   announces both colors to it, deferring the coloring split to its
   first multi-homed (direct or indirect) provider.
@@ -79,21 +79,14 @@ class STAMPNode:
         transport: Transport,
         *,
         speaker_configs: Tuple[SpeakerConfig, SpeakerConfig],
-        trace: Optional[ForwardingTrace] = None,
-        stats: Optional[ProtocolStats] = None,
+        trace: ForwardingTrace,
+        stats: ProtocolStats,
         selector: Optional[BlueProviderSelector] = None,
-        permissive_blue: bool = False,
     ) -> None:
         self.asn = asn
         self.graph = graph
         self.engine = engine
         self.selector = selector or RandomBlueSelector()
-        #: Paper 4.1: providers other than the locked target may
-        #: "possibly" receive the blue route without Lock.  Strict mode
-        #: (default) skips this optional propagation — the locked chain
-        #: already guarantees blue reachability everywhere, and the
-        #: optional announcements add red/blue reassignment churn.
-        self.permissive_blue = permissive_blue
         self.trace = trace
         #: Static relationship views (the graph topology never changes
         #: during a simulation; failures are session events).  The
@@ -101,7 +94,6 @@ class STAMPNode:
         #: referenced, not copied.
         self._providers: Tuple[ASN, ...] = graph.providers(asn)
         self._provider_set = frozenset(self._providers)
-        self._customer_set = frozenset(graph.customers(asn))
         self.locked_blue_provider: Optional[ASN] = None
         self.unstable: Dict[Color, bool] = {Color.RED: False, Color.BLUE: False}
 
@@ -208,15 +200,6 @@ class STAMPNode:
             return True
         return blue.best is not None and blue.best.lock
 
-    def _red_exportable_to_providers(self) -> bool:
-        """Whether red has a route it may announce to providers."""
-        red = self.red
-        if red.is_origin:
-            return True
-        if red.best is None:
-            return False
-        return red.best.learned_from in self._customer_set
-
     def _locked_target(self, live_providers: List[ASN]) -> Optional[ASN]:
         """The provider currently chosen for the Lock chain."""
         if not live_providers:
@@ -247,20 +230,12 @@ class STAMPNode:
             # Single-homed: both colors to the sole provider; the Lock
             # obligation transfers upward (footnote 4).
             return (True, color is _BLUE and has_lock)
+        # The locked blue target hears blue with Lock set and no red;
+        # every other provider hears red only (strict section 4.1).
+        locked = has_lock and peer == self._locked_target(live)
         if color is _BLUE:
-            if has_lock:
-                target = self._locked_target(live)
-                if peer == target:
-                    return (True, True)
-            if not self.permissive_blue:
-                return (False, False)
-            # Permissive: non-target providers get blue (unlocked) only
-            # when red cannot serve them (red precedence, section 4.1).
-            return (not self._red_exportable_to_providers(), False)
-        # Red process: all providers except the locked blue target.
-        if has_lock and peer == self._locked_target(live):
-            return (False, False)
-        return (True, False)
+            return (locked, locked)
+        return (not locked, False)
 
     def _refresh_providers(
         self,
@@ -346,10 +321,7 @@ class STAMPNode:
         if self.unstable[color] == flag:
             return
         self.unstable[color] = flag
-        if self.trace is not None:
-            self.trace.record(
-                self.engine.now, self.asn, unstable_key(color), flag
-            )
+        self.trace.record(self.engine.now, self.asn, unstable_key(color), flag)
 
     def clear_instability(self) -> None:
         """Reset both flags (convergence reached; routes are stable)."""

@@ -1,4 +1,4 @@
-"""CAIDA AS-relationship dataset loader.
+"""The CAIDA AS-relationship text format: its one reader and one writer.
 
 CAIDA publishes inferred AS relationships as ``|``-delimited text —
 one link per line, ``#`` comment lines::
@@ -8,9 +8,9 @@ one link per line, ``#`` comment lines::
     2|3|0         # AS2 and AS3 peer (p2p)
     1|4|-1|bgp    # serial-2 adds an inference-source field (ignored)
 
-This is the convention :func:`repro.topology.serialization.save_graph`
-writes, and this module is its one reader — strict, because real
-datasets deserve a strict front door:
+This is the convention :func:`save_graph` writes (it cannot represent
+an AS without links), and :func:`load_caida` is its one reader —
+strict, because real datasets deserve a strict front door:
 
 * every rejected line carries a structured :class:`CAIDAFormatError`
   (``lineno`` / ``line`` / ``reason``), so a 400k-line download with
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Set, TextIO, Union
+from typing import Iterable, List, Optional, Set, TextIO, Union
 
 from repro.errors import ParseError
 from repro.topology.graph import ASGraph
@@ -159,3 +159,23 @@ def load_caida(
         skipped_lines=skipped,
         validation=report,
     )
+
+
+def graph_to_lines(graph: ASGraph) -> List[str]:
+    """Serialize a graph to CAIDA-style lines (deterministic order)."""
+    lines: List[str] = []
+    for customer, provider in sorted(graph.c2p_links()):
+        lines.append(f"{provider}|{customer}|{_P2C}")
+    for a, b in sorted(graph.p2p_links()):
+        lines.append(f"{a}|{b}|{_P2P}")
+    return lines
+
+
+def save_graph(graph: ASGraph, target: Union[str, Path, TextIO]) -> None:
+    """Write a graph to a path or open stream."""
+    lines = graph_to_lines(graph)
+    text = "\n".join(lines) + ("\n" if lines else "")
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        Path(target).write_text(text, encoding="utf-8")

@@ -13,16 +13,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.topology.graph import ASGraph
 from repro.types import ASN
 
+#: Provider-count weights (1, 2, 3, ... providers) for transit
+#: (tier-2/3) ASes.  Transit networks were heavily multi-homed in
+#: the 2008 graph; rich multihoming keeps the disjoint-path
+#: probability Φ high and gives BGP's path exploration the stale
+#: alternates that make its transient problems visible.
+PROVIDER_COUNT_WEIGHTS: Tuple[float, ...] = (0.1, 0.4, 0.3, 0.2)
+#: Provider-count weights for stub ASes (many single/dual-homed).
+STUB_PROVIDER_COUNT_WEIGHTS: Tuple[float, ...] = (0.4, 0.4, 0.2)
+#: Probability that a tier-3 AS homes one link directly to a tier-1.
+TIER3_TIER1_UPLINK_PROB = 0.1
+#: Probability of a peering link between any two tier-2 ASes.
+TIER2_PEERING_PROB = 0.15
+#: Probability of a peering link between any two tier-3 ASes.
+TIER3_PEERING_PROB = 0.02
+
 
 @dataclass(frozen=True)
 class InternetTopologyConfig:
-    """Parameters for :func:`generate_internet_topology`.
+    """Parameters for :func:`generate_internet_topology`: a seed and
+    the four tier sizes (the graph's shape is the module's constants).
 
     Defaults produce a ~600-AS graph with heavy multihoming, roughly a
     1:6:14:55 tier-1:tier-2:tier-3:stub split, suitable for the paper's
@@ -34,31 +50,12 @@ class InternetTopologyConfig:
     n_tier2: int = 48
     n_tier3: int = 120
     n_stub: int = 440
-    #: Provider-count weights (1, 2, 3, ... providers) for transit
-    #: (tier-2/3) ASes.  Transit networks were heavily multi-homed in
-    #: the 2008 graph; rich multihoming keeps the disjoint-path
-    #: probability Φ high and gives BGP's path exploration the stale
-    #: alternates that make its transient problems visible.
-    provider_count_weights: Tuple[float, ...] = (0.1, 0.4, 0.3, 0.2)
-    #: Provider-count weights for stub ASes (many single/dual-homed).
-    stub_provider_count_weights: Tuple[float, ...] = (0.4, 0.4, 0.2)
-    #: Probability that a tier-3 AS homes one link directly to a tier-1.
-    tier3_tier1_uplink_prob: float = 0.1
-    #: Probability of a peering link between any two tier-2 ASes.
-    tier2_peering_prob: float = 0.15
-    #: Probability of a peering link between any two tier-3 ASes.
-    tier3_peering_prob: float = 0.02
 
     def __post_init__(self) -> None:
         if self.n_tier1 < 2:
             raise ConfigurationError("need at least two tier-1 ASes")
         if min(self.n_tier2, self.n_tier3, self.n_stub) < 0:
             raise ConfigurationError("tier sizes must be non-negative")
-        for weights in (self.provider_count_weights, self.stub_provider_count_weights):
-            if not weights or any(w < 0 for w in weights):
-                raise ConfigurationError("provider weights must be non-negative")
-            if sum(weights) <= 0:
-                raise ConfigurationError("provider weights must not all be zero")
 
     @property
     def total_ases(self) -> int:
@@ -121,7 +118,7 @@ def generate_internet_topology(
 
     # Tier-2: multi-home into the tier-1 clique.
     for asn in tiers.tier2:
-        k = min(_pick_provider_count(rng, config.provider_count_weights),
+        k = min(_pick_provider_count(rng, PROVIDER_COUNT_WEIGHTS),
                 len(tiers.tier1))
         for provider in rng.sample(tiers.tier1, k):
             graph.add_c2p(asn, provider)
@@ -129,11 +126,11 @@ def generate_internet_topology(
     # Tier-3: multi-home into tier-2, with an occasional direct tier-1 link.
     for asn in tiers.tier3:
         pool = tiers.tier2 or tiers.tier1
-        k = min(_pick_provider_count(rng, config.provider_count_weights), len(pool))
+        k = min(_pick_provider_count(rng, PROVIDER_COUNT_WEIGHTS), len(pool))
         providers = rng.sample(pool, k)
         if (
             tiers.tier2
-            and rng.random() < config.tier3_tier1_uplink_prob
+            and rng.random() < TIER3_TIER1_UPLINK_PROB
         ):
             extra = rng.choice(tiers.tier1)
             if extra not in providers:
@@ -146,15 +143,15 @@ def generate_internet_topology(
     for asn in tiers.stub:
         pool = transit_pool or tiers.tier1
         k = min(
-            _pick_provider_count(rng, config.stub_provider_count_weights),
+            _pick_provider_count(rng, STUB_PROVIDER_COUNT_WEIGHTS),
             len(pool),
         )
         for provider in rng.sample(pool, k):
             graph.add_c2p(asn, provider)
 
     # Intra-tier peering below the core.
-    _add_peering(graph, rng, tiers.tier2, config.tier2_peering_prob)
-    _add_peering(graph, rng, tiers.tier3, config.tier3_peering_prob)
+    _add_peering(graph, rng, tiers.tier2, TIER2_PEERING_PROB)
+    _add_peering(graph, rng, tiers.tier3, TIER3_PEERING_PROB)
 
     graph.check_acyclic_hierarchy()
     return graph, tiers

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO
 
 from repro.errors import ParseError
 from repro.routing.static import compute_stable_routes

@@ -254,7 +254,8 @@ class TestAnUnrecordedChangeIsCaught:
         reboot = BGPSpeaker.reboot
 
         def silent_reboot(self, peers):
-            trace, self.trace = self.trace, None  # "forgot to record"
+            # "Forgot to record": the reboot writes to a throwaway trace.
+            trace, self.trace = self.trace, ForwardingTrace()
             try:
                 reboot(self, peers)
             finally:

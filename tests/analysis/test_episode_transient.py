@@ -41,7 +41,7 @@ from repro.experiments.scenarios import (
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
 from repro.topology.generators import example_paper_topology
-from repro.types import Outcome, normalize_link
+from repro.types import normalize_link
 
 PLANES = ("bgp", "rbgp", "rbgp-norci", "stamp")
 

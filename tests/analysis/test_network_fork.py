@@ -29,13 +29,10 @@ from dataclasses import is_dataclass, replace
 import pytest
 
 from live_collector import check_quiescent
-from repro.bgp.network import BGPNetwork, NetworkConfig
 from repro.bgp.ribs import Route
 from repro.errors import SimulationError
 from repro.experiments.runner import build_network, collect_episode_segments
 from repro.experiments.scenarios import link_flap_episode
-from repro.rbgp.network import RBGPNetwork
-from repro.sim.delays import FixedDelay
 from repro.sim.tracing import ForwardingChange
 from repro.topology.generators import (
     InternetTopologyConfig,
@@ -183,31 +180,15 @@ def test_the_twin_is_a_valid_drained_network(graph, episode, rci, pre_failed):
     check_quiescent(twin, not_before=network.engine.now)
 
 
-@pytest.mark.parametrize(
-    "config", [NetworkConfig(seed=3), NetworkConfig(seed=3, delay=FixedDelay(0.01))],
-    ids=["uniform-delay", "fixed-delay"],
-)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_the_twin_evolves_as_the_original_does(graph, episode, protocol, config):
+def test_the_twin_evolves_as_the_original_does(graph, episode, protocol):
     """Run the original, then the twin, through one episode: the traces,
-    counters and generator states match.  Drained channels are dropped
-    only where the delay model's lower bound is provably positive."""
-    if protocol == "bgp":
-        network = BGPNetwork(graph, episode.destination, config)
-    else:
-        network = RBGPNetwork(
-            graph, episode.destination, config, rci=(protocol == "rbgp")
-        )
+    counters and generator states match, although the twin holds none
+    of the original's drained channels."""
+    network, _ = build_network(protocol, graph, episode.destination, seed=3)
     network.start()
     twin = network.fork()
-    if type(config.delay) is FixedDelay:
-        assert twin.transport._channels.keys() == network.transport._channels.keys()
-        for key, channel in network.transport._channels.items():
-            copied = twin.transport._channels[key]
-            assert copied is not channel and copied.transport is twin.transport
-            assert copied.last_delivery == channel.last_delivery
-    else:
-        assert network.transport._channels and not twin.transport._channels
+    assert network.transport._channels and not twin.transport._channels
 
     def run(net):
         segments, initial, convergence = collect_episode_segments(net, episode)
@@ -222,6 +203,31 @@ def test_the_twin_evolves_as_the_original_does(graph, episode, protocol, config)
         )
 
     assert run(twin) == run(network)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_the_twin_opens_its_own_channels(graph, episode, protocol):
+    """A channel the twin sends on is its own, and every delivery it
+    schedules lands after each of the original's past deliveries: the
+    drained channels it did not copy could not have held one back."""
+    network = _started(graph, episode, protocol)
+    before = {
+        key: (channel, channel.last_delivery)
+        for key, channel in network.transport._channels.items()
+    }
+    twin = network.fork()
+    collect_episode_segments(twin, episode)
+    assert twin.transport._channels
+    latest = max(last for _, last in before.values())
+    originals = {id(channel) for channel, _ in before.values()}
+    for channel in twin.transport._channels.values():
+        assert channel.transport is twin.transport
+        assert id(channel) not in originals
+        assert channel.last_delivery > latest
+    assert {
+        key: (channel, channel.last_delivery)
+        for key, channel in network.transport._channels.items()
+    } == before
 
 
 def test_a_busy_network_refuses_to_fork(graph, episode):

@@ -93,27 +93,33 @@ class TestTransientEquivalence:
         )
         _reports_equal(fast, slow)
 
-    def test_min_duration_matches(self):
-        graph = _random_topology(31)
-        episode = single_provider_link_failure(graph, random.Random(8))
+    def test_the_reference_floor_only_drops_problems(self):
+        # The Theorem 5.1 tests floor short problems through the
+        # reference analyzer; with no floor it is the package's one
+        # metric, and a floor only takes ASes out of the problem sets.
+        graph = _random_topology(20)
+        episode = single_provider_link_failure(graph, random.Random(1))
         links = [event.link for _, event in episode.steps]
-        network, plane = build_network("bgp", graph, episode.destination, seed=8)
+        network, plane = build_network("bgp", graph, episode.destination, seed=1)
         network.start()
         initial_state = network.forwarding_state()
         for a, b in links:
             network.fail_link(a, b)
         network.run_to_convergence()
-        kwargs = dict(
-            failed_links=frozenset(normalize_link(a, b) for a, b in links),
-            min_duration=5.0,
+        args = (network.trace, initial_state, plane, graph.ases)
+        failed_links = frozenset(normalize_link(a, b) for a, b in links)
+        fast = analyze_transient_problems(*args, failed_links=failed_links)
+        _reports_equal(fast, _reference_analyze_transient_problems(
+            *args, failed_links=failed_links, min_duration=0.0,
+        ))
+        floored = _reference_analyze_transient_problems(
+            *args, failed_links=failed_links, min_duration=0.015,
         )
-        fast = analyze_transient_problems(
-            network.trace, initial_state, plane, graph.ases, **kwargs
-        )
-        slow = _reference_analyze_transient_problems(
-            network.trace, initial_state, plane, graph.ases, **kwargs
-        )
-        _reports_equal(fast, slow)
+        assert floored.eligible == fast.eligible
+        assert floored.permanently_unreachable == fast.permanently_unreachable
+        assert set() < floored.affected < fast.affected
+        assert floored.looped <= fast.looped
+        assert floored.blackholed <= fast.blackholed
 
     def test_empty_trace_matches_reference(self):
         graph = _random_topology(40)

@@ -52,19 +52,16 @@ class TestCounting:
         )
         assert report.looped == {1, 2}
 
-    def test_min_duration_filters_short_blips(self):
+    def test_a_short_blip_counts(self):
+        # Section 6.2: an AS is affected if its packets blackhole or loop
+        # at any instant, however briefly.
         trace = ForwardingTrace()
         state = initial({1: (9,), 9: ()})
         trace.record(10.0, 1, None, None)
-        trace.record(10.4, 1, None, (9,))  # 0.4 s outage
-        report = analyze_transient_problems(
-            trace, state, BGPDataPlane(9), [1, 9], min_duration=1.0
-        )
-        assert report.affected == set()
-        report = analyze_transient_problems(
-            trace, state, BGPDataPlane(9), [1, 9], min_duration=0.2
-        )
+        trace.record(10.001, 1, None, (9,))  # 1 ms outage
+        report = analyze_transient_problems(trace, state, BGPDataPlane(9), [1, 9])
         assert report.affected == {1}
+        assert report.blackholed == {1}
 
     def test_permanent_unreachability_excluded(self):
         trace = ForwardingTrace()

@@ -4,7 +4,7 @@ import pytest
 
 from reference.paths import is_valley_free
 from repro.analysis.transient import analyze_transient_problems
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.bgp.network import BGPNetwork
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.routing.static import compute_stable_routes
 from repro.topology.generators import example_paper_topology
@@ -13,7 +13,7 @@ from repro.topology.generators import example_paper_topology
 @pytest.fixture
 def network():
     graph = example_paper_topology()
-    net = BGPNetwork(graph, 90, NetworkConfig(seed=2))
+    net = BGPNetwork(graph, 90, seed=2)
     net.start()
     return graph, net
 
@@ -36,9 +36,9 @@ class TestConvergence:
 
     def test_deterministic_under_seed(self):
         graph = example_paper_topology()
-        a = BGPNetwork(graph, 90, NetworkConfig(seed=5))
+        a = BGPNetwork(graph, 90, seed=5)
         a.start()
-        b = BGPNetwork(graph, 90, NetworkConfig(seed=5))
+        b = BGPNetwork(graph, 90, seed=5)
         b.start()
         assert {x: a.best_path(x) for x in graph.ases} == {
             x: b.best_path(x) for x in graph.ases
@@ -90,7 +90,7 @@ class TestLemma31:
 
     def test_link_recovery_causes_no_problems(self):
         graph = example_paper_topology()
-        net = BGPNetwork(graph, 90, NetworkConfig(seed=4))
+        net = BGPNetwork(graph, 90, seed=4)
         net.transport.fail_link(90, 70)  # start degraded
         net.start()
         initial = net.forwarding_state()
@@ -104,7 +104,7 @@ class TestLemma31:
     def test_new_as_route_addition_is_clean(self):
         # A brand-new customer link appearing is a route-addition event.
         graph = example_paper_topology()
-        net = BGPNetwork(graph, 90, NetworkConfig(seed=4))
+        net = BGPNetwork(graph, 90, seed=4)
         net.transport.fail_link(90, 80)
         net.start()
         initial = net.forwarding_state()

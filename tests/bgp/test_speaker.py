@@ -2,12 +2,14 @@
 
 import pytest
 
+from fakes import FixedDelay
 from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.network import BGPNetwork, NetworkConfig
-from repro.bgp.speaker import BGPSpeaker, SpeakerConfig
-from repro.sim.delays import DelayModel, FixedDelay
+from repro.bgp.network import BGPNetwork
+from repro.bgp.speaker import BGPSpeaker, ProtocolStats, SpeakerConfig
+from repro.sim.delays import DelayModel
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig
+from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
 from repro.topology.graph import ASGraph
 from repro.types import EventType
@@ -36,6 +38,8 @@ def harness():
         engine,
         transport,
         config=SpeakerConfig(mrai=MRAIConfig(base=5.0, jitter_low=1.0, jitter_high=1.0)),
+        trace=ForwardingTrace(),
+        stats=ProtocolStats(),
     )
     return engine, speaker, inboxes
 
@@ -242,7 +246,7 @@ class TestDispose:
         import weakref
 
         graph = make_line_graph()
-        network = BGPNetwork(graph, 3, NetworkConfig(seed=1))
+        network = BGPNetwork(graph, 3, seed=1)
         network.start()
         ref = weakref.ref(network.speakers[1])
         network.dispose()
@@ -274,7 +278,10 @@ class TestExportEquivalence:
         transport = Transport(engine, FixedDelay(0.01))
         for asn in (1, 2, 3):
             transport.register_receiver(asn, lambda s, m: None)
-        speaker = BGPSpeaker(5, graph, engine, transport)
+        speaker = BGPSpeaker(
+            5, graph, engine, transport,
+            trace=ForwardingTrace(), stats=ProtocolStats(),
+        )
         routes = [
             Route(path=(), learned_from=None, pref=99),       # originated
             Route(path=(1, 9), learned_from=1, pref=speaker._pref_table[1]),
@@ -329,6 +336,8 @@ def mixed_harness(**speaker_options):
         engine,
         transport,
         config=SpeakerConfig(mrai=MRAIConfig(base=0.0)),
+        trace=ForwardingTrace(),
+        stats=ProtocolStats(),
         **speaker_options,
     )
     return engine, speaker, arrivals, delay
@@ -433,7 +442,12 @@ class TestGatedFanOut:
         with pytest.raises(ValueError):
             BGPSpeaker(
                 5, graph, engine, transport,
+                trace=ForwardingTrace(), stats=ProtocolStats(),
                 export_gate=lambda peer, route: (True, False),
             )
         with pytest.raises(ValueError):
-            BGPSpeaker(5, graph, engine, transport, gate_peers={3, 6})
+            BGPSpeaker(
+                5, graph, engine, transport,
+                trace=ForwardingTrace(), stats=ProtocolStats(),
+                gate_peers={3, 6},
+            )

@@ -13,9 +13,6 @@ def pytest_configure(config):
         "slow: long-running test (set REPRO_RUN_SLOW=1 to include)",
     )
 
-from repro.bgp.network import NetworkConfig
-from repro.sim.delays import FixedDelay
-from repro.sim.timers import MRAIConfig
 from repro.topology.generators import (
     InternetTopologyConfig,
     example_paper_topology,
@@ -47,19 +44,6 @@ def medium_internet():
     )
     graph, tiers = generate_internet_topology(config)
     return graph, tiers
-
-
-@pytest.fixture
-def fast_network_config():
-    """Simulation config with short MRAI so protocol tests run quickly.
-
-    Dynamics are the same, just compressed in simulated time.
-    """
-    return NetworkConfig(
-        seed=3,
-        delay=FixedDelay(0.01),
-        mrai=MRAIConfig(base=1.0),
-    )
 
 
 @pytest.fixture

@@ -27,13 +27,12 @@ from repro.experiments.scenarios import (
     single_provider_link_failure,
     two_link_failures_distinct_as,
 )
-from repro.topology.caida import load_caida
+from repro.topology.caida import load_caida, save_graph
 from repro.topology.generators import (
     InternetTopologyConfig,
     example_paper_topology,
     generate_internet_topology,
 )
-from repro.topology.serialization import save_graph
 
 GRAPH_HASH = "0" * 64
 

@@ -10,7 +10,6 @@ reaches the workers through the binary serialization round trip.
 from __future__ import annotations
 
 import os
-import random
 import re
 
 import pytest

@@ -1,7 +1,5 @@
 """Unit tests for the STAMP data plane (color switching)."""
 
-import pytest
-
 from reference.walk import classify
 from repro.forwarding.stamp_plane import STAMPDataPlane, unstable_key
 from repro.types import Color, Outcome

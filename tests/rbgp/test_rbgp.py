@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis.transient import analyze_transient_problems
-from repro.bgp.network import NetworkConfig
-from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
+from repro.forwarding.rbgp_plane import RBGPDataPlane
 from repro.rbgp.network import RBGPNetwork
 from repro.rbgp.speaker import path_links
 from repro.routing.static import compute_stable_routes
@@ -18,7 +17,7 @@ def graph():
 
 
 def make_network(graph, dest=90, *, rci=True, seed=0):
-    net = RBGPNetwork(graph, dest, NetworkConfig(seed=seed), rci=rci)
+    net = RBGPNetwork(graph, dest, seed=seed, rci=rci)
     net.start()
     return net
 
@@ -152,6 +151,5 @@ class TestSingleFailureProtection:
             plane,
             graph.ases,
             failed_links=frozenset({normalize_link(*link)}),
-            min_duration=0.0,
         )
         assert report.affected_count == 0, report.affected

@@ -19,6 +19,7 @@ import pytest
 
 from repro.experiments.ledger import ResultLedger
 from repro.service.app import (
+    RETRY_AFTER_S,
     CampaignHTTPServer,
     CampaignService,
     ServiceConfig,
@@ -712,9 +713,7 @@ class TestReadiness:
 
 class TestRetryAfter:
     def test_fallback_constant_before_any_campaign_finishes(self, parked):
-        assert parked.service.retry_after_estimate() == (
-            parked.service.config.retry_after
-        )
+        assert parked.service.retry_after_estimate() == RETRY_AFTER_S
 
     def test_estimate_scales_with_depth_and_durations(self, parked):
         service = parked.service

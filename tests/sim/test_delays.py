@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.delays import FixedDelay, UniformDelay
+from repro.sim.delays import UniformDelay
 
 
 class TestUniformDelay:
@@ -26,13 +26,3 @@ class TestUniformDelay:
             UniformDelay(0.02, 0.01)
         with pytest.raises(ConfigurationError):
             UniformDelay(-0.01, 0.01)
-
-
-class TestFixedDelay:
-    def test_constant(self):
-        delay = FixedDelay(0.5)
-        assert delay.sample(random.Random(0)) == 0.5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FixedDelay(-1.0)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from fakes import FixedDelay
 from repro.errors import SimulationError
 from repro.experiments.runner import build_network
-from repro.sim.delays import FixedDelay, UniformDelay
+from repro.sim.delays import UniformDelay
 from repro.sim.engine import Engine
 from repro.sim.transport import Transport
 from repro.topology.generators import (

@@ -13,7 +13,7 @@ can share a downhill merge node).
 import pytest
 
 from reference.paths import downhill_node_disjoint, is_valley_free
-from repro.stamp.network import STAMPConfig, STAMPNetwork
+from repro.stamp.network import STAMPNetwork
 from repro.types import Color
 
 
@@ -23,7 +23,7 @@ def converged(small_internet):
     destination = next(
         asn for asn in tiers.stub if graph.is_multihomed(asn)
     )
-    net = STAMPNetwork(graph, destination, STAMPConfig(seed=5))
+    net = STAMPNetwork(graph, destination, seed=5)
     net.start()
     return graph, net, destination
 
@@ -93,32 +93,34 @@ class TestPathQuality:
         assert len(violations) / total < 0.1, violations
 
 
-class TestPermissiveBlueMode:
-    def test_permissive_mode_converges_with_blue_everywhere(self, small_internet):
-        graph, tiers = small_internet
-        destination = next(a for a in tiers.stub if graph.is_multihomed(a))
-        net = STAMPNetwork(
-            graph,
-            destination,
-            STAMPConfig(seed=5, permissive_blue=True),
-        )
-        net.start()
-        for asn in graph.ases:
-            assert net.best_path(asn, Color.BLUE) is not None
+class TestStrictSelectiveAnnouncement:
+    """Section 4.1 with no optional unlocked blue announcements."""
 
-    def test_permissive_mode_never_reduces_red_coverage(self, small_internet):
-        graph, tiers = small_internet
-        destination = next(a for a in tiers.stub if graph.is_multihomed(a))
-        strict = STAMPNetwork(graph, destination, STAMPConfig(seed=5))
-        strict.start()
-        permissive = STAMPNetwork(
-            graph, destination, STAMPConfig(seed=5, permissive_blue=True)
-        )
-        permissive.start()
-        red_strict = sum(
-            1 for a in graph.ases if strict.best_path(a, Color.RED) is not None
-        )
-        red_permissive = sum(
-            1 for a in graph.ases if permissive.best_path(a, Color.RED) is not None
-        )
-        assert red_permissive >= red_strict - len(graph) // 20
+    @staticmethod
+    def _multihomed(graph, net):
+        for asn in graph.ases:
+            node = net.speakers[asn]
+            live = [p for p in graph.providers(asn) if p in node.red.sessions]
+            if len(live) > 1:
+                yield asn, node, live
+
+    def test_blue_goes_up_only_to_the_locked_provider(self, converged):
+        graph, net, _ = converged
+        checked = 0
+        for asn, node, live in self._multihomed(graph, net):
+            blue_to = [p for p in live if node.blue.is_advertising(p)]
+            assert blue_to in ([], [node.locked_blue_provider]), (asn, blue_to)
+            checked += len(blue_to)
+        assert checked > 0
+
+    def test_a_provider_hears_one_color(self, converged):
+        graph, net, _ = converged
+        red_only = 0
+        for asn, node, live in self._multihomed(graph, net):
+            for provider in live:
+                both = node.red.is_advertising(provider) and node.blue.is_advertising(
+                    provider
+                )
+                assert not both, (asn, provider)
+                red_only += node.red.is_advertising(provider)
+        assert red_only > 0

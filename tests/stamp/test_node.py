@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.sim.delays import FixedDelay
+from fakes import FixedDelay
+from repro.bgp.speaker import ProtocolStats
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig
+from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
 from repro.stamp.coloring import RandomBlueSelector
 from repro.stamp.node import STAMPNode, build_speaker_configs
@@ -12,7 +14,7 @@ from repro.topology.graph import ASGraph
 from repro.types import Color
 
 
-def build_node(graph, asn, *, permissive=False, seed=0, inbox=None):
+def build_node(graph, asn, *, seed=0, inbox=None):
     engine = Engine(seed=seed)
     transport = Transport(engine, FixedDelay(0.01))
     # Register sinks for all the node's neighbors so exports can flow;
@@ -31,8 +33,9 @@ def build_node(graph, asn, *, permissive=False, seed=0, inbox=None):
         engine,
         transport,
         speaker_configs=build_speaker_configs(MRAIConfig(base=1.0)),
+        trace=ForwardingTrace(),
+        stats=ProtocolStats(),
         selector=RandomBlueSelector(),
-        permissive_blue=permissive,
     )
     return engine, node
 

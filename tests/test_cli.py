@@ -396,17 +396,53 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve", "--ledger", "l.jsonl"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8421
-        assert args.serve_ledger == "l.jsonl"
-        assert args.journal is None  # derived: <ledger>.journal
-        assert args.max_queue == 8
-        assert args.max_concurrent == 2
-        assert args.journal_max_bytes is None  # rotation off by default
-        assert args.auth_token is None  # open by default
-        assert args.max_workers == 8
+    def test_serve_defaults(self, monkeypatch):
+        """What ``serve`` runs with no flags, read off the config it
+        builds: the flags restate no default of their own."""
+        import repro.service.app
+
+        served = []
+        monkeypatch.setattr(
+            repro.service.app, "run_service",
+            lambda host, port, config: served.append((host, port, config)) or 0,
+        )
+        monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
+        assert main(["serve", "--ledger", "l.jsonl"]) == 0
+        [(host, port, config)] = served
+        assert host == "127.0.0.1"
+        assert port == 8421
+        assert config.ledger_path == "l.jsonl"
+        assert config.journal_path == "l.jsonl.journal"
+        assert config.workers == 1
+        assert config.max_queue == 8
+        assert config.max_concurrent == 2
+        assert config.journal_max_bytes is None  # rotation off by default
+        assert config.auth_token is None  # open by default
+        limits = config.limits
+        assert limits.max_workers == 8
+        assert limits.max_instances == 1000
+        assert limits.max_total_ases == 20000
+        assert limits.max_retries == 5
+        assert limits.max_unit_timeout == 900.0
+
+    def test_serve_passes_the_flags_it_is_given(self, monkeypatch):
+        import repro.service.app
+
+        served = []
+        monkeypatch.setattr(
+            repro.service.app, "run_service",
+            lambda host, port, config: served.append(config) or 0,
+        )
+        assert main([
+            "serve", "--ledger", "l.jsonl", "--max-queue", "3",
+            "--max-concurrent", "4", "--max-workers", "5",
+            "--max-unit-timeout", "60",
+        ]) == 0
+        [config] = served
+        assert (config.max_queue, config.max_concurrent) == (3, 4)
+        assert config.limits.max_workers == 5
+        assert config.limits.max_unit_timeout == 60.0
+        assert config.limits.max_instances == 1000
 
     def test_journal_subcommands_parse(self):
         args = build_parser().parse_args(["journal", "stats", "j.jsonl"])

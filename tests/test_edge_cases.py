@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.bgp.network import BGPNetwork
 from repro.rbgp.network import RBGPNetwork
 from repro.routing.static import compute_stable_routes
-from repro.stamp.network import STAMPConfig, STAMPNetwork
+from repro.stamp.network import STAMPNetwork
 from repro.topology.generators import chain_topology, clique_topology, example_paper_topology
 from repro.topology.graph import ASGraph
 from repro.types import Color
@@ -15,13 +15,13 @@ class TestDegenerateTopologies:
     def test_two_as_network(self):
         graph = ASGraph()
         graph.add_c2p(1, 2)
-        net = BGPNetwork(graph, 1, NetworkConfig(seed=0))
+        net = BGPNetwork(graph, 1, seed=0)
         net.start()
         assert net.best_path(2) == (2, 1)
 
     def test_chain_network_converges(self):
         graph = chain_topology(6)
-        net = BGPNetwork(graph, 1, NetworkConfig(seed=0))
+        net = BGPNetwork(graph, 1, seed=0)
         net.start()
         assert net.best_path(6) == (6, 5, 4, 3, 2, 1)
 
@@ -29,7 +29,7 @@ class TestDegenerateTopologies:
         # All tier-1s: nobody has providers, coloring never activates,
         # but both processes still converge via peering.
         graph = clique_topology(4)
-        net = STAMPNetwork(graph, 2, STAMPConfig(seed=0))
+        net = STAMPNetwork(graph, 2, seed=0)
         net.start()
         for asn in (1, 3, 4):
             assert net.best_path(asn, Color.RED) == (asn, 2)
@@ -38,15 +38,15 @@ class TestDegenerateTopologies:
     def test_unknown_destination_rejected(self):
         graph = chain_topology(3)
         with pytest.raises(ValueError):
-            BGPNetwork(graph, 999, NetworkConfig(seed=0))
+            BGPNetwork(graph, 999, seed=0)
         with pytest.raises(ValueError):
-            STAMPNetwork(graph, 999, STAMPConfig(seed=0))
+            STAMPNetwork(graph, 999, seed=0)
 
 
 class TestCascadingFailures:
     def test_bgp_survives_sequential_failures(self):
         graph = example_paper_topology()
-        net = BGPNetwork(graph, 90, NetworkConfig(seed=1))
+        net = BGPNetwork(graph, 90, seed=1)
         net.start()
         net.fail_link(90, 70)
         net.run_to_convergence()
@@ -61,7 +61,7 @@ class TestCascadingFailures:
 
     def test_total_isolation_withdraws_everywhere(self):
         graph = example_paper_topology()
-        net = BGPNetwork(graph, 90, NetworkConfig(seed=1))
+        net = BGPNetwork(graph, 90, seed=1)
         net.start()
         net.fail_link(90, 70)
         net.fail_link(90, 80)
@@ -72,7 +72,7 @@ class TestCascadingFailures:
 
     def test_stamp_total_isolation(self):
         graph = example_paper_topology()
-        net = STAMPNetwork(graph, 90, STAMPConfig(seed=1))
+        net = STAMPNetwork(graph, 90, seed=1)
         net.start()
         net.fail_link(90, 70)
         net.fail_link(90, 80)
@@ -84,7 +84,7 @@ class TestCascadingFailures:
 
     def test_rbgp_fail_and_recover_cycle(self):
         graph = example_paper_topology()
-        net = RBGPNetwork(graph, 90, NetworkConfig(seed=1), rci=True)
+        net = RBGPNetwork(graph, 90, seed=1, rci=True)
         net.start()
         before = {asn: net.best_path(asn) for asn in graph.ases}
         net.fail_link(90, 70)
@@ -96,7 +96,7 @@ class TestCascadingFailures:
 
     def test_stamp_fail_all_then_recover(self):
         graph = example_paper_topology()
-        net = STAMPNetwork(graph, 90, STAMPConfig(seed=1))
+        net = STAMPNetwork(graph, 90, seed=1)
         net.start()
         net.fail_link(90, 70)
         net.fail_link(90, 80)
@@ -111,7 +111,7 @@ class TestCascadingFailures:
 class TestIdempotentFailureInjection:
     def test_double_fail_link_is_harmless(self):
         graph = example_paper_topology()
-        net = BGPNetwork(graph, 90, NetworkConfig(seed=1))
+        net = BGPNetwork(graph, 90, seed=1)
         net.start()
         net.fail_link(90, 70)
         net.fail_link(70, 90)  # same link, other order
@@ -123,7 +123,7 @@ class TestIdempotentFailureInjection:
 
     def test_double_fail_as_is_harmless(self):
         graph = example_paper_topology()
-        net = BGPNetwork(graph, 90, NetworkConfig(seed=1))
+        net = BGPNetwork(graph, 90, seed=1)
         net.start()
         net.fail_as(70)
         net.fail_as(70)

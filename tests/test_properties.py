@@ -9,18 +9,15 @@ from reference.paths import downhill_nodes, is_valley_free, split_uphill_downhil
 from reference.walk import classify_functional_graph
 from repro.analysis.cdf import empirical_cdf
 from repro.analysis.phi import phi_for_destination
-from repro.bgp.network import BGPNetwork, NetworkConfig
+from repro.bgp.network import BGPNetwork
 from repro.routing.static import compute_stable_routes
-from repro.sim.delays import FixedDelay
 from repro.sim.engine import Engine
-from repro.sim.timers import MRAIConfig
 from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
 )
 from repro.topology.graph import ASGraph
-from repro.topology.caida import load_caida
-from repro.topology.serialization import graph_to_lines
+from repro.topology.caida import graph_to_lines, load_caida
 from repro.types import Outcome, normalize_link
 
 # ----------------------------------------------------------------------
@@ -99,11 +96,7 @@ def test_stable_routes_are_valley_free_and_consistent(graph, dest_seed):
 def test_dynamic_bgp_matches_static_oracle(graph, dest_seed):
     destination = graph.ases[dest_seed % len(graph)]
     oracle = compute_stable_routes(graph, destination)
-    network = BGPNetwork(
-        graph,
-        destination,
-        NetworkConfig(seed=1, delay=FixedDelay(0.01), mrai=MRAIConfig(base=2.0)),
-    )
+    network = BGPNetwork(graph, destination, seed=1)
     network.start()
     for asn in graph.ases:
         expected = oracle.route(asn).path if oracle.route(asn) else None

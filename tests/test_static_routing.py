@@ -141,24 +141,24 @@ class TestOracleAgainstDynamicBGP:
 
     @pytest.mark.parametrize("dest_index", [0, 5, 17])
     def test_initial_convergence_matches(self, small_internet, dest_index):
-        from repro.bgp.network import BGPNetwork, NetworkConfig
+        from repro.bgp.network import BGPNetwork
 
         graph, _ = small_internet
         dest = graph.ases[dest_index * 7 % len(graph.ases)]
         state = compute_stable_routes(graph, dest)
-        network = BGPNetwork(graph, dest, NetworkConfig(seed=dest_index))
+        network = BGPNetwork(graph, dest, seed=dest_index)
         network.start()
         for asn in graph.ases:
             expected = state.route(asn).path if state.route(asn) else None
             assert network.best_path(asn) == expected, asn
 
     def test_post_failure_convergence_matches(self, small_internet):
-        from repro.bgp.network import BGPNetwork, NetworkConfig
+        from repro.bgp.network import BGPNetwork
 
         graph, _ = small_internet
         dest = next(asn for asn in graph.ases if graph.is_multihomed(asn))
         provider = graph.providers(dest)[0]
-        network = BGPNetwork(graph, dest, NetworkConfig(seed=1))
+        network = BGPNetwork(graph, dest, seed=1)
         network.start()
         network.fail_link(dest, provider)
         network.run_to_convergence()

@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParseError
-from repro.topology.caida import CAIDAFormatError, load_caida
+from repro.topology.caida import (
+    CAIDAFormatError,
+    graph_to_lines,
+    load_caida,
+    save_graph,
+)
 from repro.topology.generators import (
     InternetTopologyConfig,
     generate_internet_topology,
 )
-from repro.topology.serialization import graph_to_lines, save_graph
 
 from graph_content import graph_content
 

@@ -4,6 +4,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.topology.generators import (
+    PROVIDER_COUNT_WEIGHTS,
+    STUB_PROVIDER_COUNT_WEIGHTS,
+    TIER2_PEERING_PROB,
+    TIER3_PEERING_PROB,
+    TIER3_TIER1_UPLINK_PROB,
     InternetTopologyConfig,
     chain_topology,
     clique_topology,
@@ -26,11 +31,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             InternetTopologyConfig(n_stub=-1)
 
-    def test_bad_weights(self):
-        with pytest.raises(ConfigurationError):
-            InternetTopologyConfig(provider_count_weights=(0.0, -1.0))
-        with pytest.raises(ConfigurationError):
-            InternetTopologyConfig(stub_provider_count_weights=(0.0,))
+    def test_shape_constants_are_valid(self):
+        for weights in (PROVIDER_COUNT_WEIGHTS, STUB_PROVIDER_COUNT_WEIGHTS):
+            assert all(w >= 0 for w in weights) and sum(weights) > 0
+        for prob in (TIER3_TIER1_UPLINK_PROB, TIER2_PEERING_PROB, TIER3_PEERING_PROB):
+            assert 0.0 <= prob <= 1.0
 
 
 class TestGeneratedStructure:
@@ -75,6 +80,17 @@ class TestGeneratedStructure:
         assert tiers.tier_of(tiers.stub[0]) == 4
         with pytest.raises(KeyError):
             tiers.tier_of(10_000)
+
+    def test_provider_counts_stay_within_the_weights(self, generated):
+        graph, tiers = generated
+        top = len(PROVIDER_COUNT_WEIGHTS)
+        for asn in tiers.tier2:
+            assert 1 <= len(graph.providers(asn)) <= top, asn
+        for asn in tiers.tier3:  # plus the occasional direct tier-1 uplink
+            assert 1 <= len(graph.providers(asn)) <= top + 1, asn
+        for asn in tiers.stub:
+            assert 1 <= len(graph.providers(asn)) <= len(STUB_PROVIDER_COUNT_WEIGHTS)
+        assert any(graph.is_multihomed(asn) for asn in tiers.stub)
 
     def test_stubs_have_no_customers(self, generated):
         graph, tiers = generated

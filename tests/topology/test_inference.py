@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.routing.static import compute_stable_routes
 from repro.topology.generators import (
     InternetTopologyConfig,
     example_paper_topology,
@@ -10,7 +9,6 @@ from repro.topology.generators import (
 )
 from repro.topology.inference import infer_relationships
 from repro.topology.routeviews import all_paths, synthesize_routeviews_tables
-from repro.types import Relationship
 
 
 class TestHandmadeCases:

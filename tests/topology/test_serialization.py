@@ -6,9 +6,8 @@ import io
 import pytest
 
 from repro.errors import ParseError
-from repro.topology.caida import load_caida
+from repro.topology.caida import graph_to_lines, load_caida, save_graph
 from repro.topology.generators import example_paper_topology
-from repro.topology.serialization import graph_to_lines, save_graph
 
 
 class TestRoundTrip:
