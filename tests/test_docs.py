@@ -22,6 +22,8 @@ SCENARIOS = REPO / "docs" / "scenarios.md"
 ROBUSTNESS = REPO / "docs" / "robustness.md"
 SERVICE = REPO / "docs" / "service.md"
 PERFORMANCE = REPO / "docs" / "performance.md"
+CHANGES = REPO / "CHANGES.md"
+SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
 
 
 def test_readme_exists():
@@ -941,14 +943,90 @@ def test_no_module_imports_what_it_never_reads():
 
 
 def test_changes_entries_keep_their_budget():
-    """Every CHANGES.md entry from PR 37 on is one paragraph of at most
-    1,000 characters, not counting its links."""
-    entries = [
-        line for line in (REPO / "CHANGES.md").read_text().splitlines()
-        if (number := re.match(r"- PR (\d+)\b", line))
-        and int(number.group(1)) >= 37
-    ]
-    assert entries, "CHANGES.md has no entry from PR 37 on"
-    for entry in entries:
-        prose = re.sub(r"\[[^\]]*\]\([^)]*\)", "", entry)
-        assert len(prose) <= 1000, f"{entry[:12]} has {len(prose)} characters"
+    """Every CHANGES.md entry is one paragraph in one format, ``- PR n
+    [archetype] Title: …``, of at most 1,000 characters not counting
+    its links, and ends in a link; the file stays under 40 KB."""
+    lines = [line for line in CHANGES.read_text().splitlines() if line.strip()]
+    assert lines, "CHANGES.md has no entry"
+    entry = re.compile(r"- PR \d+ \[[a-z_]+\] [^:]+: .+\]\([^)\s]+\)")
+    numbers = []
+    for line in lines:
+        assert entry.fullmatch(line), f"{line[:40]!r} is not one entry"
+        numbers.append(int(line.split()[2]))
+        prose = re.sub(r"\[[^\]]*\]\([^)]*\)", "", line)
+        assert len(prose) <= 1000, f"{line[:12]} has {len(prose)} characters"
+    assert numbers == sorted(set(numbers)), "entries out of order"
+    assert CHANGES.stat().st_size < 40_000
+
+
+def _anchors(path):
+    """The anchors of a Markdown file's headings, as GitHub derives
+    them: lower case, punctuation other than ``-`` and ``_`` dropped,
+    each space a hyphen."""
+    return {
+        re.sub(r"[^\w\- ]", "", heading.strip().lower()).replace(" ", "-")
+        for heading in re.findall(r"^#+ (.*)$", path.read_text(), re.M)
+    }
+
+
+def test_every_changes_link_resolves():
+    """A CHANGES.md link names a file of the repository, and an anchor
+    in it names one of that file's headings: an entry with its own
+    measurement log links the log, the others their entry as written in
+    ``docs/measurements/history.md``."""
+    links = re.findall(r"\]\(([^)\s]+)\)", CHANGES.read_text())
+    assert links
+    for link in links:
+        target, _, anchor = link.partition("#")
+        path = REPO / target
+        assert path.is_file(), f"CHANGES.md links {target}, which is missing"
+        if anchor:
+            assert anchor in _anchors(path), f"{link} names no heading"
+
+
+def test_records_keep_their_line_budgets():
+    """The guides a builder reads before every change hold what is true
+    now; their history lives in ``docs/measurements/history.md``."""
+    assert len(PERFORMANCE.read_text().splitlines()) <= 300
+    assert len(SKILL.read_text().splitlines()) <= 250
+
+
+def test_the_skill_names_only_what_exists():
+    """The verify skill's ``Commands:`` list is the CLI's commands, and
+    every repository path the skill names exists."""
+    from repro.cli import _COMMANDS
+
+    text = SKILL.read_text()
+    listed = re.search(r"Commands:\s*`([^`]*)`", text)
+    assert listed, "the skill lists no commands"
+    assert listed.group(1).split() == list(_COMMANDS)
+    paths = re.findall(
+        r"(?<![\w/.<>-])((?:src|tests|bench|benchmarks|examples|docs)/[\w./-]*)",
+        text,
+    )
+    assert paths
+    for path in paths:
+        path = path.rstrip(".,;:")
+        assert (REPO / path).exists(), f"the skill names {path}, which is missing"
+
+
+def test_each_retained_row_names_live_code():
+    """The first cell of every row of ``docs/performance.md``'s
+    retained-elision table opens with the dotted path of the code it
+    measures, and that path imports: the row of a deleted mechanism
+    cannot stay in the current-state guide."""
+    import pkgutil
+
+    lines = PERFORMANCE.read_text().splitlines()
+    table = lines.index("## What each retained elision buys")
+    rows = []
+    for line in lines[table:]:
+        if line.startswith("|"):
+            rows.append(line)
+        elif rows:
+            break
+    assert len(rows) > 10, "the retained-elision table lost its rows"
+    for row in rows[2:]:
+        found = re.match(r"\| `(repro(?:\.\w+)+)`", row)
+        assert found, f"{row[:60]!r} names no code"
+        pkgutil.resolve_name(found.group(1))
