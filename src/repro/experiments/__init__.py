@@ -1,6 +1,6 @@
 """Experiment harness: episodes, the protocol runner, figure regeneration.
 
 Each figure/table of the paper's evaluation maps to one function in
-:mod:`repro.experiments.figures`; the pytest-benchmark targets under
-``benchmarks/`` call these and print the paper-shaped series.
+:mod:`repro.experiments.figures`; the claims table in
+``benchmarks/fidelity.py`` calls these and checks the paper's claims.
 """

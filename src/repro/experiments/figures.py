@@ -1,10 +1,10 @@
 """Regeneration of every figure and reported number in the paper.
 
 Each function returns a small dataclass with the series the paper
-plots, plus convenience summaries.  The ``benchmarks/`` tree exposes
-one pytest-benchmark target per figure that calls these, prints the
-paper-vs-measured comparison and asserts the paper's qualitative
-shape; README.md ("Benchmarks and the perf gate") says how to run them.
+plots, plus convenience summaries.  ``benchmarks/fidelity.py`` holds
+the paper's claims as one table over these functions: it runs each
+once, prints paper beside measured and checks every claim's bound;
+README.md ("Benchmarks and the perf gate") says how to run it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """End-to-end tests of the experiment runner and figure generators.
 
 These use a deliberately tiny topology so each test runs in seconds;
-the real figure-scale runs live under ``benchmarks/``.
+the real figure-scale runs are ``benchmarks/fidelity.py``.
 """
 
 import random

@@ -24,6 +24,8 @@ SERVICE = REPO / "docs" / "service.md"
 PERFORMANCE = REPO / "docs" / "performance.md"
 CHANGES = REPO / "CHANGES.md"
 SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+FIDELITY = REPO / "docs" / "fidelity.md"
+FIDELITY_SCRIPT = REPO / "benchmarks" / "fidelity.py"
 
 
 def test_readme_exists():
@@ -1030,3 +1032,62 @@ def test_each_retained_row_names_live_code():
         found = re.match(r"\| `(repro(?:\.\w+)+)`", row)
         assert found, f"{row[:60]!r} names no code"
         pkgutil.resolve_name(found.group(1))
+
+
+def test_the_fidelity_doc_is_the_claims_table():
+    """``docs/fidelity.md`` has one row per row of the claims table in
+    ``benchmarks/fidelity.py``, in its order, with the table's id, paper
+    value and bound, and each departure it links is a heading of the
+    architecture guide."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("fidelity", FIDELITY_SCRIPT)
+    fidelity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fidelity)
+    text = FIDELITY.read_text()
+    cells = [
+        [cell.strip() for cell in line.strip("|").split(" | ")]
+        for line in text.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [(row[0], row[3], row[5]) for row in cells] == [
+        (f"`{claim.id}`", claim.paper, f"`{claim.bound}`")
+        for claim in fidelity.CLAIMS
+    ]
+    links = re.findall(r"\(architecture\.md#([^)]+)\)", text)
+    assert links == [anchor for _, anchor in fidelity._departures()]
+    assert len(links) >= 6 and set(links) <= _anchors(ARCHITECTURE)
+
+
+def test_the_one_shot_figure_benches_stay_deleted():
+    """The paper's claims are one table: the per-figure bench files,
+    their conftest's scale knob and its printer stay deleted from the
+    code, the guides, the examples and the tooling."""
+    gone = re.compile(
+        r"\b(bench_topology|print_failure_figure|REPRO_BENCH_SCALE)\b"
+        r"|bench_fig|bench_sec6|bench_ablation"
+    )
+    _assert_gone_from_code_and_documents(gone)
+    for path in sorted(
+        [*(REPO / "examples").glob("*.py"), *(REPO / "benchmarks").glob("*.py")]
+    ):
+        found = gone.search(path.read_text())
+        assert found is None, f"{path.name} still names {found.group()}"
+
+
+def test_the_fidelity_script_imports_only_repro_and_the_standard_library():
+    """The claims table runs wherever ``src/`` runs: no test dependency."""
+    import sys
+
+    tree = ast.parse(FIDELITY_SCRIPT.read_text())
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert imported - set(sys.stdlib_module_names) == {"repro"}
