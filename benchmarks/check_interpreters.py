@@ -19,8 +19,8 @@ them:
 * ``serve``: a daemon (``serve --port 0``) on a fresh ledger and
   journal takes one tiny four-plane campaign over HTTP, is polled to
   ``done``, and its result document is the digested output (the child
-  drives it with ``check_service_smoke.py``'s helpers, so the daemon
-  runs under the child's interpreter and hash seed),
+  drives it, so the daemon runs under the child's interpreter and hash
+  seed),
 * and a ledger written by one interpreter answered by the next one
   under the other hash seed: same chart, not one byte appended — zero
   recomputed units, so pickled results cross versions.
@@ -43,6 +43,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
+import urllib.request
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -66,6 +68,12 @@ REFUSED = frozenset({"refused"})
 #: The ``serve`` command's child: this script, run by the interpreter
 #: under test.
 SERVE = [str(Path(__file__).resolve()), "--serve-round-trip"]
+#: The campaign the ``serve`` child submits: all four planes, tiny graph.
+CAMPAIGN = {
+    "kind": "fig2", "instances": 2,
+    "protocols": ["bgp", "rbgp-norci", "rbgp", "stamp"],
+    "topology": {"seed": 5, "tier1": 3, "tier2": 8, "tier3": 16, "stubs": 35},
+}
 
 
 def find_interpreter(version: str) -> Optional[str]:
@@ -124,17 +132,33 @@ def serve_round_trip() -> int:
     Writes the campaign's result document to stdout; any refusal, a
     timeout or an unclean daemon exit fails the child.
     """
-    from check_service_smoke import FIRST, request, start_daemon, wait_for
+    def request(method, path, body=None):
+        data = json.dumps(body).encode() if body is not None else None
+        req = urllib.request.Request(base + path, data=data, method=method)
+        with urllib.request.urlopen(req, timeout=30) as response:
+            return response.status, response.read()
 
-    campaign = dict(FIRST, protocols=["bgp", "rbgp-norci", "rbgp", "stamp"])
     with tempfile.TemporaryDirectory() as tmpdir:
-        daemon, base = start_daemon(Path(tmpdir))
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--ledger", str(Path(tmpdir) / "ledger.jsonl"),
+                "--journal", str(Path(tmpdir) / "journal.jsonl"),
+            ],
+            stdout=subprocess.PIPE, text=True,
+        )
         try:
-            status, payload = request(base, "POST", "/campaigns", campaign)
+            line = daemon.stdout.readline().strip()
+            assert line.startswith("listening on http://"), line
+            base = line.split("listening on ", 1)[1]
+            status, payload = request("POST", "/campaigns", CAMPAIGN)
             assert status == 202, (status, payload)
             cid = json.loads(payload)["id"]
-            wait_for(base, cid, lambda doc: doc["state"] == "done")
-            status, result = request(base, "GET", f"/campaigns/{cid}/result")
+            deadline = time.monotonic() + 120
+            while json.loads(request("GET", f"/campaigns/{cid}")[1])["state"] != "done":
+                assert time.monotonic() < deadline, f"campaign {cid} never finished"
+                time.sleep(0.1)
+            status, result = request("GET", f"/campaigns/{cid}/result")
             assert status == 200, (status, result)
         finally:
             daemon.send_signal(signal.SIGTERM)

@@ -58,7 +58,6 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments import faults
 from repro.experiments.runner import (
     _RBGP_PROTOCOLS,
     clear_twin_start_cache,
@@ -175,7 +174,6 @@ def run_unit(
     :func:`~repro.experiments.runner.derive_run_seed`.  Returns the
     unit's :class:`~repro.experiments.runner.EpisodeRun`.
     """
-    faults.maybe_inject(kind, seed, instance, protocol)
     episode = builder(graph, random.Random(f"{seed}:{kind}:{instance}"))
     run_seed = derive_run_seed(seed, kind, instance)
     return run_episode(graph, episode, protocol, seed=run_seed)
@@ -293,7 +291,6 @@ def _worker_main(conn, graph_payload: Tuple[str, object]) -> None:
     ends the loop — and death is exactly what the supervisor's
     sentinel watch detects.
     """
-    faults.mark_worker_process()
     carrier, payload = graph_payload
     attached = None
     if carrier == "shm":

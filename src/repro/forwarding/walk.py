@@ -397,19 +397,6 @@ class SuccessorTable:
         self.start_dirty = set()
         return transitions
 
-    def source_outcomes(self, asns: Iterable) -> Dict[Hashable, Outcome]:
-        """Packet fate of the given sources as of the last collection.
-
-        A source the table has never seen has no routes: BLACKHOLE.
-        """
-        pos_get = self.pos.get
-        source_outcome = self.source_outcome
-        result: Dict[Hashable, Outcome] = {}
-        for asn in asns:
-            i = pos_get(asn)
-            result[asn] = _BLACKHOLE if i is None else source_outcome[i]
-        return result
-
 
 class WalkClassifier:
     """Base class for protocol-specific data planes.

@@ -84,10 +84,6 @@ class StableRoutingState:
         route = self.routes.get(asn)
         return route.next_hop if route else None
 
-    def reachable_ases(self) -> List[ASN]:
-        """All ASes with a route, sorted."""
-        return sorted(self.routes)
-
 
 def compute_stable_routes(
     graph: ASGraph,

@@ -72,15 +72,6 @@ class TopologyTiers:
     tier3: List[ASN] = field(default_factory=list)
     stub: List[ASN] = field(default_factory=list)
 
-    def tier_of(self, asn: ASN) -> int:
-        """Tier number (1-3) of a transit AS, or 4 for a stub."""
-        for number, members in enumerate(
-            (self.tier1, self.tier2, self.tier3, self.stub), start=1
-        ):
-            if asn in members:
-                return number
-        raise KeyError(asn)
-
 
 def _pick_provider_count(rng: random.Random, weights: Sequence[float]) -> int:
     return rng.choices(range(1, len(weights) + 1), weights=weights, k=1)[0]
@@ -168,34 +159,6 @@ def _add_peering(
                 continue
             if rng.random() < prob:
                 graph.add_p2p(a, b)
-
-
-def chain_topology(length: int) -> ASGraph:
-    """A straight provider chain ``1 -> 2 -> ... -> length``.
-
-    AS 1 is the bottom customer; AS ``length`` is the single tier-1.
-    Useful for deterministic unit tests of uphill/downhill machinery.
-    """
-    if length < 1:
-        raise ConfigurationError("chain length must be >= 1")
-    graph = ASGraph()
-    graph.add_as(1)
-    for asn in range(1, length):
-        graph.add_c2p(asn, asn + 1)
-    return graph
-
-
-def clique_topology(size: int) -> ASGraph:
-    """A fully-peered clique of ``size`` tier-1 ASes."""
-    if size < 1:
-        raise ConfigurationError("clique size must be >= 1")
-    graph = ASGraph()
-    for asn in range(1, size + 1):
-        graph.add_as(asn)
-    for a in range(1, size + 1):
-        for b in range(a + 1, size + 1):
-            graph.add_p2p(a, b)
-    return graph
 
 
 def example_paper_topology() -> ASGraph:

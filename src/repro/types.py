@@ -85,11 +85,6 @@ class Outcome(enum.Enum):
     LOOP = "loop"
     BLACKHOLE = "blackhole"
 
-    @property
-    def is_problem(self) -> bool:
-        """Whether this outcome counts as a transient routing problem."""
-        return self is not Outcome.DELIVERED
-
 
 # Enum.__hash__ is a Python-level call (hash of the member name) and
 # Color/Outcome sit inside dict keys and sets on the data-plane

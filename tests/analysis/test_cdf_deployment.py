@@ -12,8 +12,9 @@ from repro.analysis.deployment import (
     full_deployment_fraction,
     partial_deployment_fraction,
 )
-from repro.topology.generators import chain_topology, example_paper_topology
+from repro.topology.generators import example_paper_topology
 from repro.topology.graph import ASGraph
+from fakes import chain_topology
 
 
 class TestCDF:

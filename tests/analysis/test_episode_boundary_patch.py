@@ -52,6 +52,7 @@ from live_collector import (
     check_quiescent,
     run_live,
 )
+from reference.walk import source_outcomes
 from repro.analysis.transient import (
     EpisodeSegment,
     _IncrementalScan,
@@ -498,8 +499,8 @@ class TestPatchedVsRebuilt:
             if crossed:
                 rebuilt = plane._session_table(self.state, *crossed.pop())
                 compared.append(
-                    self.table.source_outcomes(ases)
-                    == rebuilt.source_outcomes(ases)
+                    source_outcomes(self.table, ases)
+                    == source_outcomes(rebuilt, ases)
                 )
 
         monkeypatch.setattr(SuccessorTable, "apply_boundary", boundary_spy)
@@ -575,8 +576,8 @@ class TestABoundaryCostsWhatItTouches:
             monkeypatch.setattr(_RBGPTable, "_derive", derive)
             table.collect_transitions()
             fresh = plane._session_table(state, failed_links, failed_ases)
-            assert table.source_outcomes(graph.ases) == fresh.source_outcomes(
-                graph.ases
+            assert source_outcomes(table, graph.ases) == source_outcomes(
+                fresh, graph.ases
             )
             return sorted(derived)
 
@@ -672,16 +673,16 @@ def assert_boundary_patch_exact(name: str, seed: int) -> None:
     new_links, new_ases = fuzz_failure_sets(rng)
 
     patched = plane._session_table(state, old_links, old_ases)
-    baseline = patched.source_outcomes(FUZZ_ASES)
+    baseline = source_outcomes(patched, FUZZ_ASES)
     assert baseline == scalar_outcomes(
         plane, state, FUZZ_ASES, old_links, old_ases
     ), name
     patched.apply_boundary(new_links, new_ases)
     transitions = dict(patched.collect_transitions())
 
-    expected = plane._session_table(
-        state, new_links, new_ases
-    ).source_outcomes(FUZZ_ASES)
+    expected = source_outcomes(
+        plane._session_table(state, new_links, new_ases), FUZZ_ASES
+    )
     assert expected == scalar_outcomes(
         plane, state, FUZZ_ASES, new_links, new_ases
     ), name
@@ -694,7 +695,7 @@ def assert_boundary_patch_exact(name: str, seed: int) -> None:
         for asn, outcome in transitions.items()
         if asn in baseline
     }, name
-    assert patched.source_outcomes(FUZZ_ASES) == expected, name
+    assert source_outcomes(patched, FUZZ_ASES) == expected, name
 
 
 @settings(

@@ -11,8 +11,9 @@ from repro.analysis.phi import (
     uphill_paths_to_tier1,
 )
 from repro.errors import ConfigurationError
-from repro.topology.generators import chain_topology, example_paper_topology
+from repro.topology.generators import example_paper_topology
 from repro.topology.graph import ASGraph
+from fakes import chain_topology
 
 
 @pytest.fixture

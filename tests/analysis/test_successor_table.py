@@ -28,7 +28,7 @@ from reference.transient import (
     _reference_analyze_episode_transient_problems,
     _reference_analyze_transient_problems,
 )
-from reference.walk import classify, classify_batch
+from reference.walk import classify, classify_batch, source_outcomes
 from repro.analysis.transient import (
     analyze_episode_transient_problems,
     analyze_transient_problems,
@@ -155,7 +155,7 @@ class TestTableWalkEquivalence:
         failed_links, failed_ases = fuzz_failure_sets(rng)
         sources = FUZZ_ASES + [OUTSIDER]
         table = plane._session_table(state, failed_links, failed_ases)
-        assert table.source_outcomes(sources) == scalar_outcomes(
+        assert source_outcomes(table, sources) == scalar_outcomes(
             plane, state, sources, failed_links, failed_ases
         )
 
@@ -181,7 +181,7 @@ class TestTableWalkEquivalence:
         state = fuzz_state(rng, tags)
         state[(3, tags[0])] = (OUTSIDER,)
         table = plane._session_table(state, frozenset(), frozenset())
-        got = table.source_outcomes(FUZZ_ASES + [OUTSIDER])
+        got = source_outcomes(table, FUZZ_ASES + [OUTSIDER])
         assert got == classify(plane, state, FUZZ_ASES + [OUTSIDER])
         assert got[OUTSIDER] is Outcome.BLACKHOLE
         if plane_name != "stamp":  # a STAMP packet may switch color at 3
@@ -215,7 +215,7 @@ class TestIncrementalPropagation:
         )
         sources = FUZZ_ASES + [OUTSIDER]
         table = plane._session_table(state, failed_links, failed_ases)
-        outcomes = table.source_outcomes(sources)
+        outcomes = source_outcomes(table, sources)
         for _ in range(40):
             # Mutate 1-3 keys (now and then removing one, or routing
             # via an AS outside the snapshot), feed the table, and
@@ -249,7 +249,7 @@ class TestIncrementalPropagation:
             for asn, new in transitions:
                 assert fresh[asn] is new
             outcomes = fresh
-            assert table.source_outcomes(sources) == fresh
+            assert source_outcomes(table, sources) == fresh
 
     @pytest.mark.parametrize("plane_name", PLANES)
     def test_unobservable_changes_are_dropped_by_update(self, plane_name):
@@ -387,7 +387,7 @@ class TestTheResolver:
         assert table.asns == list(range(n))  # AS a owns states k*a ..
         states, sources = _scratch_fates(k, n, state)
         assert table.state_outcome == states
-        assert table.source_outcomes(range(n)) == sources
+        assert source_outcomes(table, range(n)) == sources
         for batch in batches:
             for asn, value in batch:
                 state[(asn, None)] = value
@@ -396,7 +396,7 @@ class TestTheResolver:
             transitions = table.collect_transitions()
             new_states, new_sources = _scratch_fates(k, n, state)
             assert table.state_outcome == new_states
-            assert table.source_outcomes(range(n)) == new_sources
+            assert source_outcomes(table, range(n)) == new_sources
             # Exactly the sources whose fate differs, each once.
             assert dict(transitions) == {
                 asn: fate

@@ -16,7 +16,6 @@ import pickle
 import pytest
 
 from repro.experiments.canonical import graph_content_hash, unit_key
-from repro.experiments.faults import FAULTS_ENV, fault_spec
 from repro.experiments.ledger import ResultLedger
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.scenarios import (
@@ -25,6 +24,7 @@ from repro.experiments.scenarios import (
     two_link_failures_distinct_as,
 )
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from faults import fault_spec, install
 from test_ledger import _rot_payload
 
 TINY = InternetTopologyConfig(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35)
@@ -87,26 +87,27 @@ class TestLedgerBackedCampaign:
         assert sequential.ledger_hits == N_UNITS
         assert _stats(sequential) == _stats(pooled)
 
+    @pytest.mark.parametrize("workers", (1, 4))
     def test_interrupted_campaign_resumes_missing_units_only(
-        self, tiny_graph, tmp_path, monkeypatch
+        self, tiny_graph, tmp_path, monkeypatch, workers
     ):
         """The acceptance scenario: a campaign is interrupted (one unit
         fails terminally with retries exhausted), then restarted with
         the same ledger and no fault.  The restart recomputes exactly
         the missing unit and the final output is byte-identical to a
-        clean uninterrupted run."""
+        clean uninterrupted run, in-process and on a pool."""
         ledger = tmp_path / "ledger.jsonl"
         clean = _campaign(tiny_graph)  # no ledger: the golden output
         with monkeypatch.context() as patch:
-            patch.setenv(FAULTS_ENV, fault_spec(
+            install(patch, fault_spec(
                 "raise", instance=2, protocol="stamp",
             ))
             interrupted = _campaign(
-                tiny_graph, retries=0, ledger=ledger
+                tiny_graph, retries=0, ledger=ledger, workers=workers
             )
         assert len(interrupted.failures) == 1
         assert interrupted.executed == N_UNITS - 1
-        resumed = _campaign(tiny_graph, ledger=ledger)
+        resumed = _campaign(tiny_graph, ledger=ledger, workers=workers)
         assert resumed.complete
         assert resumed.executed == 1
         assert resumed.ledger_hits == N_UNITS - 1

@@ -13,7 +13,8 @@ from repro.experiments.scenarios import (
     two_link_failures_distinct_as,
     two_link_failures_same_as,
 )
-from repro.topology.generators import chain_topology, example_paper_topology
+from repro.topology.generators import example_paper_topology
+from fakes import chain_topology
 
 
 @pytest.fixture

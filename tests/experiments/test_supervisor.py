@@ -1,6 +1,6 @@
 """Chaos tests of the supervised worker pool.
 
-Each test injects a fault (via :mod:`repro.experiments.faults`) into
+Each test injects a fault (via :mod:`faults`, in ``tests/``) into
 one unit of a small campaign grid and asserts the supervision
 contract: transient faults are retried and the campaign output is
 byte-identical to a clean run; persistent faults burn their attempts,
@@ -20,12 +20,13 @@ import time
 
 import pytest
 
-from repro.experiments.faults import FAULTS_ENV, combine_specs, fault_spec
+from repro.experiments import supervisor
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.reporting import format_failure_report
 from repro.experiments.scenarios import single_provider_link_failure
 from repro.experiments.supervisor import WorkerBudget, _cyclic_gc_paused
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from faults import combine_specs, fault_spec, install
 
 TINY = InternetTopologyConfig(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35)
 KIND = "fig2-single-link"
@@ -67,7 +68,7 @@ def _campaign(runner, graph):
 @pytest.fixture(scope="module")
 def baseline(tiny_graph):
     """Fingerprint of the failure-free sequential campaign."""
-    assert FAULTS_ENV not in os.environ
+    assert supervisor.run_unit.__module__ == supervisor.__name__
     outcome = _campaign(ParallelRunner(workers=1), tiny_graph)
     assert outcome.complete
     return _stats(outcome)
@@ -92,7 +93,7 @@ class TestExceptionRecovery:
     def test_raise_once_is_retried_and_recovers(
         self, tiny_graph, baseline, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "raise", instance=1, protocol="bgp",
             times=1, counter=str(tmp_path / "count"),
         ))
@@ -103,7 +104,7 @@ class TestExceptionRecovery:
     def test_raise_always_is_terminal_and_isolated(
         self, tiny_graph, baseline, monkeypatch
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "raise", instance=1, protocol="bgp",
         ))
         outcome = _campaign(_chaos_runner(), tiny_graph)
@@ -125,7 +126,7 @@ class TestWorkerDeathRecovery:
     def test_killed_worker_once_is_retried_and_recovers(
         self, tiny_graph, baseline, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "exit", instance=0, protocol="stamp", scope="worker",
             times=1, counter=str(tmp_path / "count"),
         ))
@@ -136,7 +137,7 @@ class TestWorkerDeathRecovery:
     def test_killed_worker_always_is_terminal_and_isolated(
         self, tiny_graph, baseline, monkeypatch
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "exit", instance=0, protocol="stamp", scope="worker",
         ))
         outcome = _campaign(_chaos_runner(), tiny_graph)
@@ -156,7 +157,7 @@ class TestTimeoutRecovery:
     def test_hung_unit_is_killed_and_retried(
         self, tiny_graph, baseline, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "hang", instance=2, protocol="stamp", scope="worker",
             hang_seconds=30.0, times=1, counter=str(tmp_path / "count"),
         ))
@@ -169,7 +170,7 @@ class TestTimeoutRecovery:
     def test_hung_unit_always_is_terminal_and_isolated(
         self, tiny_graph, baseline, monkeypatch
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "hang", instance=2, protocol="stamp", scope="worker",
             hang_seconds=30.0,
         ))
@@ -194,7 +195,7 @@ class TestCombinedChaos:
         and one worker kill in a single workers=4 campaign.  Every
         other unit's result is byte-identical to a failure-free
         sequential run, and all three failures are classified."""
-        monkeypatch.setenv(FAULTS_ENV, combine_specs(
+        install(monkeypatch, combine_specs(
             fault_spec("raise", instance=0, protocol="bgp"),
             fault_spec("hang", instance=1, protocol="stamp",
                        scope="worker", hang_seconds=30.0),
@@ -224,7 +225,7 @@ class TestInProcessPath:
     def test_inprocess_retry_recovers(
         self, tiny_graph, baseline, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "raise", instance=0, protocol="bgp",
             times=1, counter=str(tmp_path / "count"),
         ))
@@ -340,7 +341,7 @@ class TestRunUnitsContract:
     def test_terminal_failure_keeps_the_surviving_units(
         self, tiny_graph, monkeypatch
     ):
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "raise", instance=0, protocol="bgp",
         ))
         runner = ParallelRunner(workers=1, retries=1, backoff_base=0.01)
@@ -518,7 +519,7 @@ class TestCooperativeStop:
         import threading
         import time
 
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "raise", instance=0, protocol="bgp",
         ))
         stop = threading.Event()
@@ -549,8 +550,6 @@ class TestBookkeepingIsLinear:
         fifty times when each resolution re-summed the grid), computed
         or answered from the ledger, with ``on_progress`` set."""
         import time
-
-        from repro.experiments import supervisor
 
         monkeypatch.setattr(
             supervisor, "run_unit", lambda graph, *unit: unit[3]
@@ -674,7 +673,7 @@ class TestSharedMemoryLifecycle:
         segment: only the supervisor owns it, and its ``finally``
         unlinks no matter how many workers were replaced."""
         created = self._spy_share(monkeypatch)
-        monkeypatch.setenv(FAULTS_ENV, combine_specs(
+        install(monkeypatch, combine_specs(
             fault_spec("exit", instance=0, protocol="stamp", scope="worker"),
             fault_spec("hang", instance=2, protocol="bgp",
                        scope="worker", hang_seconds=30.0),
@@ -794,8 +793,8 @@ class TestWorkerBudget:
         self, tiny_graph, monkeypatch
     ):
         budget = WorkerBudget(4)
-        monkeypatch.setenv(
-            FAULTS_ENV,
+        install(
+            monkeypatch,
             fault_spec(
                 "raise", kind=KIND, seed=SEED, instance=1, protocol="bgp"
             ),
@@ -973,8 +972,6 @@ class TestDispatchOrder:
     def test_a_grid_without_a_pool_keeps_index_order(self, monkeypatch):
         """Nothing is ever in flight there, so nothing is ever held:
         the order is the queue's, a retry joining at the tail."""
-        from repro.experiments import supervisor
-
         order = []
 
         def run_unit(graph, builder, kind, seed, instance, protocol):
@@ -1065,7 +1062,7 @@ class TestAPoolSharesTwinStarts:
         """The worker running ``rbgp-norci`` dies once: its unit is
         retried, the ``rbgp`` twin it held is released at once, and the
         campaign ends as one worker would have ended it."""
-        monkeypatch.setenv(FAULTS_ENV, fault_spec(
+        install(monkeypatch, fault_spec(
             "exit", instance=3, protocol="rbgp-norci", scope="worker",
             times=1, counter=str(tmp_path / "count"),
         ))

@@ -317,6 +317,17 @@ def classify(
     return outcomes
 
 
+def source_outcomes(table, asns: Iterable) -> Dict[Hashable, Outcome]:
+    """Packet fate of the given sources in ``table`` (a
+    :class:`~repro.forwarding.walk.SuccessorTable`) as of its last
+    collection.  A source the table has never seen has no routes:
+    BLACKHOLE."""
+    return {
+        asn: Outcome.BLACKHOLE if i is None else table.source_outcome[i]
+        for asn, i in ((asn, table.pos.get(asn)) for asn in asns)
+    }
+
+
 def classify_batch(
     plane,
     state: Dict,
@@ -332,6 +343,6 @@ def classify_batch(
     skipped exactly as ``classify`` skips them.
     """
     table = plane._session_table(state, failed_links, failed_ases)
-    return table.source_outcomes(
-        asn for asn in ases if asn not in failed_ases
+    return source_outcomes(
+        table, (asn for asn in ases if asn not in failed_ases)
     )

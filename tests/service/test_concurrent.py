@@ -16,7 +16,7 @@ import subprocess
 import sys
 import time
 
-from repro.experiments.faults import combine_specs, fault_spec
+from faults import combine_specs, fault_spec
 from test_daemon import SRC, SPEC, Daemon
 
 # Unit order is instance-major: (0,bgp), (0,stamp), (1,bgp), (1,stamp).
@@ -37,8 +37,10 @@ SPEC_C = dict(SPEC, seed=3)
 
 
 def _controls(tmp_path_factory, specs):
-    """Uninterrupted result bytes for ``specs``, one fresh daemon."""
-    control = Daemon(tmp_path_factory.mktemp("control"))
+    """Uninterrupted result bytes for ``specs``, one fresh one-lane daemon."""
+    control = Daemon(
+        tmp_path_factory.mktemp("control"), extra_args=["--max-concurrent", "1"]
+    )
     results = {}
     try:
         for spec in specs:
@@ -101,7 +103,7 @@ class TestConcurrentKillNine:
         finally:
             assert revived.sigterm() == 0
 
-        # Phase 3: byte-identical to never-interrupted controls.
+        # Phase 3: byte-identical to never-interrupted one-lane controls.
         controls = _controls(tmp_path_factory, (SPEC_A, SPEC_B, SPEC_C))
         for name in ("a", "b", "c"):
             assert results[name] == controls[cids[name]]

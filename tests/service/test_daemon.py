@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.faults import fault_spec
+import faults
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 TINY_TOPOLOGY = {"seed": 5, "tier1": 3, "tier2": 8, "tier3": 16, "stubs": 35}
@@ -35,7 +35,7 @@ SPEC = {
 }
 # Unit order is instance-major: (0,bgp), (0,stamp), (1,bgp), (1,stamp).
 # Hanging (1, bgp) deterministically stalls the campaign at 2/4 units.
-HANG_THIRD_UNIT = fault_spec(
+HANG_THIRD_UNIT = faults.fault_spec(
     "hang", kind="fig2-single-link", instance=1, protocol="bgp",
     hang_seconds=3600.0,
 )
@@ -45,9 +45,11 @@ class Daemon:
     def __init__(self, tmp_path, *, env_extra=None, extra_args=None):
         env = dict(os.environ, PYTHONPATH=SRC)
         env.update(env_extra or {})
+        # A spec in the environment starts the CLI behind tests/faults.py.
+        cli = [faults.__file__] if faults.FAULTS_ENV in env else ["-m", "repro.cli"]
         self.process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
+                sys.executable, *cli, "serve",
                 "--port", "0",
                 "--ledger", str(tmp_path / "ledger.jsonl"),
                 "--journal", str(tmp_path / "journal.jsonl"),

@@ -163,16 +163,9 @@ def test_file_discipline_has_one_owner():
         for path in package.rglob("*.py")
     }
     owner = "experiments/appendlog.py"
-    allowed = {
-        "os.fsync(": {owner},
-        "os.replace(": {owner},
-        # faults.py: the cross-process firing counter, not a log.
-        "os.O_APPEND": {owner, "experiments/faults.py"},
-    }
-    for token, owners in allowed.items():
+    for token in ("os.fsync(", "os.replace(", "os.O_APPEND"):
         users = {name for name, text in sources.items() if token in text}
-        assert owner in users, f"{owner} no longer uses {token}"
-        assert users <= owners, f"{token} outside its owner: {users - owners}"
+        assert users == {owner}, f"{token} is used in {users}"
     for schema in ("experiments/ledger.py", "service/journal.py"):
         for token in ("os.write(", "os.open(", "os.fsync(", "os.replace("):
             assert token not in sources[schema], f"{schema} uses {token}"
@@ -566,7 +559,7 @@ def test_service_doc_covers_the_contract():
         "ledger stats",
         "ledger compact",
         "ledger merge",
-        "check_service_smoke.py",
+        "tests/service/test_daemon.py",
     ):
         assert topic in text, f"service guide lost its {topic!r} coverage"
 
@@ -753,12 +746,25 @@ ENTRY_POINTS = {
 }
 
 
+#: ``http.server`` calls these on the service's request handler.
+_HTTP_HOOKS = {"do_GET", "do_POST", "log_message"}
+#: Functions and methods no module of the package calls, which the
+#: frozen benchmark (``bench/``) or an example does.
+_RUN_FROM_OUTSIDE = {
+    "accuracy_against", "all_paths", "events_processed",
+    "example_paper_topology", "parse_tables", "synthesize_routeviews_tables",
+    "total_ases",
+}
+
+
 def test_the_package_holds_only_what_it_runs():
     """Code that only tests exercise lives under ``tests/``, enforced:
     every module under ``src/repro/`` is imported by another one (a
     package counts as imported with any module below it; ``from
     repro.x import y`` imports ``repro.x`` and, when it is a module,
-    ``repro.x.y``), or is one of the :data:`ENTRY_POINTS`."""
+    ``repro.x.y``), or is one of the :data:`ENTRY_POINTS`; and every
+    function and method is read by the package, or is a dunder, an
+    ``http.server`` hook or run from ``bench/`` or ``examples/``."""
     root = REPO / "src"
     modules = {}
     for path in sorted((root / "repro").rglob("*.py")):
@@ -785,6 +791,41 @@ def test_the_package_holds_only_what_it_runs():
                         importers[imported].add(module)
     unimported = {module for module, found in importers.items() if not found}
     assert unimported == set(ENTRY_POINTS), sorted(unimported)
+
+    # The same for functions and methods: a name defined at module or
+    # class level is read somewhere in the package (a name, an
+    # attribute, an import or a word of a string, which covers the
+    # ``module:function`` targets), or it is exempt below.
+    defined, read = set(), set()
+    for path in modules.values():
+        tree = ast.parse(path.read_text())
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            defined.update(
+                node.name
+                for node in scope.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(re.findall(r"\w+", node.value))
+    unread = {
+        name
+        for name in defined - read
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    assert unread == _HTTP_HOOKS | _RUN_FROM_OUTSIDE, sorted(unread)
+    outside = "".join(
+        path.read_text()
+        for path in [*(REPO / "bench").rglob("*.py"), *(REPO / "examples").glob("*.py")]
+    )
+    for name in _RUN_FROM_OUTSIDE:
+        assert re.search(rf"\b{name}\b", outside), f"nothing outside calls {name}"
 
 
 def test_the_reference_twins_live_in_the_tests():
@@ -1091,3 +1132,28 @@ def test_the_fidelity_script_imports_only_repro_and_the_standard_library():
         if isinstance(node, ast.ImportFrom)
     }
     assert imported - set(sys.stdlib_module_names) == {"repro"}
+
+
+def test_the_fault_hook_lives_in_the_tests():
+    """The package runs, the tests break it: the fault hook and its
+    environment variable stay out of ``src/``, and the two smokes that
+    repeated tier-1 tests stay deleted from the tooling, CI and the
+    guides (``docs/measurements/`` logs may name what they measured)."""
+    hook = re.compile(
+        r"repro\.experiments\.faults|\bmaybe_inject\b|\bmark_worker_process\b"
+        r"|REPRO_FAULTS"
+    )
+    for path in sorted((REPO / "src").rglob("*.py")):
+        found = hook.search(path.read_text())
+        assert found is None, f"{path.name} still names {found.group()}"
+    smokes = re.compile(r"check_ledger_resume|check_service_smoke|REPRO_SMOKE_WORKERS")
+    for path in sorted(
+        [
+            *(REPO / "benchmarks").glob("*.py"),
+            *(REPO / ".github" / "workflows").glob("*.yml"),
+            *(REPO / "docs").glob("*.md"),
+        ]
+    ):
+        found = smokes.search(path.read_text())
+        name = path.relative_to(REPO).as_posix()
+        assert found is None, f"{name} still names {found.group()}"

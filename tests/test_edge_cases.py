@@ -6,9 +6,10 @@ from repro.bgp.network import BGPNetwork
 from repro.rbgp.network import RBGPNetwork
 from repro.routing.static import compute_stable_routes
 from repro.stamp.network import STAMPNetwork
-from repro.topology.generators import chain_topology, clique_topology, example_paper_topology
+from repro.topology.generators import example_paper_topology
 from repro.topology.graph import ASGraph
 from repro.types import Color
+from fakes import chain_topology, clique_topology
 
 
 class TestDegenerateTopologies:

@@ -50,12 +50,10 @@ class TestEventType:
 
 
 class TestOutcome:
-    def test_delivered_is_not_a_problem(self):
-        assert not Outcome.DELIVERED.is_problem
-
-    def test_loop_and_blackhole_are_problems(self):
-        assert Outcome.LOOP.is_problem
-        assert Outcome.BLACKHOLE.is_problem
+    def test_a_walk_has_three_fates(self):
+        assert [outcome.value for outcome in Outcome] == [
+            "delivered", "loop", "blackhole",
+        ]
 
 
 class TestNormalizeLink:

@@ -10,12 +10,11 @@ from repro.topology.generators import (
     TIER3_PEERING_PROB,
     TIER3_TIER1_UPLINK_PROB,
     InternetTopologyConfig,
-    chain_topology,
-    clique_topology,
     example_paper_topology,
     generate_internet_topology,
 )
 from repro.topology.validation import validate_graph
+from fakes import chain_topology, clique_topology
 
 
 class TestConfigValidation:
@@ -74,12 +73,10 @@ class TestGeneratedStructure:
         report = validate_graph(graph)
         assert report.ok, report.summary()
 
-    def test_tier_of(self, generated):
-        _, tiers = generated
-        assert tiers.tier_of(tiers.tier1[0]) == 1
-        assert tiers.tier_of(tiers.stub[0]) == 4
-        with pytest.raises(KeyError):
-            tiers.tier_of(10_000)
+    def test_the_tiers_partition_the_ases(self, generated):
+        graph, tiers = generated
+        members = tiers.tier1 + tiers.tier2 + tiers.tier3 + tiers.stub
+        assert sorted(members) == sorted(graph.ases)
 
     def test_provider_counts_stay_within_the_weights(self, generated):
         graph, tiers = generated
