@@ -57,11 +57,13 @@ import time
 import tracemalloc
 
 #: ``--scale`` → tier sizes: the 62-AS bench graph, the default 616-AS
-#: graph, and the 12,180-AS "scale-20" graph of the CI slow lane.
+#: graph, the 12,180-AS "scale-20" graph of the CI slow lane and the
+#: 26,920-AS graph of the paper's size.
 SCALES = {
     0: dict(seed=5, n_tier1=3, n_tier2=8, n_tier3=16, n_stub=35),
     1: dict(seed=0),
     20: dict(seed=0, n_tier1=20, n_tier2=960, n_tier3=2400, n_stub=8800),
+    45: dict(seed=0, n_tier1=20, n_tier2=2100, n_tier3=5300, n_stub=19500),
 }
 RBGP_PAIR = ("rbgp-norci", "rbgp")
 #: Allocation sites listed per side by the ``--instances`` attribution.

@@ -41,7 +41,6 @@ from repro.analysis.transient import (
     analyze_episode_transient_problems,
     analyze_transient_problems,
 )
-from repro.bgp.decision import best_route
 from repro.bgp.network import BGPNetwork
 from repro.experiments.figures import fig2_single_link_failure
 from repro.experiments.ledger import ResultLedger
@@ -275,21 +274,22 @@ def test_engine_timer_churn(benchmark, perf_records):
 
 
 def test_decision_best_route(benchmark, graph, perf_records):
-    """best_route over real converged Adj-RIB-In candidate sets."""
+    """The decision rescan (``AdjRibIn.best``, one ``min`` over the
+    stored keys) over real converged Adj-RIB-Ins."""
     destination = graph.ases[len(graph.ases) // 2]
     network, _ = build_network("bgp", graph, destination, seed=0)
     network.start()
-    rib_sets = []
-    for asn, speaker in network.speakers.items():
-        routes = speaker.adj_rib_in.routes()
-        if len(routes) >= 2:
-            rib_sets.append((asn, routes, speaker.config.prefer_locked))
+    rib_sets = [
+        speaker.adj_rib_in
+        for speaker in network.speakers.values()
+        if len(speaker.adj_rib_in) >= 2
+    ]
     assert rib_sets
 
     def run():
         picked = 0
-        for asn, routes, prefer_locked in rib_sets:
-            if best_route(graph, asn, routes, prefer_locked=prefer_locked):
+        for rib in rib_sets:
+            if rib.best() is not None:
                 picked += 1
         return picked
 

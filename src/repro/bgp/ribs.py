@@ -9,9 +9,13 @@ route has an empty path and no ``learned_from``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.types import ASN, ASPath, EventType
+
+#: ``(-pref, lock rank, length, neighbor)``; the minimum is the best.
+DecisionKey = Tuple[int, int, int, ASN]
 
 
 class Route:
@@ -26,21 +30,24 @@ class Route:
     must be treated as immutable (they are shared between RIBs, the
     decision process, and advertised-state caches).
 
-    ``pref`` optionally carries the local preference of the announcing
-    neighbor, computed once at Adj-RIB-In insertion from the speaker's
-    preference table; the decision process then needs no graph lookups.
-    It is derived state (a function of the speaker and ``learned_from``),
-    so it is excluded from equality.  When set, ``base_key`` holds the
-    precomputed lock-independent sort key ``(-pref, length, neighbor)``.
+    ``key`` is the route's decision key ``(-pref, lock rank, length,
+    neighbor)``: the minimum over a speaker's routes is its best route.
+    The receiving speaker computes it once, at Adj-RIB-In insertion,
+    from its preference table and its ``prefer_locked`` flag, so no
+    decision reads the graph or builds a key.  The neighbor ASN is the
+    last component, so keys are unique within one RIB and the order is
+    total.  It is derived state (a function of the speaker and of the
+    route), so it is excluded from equality; routes built elsewhere
+    (the origin's own, tests) carry ``None``.
 
-    ``pref`` is fixed at insertion, which is sound because a link's
+    The key is fixed at insertion, which is sound because a link's
     relationship cannot change: a speaker reads the graph when it is
     built, which freezes the graph for good.  Topology events in this
     simulator go through the transport (session resets withdraw the
     affected routes).
     """
 
-    __slots__ = ("path", "learned_from", "et", "lock", "pref", "base_key")
+    __slots__ = ("path", "learned_from", "et", "lock", "key")
 
     def __init__(
         self,
@@ -48,7 +55,7 @@ class Route:
         learned_from: Optional[ASN],
         et: EventType = EventType.NO_LOSS,
         lock: bool = False,
-        pref: Optional[int] = None,
+        key: Optional[DecisionKey] = None,
     ) -> None:
         if learned_from is None:
             if path:
@@ -59,12 +66,7 @@ class Route:
         self.learned_from = learned_from
         self.et = et
         self.lock = lock
-        self.pref = pref
-        self.base_key: Optional[Tuple[int, int, int]] = (
-            (-pref, len(path), learned_from if learned_from is not None else -1)
-            if pref is not None
-            else None
-        )
+        self.key = key
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -106,26 +108,21 @@ class Route:
 class AdjRibIn:
     """Per-neighbor store of the most recent accepted announcement.
 
-    The deterministic (neighbor-ASN-ordered) route list consumed by the
-    decision process is cached and invalidated on mutation, so repeated
-    decision runs between updates do not re-sort.
+    Order-free: every stored route carries its decision key, whose last
+    component is the neighbor ASN, so the best route is one ``min``
+    over the keys and no view of the RIB promises an order.
     """
 
     def __init__(self) -> None:
         self._routes: Dict[ASN, Route] = {}
-        self._sorted: Optional[Tuple[Route, ...]] = None
 
     def update(self, neighbor: ASN, route: Route) -> None:
         """Replace the route learned from a neighbor."""
         self._routes[neighbor] = route
-        self._sorted = None
 
     def withdraw(self, neighbor: ASN) -> bool:
         """Remove the neighbor's route; returns whether one existed."""
-        if self._routes.pop(neighbor, None) is None:
-            return False
-        self._sorted = None
-        return True
+        return self._routes.pop(neighbor, None) is not None
 
     def get(self, neighbor: ASN) -> Optional[Route]:
         """Route learned from a neighbor, if any."""
@@ -135,35 +132,28 @@ class AdjRibIn:
         """An independent RIB holding the same (immutable) routes."""
         twin = AdjRibIn()
         twin._routes = self._routes.copy()
-        twin._sorted = self._sorted
         return twin
 
     def clear(self) -> None:
         """Drop every stored route (speaker reboot) in place."""
         self._routes.clear()
-        self._sorted = None
 
-    def routes(self) -> Tuple[Route, ...]:
-        """All stored routes, in deterministic (neighbor ASN) order.
+    def best(self) -> Optional[Route]:
+        """The route with the least decision key, or ``None``."""
+        return min(self._routes.values(), key=_decision_key, default=None)
 
-        Returns an immutable cached tuple, so callers cannot corrupt
-        the RIB's internal view between mutations.
-        """
-        if self._sorted is None:
-            self._sorted = tuple(
-                self._routes[nbr] for nbr in sorted(self._routes)
-            )
-        return self._sorted
-
-    def neighbors(self) -> List[ASN]:
-        """Neighbors we currently hold a route from, sorted."""
-        return sorted(self._routes)
+    def routes(self) -> Iterable[Route]:
+        """A live view of the stored routes, in no particular order."""
+        return self._routes.values()
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def __iter__(self) -> Iterator[ASN]:
-        return iter(sorted(self._routes))
+        return iter(self._routes)
 
     def __contains__(self, neighbor: ASN) -> bool:
         return neighbor in self._routes
+
+
+_decision_key = attrgetter("key")

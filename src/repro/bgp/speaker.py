@@ -35,9 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.bgp.decision import best_route, route_sort_key
 from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.policy import ORIGIN_PREFERENCE
 from repro.bgp.ribs import AdjRibIn, Route
 from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig, MRAIPacer
@@ -150,18 +148,15 @@ class BGPSpeaker:
         #: Cached ``sorted(self.sessions)``; rebuilt after session churn.
         self._sessions_sorted: Optional[Tuple[ASN, ...]] = None
         #: Per-neighbor local preference and relationship, so neither
-        #: route insertion (and hence the decision process) nor the
-        #: valley-free export check does graph lookups on the hot path.
+        #: route insertion (which keys the route for every decision)
+        #: nor the valley-free export check does graph lookups on the
+        #: hot path.
         #: The graph derives the pair once per AS and hands the same
         #: two dicts to every speaker of that AS built on it; nobody
         #: writes them.
         self._pref_table, self._rel_table = graph.neighbor_tables(asn)
         self.adj_rib_in = AdjRibIn()
         self.best: Optional[Route] = None
-        #: Sort key of :attr:`best` (maintained by ``_run_decision``);
-        #: lets single-neighbor RIB changes update the selection in O(1)
-        #: instead of rescanning every candidate.
-        self._best_key: Optional[Tuple[int, int, int, int]] = None
         #: Set when the Adj-RIB-In was mutated outside the per-message
         #: bookkeeping (R-BGP's root-cause purge): forces a full rescan.
         self._decision_dirty = False
@@ -185,13 +180,13 @@ class BGPSpeaker:
         """This speaker's twin in a fork of its (drained) network.
 
         The twin starts from a shallow copy: it shares what is immutable
-        (routes, path tuples, the sorted-session tuple, the export path,
-        the config, the graph and the read-only per-neighbor tables) and
-        gets its own copy of every container the protocol mutates.  A
-        drained speaker has nothing pending (a pending context waits on
-        an armed MRAI timer, and the engine forks only with nothing
-        queued).  Not for a gated speaker: its gate and listener are
-        bound to the node that owns the original.
+        (routes and their keys, path tuples, the sorted-session tuple,
+        the export path, the config, the graph and the read-only
+        per-neighbor tables) and gets its own copy of every container
+        the protocol mutates.  A drained speaker has nothing pending (a
+        pending context waits on an armed MRAI timer, and the engine
+        forks only with nothing queued).  Not for a gated speaker: its
+        gate and listener are bound to the node that owns the original.
         """
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
@@ -226,8 +221,8 @@ class BGPSpeaker:
         """Process one incoming update from a neighbor.
 
         One flat pass per delivered message: AS-path loop detection (a
-        path through us is refused), the Adj-RIB-In write, then the
-        decision.
+        path through us is refused), the Adj-RIB-In write with the
+        route's decision key, then the decision.
         """
         if sender not in self.sessions:
             return  # stale message from a torn-down session
@@ -235,9 +230,15 @@ class BGPSpeaker:
         if cls is Announcement:
             path = message.path
             if self.asn not in path:
+                lock = message.lock
                 route = Route(
-                    path, sender, message.et, message.lock,
-                    self._pref_table[sender],
+                    path, sender, message.et, lock,
+                    (
+                        -self._pref_table[sender],
+                        0 if lock and self.config.prefer_locked else 1,
+                        len(path),
+                        sender,
+                    ),
                 )
                 self.adj_rib_in.update(sender, route)
                 self._run_decision(message.et, message.root_cause, sender, route)
@@ -292,7 +293,6 @@ class BGPSpeaker:
         self._gate_refresh_pending = None
         old = self.best
         self.best = None
-        self._best_key = None
         self._decision_dirty = False
         self._export_path = None
         if old is not None:
@@ -301,24 +301,6 @@ class BGPSpeaker:
     # ------------------------------------------------------------------
     # Decision process
     # ------------------------------------------------------------------
-
-    def _candidates(self) -> Iterable[Route]:
-        if self.is_origin:
-            return [Route(path=(), learned_from=None, pref=ORIGIN_PREFERENCE)]
-        return self.adj_rib_in.routes()
-
-    def _rescan_best(self) -> Optional[Route]:
-        """Full candidate scan; also refreshes the cached best key."""
-        prefer_locked = self.config.prefer_locked
-        graph, asn = self.graph, self.asn
-        best: Optional[Route] = None
-        best_key = None
-        for route in self.adj_rib_in.routes():
-            key = route_sort_key(graph, asn, route, prefer_locked=prefer_locked)
-            if best_key is None or key < best_key:
-                best, best_key = route, key
-        self._best_key = best_key
-        return best
 
     def _run_decision(
         self,
@@ -331,53 +313,34 @@ class BGPSpeaker:
 
         ``changed_neighbor`` (when given) asserts that this decision was
         triggered by a single Adj-RIB-In mutation for that neighbor,
-        enabling the O(1) incremental update: the sort key totally
-        orders candidates (the neighbor ASN is its last component), so
-        comparing the changed route against the cached best key is
-        exact.  Any out-of-band RIB mutation (R-BGP's root-cause purge)
-        sets ``_decision_dirty`` and forces the full rescan.
+        enabling the O(1) incremental update: the stored decision keys
+        totally order the candidates (the neighbor ASN is their last
+        component), so comparing the changed route's key against the
+        best's is exact.  Otherwise the decision is one ``min`` over
+        the stored keys (:meth:`AdjRibIn.best`).  Any out-of-band RIB
+        mutation (R-BGP's root-cause purge) sets ``_decision_dirty``
+        and forces that rescan.
         """
+        old = self.best
         if self.is_origin:
-            if self.best is not None:
+            if old is not None:
                 return  # the originated route never changes
-            new: Optional[Route] = best_route(
-                self.graph,
-                self.asn,
-                self._candidates(),
-                prefer_locked=self.config.prefer_locked,
-            )
+            new: Optional[Route] = Route((), None)
         elif (
             changed_neighbor is None
             or self._decision_dirty
-            or self.best is None
-            or self._best_key is None
-            or changed_neighbor == self.best.learned_from
+            or old is None
+            or changed_neighbor == old.learned_from
         ):
             self._decision_dirty = False
-            new = self._rescan_best()
+            new = self.adj_rib_in.best()
         elif new_route is None:
             # Withdrawal of a non-best neighbor: selection unchanged.
             return
+        elif new_route.key >= old.key:
+            return  # updated route does not beat the current best
         else:
-            base = new_route.base_key
-            if base is None:
-                key = route_sort_key(
-                    self.graph,
-                    self.asn,
-                    new_route,
-                    prefer_locked=self.config.prefer_locked,
-                )
-            else:
-                # Inline route_sort_key's cached-base composition.
-                lock_rank = (
-                    0 if (self.config.prefer_locked and new_route.lock) else 1
-                )
-                key = (base[0], lock_rank, base[1], base[2])
-            if key >= self._best_key:  # type: ignore[operator]
-                return  # updated route does not beat the current best
             new = new_route
-            self._best_key = key
-        old = self.best
         if new is old or new == old:
             return
         self.best = new

@@ -8,7 +8,7 @@ from repro.bgp.network import _SPEAKER_CONFIG, BGPNetwork
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
 from repro.rbgp.speaker import RBGPSpeaker
 from repro.topology.graph import ASGraph
-from repro.types import ASN
+from repro.types import ASN, ASPath
 
 
 class RBGPNetwork(BGPNetwork):
@@ -35,7 +35,18 @@ class RBGPNetwork(BGPNetwork):
         rci: bool = True,
     ) -> None:
         self.rci = rci
+        #: The one path-links memo of this network's speakers (see
+        #: :attr:`RBGPSpeaker.links_memo`).
+        self.links_memo: Dict[ASPath, frozenset] = {}
         super().__init__(graph, destination, seed=seed)
+
+    def fork(self) -> "RBGPNetwork":
+        """The base twin, whose speakers share a copy of the memo."""
+        twin = super().fork()
+        twin.links_memo = memo = self.links_memo.copy()
+        for speaker in twin.speakers.values():
+            speaker.links_memo = memo
+        return twin
 
     def start_is_rci_invariant(self) -> bool:
         """Whether the run so far was provably independent of ``rci``.
@@ -59,7 +70,7 @@ class RBGPNetwork(BGPNetwork):
             speaker.rci = rci
 
     def _make_speaker(self, asn: ASN) -> RBGPSpeaker:
-        return RBGPSpeaker(
+        speaker = RBGPSpeaker(
             asn,
             self.graph,
             self.engine,
@@ -70,6 +81,8 @@ class RBGPNetwork(BGPNetwork):
             stats=self.stats,
             rci=self.rci,
         )
+        speaker.links_memo = self.links_memo
+        return speaker
 
     def data_plane(self) -> RBGPDataPlane:
         """R-BGP forwarding under this network's current ``rci`` flag."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.bgp.decision import route_sort_key
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.ribs import Route
 from repro.bgp.speaker import BGPSpeaker
@@ -33,14 +32,13 @@ class RBGPSpeaker(BGPSpeaker):
     def __init__(self, *args, rci: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.rci = rci
-        #: Memoized link sets of ``(self.asn,) + path`` keyed by the
-        #: path tuple.  Paths recur heavily across decisions (the same
-        #: Adj-RIB-In routes are re-examined by every failover
-        #: computation), and the mapping is pure, so entries never
-        #: invalidate.  The one path-links memo: every key starts with
-        #: this AS, so no other speaker could share an entry, and it
-        #: is freed with the network.
-        self._full_links_cache: Dict[ASPath, frozenset] = {}
+        #: ``path -> path_links(path)`` for announced paths, keyed by
+        #: the tuple a neighbor sent.  An :class:`RBGPNetwork` hands
+        #: every speaker its one memo (every receiver of an
+        #: announcement holds the same tuple) and copies it for a fork;
+        #: a speaker built alone keeps its own.  The mapping is pure,
+        #: so entries never invalidate.
+        self.links_memo: Dict[ASPath, frozenset] = {}
         #: Links learned (via RCI) to be down; paths through them are
         #: rejected until the session state changes again.
         self.known_bad_links: set = set()
@@ -71,20 +69,32 @@ class RBGPSpeaker(BGPSpeaker):
         self.rci_sensitive_state = False
 
     def fork(self, engine, transport, trace, stats) -> "RBGPSpeaker":
-        """The base twin plus copies of R-BGP's own mutable state."""
+        """The base twin plus copies of R-BGP's own mutable state.
+
+        The twin shares :attr:`links_memo` (a pure memo);
+        :meth:`RBGPNetwork.fork` gives its speakers their own copy.
+        """
         twin = super().fork(engine, transport, trace, stats)
-        twin._full_links_cache = self._full_links_cache.copy()
         twin.known_bad_links = self.known_bad_links.copy()
         twin.failover_rib = self.failover_rib.copy()
         return twin
 
-    def _full_path_links(self, path: ASPath) -> frozenset:
-        """Links of ``(self.asn,) + path``, memoized per path tuple."""
-        links = self._full_links_cache.get(path)
+    def _links(self, path: ASPath) -> frozenset:
+        """Links along an announced ``path`` itself, memoized.
+
+        The links of the full path ``(self.asn,) + path`` are these
+        plus the first hop, ``normalize_link(self.asn, path[0])``.
+        """
+        links = self.links_memo.get(path)
         if links is None:
-            links = path_links((self.asn,) + path)
-            self._full_links_cache[path] = links
+            links = self.links_memo[path] = path_links(path)
         return links
+
+    def _crosses(self, link: Link, path: ASPath) -> bool:
+        """Whether ``(self.asn,) + path`` traverses ``link``."""
+        return link in self._links(path) or link == normalize_link(
+            self.asn, path[0]
+        )
 
     # ------------------------------------------------------------------
     # Message handling
@@ -109,16 +119,20 @@ class RBGPSpeaker(BGPSpeaker):
             self.rci_sensitive_state = True
             if self.rci:
                 self._purge_root_cause(root_cause)
-        if cls is Announcement and self.rci and self.known_bad_links:
-            links = self._full_path_links(message.path)
+        known_bad = self.known_bad_links
+        if cls is Announcement and self.rci and known_bad:
+            path = message.path
+            links = self._links(path)
+            first_hop = normalize_link(self.asn, path[0])
             if root_cause is None:
                 # A fresh (non-root-caused) announcement attests that
                 # every link on its path is up again: recovery
                 # information is newer than our failure knowledge.
                 # Route additions cause no transient problems (Lemma
                 # 3.1), so trusting it is safe.
-                self.known_bad_links.difference_update(links)
-            elif not self.known_bad_links.isdisjoint(links):
+                known_bad.difference_update(links)
+                known_bad.discard(first_hop)
+            elif first_hop in known_bad or not known_bad.isdisjoint(links):
                 # RCI lets us reject a stale path through a failed link
                 # as if it were a withdrawal.
                 message = Withdrawal(root_cause=root_cause)
@@ -182,15 +196,14 @@ class RBGPSpeaker(BGPSpeaker):
         """Drop every known path that traverses the root-caused link
         (the calling message/session handler re-runs the decision)."""
         self.known_bad_links.add(link)
-        for neighbor in list(self.adj_rib_in):
-            route = self.adj_rib_in.get(neighbor)
-            if link in self._full_path_links(route.path):
-                self.adj_rib_in.withdraw(neighbor)
+        for route in list(self.adj_rib_in.routes()):
+            if self._crosses(link, route.path):
+                self.adj_rib_in.withdraw(route.learned_from)
                 # Out-of-band RIB mutation: the next decision run must
                 # rescan rather than trust the incremental keys.
                 self._decision_dirty = True
         for upstream in list(self.failover_rib):
-            if link in self._full_path_links(self.failover_rib[upstream]):
+            if self._crosses(link, self.failover_rib[upstream]):
                 del self.failover_rib[upstream]
                 self._record_failover_state()
 
@@ -222,21 +235,26 @@ class RBGPSpeaker(BGPSpeaker):
     def _failover_key_for(self, route: Route, primary_links: frozenset) -> Tuple:
         """Selection key of one failover candidate (min = chosen).
 
-        Mirrors ``(overlap,) + route_sort_key(...)``; the lock rank is
-        the constant 1 here because failover selection never prefers
-        locked routes (R-BGP has no Lock attribute).
+        ``(overlap, decision key)``, where ``primary_links`` are the
+        links of the primary's announced path.  Counting overlap on the
+        announced paths alone is exact: the only links of the two full
+        paths that touch this AS are their first hops, which differ (a
+        candidate is never learned from the primary next hop), and
+        neither announced path contains this AS.  An R-BGP speaker
+        never prefers locked routes, so the stored key's lock rank is
+        the constant 1.
         """
-        overlap = len(primary_links & self._full_path_links(route.path))
-        base = route.base_key
-        if base is None:
-            return (overlap,) + route_sort_key(self.graph, self.asn, route)
-        return (overlap, base[0], 1, base[1], base[2])
+        links = self.links_memo.get(route.path)
+        if links is None:
+            links = self._links(route.path)
+        return (len(primary_links & links), route.key)
 
     def compute_failover_route(self) -> Optional[Route]:
         """Most disjoint alternate to our primary path.
 
         Disjointness is measured in shared links with the primary path
-        (R-BGP's criterion), ties broken by the regular decision order.
+        (R-BGP's criterion), ties broken by the regular decision order;
+        the key is total, so the scan visits the RIB in any order.
         Unlike regular announcements, failover paths are *not* subject
         to the valley-free export filter: the R-BGP paper explicitly
         relaxes export policy for failover paths (they are used only
@@ -249,7 +267,7 @@ class RBGPSpeaker(BGPSpeaker):
         if best is None or best.is_origin:
             return None
         target = best.learned_from
-        primary_links = self._full_path_links(best.path)
+        primary_links = self._links(best.path)
         best_candidate: Optional[Route] = None
         best_key: Optional[Tuple] = None
         for route in self.adj_rib_in.routes():
@@ -303,9 +321,11 @@ class RBGPSpeaker(BGPSpeaker):
     # ------------------------------------------------------------------
 
     def _record_failover_state(self) -> None:
-        self.trace.record(
-            self.engine.now, self.asn, FAILOVER, self.failover_state()
-        )
+        trace = self.trace
+        if not trace.suspended:  # no entries built for a discarded start
+            trace.record(
+                self.engine._now, self.asn, FAILOVER, self.failover_state()
+            )
 
     def failover_state(self) -> Tuple[Tuple[ASN, ASPath], ...]:
         """Current failover entries in trace format."""

@@ -96,6 +96,11 @@ class ForwardingTrace:
         """
         self.record = _record_suspended
 
+    @property
+    def suspended(self) -> bool:
+        """Whether :meth:`suspend` is in force (nothing is recorded)."""
+        return "record" in self.__dict__
+
     def resume(self) -> None:
         """Re-enable recording after :meth:`suspend`."""
         self.__dict__.pop("record", None)

@@ -34,15 +34,14 @@ import collections
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
+from reference.policy import route_sort_key
 from reference.tracing import replay_onto
 from reference.transient import _reference_analyze_episode_transient_problems
 from repro.analysis.transient import (
     EpisodeSegment,
     analyze_episode_transient_problems,
 )
-from repro.bgp.decision import route_sort_key
 from repro.bgp.network import BGPNetwork
-from repro.bgp.ribs import Route
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import collect_episode_segments
 from repro.rbgp.network import RBGPNetwork
@@ -204,7 +203,7 @@ def _most_disjoint_alternate(graph, speaker):
     """``(primary next hop, path)`` R-BGP's rule picks, or ``None``.
 
     Fewest links shared with the primary path, ties by the decision
-    order (from the graph, not from the keys the speaker cached);
+    order (from the graph, not from the keys the speaker stored);
     routes learned from, or passing through, the primary next hop are
     of no use to it.
     """
@@ -226,9 +225,7 @@ def _most_disjoint_alternate(graph, speaker):
         ),
         key=lambda route: (
             len(primary & links(route.path)),
-            route_sort_key(
-                graph, speaker.asn, Route(route.path, route.learned_from)
-            ),
+            route_sort_key(graph, speaker.asn, route),
         ),
         default=None,
     )

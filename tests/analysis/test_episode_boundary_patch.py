@@ -58,7 +58,7 @@ from repro.analysis.transient import (
     _IncrementalScan,
     analyze_episode_transient_problems,
 )
-from repro.bgp.decision import route_sort_key
+from repro.bgp.ribs import AdjRibIn, Route
 from repro.bgp.speaker import BGPSpeaker
 from repro.experiments.runner import build_network, clear_twin_start_cache
 from repro.experiments.scenarios import (
@@ -277,7 +277,7 @@ class RouteThroughTheTargetSpeaker(RBGPSpeaker):
         best = self.best
         if best is None or best.is_origin:
             return None
-        primary_links = self._full_path_links(best.path)
+        primary_links = self._links(best.path)
         return min(
             (
                 route
@@ -373,17 +373,18 @@ class TestAWrongTieBreakIsCaught:
         )
         run_live(graph, episode, "bgp")  # the intact speaker passes
 
-        def highest_neighbor(self):
-            def key(route):
-                pref, lock, length, neighbor = route_sort_key(
-                    self.graph, self.asn, route
-                )
-                return pref, lock, length, -neighbor
+        update = AdjRibIn.update
 
-            self._best_key = None  # so every later decision rescans
-            return min(self.adj_rib_in.routes(), key=key, default=None)
+        def highest_neighbor(self, neighbor, route):
+            # Every stored key ranks ties by the negated neighbor, so the
+            # rescans and the incremental comparisons agree on it.
+            pref, lock, length, _ = route.key
+            update(self, neighbor, Route(
+                route.path, neighbor, route.et, route.lock,
+                (pref, lock, length, -neighbor),
+            ))
 
-        monkeypatch.setattr(BGPSpeaker, "_rescan_best", highest_neighbor)
+        monkeypatch.setattr(AdjRibIn, "update", highest_neighbor)
         with pytest.raises(AssertionError, match="the stable solution is"):
             run_live(graph, episode, "bgp")
 
@@ -406,21 +407,31 @@ class TestASwappedRBGPPrimaryIsCaught:
             (asn, speaker, route.learned_from)
             for asn, speaker in sorted(network.speakers.items())
             if speaker.best is not None and not speaker.best.is_origin
-            for route in speaker.adj_rib_in.routes()
+            for route in sorted(
+                speaker.adj_rib_in.routes(), key=lambda r: r.learned_from
+            )
             if route.learned_from != speaker.best.learned_from
-            and route.pref == speaker.best.pref
+            and route.key[0] == speaker.best.key[0]
         )
 
-        def key(route):
-            # Gao-Rexford still holds: the class ranks first.
-            normal = route_sort_key(graph, asn, route)
-            return normal[0], route.learned_from != neighbor, normal
+        class SwappedRib(AdjRibIn):
+            """Ranks ``neighbor``'s route first within its class: its
+            stored lock rank drops below every other (R-BGP's is 1), so
+            Gao-Rexford still holds, the class ranks first."""
 
-        def swapped():
-            speaker._best_key = None  # so every later decision rescans
-            return min(speaker.adj_rib_in.routes(), key=key, default=None)
+            def update(self, nbr, route):
+                if nbr == neighbor:
+                    pref, _, length, _ = route.key
+                    route = Route(
+                        route.path, nbr, route.et, route.lock,
+                        (pref, -1, length, nbr),
+                    )
+                super().update(nbr, route)
 
-        speaker._rescan_best = swapped
+        rib = SwappedRib()
+        for route in list(speaker.adj_rib_in.routes()):
+            rib.update(route.learned_from, route)
+        speaker.adj_rib_in = rib
         # Re-decide as a received update would: selection, then failover.
         speaker._run_decision(EventType.NO_LOSS, None)
         speaker._update_failover_advertisement()

@@ -66,13 +66,29 @@ class TestAdjRibIn:
         assert rib.get(5) is None
         assert not rib.withdraw(5)
 
-    def test_routes_in_neighbor_order(self):
-        rib = AdjRibIn()
-        rib.update(7, Route(path=(7, 9), learned_from=7))
-        rib.update(3, Route(path=(3, 9), learned_from=3))
-        assert [r.learned_from for r in rib.routes()] == [3, 7]
-        assert rib.neighbors() == [3, 7]
-        assert len(rib) == 2
+    def test_the_rib_is_order_free(self):
+        """No view promises an order: the routes and the neighbors are
+        sets, and the best route is the least stored key whatever the
+        insertion order, because the neighbor ASN closes every key."""
+        routes = [
+            Route(path=(7, 9), learned_from=7, key=(-2, 1, 2, 7)),
+            Route(path=(3, 9), learned_from=3, key=(-2, 1, 2, 3)),
+            Route(path=(5, 8, 9), learned_from=5, key=(-2, 1, 3, 5)),
+        ]
+        for order in (routes, routes[::-1]):
+            rib = AdjRibIn()
+            for route in order:
+                rib.update(route.learned_from, route)
+            assert set(rib.routes()) == set(routes)
+            assert set(rib) == {3, 5, 7}
+            assert len(rib) == 3
+            assert rib.best() is routes[1]
+        assert AdjRibIn().best() is None
+
+    def test_the_key_is_not_part_of_equality(self):
+        plain = Route(path=(3, 9), learned_from=3)
+        keyed = Route(path=(3, 9), learned_from=3, key=(-2, 1, 2, 3))
+        assert plain == keyed and hash(plain) == hash(keyed)
 
     def test_update_replaces(self):
         rib = AdjRibIn()

@@ -2,9 +2,13 @@
 
 import pytest
 
-from reference.policy import export_allowed, import_accept
-from repro.bgp.decision import best_route, route_sort_key
-from repro.bgp.policy import relationship_pref
+from reference.policy import (
+    best_route,
+    export_allowed,
+    import_accept,
+    relationship_pref,
+    route_sort_key,
+)
 from repro.bgp.ribs import Route
 from repro.topology.graph import ASGraph
 

@@ -283,10 +283,10 @@ class TestExportEquivalence:
             trace=ForwardingTrace(), stats=ProtocolStats(),
         )
         routes = [
-            Route(path=(), learned_from=None, pref=99),       # originated
-            Route(path=(1, 9), learned_from=1, pref=speaker._pref_table[1]),
-            Route(path=(2, 9), learned_from=2, pref=speaker._pref_table[2]),
-            Route(path=(3, 9), learned_from=3, pref=speaker._pref_table[3]),
+            Route(path=(), learned_from=None),       # originated
+            Route(path=(1, 9), learned_from=1),
+            Route(path=(2, 9), learned_from=2),
+            Route(path=(3, 9), learned_from=3),
         ]
         for route in routes:
             speaker.best = route

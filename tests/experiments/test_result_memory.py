@@ -27,6 +27,7 @@ from repro.experiments.scenarios import (
     link_flap_episode,
     single_provider_link_failure,
 )
+from repro.rbgp import network as rbgp_network
 from repro.rbgp import speaker as rbgp_speaker
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
@@ -126,16 +127,29 @@ def test_a_ledger_of_plain_sets_answers_with_nothing_recomputed(
 def test_no_path_links_memo_outlives_its_grid(tiny_graph, monkeypatch):
     """Units run with the collector paused, so whatever memoizes an
     R-BGP path's links must go with the network that filled it: here,
-    every speaker that memoized one is freed by reference counting when
-    the grid ends, and the module itself holds no memo."""
+    every link set in a network's memo — shared by the memo of the
+    parked twin-start fork, which copies it — is freed by reference
+    counting when the grid ends, and the module itself holds no memo."""
     memoized = []
-    real = rbgp_speaker.RBGPSpeaker._full_path_links
+    forks = []
+    real_links = rbgp_speaker.path_links
+    real_fork = rbgp_network.RBGPNetwork.fork
 
-    def spy(self, path):
-        memoized.append(weakref.ref(self))
-        return real(self, path)
+    def spy_links(path):
+        links = real_links(path)
+        memoized.append(weakref.ref(links))
+        return links
 
-    monkeypatch.setattr(rbgp_speaker.RBGPSpeaker, "_full_path_links", spy)
+    def spy_fork(self):
+        twin = real_fork(self)
+        assert twin.links_memo == self.links_memo
+        assert twin.links_memo is not self.links_memo
+        assert all(s.links_memo is twin.links_memo for s in twin.speakers.values())
+        forks.append(weakref.ref(twin))
+        return twin
+
+    monkeypatch.setattr(rbgp_speaker, "path_links", spy_links)
+    monkeypatch.setattr(rbgp_network.RBGPNetwork, "fork", spy_fork)
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -144,13 +158,16 @@ def test_no_path_links_memo_outlives_its_grid(tiny_graph, monkeypatch):
             single_provider_link_failure, "fig2", 0, 2,
             ("rbgp-norci", "rbgp"), tiny_graph,
         )
-        assert data.executed == 4 and memoized
+        assert data.executed == 4 and memoized and forks
+        assert [ref for ref in forks if ref() is not None] == []
         assert [ref for ref in memoized if ref() is not None] == []
-        module_memos = [
-            name for name, value in vars(rbgp_speaker).items()
-            if isinstance(value, dict) and value and not name.startswith("__")
-        ]
-        assert module_memos == []
+        for module in (rbgp_speaker, rbgp_network):
+            module_memos = [
+                name for name, value in vars(module).items()
+                if isinstance(value, dict) and value
+                and not name.startswith("__")
+            ]
+            assert module_memos == []
     finally:
         if was_enabled:
             gc.enable()

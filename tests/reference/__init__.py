@@ -14,8 +14,11 @@ tests runs it:
 * :mod:`reference.tracing` — the copying replay of a forwarding trace
   they read;
 * :mod:`reference.phi` — unmemoized, per-path-DFS Φ;
-* :mod:`reference.policy` — the valley-free export rule
-  ``BGPSpeaker.export_for`` evaluates inline.
+* :mod:`reference.policy` — the decision order whose key each stored
+  route carries, and the valley-free export rule
+  ``BGPSpeaker.export_for`` evaluates inline;
+* :mod:`reference.start` — the drained state of a BGP or R-BGP
+  network, rebuilt from the static solution.
 
 Do not "improve" them: their value is that they do not change.
 """

@@ -8,6 +8,7 @@ every plane of two trees to equal digests, and it refuses — exit code
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -103,3 +104,22 @@ def test_a_non_positive_instance_count_is_refused():
     done = _ab(SRC, SRC, "--instances", "0")
     assert done.returncode == 2
     assert "expected a positive integer" in done.stderr
+
+
+def test_the_paper_scale_is_a_choice_it_accepts():
+    """``--scale 45`` is the paper's 26,920 ASes; parsed, never run."""
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--scale", "45"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "--a and --b are required" in done.stderr
+    assert "invalid choice" not in done.stderr
+    spec = importlib.util.spec_from_file_location("ab_scale", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tiers = tool.SCALES[45]
+    assert (tiers["n_tier1"], tiers["n_tier2"], tiers["n_tier3"], tiers["n_stub"]) == (
+        20, 2100, 5300, 19500
+    )
+    assert sum(tiers[name] for name in tiers if name.startswith("n_")) == 26920

@@ -356,6 +356,24 @@ def test_the_event_queue_and_the_failover_scan_have_one_owner():
     assert scans == ["compute_failover_route"]
 
 
+def test_a_route_is_keyed_once_and_a_path_linked_once_per_network():
+    """One decision key per route and one path-links memo per network,
+    enforced: the Adj-RIB-In's sorted cache, the split key, the
+    speaker's candidate list and the per-speaker memo stay deleted, in
+    the code and in the documents, and the decision order's reference
+    lives in the tests, not in the package."""
+    gone = re.compile(
+        r"\b_sorted\b|\b_full_links_cache\b|\bbase_key\b|\b_candidates\b"
+        r"|\b_full_path_links\b"
+    )
+    _assert_gone_from_code_and_documents(gone)
+    for path in sorted((REPO / "src").rglob("*.py")):
+        found = re.search(r"\b(route_sort_key|best_route)\b", path.read_text())
+        name = path.relative_to(REPO).as_posix()
+        assert found is None, f"{name} still names {found.group()}"
+    assert not (REPO / "src" / "repro" / "bgp" / "decision.py").exists()
+
+
 def test_a_topology_is_built_then_frozen():
     """Build-then-freeze, enforced: the graph's delta overlay, its
     mutation API, the ``version`` counter and every cache check of it,
