@@ -7,12 +7,9 @@ run writes ``BENCH_perf.json`` (machine-readable trajectory point) to
 the working directory, so CI can archive one artifact per commit and
 regressions show up as a broken series.
 
-Scale knobs (environment variables):
-
-* ``REPRO_BENCH_INSTANCES`` — instances for the end-to-end benches
-  (default 6, the acceptance-criteria setting).
-* ``REPRO_BENCH_SMOKE=1`` — shrink the end-to-end benches to a single
-  instance for fast CI smoke runs.
+The end-to-end benches run :data:`INSTANCES` instances;
+``REPRO_BENCH_SMOKE=1`` shrinks them to a single instance for fast CI
+smoke runs.
 
 Reference trajectory (this machine, 2026-07, default ~620-AS graph):
 the pre-optimization seed ran ``fig2 scale=1.0 x6`` in ~32 s and
@@ -62,6 +59,10 @@ from repro.topology.generators import (
 )
 
 OUTPUT_PATH = Path(os.environ.get("REPRO_BENCH_PERF_OUT", "BENCH_perf.json"))
+#: Instances of the end-to-end benches (the acceptance-criteria setting).
+INSTANCES = 6
+#: Worker processes of the parallel figure bench.
+WORKERS = 4
 
 
 def _smoke() -> bool:
@@ -71,7 +72,7 @@ def _smoke() -> bool:
 def _instances() -> int:
     if _smoke():
         return 1
-    return int(os.environ.get("REPRO_BENCH_INSTANCES", "6"))
+    return INSTANCES
 
 
 def _scaled_topology(scale: float) -> InternetTopologyConfig:
@@ -819,13 +820,12 @@ def test_fig2_end_to_end_parallel(benchmark, perf_records):
     against ``fig2_e2e_scale1`` (same instances, workers=1) via the
     recorded ``serial_sibling`` field.
     """
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
     config = ExperimentConfig(
         seed=0, topology=_scaled_topology(1.0), n_instances=_instances()
     )
     data = benchmark.pedantic(
         fig2_single_link_failure, args=(config,),
-        kwargs={"runner": ParallelRunner(workers=workers)},
+        kwargs={"runner": ParallelRunner(workers=WORKERS)},
         rounds=1, iterations=1,
     )
     measured = data.mean_affected()
@@ -835,7 +835,7 @@ def test_fig2_end_to_end_parallel(benchmark, perf_records):
         perf_records,
         "fig2_e2e_parallel",
         benchmark,
-        workers=workers,
+        workers=WORKERS,
         cpus=multiprocessing.cpu_count(),
         instances=_instances(),
         serial_sibling="fig2_e2e_scale1",

@@ -19,12 +19,11 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
 #: Required speedup of the parallel entry over its serial sibling.
-TARGET = float(os.environ.get("REPRO_PARALLEL_TARGET", "2.5"))
+TARGET = 2.5
 
 #: Minimum vCPUs for the target to be enforceable.
 MIN_CPUS = 4

@@ -181,8 +181,6 @@ class ParallelRunner:
     #: Per-attempt wall-clock limit in seconds (``None``: no limit);
     #: enforceable for pooled attempts only.
     unit_timeout: Optional[float] = None
-    #: Retry ``k`` (1-based) waits ``backoff_base * 2**(k-1)`` seconds.
-    backoff_base: float = 0.5
     #: A path: the ledger is opened (and read) for each run and closed
     #: after it — the CLI's case.  An open
     #: :class:`~repro.experiments.ledger.ResultLedger`: borrowed — caught
@@ -204,10 +202,6 @@ class ParallelRunner:
             raise ConfigurationError(
                 f"unit_timeout must be a positive number of seconds, "
                 f"got {self.unit_timeout}"
-            )
-        if not self.backoff_base >= 0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
             )
 
     def run_failure_comparison(

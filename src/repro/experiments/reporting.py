@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+#: Characters in the longest bar of a chart.
+BAR_WIDTH = 50
+#: Glyphs in a CDF sparkline.
+SPARKLINE_BUCKETS = 20
+
 
 def ascii_bar_chart(
     values: Dict[str, float],
     *,
-    width: int = 50,
     unit: str = "",
     title: str = "",
 ) -> str:
@@ -21,7 +25,7 @@ def ascii_bar_chart(
     peak = max(values.values()) or 1.0
     label_width = max(len(label) for label in values)
     for label, value in values.items():
-        bar = "#" * max(1 if value > 0 else 0, round(width * value / peak))
+        bar = "#" * max(1 if value > 0 else 0, round(BAR_WIDTH * value / peak))
         lines.append(
             f"{label.ljust(label_width)} | {bar} {value:,.1f}{unit}"
         )
@@ -76,16 +80,17 @@ def format_failure_report(failures: Sequence) -> str:
     )
 
 
-def cdf_sparkline(points: Sequence[tuple], *, buckets: int = 20) -> str:
+def cdf_sparkline(points: Sequence[tuple]) -> str:
     """Compact one-line rendering of a CDF for terminal output."""
     if not points:
         return "(empty)"
     glyphs = " .:-=+*#%@"
     values = [fraction for _, fraction in points]
     out = []
-    for bucket in range(buckets):
+    for bucket in range(SPARKLINE_BUCKETS):
         index = min(
-            len(values) - 1, round(bucket * (len(values) - 1) / max(1, buckets - 1))
+            len(values) - 1,
+            round(bucket * (len(values) - 1) / (SPARKLINE_BUCKETS - 1)),
         )
         level = min(len(glyphs) - 1, int(values[index] * (len(glyphs) - 1)))
         out.append(glyphs[level])

@@ -68,7 +68,6 @@ PROTOCOL_LABELS: Dict[str, str] = {
     "rbgp-norci": "R-BGP without RCI",
     "rbgp": "R-BGP",
     "stamp": "STAMP",
-    "stamp-intelligent": "STAMP (intelligent blue provider)",
 }
 
 
@@ -130,13 +129,8 @@ def build_network(
         network = RBGPNetwork(
             graph, destination, seed=seed, rci=(protocol == "rbgp")
         )
-    elif protocol in ("stamp", "stamp-intelligent"):
-        network = STAMPNetwork(
-            graph,
-            destination,
-            seed=seed,
-            intelligent_selection=(protocol == "stamp-intelligent"),
-        )
+    elif protocol == "stamp":
+        network = STAMPNetwork(graph, destination, seed=seed)
     else:
         raise ConfigurationError(f"unknown protocol {protocol!r}")
     return network, network.data_plane()

@@ -75,6 +75,10 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger("repro.experiments.supervisor")
 
+#: Retry ``k`` (1-based) of a unit waits ``BACKOFF_BASE_S * 2**(k-1)``
+#: seconds.
+BACKOFF_BASE_S = 0.5
+
 #: One work unit: (episode builder, kind, master seed, instance,
 #: protocol).  The paper's single-instant figures and the multi-phase
 #: campaigns differ only in the builder, so campaign drivers fan every
@@ -348,7 +352,7 @@ class Supervisor:
     """Runs a unit grid to completion: retry, timeout, backoff, stop.
 
     The execution settings (``workers``, ``retries``, ``unit_timeout``,
-    ``backoff_base``, ``budget``) are read from ``runner``, the
+    ``budget``) are read from ``runner``, the
     :class:`~repro.experiments.parallel.ParallelRunner` that declares
     and checks them.  An in-process attempt cannot be interrupted, so
     ``unit_timeout`` binds pooled attempts only (a warning says so).
@@ -469,7 +473,7 @@ class Supervisor:
             self._notify_progress()
         else:
             retry = len(records)  # 1-based retry ordinal
-            delay = self._runner.backoff_base * 2.0 ** (retry - 1)
+            delay = BACKOFF_BASE_S * 2.0 ** (retry - 1)
             self._not_before[index] = time.monotonic() + delay
             self._pending.append(index)
             logger.warning(

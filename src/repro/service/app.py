@@ -105,6 +105,10 @@ logger = logging.getLogger("repro.service.app")
 #: Seconds a refused client is told to wait while no campaign has
 #: finished yet (see :meth:`CampaignService.retry_after_estimate`).
 RETRY_AFTER_S = 5
+#: The largest request body read; a longer one gets a 413.
+MAX_BODY_BYTES = 256 * 1024
+#: Seconds a signalled daemon waits for its lanes to drain.
+DRAIN_TIMEOUT_S = 60.0
 
 
 class QueueFullError(ServiceError):
@@ -205,7 +209,6 @@ class ServiceConfig:
     ledger_path: Union[str, Path]
     workers: int = 1
     max_queue: int = 8
-    max_body_bytes: int = 256 * 1024
     max_concurrent: int = 2
     journal_max_bytes: Optional[int] = None
     auth_token: Optional[str] = None
@@ -787,11 +790,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise _BadRequest("missing or invalid Content-Length")
         length = int(length_header)
-        if length > self.service.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             self.close_connection = True
-            raise _BodyTooLarge(
-                f"body exceeds {self.service.config.max_body_bytes} bytes"
-            )
+            raise _BodyTooLarge(f"body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw or b"{}")
@@ -916,7 +917,6 @@ def run_service(
     port: int,
     config: ServiceConfig,
     *,
-    drain_timeout: Optional[float] = 60.0,
     stream=None,
 ) -> int:
     """Run the daemon until SIGTERM/SIGINT; returns the exit code.
@@ -952,6 +952,6 @@ def run_service(
             signal.signal(signum, handler)
         server.server_close()
     service.begin_shutdown()
-    clean = service.drain(drain_timeout)
+    clean = service.drain(DRAIN_TIMEOUT_S)
     print("drained; journal checkpointed", file=stream, flush=True)
     return 0 if clean else 1

@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+#: The paper's delay bounds, in seconds.
+DELAY_LOW = 0.010
+DELAY_HIGH = 0.020
 
 
 class DelayModel:
@@ -22,16 +24,7 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class UniformDelay(DelayModel):
-    """Uniform delay on ``[low, high]`` seconds (paper: 10-20 ms)."""
-
-    low: float = 0.010
-    high: float = 0.020
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ConfigurationError(
-                f"invalid delay bounds [{self.low}, {self.high}]"
-            )
+    """Uniform delay on ``[DELAY_LOW, DELAY_HIGH]`` seconds."""
 
     def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        return rng.uniform(DELAY_LOW, DELAY_HIGH)

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Hashable, Iterable, List, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.delays import DelayModel, UniformDelay
+from repro.sim.delays import DELAY_HIGH, DELAY_LOW, DelayModel, UniformDelay
 from repro.sim.engine import Engine
 from repro.types import ASN, Link, normalize_link
 
@@ -122,7 +122,7 @@ class Transport:
         #: — the exact expression ``Random.uniform`` evaluates, so the
         #: stream and values are bit-identical to sampling the model.
         self._uniform_bounds: Tuple[float, float] | None = (
-            (self._delay.low, self._delay.high - self._delay.low)
+            (DELAY_LOW, DELAY_HIGH - DELAY_LOW)
             if type(self._delay) is UniformDelay
             else None
         )

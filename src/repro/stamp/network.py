@@ -12,13 +12,7 @@ from typing import Dict, Hashable, Tuple
 from repro.bgp.network import BGPNetwork
 from repro.forwarding.stamp_plane import STAMPDataPlane
 from repro.sim.timers import MRAIConfig
-from repro.stamp.coloring import (
-    BlueProviderSelector,
-    IntelligentBlueSelector,
-    RandomBlueSelector,
-)
 from repro.stamp.node import STAMPNode, build_speaker_configs
-from repro.topology.graph import ASGraph
 from repro.types import ASN, Color
 
 #: One immutable (red, blue) config pair serves every node of every
@@ -29,25 +23,9 @@ _SPEAKER_CONFIGS = build_speaker_configs(MRAIConfig())
 class STAMPNetwork(BGPNetwork):
     """All STAMP nodes of a simulated network for one prefix.
 
-    ``intelligent_selection`` makes the origin pick its locked blue
-    provider intelligently (paper section 6.1, raises the disjointness
-    odds 92% -> 97%); otherwise every node picks at random.
+    Each node picks its locked blue provider at random (paper section
+    4.1).
     """
-
-    def __init__(
-        self,
-        graph: ASGraph,
-        destination: ASN,
-        *,
-        seed: int = 0,
-        intelligent_selection: bool = False,
-    ) -> None:
-        self.selector: BlueProviderSelector = (
-            IntelligentBlueSelector(graph)
-            if intelligent_selection
-            else RandomBlueSelector()
-        )
-        super().__init__(graph, destination, seed=seed)
 
     def _make_speaker(self, asn: ASN) -> STAMPNode:
         return STAMPNode(
@@ -58,7 +36,6 @@ class STAMPNetwork(BGPNetwork):
             speaker_configs=_SPEAKER_CONFIGS,
             trace=self.trace,
             stats=self.stats,
-            selector=self.selector,
         )
 
     def data_plane(self) -> STAMPDataPlane:

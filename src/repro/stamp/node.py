@@ -29,7 +29,6 @@ from repro.sim.engine import Engine
 from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
 from repro.sim.timers import MRAIConfig
-from repro.stamp.coloring import BlueProviderSelector, RandomBlueSelector
 from repro.topology.graph import ASGraph
 from repro.types import ASN, Color, EventType, Link
 
@@ -81,12 +80,10 @@ class STAMPNode:
         speaker_configs: Tuple[SpeakerConfig, SpeakerConfig],
         trace: ForwardingTrace,
         stats: ProtocolStats,
-        selector: Optional[BlueProviderSelector] = None,
     ) -> None:
         self.asn = asn
         self.graph = graph
         self.engine = engine
-        self.selector = selector or RandomBlueSelector()
         self.trace = trace
         #: Static relationship views (the graph topology never changes
         #: during a simulation; failures are session events).  The
@@ -209,12 +206,8 @@ class STAMPNode:
             and self.locked_blue_provider in live_providers
         ):
             return self.locked_blue_provider
-        self.locked_blue_provider = self.selector.select(
-            self.asn,
-            live_providers,
-            is_origin=self.blue.is_origin,
-            rng=self.engine.rng,
-        )
+        # A random pick, as every AS makes it in the paper (section 4.1).
+        self.locked_blue_provider = self.engine.rng.choice(live_providers)
         return self.locked_blue_provider
 
     def _gate(self, color: Color, peer: ASN, route: Route) -> Tuple[bool, bool]:

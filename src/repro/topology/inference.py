@@ -2,9 +2,9 @@
 
 The paper derives its AS topology from RouteViews BGP tables and infers
 customer-provider / peer-peer relationships "using Gao's algorithm"
-[Gao 2001, IEEE/ACM ToN].  We implement the classic three-phase
-algorithm so the full paper pipeline (tables -> annotated graph ->
-experiments) can be reproduced end to end on synthetic tables:
+[Gao 2001, IEEE/ACM ToN].  We implement the published algorithm, with
+its peering phases, so the full paper pipeline (tables -> annotated
+graph -> experiments) can be reproduced end to end on synthetic tables:
 
 1. **Transit counting** — in each AS path, the highest-degree AS is
    taken as the top provider; every AS left of it is inferred to use
@@ -12,11 +12,14 @@ experiments) can be reproduced end to end on synthetic tables:
    provides transit to its right neighbor (downhill).
 2. **Relationship assignment** — an edge where only one side ever
    transits for the other is customer-provider; edges with (more than
-   ``sibling_threshold``) transit observations in both directions are
+   ``SIBLING_THRESHOLD``) transit observations in both directions are
    siblings, which we conservatively fold into peering.
-3. **Peering identification** — the top edge of each path whose
-   endpoints never transit for each other and whose degrees are within
-   ``peering_degree_ratio`` is labeled peer-peer.
+3. **Ruling out peering** — only a path's top edges can be peering;
+   when neither is a sibling, the one toward the lower-degree neighbor
+   cannot be either.
+4. **Peering identification** — every edge not ruled out whose
+   endpoint degrees are within ``PEERING_DEGREE_RATIO`` is labeled
+   peer-peer, over its phase-2 label.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.topology.graph import ASGraph
 from repro.types import ASN, Link, Relationship, normalize_link
+
+#: More transit observations than this in both directions make a link
+#: a sibling.
+SIBLING_THRESHOLD = 1
+#: Gao's R: a peering link joins ASes whose degrees differ by at most
+#: this factor.
+PEERING_DEGREE_RATIO = 60.0
 
 
 @dataclass
@@ -76,9 +86,6 @@ class InferenceResult:
 
 def infer_relationships(
     paths: Iterable[Sequence[ASN]],
-    *,
-    sibling_threshold: int = 1,
-    peering_degree_ratio: float = 60.0,
 ) -> InferenceResult:
     """Infer AS relationships from observed AS paths (Gao's algorithm).
 
@@ -119,7 +126,7 @@ def infer_relationships(
     for a, b in sorted(links):
         ab = transit[(a, b)]  # b transits for a  => b provider of a
         ba = transit[(b, a)]
-        if ab > sibling_threshold and ba > sibling_threshold:
+        if ab > SIBLING_THRESHOLD and ba > SIBLING_THRESHOLD:
             siblings.add((a, b))
         elif ab > 0 and ba > 0:
             # Conflicting but weak evidence: trust the heavier side.
@@ -132,32 +139,33 @@ def infer_relationships(
         elif ba > 0:
             c2p.add((b, a))
 
-    # Phase 3: peering identification among each path's top edge.
+    # Phase 3: the edges that cannot be peering.  Only an edge at a
+    # path's top can be; of the two top edges, the one toward the
+    # lower-degree neighbor cannot either, unless one is a sibling.
     not_peering: Set[Link] = set()
-    candidate_peers: Set[Link] = set()
     for path in path_list:
         top = max(range(len(path)), key=lambda i: (degree[path[i]], -i))
         for index, (u, v) in enumerate(zip(path, path[1:])):
-            link = normalize_link(u, v)
-            if index in (top - 1, top):
-                candidate_peers.add(link)
-            else:
-                not_peering.add(link)
+            if index not in (top - 1, top):
+                not_peering.add(normalize_link(u, v))
+        if 0 < top < len(path) - 1:
+            left = normalize_link(path[top - 1], path[top])
+            right = normalize_link(path[top], path[top + 1])
+            if left not in siblings and right not in siblings:
+                if degree[path[top - 1]] > degree[path[top + 1]]:
+                    not_peering.add(right)
+                else:
+                    not_peering.add(left)
 
+    # Phase 4: a top edge left, between ASes of comparable degree, is a
+    # peering link.
     peers: Set[Link] = set()
-    for a, b in sorted(candidate_peers - not_peering):
-        if (a, b) in siblings:
-            continue
-        deg_a, deg_b = degree.get(a, 1), degree.get(b, 1)
-        ratio = max(deg_a, deg_b) / max(1, min(deg_a, deg_b))
-        if ratio > peering_degree_ratio:
-            continue
-        # Peering requires no transit evidence in either direction.
-        if transit[(a, b)] == 0 and transit[(b, a)] == 0:
+    for a, b in links - not_peering - siblings:
+        deg_a, deg_b = degree[a], degree[b]
+        if max(deg_a, deg_b) / min(deg_a, deg_b) <= PEERING_DEGREE_RATIO:
             peers.add((a, b))
 
-    # Assemble the inferred graph; peer labels win over c2p (a c2p label
-    # for a peer candidate can only come from misclassified top edges).
+    # Assemble the inferred graph; peer labels win over c2p.
     graph = ASGraph()
     final_c2p: Set[Link] = set()
     for customer, provider in sorted(c2p):

@@ -144,5 +144,30 @@ class TestIntelligentSelection:
         best = best_blue_provider(pinched, 1)
         assert best in (2, 3)
 
+    def test_best_blue_provider_picks_the_clean_side(self):
+        # Locked through 3, blue climbs via 6 and red keeps 2's clean
+        # 8; locked through 2, blue may climb via 6 and leave red none.
+        graph = ASGraph()
+        graph.add_c2p(1, 2)
+        graph.add_c2p(1, 3)
+        graph.add_c2p(3, 6)
+        graph.add_c2p(2, 6)
+        graph.add_c2p(2, 8)
+        graph.add_p2p(6, 8)
+        assert conditional_phi_by_provider(graph, 1) == {2: (1, 2), 3: (1, 1)}
+        assert best_blue_provider(graph, 1) == 3
+
+    def test_best_blue_provider_breaks_a_tie_to_the_lowest_asn(self):
+        graph = ASGraph()
+        graph.add_c2p(1, 3)
+        graph.add_c2p(1, 2)
+        graph.add_c2p(2, 6)
+        graph.add_c2p(6, 7)
+        graph.add_c2p(3, 8)
+        graph.add_p2p(7, 8)
+        stats = conditional_phi_by_provider(graph, 1)
+        assert stats[2][0] / stats[2][1] == stats[3][0] / stats[3][1]
+        assert best_blue_provider(graph, 1) == 2
+
     def test_best_blue_provider_none_without_providers(self, diamond):
         assert best_blue_provider(diamond, 4) is None

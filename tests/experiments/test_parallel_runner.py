@@ -106,7 +106,6 @@ class TestSettingsAreChecked:
             (dict(unit_timeout=0), "unit_timeout must be a positive"),
             (dict(unit_timeout=-5.0), "unit_timeout must be a positive"),
             (dict(unit_timeout=float("nan")), "unit_timeout must be a positive"),
-            (dict(backoff_base=-0.5), "backoff_base must be >= 0, got -0.5"),
         ],
     )
     def test_the_runner_refuses_settings_out_of_range(self, settings, message):
@@ -114,9 +113,7 @@ class TestSettingsAreChecked:
             ParallelRunner(**settings)
 
     def test_the_edges_of_every_rule_are_accepted(self):
-        runner = ParallelRunner(
-            workers=1, retries=0, unit_timeout=0.001, backoff_base=0.0
-        )
+        runner = ParallelRunner(workers=1, retries=0, unit_timeout=0.001)
         assert (runner.workers, runner.retries) == (1, 0)
 
     @pytest.mark.parametrize(

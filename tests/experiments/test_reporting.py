@@ -11,7 +11,7 @@ class TestBarChart:
         assert "100.0" in chart
 
     def test_bars_scale_with_values(self):
-        chart = ascii_bar_chart({"big": 100.0, "small": 10.0}, width=50)
+        chart = ascii_bar_chart({"big": 100.0, "small": 10.0})
         lines = chart.splitlines()
         big = next(line for line in lines if line.startswith("big"))
         small = next(line for line in lines if line.startswith("small"))
@@ -43,13 +43,13 @@ class TestTable:
 class TestSparkline:
     def test_length_matches_buckets(self):
         points = [(i / 10, i / 10) for i in range(11)]
-        assert len(cdf_sparkline(points, buckets=20)) == 20
+        assert len(cdf_sparkline(points)) == 20
 
     def test_empty(self):
         assert cdf_sparkline([]) == "(empty)"
 
     def test_rises_left_to_right(self):
         points = [(i / 100, i / 100) for i in range(101)]
-        line = cdf_sparkline(points, buckets=10)
+        line = cdf_sparkline(points)
         glyphs = " .:-=+*#%@"
         assert glyphs.index(line[0]) <= glyphs.index(line[-1])

@@ -19,7 +19,6 @@ from repro.experiments.figures import (
 from repro.experiments.runner import (
     ExperimentConfig,
     PROTOCOLS,
-    build_network,
     run_episode,
 )
 from repro.experiments.scenarios import (
@@ -135,11 +134,3 @@ class TestFigureFunctions:
         data = sec63_partial_deployment(config, trials=4)
         assert 0 <= data.tier1_only_fraction <= data.full_deployment_fraction <= 1
 
-
-class TestBuildNetwork:
-    def test_stamp_intelligent_uses_intelligent_selector(self, tiny_graph):
-        from repro.stamp.coloring import IntelligentBlueSelector
-
-        dest = next(a for a in tiny_graph.ases if tiny_graph.is_multihomed(a))
-        network, _ = build_network("stamp-intelligent", tiny_graph, dest, seed=0)
-        assert isinstance(network.selector, IntelligentBlueSelector)

@@ -74,8 +74,15 @@ def baseline(tiny_graph):
     return _stats(outcome)
 
 
+@pytest.fixture(autouse=True)
+def quick_backoff(monkeypatch):
+    """A retry here waits 0.05 s, not the package's 0.5 s: the walls
+    below retry dozens of units."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.05)
+
+
 def _chaos_runner(**overrides):
-    settings = dict(workers=4, retries=1, backoff_base=0.05)
+    settings = dict(workers=4, retries=1)
     settings.update(overrides)
     return ParallelRunner(**settings)
 
@@ -229,9 +236,8 @@ class TestInProcessPath:
             "raise", instance=0, protocol="bgp",
             times=1, counter=str(tmp_path / "count"),
         ))
-        outcome = _campaign(
-            _chaos_runner(workers=1, backoff_base=0.01), tiny_graph
-        )
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.01)
+        outcome = _campaign(_chaos_runner(workers=1), tiny_graph)
         assert outcome.complete
         assert outcome.executed == N_INSTANCES * len(PROTOCOLS)
         assert _stats(outcome) == baseline
@@ -344,7 +350,8 @@ class TestRunUnitsContract:
         install(monkeypatch, fault_spec(
             "raise", instance=0, protocol="bgp",
         ))
-        runner = ParallelRunner(workers=1, retries=1, backoff_base=0.01)
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.01)
+        runner = ParallelRunner(workers=1, retries=1)
         outcome = runner.run_failure_comparison(
             single_provider_link_failure, KIND, SEED, 2, ("bgp",), tiny_graph
         )
@@ -523,9 +530,8 @@ class TestCooperativeStop:
             "raise", instance=0, protocol="bgp",
         ))
         stop = threading.Event()
-        runner = ParallelRunner(
-            workers=1, retries=1, backoff_base=30.0
-        )
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 30.0)
+        runner = ParallelRunner(workers=1, retries=1)
         timer = threading.Timer(0.3, stop.set)
         timer.start()
         try:
@@ -567,7 +573,7 @@ class TestBookkeepingIsLinear:
             grid = supervisor.Supervisor(
                 None,
                 [(None, "kind", 0, i, "bgp") for i in range(n)],
-                ParallelRunner(retries=0, backoff_base=0.0),
+                ParallelRunner(retries=0),
                 ledger=ledger,
                 unit_keys=[str(i) for i in range(n)],
                 on_progress=lambda done, total: progress.append(done),
@@ -837,11 +843,16 @@ class TestDispatchOrder:
     """``Supervisor._next_eligible`` as pure cases: a grid that is never
     run, a hand-written queue, workers that are only bookkeeping."""
 
+    @pytest.fixture(autouse=True)
+    def quick_backoff(self, monkeypatch):
+        """A retry is eligible at once."""
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.0)
+
     @staticmethod
     def _grid(instances=2, protocols=FOUR, **settings):
         from repro.experiments.supervisor import Supervisor
 
-        settings = dict(dict(workers=2, backoff_base=0.0), **settings)
+        settings = {"workers": 2, **settings}
         grid = Supervisor(
             None,
             [(None, KIND, SEED, i, p)
@@ -1066,9 +1077,7 @@ class TestAPoolSharesTwinStarts:
             "exit", instance=3, protocol="rbgp-norci", scope="worker",
             times=1, counter=str(tmp_path / "count"),
         ))
-        outcome = ParallelRunner(
-            workers=2, retries=1, backoff_base=0.05
-        ).run_failure_comparison(
+        outcome = ParallelRunner(workers=2, retries=1).run_failure_comparison(
             single_provider_link_failure, KIND, SEED, 8, FOUR, tiny_graph
         )
         assert (tmp_path / "count").read_bytes() == b"xx"  # died, retried

@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+import repro.service.app
 from repro.experiments.ledger import ResultLedger
 from repro.service.app import (
     RETRY_AFTER_S,
@@ -229,8 +230,9 @@ class TestAdmissionControl:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
 
-    def test_oversized_body_is_rejected(self, tmp_path):
-        fixture = ServiceClient(tmp_path, max_body_bytes=64)
+    def test_oversized_body_is_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repro.service.app, "MAX_BODY_BYTES", 64)
+        fixture = ServiceClient(tmp_path)
         try:
             status, doc, _ = fixture.request(
                 "POST", "/campaigns",

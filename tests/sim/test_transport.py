@@ -20,7 +20,7 @@ COLORS = (Color.RED, Color.BLUE)
 @pytest.fixture
 def setup():
     engine = Engine(seed=0)
-    transport = Transport(engine, UniformDelay(0.01, 0.02))
+    transport = Transport(engine, UniformDelay())
     return engine, transport
 
 

@@ -8,7 +8,6 @@ from repro.sim.engine import Engine
 from repro.sim.timers import MRAIConfig
 from repro.sim.tracing import ForwardingTrace
 from repro.sim.transport import Transport
-from repro.stamp.coloring import RandomBlueSelector
 from repro.stamp.node import STAMPNode, build_speaker_configs
 from repro.topology.graph import ASGraph
 from repro.types import Color
@@ -35,7 +34,6 @@ def build_node(graph, asn, *, seed=0, inbox=None):
         speaker_configs=build_speaker_configs(MRAIConfig(base=1.0)),
         trace=ForwardingTrace(),
         stats=ProtocolStats(),
-        selector=RandomBlueSelector(),
     )
     return engine, node
 
@@ -48,6 +46,16 @@ def multihomed_graph():
     graph.add_c2p(1, 3)
     graph.add_c2p(2, 4)
     graph.add_c2p(3, 4)
+    return graph
+
+
+@pytest.fixture
+def triplehomed_graph():
+    """AS 1 with providers 2, 3 and 5 (who have provider 4)."""
+    graph = ASGraph()
+    for provider in (2, 3, 5):
+        graph.add_c2p(1, provider)
+        graph.add_c2p(provider, 4)
     return graph
 
 
@@ -73,6 +81,20 @@ class TestOriginColoring:
         red_export = node.red.export_for(other)
         assert red_export is not None and red_export[1] is False
         assert node.red.export_for(target) is None
+
+    def test_the_locked_provider_is_a_draw_of_the_engine(self, multihomed_graph):
+        """Among the live providers, by the engine's seeded generator:
+        one seed picks one provider, and the seeds pick both."""
+
+        def locked(seed):
+            engine, node = build_node(multihomed_graph, 1, seed=seed)
+            node.originate()
+            engine.run()
+            return node.locked_blue_provider
+
+        picks = [locked(seed) for seed in range(12)]
+        assert set(picks) == {2, 3}
+        assert picks == [locked(seed) for seed in range(12)]
 
     def test_single_homed_origin_sends_both_colors(self, singlehomed_graph):
         engine, node = build_node(singlehomed_graph, 1)
@@ -107,6 +129,43 @@ class TestOriginColoring:
         red_export = node.red.export_for(survivor)
         assert red_export is not None
 
+
+    def test_a_provider_that_is_down_is_never_drawn(self, triplehomed_graph):
+        """The draw is over the live providers only: with provider 2's
+        link down, every seed locks 3 or 5, and the seeds pick both."""
+
+        def locked(seed):
+            engine, node = build_node(triplehomed_graph, 1, seed=seed)
+            node.on_session_down(2)
+            node.originate()
+            engine.run()
+            return node.locked_blue_provider
+
+        assert {locked(seed) for seed in range(12)} == {3, 5}
+
+    def test_a_recovered_provider_does_not_take_the_lock_back(
+        self, triplehomed_graph
+    ):
+        engine, node = build_node(triplehomed_graph, 1)
+        node.originate()
+        engine.run()
+        target = node.locked_blue_provider
+        node.on_session_down(target)
+        engine.run()
+        moved = node.locked_blue_provider
+        assert moved in {2, 3, 5} - {target}
+        node.on_session_up(target)
+        engine.run()
+        assert node.locked_blue_provider == moved
+        blue_export = node.blue.export_for(moved)
+        assert blue_export is not None and blue_export[1] is True
+        assert node.blue.export_for(target) is None
+
+    def test_no_live_provider_draws_nothing(self, multihomed_graph):
+        engine, node = build_node(multihomed_graph, 1)
+        assert node._locked_target([]) is None
+        assert node.locked_blue_provider is None
+        assert engine.rng.random() == Engine(seed=0).rng.random()
 
 class TestInstabilityFlags:
     def test_flags_start_clear(self, multihomed_graph):

@@ -257,8 +257,7 @@ def test_the_execution_settings_have_one_owner():
     ]
     settings = [f.name for f in dataclasses.fields(ParallelRunner)]
     assert settings == [
-        "workers", "retries", "unit_timeout", "backoff_base", "ledger",
-        "budget",
+        "workers", "retries", "unit_timeout", "ledger", "budget",
     ]
     parameters = list(inspect.signature(Supervisor).parameters)
     assert len(parameters) <= 7 and "runner" in parameters
@@ -769,7 +768,7 @@ _HTTP_HOOKS = {"do_GET", "do_POST", "log_message"}
 #: Functions and methods no module of the package calls, which the
 #: frozen benchmark (``bench/``) or an example does.
 _RUN_FROM_OUTSIDE = {
-    "accuracy_against", "all_paths", "events_processed",
+    "accuracy_against", "all_paths", "best_blue_provider", "events_processed",
     "example_paper_topology", "parse_tables", "synthesize_routeviews_tables",
     "total_ases",
 }
@@ -945,6 +944,35 @@ def test_a_network_is_a_graph_a_destination_and_a_seed():
         for path in sorted((REPO / "src" / "repro" / package).glob("*.py")):
             found = re.search(r"trace is (not )?None", path.read_text())
             assert found is None, f"{path.name} still asks {found.group()!r}"
+
+
+def test_every_setting_has_a_caller():
+    """A value no caller outside the tests sets is a constant: the
+    blue-provider strategies and the fifth plane that ran them, the
+    body limit and drain timeout of the daemon, and the retry backoff
+    as a runner field stay deleted from the code and the guides.  The
+    delay bounds, the inference thresholds and the chart sizes are
+    constants too."""
+    import inspect
+
+    from repro.experiments.reporting import ascii_bar_chart, cdf_sparkline
+    from repro.sim.delays import UniformDelay
+    from repro.topology.inference import infer_relationships
+
+    # ``phi_with_intelligent_selection`` stays: ``_`` is a word character.
+    gone = re.compile(
+        r"\b(BlueProviderSelector|RandomBlueSelector|IntelligentBlueSelector"
+        r"|intelligent_selection|stamp-intelligent|max_body_bytes"
+        r"|drain_timeout|backoff_base)\b"
+    )
+    _assert_gone_from_code_and_documents(gone)
+    found = gone.search(SKILL.read_text())
+    assert found is None, f"the verify skill still names {found.group()}"
+    assert not (REPO / "src" / "repro" / "stamp" / "coloring.py").exists()
+    assert not hasattr(UniformDelay, "low")
+    assert list(inspect.signature(infer_relationships).parameters) == ["paths"]
+    assert "width" not in inspect.signature(ascii_bar_chart).parameters
+    assert list(inspect.signature(cdf_sparkline).parameters) == ["points"]
 
 
 def _unused_imports(path):
