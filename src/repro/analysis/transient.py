@@ -37,12 +37,14 @@ express.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -68,6 +70,45 @@ def _frozen(ases: AbstractSet[ASN]) -> FrozenSet[ASN]:
     return frozenset(ases) if ases else _EMPTY
 
 
+class Timeline:
+    """A ``(time, count)`` series held as two flat columns.
+
+    Reads as the list of pairs it stands for: iteration, indexing by
+    position, ``len``, ``repr`` and equality (with a list too) are the
+    list's, and like a list it is unhashable.
+    An instant costs 8 bytes of count here and 8 of time in ``times``,
+    a column that a report's two series share.
+    """
+
+    __slots__ = ("times", "counts")
+
+    def __init__(self, times: Sequence[float], counts: Sequence[int]) -> None:
+        self.times = times
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[Tuple[float, int]]:
+        return zip(self.times, self.counts)
+
+    def __getitem__(self, index: int) -> Tuple[float, int]:
+        return self.times[index], self.counts[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Timeline, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+#: The series of a report that observed no instant (nothing eligible,
+#: or a phase with no scan of its own): shared, and read-only.
+_NO_INSTANTS = Timeline((), ())
+
+
 @dataclass
 class TransientReport:
     """Result of one scenario's transient-problem analysis.
@@ -75,7 +116,10 @@ class TransientReport:
     A finished report holds its AS sets frozen: a campaign keeps every
     run's reports alive, so the empty sets are all :data:`_EMPTY` and a
     phase whose eligibility equals the phase before it shares that
-    phase's set (see :func:`analyze_episode_transient_problems`).
+    phase's set (see :func:`analyze_episode_transient_problems`).  Its
+    two series are flat columns (:class:`Timeline`); a pickle holds them
+    as lists of pairs, the shape ledgers have always held, and loads
+    them flat again.
     """
 
     #: ASes that were delivered pre-event (the eligible population).
@@ -92,10 +136,13 @@ class TransientReport:
     looped: FrozenSet[ASN] = _EMPTY
     #: Eligible ASes that ever blackholed.
     blackholed: FrozenSet[ASN] = _EMPTY
-    #: (time, cumulative #affected) series.
-    timeline: List[Tuple[float, int]] = field(default_factory=list)
-    #: (time, #currently-problematic) series — the data-plane health.
-    problem_timeline: List[Tuple[float, int]] = field(default_factory=list)
+    #: (time, cumulative #affected) series, one pair per scanned
+    #: instant: 8 bytes of time (shared with ``problem_timeline``) and 8
+    #: of count, no object per instant.
+    timeline: Timeline = field(default_factory=lambda: _NO_INSTANTS)
+    #: (time, #currently-problematic) series — the data-plane health —
+    #: over the same times: 8 more bytes an instant.
+    problem_timeline: Timeline = field(default_factory=lambda: _NO_INSTANTS)
 
     @property
     def affected_count(self) -> int:
@@ -123,6 +170,33 @@ class TransientReport:
         if end is None:  # never observed recovering (permanent cases)
             end = self.problem_timeline[-1][0]
         return end - start
+
+    def __getstate__(self) -> Dict:
+        """The pickled form: the series as lists of pairs, the shape
+        ledgers have always held."""
+        state = dict(self.__dict__)
+        state["timeline"] = list(self.timeline)
+        state["problem_timeline"] = list(self.problem_timeline)
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        """Load a pickled report in the in-memory form: flat series.
+
+        Every analyzer scans both series at the same instants, so the
+        pickled pairs must agree on their times.
+        """
+        self.__dict__.update(state)
+        timeline, problems = self.timeline, self.problem_timeline
+        if not timeline:
+            self.timeline = self.problem_timeline = _NO_INSTANTS
+            return
+        times = array("d", [time for time, _ in timeline])
+        if array("d", [time for time, _ in problems]) != times:
+            raise ValueError("a report's two series disagree on their times")
+        self.timeline = Timeline(times, array("q", [n for _, n in timeline]))
+        self.problem_timeline = Timeline(
+            times, array("q", [n for _, n in problems])
+        )
 
 
 def analyze_transient_problems(
@@ -278,10 +352,15 @@ class _PhaseTracker:
         DELIVERED with no open interval, or a problem it already has.
         """
         problem_since = self.problem_since
+        report = self.report
         if not self.seeded:
             self._seed(table, time)
+            # A report's series exist from its first observed instant.
+            times = array("d")
+            report.timeline = Timeline(times, array("q"))
+            report.problem_timeline = Timeline(times, array("q"))
         elif transitions:
-            eligible = self.report.eligible
+            eligible = report.eligible
             delivered = Outcome.DELIVERED
             for asn, outcome in transitions:
                 if asn not in eligible:
@@ -295,9 +374,10 @@ class _PhaseTracker:
                         problem_since[asn] = {outcome}
                     else:
                         kinds.add(outcome)
-        report = self.report
-        report.timeline.append((time, len(report.affected)))
-        report.problem_timeline.append((time, len(problem_since)))
+        timeline = report.timeline
+        timeline.times.append(time)
+        timeline.counts.append(len(report.affected))
+        report.problem_timeline.counts.append(len(problem_since))
 
     def finalize(self, table: SuccessorTable) -> TransientReport:
         """Make the intervals still open permanent unreachability.

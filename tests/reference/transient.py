@@ -52,10 +52,12 @@ def _episode_eligibility(
 
 
 def _mutable_report() -> TransientReport:
-    """A report whose sets the reference twins fill in place."""
+    """A report whose sets and series the reference twins fill in
+    place: its series are plain lists of pairs, which compare equal to
+    the analyzer's flat ones."""
     return TransientReport(
         affected=set(), permanently_unreachable=set(), looped=set(),
-        blackholed=set(),
+        blackholed=set(), timeline=[], problem_timeline=[],
     )
 
 
