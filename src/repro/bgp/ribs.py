@@ -99,11 +99,6 @@ class Route:
         """AS-path length used by the decision process."""
         return len(self.path)
 
-    @property
-    def next_hop(self) -> Optional[ASN]:
-        """Forwarding next hop (``None`` for the origin itself)."""
-        return self.learned_from
-
 
 class AdjRibIn:
     """Per-neighbor store of the most recent accepted announcement.

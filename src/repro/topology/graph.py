@@ -547,10 +547,6 @@ class ASGraph:
         """Whether the AS has two or more providers."""
         return len(self._view(asn)[0]) >= 2
 
-    def is_stub(self, asn: ASN) -> bool:
-        """Whether the AS has no customers."""
-        return not self._view(asn)[1]
-
     def is_tier1(self, asn: ASN) -> bool:
         """Whether the AS has no providers (top of the hierarchy)."""
         return not self._view(asn)[0]

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from reference.policy import route_sort_key
+from reference.static import compute_stable_routes
 from reference.tracing import replay_onto
 from reference.transient import _reference_analyze_episode_transient_problems
 from repro.analysis.transient import (
@@ -45,7 +46,6 @@ from repro.bgp.network import BGPNetwork
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import collect_episode_segments
 from repro.rbgp.network import RBGPNetwork
-from repro.routing.static import compute_stable_routes
 from repro.stamp.network import STAMPNetwork
 
 #: How many times each assertion of :func:`check_quiescent` was
@@ -114,7 +114,7 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
     6. on the BGP plane and both R-BGP variants (whose speakers run
        BGP's decision process), wherever the run has ``drained``, every
        live speaker selected the route the static Gao-Rexford solver
-       (:func:`repro.routing.static.compute_stable_routes`, the same
+       (:func:`reference.static.compute_stable_routes`, the same
        tie-breaking) computes on the surviving graph, and has none
        exactly where it finds the destination unreachable.
 

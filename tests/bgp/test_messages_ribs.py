@@ -38,13 +38,13 @@ class TestRoute:
         route = Route(path=(), learned_from=None)
         assert route.is_origin
         assert route.length == 0
-        assert route.next_hop is None
+        assert route.learned_from is None
 
     def test_learned_route(self):
         route = Route(path=(5, 9), learned_from=5)
         assert not route.is_origin
         assert route.length == 2
-        assert route.next_hop == 5
+        assert route.learned_from == 5
 
     def test_path_must_start_at_neighbor(self):
         with pytest.raises(ValueError):

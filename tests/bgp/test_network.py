@@ -3,10 +3,10 @@
 import pytest
 
 from reference.paths import is_valley_free
+from reference.static import compute_stable_routes
 from repro.analysis.transient import analyze_transient_problems
 from repro.bgp.network import BGPNetwork
 from repro.forwarding.bgp_plane import BGPDataPlane
-from repro.routing.static import compute_stable_routes
 from repro.topology.generators import example_paper_topology
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from reference.static import compute_stable_routes
 from repro.analysis.transient import analyze_transient_problems
 from repro.forwarding.rbgp_plane import RBGPDataPlane
 from repro.rbgp.network import RBGPNetwork
 from repro.rbgp.speaker import path_links
-from repro.routing.static import compute_stable_routes
 from repro.topology.generators import example_paper_topology
 from repro.types import normalize_link
 

@@ -17,8 +17,10 @@ tests runs it:
 * :mod:`reference.policy` — the decision order whose key each stored
   route carries, and the valley-free export rule
   ``BGPSpeaker.export_for`` evaluates inline;
+* :mod:`reference.static` — the stable Gao-Rexford solution, computed
+  in three passes without a message: the state BGP converges to;
 * :mod:`reference.start` — the drained state of a BGP or R-BGP
-  network, rebuilt from the static solution.
+  network, rebuilt from that static solution.
 
 Do not "improve" them: their value is that they do not change.
 """

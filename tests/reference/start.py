@@ -6,7 +6,7 @@ that is a function of the graph and the destination alone, whatever
 the seed:
 
 * every Loc-RIB is the static Gao-Rexford solution
-  (:func:`repro.routing.static.compute_stable_routes`);
+  (:func:`reference.static.compute_stable_routes`);
 * every Adj-RIB-Out is the valley-free export of that solution
   (:func:`reference.policy.export_allowed`, ``export_for``'s twin);
 * every Adj-RIB-In holds what its neighbors export, less the paths
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from reference.policy import export_allowed, route_sort_key
+from reference.static import compute_stable_routes
 from repro.bgp.ribs import Route
 from repro.rbgp.speaker import path_links
-from repro.routing.static import compute_stable_routes
 from repro.types import ASN, ASPath, Link
 
 

@@ -752,14 +752,6 @@ def test_a_result_holds_each_as_set_once():
 #: with the reason it is part of the package.
 ENTRY_POINTS = {
     "repro.cli": "the command-line entry point",
-    "repro.topology.routeviews": (
-        "the paper's topology pipeline (RouteViews tables), run from "
-        "examples/inference_pipeline.py"
-    ),
-    "repro.topology.inference": (
-        "the paper's topology pipeline (Gao relationship inference), run "
-        "from examples/inference_pipeline.py"
-    ),
 }
 
 
@@ -768,8 +760,7 @@ _HTTP_HOOKS = {"do_GET", "do_POST", "log_message"}
 #: Functions and methods no module of the package calls, which the
 #: frozen benchmark (``bench/``) or an example does.
 _RUN_FROM_OUTSIDE = {
-    "accuracy_against", "all_paths", "best_blue_provider", "events_processed",
-    "example_paper_topology", "parse_tables", "synthesize_routeviews_tables",
+    "best_blue_provider", "events_processed", "example_paper_topology",
     "total_ases",
 }
 
@@ -951,13 +942,11 @@ def test_every_setting_has_a_caller():
     blue-provider strategies and the fifth plane that ran them, the
     body limit and drain timeout of the daemon, and the retry backoff
     as a runner field stay deleted from the code and the guides.  The
-    delay bounds, the inference thresholds and the chart sizes are
-    constants too."""
+    delay bounds and the chart sizes are constants too."""
     import inspect
 
     from repro.experiments.reporting import ascii_bar_chart, cdf_sparkline
     from repro.sim.delays import UniformDelay
-    from repro.topology.inference import infer_relationships
 
     # ``phi_with_intelligent_selection`` stays: ``_`` is a word character.
     gone = re.compile(
@@ -970,9 +959,31 @@ def test_every_setting_has_a_caller():
     assert found is None, f"the verify skill still names {found.group()}"
     assert not (REPO / "src" / "repro" / "stamp" / "coloring.py").exists()
     assert not hasattr(UniformDelay, "low")
-    assert list(inspect.signature(infer_relationships).parameters) == ["paths"]
     assert "width" not in inspect.signature(ascii_bar_chart).parameters
     assert list(inspect.signature(cdf_sparkline).parameters) == ["points"]
+
+
+def test_the_inference_pipeline_stays_deleted():
+    """The package holds what the paper's experiments run: the synthetic
+    RouteViews tables, Gao's inference and the example that chained them
+    stay deleted, in the code and in the guides, so the CLI is the one
+    entry point and a measured graph enters through ``topology/caida.py``
+    alone.  The static routing solution they read is a test oracle
+    (``tests/reference/static.py``), not a package.  "RouteViews"
+    itself and ``caida.py``'s serial-2 "inference-source" field name the
+    paper's data and a file format, and are not matched."""
+    package = REPO / "src" / "repro"
+    assert not (package / "topology" / "inference.py").exists()
+    assert not (package / "topology" / "routeviews.py").exists()
+    assert not (package / "routing").exists()
+    assert not (REPO / "examples" / "inference_pipeline.py").exists()
+    assert set(ENTRY_POINTS) == {"repro.cli"}
+    _assert_gone_from_code_and_documents(re.compile(
+        r"\b(InferenceResult|infer_relationships|RouteViewsTable"
+        r"|synthesize_routeviews_tables|dump_tables|parse_tables|all_paths"
+        r"|accuracy_against|inference_pipeline|is_stub)\b"
+        r"|topology/inference\.py|topology/routeviews\.py|\brepro\.routing\b"
+    ))
 
 
 def _unused_imports(path):

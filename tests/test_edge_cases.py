@@ -2,9 +2,9 @@
 
 import pytest
 
+from reference.static import compute_stable_routes
 from repro.bgp.network import BGPNetwork
 from repro.rbgp.network import RBGPNetwork
-from repro.routing.static import compute_stable_routes
 from repro.stamp.network import STAMPNetwork
 from repro.topology.generators import example_paper_topology
 from repro.topology.graph import ASGraph

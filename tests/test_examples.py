@@ -38,7 +38,6 @@ def test_examples_directory_is_complete():
     assert names == [
         "disjoint_path_analysis",
         "failure_comparison",
-        "inference_pipeline",
         "link_flap_study",
         "partial_deployment",
         "quickstart",
@@ -81,21 +80,10 @@ def test_partial_deployment(capsys):
     assert "Tier-1-only deployment" in out
 
 
-def test_inference_pipeline(capsys):
-    _load("inference_pipeline").main(
-        config=InternetTopologyConfig(
-            seed=33, n_tier1=4, n_tier2=8, n_tier3=20, n_stub=50
-        ),
-        n_vantages=6,
-    )
-    out = capsys.readouterr().out
-    assert "Accuracy against ground truth" in out
-
-
 @pytest.mark.parametrize(
     "name",
     ["quickstart", "failure_comparison", "link_flap_study",
-     "disjoint_path_analysis", "partial_deployment", "inference_pipeline"],
+     "disjoint_path_analysis", "partial_deployment"],
 )
 def test_examples_have_main(name):
     module = _load(name)

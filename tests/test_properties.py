@@ -6,11 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference.paths import downhill_nodes, is_valley_free, split_uphill_downhill
+from reference.static import compute_stable_routes
 from reference.walk import classify_functional_graph
 from repro.analysis.cdf import empirical_cdf
 from repro.analysis.phi import phi_for_destination
 from repro.bgp.network import BGPNetwork
-from repro.routing.static import compute_stable_routes
 from repro.sim.engine import Engine
 from repro.topology.generators import (
     InternetTopologyConfig,

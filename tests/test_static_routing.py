@@ -3,8 +3,8 @@
 import pytest
 
 from reference.paths import is_valley_free
+from reference.static import RouteClass, compute_stable_routes
 from repro.errors import UnknownASError
-from repro.routing.static import RouteClass, compute_stable_routes
 from repro.topology.generators import example_paper_topology
 from repro.topology.graph import ASGraph
 from fakes import chain_topology, clique_topology

@@ -13,7 +13,7 @@ both the CSR implementation and the retained dict-of-dicts twin
   ``len``, iteration order);
 * once the stream ends, the first read freezes the CSR graph and every
   observable matches: adjacency views, ``relationship()``,
-  ``degree``/``is_tier1``/``is_multihomed``/``is_stub``, link
+  ``degree``/``is_tier1``/``is_multihomed``, link
   enumerations **and their order** (``links()``/``iter_c2p()`` order
   is load-bearing for seeded runs), tier-1 sets, topological order,
   uphill reachability — and a later ``add_*`` raises;
@@ -108,7 +108,6 @@ def _observe(graph):
             graph.degree(asn),
             graph.is_tier1(asn),
             graph.is_multihomed(asn),
-            graph.is_stub(asn),
             list(graph.neighbor_relationships(asn).items()),
             [_apply(graph, ("relationship", asn, b)) for b in ASN_POOL],
             [graph.has_link(asn, b) for b in ASN_POOL],

@@ -92,7 +92,7 @@ class TestGeneratedStructure:
     def test_stubs_have_no_customers(self, generated):
         graph, tiers = generated
         for asn in tiers.stub:
-            assert graph.is_stub(asn)
+            assert not graph.customers(asn)
 
 
 class TestDeterminism:

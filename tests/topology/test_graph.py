@@ -79,11 +79,9 @@ class TestQueries:
         assert diamond.degree(1) == 2
         assert diamond.degree(4) == 2
 
-    def test_multihomed_and_stub(self, diamond):
+    def test_multihomed(self, diamond):
         assert diamond.is_multihomed(1)
         assert not diamond.is_multihomed(2)
-        assert diamond.is_stub(1)
-        assert not diamond.is_stub(2)
 
     def test_tier1_detection(self, diamond):
         assert diamond.is_tier1(4)

@@ -44,7 +44,6 @@ FREEZING_READERS = {
     "neighbors": lambda g: g.neighbors(1),
     "degree": lambda g: g.degree(1),
     "is_multihomed": lambda g: g.is_multihomed(1),
-    "is_stub": lambda g: g.is_stub(1),
     "is_tier1": lambda g: g.is_tier1(4),
     "relationship": lambda g: g.relationship(1, 2),
     "neighbor_relationships": lambda g: g.neighbor_relationships(1),
