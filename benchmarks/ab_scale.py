@@ -23,9 +23,8 @@ exit code is 1 if one does not.  Standard library only, and only names
 both trees are sure to have: ``run_episode``, the scenario builders,
 the topology generator.
 
-``--kind``: ``fig2`` (one link failure), ``flapN`` (N flaps, 2 s
-apart), ``maintenance`` and ``outage`` (the other two multi-phase
-families, at their builders' defaults).
+``--kind``: ``fig2`` (one link failure) or ``flapN`` (N flaps, 2 s
+apart).
 
 ``--instances N`` measures what a campaign holds, not one episode: each
 child runs N instances of the family (instance-major, planes in order,
@@ -68,12 +67,6 @@ SCALES = {
 RBGP_PAIR = ("rbgp-norci", "rbgp")
 #: Allocation sites listed per side by the ``--instances`` attribution.
 SITES = 8
-#: ``--kind`` → builder of every family but the flap storm.
-FAMILIES = {
-    "fig2": "single_provider_link_failure",
-    "maintenance": "staggered_maintenance_episode",
-    "outage": "correlated_outage_episode",
-}
 
 
 def layer_of(filename: str) -> str:
@@ -135,8 +128,8 @@ def child(
         rng = random.Random(
             f"ab-scale:{seed}:{instance}" if instance else f"ab-scale:{seed}"
         )
-        if kind in FAMILIES:
-            episodes.append(getattr(scenarios, FAMILIES[kind])(graph, rng))
+        if kind == "fig2":
+            episodes.append(scenarios.single_provider_link_failure(graph, rng))
         else:
             episodes.append(scenarios.link_flap_episode(
                 graph, rng, period=2.0, flaps=int(kind[len("flap"):])
@@ -182,9 +175,9 @@ def child(
 
 
 def episode_kind(text: str) -> str:
-    if text not in FAMILIES and not re.fullmatch(r"flap[1-9]\d*", text):
+    if text != "fig2" and not re.fullmatch(r"flap[1-9]\d*", text):
         raise argparse.ArgumentTypeError(
-            f"{text!r}: expected {', '.join(FAMILIES)} or flapN"
+            f"{text!r}: expected fig2 or flapN"
         )
     return text
 
@@ -217,7 +210,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=int, choices=sorted(SCALES), default=20)
     parser.add_argument(
         "--kind", type=episode_kind, default="fig2",
-        help="fig2, maintenance, outage, or flapN (N flaps, 2 s apart)",
+        help="fig2 or flapN (N flaps, 2 s apart)",
     )
     parser.add_argument(
         "--planes", nargs="+", default=["bgp", *RBGP_PAIR, "stamp"],

@@ -232,8 +232,7 @@ def test_engine_timer_churn(benchmark, perf_records):
     discarded when they reach the head: the engine's worst case, not
     its common one.  MRAI pacing does *not* produce this pattern — a
     pacer coalesces behind its armed timer and cancels only when a
-    session drops or a router reboots (counted: 0-3 cancels per
-    16-unit campaign grid).
+    session drops (counted: 0-3 cancels per 16-unit campaign grid).
     """
     from repro.sim.engine import Engine
 

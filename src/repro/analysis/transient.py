@@ -250,19 +250,14 @@ class EpisodeSegment:
     state at its start is the episode's one snapshot replayed through
     every earlier segment.  ``failed_links``/``failed_ases`` are the
     failure sets active *after* the events, i.e. throughout the phase.
-    ``failed_ases_at_start`` holds the ASes that were (still) failed
-    when the phase's events fired — a router restored by this very
-    phase was down at its start, so it cannot be a *victim* of the
-    phase and is excluded from the phase report's eligibility (its
-    frozen pre-restore state would otherwise classify as connectivity
-    it never had).
+    A failed AS stays failed, so ``failed_ases`` only grows from one
+    segment to the next.
     """
 
     trace: ForwardingTrace
     failed_links: FrozenSet[Link]
     failed_ases: FrozenSet[ASN]
     start_time: float
-    failed_ases_at_start: FrozenSet[ASN] = frozenset()
 
 
 @dataclass
@@ -526,12 +521,11 @@ def analyze_episode_transient_problems(
 
     # The baseline ignores failure sets (pre-event connectivity), and
     # ASes that are themselves failed at any point of the episode
-    # cannot "experience" problems.
-    ever_failed: Set[ASN] = set()
-    for segment in segments:
-        ever_failed |= segment.failed_ases
-        ever_failed |= segment.failed_ases_at_start
-    report = TransientReport(eligible=_frozen(delivered - ever_failed))
+    # cannot "experience" problems: the last phase's failed ASes, as a
+    # failed AS stays failed.
+    report = TransientReport(
+        eligible=_frozen(delivered - segments[-1].failed_ases)
+    )
     if report.eligible:
         engine.main = _PhaseTracker(report)
 
@@ -558,12 +552,7 @@ def analyze_episode_transient_problems(
         if len(segments) == 1:
             phase_report = report
         else:
-            # A router that was down when this phase fired cannot be a
-            # victim of the phase (its frozen pre-restore state is not
-            # real connectivity).
-            phase_eligible = (
-                delivered - segment.failed_ases - segment.failed_ases_at_start
-            )
+            phase_eligible = delivered - segment.failed_ases
             if phase_eligible != eligible:
                 eligible = _frozen(phase_eligible)
             phase_report = TransientReport(eligible=eligible)

@@ -3,9 +3,9 @@
 This is the BGP baseline of the paper's Figures 2-3 and the base class
 of the R-BGP and STAMP networks, which supply only their per-AS object
 (``_make_speaker``; the network calls ``on_session_up``,
-``on_session_down``, ``originate``, ``is_origin``, ``reboot`` and
-``dispose`` on it) and the data plane that reads their trace
-(``data_plane``).  The lifecycle every experiment follows:
+``on_session_down``, ``originate`` and ``dispose`` on it) and the
+data plane that reads their trace (``data_plane``).  The lifecycle
+every experiment follows:
 
 1. :meth:`start` — the destination originates; run to convergence.
 2. clear the trace (done by :meth:`start`) — discard initial churn.
@@ -207,9 +207,8 @@ class BGPNetwork:
 
         When either endpoint AS is itself failed, only the transport's
         link state recovers — no session forms (mirroring
-        ``fail_link``'s notify loop, which skips failed ASes).  The
-        sessions re-establish later, when ``restore_as`` brings the
-        dead endpoint back.
+        ``fail_link``'s notify loop, which skips failed ASes); a failed
+        AS stays failed for the rest of the run.
         """
         self.transport.restore_link(a, b)
         if self.transport.link_is_up(a, b):
@@ -227,36 +226,10 @@ class BGPNetwork:
         transport drops but the protocol ``stats`` count: update
         counters measure messages *sent*, not delivered.  This is the
         seed behavior of the single-instant node-failure figure and is
-        deliberately left untouched; ``restore_as`` cancels the timers
-        when the router reboots.
+        deliberately left untouched.  As in the paper, a failed AS
+        stays failed for the rest of the run.
         """
         self.transport.fail_as(asn, self.graph.neighbors(asn))
-
-    def restore_as(self, asn: ASN) -> None:
-        """Bring a failed AS back up (maintenance over; cold restart).
-
-        The restored router reboots with *empty* protocol state — a
-        restart does not resurrect pre-failure RIBs — and sessions
-        re-establish deterministically: the reboot first (a pure state
-        reset of every process of the AS), then an origin re-originates,
-        then each live neighbor's session comes up in ascending-ASN
-        order, re-advertising its current best route to the restored
-        AS.  No-op when the AS is not currently failed.
-        """
-        if self.transport.as_is_up(asn):
-            return
-        self.transport.restore_as(asn)
-        live = [
-            nbr
-            for nbr in sorted(self.graph.neighbors(asn))
-            if self.transport.link_is_up(asn, nbr)
-        ]
-        speaker = self.speakers[asn]
-        speaker.reboot(live)
-        if speaker.is_origin:
-            speaker.originate()
-        for nbr in live:
-            self.speakers[nbr].on_session_up(asn)
 
     # ------------------------------------------------------------------
     # Observation

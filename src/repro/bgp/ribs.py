@@ -129,10 +129,6 @@ class AdjRibIn:
         twin._routes = self._routes.copy()
         return twin
 
-    def clear(self) -> None:
-        """Drop every stored route (speaker reboot) in place."""
-        self._routes.clear()
-
     def best(self) -> Optional[Route]:
         """The route with the least decision key, or ``None``."""
         return min(self._routes.values(), key=_decision_key, default=None)

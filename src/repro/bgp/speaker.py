@@ -270,34 +270,6 @@ class BGPSpeaker:
         self._sessions_sorted = None
         self.refresh_peer(peer)
 
-    def reboot(self, peers: Iterable[ASN]) -> None:
-        """Restart this process with empty protocol state (AS restore).
-
-        Models a maintenance restart: the Adj-RIB-In, Adj-RIB-Out
-        bookkeeping, pending flushes, and armed MRAI timers are all
-        wiped, and the session set becomes exactly ``peers`` (the
-        neighbors whose physical link is currently up).  This is a
-        pure state reset: nothing is advertised and ``on_best_change``
-        observers are *not* invoked — the owning network (or STAMP
-        node) re-originates an origin by calling :meth:`originate`
-        *after every co-located process has been reset*, so no export
-        decision ever runs against a half-rebooted sibling.  The trace
-        still records the cleared forwarding state.
-        """
-        self._pacer.reset()
-        self.sessions = set(peers)
-        self._sessions_sorted = None
-        self.adj_rib_in.clear()
-        self._advertised.clear()
-        self._pending.clear()
-        self._gate_refresh_pending = None
-        old = self.best
-        self.best = None
-        self._decision_dirty = False
-        self._export_path = None
-        if old is not None:
-            self._record_best_change(old, None)
-
     # ------------------------------------------------------------------
     # Decision process
     # ------------------------------------------------------------------

@@ -301,8 +301,6 @@ def _apply_episode_event(network, event: EpisodeEvent) -> None:
         network.restore_link(*event.link)
     elif kind is EventKind.AS_FAIL:
         network.fail_as(event.asn)
-    elif kind is EventKind.AS_RESTORE:
-        network.restore_as(event.asn)
     else:  # pragma: no cover - exhaustive over EventKind
         raise ConfigurationError(f"unknown episode event kind {kind!r}")
 
@@ -330,13 +328,12 @@ def collect_episode_segments(
     initial_state: Dict = {}
     #: Per-phase marks captured by the injectors at fire time: (time,
     #: trace start index, post-injection failed links, post-injection
-    #: failed ASes, pre-injection failed ASes).
-    marks: List[Tuple[float, int, frozenset, frozenset, frozenset]] = []
+    #: failed ASes).
+    marks: List[Tuple[float, int, frozenset, frozenset]] = []
 
     def inject(events: Tuple[EpisodeEvent, ...]) -> None:
         time = engine.now
         trace_start = len(trace.changes)
-        failed_ases_before = frozenset(transport.failed_ases)
         for event in events:
             _apply_episode_event(network, event)
         marks.append(
@@ -345,7 +342,6 @@ def collect_episode_segments(
                 trace_start,
                 frozenset(transport.failed_links),
                 frozenset(transport.failed_ases),
-                failed_ases_before,
             )
         )
 
@@ -361,9 +357,7 @@ def collect_episode_segments(
     convergence_time = network.run_to_convergence()
 
     segments: List[EpisodeSegment] = []
-    for k, (
-        time, trace_start, failed_links, failed_ases, failed_before
-    ) in enumerate(marks):
+    for k, (time, trace_start, failed_links, failed_ases) in enumerate(marks):
         trace_end = marks[k + 1][1] if k + 1 < len(marks) else len(trace.changes)
         segments.append(
             EpisodeSegment(
@@ -371,7 +365,6 @@ def collect_episode_segments(
                 failed_links=failed_links,
                 failed_ases=failed_ases,
                 start_time=time,
-                failed_ases_at_start=failed_before,
             )
         )
     return segments, initial_state, convergence_time

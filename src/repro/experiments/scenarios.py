@@ -2,7 +2,8 @@
 
 There is one workload model.  An :class:`Episode` is an ordered tuple
 of ``(time_offset, event)`` steps, each failing or restoring a link or
-an AS, injected *mid-run* by the engine-scheduled injector of
+failing an AS (a failed AS stays failed, as in the paper), injected
+*mid-run* by the engine-scheduled injector of
 :func:`repro.experiments.runner.run_episode`.  Every builder draws its
 instance from a seeded RNG.
 
@@ -22,15 +23,10 @@ instance from a seeded RNG.
   - :func:`link_recovery` — Lemma 3.1 sanity: a link recovery (route
     addition event).
 
-* Multi-phase builders express what a single instant cannot: link
-  flaps (fail → recover → re-fail), staggered maintenance windows, and
-  correlated outages that unfold over time:
+* The multi-phase builder expresses what a single instant cannot, a
+  link flap (fail → recover → re-fail):
 
-  - :func:`link_flap_episode` — a provider link flaps N times;
-  - :func:`staggered_maintenance_episode` — two providers are taken
-    down and restored in consecutive maintenance windows;
-  - :func:`correlated_outage_episode` — Figure 3(a)'s two links, but
-    the second failure lands a configurable delay after the first.
+  - :func:`link_flap_episode` — a provider link flaps N times.
 
 The families a front end can run by name are the entries of
 :data:`CAMPAIGNS`, at the end of this module.
@@ -43,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -59,7 +56,6 @@ class EventKind(Enum):
     LINK_FAIL = "link_fail"
     LINK_RESTORE = "link_restore"
     AS_FAIL = "as_fail"
-    AS_RESTORE = "as_restore"
 
 
 _LINK_KINDS = frozenset({EventKind.LINK_FAIL, EventKind.LINK_RESTORE})
@@ -67,11 +63,11 @@ _LINK_KINDS = frozenset({EventKind.LINK_FAIL, EventKind.LINK_RESTORE})
 
 @dataclass(frozen=True)
 class EpisodeEvent:
-    """One atomic routing event: fail/restore one link or one AS.
+    """One atomic routing event: fail or restore one link, or fail an AS.
 
-    Use the factories :func:`fail_link`, :func:`restore_link`,
-    :func:`fail_as`, :func:`restore_as` instead of constructing
-    directly; link events carry ``link`` and AS events carry ``asn``.
+    Use the factories :func:`fail_link`, :func:`restore_link` and
+    :func:`fail_as` instead of constructing directly; link events
+    carry ``link`` and AS events carry ``asn``.
     """
 
     kind: EventKind
@@ -104,11 +100,6 @@ def restore_link(a: ASN, b: ASN) -> EpisodeEvent:
 def fail_as(asn: ASN) -> EpisodeEvent:
     """Event: an entire AS fails (all of its sessions reset)."""
     return EpisodeEvent(kind=EventKind.AS_FAIL, asn=asn)
-
-
-def restore_as(asn: ASN) -> EpisodeEvent:
-    """Event: a failed AS comes back (maintenance over; cold restart)."""
-    return EpisodeEvent(kind=EventKind.AS_RESTORE, asn=asn)
 
 
 @dataclass(frozen=True)
@@ -341,7 +332,7 @@ def link_recovery(graph: ASGraph, rng: random.Random) -> Episode:
 
 
 # ----------------------------------------------------------------------
-# Multi-phase builders
+# The multi-phase builder
 # ----------------------------------------------------------------------
 
 
@@ -365,6 +356,9 @@ def link_flap_episode(
         raise ConfigurationError("a flap episode needs at least one flap")
     if period <= 0:
         raise ConfigurationError("flap period must be positive")
+    if not math.isfinite((2 * flaps - 1) * period):
+        # An infinite offset merges every later phase into one instant.
+        raise ConfigurationError("flap period must keep every offset finite")
     destination = _pick_multihomed(graph, rng)
     provider = rng.choice(graph.providers(destination))
     steps: List[Tuple[float, EpisodeEvent]] = []
@@ -381,75 +375,6 @@ def link_flap_episode(
             f"provider link {destination}-{provider} flaps {flaps}x "
             f"(period {period}s)"
         ),
-    )
-
-
-def staggered_maintenance_episode(
-    graph: ASGraph,
-    rng: random.Random,
-    *,
-    window: float = 60.0,
-    gap: float = 30.0,
-) -> Episode:
-    """Two providers go down for maintenance in consecutive windows.
-
-    The first provider AS fails at offset 0 and is restored after
-    ``window`` seconds; ``gap`` seconds later the second provider fails
-    for its own ``window``.  The windows never overlap, so a correctly
-    operated maintenance plan should keep the destination reachable
-    throughout — any transient problems are pure convergence damage.
-    (A multi-homed destination always has two distinct providers, so
-    every episode of this family has exactly four phases — campaigns
-    rely on uniform phase counts.)
-    """
-    if window <= 0 or gap < 0:
-        raise ConfigurationError(
-            "maintenance window must be positive and gap non-negative"
-        )
-    destination = _pick_multihomed(graph, rng)
-    providers = list(graph.providers(destination))
-    first = rng.choice(providers)
-    second = rng.choice([p for p in providers if p != first])
-    return Episode(
-        destination=destination,
-        steps=(
-            (0.0, fail_as(first)),
-            (window, restore_as(first)),
-            (window + gap, fail_as(second)),
-            (2 * window + gap, restore_as(second)),
-        ),
-        description=(
-            f"staggered maintenance of providers {first} and {second} "
-            f"(window {window}s, gap {gap}s)"
-        ),
-    )
-
-
-def correlated_outage_episode(
-    graph: ASGraph,
-    rng: random.Random,
-    *,
-    delay: float = 15.0,
-) -> Episode:
-    """Figure 3(a)'s two link failures, the second ``delay`` s later.
-
-    Reuses :func:`two_link_failures_distinct_as` to draw the link pair
-    — handing both builders the *same* ``random.Random`` object yields
-    the same pair, since the draw order is identical — then staggers
-    the second failure instead of applying both simultaneously: a
-    correlated outage unfolding over time, e.g. a shared-risk group
-    failing sequentially.  (Across *campaigns* the instances do not
-    align: campaign RNGs are seeded per ``kind`` string, and this
-    episode's kind necessarily differs from Figure 3(a)'s.)
-    """
-    if delay < 0:
-        raise ConfigurationError("outage delay must be non-negative")
-    drawn = two_link_failures_distinct_as(graph, rng)
-    first, *later = drawn.steps
-    return Episode(
-        destination=drawn.destination,
-        steps=(first, *((delay, event) for _, event in later)),
-        description=f"correlated outage ({delay}s apart): {drawn.description}",
     )
 
 

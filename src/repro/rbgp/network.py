@@ -15,13 +15,10 @@ class RBGPNetwork(BGPNetwork):
     """R-BGP over an AS graph; ``rci=False`` gives the no-RCI baseline.
 
     Mid-run episode events inherit the base network's deterministic
-    sequences with R-BGP twists handled per speaker: ``restore_link``
-    discards each endpoint's stale ``known_bad_links`` entry before
-    re-advertising (recovery information outranks failure knowledge),
-    and ``restore_as`` reboots the router through
-    :meth:`repro.rbgp.speaker.RBGPSpeaker.reboot`, which wipes the
-    failover RIB and explicitly forgoes the stale-FIB retention RCI
-    normally applies when a best route vanishes.
+    sequences with one R-BGP twist handled per speaker:
+    ``restore_link`` discards each endpoint's stale ``known_bad_links``
+    entry before re-advertising (recovery information outranks failure
+    knowledge).
     """
 
     TRACE_KEY: Hashable = PRIMARY

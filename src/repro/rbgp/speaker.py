@@ -163,31 +163,6 @@ class RBGPSpeaker(BGPSpeaker):
         super().on_session_up(peer)
         self._update_failover_advertisement()
 
-    def reboot(self, peers) -> None:
-        """Restart with empty state, R-BGP included (AS restore).
-
-        On top of the base reboot, the failover RIB, any outstanding
-        failover advertisement, and the learned bad-link set are wiped
-        — and, critically, the *stale FIB retention* that RCI normally
-        performs when the best route vanishes does not apply: a
-        restarted router has no FIB to retain, so the data-plane entry
-        is cleared unconditionally.
-        """
-        self.known_bad_links.clear()
-        if self.failover_rib:
-            self.failover_rib.clear()
-            self._record_failover_state()
-        self._failover_sent = None
-        # Clear the FIB *before* the base reboot: _record_best_change's
-        # RCI branch retains stale entries only while fib_path is set,
-        # so super()'s best-route clear (and any later re-origination)
-        # records cleanly instead of being swallowed by retention.
-        stale_retained = self.fib_path is not None and self.best is None
-        self.fib_path = None
-        if stale_retained:
-            self.trace.record(self.engine.now, self.asn, self.tag, None)
-        super().reboot(peers)
-
     # ------------------------------------------------------------------
     # RCI
     # ------------------------------------------------------------------

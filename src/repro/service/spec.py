@@ -31,6 +31,7 @@ supervised pool unchanged and shares its ledger with CLI runs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -211,6 +212,12 @@ class CampaignSpec:
             if not _is_int(flaps) or not 1 <= flaps <= 50:
                 fail("flaps", "must be an integer between 1 and 50")
                 flaps = defaults["flaps"]
+            # The builder's rule: the last flap's offset stays finite
+            # (compared exactly, so an integer no float holds is refused
+            # too).
+            if not (2 * flaps - 1) * period <= sys.float_info.max:
+                fail("period", "must keep every offset finite")
+                period = defaults["period"]
             period = float(period)
         else:
             if period is not None:

@@ -18,8 +18,8 @@ Timers sit 0-30 s out in the engine's one event heap, beside the
 message deliveries; the per-peer flush callback is created once and
 pooled, so steady-state pacing allocates nothing beyond the handle.
 An armed timer is almost never cancelled — coalescing leaves it alone,
-and only a session going down or a reboot drops one (counted: zero
-cancels in a ``fig2`` grid; see :mod:`repro.sim.engine`).
+and only a session going down drops one (counted: zero cancels in a
+``fig2`` grid; see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -138,21 +138,6 @@ class MRAIPacer:
         if handle is not None:
             handle.cancel()
         self._next_allowed.pop(peer, None)
-
-    def reset(self) -> None:
-        """Cancel every armed timer and forget pacing history.
-
-        Used when the owning speaker reboots (an AS-restore episode
-        event): a restarted router has no pending advertisements and no
-        MRAI debt.  The per-peer jittered *intervals* are kept — they
-        model a per-run configuration constant, and re-drawing them
-        would consume engine RNG draws the non-rebooting twin of a run
-        never makes.
-        """
-        for handle in self._armed.values():
-            handle.cancel()
-        self._armed.clear()
-        self._next_allowed.clear()
 
     def _on_timer(self, peer: ASN) -> None:
         self._armed.pop(peer, None)

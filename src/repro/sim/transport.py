@@ -211,10 +211,6 @@ class Transport:
             and b not in self._failed_ases
         )
 
-    def as_is_up(self, asn: ASN) -> bool:
-        """Whether an AS (router) is currently up."""
-        return asn not in self._failed_ases
-
     @property
     def failed_links(self) -> Set[Link]:
         """Snapshot of currently failed links (normalized pairs)."""
@@ -274,16 +270,6 @@ class Transport:
             listener = self._down_listeners.get(nbr)
             if listener is not None:
                 listener(asn)
-
-    def restore_as(self, asn: ASN) -> None:
-        """Bring a failed AS back up (transport state only).
-
-        Sessions do *not* re-establish here — the owning network drives
-        the deterministic re-establishment sequence (the restored
-        router reboots with empty protocol state, then each live
-        neighbor re-advertises), because only it knows the speakers.
-        """
-        self._failed_ases.discard(asn)
 
     # ------------------------------------------------------------------
     # Messaging

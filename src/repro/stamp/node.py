@@ -48,7 +48,7 @@ def build_speaker_configs(
 
     Every STAMP node of a network uses the same two immutable configs,
     so the network builds this pair once and pools it across its nodes
-    (and the nodes' reboots) instead of allocating two per AS.
+    instead of allocating two per AS.
     """
     return (
         SpeakerConfig(mrai=mrai, prefer_locked=False),
@@ -133,11 +133,6 @@ class STAMPNode:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def is_origin(self) -> bool:
-        """Whether this AS originates the prefix (on both processes)."""
-        return self.red.is_origin
-
     def originate(self) -> None:
         """Originate the prefix on both processes, red then blue."""
         self.red.originate()
@@ -156,23 +151,6 @@ class STAMPNode:
         self.red.on_session_up(peer)
         self.blue.on_session_up(peer)
         self._refresh_providers(EventType.NO_LOSS)
-
-    def reboot(self, peers) -> None:
-        """Restart both color processes with empty state (AS restore).
-
-        The locked-blue-provider assignment is forgotten (a restarted
-        node re-selects when its blue process next holds a Lock
-        obligation), red reboots, then blue — both as pure state
-        resets, so no export or gate decision ever observes a
-        half-rebooted sibling — and both instability flags clear.
-        Nothing is advertised: the network re-originates an origin
-        node (:meth:`originate`) after this returns, when every gate
-        evaluation runs against fully reset processes.
-        """
-        self.locked_blue_provider = None
-        for process in self.processes.values():
-            process.reboot(peers)
-        self.clear_instability()
 
     def dispose(self) -> None:
         """Drop the gate and best-change closures that cycle back here."""

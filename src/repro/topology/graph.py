@@ -37,7 +37,7 @@ Storage model (the "production scale" substrate — real AS graphs are
   A graph decoded from bytes (a shared-memory attach, a worker pipe, a
   pickle of a frozen graph) is frozen from the start.  The paper runs
   every failure on one fixed topology, and so does this repository:
-  link and AS failures (and restores) are session events inside
+  link and AS failures (and link restores) are session events inside
   :mod:`repro.sim.transport`, never graph edits.
 
 The query API is unchanged from the dict era: ``providers`` /

@@ -45,6 +45,12 @@ from repro.analysis.transient import (
 from repro.bgp.network import BGPNetwork
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import collect_episode_segments
+from repro.experiments.scenarios import (
+    Episode,
+    fail_link,
+    restore_link,
+    two_link_failures_distinct_as,
+)
 from repro.rbgp.network import RBGPNetwork
 from repro.stamp.network import STAMPNetwork
 
@@ -128,8 +134,9 @@ def check_quiescent(network, *, not_before: float, drained: bool = True) -> floa
     if drained:
         assert engine.pending() == 0, f"{engine.pending()} events still queued"
     if isinstance(network, RBGPNetwork):
+        failed = transport.failed_ases
         for asn, speaker in network.speakers.items():
-            if not transport.as_is_up(asn):
+            if asn in failed:
                 continue
             if speaker.best is None and speaker.rci:
                 # Documented retention: with RCI a routeless speaker
@@ -194,8 +201,9 @@ def _live_speakers(network) -> Iterator[Tuple[int, object]]:
         )
     else:
         processes = network.speakers.items()
+    failed = network.transport.failed_ases
     for asn, speaker in processes:
-        if network.transport.as_is_up(asn):
+        if asn not in failed:
             yield asn, speaker
 
 
@@ -309,4 +317,43 @@ def assert_live_episode_checks_out(live: LiveEpisode, plane, ases):
     assert_trace_complete(live)  # so live_states[0] == initial_state
     return assert_matches_reference(
         live.segments, live.live_states, plane, ases
+    )
+
+
+# ----------------------------------------------------------------------
+# Multi-phase episodes the catalogue has no family for
+# ----------------------------------------------------------------------
+
+
+def staggered_link_maintenance(graph, rng, *, window=50.0, gap=20.0):
+    """The destination's two provider links are maintained in turn.
+
+    The first link fails at offset 0 and comes back after ``window``
+    seconds; ``gap`` seconds later the second fails for its own
+    ``window``.  Always four phases, two of them route additions.
+    """
+    destination = rng.choice(
+        [asn for asn in graph.ases if graph.is_multihomed(asn)]
+    )
+    providers = list(graph.providers(destination))
+    first = rng.choice(providers)
+    second = rng.choice([p for p in providers if p != first])
+    return Episode(
+        destination=destination,
+        steps=(
+            (0.0, fail_link(destination, first)),
+            (window, restore_link(destination, first)),
+            (window + gap, fail_link(destination, second)),
+            (2 * window + gap, restore_link(destination, second)),
+        ),
+    )
+
+
+def staggered_two_link_failures(graph, rng, *, delay=12.0):
+    """Figure 3(a)'s link pair, the second failing ``delay`` s later."""
+    drawn = two_link_failures_distinct_as(graph, rng)
+    first, *later = drawn.steps
+    return Episode(
+        destination=drawn.destination,
+        steps=(first, *((delay, event) for _, event in later)),
     )

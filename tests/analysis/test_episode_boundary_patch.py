@@ -8,11 +8,11 @@ sets as a patch
 instead of photographing the network and rebuilding per segment.
 That rests on the trace being *complete*, which no run-time check
 verifies any more; these tests do, with a stronger check than the
-run-time diff they replace.  Every fuzzed episode — mixed link/AS fail
-and restore events, 2–64 phases, silent restores and re-fails, every
-plane — and every packaged multi-phase builder is driven by the
-test-side collector (``live_collector.py``), which photographs the
-live network ahead of each injector and at quiescence:
+run-time diff they replace.  Every fuzzed episode — mixed link fail
+and restore and AS fail events, 2–64 phases, silent restores and
+re-fails, every plane — and every packaged builder it names is driven
+by the test-side collector (``live_collector.py``), which photographs
+the live network ahead of each injector and at quiescence:
 
 * **trace completeness**: the one snapshot replayed through the trace
   equals the live ``forwarding_state()`` at every boundary and at
@@ -51,6 +51,8 @@ from live_collector import (
     assert_trace_complete,
     check_quiescent,
     run_live,
+    staggered_link_maintenance,
+    staggered_two_link_failures,
 )
 from reference.walk import source_outcomes
 from repro.analysis.transient import (
@@ -63,14 +65,11 @@ from repro.bgp.speaker import BGPSpeaker
 from repro.experiments.runner import build_network, clear_twin_start_cache
 from repro.experiments.scenarios import (
     Episode,
-    correlated_outage_episode,
     fail_as,
     fail_link,
     link_flap_episode,
     provider_node_failure,
-    restore_as,
     restore_link,
-    staggered_maintenance_episode,
 )
 from repro.forwarding.rbgp_plane import _RBGPTable
 from repro.forwarding.stamp_plane import STAMPDataPlane
@@ -102,7 +101,8 @@ def _random_episode(graph, rng, n_phases: int) -> Episode:
     deterministic fail → restore → re-fail of one link, so every
     generated episode of that size exercises a restore boundary and a
     re-fail boundary; the rest is a random walk over feasible events
-    (links and ASes fail and come back, never the destination).
+    (links fail and come back, ASes fail for good, never the
+    destination).
     """
     links = sorted(normalize_link(a, b) for a, b, _ in graph.links())
     candidates = [asn for asn in graph.ases if graph.is_multihomed(asn)]
@@ -154,11 +154,6 @@ def _random_episode(graph, rng, n_phases: int) -> Episode:
             up_ases.discard(asn)
             down_ases.add(asn)
             push(fail_as(asn))
-        elif down_ases:
-            asn = rng.choice(sorted(down_ases))
-            down_ases.discard(asn)
-            up_ases.add(asn)
-            push(restore_as(asn))
         else:
             do_fail_link()
     return Episode(destination=destination, steps=tuple(steps))
@@ -200,8 +195,8 @@ class TestPackagedBuilders:
         [
             (link_flap_episode, {"period": 2.0, "flaps": 8}),
             (link_flap_episode, {"period": 35.0, "flaps": 2}),
-            (staggered_maintenance_episode, {"window": 50.0, "gap": 20.0}),
-            (correlated_outage_episode, {"delay": 12.0}),
+            (staggered_link_maintenance, {"window": 50.0, "gap": 20.0}),
+            (staggered_two_link_failures, {"delay": 12.0}),
             (provider_node_failure, {}),
         ],
     )
@@ -219,16 +214,16 @@ class TestPackagedBuilders:
 class TestAnUnrecordedChangeIsCaught:
     """The wall has teeth: lose one forwarding change and it fails.
 
-    A ``reboot`` that wipes the speaker without telling the trace (the
+    A session-down handler that reroutes without telling the trace (the
     bug a forgotten ``_record_best_change`` would be) leaves the
     analysis on a state the network never had; at run time nothing
     notices any more, so this is the check that must.  The episode
-    puts a boundary one millisecond after the restore — inside the
-    minimum message delay, so the rebooted router is still routeless
-    when the camera fires.
+    puts a boundary one millisecond after a provider's failure —
+    inside the minimum message delay, so its neighbors still hold the
+    routes they fell back to when the camera fires.
     """
 
-    def _reboot_episode(self):
+    def _failure_episode(self):
         graph = _random_topology(0)
         base = provider_node_failure(graph, random.Random("broken"))
         (_, down), = base.steps
@@ -239,32 +234,31 @@ class TestAnUnrecordedChangeIsCaught:
             destination=base.destination,
             steps=(
                 (0.0, down),
-                (60.0, restore_as(down.asn)),
-                (60.001, fail_link(base.destination, other)),
+                (0.001, fail_link(base.destination, other)),
             ),
         )
         return graph, episode
 
     def test_intact_speaker_passes(self):
-        graph, episode = self._reboot_episode()
+        graph, episode = self._failure_episode()
         live, plane = run_live(graph, episode, "bgp")
         assert_live_episode_checks_out(live, plane, list(graph.ases))
 
-    def test_silent_reboot_fails_trace_completeness(self, monkeypatch):
-        graph, episode = self._reboot_episode()
-        reboot = BGPSpeaker.reboot
+    def test_silent_session_down_fails_trace_completeness(self, monkeypatch):
+        graph, episode = self._failure_episode()
+        on_session_down = BGPSpeaker.on_session_down
 
-        def silent_reboot(self, peers):
-            # "Forgot to record": the reboot writes to a throwaway trace.
+        def silent_session_down(self, peer):
+            # "Forgot to record": the reaction writes to a throwaway trace.
             trace, self.trace = self.trace, ForwardingTrace()
             try:
-                reboot(self, peers)
+                on_session_down(self, peer)
             finally:
                 self.trace = trace
 
-        monkeypatch.setattr(BGPSpeaker, "reboot", silent_reboot)
+        monkeypatch.setattr(BGPSpeaker, "on_session_down", silent_session_down)
         live, _ = run_live(graph, episode, "bgp")
-        with pytest.raises(AssertionError, match="at boundary 2"):
+        with pytest.raises(AssertionError, match="at boundary 1"):
             assert_trace_complete(live)
 
 

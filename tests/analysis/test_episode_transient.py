@@ -21,6 +21,8 @@ from live_collector import (
     assert_live_episode_checks_out,
     report_fields as _report_fields,
     run_live,
+    staggered_link_maintenance,
+    staggered_two_link_failures,
 )
 from reference.transient import (
     _reference_analyze_episode_transient_problems,
@@ -34,9 +36,10 @@ from repro.analysis.transient import (
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_episode
 from repro.experiments.scenarios import (
-    correlated_outage_episode,
+    Episode,
+    fail_as,
+    fail_link,
     link_flap_episode,
-    staggered_maintenance_episode,
 )
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.sim.tracing import ForwardingChange, ForwardingTrace
@@ -65,14 +68,23 @@ def captured_segments(monkeypatch):
     return captured
 
 
+def _provider_then_link(graph, rng):
+    """Provider 70 of AS 90 fails, then, 12 s later, its link to 80."""
+    return Episode(
+        destination=90,
+        steps=((0.0, fail_as(70)), (12.0, fail_link(90, 80))),
+    )
+
+
 class TestIncrementalMatchesReference:
     @pytest.mark.parametrize("protocol", PLANES)
     @pytest.mark.parametrize(
         "builder, kwargs",
         [
             (link_flap_episode, {"period": 35.0, "flaps": 2}),
-            (staggered_maintenance_episode, {"window": 50.0, "gap": 20.0}),
-            (correlated_outage_episode, {"delay": 12.0}),
+            (staggered_link_maintenance, {"window": 50.0, "gap": 20.0}),
+            (staggered_two_link_failures, {"delay": 12.0}),
+            (_provider_then_link, {}),
         ],
     )
     def test_real_runs(self, protocol, builder, kwargs):

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.forwarding.stamp_plane as stamp_plane
-from live_collector import run_live
+from live_collector import run_live, staggered_link_maintenance
 from reference.transient import (
     _reference_analyze_episode_transient_problems,
     _reference_analyze_transient_problems,
@@ -37,7 +37,6 @@ from repro.experiments.runner import build_network
 from repro.experiments.scenarios import (
     link_flap_episode,
     single_provider_link_failure,
-    staggered_maintenance_episode,
 )
 from repro.forwarding.bgp_plane import BGPDataPlane
 from repro.forwarding.rbgp_plane import FAILOVER, PRIMARY, RBGPDataPlane
@@ -483,7 +482,7 @@ class TestAnalyzerEquivalence:
         "builder, kwargs",
         [
             (link_flap_episode, {"period": 30.0, "flaps": 2}),
-            (staggered_maintenance_episode, {"window": 40.0, "gap": 15.0}),
+            (staggered_link_maintenance, {"window": 40.0, "gap": 15.0}),
         ],
     )
     @pytest.mark.parametrize("seed", (2, 7))

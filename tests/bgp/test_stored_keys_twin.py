@@ -2,8 +2,8 @@
 their reference twins (determinism rule 4).
 
 Random streams of updates, withdrawals (some root-caused, so RCI
-purges), failover announcements, session resets, reboots and forks
-drive one speaker of each kind: plain BGP, a STAMP blue process
+purges), failover announcements, session resets and forks drive one
+speaker of each kind: plain BGP, a STAMP blue process
 (``prefer_locked``) and both R-BGP variants.  After every step:
 
 * the speaker's best route is the argmin of
@@ -79,7 +79,7 @@ def links(draw):
 def steps(draw):
     kind = draw(st.sampled_from(
         ("announce",) * 6 + ("withdraw",) * 2
-        + ("failover",) * 2 + ("down", "up", "reboot", "fork")
+        + ("failover",) * 2 + ("down", "up", "fork")
     ))
     neighbor = draw(st.sampled_from(NEIGHBORS))
     cause = draw(st.none() | links())
@@ -161,10 +161,6 @@ class Model:
         elif kind == "up":
             self.bad.discard(normalize_link(ASN, step[1]))
             self.sessions.add(step[1])
-        elif kind == "reboot":
-            self.rib.clear()
-            self.failover.clear()
-            self.bad.clear()
 
 
 class Harness:
@@ -209,8 +205,6 @@ class Harness:
             speaker.on_session_down(step[1])
         elif kind == "up":
             speaker.on_session_up(step[1])
-        elif kind == "reboot":
-            speaker.reboot(sorted(speaker.sessions))
         else:
             speaker.engine.run()
             engine = speaker.engine.fork()

@@ -1,12 +1,12 @@
 """Tests of the timed failure-episode engine.
 
 Covers the episode model's validation, mid-run restore/re-fail on all
-three protocol planes, AS restore (cold-restart) semantics including
-the origin, the R-BGP twin-start cache keying regression, campaign
-determinism across worker counts, and what a phase may cost: one
-``forwarding_state()`` call and one state dict per episode, at unit
-values equal in every field to the ones the per-phase snapshots
-produced.  (That a one-phase episode reproduces the paper's
+three protocol planes, an AS failure that stays failed (a link
+restored to it forms no session), the R-BGP twin-start cache keying
+regression, campaign determinism across worker counts, and what a
+phase may cost: one ``forwarding_state()`` call and one state dict per
+episode, at unit values equal in every field to the ones the per-phase
+snapshots produced.  (That a one-phase episode reproduces the paper's
 single-instant semantics byte for byte is pinned by
 ``test_single_instant_golden.py``.)
 """
@@ -29,13 +29,10 @@ from repro.experiments.scenarios import (
     Episode,
     EpisodeEvent,
     EventKind,
-    correlated_outage_episode,
     fail_as,
     fail_link,
     link_flap_episode,
-    restore_as,
     restore_link,
-    staggered_maintenance_episode,
 )
 from repro.rbgp.network import RBGPNetwork
 from repro.stamp.network import STAMPNetwork
@@ -60,9 +57,9 @@ class TestEpisodeModel:
         with pytest.raises(ConfigurationError):
             EpisodeEvent(kind=EventKind.LINK_FAIL, asn=90)
         with pytest.raises(ConfigurationError):
-            EpisodeEvent(kind=EventKind.AS_RESTORE, link=(1, 2))
+            EpisodeEvent(kind=EventKind.AS_FAIL, link=(1, 2))
         assert fail_link(1, 2).link == (1, 2)
-        assert restore_as(7).asn == 7
+        assert fail_as(7).asn == 7
 
     def test_steps_must_be_time_ordered(self):
         with pytest.raises(ConfigurationError):
@@ -88,14 +85,9 @@ class TestEpisodeModel:
         assert instants[1][1] == (2,)
 
     def test_builders_are_deterministic_per_rng(self, graph):
-        for builder in (
-            link_flap_episode,
-            staggered_maintenance_episode,
-            correlated_outage_episode,
-        ):
-            a = builder(graph, random.Random("x"))
-            b = builder(graph, random.Random("x"))
-            assert a == b
+        a = link_flap_episode(graph, random.Random("x"))
+        b = link_flap_episode(graph, random.Random("x"))
+        assert a == b
 
     def test_flap_episode_alternates_fail_and_restore(self, graph):
         episode = link_flap_episode(graph, random.Random("f"), flaps=3)
@@ -156,55 +148,24 @@ class TestMidRunRestore:
         assert run.phases[1].time - run.phases[0].time == pytest.approx(40.0)
 
 
-class TestASRestore:
+class TestAFailedASStaysFailed:
     @pytest.mark.parametrize("protocol", ("bgp", "rbgp", "stamp"))
-    def test_maintenance_window_heals_completely(self, graph, protocol):
+    def test_an_as_failed_in_a_later_phase_is_no_victim(self, graph, protocol):
+        """The destination loses its link to 80, then provider 70 fails:
+        70 is eligible in phase 0 alone, not in phase 1 nor in the
+        episode-wide report."""
         episode = Episode(
             destination=90,
-            steps=((0.0, fail_as(70)), (60.0, restore_as(70))),
+            steps=((0.0, fail_link(90, 80)), (60.0, fail_as(70))),
         )
         run = run_episode(graph, episode, protocol, seed=2)
-        assert len(run.phases) == 2
-        # After the restore, the network converges back to full
-        # connectivity: nobody is left partitioned, and the restored
-        # AS is excluded from eligibility (it was down mid-episode).
-        assert run.report.permanently_unreachable == set()
+        assert [70 in p.report.eligible for p in run.phases] == [True, False]
         assert 70 not in run.report.eligible
-        # Regression: the rebooting router is not a *victim* of its own
-        # restore phase — it was down when that phase fired, so the
-        # phase report must not count it as eligible or affected.
-        restore_phase = run.phases[1]
-        assert 70 not in restore_phase.report.eligible
-        assert 70 not in restore_phase.report.affected
-
-    @pytest.mark.parametrize("protocol", ("bgp", "rbgp", "stamp"))
-    def test_origin_restart_reoriginates(self, graph, protocol):
-        """Failing and restoring the destination itself must heal."""
-        episode = Episode(
-            destination=90,
-            steps=((0.0, fail_as(90)), (60.0, restore_as(90))),
-        )
-        run = run_episode(graph, episode, protocol, seed=6)
-        # Every eligible AS loses the route while the origin is down
-        # and regains it after the restart re-originates.
-        assert run.report.permanently_unreachable == set()
-        assert run.report.affected == run.report.eligible
-        assert len(run.report.eligible) == len(graph.ases) - 1
-
-    def test_restore_as_is_a_noop_on_a_live_as(self, graph):
-        episode = Episode(destination=90, steps=((0.0, restore_as(70)),))
-        run = run_episode(graph, episode, "bgp", seed=2)
-        assert run.report.affected == set()
-        assert run.announcements == 0 and run.withdrawals == 0
+        assert 70 not in run.report.affected
 
     def test_restore_link_while_endpoint_as_down_forms_no_session(self, graph):
-        """Regression: restoring a link whose endpoint AS is still dark
-        must not poison the live neighbor's session set — the restored
-        router would otherwise never be re-advertised to and converge
-        onto a detour instead of its direct customer route."""
-        from repro.bgp.network import BGPNetwork
-        from repro.stamp.network import STAMPNetwork
-
+        """Regression: restoring a link whose endpoint AS is dark must
+        not put the dark AS in the live neighbor's session set."""
         bgp = BGPNetwork(graph, 90)
         bgp.start()
         bgp.fail_as(70)
@@ -212,10 +173,7 @@ class TestASRestore:
         bgp.restore_link(70, 90)  # 70 still down: link up, no session
         assert 70 not in bgp.speakers[90].sessions
         bgp.run_to_convergence()
-        bgp.restore_as(70)
-        bgp.run_to_convergence()
-        assert 70 in bgp.speakers[90].sessions
-        assert bgp.best_path(70) == (70, 90)  # the direct customer route
+        assert 70 not in bgp.speakers[90].sessions
 
         stamp = STAMPNetwork(graph, 90)
         stamp.start()
@@ -224,23 +182,33 @@ class TestASRestore:
         stamp.restore_link(70, 90)
         assert 70 not in stamp.speakers[90].red.sessions
         stamp.run_to_convergence()
-        stamp.restore_as(70)
-        stamp.run_to_convergence()
-        assert 70 in stamp.speakers[90].red.sessions
+        assert 70 not in stamp.speakers[90].blue.sessions
 
     @pytest.mark.parametrize("protocol", ("bgp", "rbgp", "stamp"))
-    def test_mid_outage_link_restore_episode_heals(self, graph, protocol):
-        """End-to-end: link recovers while its endpoint AS is dark."""
-        episode = Episode(
-            destination=90,
-            steps=(
-                (0.0, fail_as(70)),
-                (30.0, restore_link(70, 90)),
-                (60.0, restore_as(70)),
-            ),
+    def test_a_link_restored_to_a_dark_as_changes_nothing(
+        self, graph, protocol
+    ):
+        """End-to-end: the link recovers while its endpoint AS is dark,
+        so the run sends the updates and finds the problems of the
+        AS failure alone."""
+        failure = ((0.0, fail_as(70)),)
+        alone = run_episode(
+            graph, Episode(destination=90, steps=failure), protocol, seed=8
         )
-        run = run_episode(graph, episode, protocol, seed=8)
-        assert run.report.permanently_unreachable == set()
+        run = run_episode(
+            graph,
+            Episode(
+                destination=90,
+                steps=failure + ((30.0, restore_link(70, 90)),),
+            ),
+            protocol,
+            seed=8,
+        )
+        assert run.phases[1].report.affected == set()
+        assert (run.announcements, run.withdrawals) == (
+            alone.announcements, alone.withdrawals,
+        )
+        assert run.report.affected == alone.report.affected
 
 
 class TestTwinStartCacheKeying:

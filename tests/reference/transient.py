@@ -45,7 +45,6 @@ def _episode_eligibility(
     ever_failed: Set[ASN] = set()
     for segment in segments:
         ever_failed |= segment.failed_ases
-        ever_failed |= segment.failed_ases_at_start
     return {
         asn for asn in all_ases if baseline.get(asn) is Outcome.DELIVERED
     } - ever_failed
@@ -92,7 +91,6 @@ def _reference_analyze_episode_transient_problems(
             failed_links=segment.failed_links,
             failed_ases=segment.failed_ases,
             min_duration=min_duration,
-            exclude_sources=segment.failed_ases_at_start,
         )
         for segment, initial_state in zip(segments, initial_states)
     ]
@@ -190,17 +188,12 @@ def _reference_analyze_transient_problems(
     failed_links: FrozenSet[Link] = frozenset(),
     failed_ases: FrozenSet[ASN] = frozenset(),
     min_duration: float = 0.0,
-    exclude_sources: FrozenSet[ASN] = frozenset(),
 ) -> TransientReport:
     """Full-rescan analyzer (pre-optimization behavior).
 
     Re-classifies every eligible AS at every instant.  Kept as the
     brute-force reference the incremental implementation is pinned to
-    in the equivalence tests.  ``exclude_sources`` removes ASes from
-    eligibility without failing them for walk classification — the
-    episode twin passes the routers that were down when a phase fired
-    (not its victims, but traffic may flow *through* them once
-    restored).
+    in the equivalence tests.
     """
     report = _mutable_report()
     all_ases = list(ases)
@@ -209,7 +202,6 @@ def _reference_analyze_transient_problems(
     report.eligible = (
         {asn for asn in all_ases if baseline.get(asn) is Outcome.DELIVERED}
         - set(failed_ases)
-        - set(exclude_sources)
     )
     if not report.eligible:
         return report

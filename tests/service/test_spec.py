@@ -102,6 +102,9 @@ class TestParsing:
             ({"flaps": 0}, "flaps", "must be an integer between 1 and 50"),
             ({"period": 0}, "period", "must be a positive number of seconds"),
             ({"period": -1}, "period", "must be a positive number of seconds"),
+            ({"period": float("inf")}, "period", "must keep every offset finite"),
+            ({"period": 1e308}, "period", "must keep every offset finite"),
+            ({"period": 10**400}, "period", "must keep every offset finite"),
         ):
             with pytest.raises(SpecValidationError) as excinfo:
                 CampaignSpec.parse({"kind": "flap", **payload})

@@ -60,18 +60,18 @@ def test_a_child_reports_its_peak_rss_and_the_summary_prints_it():
     assert re.search(r"peak RSS median A \d+\.\d B \d+\.\d MB$", summary)
 
 
-def test_a_maintenance_window_runs_on_every_plane():
-    done = _ab(SRC, SRC, "--kind", "maintenance")
+def test_a_multi_phase_kind_runs_on_every_plane():
+    done = _ab(SRC, SRC, "--kind", "flap3")
     assert done.returncode == 0, done.stdout + done.stderr
     runs = [line for line in done.stdout.splitlines() if line.startswith("pass ")]
     assert len(runs) == 3 and all(line.endswith(" equal") for line in runs)
-    assert "kind=maintenance" in done.stdout
+    assert "kind=flap3" in done.stdout
 
 
 def test_an_unknown_kind_is_refused():
     done = _ab(SRC, SRC, "--kind", "storm")
     assert done.returncode == 2
-    assert "expected fig2, maintenance, outage or flapN" in done.stderr
+    assert "expected fig2 or flapN" in done.stderr
 
 
 def test_a_tree_that_computes_something_else_is_refused(tmp_path):

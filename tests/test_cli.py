@@ -154,6 +154,8 @@ class TestCommands:
             (["--flaps", "0"], "a flap episode needs at least one flap"),
             (["--period", "0"], "flap period must be positive"),
             (["--period", "-1"], "flap period must be positive"),
+            (["--period", "inf"], "flap period must keep every offset finite"),
+            (["--period", "1e308"], "flap period must keep every offset finite"),
         ],
     )
     def test_keywords_the_builder_refuses_are_a_usage_error(

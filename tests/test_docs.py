@@ -87,7 +87,7 @@ def test_architecture_doctests_pass():
 def test_scenarios_covers_the_event_model():
     """The guide must document every event kind and the timing rules."""
     text = SCENARIOS.read_text()
-    for factory in ("fail_link", "restore_link", "fail_as", "restore_as"):
+    for factory in ("fail_link", "restore_link", "fail_as"):
         assert f"`{factory}(" in text, f"no event-model entry for {factory}"
     for section in (
         "Determinism and timing rules",
@@ -430,8 +430,7 @@ def test_a_network_has_one_lifecycle():
 
     assert issubclass(STAMPNetwork, BGPNetwork)
     shared = (
-        "fail_link", "restore_link", "fail_as", "restore_as", "dispose",
-        "_drain",
+        "fail_link", "restore_link", "fail_as", "dispose", "_drain",
     )
     for cls in (STAMPNetwork, RBGPNetwork):
         for name in shared:
@@ -984,6 +983,33 @@ def test_the_inference_pipeline_stays_deleted():
         r"|accuracy_against|inference_pipeline|is_stub)\b"
         r"|topology/inference\.py|topology/routeviews\.py|\brepro\.routing\b"
     ))
+
+
+def test_a_failed_as_stays_failed():
+    """The paper never brings a failed AS back, and neither does the
+    package: AS restore, the router reboot it drove on every speaker
+    class and the two builders only tests ran stay deleted, in the code
+    and in the guides, with the per-phase failure set that only a
+    restore could fill."""
+    from repro.bgp.ribs import AdjRibIn
+    from repro.bgp.speaker import BGPSpeaker
+    from repro.experiments.scenarios import EventKind
+    from repro.sim.timers import MRAIPacer
+    from repro.stamp.node import STAMPNode
+
+    _assert_gone_from_code_and_documents(re.compile(
+        r"\b(restore_as|as_is_up|reboot|staggered_maintenance_episode"
+        r"|correlated_outage_episode|AS_RESTORE|as_restore"
+        r"|failed_ases_at_start|failed_ases_before)\b"
+    ))
+    assert [kind.name for kind in EventKind] == [
+        "LINK_FAIL", "LINK_RESTORE", "AS_FAIL",
+    ]
+    for cls, name in (
+        (BGPSpeaker, "reboot"), (STAMPNode, "reboot"),
+        (STAMPNode, "is_origin"), (MRAIPacer, "reset"), (AdjRibIn, "clear"),
+    ):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name} is back"
 
 
 def _unused_imports(path):
